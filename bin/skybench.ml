@@ -746,13 +746,15 @@ let parallel_cmd =
      sequential one — Seq vs Par at the same quantum on every isolation \
      backend, chunked vs unchunked scheduling, and two different quantum \
      sizes — then wall-clock a 4x4-shard cluster sequentially and on \
-     OCaml domains for the host-speedup gate. The speedup bar scales \
-     with Domain.recommended_domain_count: >=2x with 4+ host domains, \
-     reduced for 2-3, and explicitly waived (not faked) on a \
-     single-domain host. Writes BENCH_parallel.json with --json; the \
-     file is byte-deterministic on a given host, so CI diffs two runs \
-     (raw wall seconds go to stderr only). Exit code 0 iff every \
-     equivalence digest matches and the speedup gate does not fail."
+     OCaml domains in three alternating pairs for the host-speedup gate \
+     (median pair speedup). The speedup bar is \
+     min(2.0, 0.65 x min(jobs, Domain.recommended_domain_count)), and \
+     the gate is explicitly waived (not faked) on a single-domain host. \
+     With --json, stdout carries no host data and is byte-deterministic, \
+     so CI diffs two runs; BENCH_parallel.json adds the host's domain \
+     count and verdict, and raw wall seconds go to stderr only. Exit \
+     code 0 iff every equivalence digest matches and the speedup gate \
+     does not fail."
   in
   let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Workload seed.") in
   let json =
@@ -769,9 +771,9 @@ let parallel_cmd =
     if json then begin
       let j = Sky_experiments.Exp_parallel.to_json r in
       print_endline j;
-      (* No host_seconds wrapper: the artifact must be byte-deterministic
-         across two runs on the same host. Host context (domain count,
-         jobs, gate verdict) is stable and rides along. *)
+      (* No host_seconds wrapper, and stdout carries no host data, so two
+         runs print byte-identical JSON. The host context (domain count,
+         jobs, gate verdict) rides along in the artifact only. *)
       let path =
         Sky_harness.Artifact.write ~name:"parallel"
           ~host_json:(Sky_experiments.Exp_parallel.host_json r)
@@ -781,12 +783,14 @@ let parallel_cmd =
     end
     else Sky_harness.Tbl.print (Sky_experiments.Exp_parallel.table r);
     Printf.eprintf
-      "parallel: %d host domain(s), par jobs=%d, seq %.2fs vs par %.2fs = \
-       %.2fx -> gate %s\n"
+      "parallel: %d host domain(s), par jobs=%d, seq/par seconds %s -> \
+       median speedup %.2fx -> gate %s\n"
       r.Sky_experiments.Exp_parallel.r_host_domains
       r.Sky_experiments.Exp_parallel.r_jobs
-      r.Sky_experiments.Exp_parallel.r_seq_seconds
-      r.Sky_experiments.Exp_parallel.r_par_seconds
+      (String.concat " "
+         (List.map
+            (fun (s, p) -> Printf.sprintf "%.2f/%.2f" s p)
+            r.Sky_experiments.Exp_parallel.r_pairs))
       r.Sky_experiments.Exp_parallel.r_speedup
       r.Sky_experiments.Exp_parallel.r_gate;
     if not (Sky_experiments.Exp_parallel.ok r) then begin

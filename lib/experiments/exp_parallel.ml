@@ -14,16 +14,19 @@
       intentionally records boundary placement).
 
     Phase B ({e speedup}) runs a larger cluster — [shards × workers]
-    sized to the paper's 16-core evaluation box — once under [Seq] and
-    once under [Par], wall-clocking both through a caller-supplied host
-    clock. The speedup gate scales with what the host can actually
-    deliver ([Domain.recommended_domain_count]): ≥2x where four or more
-    domains are available, a reduced bar for 2–3, and an explicit
-    {e waived} verdict on a single-domain host, where no scheduler can
-    manufacture parallelism. Wall seconds and the measured speedup are
+    sized to the paper's 16-core evaluation box, loaded so the [Seq] run
+    takes over a second on a 2-vCPU host — in three alternating
+    [Seq]/[Par] pairs, wall-clocking every run through a caller-supplied
+    host clock. The speedup is the median of the three per-pair ratios:
+    one shot at this size varies by tens of percent on a shared host.
+    The speedup gate scales with what the host can actually deliver
+    ([Domain.recommended_domain_count]): ≥2x where four or more domains
+    are available, a reduced bar for 2–3, and an explicit {e waived}
+    verdict on a single-domain host, where no scheduler can manufacture
+    parallelism. Wall seconds, the measured speedup and the verdict are
     host-dependent, so they never appear in the deterministic result —
-    the caller records them next to it (BENCH_parallel.json's ["host"]
-    wrapper). *)
+    the caller records the verdict next to it (BENCH_parallel.json's
+    ["host"] wrapper). *)
 
 open Sky_net
 open Sky_harness
@@ -50,9 +53,8 @@ type result = {
   (* Host-dependent: never rendered into the deterministic JSON. *)
   r_host_domains : int;
   r_jobs : int;
-  r_seq_seconds : float;
-  r_par_seconds : float;
-  r_speedup : float;
+  r_pairs : (float * float) list;  (** (seq, par) wall seconds per pair *)
+  r_speedup : float;  (** median over pairs of seq ÷ par *)
   r_gate : string;
 }
 
@@ -150,13 +152,30 @@ let equivalence ~seed =
 
 let sc_shards = 4
 let sc_workers = 4
-let sc_conns = 16
+let sc_conns = 128
+
+(* 7,168 requests per shard: long enough that Seq takes over a second on
+   a 2-vCPU host, short of the ~12,000 a shard serves before Kv_server's
+   4,096-slot table fills. *)
+let sc_requests = 56
 let sc_quantum = Sky_sim.Quantum.default_quantum
+let sc_pairs = 3
 
 let build_scale ~seed () =
   Cluster_web.build ~seed ~quantum:sc_quantum ~conns:sc_conns
-    ~requests_per_conn:eq_requests ~shards:sc_shards ~workers:sc_workers
+    ~requests_per_conn:sc_requests ~shards:sc_shards ~workers:sc_workers
     ~transport:Web.Skybridge ()
+
+(* One wall-clocked run on a fresh cluster, keeping only what the result
+   needs so the pairs never hold more than one cluster alive. *)
+let timed_run ~seed ~now engine =
+  let cl = build_scale ~seed () in
+  let t0 = now () in
+  let quanta = Cluster_web.run cl engine in
+  let seconds = now () -. t0 in
+  (seconds, (Cluster_web.digest cl, Cluster_web.served cl, quanta))
+
+let median xs = List.nth (List.sort compare xs) (List.length xs / 2)
 
 (* The honest gate: a simulator cannot out-parallelize its host. With
    [d] usable domains the bar is ~0.65x per extra domain up to the 2x
@@ -173,36 +192,46 @@ let gate_of ~domains ~jobs ~seq_seconds ~speedup =
 let speedup_phase ~seed ~now ~checks =
   let domains = Domain.recommended_domain_count () in
   let jobs = max 1 (min sc_shards domains) in
-  let seq = build_scale ~seed () in
-  let t0 = now () in
-  let seq_quanta = Cluster_web.run seq Sky_sim.Quantum.Seq in
-  let seq_seconds = now () -. t0 in
-  let par = build_scale ~seed () in
-  let t1 = now () in
-  ignore (Cluster_web.run par (Sky_sim.Quantum.Par { jobs }));
-  let par_seconds = now () -. t1 in
-  (* The scale cluster must satisfy the same determinism gate. *)
+  let seq () = timed_run ~seed ~now Sky_sim.Quantum.Seq in
+  let par () = timed_run ~seed ~now (Sky_sim.Quantum.Par { jobs }) in
+  (* Alternate which engine runs first, so host drift hits both alike. *)
+  let pairs =
+    List.init sc_pairs (fun k ->
+        if k mod 2 = 0 then
+          let s = seq () in
+          (s, par ())
+        else
+          let p = par () in
+          (seq (), p))
+  in
+  let _, ((_, served, quanta) as outcome) = fst (List.hd pairs) in
+  (* The scale cluster must satisfy the same determinism gate, every run. *)
   let ck =
     {
       c_name = "digest:scale-seq-vs-par";
-      c_ok = Cluster_web.digest seq = Cluster_web.digest par;
+      c_ok =
+        List.for_all
+          (fun ((_, s), (_, p)) -> s = outcome && p = outcome)
+          pairs;
     }
   in
   let speedup =
-    if par_seconds > 0. then seq_seconds /. par_seconds else 1.0
+    median
+      (List.map
+         (fun ((s, _), (p, _)) -> if p > 0. then s /. p else 1.0)
+         pairs)
   in
-  ( seq,
-    seq_quanta,
+  ( served,
+    quanta,
     checks @ [ ck ],
     domains,
     jobs,
-    seq_seconds,
-    par_seconds,
+    List.map (fun ((s, _), (p, _)) -> (s, p)) pairs,
     speedup )
 
 let run_full ?(seed = 42) ?(now = fun () -> 0.) () =
   let eq, fired, checks = equivalence ~seed in
-  let sc, sc_quanta, checks, domains, jobs, seq_s, par_s, speedup =
+  let sc_served, sc_quanta, checks, domains, jobs, pairs, speedup =
     speedup_phase ~seed ~now ~checks
   in
   {
@@ -218,15 +247,16 @@ let run_full ?(seed = 42) ?(now = fun () -> 0.) () =
     r_sc_shards = sc_shards;
     r_sc_workers = sc_workers;
     r_sc_quantum = sc_quantum;
-    r_sc_served = Cluster_web.served sc;
+    r_sc_served = sc_served;
     r_sc_quanta = sc_quanta;
     r_checks = checks;
     r_host_domains = domains;
     r_jobs = jobs;
-    r_seq_seconds = seq_s;
-    r_par_seconds = par_s;
+    r_pairs = pairs;
     r_speedup = speedup;
-    r_gate = gate_of ~domains ~jobs ~seq_seconds:seq_s ~speedup;
+    r_gate =
+      gate_of ~domains ~jobs ~seq_seconds:(median (List.map fst pairs))
+        ~speedup;
   }
 
 let all_identical r = List.for_all (fun c -> c.c_ok) r.r_checks
@@ -237,8 +267,8 @@ let ok r = all_identical r && gate_ok r
 
 (* Deterministic: everything host-dependent (domains, jobs, seconds,
    speedup, the gate verdict) stays out — CI byte-diffs this across
-   runs and the committed artifact carries the host numbers in a
-   separate wrapper. *)
+   runs and the committed artifact carries the verdict in a separate
+   wrapper ([host_json]). *)
 let to_json r =
   let open Sky_trace.Json in
   to_string
@@ -273,13 +303,11 @@ let to_json r =
                 (fun c -> Obj [ ("name", String c.c_name); ("ok", Bool c.c_ok) ])
                 r.r_checks) );
          ("all_identical", Bool (all_identical r));
-         (* The verdict string is stable on a given host (raw wall
-            seconds never appear here — they go to stderr). *)
-         ("speedup_gate", String r.r_gate);
        ])
 
-(* Host context for the artifact wrapper: stable on a given host, so the
-   committed BENCH_parallel.json stays byte-deterministic across runs. *)
+(* Host context for the artifact wrapper: the domain count, the job count
+   and the verdict measured on this host. Raw wall seconds never appear
+   here — they go to stderr. *)
 let host_json r =
   let open Sky_trace.Json in
   to_string
@@ -303,7 +331,7 @@ let table r =
           "equivalence: %d shards x %d workers, faults armed; scale: %d x %d"
           r.r_eq_shards r.r_eq_workers r.r_sc_shards r.r_sc_workers;
         Printf.sprintf
-          "host: %d domain(s), par jobs=%d, speedup %.2fx -> gate %s"
+          "host: %d domain(s), par jobs=%d, median speedup %.2fx -> gate %s"
           r.r_host_domains r.r_jobs r.r_speedup r.r_gate;
       ]
     (List.map

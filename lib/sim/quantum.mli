@@ -12,15 +12,21 @@ type lane = {
   l_advance : until:int -> [ `Paused | `Done ];
       (** Advance this lane's world until its clocks reach the boundary
           ([`Paused]) or its workload completes ([`Done]). Must bind the
-          lane's {!Scopes} bundle itself: under [Par] it runs on an
-          arbitrary worker domain each quantum. *)
+          lane's {!Scopes} bundle itself: under [Par] it runs on a
+          worker domain that also runs other lanes (and, for worker 0,
+          the [commit]). *)
 }
 
 type engine =
   | Seq  (** advance lanes in order on the calling domain *)
   | Par of { jobs : int }
-      (** advance lanes on [jobs] spawned domains (lane [i] on worker
-          [i mod jobs]), joining at each boundary *)
+      (** advance lanes on [min jobs lanes] workers for the whole run:
+          the calling domain is worker 0 and the rest are helper domains
+          spawned once per [run], so [Par {jobs = 2}] uses two domains
+          in total. Lane [i] stays on worker [i mod jobs]; workers meet
+          at a mutex/condition barrier at each boundary. Helpers are
+          joined before [run] returns, also when a lane or [commit]
+          raises. *)
 
 val engine_name : engine -> string
 
@@ -38,4 +44,6 @@ val run :
 (** Drive all lanes to completion; returns the number of quanta
     executed. After each quantum's barrier, [commit ~boundary] runs
     single-threaded on the caller — the only place cross-lane state may
-    be touched. *)
+    be touched. If lanes raise during a quantum, the barrier still
+    completes, that quantum is not committed, and the exception of the
+    lowest-numbered failing worker is re-raised. *)

@@ -93,9 +93,9 @@ let quantum_invariance =
       ignore (Cluster_web.run b (Sky_sim.Quantum.Par { jobs = 2 }));
       Cluster_web.digest ~gossip:false a = Cluster_web.digest ~gossip:false b)
 
-(* Deterministic (non-random) anchor: the scale configuration used by
-   `skybench parallel`'s speedup phase must digest-match engines too —
-   16 simulated cores across 4 shards. *)
+(* Deterministic (non-random) anchor: the shape of `skybench parallel`'s
+   speedup phase (4 shards x 4 workers, 16 simulated cores), at a
+   smaller load, must digest-match engines too. *)
 let scale_anchor () =
   let mk () =
     Cluster_web.build ~seed:7 ~quantum:50_000 ~conns:8 ~requests_per_conn:2
@@ -108,6 +108,123 @@ let scale_anchor () =
   Alcotest.(check bool)
     "4x4 scale cluster: Seq = Par4 digest" true
     (Cluster_web.digest seq = Cluster_web.digest par)
+
+(* ---- the Par engine's worker pool ---- *)
+
+module Quantum = Sky_sim.Quantum
+
+(* [lanes] trivial lanes that each finish after [quanta] quanta,
+   recording the domain that ran every (lane, quantum); lane [i] raises
+   [Failure] at quantum [q] when [fail ~lane:i ~quantum:q]. *)
+let recording_lanes ?(fail = fun ~lane:_ ~quantum:_ -> false) ~lanes ~quanta
+    () =
+  let seen = Array.make_matrix lanes quanta (-1) in
+  let lane i =
+    let next = ref 0 in
+    {
+      Quantum.l_name = Printf.sprintf "lane%d" i;
+      l_advance =
+        (fun ~until:_ ->
+          let q = !next in
+          incr next;
+          if fail ~lane:i ~quantum:q then
+            failwith (Printf.sprintf "lane %d quantum %d" i q);
+          (* An engine that swallowed the failure would advance this
+             lane past [quanta]: finish instead, so [run] returns and
+             the check fails rather than spinning. *)
+          if q < quanta then seen.(i).(q) <- (Domain.self () :> int);
+          if q + 1 >= quanta then `Done else `Paused);
+    }
+  in
+  (List.init lanes lane, seen)
+
+let caller () = (Domain.self () :> int)
+
+let distinct_domains seen =
+  Array.to_list seen |> Array.concat |> Array.to_list
+  |> List.sort_uniq compare |> List.length
+
+(* Workers live for the whole run: a lane never changes domain, and the
+   caller is worker 0, so it owns lanes 0 and 2 under two jobs. *)
+let pool_persistence () =
+  let lanes, seen = recording_lanes ~lanes:4 ~quanta:6 () in
+  let quanta = Quantum.run ~quantum:1 (Quantum.Par { jobs = 2 }) ~lanes () in
+  Alcotest.(check int) "quanta" 6 quanta;
+  Array.iteri
+    (fun i row ->
+      Alcotest.(check bool)
+        (Printf.sprintf "lane %d stays on one domain" i)
+        true
+        (Array.for_all (( = ) row.(0)) row))
+    seen;
+  Alcotest.(check int) "lane 0 on the caller" (caller ()) seen.(0).(0);
+  Alcotest.(check int) "lane 2 on the caller" (caller ()) seen.(2).(0);
+  Alcotest.(check bool) "lanes 1 and 3 share one helper" true
+    (seen.(1).(0) <> caller () && seen.(1).(0) = seen.(3).(0))
+
+(* A lane failure at quantum k surfaces from [run] after the barrier,
+   whichever worker owns the lane, and quantum k is never committed. *)
+let pool_exceptions () =
+  let k = 3 and quantum = 10 in
+  List.iter
+    (fun (jobs, bad) ->
+      let lanes, _ =
+        recording_lanes
+          ~fail:(fun ~lane ~quantum -> lane = bad && quantum = k)
+          ~lanes:4 ~quanta:6 ()
+      in
+      let committed = ref [] in
+      let raised =
+        match
+          Quantum.run ~quantum (Quantum.Par { jobs }) ~lanes
+            ~commit:(fun ~boundary -> committed := boundary :: !committed)
+            ()
+        with
+        | _ -> None
+        | exception Failure m -> Some m
+      in
+      let what = Printf.sprintf "jobs %d, lane %d" jobs bad in
+      Alcotest.(check (option string))
+        (what ^ ": run raises the lane's failure")
+        (Some (Printf.sprintf "lane %d quantum %d" bad k))
+        raised;
+      Alcotest.(check (list int))
+        (what ^ ": only quanta before k committed")
+        (List.init k (fun q -> quantum * (k - q)))
+        !committed)
+    [ (2, 0); (2, 1); (3, 1); (3, 2) ]
+
+(* Helpers are joined on every exit path. OCaml caps live domains at
+   128, so a pool that leaked a helper per failing run would make
+   [Domain.spawn] fail long before the last run. *)
+let pool_no_leak () =
+  for r = 1 to 300 do
+    let failing = r mod 2 = 0 in
+    let lanes, _ =
+      recording_lanes
+        ~fail:(fun ~lane ~quantum -> failing && lane = r mod 3 && quantum = 1)
+        ~lanes:3 ~quanta:2 ()
+    in
+    let raised =
+      match Quantum.run ~quantum:1 (Quantum.Par { jobs = 3 }) ~lanes () with
+      | _ -> false
+      | exception Failure _ -> true
+    in
+    if raised <> failing then
+      Alcotest.failf "run %d: raised=%b, expected %b" r raised failing
+  done
+
+(* One job never leaves the caller; surplus jobs put the lanes on no more
+   domains than there are lanes. *)
+let pool_domain_count () =
+  let lanes, seen = recording_lanes ~lanes:3 ~quanta:3 () in
+  ignore (Quantum.run ~quantum:1 (Quantum.Par { jobs = 1 }) ~lanes ());
+  Alcotest.(check bool) "jobs 1: every lane on the caller" true
+    (Array.for_all (Array.for_all (( = ) (caller ()))) seen);
+  let lanes, seen = recording_lanes ~lanes:2 ~quanta:3 () in
+  ignore (Quantum.run ~quantum:1 (Quantum.Par { jobs = 5 }) ~lanes ());
+  Alcotest.(check bool) "jobs 5 > 2 lanes: at most 2 domains" true
+    (distinct_domains seen <= 2)
 
 (* The --jobs replica harness must both pass on identical replicas and
    actually detect divergence. *)
@@ -134,6 +251,13 @@ let () =
   Alcotest.run "parallel"
     [
       ("equivalence", qc [ seq_vs_par; quantum_invariance ]);
+      ( "pool",
+        [
+          t "persistence" pool_persistence;
+          t "exceptions" pool_exceptions;
+          t "no leaked domains" pool_no_leak;
+          t "domain count" pool_domain_count;
+        ] );
       ( "anchors",
         [
           t "scale cluster digest" scale_anchor;
