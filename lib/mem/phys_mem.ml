@@ -78,12 +78,13 @@ let write_u32 t pa v =
     write_u16 t (pa + 2) (v lsr 16)
   end
 
-let read_u64 t pa =
+let u64_frame t pa =
   check_range t pa 8;
   if not (aligned pa 8) then
     invalid_arg (Printf.sprintf "Phys_mem.read_u64: unaligned %#x" pa);
-  let b = get_frame t (frame_of_addr pa) in
-  Bytes.get_int64_le b (pa land (frame_size - 1))
+  get_frame t (frame_of_addr pa)
+
+let read_u64 t pa = Bytes.get_int64_le (u64_frame t pa) (pa land (frame_size - 1))
 
 let write_u64 t pa v =
   check_range t pa 8;

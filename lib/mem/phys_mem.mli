@@ -46,6 +46,14 @@ val read_u64 : t -> int -> int64
 
 val write_u64 : t -> int -> int64 -> unit
 
+val u64_frame : t -> int -> bytes
+(** [u64_frame mem pa] makes exactly {!read_u64}'s checks (same
+    exceptions) and returns the frame holding the word, which sits at
+    offset [pa land (frame_size - 1)]. For allocation-free readers: an
+    [int64] result is boxed whenever it crosses a module boundary in a
+    build without cross-module inlining, so the page walker decodes
+    entries in place instead ([Sky_mmu.Pte.Packed.read]). *)
+
 val read_bytes : t -> int -> int -> bytes
 (** [read_bytes mem pa len] copies [len] bytes starting at [pa]; may span
     frame boundaries. *)

@@ -20,6 +20,13 @@ let ur = { present = true; writable = false; user = true; huge = false; nx = tru
 let kernel_rx = { present = true; writable = false; user = false; huge = false; nx = false }
 let absent = { present = false; writable = false; user = false; huge = false; nx = false }
 
+(* Bit positions of the x86-64 layout. *)
+let b_present = 0
+let b_writable = 1
+let b_user = 2
+let b_huge = 7
+let b_nx = 63
+
 let bit b v = if v then Int64.shift_left 1L b else 0L
 let test v b = Int64.logand (Int64.shift_right_logical v b) 1L = 1L
 
@@ -31,21 +38,49 @@ let encode ~pa flags =
     invalid_arg (Printf.sprintf "Pte.encode: unaligned pa %#x" pa);
   logor
     (logand (of_int pa) addr_mask)
-    (logor (bit 0 flags.present)
-       (logor (bit 1 flags.writable)
-          (logor (bit 2 flags.user)
-             (logor (bit 7 flags.huge) (bit 63 flags.nx)))))
+    (logor (bit b_present flags.present)
+       (logor (bit b_writable flags.writable)
+          (logor (bit b_user flags.user)
+             (logor (bit b_huge flags.huge) (bit b_nx flags.nx)))))
 
 let decode v =
   let pa = Int64.to_int (Int64.logand v addr_mask) in
   ( pa,
     {
-      present = test v 0;
-      writable = test v 1;
-      user = test v 2;
-      huge = test v 7;
-      nx = test v 63;
+      present = test v b_present;
+      writable = test v b_writable;
+      user = test v b_user;
+      huge = test v b_huge;
+      nx = test v b_nx;
     } )
 
-let is_present v = test v 0
+let is_present v = test v b_present
 let zero = 0L
+
+module Packed = struct
+  (* The frame address keeps bits 12..51; present, writable, user and
+     huge keep their own low bits; NX (bit 63, outside an OCaml int)
+     moves to the ignored bit 11. Everything else is dropped, as
+     {!decode} drops it. *)
+  let addr_bits = Int64.to_int addr_mask
+  let nx_bit = 1 lsl 11
+
+  let kept_bits =
+    addr_bits lor (1 lsl b_present) lor (1 lsl b_writable) lor (1 lsl b_user)
+    lor (1 lsl b_huge)
+
+  let read mem pa =
+    let v =
+      Bytes.get_int64_le (Sky_mem.Phys_mem.u64_frame mem pa)
+        (pa land (Sky_mem.Phys_mem.frame_size - 1))
+    in
+    Int64.to_int v land kept_bits
+    lor (Int64.to_int (Int64.shift_right_logical v b_nx) * nx_bit)
+
+  let addr p = p land addr_bits
+  let present p = p land (1 lsl b_present) <> 0
+  let writable p = p land (1 lsl b_writable) <> 0
+  let user p = p land (1 lsl b_user) <> 0
+  let huge p = p land (1 lsl b_huge) <> 0
+  let nx p = p land nx_bit <> 0
+end

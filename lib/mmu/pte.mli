@@ -40,3 +40,23 @@ val zero : int64
 (** The not-present entry. *)
 
 val addr_mask : int64
+
+(** Allocation-free entry reads for the hardware walker. {!decode}
+    returns a tuple and a record, and a {!Sky_mem.Phys_mem.read_u64}
+    result is a boxed [int64] once it leaves [Phys_mem]; a packed entry
+    is one immediate [int] holding the frame address and the flag bits,
+    read straight out of simulated memory. *)
+module Packed : sig
+  val read : Sky_mem.Phys_mem.t -> int -> int
+  (** [read mem pa] is the entry at [pa], packed. Raises exactly what
+      {!Sky_mem.Phys_mem.read_u64} raises (range, alignment). *)
+
+  val addr : int -> int
+  (** The frame's physical address, as {!decode} returns it. *)
+
+  val present : int -> bool
+  val writable : int -> bool
+  val user : int -> bool
+  val huge : int -> bool
+  val nx : int -> bool
+end

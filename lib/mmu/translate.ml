@@ -7,6 +7,32 @@ let data_read = { kind = Sky_sim.Memsys.Data; write = false }
 let data_write = { kind = Sky_sim.Memsys.Data; write = true }
 let fetch = { kind = Sky_sim.Memsys.Insn; write = false }
 
+(* Hot-path rules: a TLB hit, a refill and the nested walk allocate
+   nothing on the host — no closures, options, tuples or boxed [int64]
+   (DESIGN §5e). Entries are read packed ({!Pte.Packed}), cache probes
+   return sentinels and walk state travels as arguments; the one buffer,
+   the EPT walk's entry addresses, is the core's walk scratch. *)
+
+(* The cache-free EPT walk of [gpa] from [table] at [level], charged the
+   way [Ept.walk] followed by one cached data access per [entries_read]
+   would be: entries are read root first, a fault raises before anything
+   is charged, and on success every entry read is charged, root first. *)
+let rec ept_walk cpu mem ~gpa table level =
+  let epa = table + (Page_table.va_index ~level gpa * 8) in
+  let read = Sky_sim.Cpu.walk_scratch cpu in
+  read.(3 - level) <- epa;
+  let e = Pte.Packed.read mem epa in
+  if not (Pte.Packed.present e) then
+    raise (Ept.Ept_violation (Ept.Ept_not_present gpa))
+  else if level = 0 || Pte.Packed.huge e then begin
+    for i = 0 to 3 - level do
+      Sky_sim.Memsys.access cpu Sky_sim.Memsys.Data read.(i)
+    done;
+    let mask = (1 lsl Ept.entry_shift level) - 1 in
+    (Pte.Packed.addr e land lnot mask) lor (gpa land mask)
+  end
+  else ept_walk cpu mem ~gpa (Pte.Packed.addr e) (level - 1)
+
 (* Translate a guest-physical address through the current EPT, charging
    one cached data access per EPT entry read. Identity when the vCPU is
    not virtualized.
@@ -22,119 +48,120 @@ let ept_translate vcpu mem gpa =
   | Some vmcs ->
     let root_pa = Vmcs.current_eptp vmcs in
     let cpu = Vcpu.cpu vcpu in
-    let walk_charged () =
-      match Ept.walk ~mem ~root_pa ~gpa with
-      | Ok { Ept.hpa; entries_read } ->
-        List.iter
-          (fun epa -> Sky_sim.Memsys.access cpu Sky_sim.Memsys.Data epa)
-          entries_read;
-        hpa
-      | Error f -> raise (Ept.Ept_violation f)
-    in
-    if not (Sky_sim.Accel.is_enabled ()) then walk_charged ()
+    if not (Sky_sim.Accel.is_enabled ()) then ept_walk cpu mem ~gpa root_pa 3
     else begin
       let wc = Sky_sim.Cpu.ept_walk_cache cpu in
       let pmu = Sky_sim.Cpu.pmu cpu in
       let gpn = gpa lsr 12 in
-      match Sky_sim.Psc.lookup wc ~asid:root_pa ~key:gpn with
-      | Some hpn ->
+      let hpn = Sky_sim.Psc.lookup wc ~asid:root_pa ~key:gpn in
+      if hpn <> Sky_sim.Psc.miss then begin
         Sky_sim.Pmu.count pmu Sky_sim.Pmu.Ept_walk_cache_hit;
         (hpn lsl 12) lor (gpa land 0xfff)
-      | None ->
+      end
+      else begin
         Sky_sim.Pmu.count pmu Sky_sim.Pmu.Ept_walk_cache_miss;
-        let hpa = walk_charged () in
+        let hpa = ept_walk cpu mem ~gpa root_pa 3 in
         Sky_sim.Psc.insert wc ~asid:root_pa ~key:gpn (hpa lsr 12);
         hpa
+      end
     end
 
-(* Nested guest walk: each guest table page is located through the EPT,
-   then the entry is read with a cached access.
+(* The paging-structure cache holding pointers to tables at [level], and
+   its key for [va]. *)
+let psc_at cpu level =
+  match level with
+  | 0 -> Sky_sim.Cpu.psc_pde cpu
+  | 1 -> Sky_sim.Cpu.psc_pdpte cpu
+  | _ -> Sky_sim.Cpu.psc_pml4e cpu
 
-   The paging-structure caches (PML4E/PDPTE/PDE) let the walk resume at
-   the deepest level whose next-table pointer is cached for this ASID
-   and VA prefix — a PDE hit turns a 4-level nested walk into a single
-   leaf read. Probes charge no cycles (they model on-core lookup
-   structures); only the remaining entry reads and their EPT
-   translations go through the memory system. Each level read on the
-   way down is installed, mirroring how hardware fills these caches. *)
+let psc_key va level = va lsr (21 + (9 * level))
+
+(* Nested guest walk from the table at [table_gpa], [level]: each guest
+   table page is located through the EPT, then the entry is read with a
+   cached access. Returns the packed leaf entry. Each level read on the
+   way down is installed in the paging-structure caches, mirroring how
+   hardware fills them. *)
+let rec guest_walk_from vcpu mem ~accel ~asid ~va table_gpa level =
+  let table_hpa = ept_translate vcpu mem table_gpa in
+  let epa = table_hpa + (Page_table.va_index ~level va * 8) in
+  let cpu = Vcpu.cpu vcpu in
+  Sky_sim.Memsys.access cpu Sky_sim.Memsys.Data epa;
+  let e = Pte.Packed.read mem epa in
+  if not (Pte.Packed.present e) then
+    raise (Page_table.Page_fault (Page_table.Not_present va))
+  else if level = 0 then e
+  else begin
+    let pa = Pte.Packed.addr e in
+    if accel then
+      Sky_sim.Psc.insert (psc_at cpu (level - 1)) ~asid
+        ~key:(psc_key va (level - 1)) pa;
+    guest_walk_from vcpu mem ~accel ~asid ~va pa (level - 1)
+  end
+
+(* The paging-structure caches let the walk resume at the deepest level
+   whose next-table pointer is cached for this ASID and VA prefix — a
+   PDE hit turns a 4-level nested walk into a single leaf read. Probes
+   charge no cycles (they model on-core lookup structures); only the
+   remaining entry reads and their EPT translations go through the
+   memory system. *)
+let rec psc_resume vcpu mem cpu ~asid ~va level =
+  if level > 2 then begin
+    Sky_sim.Pmu.count (Sky_sim.Cpu.pmu cpu) Sky_sim.Pmu.Psc_miss;
+    guest_walk_from vcpu mem ~accel:true ~asid ~va vcpu.Vcpu.cr3 3
+  end
+  else
+    let table =
+      Sky_sim.Psc.lookup (psc_at cpu level) ~asid ~key:(psc_key va level)
+    in
+    if table <> Sky_sim.Psc.miss then begin
+      Sky_sim.Pmu.count (Sky_sim.Cpu.pmu cpu) Sky_sim.Pmu.Psc_hit;
+      guest_walk_from vcpu mem ~accel:true ~asid ~va table level
+    end
+    else psc_resume vcpu mem cpu ~asid ~va (level + 1)
+
 let guest_walk vcpu mem ~va =
   let cpu = Vcpu.cpu vcpu in
   (* Fault site "mmu.walk": a spurious EPT violation (or crash) injected
      into the nested walk — only fires inside a mediated-call scope. *)
   if Sky_faults.Fault.is_enabled () then
     Sky_faults.Fault.inject ~core:(Sky_sim.Cpu.id cpu) "mmu.walk";
-  let accel = Sky_sim.Accel.is_enabled () in
   let asid = Vcpu.asid vcpu in
-  let psc_for level =
-    (* The cache holding pointers to tables at [level]. *)
-    match level with
-    | 0 -> Sky_sim.Cpu.psc_pde cpu
-    | 1 -> Sky_sim.Cpu.psc_pdpte cpu
-    | _ -> Sky_sim.Cpu.psc_pml4e cpu
-  in
-  let key_for level = va lsr (21 + (9 * level)) in
-  let rec go table_gpa level =
-    let table_hpa = ept_translate vcpu mem table_gpa in
-    let index = Page_table.va_index ~level va in
-    let epa = table_hpa + (index * 8) in
-    Sky_sim.Memsys.access cpu Sky_sim.Memsys.Data epa;
-    let e = Sky_mem.Phys_mem.read_u64 mem epa in
-    if not (Pte.is_present e) then
-      raise (Page_table.Page_fault (Page_table.Not_present va))
-    else
-      let pa, flags = Pte.decode e in
-      if level = 0 then (pa, flags)
-      else begin
-        if accel then Sky_sim.Psc.insert (psc_for (level - 1)) ~asid
-            ~key:(key_for (level - 1)) pa;
-        go pa (level - 1)
-      end
-  in
-  if not accel then go vcpu.Vcpu.cr3 3
-  else begin
-    let pmu = Sky_sim.Cpu.pmu cpu in
-    match Sky_sim.Psc.lookup (psc_for 0) ~asid ~key:(key_for 0) with
-    | Some pt ->
-      Sky_sim.Pmu.count pmu Sky_sim.Pmu.Psc_hit;
-      go pt 0
-    | None -> (
-      match Sky_sim.Psc.lookup (psc_for 1) ~asid ~key:(key_for 1) with
-      | Some pd ->
-        Sky_sim.Pmu.count pmu Sky_sim.Pmu.Psc_hit;
-        go pd 1
-      | None -> (
-        match Sky_sim.Psc.lookup (psc_for 2) ~asid ~key:(key_for 2) with
-        | Some pdpt ->
-          Sky_sim.Pmu.count pmu Sky_sim.Pmu.Psc_hit;
-          go pdpt 2
-        | None ->
-          Sky_sim.Pmu.count pmu Sky_sim.Pmu.Psc_miss;
-          go vcpu.Vcpu.cr3 3))
-  end
+  if Sky_sim.Accel.is_enabled () then psc_resume vcpu mem cpu ~asid ~va 0
+  else guest_walk_from vcpu mem ~accel:false ~asid ~va vcpu.Vcpu.cr3 3
 
-let check_perms vcpu acc ~va (flags : Pte.flags) =
+let check_perms vcpu acc ~va ~writable ~user ~nx =
   let user_mode = vcpu.Vcpu.mode = Vcpu.User in
-  if user_mode && not flags.Pte.user then
+  if user_mode && not user then
     raise (Page_table.Page_fault (Page_table.Protection va));
-  if acc.write && not flags.Pte.writable then
+  if acc.write && not writable then
     raise (Page_table.Page_fault (Page_table.Protection va));
-  if acc.kind = Sky_sim.Memsys.Insn && flags.Pte.nx then
+  if acc.kind = Sky_sim.Memsys.Insn && nx then
     raise (Page_table.Page_fault (Page_table.Protection va))
 
-(* A TLB entry carries the flattened leaf permissions; reconstruct the
-   flags view a hit checks against. *)
-let serve_hit vcpu acc ~va (entry : Sky_sim.Tlb.entry) =
-  let flags =
-    {
-      Pte.present = true;
-      writable = entry.Sky_sim.Tlb.writable;
-      user = entry.Sky_sim.Tlb.user;
-      huge = false;
-      nx = false;
-    }
-  in
-  check_perms vcpu acc ~va flags;
-  (entry.Sky_sim.Tlb.ppn lsl 12) lor (va land 0xfff)
+(* A TLB entry carries the flattened leaf permissions (no NX). *)
+let serve_hit vcpu acc ~va tlb slot =
+  check_perms vcpu acc ~va ~writable:(Sky_sim.Tlb.slot_writable tlb slot)
+    ~user:(Sky_sim.Tlb.slot_user tlb slot) ~nx:false;
+  (Sky_sim.Tlb.slot_ppn tlb slot lsl 12) lor (va land 0xfff)
+
+let walk_and_fill vcpu mem acc ~va ~tlb ~asid =
+  let cpu = Vcpu.cpu vcpu in
+  let c0 = Sky_sim.Cpu.cycles cpu in
+  let leaf = guest_walk vcpu mem ~va in
+  let writable = Pte.Packed.writable leaf and user = Pte.Packed.user leaf in
+  check_perms vcpu acc ~va ~writable ~user ~nx:(Pte.Packed.nx leaf);
+  let page_hpa = ept_translate vcpu mem (Pte.Packed.addr leaf) in
+  Sky_sim.Tlb.fill tlb ~asid ~vpn:(va lsr 12) ~ppn:(page_hpa lsr 12) ~page_shift:12
+    ~writable ~user;
+  Sky_sim.Pmu.add (Sky_sim.Cpu.pmu cpu) Sky_sim.Pmu.Walk_cycles
+    (Sky_sim.Cpu.cycles cpu - c0);
+  page_hpa lor (va land 0xfff)
+
+let refill vcpu mem acc ~va ~tlb ~asid =
+  if Sky_trace.Trace.is_enabled () then
+    Sky_trace.Trace.span ~core:(Sky_sim.Cpu.id (Vcpu.cpu vcpu)) ~cat:"walk"
+      "tlb.refill" (fun () -> walk_and_fill vcpu mem acc ~va ~tlb ~asid)
+  else walk_and_fill vcpu mem acc ~va ~tlb ~asid
 
 let translate vcpu mem acc ~va =
   let cpu = Vcpu.cpu vcpu in
@@ -142,44 +169,29 @@ let translate vcpu mem acc ~va =
   let tlb = if insn then Sky_sim.Cpu.itlb cpu else Sky_sim.Cpu.dtlb cpu in
   let vpn = va lsr 12 in
   let asid = Vcpu.asid vcpu in
-  let refill () =
-    let core = Sky_sim.Cpu.id cpu in
-    Sky_trace.Trace.span ~core ~cat:"walk" "tlb.refill" @@ fun () ->
-    let c0 = Sky_sim.Cpu.cycles cpu in
-    let page_gpa, flags = guest_walk vcpu mem ~va in
-    check_perms vcpu acc ~va flags;
-    let page_hpa = ept_translate vcpu mem page_gpa in
-    Sky_sim.Tlb.insert tlb ~asid ~vpn
-      {
-        Sky_sim.Tlb.ppn = page_hpa lsr 12;
-        page_shift = 12;
-        writable = flags.Pte.writable;
-        user = flags.Pte.user;
-      };
-    Sky_sim.Pmu.add (Sky_sim.Cpu.pmu cpu) Sky_sim.Pmu.Walk_cycles
-      (Sky_sim.Cpu.cycles cpu - c0);
-    page_hpa lor (va land 0xfff)
-  in
-  if not (Sky_sim.Accel.is_enabled ()) then
-    match Sky_sim.Tlb.lookup tlb ~asid ~vpn with
-    | Some entry -> serve_hit vcpu acc ~va entry
-    | None -> refill ()
+  if not (Sky_sim.Accel.is_enabled ()) then begin
+    let slot = Sky_sim.Tlb.lookup_slot tlb ~asid ~vpn in
+    if slot >= 0 then serve_hit vcpu acc ~va tlb slot
+    else refill vcpu mem acc ~va ~tlb ~asid
+  end
   else begin
     (* Host fast path: revalidate the hot line remembered for this
        (core, side, vpn). Success is observably identical to a TLB hit
        (same counters, LRU and zero charged cycles) but skips the set
-       scan and this function's setup on the OCaml side. *)
+       scan. *)
     let line = Sky_sim.Memsys.Hotline.line_for ~core:(Sky_sim.Cpu.id cpu) ~insn ~vpn in
-    match Sky_sim.Memsys.Hotline.probe line ~tlb ~asid ~vpn with
-    | Some entry ->
+    let slot = Sky_sim.Memsys.Hotline.probe line ~tlb ~asid ~vpn in
+    if slot >= 0 then begin
       Sky_sim.Pmu.count (Sky_sim.Cpu.pmu cpu) Sky_sim.Pmu.Hot_line_hit;
-      serve_hit vcpu acc ~va entry
-    | None -> (
-      match Sky_sim.Tlb.lookup_slot tlb ~asid ~vpn with
-      | Some slot ->
+      serve_hit vcpu acc ~va tlb slot
+    end
+    else
+      let slot = Sky_sim.Tlb.lookup_slot tlb ~asid ~vpn in
+      if slot >= 0 then begin
         Sky_sim.Memsys.Hotline.record line ~tlb ~slot ~asid ~vpn;
-        serve_hit vcpu acc ~va (Sky_sim.Tlb.slot_entry slot)
-      | None -> refill ())
+        serve_hit vcpu acc ~va tlb slot
+      end
+      else refill vcpu mem acc ~va ~tlb ~asid
   end
 
 let accessed vcpu mem acc ~va =

@@ -45,15 +45,15 @@ let sets t = t.sets
 let ways t = t.ways
 let line_bytes t = t.line_bytes
 
-(* Allocation-free slot search: [-1] for miss. *)
+(* Slot of [tag] among the ways [i, stop), or [-1] for a miss. A
+   toplevel loop rather than a local closure: this runs on every
+   simulated memory access and must not allocate. *)
+let rec scan (tags : int array) tag i stop =
+  if i = stop then -1 else if tags.(i) = tag then i else scan tags tag (i + 1) stop
+
 let find_slot t set tag =
   let base = set * t.ways in
-  let rec go w =
-    if w = t.ways then -1
-    else if t.tags.(base + w) = tag then base + w
-    else go (w + 1)
-  in
-  go 0
+  scan t.tags tag base (base + t.ways)
 
 let access t pa =
   t.clock <- t.clock + 1;

@@ -13,6 +13,7 @@ type t = {
   psc_pdpte : Psc.t;
   psc_pde : Psc.t;
   ept_walk_cache : Psc.t;
+  walk_scratch : int array;
   pmu : Pmu.t;
 }
 
@@ -43,6 +44,7 @@ let create ~id ~l3 =
       Psc.create ~name:(Printf.sprintf "core%d.psc_pde" id) ~entries:32 ~ways:4;
     ept_walk_cache =
       Psc.create ~name:(Printf.sprintf "core%d.ept_wc" id) ~entries:64 ~ways:4;
+    walk_scratch = Array.make 4 0;
     pmu = Pmu.create ();
   }
 
@@ -73,6 +75,7 @@ let psc_pml4e t = t.psc_pml4e
 let psc_pdpte t = t.psc_pdpte
 let psc_pde t = t.psc_pde
 let ept_walk_cache t = t.ept_walk_cache
+let walk_scratch t = t.walk_scratch
 
 (* Flush everything a guest-linear translation can be built from: the
    leaf TLBs and the paging-structure caches. The EPT walk cache is

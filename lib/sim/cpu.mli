@@ -41,6 +41,12 @@ val psc_pde : t -> Psc.t
 val ept_walk_cache : t -> Psc.t
 (** Nested-walk cache: (EPT root, GPN) → HPN. *)
 
+val walk_scratch : t -> int array
+(** The hardware page walker's scratch (4 slots): the PAs of the EPT
+    entries an in-flight nested walk has read, root first, held until
+    the walk succeeds and they are charged. Per core, so the walker
+    needs neither a list nor shared state. *)
+
 val flush_guest_translation : t -> unit
 (** Flush leaf TLBs and paging-structure caches (what an untagged CR3
     write or VMFUNC without VPID flushes). The EPT walk cache is keyed

@@ -74,6 +74,67 @@ let start_run t ~cores =
     r_idle_streak = 0;
   }
 
+(* The next core to step: the live one furthest behind in virtual time
+   among those below [until], lowest index on equal clocks — the
+   interleaving rule that makes a single-threaded simulation behave like
+   n concurrent cores. [-1] when every live core has reached [until],
+   [-2] when none is live. A scan, not a list: this runs on every step. *)
+let next_core t r ~until =
+  let best = ref (-1) and best_cycles = ref until and live = ref false in
+  for j = 0 to Array.length r.r_cores - 1 do
+    if not r.r_finished.(j) then begin
+      live := true;
+      let c = Cpu.cycles t.cores.(r.r_cores.(j)) in
+      if c < !best_cycles then begin
+        best := j;
+        best_cycles := c
+      end
+    end
+  done;
+  if !best >= 0 then !best else if !live then -1 else -2
+
+(* The lowest clock among the live cores other than [i], parked ones
+   included; [max_int] if there is none. *)
+let lowest_other t r i =
+  let lowest = ref max_int in
+  for j = 0 to Array.length r.r_cores - 1 do
+    if j <> i && not r.r_finished.(j) then begin
+      let c = Cpu.cycles t.cores.(r.r_cores.(j)) in
+      if c < !lowest then lowest := c
+    end
+  done;
+  !lowest
+
+let step_core t r ~step i =
+  let cpu = t.cores.(r.r_cores.(i)) in
+  let before = Cpu.cycles cpu in
+  match step ~core:r.r_cores.(i) with
+  | Progress -> r.r_idle_streak <- 0
+  | Done ->
+    r.r_finished.(i) <- true;
+    r.r_idle_streak <- 0
+  | Idle_until ts when ts > before ->
+    Cpu.advance_to cpu ts;
+    r.r_idle_streak <- 0
+  | Idle | Idle_until _ ->
+    (* Nothing to do at this virtual time: hop past the next-lowest live
+       core (parked ones included — they are still events in this
+       machine's future) so whoever can unblock us runs first. *)
+    let next = lowest_other t r i in
+    if next < max_int then Cpu.advance_to cpu (next + 1)
+    else Cpu.charge cpu 64 (* lone core: poll tick *);
+    r.r_idle_streak <- r.r_idle_streak + 1;
+    (* Consecutive steps with neither progress nor fresh wakeup targets:
+       the deadlock guard. Closed systems always have a next event, so
+       hitting the bound means a step function lied about being Idle. *)
+    if r.r_idle_streak > 64 * Array.length r.r_cores then
+      raise
+        (Stuck
+           (Printf.sprintf
+              "Machine.interleave: %d idle steps with no progress \
+               (cores stuck at cycle %d)"
+              r.r_idle_streak (Cpu.cycles cpu)))
+
 (* Advance the run until every live core's clock has reached [until] (or
    its workload finished). The boundary only *parks* cores — a stepped
    core may overshoot [until] and is simply not stepped again this
@@ -81,76 +142,13 @@ let start_run t ~cores =
    per-core trajectories are bit-identical to an unbounded run: the
    lowest-cycle-first rule never runs a core at/past the boundary while
    another sits below it, which is exactly what parking enforces. *)
-let run_until t r ~step ~until =
-  let cores = r.r_cores in
-  let n = Array.length cores in
-  let live () =
-    let acc = ref [] in
-    for i = n - 1 downto 0 do
-      if not r.r_finished.(i) then acc := i :: !acc
-    done;
-    !acc
-  in
-  (* Consecutive steps with neither progress nor fresh wakeup targets:
-     the deadlock guard. Closed systems always have a next event, so
-     hitting the bound means a step function lied about being Idle. *)
-  let max_idle_streak = 64 * n in
-  let rec loop () =
-    match live () with
-    | [] -> `Done
-    | l -> (
-      match List.filter (fun j -> Cpu.cycles t.cores.(cores.(j)) < until) l with
-      | [] -> `Paused
-      | rl ->
-        (* Run the core furthest behind in virtual time — the
-           interleaving rule that makes a single-threaded simulation
-           behave like n concurrent cores. *)
-        let i =
-          List.fold_left
-            (fun best j ->
-              if
-                Cpu.cycles t.cores.(cores.(j))
-                < Cpu.cycles t.cores.(cores.(best))
-              then j
-              else best)
-            (List.hd rl) (List.tl rl)
-        in
-        let c = cores.(i) in
-        let cpu = t.cores.(c) in
-        let before = Cpu.cycles cpu in
-        (match step ~core:c with
-        | Progress -> r.r_idle_streak <- 0
-        | Done ->
-          r.r_finished.(i) <- true;
-          r.r_idle_streak <- 0
-        | Idle_until ts when ts > before ->
-          Cpu.advance_to cpu ts;
-          r.r_idle_streak <- 0
-        | Idle | Idle_until _ ->
-          (* Nothing to do at this virtual time: hop past the
-             next-lowest live core (parked ones included — they are
-             still events in this machine's future) so whoever can
-             unblock us runs first. *)
-          let next =
-            List.fold_left
-              (fun acc j ->
-                if j = i then acc
-                else min acc (Cpu.cycles t.cores.(cores.(j))))
-              max_int l
-          in
-          if next < max_int then Cpu.advance_to cpu (next + 1)
-          else Cpu.charge cpu 64 (* lone core: poll tick *);
-          r.r_idle_streak <- r.r_idle_streak + 1;
-          if r.r_idle_streak > max_idle_streak then
-            raise
-              (Stuck
-                 (Printf.sprintf
-                    "Machine.interleave: %d idle steps with no progress \
-                     (cores stuck at cycle %d)"
-                    r.r_idle_streak (Cpu.cycles cpu))));
-        loop ())
-  in
-  loop ()
+let rec run_until t r ~step ~until =
+  match next_core t r ~until with
+  | -2 -> `Done
+  | -1 -> `Paused
+  | i ->
+    step_core t r ~step i;
+    run_until t r ~step ~until
 
 let interleave t ~cores ~step =
   let r = start_run t ~cores in

@@ -47,9 +47,11 @@ let touch_range cpu kind ~pa ~len =
    lines (registered below) so chaos runs exercise the full path and
    stay bit-identical whether or not lines were warm. *)
 module Hotline = struct
+  (* [h_slot = -1] marks an empty line; [h_tlb] then holds the table's
+     [vacant] placeholder, which no probe passes in. *)
   type line = {
-    mutable h_tlb : Tlb.t option;
-    mutable h_slot : Tlb.slot option;
+    mutable h_tlb : Tlb.t;
+    mutable h_slot : int;
     mutable h_asid : int;
     mutable h_vpn : int;
   }
@@ -57,11 +59,16 @@ module Hotline = struct
   let max_cores = 64
   let lines_per_side = 16
 
-  type table = line array
+  type table = { lines : line array; vacant : Tlb.t }
 
-  let fresh_table () : table =
-    Array.init (max_cores * 2 * lines_per_side) (fun _ ->
-        { h_tlb = None; h_slot = None; h_asid = 0; h_vpn = 0 })
+  let fresh_table () =
+    let vacant = Tlb.create ~name:"hotline.vacant" ~entries:1 ~ways:1 in
+    {
+      lines =
+        Array.init (max_cores * 2 * lines_per_side) (fun _ ->
+            { h_tlb = vacant; h_slot = -1; h_asid = 0; h_vpn = 0 });
+      vacant;
+    }
 
   (* The memo table is scoped like {!Accel}'s epoch: single-machine runs
      share the process-wide default, parallel shards each bind their own
@@ -92,29 +99,28 @@ module Hotline = struct
   let line_for ~core ~insn ~vpn =
     let side = if insn then 1 else 0 in
     let core = core land (max_cores - 1) in
-    (current_table ()).(((core * 2) + side) * lines_per_side
-                        + (vpn land (lines_per_side - 1)))
+    (current_table ()).lines.(((core * 2) + side) * lines_per_side
+                              + (vpn land (lines_per_side - 1)))
 
   let probe line ~tlb ~asid ~vpn =
-    match line.h_slot with
-    | Some slot
-      when (match line.h_tlb with Some t -> t == tlb | None -> false)
-           && line.h_asid = asid && line.h_vpn = vpn ->
-      Tlb.slot_hit tlb slot ~asid ~vpn
-    | _ -> None
+    if line.h_slot >= 0 && line.h_tlb == tlb && line.h_asid = asid
+       && line.h_vpn = vpn && Tlb.slot_hit tlb line.h_slot ~asid ~vpn
+    then line.h_slot
+    else -1
 
   let record line ~tlb ~slot ~asid ~vpn =
-    line.h_tlb <- Some tlb;
-    line.h_slot <- Some slot;
+    line.h_tlb <- tlb;
+    line.h_slot <- slot;
     line.h_asid <- asid;
     line.h_vpn <- vpn
 
   let clear_all () =
+    let tb = current_table () in
     Array.iter
       (fun l ->
-        l.h_tlb <- None;
-        l.h_slot <- None)
-      (current_table ())
+        l.h_tlb <- tb.vacant;
+        l.h_slot <- -1)
+      tb.lines
 
   (* Chaos determinism: entering a fault-injection scope drops every
      hot line, so the translation layer takes the same code path with

@@ -28,7 +28,7 @@ val touch_range : Cpu.t -> kind -> pa:int -> len:int -> unit
 
 (** Host-side hot lines: a flat direct-mapped memo over recent TLB hits,
     keyed by (core, i/d-side, VPN). A successful probe revalidates the
-    remembered {!Tlb.slot} and reproduces the exact observable state of
+    remembered {!Tlb} slot and reproduces the exact observable state of
     a TLB hit (simulated cycles, counters, LRU) while letting the
     translation layer skip its walk machinery — a pure host wall-clock
     optimization. Cleared on fault-scope entry so chaos runs are
@@ -46,8 +46,12 @@ module Hotline : sig
   val with_table : table -> (unit -> 'a) -> 'a
 
   val line_for : core:int -> insn:bool -> vpn:int -> line
-  val probe : line -> tlb:Tlb.t -> asid:int -> vpn:int -> Tlb.entry option
-  val record : line -> tlb:Tlb.t -> slot:Tlb.slot -> asid:int -> vpn:int -> unit
+  val probe : line -> tlb:Tlb.t -> asid:int -> vpn:int -> int
+  (** The remembered {!Tlb} slot index if it still holds the live
+      (asid, vpn) mapping — counted as a TLB hit by {!Tlb.slot_hit} —
+      else [-1] (nothing counted). *)
+
+  val record : line -> tlb:Tlb.t -> slot:int -> asid:int -> vpn:int -> unit
 
   val clear_all : unit -> unit
   (** Drop every line of the current table. *)

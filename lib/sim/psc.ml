@@ -6,22 +6,23 @@
     walk cache so the EPT translations of guest table pages skip the EPT
     walk. All four are the same structure: a set-associative ASID-tagged
     map from an integer key to an integer payload. We reuse {!Tlb}'s
-    storage (payload in [entry.ppn]) so they inherit its LRU policy and
-    its O(1) generation/epoch-based invalidation for free. *)
+    storage (payload in the entry's [ppn]) so they inherit its LRU policy and
+    its O(1) generation/epoch-based invalidation for free. Probes and
+    inserts allocate nothing on the host. *)
 
 type t = Tlb.t
 
 let create ~name ~entries ~ways = Tlb.create ~name ~entries ~ways
 let name = Tlb.name
 
+let miss = -1
+
 let lookup t ~asid ~key =
-  match Tlb.lookup t ~asid ~vpn:key with
-  | Some e -> Some e.Tlb.ppn
-  | None -> None
+  let i = Tlb.lookup_slot t ~asid ~vpn:key in
+  if i < 0 then miss else Tlb.slot_ppn t i
 
 let insert t ~asid ~key value =
-  Tlb.insert t ~asid ~vpn:key
-    { Tlb.ppn = value; page_shift = 0; writable = false; user = false }
+  Tlb.fill t ~asid ~vpn:key ~ppn:value ~page_shift:0 ~writable:false ~user:false
 
 let flush_all = Tlb.flush_all
 let flush_asid = Tlb.flush_asid

@@ -10,10 +10,16 @@ type t
 val create : name:string -> entries:int -> ways:int -> t
 val name : t -> string
 
-val lookup : t -> asid:int -> key:int -> int option
-(** Hit updates LRU state and the hit counter; miss counts a miss. *)
+val miss : int
+(** [-1]: what {!lookup} returns on a miss. Payloads are addresses or
+    page numbers, never negative. *)
+
+val lookup : t -> asid:int -> key:int -> int
+(** The payload, or {!miss}. Hit updates LRU state and the hit counter;
+    miss counts a miss. Allocation-free, like {!insert}. *)
 
 val insert : t -> asid:int -> key:int -> int -> unit
+(** [value] must be non-negative. *)
 
 val flush_all : t -> unit
 (** O(1) generation bump. *)

@@ -21,32 +21,43 @@ type entry = {
   user : bool;
 }
 
-type slot
-(** A handle on the internal storage of one entry, for hot-line
-    memoization: remember the slot a lookup hit and revalidate it with
-    {!slot_hit} instead of re-scanning the set. *)
-
 val create : name:string -> entries:int -> ways:int -> t
 
 val name : t -> string
 val capacity : t -> int
 
 val lookup : t -> asid:int -> vpn:int -> entry option
-(** Hit updates LRU state and the hit counter; miss counts a miss. *)
+(** Hit updates LRU state and the hit counter; miss counts a miss.
+    Builds the returned entry: the hot paths use {!lookup_slot}. *)
 
-val lookup_slot : t -> asid:int -> vpn:int -> slot option
-(** Like {!lookup} but returns the slot handle on a hit. *)
+(** {2 Allocation-free access by slot index}
 
-val slot_entry : slot -> entry
+    A slot index names the storage of one entry. {!lookup_slot} returns
+    one ([-1] on a miss); the translation layer reads the entry's fields
+    through it and remembers it for hot-line revalidation with
+    {!slot_hit} instead of re-scanning the set. *)
 
-val slot_hit : t -> slot -> asid:int -> vpn:int -> entry option
-(** If [slot] still holds a live mapping for (asid, vpn), count a hit,
-    update LRU state and return the entry — observably identical to a
-    {!lookup} hit, without the set scan. Returns [None] (and counts
+val lookup_slot : t -> asid:int -> vpn:int -> int
+(** Like {!lookup} (same accounting) but returns the hit's slot index,
+    or [-1] on a miss. *)
+
+val slot_ppn : t -> int -> int
+val slot_writable : t -> int -> bool
+val slot_user : t -> int -> bool
+
+val slot_hit : t -> int -> asid:int -> vpn:int -> bool
+(** If slot [i] still holds a live mapping for (asid, vpn), count a
+    hit, update LRU state and return [true] — observably identical to a
+    {!lookup} hit, without the set scan. Returns [false] (and counts
     nothing) if the slot was reused, flushed or outlived by a flush;
-    the caller then falls back to {!lookup}/{!lookup_slot}. *)
+    the caller then falls back to {!lookup_slot}. *)
 
 val insert : t -> asid:int -> vpn:int -> entry -> unit
+
+val fill :
+  t -> asid:int -> vpn:int -> ppn:int -> page_shift:int -> writable:bool ->
+  user:bool -> unit
+(** {!insert} from the entry's fields, without building the record. *)
 
 val flush_all : t -> unit
 (** O(1): bumps the generation counter. *)

@@ -177,8 +177,9 @@ let kpti_switch t ~core =
   let v = t.vcpus.(core) in
   Vcpu.write_cr3 v ~cr3:v.Vcpu.cr3 ~pcid:v.Vcpu.pcid
 
-let kernel_entry t ~core =
-  Sky_trace.Trace.span ~core ~cat:"syscall" "kernel_entry" @@ fun () ->
+(* Entry, exit and IPI sit on every IPC and notification path: build
+   the trace span's closure only when tracing is on. *)
+let enter_kernel t ~core =
   let c = cpu t ~core in
   Cpu.charge c (Costs.syscall + Costs.swapgs);
   Pmu.count (Cpu.pmu c) Pmu.Syscall_exec;
@@ -187,15 +188,25 @@ let kernel_entry t ~core =
   touch_kernel_text t ~core ~bytes:512 ~off:0;
   touch_kernel_data t ~core ~bytes:256 ~off:0
 
-let kernel_exit t ~core =
-  Sky_trace.Trace.span ~core ~cat:"syscall" "kernel_exit" @@ fun () ->
+let kernel_entry t ~core =
+  if Sky_trace.Trace.is_enabled () then
+    Sky_trace.Trace.span ~core ~cat:"syscall" "kernel_entry" (fun () ->
+        enter_kernel t ~core)
+  else enter_kernel t ~core
+
+let leave_kernel t ~core =
   let c = cpu t ~core in
   Cpu.charge c (Costs.swapgs + Costs.sysret);
   if t.config.Config.kpti then kpti_switch t ~core;
   Vcpu.set_mode t.vcpus.(core) Vcpu.User
 
-let send_ipi t ~from_core ~to_core =
-  Sky_trace.Trace.span ~core:from_core ~cat:"ipi" "ipi" @@ fun () ->
+let kernel_exit t ~core =
+  if Sky_trace.Trace.is_enabled () then
+    Sky_trace.Trace.span ~core ~cat:"syscall" "kernel_exit" (fun () ->
+        leave_kernel t ~core)
+  else leave_kernel t ~core
+
+let deliver_ipi t ~from_core ~to_core =
   let src = cpu t ~core:from_core in
   Cpu.charge src Costs.ipi;
   Pmu.count (Cpu.pmu src) Pmu.Ipi_sent;
@@ -203,5 +214,11 @@ let send_ipi t ~from_core ~to_core =
   (* Delivery: the target observes the interrupt no earlier than the
      sender's send time. *)
   Cpu.advance_to (cpu t ~core:to_core) (Cpu.cycles src)
+
+let send_ipi t ~from_core ~to_core =
+  if Sky_trace.Trace.is_enabled () then
+    Sky_trace.Trace.span ~core:from_core ~cat:"ipi" "ipi" (fun () ->
+        deliver_ipi t ~from_core ~to_core)
+  else deliver_ipi t ~from_core ~to_core
 
 let user_compute t ~core ~cycles = Cpu.charge (cpu t ~core) cycles

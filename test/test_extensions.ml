@@ -174,6 +174,70 @@ let test_notification_multi_waiter_coalesce () =
   Alcotest.(check (list int)) "re-registered" [ 2 ]
     (Notification.waiting_cores n)
 
+(* Run [core]'s clock up to [at] cycles (a signaler "far ahead"). *)
+let at k ~core c = Sky_sim.Cpu.advance_to (Kernel.cpu k ~core) c
+let cycles k ~core = Sky_sim.Cpu.cycles (Kernel.cpu k ~core)
+
+let test_notification_oldest_signal_time () =
+  let k, _ = make () in
+  let n = Notification.create k ~name:"n" in
+  at k ~core:1 100_000;
+  Notification.signal n ~core:1 ~badge:0b01;
+  at k ~core:2 300_000;
+  Notification.signal n ~core:2 ~badge:0b10;
+  Alcotest.(check int) "both badges" 0b11 (Notification.wait n ~core:0);
+  (* The waiter lands at the oldest pending signal's time, not the
+     newest's. *)
+  let c = cycles k ~core:0 in
+  Alcotest.(check bool) (Printf.sprintf "100k <= %d < 300k" c) true
+    (c >= 100_000 && c < 300_000)
+
+let test_notification_poll_clears_time () =
+  let k, _ = make () in
+  let n = Notification.create k ~name:"n" in
+  at k ~core:1 300_000;
+  Notification.signal n ~core:1 ~badge:1;
+  Alcotest.(check (option int)) "poll consumes" (Some 1) (Notification.poll n ~core:0);
+  at k ~core:2 100_000;
+  Notification.signal n ~core:2 ~badge:2;
+  Alcotest.(check int) "second badge" 2 (Notification.wait n ~core:0);
+  (* The polled signal's 300k delivery time went with its word. *)
+  let c = cycles k ~core:0 in
+  Alcotest.(check bool) (Printf.sprintf "100k <= %d < 300k" c) true
+    (c >= 100_000 && c < 300_000)
+
+let test_notification_fresh_time_after_consume () =
+  let k, _ = make () in
+  let n = Notification.create k ~name:"n" in
+  at k ~core:1 100_000;
+  Notification.signal n ~core:1 ~badge:1;
+  ignore (Notification.wait n ~core:0);
+  Alcotest.(check bool) "first wait lands past 100k" true (cycles k ~core:0 >= 100_000);
+  at k ~core:2 300_000;
+  Notification.signal n ~core:2 ~badge:1;
+  ignore (Notification.wait n ~core:0);
+  Alcotest.(check bool) "second wait lands past 300k" true (cycles k ~core:0 >= 300_000)
+
+let test_notification_zero_badge_rejected () =
+  let k, _ = make () in
+  let n = Notification.create k ~name:"n" in
+  Alcotest.(check (option int)) "core 0 blocks" None
+    (Notification.wait_blocking ~polls:0 n ~core:0);
+  at k ~core:1 100_000;
+  let before = cycles k ~core:1 in
+  Alcotest.check_raises "zero badge" (Invalid_argument "Notification.signal: zero badge")
+    (fun () -> Notification.signal n ~core:1 ~badge:0);
+  Alcotest.(check int) "nothing charged" before (cycles k ~core:1);
+  Alcotest.(check int) "nothing counted" 0 (Notification.signals n);
+  Alcotest.(check int) "no IPI" 0 (Notification.ipis n);
+  Alcotest.(check (list int)) "waiter still blocked" [ 0 ] (Notification.waiting_cores n);
+  (* A later real signal is delivered at its own time, not at the
+     rejected one's. *)
+  at k ~core:2 300_000;
+  Notification.signal n ~core:2 ~badge:1;
+  Alcotest.(check int) "badge" 1 (Notification.wait n ~core:0);
+  Alcotest.(check bool) "delivered past 300k" true (cycles k ~core:0 >= 300_000)
+
 (* ------------------------------------------------------------------ *)
 (* Temporary mapping                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -578,6 +642,14 @@ let () =
             test_notification_cross_core_timing;
           Alcotest.test_case "multi-waiter coalescing" `Quick
             test_notification_multi_waiter_coalesce;
+          Alcotest.test_case "oldest signal's time" `Quick
+            test_notification_oldest_signal_time;
+          Alcotest.test_case "poll clears delivery time" `Quick
+            test_notification_poll_clears_time;
+          Alcotest.test_case "fresh time after consume" `Quick
+            test_notification_fresh_time_after_consume;
+          Alcotest.test_case "zero badge rejected" `Quick
+            test_notification_zero_badge_rejected;
         ] );
       ( "temp_mapping",
         [

@@ -137,6 +137,107 @@ let test_interleave_stuck () =
     Alcotest.fail "expected Stuck"
   with Machine.Stuck _ -> ()
 
+(* [Machine.run_until] driven directly: the scheduler's rules, one per
+   test. [trace] records which core each step ran. *)
+let traced step =
+  let trace = ref [] in
+  let step ~core =
+    trace := core :: !trace;
+    step ~core
+  in
+  (step, fun () -> List.rev !trace)
+
+let test_run_until_equal_clocks () =
+  let machine = Machine.create ~cores:3 ~mem_mib:16 () in
+  let step, order =
+    traced (fun ~core ->
+        Cpu.charge (Machine.core machine core) 100;
+        Machine.Done)
+  in
+  (* Equal clocks: the lower index in the run's core list goes first,
+     whatever the core ids. *)
+  let run = Machine.start_run machine ~cores:[ 2; 0; 1 ] in
+  ignore (Machine.run_until machine run ~step ~until:max_int);
+  Alcotest.(check (list int)) "index order on ties" [ 2; 0; 1 ] (order ())
+
+let test_run_until_done_not_restepped () =
+  let machine = Machine.create ~cores:2 ~mem_mib:16 () in
+  let left = [| 1; 5 |] in
+  let step, order =
+    traced (fun ~core ->
+        if left.(core) = 0 then Alcotest.failf "core %d stepped after Done" core;
+        Cpu.charge (Machine.core machine core) 10;
+        left.(core) <- left.(core) - 1;
+        if left.(core) = 0 then Machine.Done else Machine.Progress)
+  in
+  let run = Machine.start_run machine ~cores:[ 0; 1 ] in
+  (* Core 0 finishes first and stays behind in virtual time: the
+     laggard rule must still never pick it again. *)
+  Alcotest.(check bool) "done" true
+    (Machine.run_until machine run ~step ~until:max_int = `Done);
+  Alcotest.(check (list int)) "core 0 stepped once" [ 0; 1; 1; 1; 1; 1 ] (order ())
+
+let test_run_until_paused_then_done () =
+  let machine = Machine.create ~cores:2 ~mem_mib:16 () in
+  let steps = [| 0; 0 |] in
+  let step, _ =
+    traced (fun ~core ->
+        steps.(core) <- steps.(core) + 1;
+        Cpu.charge (Machine.core machine core) (if core = 0 then 100 else 300);
+        if steps.(core) = 20 then Machine.Done else Machine.Progress)
+  in
+  let run = Machine.start_run machine ~cores:[ 0; 1 ] in
+  let cycles core = Cpu.cycles (Machine.core machine core) in
+  Alcotest.(check bool) "paused at 1000" true
+    (Machine.run_until machine run ~step ~until:1000 = `Paused);
+  (* Every live core reached the boundary; none was stepped once past it
+     (a step may overshoot by its own charge, no more). *)
+  Alcotest.(check (list int)) "parked at the boundary" [ 1000; 1200 ]
+    [ cycles 0; cycles 1 ];
+  let stepped = Array.copy steps in
+  Alcotest.(check bool) "same boundary: paused, no step" true
+    (Machine.run_until machine run ~step ~until:1000 = `Paused);
+  Alcotest.(check (array int)) "nothing stepped" stepped steps;
+  Alcotest.(check bool) "done once all finish" true
+    (Machine.run_until machine run ~step ~until:max_int = `Done);
+  Alcotest.(check (array int)) "every core ran to completion" [| 20; 20 |] steps;
+  Alcotest.(check bool) "done stays done" true
+    (Machine.run_until machine run ~step ~until:max_int = `Done)
+
+let test_run_until_idle_hop () =
+  let machine = Machine.create ~cores:3 ~mem_mib:16 () in
+  let cycles core = Cpu.cycles (Machine.core machine core) in
+  Cpu.advance_to (Machine.core machine 1) 3000;
+  let step, order =
+    traced (fun ~core ->
+        match core with
+        | 0 -> if cycles 0 > 0 then Machine.Done else Machine.Idle
+        | _ -> Machine.Done)
+  in
+  (* Core 2 finishes first (index 0 on a tie at cycle 0); core 0 then
+     idles with core 1 parked past the boundary: the hop still targets
+     the parked core, one cycle past its clock. *)
+  let run = Machine.start_run machine ~cores:[ 2; 0; 1 ] in
+  Alcotest.(check bool) "paused" true
+    (Machine.run_until machine run ~step ~until:1500 = `Paused);
+  Alcotest.(check (list int)) "core 1 parked, never stepped" [ 2; 0 ] (order ());
+  Alcotest.(check int) "hopped one past the parked core" 3001 (cycles 0);
+  (* With an unparked live core below, the hop targets it instead. *)
+  let machine = Machine.create ~cores:2 ~mem_mib:16 () in
+  Cpu.advance_to (Machine.core machine 1) 700;
+  let idled = ref false in
+  let step ~core =
+    if core = 0 && not !idled then begin
+      idled := true;
+      Machine.Idle
+    end
+    else Machine.Done
+  in
+  let run = Machine.start_run machine ~cores:[ 0; 1 ] in
+  ignore (Machine.run_until machine run ~step ~until:1);
+  Alcotest.(check int) "hopped one past the lowest other clock" 701
+    (Cpu.cycles (Machine.core machine 0))
+
 (* ------------------------------------------------------------------ *)
 (* End-to-end web stack                                                *)
 (* ------------------------------------------------------------------ *)
@@ -365,6 +466,11 @@ let () =
           Alcotest.test_case "virtual-time-order" `Quick
             test_interleave_orders_by_virtual_time;
           Alcotest.test_case "stuck-detection" `Quick test_interleave_stuck;
+          Alcotest.test_case "equal-clocks-lower-index" `Quick test_run_until_equal_clocks;
+          Alcotest.test_case "done-never-restepped" `Quick
+            test_run_until_done_not_restepped;
+          Alcotest.test_case "paused-then-done" `Quick test_run_until_paused_then_done;
+          Alcotest.test_case "idle-hop-counts-parked" `Quick test_run_until_idle_hop;
         ] );
       ( "web",
         [

@@ -118,14 +118,17 @@ let apply w ok (tag, a, b, c) =
           (Printf.sprintf "va=%x write=%b: accelerated=%s reference=%s" va
              write got want)
 
-let prop_accel_equals_reference =
-  QCheck.Test.make
-    ~name:"accelerated translation == cache-free reference under mutations"
-    ~count:60
+(* The property, with the acceleration structures on (the shipped
+   configuration) or off (the walker's cache-free branch). *)
+let prop_equals_reference ~name ~accel =
+  QCheck.Test.make ~name ~count:60
     QCheck.(
       list_of_size (Gen.int_range 1 60)
         (quad (int_bound 7) (int_bound 15) (int_bound 15) (int_bound 15)))
     (fun ops ->
+      let saved = Accel.is_enabled () in
+      Accel.set_enabled accel;
+      Fun.protect ~finally:(fun () -> Accel.set_enabled saved) @@ fun () ->
       let w = mk_world () in
       let bad = ref None in
       List.iter (apply w bad) ops;
@@ -135,6 +138,14 @@ let prop_accel_equals_reference =
       match !bad with
       | None -> true
       | Some msg -> QCheck.Test.fail_report msg)
+
+let prop_accel_equals_reference =
+  prop_equals_reference ~accel:true
+    ~name:"accelerated translation == cache-free reference under mutations"
+
+let prop_noaccel_equals_reference =
+  prop_equals_reference ~accel:false
+    ~name:"accel-off walker == cache-free reference under mutations"
 
 (* ------------------------------------------------------------------ *)
 (* Targeted regressions                                                 *)
@@ -187,6 +198,42 @@ let test_stale_tlb_after_ept_unmap () =
   with
   | "ept_violation" -> ()
   | other -> Alcotest.failf "expected ept_violation after EPT unmap, got %s" other
+
+(* A walk that faults charges nothing: with the frame holding the guest
+   PML4 EPT-unmapped and every translation structure cold, the nested
+   walk reads EPT entries until the missing leaf and raises without
+   having charged a cycle or touched the cache hierarchy — exactly as
+   [Ept.walk] returning [Error] before any entry is charged. *)
+let test_faulting_walk_charges_nothing () =
+  let check accel =
+    let saved = Accel.is_enabled () in
+    Accel.set_enabled accel;
+    Fun.protect ~finally:(fun () -> Accel.set_enabled saved) @@ fun () ->
+    let w = mk_world () in
+    let cr3 = Page_table.root_pa w.pts.(0) in
+    Page_table.map w.pts.(0) ~mem:w.mem ~alloc:w.alloc ~va:vas.(0) ~pa:w.frames.(0)
+      ~flags:Pte.urw;
+    Ept.unmap_4k w.epts.(0) ~mem:w.mem ~alloc:w.alloc ~gpa:cr3;
+    let cpu = Vcpu.cpu w.vcpu in
+    let snapshot () =
+      ( Cpu.cycles cpu,
+        [ Cache.hits (Cpu.l1d cpu); Cache.misses (Cpu.l1d cpu);
+          Cache.hits (Cpu.l2 cpu); Cache.misses (Cpu.l2 cpu) ] )
+    in
+    let before = snapshot () in
+    (match Translate.translate w.vcpu w.mem Translate.data_read ~va:vas.(0) with
+    | _ -> Alcotest.fail "translation through an unmapped PML4 succeeded"
+    | exception Ept.Ept_violation (Ept.Ept_not_present gpa) ->
+      Alcotest.(check int) "faulting GPA is the PML4's" cr3 gpa);
+    let cycles, counts = snapshot () in
+    Alcotest.(check int) (Printf.sprintf "no cycles charged (accel %b)" accel) (fst before)
+      cycles;
+    Alcotest.(check (list int))
+      (Printf.sprintf "no L1D/L2 hits or misses (accel %b)" accel)
+      (snd before) counts
+  in
+  check true;
+  check false
 
 (* Figure-6 configuration: the same VA resolves through different guest
    page tables on either side of a VMFUNC (CR3-remap trick). The hot
@@ -264,10 +311,9 @@ let test_psc_flush_key_all_asids () =
   Psc.insert p ~asid:2 ~key:7 200;
   Psc.insert p ~asid:1 ~key:8 300;
   Psc.flush_key p ~key:7;
-  Alcotest.(check bool) "key 7 asid 1 gone" true (Psc.lookup p ~asid:1 ~key:7 = None);
-  Alcotest.(check bool) "key 7 asid 2 gone" true (Psc.lookup p ~asid:2 ~key:7 = None);
-  Alcotest.(check bool) "key 8 survives" true
-    (Psc.lookup p ~asid:1 ~key:8 = Some 300)
+  Alcotest.(check int) "key 7 asid 1 gone" Psc.miss (Psc.lookup p ~asid:1 ~key:7);
+  Alcotest.(check int) "key 7 asid 2 gone" Psc.miss (Psc.lookup p ~asid:2 ~key:7);
+  Alcotest.(check int) "key 8 survives" 300 (Psc.lookup p ~asid:1 ~key:8)
 
 let test_accel_toggle_flushes_everything () =
   let t = Tlb.create ~name:"t" ~entries:16 ~ways:4 in
@@ -285,11 +331,14 @@ let () =
   let qc = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "translation"
     [
-      ("equivalence", qc [ prop_accel_equals_reference ]);
+      ( "equivalence",
+        qc [ prop_accel_equals_reference; prop_noaccel_equals_reference ] );
       ( "staleness",
         [
           Alcotest.test_case "guest unmap faults immediately" `Quick
             test_stale_psc_after_unmap;
+          Alcotest.test_case "faulting walk charges nothing" `Quick
+            test_faulting_walk_charges_nothing;
           Alcotest.test_case "EPT unmap faults immediately" `Quick
             test_stale_tlb_after_ept_unmap;
           Alcotest.test_case "hot line respects VMFUNC ASID" `Quick
