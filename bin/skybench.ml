@@ -9,6 +9,8 @@
      skybench trace fig7 -o trace.json              (Chrome/Perfetto trace) *)
 
 open Cmdliner
+open Sky_harness
+open Sky_experiments
 
 (* Every command takes --backend: the isolation mechanism carrying the
    mediated calls (VMFUNC EPTP switching, ERIM-style MPK, or the
@@ -49,60 +51,56 @@ let jobs_arg =
            unless all replicas produce byte-identical results — the \
            parallel-determinism smoke test. Output is replica 0's.")
 
-let replicate ~jobs ~render f = Sky_experiments.Par_harness.replicate ~jobs ~render f
-
 let list_cmd =
   let doc = "List available experiments." in
   let run () =
     List.iter
-      (fun e ->
-        Printf.printf "%-10s %s\n" e.Sky_experiments.Registry.id
-          e.Sky_experiments.Registry.title)
-      Sky_experiments.Registry.all
+      (fun e -> Printf.printf "%-10s %s\n" e.Registry.id e.Registry.title)
+      Registry.all
   in
   Cmd.v (Cmd.info "list" ~doc) Term.(const run $ const ())
 
-(* Host wall-clock of producing a result; recorded in BENCH artifacts
-   next to the simulated cycles (stdout JSON stays byte-deterministic). *)
-let timed f =
+let json_arg =
+  Arg.(
+    value & flag
+    & info [ "json" ]
+        ~doc:"Print the result as JSON and write it to BENCH_<id>.json.")
+
+let budgets_arg =
+  Arg.(
+    value
+    & opt string Budget.default_file
+    & info [ "budgets" ] ~docv:"FILE" ~doc:"Budget file to gate against.")
+
+(* The one runner behind `run` and every gated subcommand: run [f] (as
+   --jobs byte-compared replicas), print its table or its JSON, archive
+   BENCH_<id>.json with --json, and return its failed checks, each
+   prefixed with [id]. The host wall-clock and any host facts go to the
+   artifact's "host" object and stderr; stdout stays byte-deterministic. *)
+let emit ~json ~jobs id f =
   let t0 = Unix.gettimeofday () in
-  let r = f () in
-  (r, Unix.gettimeofday () -. t0)
-
-(* With --json, every result is also archived as BENCH_<id>.json so CI
-   can glob one pattern and benchmark trajectories survive the run. *)
-let emit ?artifact ~json run =
-  let tbl, host_seconds = timed run in
+  let o = Par_harness.replicate ~jobs ~render:(fun o -> o.Outcome.json) f in
+  let seconds = Unix.gettimeofday () -. t0 in
   if json then begin
-    let j = Sky_harness.Tbl.to_json tbl in
-    print_endline j;
-    match artifact with
-    | Some name ->
-      let path = Sky_harness.Artifact.write ~name ~host_seconds j in
-      Printf.eprintf "wrote %s (%.2fs host)\n" path host_seconds
-    | None -> ()
+    print_endline o.json;
+    let path = Artifact.write ~name:id ~seconds ~host:o.host o.json in
+    Printf.eprintf "wrote %s (%.2fs host)\n" path seconds
   end
-  else Sky_harness.Tbl.print tbl
+  else Tbl.print o.table;
+  if o.host <> [] then
+    Printf.eprintf "%s: host %s\n" id Sky_trace.Json.(to_string (Obj o.host));
+  List.map (fun check -> id ^ ": " ^ check) o.failed
 
-let run_one ~records ~ops ~json ~wrap id =
-  match id with
-  | "fig9" | "fig10" | "fig11" when records <> None || ops <> None ->
-    let variant =
-      match id with
-      | "fig9" -> Sky_ukernel.Config.Sel4
-      | "fig10" -> Sky_ukernel.Config.Fiasco
-      | _ -> Sky_ukernel.Config.Zircon
-    in
-    emit ~artifact:id ~json
-      (wrap (fun () ->
-           Sky_experiments.Exp_ycsb.run_variant ?records ?ops_per_thread:ops
-             variant))
-  | _ -> (
-    match Sky_experiments.Registry.find id with
-    | Some e -> emit ~artifact:id ~json (wrap e.Sky_experiments.Registry.run)
-    | None ->
-      Printf.eprintf "unknown experiment %S; try `skybench list`\n" id;
-      exit 1)
+(* The one gate: exit 1 naming every failed check. *)
+let gate = function
+  | [] -> ()
+  | failed ->
+    List.iter (Printf.eprintf "acceptance failed: %s\n") failed;
+    exit 1
+
+let unknown id =
+  Printf.eprintf "unknown experiment %S; try `skybench list`\n" id;
+  exit 1
 
 let run_cmd =
   let doc = "Run an experiment by id (or `all`)." in
@@ -113,23 +111,34 @@ let run_cmd =
   let ops =
     Arg.(value & opt (some int) None & info [ "ops" ] ~doc:"YCSB ops per thread")
   in
-  let json =
-    Arg.(value & flag & info [ "json" ] ~doc:"Emit the result table as JSON.")
-  in
   let run id records ops json jobs backend =
     set_backend backend;
-    let wrap r () = replicate ~jobs ~render:Sky_harness.Tbl.to_json r in
-    if id = "all" then
-      List.iter
-        (fun e ->
-          emit ~artifact:e.Sky_experiments.Registry.id ~json
-            (wrap e.Sky_experiments.Registry.run);
-          if not json then print_newline ())
-        Sky_experiments.Registry.all
-    else run_one ~records ~ops ~json ~wrap id
+    let budgets = Budget.load Budget.default_file in
+    let entry e = emit ~json ~jobs e.Registry.id (fun () -> e.Registry.run budgets) in
+    gate
+      (match id with
+      | "all" ->
+        List.concat_map
+          (fun e ->
+            let failed = entry e in
+            if not json then print_newline ();
+            failed)
+          Registry.all
+      | ("fig9" | "fig10" | "fig11") when records <> None || ops <> None ->
+        let variant =
+          match id with
+          | "fig9" -> Sky_ukernel.Config.Sel4
+          | "fig10" -> Sky_ukernel.Config.Fiasco
+          | _ -> Sky_ukernel.Config.Zircon
+        in
+        emit ~json ~jobs id (fun () ->
+            Outcome.of_table
+              (Exp_ycsb.run_variant ?records ?ops_per_thread:ops variant))
+      | _ -> (
+        match Registry.find id with Some e -> entry e | None -> unknown id))
   in
   Cmd.v (Cmd.info "run" ~doc)
-    Term.(const run $ id $ records $ ops $ json $ jobs_arg $ backend_arg)
+    Term.(const run $ id $ records $ ops $ json_arg $ jobs_arg $ backend_arg)
 
 let write_file path contents =
   let oc = open_out path in
@@ -159,23 +168,22 @@ let trace_cmd =
   in
   let run id out folded backend =
     set_backend backend;
-    match Sky_experiments.Registry.find id with
-    | None ->
-      Printf.eprintf "unknown experiment %S; try `skybench list`\n" id;
-      exit 1
+    match Registry.find id with
+    | None -> unknown id
     | Some e ->
+      let budgets = Budget.load Budget.default_file in
       Sky_trace.Trace.enable ();
-      let tbl = e.Sky_experiments.Registry.run () in
+      let o = e.Registry.run budgets in
       Sky_trace.Trace.disable ();
-      Sky_harness.Tbl.print tbl;
+      Tbl.print o.Outcome.table;
       print_newline ();
-      Sky_harness.Tbl.print
-        (Sky_harness.Tbl.of_categories
+      Tbl.print
+        (Tbl.of_categories
            ~title:(Printf.sprintf "%s: cycle attribution by trace category" id)
            (Sky_trace.Trace.categories ()));
       print_newline ();
-      Sky_harness.Tbl.print
-        (Sky_harness.Tbl.of_histograms
+      Tbl.print
+        (Tbl.of_histograms
            ~title:(Printf.sprintf "%s: span latency histograms (cycles)" id)
            (Sky_trace.Trace.histograms ()));
       let path = match out with Some p -> p | None -> id ^ ".trace.json" in
@@ -218,9 +226,7 @@ let audit_cmd =
              name ^ "=" ^ Sky_analysis.Report.list_to_json (viols prs))
            scenarios)
     in
-    let scenarios =
-      replicate ~jobs ~render Sky_experiments.Exp_audit.scenarios
-    in
+    let scenarios = Par_harness.replicate ~jobs ~render Exp_audit.scenarios in
     let total =
       List.fold_left
         (fun acc (_, prs) -> acc + List.length (viols prs))
@@ -280,28 +286,20 @@ let chaos_cmd =
      and report the recovery census: \
      recovered, degraded (slowpath) and lost calls, server restarts, \
      forced §7 returns, post-storm audit and fsck. The same seed yields \
-     a bit-identical census. Exit code 0 iff no call was lost, the \
-     post-storm audit is clean, and the file system checks out."
+     a bit-identical census. Writes BENCH_chaos.json with --json. Exit \
+     code 0 iff no call was lost, the post-storm audit is clean, and the \
+     file system checks out."
   in
   let seed =
     Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Fault-plan seed.")
   in
-  let json =
-    Arg.(value & flag & info [ "json" ] ~doc:"Emit the census as JSON.")
-  in
   let run seed json jobs backend =
     set_backend backend;
-    let c =
-      replicate ~jobs ~render:Sky_experiments.Exp_chaos.census_to_json
-        (fun () -> Sky_experiments.Exp_chaos.run_chaos ~seed)
-    in
-    if json then print_endline (Sky_experiments.Exp_chaos.census_to_json c)
-    else Sky_harness.Tbl.print (Sky_experiments.Exp_chaos.census_table c);
-    if not (Sky_experiments.Exp_chaos.clean c) then exit 1
+    gate (emit ~json ~jobs "chaos" (fun () -> Exp_chaos.(outcome (run_chaos ~seed))))
   in
   Cmd.v
     (Cmd.info "chaos" ~doc)
-    Term.(const run $ seed $ json $ jobs_arg $ backend_arg)
+    Term.(const run $ seed $ json_arg $ jobs_arg $ backend_arg)
 
 let web_cmd =
   let doc =
@@ -330,49 +328,17 @@ let web_cmd =
       & opt int Sky_net.Web.default_requests_per_conn
       & info [ "requests" ] ~doc:"Requests per connection.")
   in
-  let json =
-    Arg.(
-      value & flag
-      & info [ "json" ] ~doc:"Print the results as JSON and write BENCH_web.json.")
-  in
-  let no_accel =
-    Arg.(
-      value & flag
-      & info [ "no-accel" ]
-          ~doc:
-            "Disable the translation-acceleration structures (PSCs, EPT \
-             walk cache, hot lines) for this run — the cache-free \
-             reference walker, for host wall-clock comparisons.")
-  in
-  let run seed cores conns requests json no_accel jobs backend =
+  let run seed cores conns requests json jobs backend =
     set_backend backend;
-    if no_accel then Sky_sim.Accel.set_enabled false;
-    let r, host_seconds =
-      timed (fun () ->
-          replicate ~jobs ~render:Sky_experiments.Exp_web.to_json (fun () ->
-              Sky_experiments.Exp_web.run_curve ~seed ~cores ~conns
-                ~requests_per_conn:requests ()))
-    in
-    if json then begin
-      let j = Sky_experiments.Exp_web.to_json r in
-      print_endline j;
-      let path = Sky_harness.Artifact.write ~name:"web" ~host_seconds j in
-      Printf.eprintf "wrote %s (%.2fs host)\n" path host_seconds
-    end
-    else Sky_harness.Tbl.print (Sky_experiments.Exp_web.table r);
-    if not (Sky_experiments.Exp_web.ok r) then begin
-      Printf.eprintf
-        "web: acceptance failed (served=%b sky-ahead=%b monotone=%b)\n"
-        (Sky_experiments.Exp_web.all_served r)
-        (Sky_experiments.Exp_web.sky_always_ahead r)
-        (Sky_experiments.Exp_web.sky_monotone r);
-      exit 1
-    end
+    gate
+      (emit ~json ~jobs "web" (fun () ->
+           Exp_web.(
+             outcome (run_curve ~seed ~cores ~conns ~requests_per_conn:requests ()))))
   in
   Cmd.v (Cmd.info "web" ~doc)
     Term.(
-      const run $ seed $ cores $ conns $ requests $ json $ no_accel
-      $ jobs_arg $ backend_arg)
+      const run $ seed $ cores $ conns $ requests $ json_arg $ jobs_arg
+      $ backend_arg)
 
 let mesh_cmd =
   let doc =
@@ -388,78 +354,20 @@ let mesh_cmd =
      same-seed runs. Exit code 0 iff every request was served and \
      validated, requests fanned out across all workers, both KV \
      generations served traffic, denials were absorbed without loss, \
-     and the mesh and subkernel audits are clean."
+     the mesh and subkernel audits are clean, and no stale mapping \
+     outlived a revocation."
   in
   let seed =
     Arg.(
       value
-      & opt int Sky_experiments.Exp_mesh.default_seed
+      & opt int Exp_mesh.default_seed
       & info [ "seed" ] ~doc:"Workload seed.")
-  in
-  let json =
-    Arg.(
-      value & flag
-      & info [ "json" ] ~doc:"Print the result as JSON and write BENCH_mesh.json.")
   in
   let run seed json backend =
     set_backend backend;
-    let r, host_seconds =
-      timed (fun () -> Sky_experiments.Exp_mesh.run_mesh ~seed ())
-    in
-    if json then begin
-      let j = Sky_experiments.Exp_mesh.to_json r in
-      print_endline j;
-      let path = Sky_harness.Artifact.write ~name:"mesh" ~host_seconds j in
-      Printf.eprintf "wrote %s (%.2fs host)\n" path host_seconds
-    end
-    else Sky_harness.Tbl.print (Sky_experiments.Exp_mesh.table r);
-    if not (Sky_experiments.Exp_mesh.ok r) then begin
-      Printf.eprintf
-        "mesh: acceptance failed (served=%b fanout=%b upgraded=%b \
-         degraded=%b audits=%b lost=%d)\n"
-        (Sky_experiments.Exp_mesh.all_served r)
-        (Sky_experiments.Exp_mesh.fanned_out r)
-        (Sky_experiments.Exp_mesh.upgraded r)
-        (Sky_experiments.Exp_mesh.degraded r)
-        (Sky_experiments.Exp_mesh.audits_clean r)
-        r.Sky_experiments.Exp_mesh.m_lost;
-      exit 1
-    end
+    gate (emit ~json ~jobs:1 "mesh" (fun () -> Exp_mesh.(outcome (run_mesh ~seed ()))))
   in
-  Cmd.v (Cmd.info "mesh" ~doc) Term.(const run $ seed $ json $ backend_arg)
-
-(* bench/budgets.json is flat enough ({"pingpong":{"cycles_per_call":N}})
-   that a substring scan beats pulling in a JSON parser dependency. Finds
-   the first integer after ["key":] following ["section":]. *)
-let budget_of ~file ~section ~key =
-  let ic = open_in file in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  let find_from pos pat =
-    let plen = String.length pat in
-    let rec go i =
-      if i + plen > String.length s then None
-      else if String.sub s i plen = pat then Some (i + plen)
-      else go (i + 1)
-    in
-    go pos
-  in
-  match find_from 0 (Printf.sprintf "\"%s\"" section) with
-  | None -> None
-  | Some p -> (
-    match find_from p (Printf.sprintf "\"%s\"" key) with
-    | None -> None
-    | Some p ->
-      let len = String.length s in
-      let rec skip i =
-        if i < len && (s.[i] = ':' || s.[i] = ' ') then skip (i + 1) else i
-      in
-      let start = skip p in
-      let rec stop i = if i < len && s.[i] >= '0' && s.[i] <= '9' then stop (i + 1) else i in
-      let e = stop start in
-      if e > start then Some (int_of_string (String.sub s start (e - start)))
-      else None)
+  Cmd.v (Cmd.info "mesh" ~doc) Term.(const run $ seed $ json_arg $ backend_arg)
 
 let perf_cmd =
   let doc =
@@ -471,57 +379,15 @@ let perf_cmd =
      JSON on stdout is byte-deterministic, so CI diffs two same-seed \
      runs to catch nondeterminism."
   in
-  let json =
-    Arg.(value & flag & info [ "json" ] ~doc:"Emit the result as JSON.")
-  in
-  let budgets =
-    Arg.(
-      value
-      & opt string "bench/budgets.json"
-      & info [ "budgets" ] ~docv:"FILE" ~doc:"Budget file to gate against.")
-  in
   let run json budgets jobs backend =
     set_backend backend;
-    let r, host_seconds =
-      timed (fun () ->
-          replicate ~jobs ~render:Sky_experiments.Exp_pingpong.to_json
-            Sky_experiments.Exp_pingpong.run_result)
-    in
-    if json then begin
-      let j = Sky_experiments.Exp_pingpong.to_json r in
-      print_endline j;
-      let path = Sky_harness.Artifact.write ~name:"pingpong" ~host_seconds j in
-      Printf.eprintf "wrote %s (%.2fs host)\n" path host_seconds
-    end
-    else Sky_harness.Tbl.print (Sky_experiments.Exp_pingpong.table r);
-    let cpc = r.Sky_experiments.Exp_pingpong.cycles_per_call in
-    let cpc_off = r.Sky_experiments.Exp_pingpong.cycles_per_call_noaccel in
-    if cpc >= cpc_off then begin
-      Printf.eprintf
-        "perf: acceleration does not pay: %d cycles/call on vs %d off\n" cpc
-        cpc_off;
-      exit 1
-    end;
-    if Sys.file_exists budgets then
-      match budget_of ~file:budgets ~section:"pingpong" ~key:"cycles_per_call" with
-      | None ->
-        Printf.eprintf "perf: no pingpong.cycles_per_call budget in %s\n" budgets;
-        exit 1
-      | Some budget ->
-        let limit = budget * 102 / 100 in
-        if cpc > limit then begin
-          Printf.eprintf
-            "perf: REGRESSION: %d cycles/call exceeds budget %d (+2%% = %d)\n"
-            cpc budget limit;
-          exit 1
-        end
-        else
-          Printf.eprintf "perf: %d cycles/call within budget %d (+2%% = %d)\n"
-            cpc budget limit
-    else Printf.eprintf "perf: %s not found; skipping budget gate\n" budgets
+    let budgets = Budget.load budgets in
+    gate
+      (emit ~json ~jobs "pingpong" (fun () ->
+           Exp_pingpong.(outcome budgets (run_result ()))))
   in
   Cmd.v (Cmd.info "perf" ~doc)
-    Term.(const run $ json $ budgets $ jobs_arg $ backend_arg)
+    Term.(const run $ json_arg $ budgets_arg $ jobs_arg $ backend_arg)
 
 let overload_cmd =
   let doc =
@@ -543,7 +409,7 @@ let overload_cmd =
   let seed =
     Arg.(
       value
-      & opt int Sky_experiments.Exp_overload.default_seed
+      & opt int Exp_overload.default_seed
       & info [ "seed" ] ~doc:"Workload seed.")
   in
   let workers =
@@ -560,97 +426,19 @@ let overload_cmd =
       & info [ "scale-tenants" ]
           ~doc:"Short-lived tenant processes in the eviction phase.")
   in
-  let json =
-    Arg.(
-      value & flag
-      & info [ "json" ]
-          ~doc:"Print the result as JSON and write BENCH_overload.json.")
-  in
-  let budgets =
-    Arg.(
-      value
-      & opt string "bench/budgets.json"
-      & info [ "budgets" ] ~docv:"FILE" ~doc:"Budget file to gate against.")
-  in
   let run seed workers arrivals scale_tenants json budgets jobs backend =
     set_backend backend;
-    let r, host_seconds =
-      timed (fun () ->
-          replicate ~jobs ~render:Sky_experiments.Exp_overload.to_json
-            (fun () ->
-              Sky_experiments.Exp_overload.run_overload ~seed ~workers
-                ~total:arrivals ~scale_tenants ()))
-    in
-    if json then begin
-      let j = Sky_experiments.Exp_overload.to_json r in
-      print_endline j;
-      let path = Sky_harness.Artifact.write ~name:"overload" ~host_seconds j in
-      Printf.eprintf "wrote %s (%.2fs host)\n" path host_seconds
-    end
-    else Sky_harness.Tbl.print (Sky_experiments.Exp_overload.table r);
-    (* Structural gates (zero lost/corrupt, sheds under overload, chaos
-       survived, tenants evicted) with the built-in goodput floor ... *)
-    let floor, floor_src =
-      if Sys.file_exists budgets then
-        match
-          budget_of ~file:budgets ~section:"overload" ~key:"goodput_floor_pct"
-        with
-        | Some pct -> (float_of_int pct /. 100.0, budgets)
-        | None -> (0.5, "default")
-      else (0.5, "default")
-    in
-    if not (Sky_experiments.Exp_overload.ok ~floor r) then begin
-      Printf.eprintf
-        "overload: acceptance failed (zero_lost=%b goodput_ratio=%.3f \
-         floor=%.2f[%s] sheds=%b chaos_active=%b chaos_clean=%b \
-         tenants_evicted=%b)\n"
-        (Sky_experiments.Exp_overload.zero_lost r)
-        (Sky_experiments.Exp_overload.goodput_ratio r)
-        floor floor_src
-        (Sky_experiments.Exp_overload.overload_sheds r)
-        (Sky_experiments.Exp_overload.chaos_active r)
-        (Sky_experiments.Exp_overload.chaos_clean r)
-        (Sky_experiments.Exp_overload.tenants_evicted r);
-      exit 1
-    end;
-    (* ... and the p99.9 regression budget on admitted requests at 2x. *)
-    (if Sys.file_exists budgets then
-       match budget_of ~file:budgets ~section:"overload" ~key:"p999_cycles" with
-       | None ->
-         Printf.eprintf "overload: no overload.p999_cycles budget in %s\n"
-           budgets;
-         exit 1
-       | Some budget ->
-         let p999 =
-           match
-             List.find_opt
-               (fun p -> p.Sky_experiments.Exp_overload.p_mult = 2.0)
-               r.Sky_experiments.Exp_overload.r_points
-           with
-           | Some p -> p.Sky_experiments.Exp_overload.p_p999
-           | None -> max_int
-         in
-         let limit = budget * 102 / 100 in
-         if p999 > limit then begin
-           Printf.eprintf
-             "overload: REGRESSION: p99.9 %d cycles exceeds budget %d (+2%% \
-              = %d)\n"
-             p999 budget limit;
-           exit 1
-         end
-         else
-           Printf.eprintf "overload: p99.9 %d within budget %d (+2%% = %d)\n"
-             p999 budget limit
-     else Printf.eprintf "overload: %s not found; skipping budget gate\n" budgets);
-    Printf.eprintf
-      "overload: goodput ratio %.3f >= floor %.2f; zero lost/corrupt\n"
-      (Sky_experiments.Exp_overload.goodput_ratio r)
-      floor
+    let budgets = Budget.load budgets in
+    gate
+      (emit ~json ~jobs "overload" (fun () ->
+           Exp_overload.(
+             outcome budgets
+               (run_overload ~seed ~workers ~total:arrivals ~scale_tenants ()))))
   in
   Cmd.v (Cmd.info "overload" ~doc)
     Term.(
-      const run $ seed $ workers $ arrivals $ scale_tenants $ json $ budgets
-      $ jobs_arg $ backend_arg)
+      const run $ seed $ workers $ arrivals $ scale_tenants $ json_arg
+      $ budgets_arg $ jobs_arg $ backend_arg)
 
 let matrix_cmd =
   let doc =
@@ -669,73 +457,16 @@ let matrix_cmd =
   let seed =
     Arg.(
       value
-      & opt int Sky_experiments.Exp_matrix.default_seed
+      & opt int Exp_matrix.default_seed
       & info [ "seed" ] ~doc:"Fault-plan seed.")
   in
-  let json =
-    Arg.(
-      value & flag
-      & info [ "json" ]
-          ~doc:"Print the matrix as JSON and write BENCH_matrix.json.")
-  in
-  let budgets =
-    Arg.(
-      value
-      & opt string "bench/budgets.json"
-      & info [ "budgets" ] ~docv:"FILE" ~doc:"Budget file to gate against.")
-  in
   let run seed json budgets =
-    let r = Sky_experiments.Exp_matrix.run_matrix ~seed () in
-    if json then begin
-      let j = Sky_experiments.Exp_matrix.to_json r in
-      print_endline j;
-      (* No host_seconds wrapper: the artifact itself is the
-         byte-determinism witness CI diffs across two runs. *)
-      let path = Sky_harness.Artifact.write ~name:"matrix" j in
-      Printf.eprintf "wrote %s\n" path
-    end
-    else Sky_harness.Tbl.print (Sky_experiments.Exp_matrix.table r);
-    if not (Sky_experiments.Exp_matrix.ok r) then begin
-      Printf.eprintf
-        "matrix: acceptance failed (zero_lost=%b audits_clean=%b \
-         mpk_beats_vmfunc=%b recovered=%b)\n"
-        (Sky_experiments.Exp_matrix.zero_lost r)
-        (Sky_experiments.Exp_matrix.audits_clean r)
-        (Sky_experiments.Exp_matrix.mpk_beats_vmfunc r)
-        (Sky_experiments.Exp_matrix.recovered_under_storm r);
-      exit 1
-    end;
-    let vmfunc_cpc = Sky_experiments.Exp_matrix.cycles r Sky_core.Backend.Vmfunc in
-    (if Sys.file_exists budgets then
-       match
-         budget_of ~file:budgets ~section:"pingpong" ~key:"cycles_per_call"
-       with
-       | None ->
-         Printf.eprintf "matrix: no pingpong.cycles_per_call budget in %s\n"
-           budgets;
-         exit 1
-       | Some budget ->
-         let limit = budget * 102 / 100 in
-         if vmfunc_cpc > limit then begin
-           Printf.eprintf
-             "matrix: REGRESSION: vmfunc %d cycles/call exceeds budget %d \
-              (+2%% = %d)\n"
-             vmfunc_cpc budget limit;
-           exit 1
-         end
-         else
-           Printf.eprintf
-             "matrix: vmfunc %d cycles/call within budget %d (+2%% = %d)\n"
-             vmfunc_cpc budget limit
-     else Printf.eprintf "matrix: %s not found; skipping budget gate\n" budgets);
-    Printf.eprintf
-      "matrix: mpk %d < vmfunc %d < syscall %d cycles/call; zero lost, \
-       clean audits on all backends\n"
-      (Sky_experiments.Exp_matrix.cycles r Sky_core.Backend.Mpk)
-      vmfunc_cpc
-      (Sky_experiments.Exp_matrix.cycles r Sky_core.Backend.Syscall)
+    let budgets = Budget.load budgets in
+    gate
+      (emit ~json ~jobs:1 "matrix" (fun () ->
+           Exp_matrix.(outcome budgets (run_matrix ~seed ()))))
   in
-  Cmd.v (Cmd.info "matrix" ~doc) Term.(const run $ seed $ json $ budgets)
+  Cmd.v (Cmd.info "matrix" ~doc) Term.(const run $ seed $ json_arg $ budgets_arg)
 
 let parallel_cmd =
   let doc =
@@ -751,67 +482,28 @@ let parallel_cmd =
      min(2.0, 0.65 x min(jobs, Domain.recommended_domain_count)), and \
      the gate is explicitly waived (not faked) on a single-domain host. \
      With --json, stdout carries no host data and is byte-deterministic, \
-     so CI diffs two runs; BENCH_parallel.json adds the host's domain \
-     count and verdict, and raw wall seconds go to stderr only. Exit \
-     code 0 iff every equivalence digest matches and the speedup gate \
-     does not fail."
+     so CI diffs two runs; BENCH_parallel.json records the host's domain \
+     count, pair seconds, speedup and verdict under \"host\", which \
+     stderr also prints. Exit code 0 iff every equivalence digest \
+     matches and the speedup gate does not fail."
   in
   let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Workload seed.") in
-  let json =
-    Arg.(
-      value & flag
-      & info [ "json" ]
-          ~doc:"Print the result as JSON and write BENCH_parallel.json.")
-  in
   let run seed json backend =
     set_backend backend;
-    let r =
-      Sky_experiments.Exp_parallel.run_full ~seed ~now:Unix.gettimeofday ()
-    in
-    if json then begin
-      let j = Sky_experiments.Exp_parallel.to_json r in
-      print_endline j;
-      (* No host_seconds wrapper, and stdout carries no host data, so two
-         runs print byte-identical JSON. The host context (domain count,
-         jobs, gate verdict) rides along in the artifact only. *)
-      let path =
-        Sky_harness.Artifact.write ~name:"parallel"
-          ~host_json:(Sky_experiments.Exp_parallel.host_json r)
-          j
-      in
-      Printf.eprintf "wrote %s\n" path
-    end
-    else Sky_harness.Tbl.print (Sky_experiments.Exp_parallel.table r);
-    Printf.eprintf
-      "parallel: %d host domain(s), par jobs=%d, seq/par seconds %s -> \
-       median speedup %.2fx -> gate %s\n"
-      r.Sky_experiments.Exp_parallel.r_host_domains
-      r.Sky_experiments.Exp_parallel.r_jobs
-      (String.concat " "
-         (List.map
-            (fun (s, p) -> Printf.sprintf "%.2f/%.2f" s p)
-            r.Sky_experiments.Exp_parallel.r_pairs))
-      r.Sky_experiments.Exp_parallel.r_speedup
-      r.Sky_experiments.Exp_parallel.r_gate;
-    if not (Sky_experiments.Exp_parallel.ok r) then begin
-      Printf.eprintf
-        "parallel: acceptance failed (all_identical=%b gate=%s)\n"
-        (Sky_experiments.Exp_parallel.all_identical r)
-        r.Sky_experiments.Exp_parallel.r_gate;
-      exit 1
-    end
+    gate
+      (emit ~json ~jobs:1 "parallel" (fun () ->
+           Exp_parallel.(outcome (run_full ~seed ()))))
   in
   Cmd.v (Cmd.info "parallel" ~doc)
-    Term.(const run $ seed $ json $ backend_arg)
+    Term.(const run $ seed $ json_arg $ backend_arg)
 
 let md_cmd =
   let doc = "Render every experiment as a markdown report (for EXPERIMENTS.md)." in
   let run () =
+    let budgets = Budget.load Budget.default_file in
     List.iter
-      (fun e ->
-        print_string
-          (Sky_harness.Tbl.to_markdown (e.Sky_experiments.Registry.run ())))
-      Sky_experiments.Registry.all
+      (fun e -> print_string (Tbl.to_markdown (e.Registry.run budgets).Outcome.table))
+      Registry.all
   in
   Cmd.v (Cmd.info "md" ~doc) Term.(const run $ const ())
 

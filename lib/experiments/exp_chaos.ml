@@ -306,4 +306,7 @@ let census_table c =
       ]
     (List.map row c.c_scenarios)
 
-let run () = census_table (run_chaos ~seed:1)
+let outcome c =
+  Outcome.make ~checks:[ ("clean", clean c) ] (census_table c) (census_to_json c)
+
+let run (_ : Budget.t) = outcome (run_chaos ~seed:1)

@@ -133,9 +133,15 @@ let mpk_beats_vmfunc r =
 let recovered_under_storm r =
   List.for_all (fun c -> c.x_injected > 0 && c.x_restarts > 0) r.r_cells
 
-let ok r =
-  zero_lost r && audits_clean r && mpk_beats_vmfunc r
-  && recovered_under_storm r
+let checks r =
+  [
+    ("zero_lost", zero_lost r);
+    ("audits_clean", audits_clean r);
+    ("mpk_beats_vmfunc", mpk_beats_vmfunc r);
+    ("recovered_under_storm", recovered_under_storm r);
+  ]
+
+let ok r = List.for_all snd (checks r)
 
 (* ---- rendering ---- *)
 
@@ -220,4 +226,14 @@ let to_json r =
          ("cells", List (List.map cell r.r_cells));
        ])
 
-let run () = table (run_matrix ())
+let outcome budgets r =
+  Outcome.make
+    ~checks:
+      (checks r
+      @ [
+          Budget.ceiling budgets ~section:"pingpong" ~key:"cycles_per_call"
+            (cycles r Sky_core.Backend.Vmfunc);
+        ])
+    (table r) (to_json r)
+
+let run budgets = outcome budgets (run_matrix ())

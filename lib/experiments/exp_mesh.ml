@@ -297,9 +297,18 @@ let degraded r = r.m_denials > 0
 let audits_clean r = r.m_audit = 0 && r.m_mesh_audit = 0 && r.m_fsck = 0
 let no_stale r = r.m_graph_stale = 0
 
-let ok r =
-  all_served r && fanned_out r && upgraded r && degraded r && audits_clean r
-  && no_stale r && r.m_lost = 0
+let checks r =
+  [
+    ("all_served", all_served r);
+    ("fanned_out", fanned_out r);
+    ("upgraded", upgraded r);
+    ("degraded", degraded r);
+    ("audits_clean", audits_clean r);
+    ("no_stale", no_stale r);
+    ("zero_lost", r.m_lost = 0);
+  ]
+
+let ok r = List.for_all snd (checks r)
 
 (* ---- rendering ---- *)
 
@@ -394,4 +403,5 @@ let to_json r =
          ("ok", Bool (ok r));
        ])
 
-let run () = table (run_mesh ())
+let outcome r = Outcome.make ~checks:(checks r) (table r) (to_json r)
+let run (_ : Budget.t) = outcome (run_mesh ())

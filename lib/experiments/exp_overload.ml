@@ -357,11 +357,30 @@ let tenants_evicted r =
   && r.r_tenant.t_slow > 0
   && r.r_tenant.t_fast > 0
 
-let ok ?(floor = 0.5) r =
-  zero_lost r
-  && goodput_ratio r >= floor
-  && overload_sheds r
-  && chaos_active r && chaos_clean r && tenants_evicted r
+(* p99.9 of admitted requests at 2x offered load. *)
+let p999_2x r =
+  match List.find_opt (fun p -> p.p_mult = 2.0) r.r_points with
+  | Some p -> p.p_p999
+  | None -> max_int
+
+(* The structural gates, the goodput floor (budgeted, 50 % without a
+   budget) and the p99.9 regression budget. *)
+let checks budgets r =
+  let floor =
+    match Budget.find budgets ~section:"overload" ~key:"goodput_floor_pct" with
+    | Some pct -> float_of_int pct /. 100.0
+    | None -> 0.5
+  in
+  [
+    ("zero_lost", zero_lost r);
+    ( Printf.sprintf "goodput_ratio (%.3f < floor %.2f)" (goodput_ratio r) floor,
+      goodput_ratio r >= floor );
+    ("overload_sheds", overload_sheds r);
+    ("chaos_active", chaos_active r);
+    ("chaos_clean", chaos_clean r);
+    ("tenants_evicted", tenants_evicted r);
+    Budget.ceiling budgets ~section:"overload" ~key:"p999_cycles" (p999_2x r);
+  ]
 
 (* ---- rendering ---- *)
 
@@ -491,8 +510,11 @@ let to_json r =
          ("tenants_evicted", Bool (tenants_evicted r));
        ])
 
-(* Registry entry: a small configuration so `skybench run all` and the
-   test suite stay fast; `skybench overload` runs the full sweep. *)
-let run () =
-  table
-    (run_overload ~workers:2 ~tenants:12 ~total:400 ~scale_tenants:80 ())
+let outcome budgets r =
+  Outcome.make ~checks:(checks budgets r) (table r) (to_json r)
+
+(* Registry entry: the small configuration CI gates and
+   BENCH_overload.json records, so `skybench run all` stays fast;
+   `skybench overload` defaults to the full sweep. *)
+let run budgets =
+  outcome budgets (run_overload ~workers:2 ~total:400 ~scale_tenants:80 ())

@@ -169,4 +169,14 @@ let to_json r =
     r.cycles_per_call r.cycles_per_call_noaccel r.walk_cycles_per_call
     r.psc_hits r.psc_misses r.ept_wc_hits r.ept_wc_misses r.hot_line_hits
 
-let run () = table (run_result ())
+let outcome budgets r =
+  Outcome.make
+    ~checks:
+      [
+        ("accel_pays", r.cycles_per_call < r.cycles_per_call_noaccel);
+        Budget.ceiling budgets ~section:"pingpong" ~key:"cycles_per_call"
+          r.cycles_per_call;
+      ]
+    (table r) (to_json r)
+
+let run budgets = outcome budgets (run_result ())

@@ -5,37 +5,22 @@
 
 let path_of name = Printf.sprintf "BENCH_%s.json" name
 
-(* [host_seconds] records the host wall-clock cost of producing the
-   result next to the simulated numbers, so benchmark trajectories track
-   both the modelled machine and the simulator itself. [host_json]
-   carries further host-side measurements (parallel speedup, domain
-   counts) as a ready-made JSON value. Both wrap rather than edit
-   [contents]: the simulated result stays byte-deterministic under
-   "result" while host-dependent numbers live alongside it. *)
-let write ~name ?host_seconds ?host_json contents =
+(* One shape for every artifact: [{"host":{"seconds":S,...},"result":R}].
+   [result] is the experiment's deterministic JSON, written byte for
+   byte, so CI can diff it against the committed file. Everything that
+   depends on the host — the wall-clock [seconds] of producing the
+   result and any [host] facts the experiment reports — sits beside it
+   under "host". *)
+let write ~name ~seconds ~host result =
   let path = path_of name in
-  let contents =
-    match (host_seconds, host_json) with
-    | None, None -> contents
-    | _ ->
-      let trimmed = String.trim contents in
-      let fields =
-        (match host_seconds with
-        | Some s -> [ Printf.sprintf "\"host_seconds\":%.3f" s ]
-        | None -> [])
-        @ (match host_json with
-          | Some j -> [ Printf.sprintf "\"host\":%s" j ]
-          | None -> [])
-        @ [
-            Printf.sprintf "\"result\":%s"
-              (if trimmed = "" then "null" else trimmed);
-          ]
-      in
-      Printf.sprintf "{%s}" (String.concat "," fields)
+  let field (k, v) =
+    Printf.sprintf ",%s:%s"
+      (Sky_trace.Json.to_string (Sky_trace.Json.String k))
+      (Sky_trace.Json.to_string v)
   in
   let oc = open_out path in
-  output_string oc contents;
-  if contents = "" || contents.[String.length contents - 1] <> '\n' then
-    output_char oc '\n';
+  Printf.fprintf oc "{\"host\":{\"seconds\":%.3f%s},\"result\":%s}\n" seconds
+    (String.concat "" (List.map field host))
+    result;
   close_out oc;
   path

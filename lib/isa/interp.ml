@@ -134,9 +134,7 @@ let exec_insn t insn ~next_ip =
   | Insn.Sub_ri (d, i) ->
     set t d (Int64.sub (get t d) (Int64.of_int i));
     None
-  | Insn.Xor_rr (d, s) ->
-    set t d (Int64.logxor (get t d) (get t s));
-    None
+  | Insn.Xor_rr (d, s) -> alu d (Int64.logxor (get t d) (get t s))
   | Insn.Imul_rri (d, Insn.R s, i) ->
     set t d (Int64.mul (get t s) (Int64.of_int i));
     None

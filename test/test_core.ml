@@ -472,6 +472,67 @@ let test_exec_nx_enforced () =
     Alcotest.fail "expected NX fetch fault"
   with Sky_mmu.Translate.Page_fault _ -> ()
 
+(* Differential check of the two instruction semantics: the same encoded
+   program through the flat-memory reference interpreter (Sky_isa.Interp)
+   and through the MMU-backed executor (Exec) must leave identical
+   general registers. Each program ends in a RET to the caller's return
+   address: Exec's sentinel, or for Interp the code length, its clean
+   exit. *)
+let interp_agrees_with_exec name prog =
+  let open Sky_isa in
+  let code = Encode.encode_all prog in
+  let k, _sb = make () in
+  let p = Kernel.spawn k ~name:"diff" in
+  ignore (Kernel.map_code k p code);
+  Kernel.context_switch k ~core:0 p;
+  let rsp = Kernel.map_anon k p 4096 + 4096 - 8 in
+  Sky_mmu.Translate.write_u64 (Kernel.vcpu k ~core:0) (Kernel.mem k) ~va:rsp
+    (Int64.of_int Exec.return_sentinel);
+  let regs = Array.make 16 0L in
+  regs.(Reg.encoding Reg.Rsp) <- Int64.of_int rsp;
+  let stop, out = Exec.run k ~core:0 ~entry:Layout.code_va ~regs () in
+  Alcotest.(check bool) (name ^ ": Exec returned") true (stop = `Returned);
+  let st = Interp.create ~rsp () in
+  Interp.write64 st rsp (Int64.of_int (Bytes.length code));
+  Interp.run st code;
+  Alcotest.(check (array int64)) (name ^ ": registers") out st.Interp.regs
+
+let test_interp_agrees_with_exec () =
+  let open Sky_isa in
+  let len = List.fold_left (fun a i -> a + Encode.length i) 0 in
+  (* [setup]; jcc over [mov rbx, 1]; ret — rbx records whether it jumped. *)
+  let branch setup cond =
+    let skipped = [ Insn.Mov_ri (Reg.Rbx, 1L) ] in
+    setup @ [ Insn.Jcc (cond, len skipped) ] @ skipped @ [ Insn.Ret ]
+  in
+  (* XOR sets the flags from its result, as x86 does: a zero result
+     after a non-equal compare must take JE, a nonzero one after an
+     equal compare must not. *)
+  interp_agrees_with_exec "xor zero -> je"
+    (branch
+       [ Insn.Mov_ri (Reg.Rax, 5L); Insn.Cmp_ri (Reg.Rax, 0);
+         Insn.Xor_rr (Reg.Rax, Reg.Rax) ]
+       Insn.E);
+  interp_agrees_with_exec "xor nonzero -> je"
+    (branch
+       [ Insn.Mov_ri (Reg.Rcx, 0L); Insn.Cmp_ri (Reg.Rcx, 0);
+         Insn.Mov_ri (Reg.Rdx, 6L); Insn.Xor_rr (Reg.Rdx, Reg.Rcx) ]
+       Insn.E);
+  List.iter
+    (fun (cond, a, b) ->
+      interp_agrees_with_exec
+        (Printf.sprintf "cmp %Ld,%d -> j%s" a b (Insn.cond_name cond))
+        (branch [ Insn.Mov_ri (Reg.Rax, a); Insn.Cmp_ri (Reg.Rax, b) ] cond))
+    [ (Insn.E, 3L, 3); (Insn.Ne, 3L, 3); (Insn.L, -1L, 1); (Insn.Ge, 2L, 1);
+      (Insn.Le, 4L, 4); (Insn.G, 7L, 3); (Insn.B, -1L, 1); (Insn.Ae, 0L, 0) ];
+  interp_agrees_with_exec "push/pop"
+    [ Insn.Mov_ri (Reg.Rax, 7L); Insn.Push Reg.Rax; Insn.Mov_ri (Reg.Rax, 0L);
+      Insn.Pop Reg.Rbx; Insn.Ret ];
+  let after_call = [ Insn.Mov_ri (Reg.Rcx, 1L); Insn.Ret ] in
+  interp_agrees_with_exec "call/ret"
+    ((Insn.Call_rel (len after_call) :: after_call)
+    @ [ Insn.Mov_ri (Reg.Rbx, 5L); Insn.Ret ])
+
 let test_meltdown_isolation () =
   (* §7: "SkyBridge can also defeat such attack since it still puts
      different processes into different page tables." A VA mapped in A's
@@ -764,6 +825,8 @@ let () =
           Alcotest.test_case "rewritten attacker runs inert" `Quick
             test_exec_rewritten_attacker_is_inert;
           Alcotest.test_case "NX fetch enforced" `Quick test_exec_nx_enforced;
+          Alcotest.test_case "Interp agrees with Exec" `Quick
+            test_interp_agrees_with_exec;
           Alcotest.test_case "shared frame" `Quick test_trampoline_shared_frame;
           Alcotest.test_case "two clients isolated" `Quick test_two_clients_isolated;
         ] );

@@ -6,6 +6,9 @@
 open Sky_experiments
 open Sky_ukernel
 
+(* Budgets with no file behind them: every budget check is skipped. *)
+let no_budgets = { Sky_harness.Budget.file = "none"; json = None }
+
 let cell tbl ~row ~col =
   let t = tbl in
   match List.nth_opt t.Sky_harness.Tbl.rows row with
@@ -234,7 +237,7 @@ let test_ablation_directions () =
 (* ------------------------------------------------------------------ *)
 
 let test_experiments_deterministic () =
-  let render e = Sky_harness.Tbl.render (e.Registry.run ()) in
+  let render e = Sky_harness.Tbl.render (e.Registry.run no_budgets).table in
   List.iter
     (fun id ->
       match Registry.find id with
@@ -262,6 +265,30 @@ let test_overload_gates () =
     (Exp_overload.chaos_clean r);
   Alcotest.(check bool) "tenant fleet evicted to slowpath" true
     (Exp_overload.tenants_evicted r)
+
+(* `skybench run <id>` and the experiment's own subcommand must render the
+   same JSON for the same parameters: the registry entries run the small
+   configurations CI gates and the committed artifacts record. *)
+let test_registry_matches_subcommands () =
+  let via_registry id = ((Option.get (Registry.find id)).Registry.run no_budgets).json in
+  let same id (o : Sky_harness.Outcome.t) =
+    Alcotest.(check string) (id ^ " registry = subcommand") o.json (via_registry id)
+  in
+  same "web"
+    Exp_web.(outcome (run_curve ~seed:42 ~cores:4 ~conns:24 ~requests_per_conn:2 ()));
+  same "mesh" Exp_mesh.(outcome (run_mesh ~seed:default_seed ()));
+  same "overload"
+    Exp_overload.(
+      outcome no_budgets
+        (run_overload ~seed:default_seed ~workers:2 ~total:400 ~scale_tenants:80 ()))
+
+(* Every mesh predicate reaches the gate by name: a stale mapping left
+   after revocation fails `no_stale` and nothing else. *)
+let test_mesh_failures_named () =
+  let r = Exp_mesh.run_mesh () in
+  Alcotest.(check (list string)) "clean run passes" [] (Exp_mesh.outcome r).failed;
+  Alcotest.(check (list string)) "stale mapping named" [ "no_stale" ]
+    (Exp_mesh.outcome { r with Exp_mesh.m_graph_stale = 1 }).failed
 
 let test_registry_complete () =
   (* One entry per paper table/figure + the ablation. *)
@@ -312,6 +339,9 @@ let () =
         [
           Alcotest.test_case "deterministic" `Slow test_experiments_deterministic;
           Alcotest.test_case "complete" `Quick test_registry_complete;
+          Alcotest.test_case "registry = subcommand JSON" `Slow
+            test_registry_matches_subcommands;
+          Alcotest.test_case "mesh failures named" `Quick test_mesh_failures_named;
         ] );
       ( "overload",
         [ Alcotest.test_case "acceptance gates" `Slow test_overload_gates ] );
