@@ -402,13 +402,17 @@ let save_slot_bytes = 64
 
 (* One save slot per (core, nesting depth). The Phys_mem accesses are
    uncharged: the paper's 64-cycle crossing constant already includes the
-   trampoline's register save/restore work (see Trampoline). *)
+   trampoline's register save/restore work (see Trampoline). Every call
+   saves, so the loop is a toplevel function, not a closure. *)
+let rec save_regs mem ps pa = function
+  | [] -> ()
+  | r :: rest ->
+    Phys_mem.write_u64 mem pa ps.regs.(Sky_isa.Reg.encoding r);
+    save_regs mem ps (pa + 8) rest
+
 let save_callee_saved t ps ~slot =
-  let mem = Kernel.mem t.kernel in
-  let base = ps.save_area_pa + (slot * save_slot_bytes) in
-  List.iteri
-    (fun i r ->
-      Phys_mem.write_u64 mem (base + (i * 8)) ps.regs.(Sky_isa.Reg.encoding r))
+  save_regs (Kernel.mem t.kernel) ps
+    (ps.save_area_pa + (slot * save_slot_bytes))
     callee_saved
 
 let restore_callee_saved t ps ~slot =
@@ -426,10 +430,18 @@ let clobber_callee_saved ps =
     (fun i r -> ps.regs.(Sky_isa.Reg.encoding r) <- Int64.of_int (0xDEAD0000 + i))
     callee_saved
 
-let find_server t server_id =
-  match List.find_opt (fun s -> s.server_id = server_id) t.servers with
-  | Some s -> s
-  | None -> invalid_arg (Printf.sprintf "SkyBridge: unknown server id %d" server_id)
+(* Per-call lookups: toplevel loops, so a call allocates no closure or
+   option to find its server or binding. *)
+let rec server_in server_id = function
+  | s :: rest -> if s.server_id = server_id then s else server_in server_id rest
+  | [] -> invalid_arg (Printf.sprintf "SkyBridge: unknown server id %d" server_id)
+
+let find_server t server_id = server_in server_id t.servers
+
+(* Raises [Not_found] when [bindings] has none for [server_id]. *)
+let rec binding_in server_id = function
+  | b :: rest -> if b.b_server_id = server_id then b else binding_in server_id rest
+  | [] -> raise Not_found
 
 let server_stack_va t ~server_id ~conn =
   let srv = find_server t server_id in
@@ -1106,8 +1118,8 @@ let call_internal t ~core ~client ~server_id ?timeout ?attack msg =
     Error (Crashed { server_id })
   end
   else
-    match List.find_opt (fun b -> b.b_server_id = server_id) ps.bindings with
-    | None when List.mem server_id ps.revoked ->
+    match binding_in server_id ps.bindings with
+    | exception Not_found when List.mem server_id ps.revoked ->
       if t.active_client.(core) = None then
         Result.map (fun r -> (r, `Slowpath)) (slowpath_call t ~core ps ~server_id msg)
       else
@@ -1115,12 +1127,12 @@ let call_internal t ~core ~client ~server_id ?timeout ?attack msg =
            kernel transfer would rewrite the live EPTP state under the
            outer frame): abort the whole call chain instead. *)
         raise (Binding_revoked { server_id })
-    | None ->
+    | exception Not_found ->
       security t
         (Printf.sprintf "pid %d attempted unbound call to server %d"
            ps.proc.Proc.pid server_id);
       raise (Not_registered { client_pid = ps.proc.Proc.pid; server_id })
-    | Some b ->
+    | b ->
       let srv = find_server t server_id in
       let cpu = Kernel.cpu t.kernel ~core in
       let vcpu = Kernel.vcpu t.kernel ~core in
@@ -1143,13 +1155,11 @@ let call_internal t ~core ~client ~server_id ?timeout ?attack msg =
          histogram; inner spans (vmfunc, copies, key check) refine the
          per-category attribution. *)
       let span_name =
-        "skybridge."
-        ^ (match t.kernel.Kernel.config.Config.variant with
-          | Config.Sel4 -> "sel4"
-          | Config.Fiasco -> "fiasco"
-          | Config.Zircon -> "zircon"
-          | Config.Linux -> "linux")
-        ^ ".call"
+        match t.kernel.Kernel.config.Config.variant with
+        | Config.Sel4 -> "skybridge.sel4.call"
+        | Config.Fiasco -> "skybridge.fiasco.call"
+        | Config.Zircon -> "skybridge.zircon.call"
+        | Config.Linux -> "skybridge.linux.call"
       in
       Sky_trace.Trace.span ~core ~cat:"ipc" span_name @@ fun () ->
       let conn = core mod srv.connection_count in

@@ -78,11 +78,14 @@ let write_u32 t pa v =
     write_u16 t (pa + 2) (v lsr 16)
   end
 
+(* The page walker's entry read: checks and frame lookup inline. *)
 let u64_frame t pa =
-  check_range t pa 8;
-  if not (aligned pa 8) then
+  if pa < 0 || pa + 8 > t.nframes * frame_size then check_range t pa 8;
+  if pa land 7 <> 0 then
     invalid_arg (Printf.sprintf "Phys_mem.read_u64: unaligned %#x" pa);
-  get_frame t (frame_of_addr pa)
+  match t.frames.(pa lsr frame_shift) with
+  | Some b -> b
+  | None -> get_frame t (pa lsr frame_shift)
 
 let read_u64 t pa = Bytes.get_int64_le (u64_frame t pa) (pa land (frame_size - 1))
 

@@ -62,12 +62,13 @@ module Packed = struct
      huge keep their own low bits; NX (bit 63, outside an OCaml int)
      moves to the ignored bit 11. Everything else is dropped, as
      {!decode} drops it. *)
-  let addr_bits = Int64.to_int addr_mask
-  let nx_bit = 1 lsl 11
-
-  let kept_bits =
-    addr_bits lor (1 lsl b_present) lor (1 lsl b_writable) lor (1 lsl b_user)
-    lor (1 lsl b_huge)
+  let addr_mask = Int64.to_int addr_mask
+  let present_mask = 1 lsl b_present
+  let writable_mask = 1 lsl b_writable
+  let user_mask = 1 lsl b_user
+  let huge_mask = 1 lsl b_huge
+  let nx_mask = 1 lsl 11
+  let kept_bits = addr_mask lor present_mask lor writable_mask lor user_mask lor huge_mask
 
   let read mem pa =
     let v =
@@ -75,12 +76,5 @@ module Packed = struct
         (pa land (Sky_mem.Phys_mem.frame_size - 1))
     in
     Int64.to_int v land kept_bits
-    lor (Int64.to_int (Int64.shift_right_logical v b_nx) * nx_bit)
-
-  let addr p = p land addr_bits
-  let present p = p land (1 lsl b_present) <> 0
-  let writable p = p land (1 lsl b_writable) <> 0
-  let user p = p land (1 lsl b_user) <> 0
-  let huge p = p land (1 lsl b_huge) <> 0
-  let nx p = p land nx_bit <> 0
+    lor (Int64.to_int (Int64.shift_right_logical v b_nx) * nx_mask)
 end

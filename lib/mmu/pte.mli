@@ -45,18 +45,20 @@ val addr_mask : int64
     returns a tuple and a record, and a {!Sky_mem.Phys_mem.read_u64}
     result is a boxed [int64] once it leaves [Phys_mem]; a packed entry
     is one immediate [int] holding the frame address and the flag bits,
-    read straight out of simulated memory. *)
+    read straight out of simulated memory and tested against the masks
+    below, so the bit layout stays in this module. *)
 module Packed : sig
   val read : Sky_mem.Phys_mem.t -> int -> int
   (** [read mem pa] is the entry at [pa], packed. Raises exactly what
       {!Sky_mem.Phys_mem.read_u64} raises (range, alignment). *)
 
-  val addr : int -> int
-  (** The frame's physical address, as {!decode} returns it. *)
+  val addr_mask : int
+  (** [p land addr_mask] is the frame's physical address, as {!decode}
+      returns it. *)
 
-  val present : int -> bool
-  val writable : int -> bool
-  val user : int -> bool
-  val huge : int -> bool
-  val nx : int -> bool
+  val present_mask : int
+  val writable_mask : int
+  val user_mask : int
+  val huge_mask : int
+  val nx_mask : int
 end

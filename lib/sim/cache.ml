@@ -45,43 +45,45 @@ let sets t = t.sets
 let ways t = t.ways
 let line_bytes t = t.line_bytes
 
-(* Slot of [tag] among the ways [i, stop), or [-1] for a miss. A
-   toplevel loop rather than a local closure: this runs on every
-   simulated memory access and must not allocate. *)
-let rec scan (tags : int array) tag i stop =
-  if i = stop then -1 else if tags.(i) = tag then i else scan tags tag (i + 1) stop
-
-let find_slot t set tag =
-  let base = set * t.ways in
-  scan t.tags tag base (base + t.ways)
-
+(* The set scan is an inline loop, and a miss picks the LRU way in a
+   second one — invalid ways hold stamp 0, so the first of them wins.
+   This runs on every simulated memory access: no calls, no
+   allocation, and a hit reads no stamps. *)
 let access t pa =
   t.clock <- t.clock + 1;
   let line = pa lsr t.index_shift in
-  let set = line land (t.sets - 1) in
+  let base = (line land (t.sets - 1)) * t.ways in
   let tag = line lsr t.sets_shift in
-  let slot = find_slot t set tag in
-  if slot >= 0 then begin
-    t.stamps.(slot) <- t.clock;
+  let tags = t.tags and stamps = t.stamps in
+  let i = ref base in
+  while !i < base + t.ways && tags.(!i) <> tag do
+    incr i
+  done;
+  if !i < base + t.ways then begin
+    stamps.(!i) <- t.clock;
     t.hits <- t.hits + 1;
     true
   end
   else begin
     t.misses <- t.misses + 1;
-    (* Evict LRU way (or fill an invalid one). *)
-    let base = set * t.ways in
     let victim = ref base in
-    for w = 1 to t.ways - 1 do
-      if t.stamps.(base + w) < t.stamps.(!victim) then victim := base + w
+    for w = base + 1 to base + t.ways - 1 do
+      if stamps.(w) < stamps.(!victim) then victim := w
     done;
-    t.tags.(!victim) <- tag;
-    t.stamps.(!victim) <- t.clock;
+    tags.(!victim) <- tag;
+    stamps.(!victim) <- t.clock;
     false
   end
 
 let probe t pa =
   let line = pa lsr t.index_shift in
-  find_slot t (line land (t.sets - 1)) (line lsr t.sets_shift) >= 0
+  let base = (line land (t.sets - 1)) * t.ways in
+  let tag = line lsr t.sets_shift in
+  let i = ref base in
+  while !i < base + t.ways && t.tags.(!i) <> tag do
+    incr i
+  done;
+  !i < base + t.ways
 
 let flush t =
   Array.fill t.tags 0 (Array.length t.tags) (-1);

@@ -65,7 +65,6 @@ let charge t c =
     Sky_faults.Fault.inject ~core:t.id "sim.cycle"
 
 let advance_to t c = if c > t.tsc then t.tsc <- c
-let l1i t = t.l1i
 let l1d t = t.l1d
 let l2 t = t.l2
 let l3 t = t.l3
@@ -74,8 +73,6 @@ let dtlb t = t.dtlb
 let psc_pml4e t = t.psc_pml4e
 let psc_pdpte t = t.psc_pdpte
 let psc_pde t = t.psc_pde
-let ept_walk_cache t = t.ept_walk_cache
-let walk_scratch t = t.walk_scratch
 
 (* Flush everything a guest-linear translation can be built from: the
    leaf TLBs and the paging-structure caches. The EPT walk cache is
@@ -121,16 +118,3 @@ let reset_stats t =
   Psc.reset_stats t.psc_pde;
   Psc.reset_stats t.ept_walk_cache;
   Pmu.reset t.pmu
-
-let flush_all t =
-  Sky_trace.Trace.instant ~core:t.id ~cat:"ctx" "cpu.flush_all";
-  Cache.flush t.l1i;
-  Cache.flush t.l1d;
-  Cache.flush t.l2;
-  Cache.flush t.l3;
-  Tlb.flush_all t.itlb;
-  Tlb.flush_all t.dtlb;
-  Psc.flush_all t.psc_pml4e;
-  Psc.flush_all t.psc_pdpte;
-  Psc.flush_all t.psc_pde;
-  Psc.flush_all t.ept_walk_cache

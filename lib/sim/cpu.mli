@@ -3,9 +3,31 @@
     Holds the purely architectural per-core state: the cycle counter (TSC),
     private L1i/L1d/L2 caches, instruction and data TLBs and the PMU. The
     MMU layer wraps this with virtualization state (CR3, VMCS); the kernel
-    layer adds scheduling state. The shared L3 lives in {!Machine}. *)
+    layer adds scheduling state. The shared L3 lives in {!Machine}.
 
-type t
+    The record is private: the memory system and the page walker read a
+    core's structures as fields, because a cross-module accessor call is
+    never inlined in an [-opaque] build; only this module writes it. *)
+
+type t = private {
+  id : int;
+  mutable tsc : int;  (** {!cycles}; only {!charge} and {!advance_to} move it *)
+  l1i : Cache.t;
+  l1d : Cache.t;
+  l2 : Cache.t;
+  l3 : Cache.t;
+  itlb : Tlb.t;
+  dtlb : Tlb.t;
+  psc_pml4e : Psc.t;  (** VA bits 47:39 → PDPT base GPA *)
+  psc_pdpte : Psc.t;  (** VA bits 47:30 → PD base GPA *)
+  psc_pde : Psc.t;  (** VA bits 47:21 → PT base GPA *)
+  ept_walk_cache : Psc.t;  (** nested-walk cache: (EPT root, GPN) → HPN *)
+  walk_scratch : int array;
+      (** The hardware page walker's scratch (4 slots): the PAs of the
+          EPT entries an in-flight nested walk has read, root first, held
+          until the walk succeeds and they are charged. *)
+  pmu : Pmu.t;
+}
 
 val create : id:int -> l3:Cache.t -> t
 (** Creates a core with Skylake-like private structures:
@@ -22,30 +44,14 @@ val advance_to : t -> int -> unit
 (** [advance_to t c] sets the counter to [max (cycles t) c] — used when a
     core blocks on a resource another core releases at time [c]. *)
 
-val l1i : t -> Cache.t
 val l1d : t -> Cache.t
 val l2 : t -> Cache.t
 val l3 : t -> Cache.t
 val itlb : t -> Tlb.t
 val dtlb : t -> Tlb.t
-
 val psc_pml4e : t -> Psc.t
-(** Paging-structure cache over VA bits 47:39 → PDPT base GPA. *)
-
 val psc_pdpte : t -> Psc.t
-(** VA bits 47:30 → PD base GPA. *)
-
 val psc_pde : t -> Psc.t
-(** VA bits 47:21 → PT base GPA. *)
-
-val ept_walk_cache : t -> Psc.t
-(** Nested-walk cache: (EPT root, GPN) → HPN. *)
-
-val walk_scratch : t -> int array
-(** The hardware page walker's scratch (4 slots): the PAs of the EPT
-    entries an in-flight nested walk has read, root first, held until
-    the walk succeeds and they are charged. Per core, so the walker
-    needs neither a list nor shared state. *)
 
 val flush_guest_translation : t -> unit
 (** Flush leaf TLBs and paging-structure caches (what an untagged CR3
@@ -68,6 +74,3 @@ val footprint : t -> footprint
 val reset_stats : t -> unit
 (** Reset counters (not contents — pollution state survives, as on real
     hardware when you reprogram the PMU). *)
-
-val flush_all : t -> unit
-(** Invalidate all private caches and TLBs (power-on state). *)

@@ -1,16 +1,16 @@
 type kind = Insn | Data
 
-let access cpu kind pa =
-  let l1 = match kind with Insn -> Cpu.l1i cpu | Data -> Cpu.l1d cpu in
+let access (cpu : Cpu.t) kind pa =
+  let l1 = match kind with Insn -> cpu.l1i | Data -> cpu.l1d in
   if Cache.access l1 pa then Cpu.charge cpu Costs.lat_l1
-  else if Cache.access (Cpu.l2 cpu) pa then Cpu.charge cpu Costs.lat_l2
-  else if Cache.access (Cpu.l3 cpu) pa then Cpu.charge cpu Costs.lat_l3
+  else if Cache.access cpu.l2 pa then Cpu.charge cpu Costs.lat_l2
+  else if Cache.access cpu.l3 pa then Cpu.charge cpu Costs.lat_l3
   else Cpu.charge cpu Costs.lat_dram
 
-let access_state_only cpu kind pa =
-  let l1 = match kind with Insn -> Cpu.l1i cpu | Data -> Cpu.l1d cpu in
+let access_state_only (cpu : Cpu.t) kind pa =
+  let l1 = match kind with Insn -> cpu.l1i | Data -> cpu.l1d in
   if not (Cache.access l1 pa) then
-    if not (Cache.access (Cpu.l2 cpu) pa) then ignore (Cache.access (Cpu.l3 cpu) pa)
+    if not (Cache.access cpu.l2 pa) then ignore (Cache.access cpu.l3 pa)
 
 let touch_range_state_only cpu kind ~pa ~len =
   if len > 0 then begin

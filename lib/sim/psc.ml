@@ -7,8 +7,8 @@
     walk. All four are the same structure: a set-associative ASID-tagged
     map from an integer key to an integer payload. We reuse {!Tlb}'s
     storage (payload in the entry's [ppn]) so they inherit its LRU policy and
-    its O(1) generation/epoch-based invalidation for free. Probes and
-    inserts allocate nothing on the host. *)
+    its generation/epoch-based invalidation for free. A probe or an insert
+    is one call into {!Tlb} and allocates nothing on the host. *)
 
 type t = Tlb.t
 
@@ -17,12 +17,8 @@ let name = Tlb.name
 
 let miss = -1
 
-let lookup t ~asid ~key =
-  let i = Tlb.lookup_slot t ~asid ~vpn:key in
-  if i < 0 then miss else Tlb.slot_ppn t i
-
-let insert t ~asid ~key value =
-  Tlb.fill t ~asid ~vpn:key ~ppn:value ~page_shift:0 ~writable:false ~user:false
+let lookup = Tlb.lookup_payload
+let insert = Tlb.fill_payload
 
 let flush_all = Tlb.flush_all
 let flush_asid = Tlb.flush_asid

@@ -2,7 +2,7 @@
     cache: set-associative, LRU, ASID-tagged maps from an integer key
     (a virtual-address prefix, or a guest page number) to an integer
     payload (the next table's GPA, or a host page number). Backed by
-    {!Tlb} storage, so flushes are O(1) and global mapping mutations
+    {!Tlb} storage: [flush_all] is O(1) and global mapping mutations
     invalidate them lazily via {!Accel}. *)
 
 type t
@@ -25,7 +25,7 @@ val flush_all : t -> unit
 (** O(1) generation bump. *)
 
 val flush_asid : t -> asid:int -> unit
-(** O(1) per-ASID floor. *)
+(** Sweep out every entry tagged [asid], O(entries). *)
 
 val flush_key : t -> key:int -> unit
 (** Invalidate [key] under every ASID (INVLPG drops paging-structure

@@ -1,33 +1,26 @@
 type entry = { ppn : int; page_shift : int; writable : bool; user : bool }
 
-(* A slot is live iff
-     valid  &&  gen = t.gen  &&  stamp > asid_floor(asid)  &&  epoch fresh.
-   [flush_all] bumps [t.gen] (O(1)); [flush_asid] records the current
-   LRU clock as that ASID's "floor", deadening every older stamp (O(1));
-   a global [Accel] epoch change invalidates the whole structure lazily.
-   Nothing ever iterates the slot array on a flush.
-
-   The entry's fields live in the slot itself and the hot operations
-   take and return slot indices ([-1] for a miss), so lookups and
-   refills allocate nothing on the host. *)
-type slot = {
-  mutable valid : bool;
-  mutable gen : int;
-  mutable asid : int;
-  mutable vpn : int;
-  mutable stamp : int;
-  mutable s_ppn : int;
-  mutable s_shift : int;
-  mutable s_writable : bool;
-  mutable s_user : bool;
-}
+(* Flat slot storage: field [f] of slot [i] is [data.(i * width + f)].
+   A slot is live exactly when its generation is the table's.
+   [flush_all] bumps [t.gen] (O(1)), and so does the first use after a
+   global [Accel] epoch change; the other flushes write [dead] into the
+   generation of each slot they drop. The hot operations take and
+   return slot indices ([-1] for a miss) and keep their loops here, so a
+   probe is one call from the translation layer and allocates nothing. *)
+let width = 6
+let f_gen = 0
+let f_asid = 1
+let f_vpn = 2
+let f_stamp = 3
+let f_ppn = 4
+let f_bits = 5 (* page_shift lsl 2 lor writable lsl 1 lor user *)
+let dead = -1
 
 type t = {
   name : string;
   sets : int;
   ways : int;
-  slots : slot array;
-  asid_floors : (int, int) Hashtbl.t;
+  data : int array;
   mutable gen : int;
   mutable seen_epoch : int;
   mutable clock : int;
@@ -42,17 +35,16 @@ let create ~name ~entries ~ways =
     invalid_arg "Tlb.create: geometry does not divide";
   let sets = entries / ways in
   if not (is_pow2 sets) then invalid_arg "Tlb.create: sets not pow2";
-  let slots =
-    Array.init entries (fun _ ->
-        { valid = false; gen = 0; asid = 0; vpn = 0; stamp = 0;
-          s_ppn = 0; s_shift = 12; s_writable = false; s_user = false })
-  in
-  { name; sets; ways; slots; asid_floors = Hashtbl.create 7; gen = 0;
-    seen_epoch = Accel.current_epoch (); clock = 0; hits = 0; misses = 0 }
+  let data = Array.make (entries * width) 0 in
+  for i = 0 to entries - 1 do
+    data.((i * width) + f_gen) <- dead
+  done;
+  { name; sets; ways; data; gen = 0; seen_epoch = Accel.current_epoch ();
+    clock = 0; hits = 0; misses = 0 }
 
 let name t = t.name
-let capacity t = Array.length t.slots
-let set_of t vpn = vpn land (t.sets - 1)
+let capacity t = Array.length t.data / width
+let base_of t vpn = (vpn land (t.sets - 1)) * t.ways
 
 (* Mapping mutations elsewhere in the machine (EPT unmap/remap, guest
    page-table unmap, table teardown) bump the global epoch; drop all
@@ -61,51 +53,50 @@ let sync t =
   let e = Accel.current_epoch () in
   if t.seen_epoch <> e then begin
     t.seen_epoch <- e;
-    t.gen <- t.gen + 1;
-    Hashtbl.reset t.asid_floors
+    t.gen <- t.gen + 1
   end
 
-let floor_of t asid =
-  if Hashtbl.length t.asid_floors = 0 then min_int
-  else match Hashtbl.find t.asid_floors asid with
-    | f -> f
-    | exception Not_found -> min_int
-
-let live t s = s.valid && s.gen = t.gen && s.stamp > floor_of t s.asid
-
-let rec scan t ~asid ~vpn ~floor i stop =
-  if i = stop then -1
-  else
-    let s = t.slots.(i) in
-    if s.valid && s.gen = t.gen && s.asid = asid && s.vpn = vpn && s.stamp > floor
-    then i
-    else scan t ~asid ~vpn ~floor (i + 1) stop
-
+(* The live slot holding (asid, vpn), or [-1]. *)
 let find t ~asid ~vpn =
-  let base = set_of t vpn * t.ways in
-  scan t ~asid ~vpn ~floor:(floor_of t asid) base (base + t.ways)
+  let d = t.data and gen = t.gen in
+  let base = base_of t vpn in
+  let i = ref base and found = ref (-1) in
+  while !found < 0 && !i < base + t.ways do
+    let o = !i * width in
+    if d.(o + f_gen) = gen && d.(o + f_vpn) = vpn && d.(o + f_asid) = asid then
+      found := !i;
+    incr i
+  done;
+  !found
 
 let lookup_slot t ~asid ~vpn =
   sync t;
   t.clock <- t.clock + 1;
   let i = find t ~asid ~vpn in
   if i >= 0 then begin
-    t.slots.(i).stamp <- t.clock;
+    t.data.((i * width) + f_stamp) <- t.clock;
     t.hits <- t.hits + 1
   end
   else t.misses <- t.misses + 1;
   i
 
+let lookup_payload t ~asid ~key =
+  let i = lookup_slot t ~asid ~vpn:key in
+  if i < 0 then -1 else t.data.((i * width) + f_ppn)
+
+let slot_ppn t i = t.data.((i * width) + f_ppn)
+let slot_writable t i = t.data.((i * width) + f_bits) land 2 <> 0
+let slot_user t i = t.data.((i * width) + f_bits) land 1 <> 0
+
 let lookup t ~asid ~vpn =
   let i = lookup_slot t ~asid ~vpn in
   if i < 0 then None
   else
-    let s = t.slots.(i) in
-    Some { ppn = s.s_ppn; page_shift = s.s_shift; writable = s.s_writable; user = s.s_user }
-
-let slot_ppn t i = t.slots.(i).s_ppn
-let slot_writable t i = t.slots.(i).s_writable
-let slot_user t i = t.slots.(i).s_user
+    Some
+      { ppn = slot_ppn t i;
+        page_shift = t.data.((i * width) + f_bits) lsr 2;
+        writable = slot_writable t i;
+        user = slot_user t i }
 
 (* Hot-line revalidation: the caller remembered slot [i] from an earlier
    lookup of the same (asid, vpn). If the slot still holds that live
@@ -115,12 +106,10 @@ let slot_user t i = t.slots.(i).s_user
    the access. *)
 let slot_hit t i ~asid ~vpn =
   sync t;
-  let s = t.slots.(i) in
-  if s.valid && s.gen = t.gen && s.asid = asid && s.vpn = vpn
-     && s.stamp > floor_of t asid
-  then begin
+  let d = t.data and o = i * width in
+  if d.(o + f_gen) = t.gen && d.(o + f_vpn) = vpn && d.(o + f_asid) = asid then begin
     t.clock <- t.clock + 1;
-    s.stamp <- t.clock;
+    d.(o + f_stamp) <- t.clock;
     t.hits <- t.hits + 1;
     true
   end
@@ -129,57 +118,64 @@ let slot_hit t i ~asid ~vpn =
 let fill t ~asid ~vpn ~ppn ~page_shift ~writable ~user =
   sync t;
   t.clock <- t.clock + 1;
-  let i = find t ~asid ~vpn in
-  let s =
-    if i >= 0 then t.slots.(i)
+  let d = t.data and gen = t.gen in
+  let base = base_of t vpn in
+  (* One pass over the set: the live slot already holding (asid, vpn),
+     else the way with the smallest key, the first on ties — a dead way
+     keys [min_int], so the first dead way in index order wins, else
+     the least recently used one. *)
+  let i = ref base and slot = ref (-1) and victim = ref base
+  and oldest = ref max_int in
+  while !slot < 0 && !i < base + t.ways do
+    let o = !i * width in
+    let live = d.(o + f_gen) = gen in
+    if live && d.(o + f_vpn) = vpn && d.(o + f_asid) = asid then slot := !i
     else begin
-      (* Prefer a dead slot, otherwise evict the LRU way. *)
-      let base = set_of t vpn * t.ways in
-      let victim = ref t.slots.(base) in
-      for w = 1 to t.ways - 1 do
-        let s = t.slots.(base + w) in
-        let v = !victim in
-        if live t v && ((not (live t s)) || s.stamp < v.stamp) then victim := s
-      done;
-      let s = !victim in
-      s.valid <- true;
-      s.gen <- t.gen;
-      s.asid <- asid;
-      s.vpn <- vpn;
-      s
-    end
-  in
-  s.s_ppn <- ppn;
-  s.s_shift <- page_shift;
-  s.s_writable <- writable;
-  s.s_user <- user;
-  s.stamp <- t.clock
+      let key = if live then d.(o + f_stamp) else min_int in
+      if key < !oldest then begin
+        victim := !i;
+        oldest := key
+      end
+    end;
+    incr i
+  done;
+  let o = (if !slot >= 0 then !slot else !victim) * width in
+  d.(o + f_gen) <- gen;
+  d.(o + f_asid) <- asid;
+  d.(o + f_vpn) <- vpn;
+  d.(o + f_stamp) <- t.clock;
+  d.(o + f_ppn) <- ppn;
+  d.(o + f_bits) <-
+    (page_shift lsl 2) lor (if writable then 2 else 0) lor if user then 1 else 0
+
+let fill_payload t ~asid ~key payload =
+  fill t ~asid ~vpn:key ~ppn:payload ~page_shift:0 ~writable:false ~user:false
 
 let insert t ~asid ~vpn e =
   fill t ~asid ~vpn ~ppn:e.ppn ~page_shift:e.page_shift ~writable:e.writable ~user:e.user
 
 let flush_all t =
   sync t;
-  t.gen <- t.gen + 1;
-  Hashtbl.reset t.asid_floors
+  t.gen <- t.gen + 1
 
 let flush_asid t ~asid =
   sync t;
-  (* Everything tagged [asid] with stamp <= now is dead; entries the
-     ASID inserts later get fresher stamps and match again. *)
-  Hashtbl.replace t.asid_floors asid t.clock
+  let d = t.data in
+  for i = 0 to capacity t - 1 do
+    let o = i * width in
+    if d.(o + f_gen) = t.gen && d.(o + f_asid) = asid then d.(o + f_gen) <- dead
+  done
 
 let flush_page t ~asid ~vpn =
   sync t;
   let i = find t ~asid ~vpn in
-  if i >= 0 then t.slots.(i).valid <- false
+  if i >= 0 then t.data.((i * width) + f_gen) <- dead
 
 let flush_vpn_all_asids t ~vpn =
   sync t;
-  let base = set_of t vpn * t.ways in
-  for w = 0 to t.ways - 1 do
-    let s = t.slots.(base + w) in
-    if s.vpn = vpn then s.valid <- false
+  let base = base_of t vpn in
+  for i = base to base + t.ways - 1 do
+    if t.data.((i * width) + f_vpn) = vpn then t.data.((i * width) + f_gen) <- dead
   done
 
 let hits t = t.hits

@@ -6,11 +6,11 @@
     enabled, neither CR3 writes nor VMFUNC EPTP switches need flush the
     TLB — stale entries are simply never matched.
 
-    All flushes are O(1) on the slot array: [flush_all] bumps a
-    generation counter, [flush_asid] records a per-ASID LRU-clock floor,
-    and mapping mutations elsewhere in the machine (EPT unmap/remap,
-    guest page-table unmap/protect, table teardown) invalidate every
-    instance lazily through the global {!Accel} mutation epoch. *)
+    Slots are flat [int] storage, live while their generation is the
+    table's: [flush_all] bumps it (O(1)), and so, lazily, does any
+    mapping mutation elsewhere in the machine (EPT unmap/remap, guest
+    page-table unmap/protect, table teardown) via the {!Accel} epoch. A
+    fill takes the first dead way of its set, else the LRU one. *)
 
 type t
 
@@ -41,6 +41,9 @@ val lookup_slot : t -> asid:int -> vpn:int -> int
 (** Like {!lookup} (same accounting) but returns the hit's slot index,
     or [-1] on a miss. *)
 
+val lookup_payload : t -> asid:int -> key:int -> int
+(** {!lookup_slot} returning the hit's [ppn] or [-1]: {!Psc.lookup}. *)
+
 val slot_ppn : t -> int -> int
 val slot_writable : t -> int -> bool
 val slot_user : t -> int -> bool
@@ -59,11 +62,15 @@ val fill :
   user:bool -> unit
 (** {!insert} from the entry's fields, without building the record. *)
 
+val fill_payload : t -> asid:int -> key:int -> int -> unit
+(** {!fill} of a bare [ppn]: {!Psc.insert}. *)
+
 val flush_all : t -> unit
 (** O(1): bumps the generation counter. *)
 
 val flush_asid : t -> asid:int -> unit
-(** Invalidate every entry tagged [asid] (INVPCID-style). O(1). *)
+(** Invalidate every entry tagged [asid] (INVPCID-style): a sweep over
+    the slots, O(entries). *)
 
 val flush_page : t -> asid:int -> vpn:int -> unit
 (** INVLPG-style single-entry invalidation. *)

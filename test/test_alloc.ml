@@ -84,10 +84,10 @@ let test_psc_probe () =
       if Psc.lookup p ~asid:1 ~key:7 <> 0x5000 then Alcotest.fail "lost the entry");
   check_zero "Psc.lookup miss" (fun () ->
       if Psc.lookup p ~asid:1 ~key:8 <> Psc.miss then Alcotest.fail "phantom hit");
-  (* A flushed ASID takes the floor-table path of the probe. *)
+  (* A sweep of another ASID leaves the entry live and the probe free. *)
   Psc.flush_asid p ~asid:2;
-  check_zero "Psc.lookup with ASID floors" (fun () ->
-      ignore (Psc.lookup p ~asid:1 ~key:7))
+  check_zero "Psc.lookup after flush_asid" (fun () ->
+      if Psc.lookup p ~asid:1 ~key:7 <> 0x5000 then Alcotest.fail "lost the entry")
 
 (* ------------------------------------------------------------------ *)
 (* Notifications                                                        *)
@@ -192,6 +192,40 @@ let test_translate_miss () =
   check true;
   check false
 
+(* ------------------------------------------------------------------ *)
+(* Mediated call                                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* The pingpong rig's VMFUNC call, handler included. Not zero: the
+   server's four [read_u64] results are boxed [int64]s (3 words each),
+   and the call path still allocates its call-stack frame, its result
+   and its return-path closures. The bound is the measured value, so a
+   new per-call allocation fails here; the span name, the server and
+   binding lookups and the callee-saved register save allocate
+   nothing. *)
+let test_direct_call () =
+  let machine = Machine.create ~cores:2 ~mem_mib:128 () in
+  let kernel = Kernel.create machine in
+  let sb = Sky_core.Subkernel.init kernel in
+  let client = Kernel.spawn kernel ~name:"client" in
+  let server = Kernel.spawn kernel ~name:"server" in
+  let vcpu = Kernel.vcpu kernel ~core:0 in
+  let mem = Kernel.mem kernel in
+  let server_ws = Kernel.map_anon kernel server (4 * 4096) in
+  let handler ~core:_ m =
+    for page = 0 to 3 do
+      ignore (Translate.read_u64 vcpu mem ~va:(server_ws + (page * 4096)))
+    done;
+    m
+  in
+  let server_id = Sky_core.Subkernel.register_server sb server handler in
+  Sky_core.Subkernel.register_client_to_server sb client ~server_id;
+  Kernel.context_switch kernel ~core:0 client;
+  Vcpu.set_mode vcpu Vcpu.User;
+  let msg = Bytes.create 8 in
+  check_words "Subkernel.direct_server_call (VMFUNC)" ~per_op:141 (fun () ->
+      ignore (Sky_core.Subkernel.direct_server_call sb ~core:0 ~client ~server_id msg))
+
 let () =
   Alcotest.run "alloc"
     [
@@ -208,6 +242,7 @@ let () =
         ] );
       ( "kernel",
         [
+          Alcotest.test_case "direct_server_call" `Quick test_direct_call;
           Alcotest.test_case "notification signal/wait" `Quick test_notification_pair;
           Alcotest.test_case "run_until step" `Quick test_run_until_step;
         ] );

@@ -210,6 +210,58 @@ let prop_cache_capacity =
       List.iter (fun a -> ignore (Cache.access c a)) addrs;
       List.for_all (fun a -> Cache.access c a) addrs)
 
+(* Reference model: per set, the resident lines' tags, most recently
+   used first; a miss drops the last one when the set is full. *)
+type cache_op = C_access of int | C_probe of int | C_flush
+
+let show_cache_op = function
+  | C_access pa -> Printf.sprintf "access %#x" pa
+  | C_probe pa -> Printf.sprintf "probe %#x" pa
+  | C_flush -> "flush"
+
+let prop_cache_model =
+  let sets = 4 and ways = 4 in
+  let pa = QCheck.Gen.(map2 (fun line off -> (line * 64) + off) (int_bound 23) (int_bound 63)) in
+  let op =
+    QCheck.Gen.(
+      frequency
+        [ (8, map (fun a -> C_access a) pa); (2, map (fun a -> C_probe a) pa);
+          (1, return C_flush) ])
+  in
+  QCheck.Test.make ~name:"cache agrees with a per-set LRU list" ~count:300
+    (QCheck.make
+       ~print:(fun l -> String.concat "; " (List.map show_cache_op l))
+       QCheck.Gen.(list_size (int_range 1 120) op))
+    (fun ops ->
+      let c = Cache.create ~name:"m" ~size_bytes:(sets * ways * 64) ~ways ~line_bytes:64 in
+      let model = Array.make sets [] and hits = ref 0 and misses = ref 0 in
+      List.iteri
+        (fun step op ->
+          let got, want =
+            match op with
+            | C_access pa ->
+              let line = pa / 64 in
+              let set = line mod sets in
+              let resident = List.mem line model.(set) in
+              let others = List.filter (( <> ) line) model.(set) in
+              model.(set) <-
+                line
+                :: (if resident || List.length others < ways then others
+                    else List.filteri (fun i _ -> i < ways - 1) others);
+              if resident then incr hits else incr misses;
+              (Cache.access c pa, resident)
+            | C_probe pa -> (Cache.probe c pa, List.mem (pa / 64) model.((pa / 64) mod sets))
+            | C_flush ->
+              Cache.flush c;
+              Array.fill model 0 sets [];
+              (false, false)
+          in
+          if got <> want || Cache.hits c <> !hits || Cache.misses c <> !misses then
+            QCheck.Test.fail_reportf "step %d (%s): got %b/%d hits/%d misses, model %b/%d/%d"
+              step (show_cache_op op) got (Cache.hits c) (Cache.misses c) want !hits !misses)
+        ops;
+      true)
+
 (* ------------------------------------------------------------------ *)
 (* Tlb                                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -250,6 +302,171 @@ let test_tlb_eviction () =
   Tlb.insert t ~asid:0 ~vpn:8 (entry 8);
   Alcotest.(check bool) "lru (vpn 4) evicted" true (Tlb.lookup t ~asid:0 ~vpn:4 = None);
   Alcotest.(check bool) "mru kept" true (Tlb.lookup t ~asid:0 ~vpn:0 <> None)
+
+(* Reference model of the replacement and invalidation policy: the
+   slots in {!Tlb}'s index order (set-major), each empty or holding an
+   entry stamped with the model clock of its last use. A lookup hit
+   restamps; a fill overwrites the entry for its key, else takes the
+   first empty way of the set, else the least recently used one; the
+   flushes and an {!Accel} epoch bump empty the slots they cover. *)
+type m_entry = {
+  m_asid : int;
+  m_vpn : int;
+  m_ppn : int;
+  m_writable : bool;
+  m_user : bool;
+  mutable m_used : int;
+}
+
+type tlb_op =
+  | T_lookup of int * int
+  | T_lookup_entry of int * int
+  | T_slot_hit of int * int * int
+  | T_fill of int * int * int * bool * bool
+  | T_flush_all
+  | T_flush_asid of int
+  | T_flush_page of int * int
+  | T_flush_vpn of int
+  | T_bump
+
+let show_tlb_op = function
+  | T_lookup (a, v) -> Printf.sprintf "lookup_slot %d/%d" a v
+  | T_lookup_entry (a, v) -> Printf.sprintf "lookup %d/%d" a v
+  | T_slot_hit (i, a, v) -> Printf.sprintf "slot_hit %d %d/%d" i a v
+  | T_fill (a, v, p, w, u) -> Printf.sprintf "fill %d/%d ppn %d w %b u %b" a v p w u
+  | T_flush_all -> "flush_all"
+  | T_flush_asid a -> Printf.sprintf "flush_asid %d" a
+  | T_flush_page (a, v) -> Printf.sprintf "flush_page %d/%d" a v
+  | T_flush_vpn v -> Printf.sprintf "flush_vpn_all_asids %d" v
+  | T_bump -> "Accel.bump"
+
+let prop_tlb_model =
+  let sets = 2 and ways = 4 in
+  let slots = sets * ways in
+  let op =
+    QCheck.Gen.(
+      let asid = int_bound 2 and vpn = int_bound 11 in
+      frequency
+        [
+          (6, map2 (fun a v -> T_lookup (a, v)) asid vpn);
+          (2, map2 (fun a v -> T_lookup_entry (a, v)) asid vpn);
+          (2, map3 (fun i a v -> T_slot_hit (i, a, v)) (int_bound (slots - 1)) asid vpn);
+          ( 6,
+            let* a = asid and* v = vpn and* p = int_bound 999 and* w = bool in
+            let+ u = bool in
+            T_fill (a, v, p, w, u) );
+          (1, return T_flush_all);
+          (1, map (fun a -> T_flush_asid a) asid);
+          (1, map2 (fun a v -> T_flush_page (a, v)) asid vpn);
+          (1, map (fun v -> T_flush_vpn v) vpn);
+          (1, return T_bump);
+        ])
+  in
+  QCheck.Test.make ~name:"TLB agrees with a per-set LRU model" ~count:300
+    (QCheck.make
+       ~print:(fun l -> String.concat "; " (List.map show_tlb_op l))
+       QCheck.Gen.(list_size (int_range 1 120) op))
+    (fun ops ->
+      Accel.with_scope (Accel.fresh_scope ()) @@ fun () ->
+      let t = Tlb.create ~name:"m" ~entries:slots ~ways in
+      let m = Array.make slots None in
+      let clock = ref 0 and hits = ref 0 and misses = ref 0 in
+      let fail step op fmt =
+        Printf.ksprintf
+          (fun msg -> QCheck.Test.fail_reportf "step %d (%s): %s" step (show_tlb_op op) msg)
+          fmt
+      in
+      let base vpn = vpn mod sets * ways in
+      let find asid vpn =
+        let rec go i =
+          if i = base vpn + ways then -1
+          else
+            match m.(i) with
+            | Some e when e.m_asid = asid && e.m_vpn = vpn -> i
+            | _ -> go (i + 1)
+        in
+        go (base vpn)
+      in
+      let touch i = incr clock; (Option.get m.(i)).m_used <- !clock in
+      let m_lookup asid vpn =
+        let i = find asid vpn in
+        if i >= 0 then (incr hits; touch i) else incr misses;
+        i
+      in
+      let victim vpn =
+        let rec go i best =
+          if i = base vpn + ways then best
+          else
+            match (m.(i), m.(best)) with
+            | None, _ -> i
+            | Some e, Some b when e.m_used < b.m_used -> go (i + 1) i
+            | _ -> go (i + 1) best
+        in
+        match m.(base vpn) with None -> base vpn | Some _ -> go (base vpn + 1) (base vpn)
+      in
+      let show = function
+        | None -> "nothing"
+        | Some e -> Printf.sprintf "%d/%d" e.m_asid e.m_vpn
+      in
+      let drop p = Array.iteri (fun i e -> match e with Some e when p e -> m.(i) <- None | _ -> ()) m in
+      let check_entry step op i =
+        let e = Option.get m.(i) in
+        if Tlb.slot_ppn t i <> e.m_ppn || Tlb.slot_writable t i <> e.m_writable
+           || Tlb.slot_user t i <> e.m_user
+        then fail step op "slot %d holds another payload than the model's" i
+      in
+      List.iteri
+        (fun step op ->
+          (match op with
+          | T_lookup (asid, vpn) ->
+            let got = Tlb.lookup_slot t ~asid ~vpn and want = m_lookup asid vpn in
+            if got <> want then fail step op "slot %d, model %d" got want;
+            if got >= 0 then check_entry step op got
+          | T_lookup_entry (asid, vpn) -> (
+            match (Tlb.lookup t ~asid ~vpn, m_lookup asid vpn) with
+            | None, -1 -> ()
+            | Some e, i when i >= 0 ->
+              let w = Option.get m.(i) in
+              if e.Tlb.ppn <> w.m_ppn || e.Tlb.writable <> w.m_writable
+                 || e.Tlb.user <> w.m_user || e.Tlb.page_shift <> 12
+              then fail step op "entry differs from the model's"
+            | got, i -> fail step op "hit %b, model slot %d" (got <> None) i)
+          | T_slot_hit (i, asid, vpn) ->
+            let want =
+              match m.(i) with
+              | Some e when e.m_asid = asid && e.m_vpn = vpn -> incr hits; touch i; true
+              | _ -> false
+            in
+            let got = Tlb.slot_hit t i ~asid ~vpn in
+            if got <> want then fail step op "%b, model %b" got want
+          | T_fill (asid, vpn, ppn, writable, user) ->
+            Tlb.fill t ~asid ~vpn ~ppn ~page_shift:12 ~writable ~user;
+            let i = find asid vpn in
+            let i = if i >= 0 then i else victim vpn in
+            let evicted = m.(i) in
+            incr clock;
+            m.(i) <- Some { m_asid = asid; m_vpn = vpn; m_ppn = ppn; m_writable = writable;
+                            m_user = user; m_used = !clock };
+            (* Where the fill landed: a lookup of the entry just filled
+               keeps it the most recently used, so the LRU order the
+               rest of the sequence sees is unchanged. *)
+            let got = Tlb.lookup_slot t ~asid ~vpn in
+            ignore (m_lookup asid vpn);
+            if got <> i then
+              fail step op "landed in slot %d, model slot %d (evicting %s)" got i (show evicted);
+            check_entry step op i
+          | T_flush_all -> Tlb.flush_all t; drop (fun _ -> true)
+          | T_flush_asid asid -> Tlb.flush_asid t ~asid; drop (fun e -> e.m_asid = asid)
+          | T_flush_page (asid, vpn) ->
+            Tlb.flush_page t ~asid ~vpn;
+            drop (fun e -> e.m_asid = asid && e.m_vpn = vpn)
+          | T_flush_vpn vpn -> Tlb.flush_vpn_all_asids t ~vpn; drop (fun e -> e.m_vpn = vpn)
+          | T_bump -> Accel.bump (); drop (fun _ -> true));
+          if Tlb.hits t <> !hits || Tlb.misses t <> !misses then
+            fail step op "%d hits/%d misses, model %d/%d" (Tlb.hits t) (Tlb.misses t) !hits
+              !misses)
+        ops;
+      true)
 
 (* ------------------------------------------------------------------ *)
 (* Cpu / Machine / Memsys                                              *)
@@ -399,14 +616,15 @@ let () =
           Alcotest.test_case "stats" `Quick test_cache_stats;
           Alcotest.test_case "geometry validated" `Quick test_cache_geometry_validation;
         ]
-        @ qc [ prop_cache_capacity ] );
+        @ qc [ prop_cache_capacity; prop_cache_model ] );
       ( "tlb",
         [
           Alcotest.test_case "insert/lookup with asid" `Quick test_tlb_insert_lookup;
           Alcotest.test_case "flush_asid selective" `Quick test_tlb_flush_asid;
           Alcotest.test_case "flush_all" `Quick test_tlb_flush_all;
           Alcotest.test_case "LRU eviction" `Quick test_tlb_eviction;
-        ] );
+        ]
+        @ qc [ prop_tlb_model ] );
       ( "cpu_machine",
         [
           Alcotest.test_case "cycle charging" `Quick test_cpu_charge;
