@@ -58,46 +58,51 @@ exception Gave_up of Subkernel.call_error
 
 let bump stats f = match stats with Some s -> f s | None -> ()
 
+(* One attempt and, on failure, the backoff and recovery before the
+   next: a toplevel loop, so a call builds no closure. *)
+let rec attempt ~max_attempts ~backoff stats budget timeout on_crash sb cpu ~core
+    ~client ~server_id msg n =
+  bump stats (fun s -> s.attempts <- s.attempts + 1);
+  match Subkernel.call sb ~core ~client ~server_id ?timeout msg with
+  | Ok (reply, via) ->
+    if n > 0 then bump stats (fun s -> s.retried_ok <- s.retried_ok + 1);
+    if via = `Slowpath then bump stats (fun s -> s.degraded <- s.degraded + 1);
+    reply
+  | Error err ->
+    let refused =
+      match budget with Some b -> not (try_withdraw b) | None -> false
+    in
+    if n + 1 >= max_attempts || refused then begin
+      bump stats (fun s -> s.lost <- s.lost + 1);
+      raise (Gave_up err)
+    end;
+    (* Exponential backoff, charged as client compute; with a budget,
+       decorrelated jitter spreads the storm's synchronized retries. *)
+    let wait =
+      let base = backoff lsl n in
+      match budget with
+      | Some b -> (base / 2) + Sky_sim.Rng.int b.b_rng (Int.max 1 base)
+      | None -> base
+    in
+    Sky_sim.Cpu.charge cpu wait;
+    Sky_trace.Trace.instant ~core ~cat:"recovery" "recovery.retry";
+    (match err with
+    | Subkernel.Crashed { server_id = sid } ->
+      Subkernel.restart_server sb ~server_id:sid;
+      bump stats (fun s -> s.restarts <- s.restarts + 1);
+      on_crash sid
+    | Subkernel.Revoked { server_id = sid } ->
+      (* An aborted direct call revoked the binding: re-establish it
+         (a top-level revocation degrades inside Subkernel.call and
+         never reaches this handler). *)
+      Subkernel.rebind sb client ~server_id:sid
+    | Subkernel.Timeout _ -> ());
+    attempt ~max_attempts ~backoff stats budget timeout on_crash sb cpu ~core ~client
+      ~server_id msg (n + 1)
+
 let call ?(max_attempts = 4) ?(backoff = 2000) ?stats ?budget ?timeout
     ?(on_crash = fun _ -> ()) sb ~core ~client ~server_id msg =
   let cpu = Kernel.cpu (Subkernel.kernel sb) ~core in
   (match budget with Some b -> deposit b | None -> ());
-  let rec go attempt =
-    bump stats (fun s -> s.attempts <- s.attempts + 1);
-    match Subkernel.call sb ~core ~client ~server_id ?timeout msg with
-    | Ok (reply, via) ->
-      if attempt > 0 then bump stats (fun s -> s.retried_ok <- s.retried_ok + 1);
-      if via = `Slowpath then bump stats (fun s -> s.degraded <- s.degraded + 1);
-      reply
-    | Error err ->
-      let refused =
-        match budget with Some b -> not (try_withdraw b) | None -> false
-      in
-      if attempt + 1 >= max_attempts || refused then begin
-        bump stats (fun s -> s.lost <- s.lost + 1);
-        raise (Gave_up err)
-      end;
-      (* Exponential backoff, charged as client compute; with a budget,
-         decorrelated jitter spreads the storm's synchronized retries. *)
-      let wait =
-        let base = backoff lsl attempt in
-        match budget with
-        | Some b -> (base / 2) + Sky_sim.Rng.int b.b_rng (Int.max 1 base)
-        | None -> base
-      in
-      Sky_sim.Cpu.charge cpu wait;
-      Sky_trace.Trace.instant ~core ~cat:"recovery" "recovery.retry";
-      (match err with
-      | Subkernel.Crashed { server_id = sid } ->
-        Subkernel.restart_server sb ~server_id:sid;
-        bump stats (fun s -> s.restarts <- s.restarts + 1);
-        on_crash sid
-      | Subkernel.Revoked { server_id = sid } ->
-        (* An aborted direct call revoked the binding: re-establish it
-           (a top-level revocation degrades inside Subkernel.call and
-           never reaches this handler). *)
-        Subkernel.rebind sb client ~server_id:sid
-      | Subkernel.Timeout _ -> ());
-      go (attempt + 1)
-  in
-  go 0
+  attempt ~max_attempts ~backoff stats budget timeout on_crash sb cpu ~core ~client
+    ~server_id msg 0

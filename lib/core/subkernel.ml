@@ -75,6 +75,9 @@ type pstate = {
   mutable p_evictions : int;  (** EPTP-slot LRU evictions in this process *)
   pkey : int;  (** MPK: the protection key tagging this domain (0 = none) *)
   pkru_view : int;  (** MPK: resting PKRU view installed when scheduled *)
+  active : pstate option;
+      (** [Some] of this state, built once: what [active_client] holds
+          while it is the root client of a direct call *)
 }
 
 type t = {
@@ -103,8 +106,10 @@ type t = {
   mutable sec_count : int;
   mutable sec_dropped : int;
   active_client : pstate option array;  (** per core: live direct call *)
-  call_stack : (int * int) list array;
-      (** per core: (server_id, in-server since cycle), innermost first *)
+  frames : int array array;
+      (** per core: the live call frames, outermost first, two ints
+          each (server_id, in-server since cycle); grown on demand *)
+  depth : int array;  (** per core: live frames in [frames] *)
   mutable dead_servers : int list;
   mutable orphans : (int * int) list;  (** (client pid, server_id) to rebind *)
   fallback_ipc : Ipc.t;  (** kernel-mediated slowpath for revoked bindings *)
@@ -157,7 +162,9 @@ let restarts t = t.restarts
 let dead_servers t = t.dead_servers
 
 let call_state t ~core =
-  match t.call_stack.(core) with [] -> None | frame :: _ -> Some frame
+  let d = t.depth.(core) in
+  if d = 0 then None
+  else Some (t.frames.(core).((2 * d) - 2), t.frames.(core).((2 * d) - 1))
 
 let pstate_opt t proc = Hashtbl.find_opt t.pstates proc.Proc.pid
 
@@ -246,7 +253,8 @@ let init ?backend ?(vpid = true) ?(huge_ept = true)
       sec_count = 0;
       sec_dropped = 0;
       active_client = Array.make (Machine.n_cores kernel.Kernel.machine) None;
-      call_stack = Array.make (Machine.n_cores kernel.Kernel.machine) [];
+      frames = Array.init (Machine.n_cores kernel.Kernel.machine) (fun _ -> [||]);
+      depth = Array.make (Machine.n_cores kernel.Kernel.machine) 0;
       dead_servers = [];
       orphans = [];
       fallback_ipc = Ipc.create kernel;
@@ -364,7 +372,7 @@ let ensure_pstate t proc =
         k
       | Backend.Vmfunc | Backend.Syscall -> 0
     in
-    let ps =
+    let rec ps =
       {
         proc;
         own_ept;
@@ -379,6 +387,7 @@ let ensure_pstate t proc =
         pkey;
         pkru_view =
           (if t.backend = Backend.Mpk then Pkru.allow_only [ 0; pkey ] else 0);
+        active = Some ps;
       }
     in
     Hashtbl.replace t.pstates proc.Proc.pid ps;
@@ -971,10 +980,11 @@ type cross_token =
   | Tpkru of { pkru : int; cr3 : int; pcid : int }  (** MPK: client state *)
   | Tcr3 of { cr3 : int; pcid : int }  (** syscall: client translation *)
 
+(* [idx] is the binding's EPTP-list slot under the VMFUNC backend (from
+   [ensure_installed]), unused otherwise. *)
 let cross_enter t ~core vcpu ps b srv ~idx =
   match b.mech with
   | Meptp _ ->
-    let idx = match idx with Some i -> i | None -> assert false in
     let return_index = Vmcs.current_index (Vcpu.vmcs_exn vcpu) in
     Vmfunc.execute vcpu ~func:0 ~index:idx;
     Tindex return_index
@@ -1048,6 +1058,10 @@ let fallback_endpoint t srv =
     Hashtbl.replace t.fallback_eps srv.server_id ep;
     ep
 
+(* How a call ended. One constructor per outcome, so a direct call
+   builds no tuple around its reply. *)
+type served = Direct of bytes | Slowpath of bytes | Failed of call_error
+
 let slowpath_call t ~core ps ~server_id msg =
   let srv = find_server t server_id in
   let ep = fallback_endpoint t srv in
@@ -1057,17 +1071,17 @@ let slowpath_call t ~core ps ~server_id msg =
   | reply ->
     Fault.leave_scope ();
     t.degraded_calls <- t.degraded_calls + 1;
-    Ok reply
+    Slowpath reply
   | exception e ->
     Fault.leave_scope ();
     Kernel.context_switch t.kernel ~core ps.proc;
     (match e with
     | Fault.Injected _ ->
       mark_server_dead t ~core ~server_id;
-      Error (Crashed { server_id })
-    | Server_crashed { server_id = sid } -> Error (Crashed { server_id = sid })
+      Failed (Crashed { server_id })
+    | Server_crashed { server_id = sid } -> Failed (Crashed { server_id = sid })
     | Call_timeout { server_id = sid; elapsed } ->
-      Error (Timeout { server_id = sid; elapsed })
+      Failed (Timeout { server_id = sid; elapsed })
     | e -> raise e)
 
 (* Map an in-server exception to the typed error the client observes,
@@ -1092,7 +1106,206 @@ let classify_abort t ~core cpu ~start ps ~server_id e =
     Some (Timeout { server_id = sid; elapsed })
   | _ -> None
 
-let call_internal t ~core ~client ~server_id ?timeout ?attack msg =
+(* ---- the direct call's frames ----
+
+   Each core keeps its live call frames in a flat int array (server id
+   and in-server-since cycle per frame), and its root client as the
+   pstate's prebuilt [active] option: entering and leaving a call
+   allocates nothing. *)
+
+let push_frame t ~core ~server_id ~start =
+  let d = t.depth.(core) in
+  if (2 * d) + 2 > Array.length t.frames.(core) then begin
+    let fr = t.frames.(core) in
+    let grown = Array.make (Int.max 8 (2 * Array.length fr)) 0 in
+    Array.blit fr 0 grown 0 (Array.length fr);
+    t.frames.(core) <- grown
+  end;
+  t.frames.(core).(2 * d) <- server_id;
+  t.frames.(core).((2 * d) + 1) <- start;
+  t.depth.(core) <- d + 1
+
+let pop_frame t ~core = if t.depth.(core) > 0 then t.depth.(core) <- t.depth.(core) - 1
+
+(* --- cross back, restore --- *)
+let finish_return t ~core cpu vcpu ps token outer =
+  Fault.leave_scope ();
+  cross_leave t ~core vcpu token;
+  t.active_client.(core) <- outer;
+  pop_frame t ~core;
+  Trampoline.charge_crossing cpu ~text_pa:ps.trampoline_text_pa
+
+(* §7: the watchdog forces the stranded client back through the same
+   mechanism it entered by — the VMFUNC return switch, the WRPKRU
+   restore, or the kernel's CR3 switch back — and restores the
+   callee-saved registers from the trampoline save area (the aborted
+   server run never ran the gate epilogue). *)
+let forced_return t ~core cpu vcpu ps token outer ~slot =
+  Fault.leave_scope ();
+  t.forced_returns <- t.forced_returns + 1;
+  Sky_trace.Trace.span ~core ~cat:"recovery" "recovery.forced_return" @@ fun () ->
+  cross_leave t ~core vcpu token;
+  t.active_client.(core) <- outer;
+  pop_frame t ~core;
+  Trampoline.charge_crossing cpu ~text_pa:ps.trampoline_text_pa;
+  restore_callee_saved t ps ~slot
+
+(* Calling-key check against the server's table (§4.4), in its own span
+   when tracing is on. *)
+let key_check t ~core srv presented =
+  if Sky_trace.Trace.is_enabled () then
+    Sky_trace.Trace.span ~core ~cat:"other" "skybridge.keycheck" (fun () ->
+        check_key t ~core srv presented)
+  else check_key t ~core srv presented
+
+(* The crossing proper, from the trampoline entry to the accounted
+   reply. [budget] is the §7 watchdog budget ([max_int] = none). *)
+let direct_call t ~core ps b srv ~server_id ~idx ~start ~walk0 ~budget ?attack msg =
+  let cpu = Kernel.cpu t.kernel ~core in
+  let vcpu = Kernel.vcpu t.kernel ~core in
+  let conn = core mod srv.connection_count in
+  let large = Bytes.length msg > Ipc.register_msg_limit in
+  (* --- client side of the trampoline --- *)
+  Trampoline.charge_crossing cpu ~text_pa:ps.trampoline_text_pa;
+  (* Trampoline prologue: the callee-saved set goes to the per-call
+     save slot, from which a forced return can restore it (§7). *)
+  let depth = t.depth.(core) in
+  let slot = ((core * 8) + depth) land 63 in
+  save_callee_saved t ps ~slot;
+  let copy0 = Cpu.cycles cpu in
+  if large then
+    Sky_trace.Trace.span ~core ~cat:"copy" "skybridge.copy" (fun () ->
+        guest_copy_out t ~core b.buffer_vas.(conn) msg);
+  let copy_cycles = ref (Cpu.cycles cpu - copy0) in
+  let client_key = fresh_key t in
+  (* --- cross into the server --- *)
+  let outer = t.active_client.(core) in
+  (* The gate returns to whatever state it was entered from: EPTP
+     slot 0 for a plain VMFUNC client, the calling server's slot for
+     a nested call (the FS returning from the disk driver must land
+     back in the FS's address space, not the client's); the MPK and
+     syscall tokens capture the analogous client state. *)
+  let token = cross_enter t ~core vcpu ps b srv ~idx in
+  t.active_client.(core) <- ps.active;
+  push_frame t ~core ~server_id ~start;
+  (* Set once the client is back in its own space, by either return. *)
+  let returned = ref false in
+  (* Scoped ambient fault sites (sim/mmu/exec/ipc) may fire from here
+     until the return crossing: the fault lands while the client
+     executes inside the server's space. *)
+  Fault.enter_scope ();
+  match
+    (* --- server side --- *)
+    let presented =
+      match attack with Some `Fake_server_key -> 0xBADBADL | _ -> b.server_key
+    in
+    if not (key_check t ~core srv presented) then begin
+      security t
+        (Printf.sprintf "server %d rejected key %Lx from pid %d" server_id
+           presented ps.proc.Proc.pid);
+      finish_return t ~core cpu vcpu ps token outer;
+      returned := true;
+      raise (Bad_server_key { server_id; presented })
+    end;
+    let msg' =
+      if large then
+        Sky_trace.Trace.span ~core ~cat:"copy" "skybridge.copy" (fun () ->
+            guest_copy_in t ~core b.buffer_vas.(conn) (Bytes.length msg))
+      else msg
+    in
+    let reply = srv.handler ~core msg' in
+    (* DoS timeout (§7): if the server burned past the budget, the
+       kernel's timer tick forces control back to the client. *)
+    if Cpu.cycles cpu - start > budget then begin
+      let elapsed = Cpu.cycles cpu - start in
+      clobber_callee_saved ps;
+      forced_return t ~core cpu vcpu ps token outer ~slot;
+      returned := true;
+      Kernel.kernel_entry t.kernel ~core;
+      Kernel.kernel_exit t.kernel ~core;
+      security t
+        (Printf.sprintf "server %d timed out after %d cycles; client forced back"
+           server_id elapsed);
+      Failed (Timeout { server_id; elapsed })
+    end
+    else begin
+      (* Client-key echo (illegal client return defence). *)
+      let echoed =
+        match attack with
+        | Some `Corrupt_return_key -> Int64.lognot client_key
+        | _ -> client_key
+      in
+      let reply_large = Bytes.length reply > Ipc.register_msg_limit in
+      if reply_large then begin
+        let c0 = Cpu.cycles cpu in
+        Sky_trace.Trace.span ~core ~cat:"copy" "skybridge.copy" (fun () ->
+            guest_copy_out t ~core b.buffer_vas.(conn) reply);
+        copy_cycles := !copy_cycles + (Cpu.cycles cpu - c0)
+      end;
+      finish_return t ~core cpu vcpu ps token outer;
+      returned := true;
+      if echoed <> client_key then begin
+        security t
+          (Printf.sprintf "server %d returned a corrupted client key" server_id);
+        raise (Bad_client_return { server_id })
+      end;
+      let reply =
+        if reply_large then begin
+          let c0 = Cpu.cycles cpu in
+          let r =
+            Sky_trace.Trace.span ~core ~cat:"copy" "skybridge.copy" (fun () ->
+                guest_copy_in t ~core b.buffer_vas.(conn) (Bytes.length reply))
+          in
+          copy_cycles := !copy_cycles + (Cpu.cycles cpu - c0);
+          r
+        end
+        else reply
+      in
+      (* Accounting (Figure 7 categories): the two switch legs land
+         in the domain-switch bucket for the user-level mechanisms
+         and the syscall bucket for the kernel-mediated one. *)
+      (match t.backend with
+      | Backend.Vmfunc | Backend.Mpk ->
+        t.stats.Breakdown.vmfunc <-
+          t.stats.Breakdown.vmfunc + (2 * Backend.switch_cycles t.backend)
+      | Backend.Syscall ->
+        t.stats.Breakdown.syscall <-
+          t.stats.Breakdown.syscall + (2 * Backend.switch_cycles t.backend));
+      t.stats.Breakdown.other <-
+        t.stats.Breakdown.other + (2 * Trampoline.crossing_cycles);
+      t.stats.Breakdown.copy <- t.stats.Breakdown.copy + !copy_cycles;
+      t.stats.Breakdown.walk <-
+        t.stats.Breakdown.walk
+        + (Pmu.read (Cpu.pmu cpu) Pmu.Walk_cycles - walk0);
+      Direct reply
+    end
+  with
+  | outcome -> outcome
+  | exception e when not !returned ->
+    (* The client is stranded inside the server's space: force it
+       back, then surface a typed error (or re-raise a genuine bug —
+       the cleanup has already happened either way). *)
+    clobber_callee_saved ps;
+    forced_return t ~core cpu vcpu ps token outer ~slot;
+    (match classify_abort t ~core cpu ~start ps ~server_id e with
+    | Some err ->
+      security t
+        (Printf.sprintf "call to server %d aborted (%s); client forced back"
+           server_id (Printexc.to_string e));
+      Failed err
+    | None -> raise e)
+
+(* Roundtrip span name: feeds the "skybridge.<kernel>.call" latency
+   histogram; inner spans (vmfunc, copies, key check) refine the
+   per-category attribution. *)
+let call_span_name t =
+  match t.kernel.Kernel.config.Config.variant with
+  | Config.Sel4 -> "skybridge.sel4.call"
+  | Config.Fiasco -> "skybridge.fiasco.call"
+  | Config.Zircon -> "skybridge.zircon.call"
+  | Config.Linux -> "skybridge.linux.call"
+
+let call_internal t ~core ~client ~server_id ~budget ?attack msg =
   (* Fault site "subkernel.call": a revocation storm yanks the binding at
      call entry; top-level calls then degrade to the slowpath. *)
   (match Fault.check ~core "subkernel.call" with
@@ -1115,13 +1328,12 @@ let call_internal t ~core ~client ~server_id ?timeout ?attack msg =
   if server_dead t server_id then begin
     security t
       (Printf.sprintf "pid %d called dead server %d" ps.proc.Proc.pid server_id);
-    Error (Crashed { server_id })
+    Failed (Crashed { server_id })
   end
   else
     match binding_in server_id ps.bindings with
     | exception Not_found when List.mem server_id ps.revoked ->
-      if t.active_client.(core) = None then
-        Result.map (fun r -> (r, `Slowpath)) (slowpath_call t ~core ps ~server_id msg)
+      if t.active_client.(core) = None then slowpath_call t ~core ps ~server_id msg
       else
         (* A nested call cannot take the slowpath mid-direct-call (the
            kernel transfer would rewrite the live EPTP state under the
@@ -1135,208 +1347,41 @@ let call_internal t ~core ~client ~server_id ?timeout ?attack msg =
     | b ->
       let srv = find_server t server_id in
       let cpu = Kernel.cpu t.kernel ~core in
-      let vcpu = Kernel.vcpu t.kernel ~core in
       (* Make sure the root client is the running process (normally a
          no-op: the workload is already executing it). *)
       if t.active_client.(core) = None then
         Kernel.context_switch t.kernel ~core ps.proc;
       t.calls <- t.calls + 1;
-      t.calls |> fun n -> b.last_use <- n;
+      b.last_use <- t.calls;
       (* EPTP-slot residency is a VMFUNC-backend concern; prepared
          outside the measured crossing, as before the backend split. *)
       let idx =
         match b.mech with
-        | Meptp _ -> Some (ensure_installed t ~core ps b)
-        | Mpkey _ | Mentry _ -> None
+        | Meptp _ -> ensure_installed t ~core ps b
+        | Mpkey _ | Mentry _ -> -1
       in
       let start = Cpu.cycles cpu in
       let walk0 = Pmu.read (Cpu.pmu cpu) Pmu.Walk_cycles in
-      (* Roundtrip span: feeds the "skybridge.<kernel>.call" latency
-         histogram; inner spans (vmfunc, copies, key check) refine the
-         per-category attribution. *)
-      let span_name =
-        match t.kernel.Kernel.config.Config.variant with
-        | Config.Sel4 -> "skybridge.sel4.call"
-        | Config.Fiasco -> "skybridge.fiasco.call"
-        | Config.Zircon -> "skybridge.zircon.call"
-        | Config.Linux -> "skybridge.linux.call"
-      in
-      Sky_trace.Trace.span ~core ~cat:"ipc" span_name @@ fun () ->
-      let conn = core mod srv.connection_count in
-      let large = Bytes.length msg > Ipc.register_msg_limit in
-      (* --- client side of the trampoline --- *)
-      Trampoline.charge_crossing cpu ~text_pa:ps.trampoline_text_pa;
-      (* Trampoline prologue: the callee-saved set goes to the per-call
-         save slot, from which a forced return can restore it (§7). *)
-      let depth = List.length t.call_stack.(core) in
-      let slot = ((core * 8) + depth) land 63 in
-      save_callee_saved t ps ~slot;
-      let copy0 = Cpu.cycles cpu in
-      if large then
-        Sky_trace.Trace.span ~core ~cat:"copy" "skybridge.copy" (fun () ->
-            guest_copy_out t ~core b.buffer_vas.(conn) msg);
-      let copy_cycles = ref (Cpu.cycles cpu - copy0) in
-      let client_key = fresh_key t in
-      (* --- cross into the server --- *)
-      let outer = t.active_client.(core) in
-      (* The gate returns to whatever state it was entered from: EPTP
-         slot 0 for a plain VMFUNC client, the calling server's slot for
-         a nested call (the FS returning from the disk driver must land
-         back in the FS's address space, not the client's); the MPK and
-         syscall tokens capture the analogous client state. *)
-      let token = cross_enter t ~core vcpu ps b srv ~idx in
-      t.active_client.(core) <- Some ps;
-      t.call_stack.(core) <- (server_id, start) :: t.call_stack.(core);
-      let returned = ref false in
-      let pop_frame () =
-        match t.call_stack.(core) with
-        | _ :: rest -> t.call_stack.(core) <- rest
-        | [] -> ()
-      in
-      let finish_return reply =
-        (* --- cross back, restore --- *)
-        Fault.leave_scope ();
-        cross_leave t ~core vcpu token;
-        t.active_client.(core) <- outer;
-        pop_frame ();
-        Trampoline.charge_crossing cpu ~text_pa:ps.trampoline_text_pa;
-        returned := true;
-        reply
-      in
-      let forced_return () =
-        (* §7: the watchdog forces the stranded client back through the
-           same mechanism it entered by — the VMFUNC return switch, the
-           WRPKRU restore, or the kernel's CR3 switch back — and
-           restores the callee-saved registers from the trampoline save
-           area (the aborted server run never ran the gate epilogue). *)
-        Fault.leave_scope ();
-        t.forced_returns <- t.forced_returns + 1;
-        Sky_trace.Trace.span ~core ~cat:"recovery" "recovery.forced_return"
-        @@ fun () ->
-        cross_leave t ~core vcpu token;
-        t.active_client.(core) <- outer;
-        pop_frame ();
-        Trampoline.charge_crossing cpu ~text_pa:ps.trampoline_text_pa;
-        restore_callee_saved t ps ~slot;
-        returned := true
-      in
-      (* Scoped ambient fault sites (sim/mmu/exec/ipc) may fire from here
-         until the return crossing: the fault lands while the client
-         executes inside the server's space. *)
-      Fault.enter_scope ();
-      match
-        (* --- server side --- *)
-        (* Calling-key check against the server's table (§4.4). *)
-        let presented =
-          match attack with Some `Fake_server_key -> 0xBADBADL | _ -> b.server_key
-        in
-        let key_ok =
-          Sky_trace.Trace.span ~core ~cat:"other" "skybridge.keycheck" (fun () ->
-              check_key t ~core srv presented)
-        in
-        if not key_ok then begin
-          security t
-            (Printf.sprintf "server %d rejected key %Lx from pid %d" server_id
-               presented ps.proc.Proc.pid);
-          ignore (finish_return Bytes.empty);
-          raise (Bad_server_key { server_id; presented })
-        end;
-        let msg' =
-          if large then
-            Sky_trace.Trace.span ~core ~cat:"copy" "skybridge.copy" (fun () ->
-                guest_copy_in t ~core b.buffer_vas.(conn) (Bytes.length msg))
-          else msg
-        in
-        let reply = srv.handler ~core msg' in
-        (* DoS timeout (§7): if the server burned past the budget, the
-           kernel's timer tick forces control back to the client. *)
-        match timeout with
-        | Some budget when Cpu.cycles cpu - start > budget ->
-          let elapsed = Cpu.cycles cpu - start in
-          clobber_callee_saved ps;
-          forced_return ();
-          Kernel.kernel_entry t.kernel ~core;
-          Kernel.kernel_exit t.kernel ~core;
-          security t
-            (Printf.sprintf "server %d timed out after %d cycles; client forced back"
-               server_id elapsed);
-          Error (Timeout { server_id; elapsed })
-        | _ ->
-          (* Client-key echo (illegal client return defence). *)
-          let echoed =
-            match attack with
-            | Some `Corrupt_return_key -> Int64.lognot client_key
-            | _ -> client_key
-          in
-          let reply_large = Bytes.length reply > Ipc.register_msg_limit in
-          if reply_large then begin
-            let c0 = Cpu.cycles cpu in
-            Sky_trace.Trace.span ~core ~cat:"copy" "skybridge.copy" (fun () ->
-                guest_copy_out t ~core b.buffer_vas.(conn) reply);
-            copy_cycles := !copy_cycles + (Cpu.cycles cpu - c0)
-          end;
-          let reply = finish_return reply in
-          if echoed <> client_key then begin
-            security t
-              (Printf.sprintf "server %d returned a corrupted client key"
-                 server_id);
-            raise (Bad_client_return { server_id })
-          end;
-          let reply =
-            if reply_large then begin
-              let c0 = Cpu.cycles cpu in
-              let r =
-                Sky_trace.Trace.span ~core ~cat:"copy" "skybridge.copy" (fun () ->
-                    guest_copy_in t ~core b.buffer_vas.(conn) (Bytes.length reply))
-              in
-              copy_cycles := !copy_cycles + (Cpu.cycles cpu - c0);
-              r
-            end
-            else reply
-          in
-          (* Accounting (Figure 7 categories): the two switch legs land
-             in the domain-switch bucket for the user-level mechanisms
-             and the syscall bucket for the kernel-mediated one. *)
-          (match t.backend with
-          | Backend.Vmfunc | Backend.Mpk ->
-            t.stats.Breakdown.vmfunc <-
-              t.stats.Breakdown.vmfunc + (2 * Backend.switch_cycles t.backend)
-          | Backend.Syscall ->
-            t.stats.Breakdown.syscall <-
-              t.stats.Breakdown.syscall + (2 * Backend.switch_cycles t.backend));
-          t.stats.Breakdown.other <-
-            t.stats.Breakdown.other + (2 * Trampoline.crossing_cycles);
-          t.stats.Breakdown.copy <- t.stats.Breakdown.copy + !copy_cycles;
-          t.stats.Breakdown.walk <-
-            t.stats.Breakdown.walk
-            + (Pmu.read (Cpu.pmu cpu) Pmu.Walk_cycles - walk0);
-          Ok reply
-      with
-      | outcome -> Result.map (fun reply -> (reply, `Direct)) outcome
-      | exception e when not !returned ->
-        (* The client is stranded inside the server's space: force it
-           back, then surface a typed error (or re-raise a genuine bug —
-           the cleanup has already happened either way). *)
-        clobber_callee_saved ps;
-        forced_return ();
-        (match classify_abort t ~core cpu ~start ps ~server_id e with
-        | Some err ->
-          security t
-            (Printf.sprintf "call to server %d aborted (%s); client forced back"
-               server_id (Printexc.to_string e));
-          Error err
-        | None -> raise e)
+      if Sky_trace.Trace.is_enabled () then
+        Sky_trace.Trace.span ~core ~cat:"ipc" (call_span_name t) (fun () ->
+            direct_call t ~core ps b srv ~server_id ~idx ~start ~walk0 ~budget
+              ?attack msg)
+      else direct_call t ~core ps b srv ~server_id ~idx ~start ~walk0 ~budget ?attack msg
 
 let call t ~core ~client ~server_id ?(timeout = default_watchdog) ?attack msg =
-  call_internal t ~core ~client ~server_id ~timeout ?attack msg
+  match call_internal t ~core ~client ~server_id ~budget:timeout ?attack msg with
+  | Direct reply -> Ok (reply, `Direct)
+  | Slowpath reply -> Ok (reply, `Slowpath)
+  | Failed err -> Error err
 
 let direct_server_call t ~core ~client ~server_id ?timeout ?attack msg =
-  match call_internal t ~core ~client ~server_id ?timeout ?attack msg with
-  | Ok (reply, _) -> reply
-  | Error (Timeout { server_id; elapsed }) ->
+  let budget = match timeout with Some b -> b | None -> max_int in
+  match call_internal t ~core ~client ~server_id ~budget ?attack msg with
+  | Direct reply | Slowpath reply -> reply
+  | Failed (Timeout { server_id; elapsed }) ->
     raise (Call_timeout { server_id; elapsed })
-  | Error (Crashed { server_id }) -> raise (Server_crashed { server_id })
-  | Error (Revoked { server_id }) -> raise (Binding_revoked { server_id })
+  | Failed (Crashed { server_id }) -> raise (Server_crashed { server_id })
+  | Failed (Revoked { server_id }) -> raise (Binding_revoked { server_id })
 
 let current_identity t ~core = Rootkernel.current_identity t.root ~core
 

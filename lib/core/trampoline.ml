@@ -126,11 +126,16 @@ let wrpkru_ranges code =
 
 let crossing_cycles = Sky_sim.Costs.skybridge_crossing_other
 
-let charge_crossing cpu ~text_pa =
-  Sky_trace.Trace.span ~core:(Sky_sim.Cpu.id cpu) ~cat:"other"
-    "trampoline.crossing"
-  @@ fun () ->
+let cross cpu ~text_pa =
   Sky_sim.Cpu.charge cpu crossing_cycles;
   (* The trampoline text itself flows through the i-cache. *)
   Sky_sim.Memsys.touch_range_state_only cpu Sky_sim.Memsys.Insn ~pa:text_pa
     ~len:128
+
+(* The span closure is built only when tracing is on: every crossing
+   runs this. *)
+let charge_crossing cpu ~text_pa =
+  if Sky_trace.Trace.is_enabled () then
+    Sky_trace.Trace.span ~core:(Sky_sim.Cpu.id cpu) ~cat:"other"
+      "trampoline.crossing" (fun () -> cross cpu ~text_pa)
+  else cross cpu ~text_pa

@@ -23,7 +23,9 @@ let create machine =
 
 let hash key =
   let h = ref 5381 in
-  Bytes.iter (fun c -> h := ((!h lsl 5) + !h + Char.code c) land 0x3fffffff) key;
+  for i = 0 to Bytes.length key - 1 do
+    h := ((!h lsl 5) + !h + Char.code (Bytes.unsafe_get key i)) land 0x3fffffff
+  done;
   !h mod slot_count
 
 let slot_pa t i = t.base_pa + (i * slot_size)
@@ -33,31 +35,32 @@ let touch cpu pa len =
 
 let slot_used t i = Sky_mem.Phys_mem.read_u16 t.mem (slot_pa t i) = 1
 
-let slot_key t i =
+(* The slot's key compared where it lives, without copying it out. *)
+let slot_key_is t i key =
   let pa = slot_pa t i in
-  let klen = Sky_mem.Phys_mem.read_u16 t.mem (pa + 2) in
-  Sky_mem.Phys_mem.read_bytes t.mem (pa + 8) klen
+  Sky_mem.Phys_mem.read_u16 t.mem (pa + 2) = Bytes.length key
+  && Sky_mem.Phys_mem.equal_bytes t.mem (pa + 8) key
 
 exception Table_full
 
-(* Linear probing from the hash slot. [f pa i] is applied to the first
-   slot matching [key] (or the first free slot when [for_insert]). *)
-let probe t cpu key ~for_insert =
-  let start = hash key in
-  let rec go n =
-    if n >= slot_count then if for_insert then raise Table_full else None
+(* Linear probing from the hash slot: the first slot matching [key]
+   (or the first free slot when [for_insert]), or -1. A toplevel loop,
+   so a probe allocates nothing. *)
+let rec probe_from t cpu key ~for_insert start n =
+  if n >= slot_count then if for_insert then raise Table_full else -1
+  else begin
+    let i = (start + n) mod slot_count in
+    let pa = slot_pa t i in
+    touch cpu pa 8;
+    if not (slot_used t i) then if for_insert then i else -1
     else begin
-      let i = (start + n) mod slot_count in
-      let pa = slot_pa t i in
-      touch cpu pa 8;
-      if not (slot_used t i) then if for_insert then Some i else None
-      else begin
-        touch cpu (pa + 8) (Bytes.length key);
-        if Bytes.equal (slot_key t i) key then Some i else go (n + 1)
-      end
+      touch cpu (pa + 8) (Bytes.length key);
+      if slot_key_is t i key then i
+      else probe_from t cpu key ~for_insert start (n + 1)
     end
-  in
-  go 0
+  end
+
+let probe t cpu key ~for_insert = probe_from t cpu key ~for_insert (hash key) 0
 
 let insert t cpu ~key ~value =
   if Bytes.length key > max_kv || Bytes.length value > max_kv then
@@ -65,8 +68,8 @@ let insert t cpu ~key ~value =
   (* record packing / checksum work *)
   Sky_sim.Cpu.charge cpu (2 * (Bytes.length key + Bytes.length value));
   match probe t cpu key ~for_insert:true with
-  | None -> raise Table_full
-  | Some i ->
+  | -1 -> raise Table_full
+  | i ->
     let pa = slot_pa t i in
     if not (slot_used t i) then t.entries <- t.entries + 1;
     Sky_mem.Phys_mem.write_u16 t.mem pa 1;
@@ -80,8 +83,8 @@ let insert t cpu ~key ~value =
 let query t cpu ~key =
   Sky_sim.Cpu.charge cpu (2 * Bytes.length key);
   match probe t cpu key ~for_insert:false with
-  | None -> None
-  | Some i ->
+  | -1 -> None
+  | i ->
     let pa = slot_pa t i in
     let vlen = Sky_mem.Phys_mem.read_u16 t.mem (pa + 4) in
     touch cpu (pa + 8 + max_kv) vlen;

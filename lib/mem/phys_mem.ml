@@ -96,36 +96,55 @@ let write_u64 t pa v =
   let b = get_frame t (frame_of_addr pa) in
   Bytes.set_int64_le b (pa land (frame_size - 1)) v
 
+(* Frame-by-frame copies, as toplevel loops: a packet or value copy
+   allocates nothing but its destination. *)
+let rec read_frames t pa dst off remaining =
+  if remaining > 0 then begin
+    let b = get_frame t (frame_of_addr pa) in
+    let in_frame = pa land (frame_size - 1) in
+    let n = min remaining (frame_size - in_frame) in
+    Bytes.blit b in_frame dst off n;
+    read_frames t (pa + n) dst (off + n) (remaining - n)
+  end
+
 let blit_to t ~src_pa ~dst ~dst_off ~len =
   check_range t src_pa len;
-  let rec go pa off remaining =
-    if remaining > 0 then begin
-      let b = get_frame t (frame_of_addr pa) in
-      let in_frame = pa land (frame_size - 1) in
-      let n = min remaining (frame_size - in_frame) in
-      Bytes.blit b in_frame dst off n;
-      go (pa + n) (off + n) (remaining - n)
-    end
-  in
-  go src_pa dst_off len
+  read_frames t src_pa dst dst_off len
+
+let rec write_frames t src off pa remaining =
+  if remaining > 0 then begin
+    let b = get_frame t (frame_of_addr pa) in
+    let in_frame = pa land (frame_size - 1) in
+    let n = min remaining (frame_size - in_frame) in
+    Bytes.blit src off b in_frame n;
+    write_frames t src (off + n) (pa + n) (remaining - n)
+  end
 
 let blit_from t ~src ~src_off ~dst_pa ~len =
   check_range t dst_pa len;
-  let rec go pa off remaining =
-    if remaining > 0 then begin
-      let b = get_frame t (frame_of_addr pa) in
-      let in_frame = pa land (frame_size - 1) in
-      let n = min remaining (frame_size - in_frame) in
-      Bytes.blit src off b in_frame n;
-      go (pa + n) (off + n) (remaining - n)
-    end
-  in
-  go dst_pa src_off len
+  write_frames t src src_off dst_pa len
 
 let read_bytes t pa len =
   let dst = Bytes.create len in
   blit_to t ~src_pa:pa ~dst ~dst_off:0 ~len;
   dst
+
+(* A toplevel loop, frame by frame: comparing allocates nothing. *)
+let rec equal_from t pa b off =
+  off >= Bytes.length b
+  ||
+  let frame = get_frame t (frame_of_addr pa) in
+  let in_frame = pa land (frame_size - 1) in
+  let n = min (Bytes.length b - off) (frame_size - in_frame) in
+  let i = ref 0 in
+  while !i < n && Bytes.unsafe_get frame (in_frame + !i) = Bytes.unsafe_get b (off + !i) do
+    incr i
+  done;
+  !i = n && equal_from t (pa + n) b (off + n)
+
+let equal_bytes t pa b =
+  check_range t pa (Bytes.length b);
+  equal_from t pa b 0
 
 let write_bytes t pa src =
   blit_from t ~src ~src_off:0 ~dst_pa:pa ~len:(Bytes.length src)

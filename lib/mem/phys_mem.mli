@@ -60,6 +60,11 @@ val read_bytes : t -> int -> int -> bytes
 
 val write_bytes : t -> int -> bytes -> unit
 
+val equal_bytes : t -> int -> bytes -> bool
+(** [equal_bytes mem pa b] compares the [Bytes.length b] bytes at [pa]
+    with [b] in place — {!read_bytes} then [Bytes.equal], without the
+    copy. May span frame boundaries. *)
+
 val blit_to : t -> src_pa:int -> dst:bytes -> dst_off:int -> len:int -> unit
 val blit_from : t -> src:bytes -> src_off:int -> dst_pa:int -> len:int -> unit
 

@@ -233,15 +233,16 @@ let unregister t ~core ~uri =
     (Retry.call ~stats:t.rstats t.sb ~core ~client:t.admin ~server_id:t.ns_sid
        (enc_unregister scheme))
 
-let resolve t ~core ~client uri =
+(* The server id for [uri], negative when the name service has none. *)
+let resolve_sid t ~core ~client uri =
   let scheme = Uri.service uri in
   let cache = t.cache.(core) in
-  match Hashtbl.find_opt cache scheme with
-  | Some (sid, e) when e = t.epoch ->
+  match Hashtbl.find cache scheme with
+  | sid, e when e = t.epoch ->
     t.cache_hits <- t.cache_hits + 1;
     Cpu.charge (Kernel.cpu t.kernel ~core) cache_hit_cycles;
-    if sid < 0 then None else Some sid
-  | _ ->
+    sid
+  | _ | (exception Not_found) ->
     t.resolves <- t.resolves + 1;
     let reply =
       Retry.call ~stats:t.rstats t.sb ~core ~client ~server_id:t.ns_sid
@@ -249,7 +250,11 @@ let resolve t ~core ~client uri =
     in
     let sid = Int32.to_int (Bytes.get_int32_le reply 0) in
     Hashtbl.replace cache scheme (sid, t.epoch);
-    if sid < 0 then None else Some sid
+    sid
+
+let resolve t ~core ~client uri =
+  let sid = resolve_sid t ~core ~client uri in
+  if sid < 0 then None else Some sid
 
 let server_of_uri t uri = Hashtbl.find_opt t.table (Uri.service uri)
 
@@ -337,9 +342,9 @@ let resume_client t client =
 
 let call t ~core ~client ?on_crash ?timeout uri msg =
   let pid = client.Proc.pid in
-  match resolve t ~core ~client uri with
-  | None -> Error (`Unresolved uri)
-  | Some sid -> (
+  let sid = resolve_sid t ~core ~client uri in
+  if sid < 0 then Error (`Unresolved uri)
+  else (
     Cpu.charge (Kernel.cpu t.kernel ~core) cap_check_cycles;
     if not (covered t ~pid ~sid) then begin
       t.denials <- t.denials + 1;

@@ -266,6 +266,7 @@ let create ?(preload = []) ?(file_cache = true) ?(admission = no_admission)
 
 let served t = t.served
 let bad_requests t = t.bad_requests
+let dropped_packets t = Socket.dropped t.socks
 let restarts t = Array.fold_left (fun a w -> a + w.w_restarts) 0 t.workers
 let hangs t = Array.fold_left (fun a w -> a + w.w_hangs) 0 t.workers
 let denials t = Array.fold_left (fun a w -> a + w.w_denied) 0 t.workers
@@ -365,88 +366,105 @@ let dispatch t w kv_replies pr =
         Http.ok data
       | None -> Http.not_found))
 
+(* Charge and parse each request of a batch, in order; a malformed one
+   is kept (as [None]) to be answered 400 in its turn. *)
+let rec parse_all t cpu = function
+  | [] -> []
+  | r :: rest ->
+    Cpu.charge cpu (parse_base + (parse_per_byte * Bytes.length r.rq_payload));
+    let parsed =
+      match Http.parse_request r.rq_payload with
+      | pr -> (r, Some pr)
+      | exception Http.Bad_request _ ->
+        t.bad_requests <- t.bad_requests + 1;
+        (r, None)
+    in
+    parsed :: parse_all t cpu rest
+
+(* Answer each parsed request in pop order: a response, a bounce on
+   [Denied], or a 503 on [Expired]. *)
+let rec reply_all t w kv_replies = function
+  | [] -> ()
+  | (r, pr) :: rest ->
+    let core = w.w_core in
+    t.deadlines.(core) <- r.rq_deadline;
+    (match
+       match pr with
+       | None -> Http.bad_request
+       | Some pr -> dispatch t w kv_replies pr
+     with
+    | response ->
+      t.deadlines.(core) <- None;
+      respond t ~core r.rq_conn response;
+      w.w_served <- w.w_served + 1;
+      t.served <- t.served + 1
+    | exception Denied ->
+      t.deadlines.(core) <- None;
+      deny t w r
+    | exception Expired ->
+      t.deadlines.(core) <- None;
+      shed_reply t ~core ~counter:`Expired r);
+    reply_all t w kv_replies rest
+
 (* Serve a drained batch (singleton in the un-batched default). The
    crash point is before any reply, so a [Worker_crashed] escaping here
    parks the whole batch; everything after replies request by request,
    in pop order — per-connection response ordering is preserved. *)
-let handle_batch t w reqs =
+let serve_batch t w reqs =
   let core = w.w_core in
   let cpu = Kernel.cpu t.kernel ~core in
-  Sky_trace.Trace.span ~core ~cat:"web" "web.serve" (fun () ->
-      (* The crash point: mid-request, after the packet left the ring. *)
-      check_fault t w;
-      Memsys.touch_range_state_only cpu Memsys.Insn ~pa:w.w_text_pa ~len:worker_text;
-      let parsed =
-        List.map
-          (fun r ->
-            Cpu.charge cpu (parse_base + (parse_per_byte * Bytes.length r.rq_payload));
-            match Http.parse_request r.rq_payload with
-            | pr -> (r, Some pr)
-            | exception Http.Bad_request _ ->
-              t.bad_requests <- t.bad_requests + 1;
-              (r, None))
-          reqs
-      in
-      (* Batched worker→backend hop: every KV operation of the batch in
-         one crossing, under the tightest member deadline. A [Denied] or
-         [Expired] from the batched call falls back to the individual
-         path so each request gets its own terminal outcome. *)
-      let kv_replies =
-        match w.w_binding.kv_batch with
-        | Some batch when List.length parsed > 1 -> (
-          let ops =
-            List.filter_map
-              (fun (_, pr) ->
-                match pr with
-                | Some (Http.Kv_put (key, value)) -> Some (Op_put (key, value))
-                | Some (Http.Kv_get key) -> Some (Op_get key)
-                | Some (Http.Fs_get _) | None -> None)
-              parsed
-          in
-          if List.length ops < 2 then None
-          else begin
-            t.deadlines.(core) <-
-              List.fold_left
-                (fun acc (r, _) ->
-                  match (r.rq_deadline, acc) with
-                  | None, a -> a
-                  | Some d, None -> Some d
-                  | Some d, Some a -> Some (Int.min d a))
-                None parsed;
-            match batch ~core ops with
-            | replies ->
-              t.deadlines.(core) <- None;
-              t.batches <- t.batches + 1;
-              t.batched_ops <- t.batched_ops + List.length ops;
-              let q = Queue.create () in
-              List.iter (fun rep -> Queue.add rep q) replies;
-              Some q
-            | exception (Denied | Expired) ->
-              t.deadlines.(core) <- None;
-              None
-          end)
-        | _ -> None
-      in
-      List.iter
-        (fun (r, pr) ->
-          t.deadlines.(core) <- r.rq_deadline;
-          match
+  (* The crash point: mid-request, after the packet left the ring. *)
+  check_fault t w;
+  Memsys.touch_range_state_only cpu Memsys.Insn ~pa:w.w_text_pa ~len:worker_text;
+  let parsed = parse_all t cpu reqs in
+  (* Batched worker→backend hop: every KV operation of the batch in
+     one crossing, under the tightest member deadline. A [Denied] or
+     [Expired] from the batched call falls back to the individual
+     path so each request gets its own terminal outcome. *)
+  let kv_replies =
+    match w.w_binding.kv_batch with
+    | Some batch when List.length parsed > 1 -> (
+      let ops =
+        List.filter_map
+          (fun (_, pr) ->
             match pr with
-            | None -> Http.bad_request
-            | Some pr -> dispatch t w kv_replies pr
-          with
-          | response ->
-            t.deadlines.(core) <- None;
-            respond t ~core r.rq_conn response;
-            w.w_served <- w.w_served + 1;
-            t.served <- t.served + 1
-          | exception Denied ->
-            t.deadlines.(core) <- None;
-            deny t w r
-          | exception Expired ->
-            t.deadlines.(core) <- None;
-            shed_reply t ~core ~counter:`Expired r)
-        parsed)
+            | Some (Http.Kv_put (key, value)) -> Some (Op_put (key, value))
+            | Some (Http.Kv_get key) -> Some (Op_get key)
+            | Some (Http.Fs_get _) | None -> None)
+          parsed
+      in
+      if List.length ops < 2 then None
+      else begin
+        t.deadlines.(core) <-
+          List.fold_left
+            (fun acc (r, _) ->
+              match (r.rq_deadline, acc) with
+              | None, a -> a
+              | Some d, None -> Some d
+              | Some d, Some a -> Some (Int.min d a))
+            None parsed;
+        match batch ~core ops with
+        | replies ->
+          t.deadlines.(core) <- None;
+          t.batches <- t.batches + 1;
+          t.batched_ops <- t.batched_ops + List.length ops;
+          let q = Queue.create () in
+          List.iter (fun rep -> Queue.add rep q) replies;
+          Some q
+        | exception (Denied | Expired) ->
+          t.deadlines.(core) <- None;
+          None
+      end)
+    | _ -> None
+  in
+  reply_all t w kv_replies parsed
+
+(* The span closure is built only when tracing is on. *)
+let handle_batch t w reqs =
+  if Sky_trace.Trace.is_enabled () then
+    Sky_trace.Trace.span ~core:w.w_core ~cat:"web" "web.serve" (fun () ->
+        serve_batch t w reqs)
+  else serve_batch t w reqs
 
 (* Crash bookkeeping: park the in-flight requests, revoke the worker's
    bindings (they are re-established on restart — the PR 3 revoke/rebind
@@ -510,19 +528,18 @@ let next_wire_event t =
 
 (* Serve a batch of popped (or replayed) requests: expired members are
    shed up front, a crash parks whatever was not yet replied. *)
+let rec live_members t w now = function
+  | [] -> []
+  | r :: rest -> (
+    match r.rq_deadline with
+    | Some d when now > d ->
+      shed_reply t ~core:w.w_core ~counter:`Expired r;
+      live_members t w now rest
+    | _ -> r :: live_members t w now rest)
+
 let serve t w reqs =
-  let cpu = Kernel.cpu t.kernel ~core:w.w_core in
-  let now = Cpu.cycles cpu in
-  let live =
-    List.filter
-      (fun r ->
-        match r.rq_deadline with
-        | Some d when now > d ->
-          shed_reply t ~core:w.w_core ~counter:`Expired r;
-          false
-        | _ -> true)
-      reqs
-  in
+  let now = Cpu.cycles (Kernel.cpu t.kernel ~core:w.w_core) in
+  let live = live_members t w now reqs in
   if live = [] then Machine.Progress
   else
     match handle_batch t w live with
@@ -532,6 +549,15 @@ let serve t w reqs =
       Machine.Progress
 
 (* ---- the per-core event loop, one quantum per call ---- *)
+
+(* The rest of a batch: up to [a_batch_max - n] more pops, in pop
+   order. *)
+let rec pop_more t ~core n =
+  if n >= t.admission.a_batch_max then []
+  else
+    match Endpoint.pop t.ep ~core ~recv:core with
+    | Some r -> r :: pop_more t ~core (n + 1)
+    | None -> []
 
 let step t ~core =
   let w = t.workers.(core) in
@@ -606,10 +632,11 @@ let step t ~core =
         (* Route first, serve second: RSS only places packets in rings;
            the endpoint decides which worker serves. *)
         match
-          if has_queue then Socket.service t.socks ~queue:core ~core else None
+          if has_queue then Socket.service t.socks ~queue:core ~core
+          else Socket.Nothing
         with
-        | Some (Socket.Accepted _) -> Machine.Progress
-        | Some (Socket.Request (conn, payload)) ->
+        | Socket.Accepted _ -> Machine.Progress
+        | Socket.Request (conn, payload) ->
           (* Admission: stamp the deadline from the carried TTL (or the
              configured default) and bounce off a full target queue with
              a 503 before the request costs anything downstream. *)
@@ -627,7 +654,7 @@ let step t ~core =
             shed_reply t ~core ~counter:`Queue r;
             Machine.Progress
           end
-        | None -> (
+        | Socket.Nothing -> (
           if Cpu.cycles cpu < w.w_backoff then
             (* Just bounced a denied request: stay off the endpoint so
                the privileged peer drains it instead of us re-stealing. *)
@@ -638,14 +665,7 @@ let step t ~core =
               (* Drain up to [a_batch_max] requests for one quantum —
                  deep queues amortize the backend crossing, an empty
                  queue degenerates to the classic one-at-a-time loop. *)
-              let rec more acc n =
-                if n >= t.admission.a_batch_max then List.rev acc
-                else
-                  match Endpoint.pop t.ep ~core ~recv:core with
-                  | Some r2 -> more (r2 :: acc) (n + 1)
-                  | None -> List.rev acc
-              in
-              serve t w (r :: more [] 1)
+              serve t w (r :: pop_more t ~core 1)
             | None ->
               (* Ring and endpoint drained: back to recv. *)
               Scheduler.block w.w_sched cpu w.w_thread;

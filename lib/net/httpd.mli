@@ -128,6 +128,11 @@ val advance : t -> session -> until:int -> [ `Paused | `Done ]
 
 val served : t -> int
 val bad_requests : t -> int
+
+val dropped_packets : t -> int
+(** Out-of-sequence packets the socket layer dropped (strays and
+    duplicates): hostile wire input, counted, never fatal. *)
+
 val restarts : t -> int
 val hangs : t -> int
 

@@ -38,7 +38,9 @@ type flow_state = {
   mutable f_done : int;
   mutable f_sent_at : int;
   mutable f_expect : expect;
-  mutable f_puts : (string * bytes) list;  (** keys this flow stored *)
+  mutable f_keys : string array;  (** keys this flow stored, oldest first *)
+  mutable f_values : bytes array;  (** their values, parallel to [f_keys] *)
+  mutable f_stored : int;  (** live prefix of [f_keys] / [f_values] *)
 }
 
 type t = {
@@ -76,7 +78,9 @@ let create nic ~seed ~mix ~conns ~requests_per_conn ~rtt ~files =
           f_done = 0;
           f_sent_at = 0;
           f_expect = Stored;
-          f_puts = [];
+          f_keys = [||];
+          f_values = [||];
+          f_stored = 0;
         })
       flow_ids
   in
@@ -95,31 +99,41 @@ let create nic ~seed ~mix ~conns ~requests_per_conn ~rtt ~files =
     errors = 0;
   }
 
+(* A PUT of the flow's next key, appended to its store (capacity
+   doubles, so a request copies no list). *)
+let put f =
+  let i = f.f_stored in
+  let key = Dec.tag "f" f.f_flow "-k" i "" in
+  let value = value_bytes f.f_rng f.f_flow f.f_sent in
+  if i = Array.length f.f_keys then begin
+    let cap = Int.max 4 (2 * i) in
+    f.f_keys <- Array.append f.f_keys (Array.make (cap - i) "");
+    f.f_values <- Array.append f.f_values (Array.make (cap - i) Bytes.empty)
+  end;
+  f.f_keys.(i) <- key;
+  f.f_values.(i) <- value;
+  f.f_stored <- i + 1;
+  f.f_expect <- Stored;
+  Http.Kv_put (key, value)
+
 (* Build connection [f]'s next request. The first request is always a
    PUT (seeding the keyspace this connection will read back); after that
    the mix weights decide, with GET falling back to PUT until the flow
-   has stored something. *)
+   has stored something. A GET draws a position in the newest-first
+   list of stored keys. *)
 let next_request t f =
-  let n = f.f_sent in
-  let put () =
-    let key = Printf.sprintf "f%d-k%d" f.f_flow (List.length f.f_puts) in
-    let value = value_bytes f.f_rng f.f_flow n in
-    f.f_puts <- (key, value) :: f.f_puts;
-    f.f_expect <- Stored;
-    Http.Kv_put (key, value)
-  in
-  if n = 0 then put ()
+  if f.f_sent = 0 then put f
   else begin
     let { m_kv_get; m_kv_put; m_fs_get } = t.mix in
     let total = m_kv_get + m_kv_put + m_fs_get in
     let roll = Rng.int f.f_rng total in
-    if roll < m_kv_get && f.f_puts <> [] then begin
-      let key, value = List.nth f.f_puts (Rng.int f.f_rng (List.length f.f_puts)) in
-      f.f_expect <- Value value;
-      Http.Kv_get key
+    if roll < m_kv_get && f.f_stored > 0 then begin
+      let i = f.f_stored - 1 - Rng.int f.f_rng f.f_stored in
+      f.f_expect <- Value f.f_values.(i);
+      Http.Kv_get f.f_keys.(i)
     end
-    else if roll < m_kv_get + m_kv_put || f.f_puts = [] || Array.length t.files = 0
-    then put ()
+    else if roll < m_kv_get + m_kv_put || f.f_stored = 0 || Array.length t.files = 0
+    then put f
     else begin
       let name, data = t.files.(Rng.int f.f_rng (Array.length t.files)) in
       f.f_expect <- File data;
@@ -140,9 +154,9 @@ let validate t f (resp : Http.response) =
 (* TX-completion hook: account the response, then keep the loop closed by
    scheduling the connection's next request one RTT out. *)
 let on_response t (pkt : Nic.pkt) =
-  match Hashtbl.find_opt t.by_flow pkt.Nic.flow with
-  | None -> t.errors <- t.errors + 1
-  | Some f ->
+  match Hashtbl.find t.by_flow pkt.Nic.flow with
+  | exception Not_found -> t.errors <- t.errors + 1
+  | f ->
     (match Http.parse_response pkt.Nic.payload with
     | resp -> validate t f resp
     | exception Http.Bad_request _ -> t.errors <- t.errors + 1);

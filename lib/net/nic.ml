@@ -115,13 +115,6 @@ let write_desc mem r slot ~flow ~seq ~len =
   Sky_mem.Phys_mem.write_u32 mem (pa + 4) seq;
   Sky_mem.Phys_mem.write_u16 mem (pa + 8) len
 
-let read_desc mem r slot =
-  let pa = r.desc_pa + (slot * desc_bytes) in
-  let flow = Sky_mem.Phys_mem.read_u32 mem pa in
-  let seq = Sky_mem.Phys_mem.read_u32 mem (pa + 4) in
-  let len = Sky_mem.Phys_mem.read_u16 mem (pa + 8) in
-  (flow, seq, len)
-
 let charge_desc cpu r slot =
   Memsys.touch_range cpu Memsys.Data ~pa:(r.desc_pa + (slot * desc_bytes))
     ~len:desc_bytes
@@ -161,23 +154,27 @@ let deliver t ~flow ~seq ~payload ~at =
 
 (* ---- driver side ---- *)
 
-let rx t ~queue ~core =
+let take t ~queue ~core =
   let q = t.queues.(queue) in
   let r = q.rx in
-  if ring_level r = 0 then None
-  else begin
-    let cpu = Kernel.cpu t.kernel ~core in
-    let slot = r.head mod ring_entries in
-    charge_desc cpu r slot;
-    let mem = Kernel.mem t.kernel in
-    let flow, seq, len = read_desc mem r slot in
-    (* The packet exists on the wire only from its delivery time. *)
-    Cpu.advance_to cpu r.deliver_at.(slot);
-    charge_payload cpu r slot len;
-    let payload = Sky_mem.Phys_mem.read_bytes mem (r.buf_pa + (slot * buf_slot)) len in
-    r.head <- r.head + 1;
-    Some { flow; seq; payload; deliver_at = r.deliver_at.(slot) }
-  end
+  if ring_level r = 0 then invalid_arg "Nic.take: empty RX ring";
+  let cpu = Kernel.cpu t.kernel ~core in
+  let slot = r.head mod ring_entries in
+  charge_desc cpu r slot;
+  let mem = Kernel.mem t.kernel in
+  let pa = r.desc_pa + (slot * desc_bytes) in
+  let flow = Sky_mem.Phys_mem.read_u32 mem pa in
+  let seq = Sky_mem.Phys_mem.read_u32 mem (pa + 4) in
+  let len = Sky_mem.Phys_mem.read_u16 mem (pa + 8) in
+  (* The packet exists on the wire only from its delivery time. *)
+  Cpu.advance_to cpu r.deliver_at.(slot);
+  charge_payload cpu r slot len;
+  let payload = Sky_mem.Phys_mem.read_bytes mem (r.buf_pa + (slot * buf_slot)) len in
+  r.head <- r.head + 1;
+  { flow; seq; payload; deliver_at = r.deliver_at.(slot) }
+
+let rx t ~queue ~core =
+  if rx_level t ~queue = 0 then None else Some (take t ~queue ~core)
 
 let next_deliver_at t ~queue =
   let r = t.queues.(queue).rx in

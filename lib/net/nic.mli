@@ -47,6 +47,11 @@ val rx : t -> queue:int -> core:int -> pkt option
     through [core]'s caches and advancing the core to the packet's
     delivery time. [None] when the ring is empty. *)
 
+val take : t -> queue:int -> core:int -> pkt
+(** {!rx} on a ring the caller knows is not empty ({!rx_level}), with
+    no option around the packet. Raises [Invalid_argument] on an empty
+    ring. *)
+
 val next_deliver_at : t -> queue:int -> int option
 (** Wire timestamp of the head RX packet, if any — what an idle worker
     reports to the interleaved run loop as its next-event time. *)

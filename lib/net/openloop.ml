@@ -45,8 +45,9 @@ type tenant = {
   mutable tn_seq : int;  (** next packet seq on the current connection *)
   mutable tn_conn_left : int;  (** requests before the connection churns *)
   mutable tn_writes : int;  (** write-only key counter *)
-  mutable tn_outstanding : (Workload.expect * int) option;
-      (** in-flight request: expectation and arrival timestamp *)
+  mutable tn_busy : bool;  (** a request is in flight *)
+  mutable tn_expect : Workload.expect;  (** what the in-flight one must produce *)
+  mutable tn_arrival : int;  (** its arrival timestamp *)
   tn_backlog : int Queue.t;  (** arrival timestamps awaiting injection *)
 }
 
@@ -98,7 +99,9 @@ let create nic ~seed ~mix ~tenants:ntenants ~requests_per_conn ~mean_gap
           tn_seq = 0;
           tn_conn_left = requests_per_conn;
           tn_writes = 0;
-          tn_outstanding = None;
+          tn_busy = false;
+          tn_expect = Workload.Stored;
+          tn_arrival = 0;
           tn_backlog = Queue.create ();
         })
       flow_ids
@@ -150,26 +153,30 @@ let fresh_flow t ~queue =
   Hashtbl.replace t.used !f ();
   !f
 
-(* Next request of [tn]: GETs read only provisioned keys, PUTs write
-   only keys no GET ever asks for — load shedding can drop any subset of
-   requests without ever faking a corruption. *)
+(* Next request of [tn], its expectation left in [tn_expect]: GETs
+   read only provisioned keys, PUTs write only keys no GET ever asks
+   for — load shedding can drop any subset of requests without ever
+   faking a corruption. *)
 let next_request t tn =
   let { Workload.m_kv_get; m_kv_put; m_fs_get } = t.mix in
   let total = m_kv_get + m_kv_put + m_fs_get in
   let roll = Rng.int tn.tn_rng total in
   if roll < m_kv_get && Array.length tn.tn_keys > 0 then begin
     let key, value = tn.tn_keys.(Rng.int tn.tn_rng (Array.length tn.tn_keys)) in
-    (Http.Kv_get key, Workload.Value value)
+    tn.tn_expect <- Workload.Value value;
+    Http.Kv_get key
   end
   else if roll < m_kv_get + m_kv_put || Array.length t.files = 0 then begin
     let n = tn.tn_writes in
     tn.tn_writes <- n + 1;
-    let key = Printf.sprintf "t%d-w%d" tn.tn_id n in
-    (Http.Kv_put (key, Workload.value_bytes tn.tn_rng tn.tn_id n), Workload.Stored)
+    let key = Dec.tag "t" tn.tn_id "-w" n "" in
+    tn.tn_expect <- Workload.Stored;
+    Http.Kv_put (key, Workload.value_bytes tn.tn_rng tn.tn_id n)
   end
   else begin
     let name, data = t.files.(Rng.int tn.tn_rng (Array.length t.files)) in
-    (Http.Fs_get name, Workload.File data)
+    tn.tn_expect <- Workload.File data;
+    Http.Fs_get name
   end
 
 let rec inject t tn ~arrival ~at =
@@ -183,8 +190,7 @@ let rec inject t tn ~arrival ~at =
     t.churns <- t.churns + 1;
     Hashtbl.replace t.by_flow tn.tn_flow tn
   end;
-  let req, expect = next_request t tn in
-  let payload = Http.serialize_request req in
+  let payload = Http.serialize_request (next_request t tn) in
   let payload =
     match t.ttl with Some n -> Http.with_ttl ~ttl:n payload | None -> payload
   in
@@ -200,7 +206,8 @@ let rec inject t tn ~arrival ~at =
   else begin
     tn.tn_seq <- tn.tn_seq + 1;
     tn.tn_conn_left <- tn.tn_conn_left - 1;
-    tn.tn_outstanding <- Some (expect, arrival)
+    tn.tn_busy <- true;
+    tn.tn_arrival <- arrival
   end
 
 and pump t tn ~at =
@@ -211,26 +218,26 @@ and pump t tn ~at =
 (* TX-completion hook: classify the response against what the in-flight
    request should produce, then feed the tenant's next queued arrival. *)
 let on_response t (pkt : Nic.pkt) =
-  match Hashtbl.find_opt t.by_flow pkt.Nic.flow with
-  | None -> t.corrupt <- t.corrupt + 1
-  | Some tn -> (
-    match tn.tn_outstanding with
-    | None -> t.corrupt <- t.corrupt + 1
-    | Some (expect, arrival) ->
-      tn.tn_outstanding <- None;
+  match Hashtbl.find t.by_flow pkt.Nic.flow with
+  | exception Not_found -> t.corrupt <- t.corrupt + 1
+  | tn ->
+    if not tn.tn_busy then t.corrupt <- t.corrupt + 1
+    else begin
+      tn.tn_busy <- false;
       t.responses <- t.responses + 1;
       t.remaining.(tn.tn_queue) <- t.remaining.(tn.tn_queue) - 1;
       (match Http.parse_response pkt.Nic.payload with
       | resp -> (
-        match Workload.classify expect resp with
+        match Workload.classify tn.tn_expect resp with
         | Workload.Good ->
           t.ok <- t.ok + 1;
-          Sky_trace.Histogram.add t.hist (pkt.Nic.deliver_at - arrival)
+          Sky_trace.Histogram.add t.hist (pkt.Nic.deliver_at - tn.tn_arrival)
         | Workload.Shed -> t.shed <- t.shed + 1
         | Workload.Unservable -> t.unservable <- t.unservable + 1
         | Workload.Corrupt -> t.corrupt <- t.corrupt + 1)
       | exception Http.Bad_request _ -> t.corrupt <- t.corrupt + 1);
-      pump t tn ~at:(pkt.Nic.deliver_at + t.rtt))
+      pump t tn ~at:(pkt.Nic.deliver_at + t.rtt)
+    end
 
 (* Fire one arrival of the global Poisson process: route it to a
    uniformly random tenant (inject now if the tenant is idle, else queue
@@ -240,7 +247,7 @@ let fire t =
   t.offered <- t.offered + 1;
   let tn = t.tenants.(Rng.int t.arrival_rng (Array.length t.tenants)) in
   t.remaining.(tn.tn_queue) <- t.remaining.(tn.tn_queue) + 1;
-  if tn.tn_outstanding = None && Queue.is_empty tn.tn_backlog then
+  if (not tn.tn_busy) && Queue.is_empty tn.tn_backlog then
     inject t tn ~arrival:at ~at
   else Queue.add at tn.tn_backlog;
   let u = Rng.float t.arrival_rng in

@@ -6,7 +6,8 @@
     [`Accept], charging the three-way-handshake bookkeeping, then the
     request itself. Packets carry whole requests (the load generator
     never fragments), so there is no reassembly — but ordering is
-    enforced: a flow's packets are consumed in sequence order. *)
+    enforced: a flow's packets are consumed in sequence order, and a
+    packet out of sequence is dropped. *)
 
 open Sky_ukernel
 
@@ -21,58 +22,79 @@ type conn = {
   mutable requests : int;
 }
 
+type event =
+  | Nothing
+  | Accepted of conn
+  | Request of conn * bytes
+
 type t = {
   kernel : Kernel.t;
   nic : Nic.t;
   conns : (int, conn) Hashtbl.t;  (** flow id -> connection *)
-  staged : (int, conn * bytes) Hashtbl.t;
-      (** per-queue request embedded in a just-accepted SYN *)
+  staged : event array;
+      (** per queue: the request embedded in a just-accepted SYN, or
+          [Nothing] *)
   mutable accepts : int;
+  mutable dropped : int;  (** stray and duplicate packets dropped *)
 }
 
-type event =
-  | Accepted of conn
-  | Request of conn * bytes
-
-exception Out_of_order of { flow : int; got : int; expected : int }
-
 let create kernel nic =
-  { kernel; nic; conns = Hashtbl.create 64; staged = Hashtbl.create 8; accepts = 0 }
+  {
+    kernel;
+    nic;
+    conns = Hashtbl.create 64;
+    staged = Array.make (Nic.n_queues nic) Nothing;
+    accepts = 0;
+    dropped = 0;
+  }
 
 let conn_count t = Hashtbl.length t.conns
 let accepts t = t.accepts
+let dropped t = t.dropped
 
 (* Pop the next RX packet of [queue] and demultiplex it. The [Accepted]
    event precedes the embedded first request: callers get two events for
-   a SYN-carrying packet, so the request half is staged per queue. *)
-let service t ~queue ~core =
-  match Hashtbl.find_opt t.staged queue with
-  | Some (c, payload) ->
-    Hashtbl.remove t.staged queue;
-    Some (Request (c, payload))
-  | None -> (
-    match Nic.rx t.nic ~queue ~core with
-    | None -> None
-    | Some pkt ->
+   a SYN-carrying packet, so the request half is staged per queue. A
+   packet out of sequence — a new flow's first packet with a nonzero
+   [seq], or an established flow's packet with the wrong one (a stray or
+   a duplicate) — is dropped and counted, and the next packet is
+   serviced instead: hostile wire input never stops the server. *)
+let rec service t ~queue ~core =
+  match t.staged.(queue) with
+  | Request _ as staged ->
+    t.staged.(queue) <- Nothing;
+    staged
+  | Nothing | Accepted _ ->
+    if Nic.rx_level t.nic ~queue = 0 then Nothing
+    else begin
+      let pkt = Nic.take t.nic ~queue ~core in
       Kernel.user_compute t.kernel ~core ~cycles:demux_cost;
-      (match Hashtbl.find_opt t.conns pkt.Nic.flow with
-      | None ->
-        if pkt.Nic.seq <> 0 then
-          raise (Out_of_order { flow = pkt.Nic.flow; got = pkt.Nic.seq; expected = 0 });
-        let c = { flow = pkt.Nic.flow; queue; rx_seq = 1; tx_seq = 0; requests = 0 } in
-        Hashtbl.add t.conns pkt.Nic.flow c;
-        t.accepts <- t.accepts + 1;
-        Kernel.user_compute t.kernel ~core ~cycles:accept_cost;
-        (* The SYN carries the first request: deliver it on the next
-           service pass. *)
-        if Bytes.length pkt.Nic.payload > 0 then
-          Hashtbl.replace t.staged queue (c, pkt.Nic.payload);
-        Some (Accepted c)
-      | Some c ->
-        if pkt.Nic.seq <> c.rx_seq then
-          raise (Out_of_order { flow = pkt.Nic.flow; got = pkt.Nic.seq; expected = c.rx_seq });
-        c.rx_seq <- c.rx_seq + 1;
-        Some (Request (c, pkt.Nic.payload))))
+      match Hashtbl.find t.conns pkt.Nic.flow with
+      | exception Not_found ->
+        if pkt.Nic.seq <> 0 then drop t ~queue ~core
+        else begin
+          let c = { flow = pkt.Nic.flow; queue; rx_seq = 1; tx_seq = 0; requests = 0 } in
+          Hashtbl.add t.conns pkt.Nic.flow c;
+          t.accepts <- t.accepts + 1;
+          Kernel.user_compute t.kernel ~core ~cycles:accept_cost;
+          (* The SYN carries the first request: deliver it on the next
+             service pass. *)
+          if Bytes.length pkt.Nic.payload > 0 then
+            t.staged.(queue) <- Request (c, pkt.Nic.payload);
+          Accepted c
+        end
+      | c ->
+        if pkt.Nic.seq <> c.rx_seq then drop t ~queue ~core
+        else begin
+          c.rx_seq <- c.rx_seq + 1;
+          Request (c, pkt.Nic.payload)
+        end
+    end
+
+and drop t ~queue ~core =
+  t.dropped <- t.dropped + 1;
+  Sky_trace.Trace.instant ~core ~cat:"web" "web.packet-dropped";
+  service t ~queue ~core
 
 let reply t c ~core payload =
   c.requests <- c.requests + 1;

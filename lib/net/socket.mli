@@ -13,18 +13,22 @@ type conn = {
 type t
 
 type event =
+  | Nothing  (** the ring is empty *)
   | Accepted of conn  (** new flow; its first request follows *)
   | Request of conn * bytes
 
-exception Out_of_order of { flow : int; got : int; expected : int }
-
 val create : Sky_ukernel.Kernel.t -> Nic.t -> t
 
-val service : t -> queue:int -> core:int -> event option
+val service : t -> queue:int -> core:int -> event
 (** Demultiplex the next RX packet of [queue] (charging flow-table and,
-    for new flows, accept costs on [core]); [None] when the ring is
+    for new flows, accept costs on [core]); [Nothing] when the ring is
     empty. A SYN packet yields [Accepted] now and its embedded request on
-    the next call. *)
+    the next call. A packet out of sequence (a new flow's first packet
+    with a nonzero [seq], or a stray or duplicate on an established
+    flow) is dropped, counted in {!dropped}, and the next one serviced. *)
+
+val dropped : t -> int
+(** Out-of-sequence packets dropped by {!service}. *)
 
 val reply : t -> conn -> core:int -> bytes -> unit
 (** Send one sequenced response packet back down the connection. *)

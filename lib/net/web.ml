@@ -67,20 +67,20 @@ type t = {
 (* ---- KV wire format (the store's own 'I'/'Q'/'B' protocol) ---- *)
 
 let kv_insert_msg ~key ~value =
-  let kb = Bytes.of_string key in
-  let b = Bytes.create (4 + Bytes.length kb + Bytes.length value) in
+  let k = String.length key in
+  let b = Bytes.create (4 + k + Bytes.length value) in
   Bytes.set b 0 'I';
-  Bytes.set_uint16_le b 2 (Bytes.length kb);
-  Bytes.blit kb 0 b 4 (Bytes.length kb);
-  Bytes.blit value 0 b (4 + Bytes.length kb) (Bytes.length value);
+  Bytes.set_uint16_le b 2 k;
+  Bytes.blit_string key 0 b 4 k;
+  Bytes.blit value 0 b (4 + k) (Bytes.length value);
   b
 
 let kv_query_msg ~key =
-  let kb = Bytes.of_string key in
-  let b = Bytes.create (4 + Bytes.length kb) in
+  let k = String.length key in
+  let b = Bytes.create (4 + k) in
   Bytes.set b 0 'Q';
-  Bytes.set_uint16_le b 2 (Bytes.length kb);
-  Bytes.blit kb 0 b 4 (Bytes.length kb);
+  Bytes.set_uint16_le b 2 k;
+  Bytes.blit_string key 0 b 4 k;
   b
 
 (* 'B': [count:u16] then per op 'I'[klen:u16][vlen:u16]key value or
@@ -216,7 +216,7 @@ let binding_of_calls ?(batch = false) ~call_kv ~call_fs ~revoke ~rebind () =
   {
     Httpd.kv_put =
       (fun ~core ~key ~value ->
-        Bytes.to_string (call_kv ~core (kv_insert_msg ~key ~value)) = "ok");
+        String.equal (Bytes.unsafe_to_string (call_kv ~core (kv_insert_msg ~key ~value))) "ok");
     kv_get =
       (fun ~core ~key ->
         let r = call_kv ~core (kv_query_msg ~key) in

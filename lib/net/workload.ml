@@ -24,18 +24,25 @@ type expect =
    the terminal denied-by-every-receiver outcome (403). *)
 type verdict = Good | Shed | Unservable | Corrupt
 
+(* ["v<flow>-<n>:"] then 32 printable pad bytes (so hexdumps stay
+   readable), one [Rng.int _ 256] draw per pad byte as [Rng.bytes]
+   draws them, written in place. *)
 let value_bytes rng flow n =
-  let tag = Printf.sprintf "v%d-%d:" flow n in
-  let pad = Rng.bytes rng 32 in
-  (* printable payload so hexdumps stay readable *)
-  Bytes.iteri
-    (fun i c -> Bytes.set pad i (Char.chr (97 + (Char.code c land 15))))
-    pad;
-  Bytes.cat (Bytes.of_string tag) pad
+  let head = Dec.length flow + Dec.length n + 3 in
+  let v = Bytes.create (head + 32) in
+  Bytes.set v 0 'v';
+  let off = Dec.blit flow v 1 in
+  Bytes.set v off '-';
+  Bytes.set v (Dec.blit n v (off + 1)) ':';
+  for i = head to head + 31 do
+    Bytes.set v i (Char.chr (97 + (Rng.int rng 256 land 15)))
+  done;
+  v
 
 let body_matches expect (resp : Http.response) =
   match expect with
-  | Stored -> resp.Http.status = 200 && Bytes.to_string resp.Http.body = "stored"
+  | Stored ->
+    resp.Http.status = 200 && String.equal (Bytes.unsafe_to_string resp.Http.body) "stored"
   | Value v -> resp.Http.status = 200 && Bytes.equal resp.Http.body v
   | File data -> resp.Http.status = 200 && Bytes.equal resp.Http.body data
 

@@ -18,6 +18,11 @@ val access_state_only : Cpu.t -> kind -> int -> unit
     cycles are not double-counted. *)
 
 val touch_range_state_only : Cpu.t -> kind -> pa:int -> len:int -> unit
+(** {!access_state_only} on every 64-byte line of [pa, pa+len). A run
+    of lines that is still resident in the L1 since its last touch hit
+    on every line is restamped in one pass ({!Cache.replay}) instead of
+    scanning a set per line; the resulting cache state and counters are
+    identical. *)
 
 val access_uncached : Cpu.t -> unit
 (** A DRAM access that bypasses the hierarchy (device memory). *)

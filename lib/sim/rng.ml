@@ -4,19 +4,30 @@
     synthetic binary corpus) flows through explicitly seeded generators so
     every experiment is reproducible run-to-run. *)
 
-type t = { mutable state : int64 }
+(* The 64-bit state lives unboxed in an 8-byte buffer: a [mutable
+   int64] field would box a fresh state on every draw. *)
+type t = bytes
 
-let create ~seed = { state = Int64.of_int seed }
+external get_state : bytes -> int -> int64 = "%caml_bytes_get64u"
+external set_state : bytes -> int -> int64 -> unit = "%caml_bytes_set64u"
 
-let next_int64 t =
+let create ~seed =
+  let t = Bytes.create 8 in
+  set_state t 0 (Int64.of_int seed);
+  t
+
+(* One splitmix64 step: advance the state, return the mixed output.
+   Inlined into each caller, so no [int64] crosses a call. *)
+let[@inline] step t =
   let open Int64 in
-  t.state <- add t.state 0x9E3779B97F4A7C15L;
-  let z = t.state in
+  let z = add (get_state t 0) 0x9E3779B97F4A7C15L in
+  set_state t 0 z;
   let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
   logxor z (shift_right_logical z 31)
 
-let next t = Int64.to_int (next_int64 t) land max_int
+let next_int64 t = step t
+let next t = Int64.to_int (step t) land max_int
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound <= 0";

@@ -6,6 +6,8 @@
     harness never consults [Random.self_init]. *)
 
 type t
+(** A generator. Its 64-bit state is kept unboxed, so {!next}, {!int},
+    {!bool} and {!bytes} allocate nothing but their results. *)
 
 val create : seed:int -> t
 

@@ -73,11 +73,16 @@ let target cap = cap.target
 let badge cap = cap.badge
 let rights cap = cap.rights
 
+let rec any_covers ~target ~need = function
+  | [] -> false
+  | c :: rest ->
+    (c.live && c.target = target && covers c.rights need)
+    || any_covers ~target ~need rest
+
 let check r ~pid ~target ~need =
-  match Hashtbl.find_opt r.by_owner pid with
-  | None -> false
-  | Some l ->
-    List.exists (fun c -> c.live && c.target = target && covers c.rights need) !l
+  match Hashtbl.find r.by_owner pid with
+  | exception Not_found -> false
+  | l -> any_covers ~target ~need !l
 
 let caps_of r ~pid =
   match Hashtbl.find_opt r.by_owner pid with

@@ -192,17 +192,69 @@ let test_translate_miss () =
   check true;
   check false
 
+(* A state-only touch of a resident instruction range — a worker's
+   6 KiB text on every request — replays its remembered slots. *)
+let test_resident_text () =
+  let machine = Machine.create ~cores:1 ~mem_mib:16 () in
+  let cpu = Machine.core machine 0 in
+  let touch () = Memsys.touch_range_state_only cpu Memsys.Insn ~pa:0x10000 ~len:(96 * 64) in
+  touch ();
+  let hits0 = Cache.hits cpu.Cpu.l1i in
+  check_zero "Memsys.touch_range_state_only (resident, 96 lines)" touch;
+  Alcotest.(check int) "every line hit the L1i" ((iters + 1) * 96)
+    (Cache.hits cpu.Cpu.l1i - hits0)
+
+(* ------------------------------------------------------------------ *)
+(* Random numbers                                                       *)
+(* ------------------------------------------------------------------ *)
+
+let test_rng_int () =
+  let r = Rng.create ~seed:7 in
+  check_zero "Rng.int" (fun () -> ignore (Rng.int r 1000))
+
+(* The first draws of every generator function for two seeds, recorded
+   before the state was unboxed: the stream must not move. *)
+let test_rng_golden () =
+  let golden seed ~next ~ints ~int64s ~bytes ~split ~after =
+    let r = Rng.create ~seed in
+    let name what = Printf.sprintf "seed %d: %s" seed what in
+    Alcotest.(check (list int)) (name "next") next (List.init 3 (fun _ -> Rng.next r));
+    Alcotest.(check (list int)) (name "int") ints (List.init 3 (fun _ -> Rng.int r 1000));
+    Alcotest.(check (list int64)) (name "next_int64") int64s
+      (List.init 2 (fun _ -> Rng.next_int64 r));
+    Alcotest.(check string) (name "bytes") bytes (Bytes.to_string (Rng.bytes r 8));
+    let c = Rng.split r in
+    Alcotest.(check (list int)) (name "split") split (List.init 2 (fun _ -> Rng.next c));
+    Alcotest.(check int) (name "next after split") after (Rng.next r)
+  in
+  golden 1
+    ~next:[ 1227844342346046657; 4533873174211652711; 4076781235000726878 ]
+    ~ints:[ 331; 857; 336 ]
+    ~int64s:[ -2262517385565684571L; -8797857673641491083L ]
+    ~bytes:"\168\150a\254\192\138\168;"
+    ~split:[ 2601951497568540838; 4220679941687272708 ]
+    ~after:1205505486458956529;
+  golden 42
+    ~next:[ 4456085495900499605; 2949826092126892291; 527597730035375954 ]
+    ~ints:[ 860; 250; 350 ]
+    ~int64s:[ 4028864712777624925L; -3677692746721775708L ]
+    ~bytes:"\213\174\191\190\230\183\220\242"
+    ~split:[ 2941599261480896098; 1618715976042603989 ]
+    ~after:4528650917318204957
+
 (* ------------------------------------------------------------------ *)
 (* Mediated call                                                        *)
 (* ------------------------------------------------------------------ *)
 
 (* The pingpong rig's VMFUNC call, handler included. Not zero: the
    server's four [read_u64] results are boxed [int64]s (3 words each),
-   and the call path still allocates its call-stack frame, its result
-   and its return-path closures. The bound is the measured value, so a
-   new per-call allocation fails here; the span name, the server and
-   binding lookups and the callee-saved register save allocate
-   nothing. *)
+   as are the calling key and the key-table words the check reads, and
+   the call still returns its reply in a constructor and its crossing
+   token. The bound is the measured value (141 words before the call
+   frames became flat arrays and the return paths toplevel functions),
+   so a new per-call allocation fails here; the span closures, the call
+   frame, the root client's option, the server and binding lookups and
+   the callee-saved register save allocate nothing. *)
 let test_direct_call () =
   let machine = Machine.create ~cores:2 ~mem_mib:128 () in
   let kernel = Kernel.create machine in
@@ -223,8 +275,45 @@ let test_direct_call () =
   Kernel.context_switch kernel ~core:0 client;
   Vcpu.set_mode vcpu Vcpu.User;
   let msg = Bytes.create 8 in
-  check_words "Subkernel.direct_server_call (VMFUNC)" ~per_op:141 (fun () ->
+  check_words "Subkernel.direct_server_call (VMFUNC)" ~per_op:57 (fun () ->
       ignore (Sky_core.Subkernel.direct_server_call sb ~core:0 ~client ~server_id msg))
+
+(* The routed call on a resolved [kv://] binding: cache-hit resolve,
+   capability check, retry wrapper and the direct call, with a handler
+   that allocates nothing. Bound = measured: the scheme string, the
+   retry stats option and the [Ok] results remain. *)
+let test_mesh_call () =
+  let machine = Machine.create ~cores:2 ~mem_mib:64 () in
+  let kernel = Kernel.create machine in
+  let sb = Sky_core.Subkernel.init kernel in
+  let mesh = Sky_mesh.Mesh.create sb in
+  let kv = Kernel.spawn kernel ~name:"kv" in
+  let client = Kernel.spawn kernel ~name:"client" in
+  let server_id =
+    Sky_core.Subkernel.register_server sb kv ~connection_count:2 (fun ~core:_ m -> m)
+  in
+  Sky_mesh.Mesh.register mesh ~core:0 ~uri:"kv://" ~server_id;
+  ignore (Sky_mesh.Mesh.grant mesh ~core:0 ~client "kv://");
+  Kernel.context_switch kernel ~core:0 client;
+  let msg = Bytes.create 8 in
+  check_words "Mesh.call (resolved kv://)" ~per_op:56 (fun () ->
+      match Sky_mesh.Mesh.call mesh ~core:0 ~client "kv://" msg with
+      | Ok _ -> ()
+      | Error _ -> Alcotest.fail "routed call failed")
+
+(* One KV lookup that hits: the probe compares keys in place and the
+   hash takes no closure; what remains is the copied-out 40-byte value,
+   its option and the copy's frame loop. Bound = measured. *)
+let test_kv_query () =
+  let machine = Machine.create ~cores:1 ~mem_mib:128 () in
+  let cpu = Machine.core machine 0 in
+  let kv = Sky_kvstore.Kv_server.create machine in
+  let key = Bytes.of_string "f12-k3" and value = Bytes.make 40 'v' in
+  Sky_kvstore.Kv_server.insert kv cpu ~key ~value;
+  check_words "Kv_server.query (hit)" ~per_op:15 (fun () ->
+      match Sky_kvstore.Kv_server.query kv cpu ~key with
+      | Some _ -> ()
+      | None -> Alcotest.fail "lookup missed")
 
 let () =
   Alcotest.run "alloc"
@@ -234,6 +323,12 @@ let () =
           Alcotest.test_case "Cache.access" `Quick test_cache_access;
           Alcotest.test_case "Memsys.access" `Quick test_memsys_access;
           Alcotest.test_case "PSC probe" `Quick test_psc_probe;
+          Alcotest.test_case "resident text touch" `Quick test_resident_text;
+        ] );
+      ( "rng",
+        [
+          Alcotest.test_case "Rng.int" `Quick test_rng_int;
+          Alcotest.test_case "golden draws" `Quick test_rng_golden;
         ] );
       ( "translation",
         [
@@ -243,6 +338,8 @@ let () =
       ( "kernel",
         [
           Alcotest.test_case "direct_server_call" `Quick test_direct_call;
+          Alcotest.test_case "Mesh.call" `Quick test_mesh_call;
+          Alcotest.test_case "Kv_server.query" `Quick test_kv_query;
           Alcotest.test_case "notification signal/wait" `Quick test_notification_pair;
           Alcotest.test_case "run_until step" `Quick test_run_until_step;
         ] );

@@ -262,6 +262,87 @@ let prop_cache_model =
         ops;
       true)
 
+(* Run replay: a state-only range touch on one core (which records and
+   replays runs) against the per-line path on an identical core (one
+   [access_state_only] per line, never replayed). After every step each
+   cache level's tags, stamps, clock and counters must agree. Lines
+   [k * 64 + s] crowd the first L1 sets (16 tags for 8 ways) and a
+   4-set-by-4-way L3, so fills and evictions are frequent; the touches
+   come from twelve fixed runs — more than the replay table holds — so
+   runs repeat, replay, and get displaced. *)
+type replay_op =
+  | Rp_state of Memsys.kind * int  (** state-only touch of run [i] *)
+  | Rp_charged of Memsys.kind * int  (** charged touch of run [i] *)
+  | Rp_single of bool * Memsys.kind * int  (** one access, charged or not *)
+  | Rp_flush of int  (** flush L1i, L1d, L2 or L3 *)
+
+let replay_runs =
+  Array.init 12 (fun i ->
+      let k = i mod 5 and s = i mod 3 in
+      (* (pa, len): some runs start and end mid-line *)
+      (((k * 64) + s) * 64 + (i land 1) * 24, (1 + (i mod 6)) * 64 - (i land 1) * 30))
+
+let show_replay_op op =
+  let kind = function Memsys.Insn -> "i" | Memsys.Data -> "d" in
+  match op with
+  | Rp_state (k, i) -> Printf.sprintf "state-only %s run %d" (kind k) i
+  | Rp_charged (k, i) -> Printf.sprintf "charged %s run %d" (kind k) i
+  | Rp_single (c, k, l) -> Printf.sprintf "%s %s line %#x" (if c then "charged" else "state") (kind k) l
+  | Rp_flush l -> Printf.sprintf "flush level %d" l
+
+let prop_run_replay =
+  let kind = QCheck.Gen.(map (fun b -> if b then Memsys.Insn else Memsys.Data) bool) in
+  let run = QCheck.Gen.int_bound 11 in
+  let line = QCheck.Gen.(map2 (fun k s -> (k * 64) + s) (int_bound 15) (int_bound 7)) in
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (10, map2 (fun k i -> Rp_state (k, i)) kind run);
+          (2, map2 (fun k i -> Rp_charged (k, i)) kind run);
+          (3, map3 (fun c k l -> Rp_single (c, k, l)) bool kind line);
+          (1, map (fun l -> Rp_flush l) (int_bound 3));
+        ])
+  in
+  QCheck.Test.make ~name:"run replay agrees with the per-line path" ~count:200
+    (QCheck.make
+       ~print:(fun l -> String.concat "; " (List.map show_replay_op l))
+       QCheck.Gen.(list_size (int_range 1 2000) op))
+    (fun ops ->
+      let core () =
+        Cpu.create ~id:0
+          ~l3:(Cache.create ~name:"l3" ~size_bytes:(4 * 4 * 64) ~ways:4 ~line_bytes:64)
+      in
+      let sub = core () and ref_ = core () in
+      let levels (c : Cpu.t) = [ c.Cpu.l1i; c.Cpu.l1d; c.Cpu.l2; c.Cpu.l3 ] in
+      List.iteri
+        (fun step op ->
+          (match op with
+          | Rp_state (k, i) ->
+            let pa, len = replay_runs.(i) in
+            Memsys.touch_range_state_only sub k ~pa ~len;
+            for l = pa / 64 to (pa + len - 1) / 64 do
+              Memsys.access_state_only ref_ k (l * 64)
+            done
+          | Rp_charged (k, i) ->
+            let pa, len = replay_runs.(i) in
+            Memsys.touch_range sub k ~pa ~len;
+            Memsys.touch_range ref_ k ~pa ~len
+          | Rp_single (charged, k, l) ->
+            let f = if charged then Memsys.access else Memsys.access_state_only in
+            f sub k (l * 64);
+            f ref_ k (l * 64)
+          | Rp_flush l ->
+            Cache.flush (List.nth (levels sub) l);
+            Cache.flush (List.nth (levels ref_) l));
+          if
+            not
+              (List.for_all2 Cache.same_state (levels sub) (levels ref_)
+              && Cpu.cycles sub = Cpu.cycles ref_)
+          then QCheck.Test.fail_reportf "state diverged at step %d (%s)" step (show_replay_op op))
+        ops;
+      true)
+
 (* ------------------------------------------------------------------ *)
 (* Tlb                                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -616,7 +697,7 @@ let () =
           Alcotest.test_case "stats" `Quick test_cache_stats;
           Alcotest.test_case "geometry validated" `Quick test_cache_geometry_validation;
         ]
-        @ qc [ prop_cache_capacity; prop_cache_model ] );
+        @ qc [ prop_cache_capacity; prop_cache_model; prop_run_replay ] );
       ( "tlb",
         [
           Alcotest.test_case "insert/lookup with asid" `Quick test_tlb_insert_lookup;

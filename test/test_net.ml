@@ -109,6 +109,146 @@ let test_http_roundtrip () =
       with Http.Bad_request _ -> ())
     [ "DELETE /kv/x"; "GET /kv/"; "PUT /kv/nokey"; "" ]
 
+(* The string-based codec the in-place one replaced, kept as the
+   reference: same values, same [Bad_request] messages. *)
+module Ref_http = struct
+  let prefix p s =
+    String.length s >= String.length p && String.sub s 0 (String.length p) = p
+
+  let after p s = String.sub s (String.length p) (String.length s - String.length p)
+
+  let parse_request b =
+    let s = Bytes.to_string b in
+    if prefix "GET /kv/" s then begin
+      let key = after "GET /kv/" s in
+      if key = "" then raise (Http.Bad_request "empty key");
+      Http.Kv_get key
+    end
+    else if prefix "PUT /kv/" s then begin
+      let rest = after "PUT /kv/" s in
+      match String.index_opt rest ' ' with
+      | None -> raise (Http.Bad_request "PUT without value")
+      | Some i ->
+        let key = String.sub rest 0 i in
+        if key = "" then raise (Http.Bad_request "empty key");
+        Http.Kv_put
+          (key, Bytes.of_string (String.sub rest (i + 1) (String.length rest - i - 1)))
+    end
+    else if prefix "GET /fs/" s then begin
+      let name = after "GET /fs/" s in
+      if name = "" then raise (Http.Bad_request "empty path");
+      Http.Fs_get name
+    end
+    else raise (Http.Bad_request (if String.length s > 32 then String.sub s 0 32 else s))
+
+  let serialize_request = function
+    | Http.Kv_get key -> Bytes.of_string ("GET /kv/" ^ key)
+    | Http.Kv_put (key, value) ->
+      Bytes.cat (Bytes.of_string ("PUT /kv/" ^ key ^ " ")) value
+    | Http.Fs_get name -> Bytes.of_string ("GET /fs/" ^ name)
+
+  let serialize_response { Http.status; body } =
+    Bytes.cat (Bytes.of_string (string_of_int status ^ " ")) body
+
+  let parse_response b =
+    let s = Bytes.to_string b in
+    match String.index_opt s ' ' with
+    | None -> raise (Http.Bad_request "malformed response")
+    | Some i ->
+      let status =
+        match int_of_string_opt (String.sub s 0 i) with
+        | Some n -> n
+        | None -> raise (Http.Bad_request "non-numeric status")
+      in
+      { Http.status; body = Bytes.sub b (i + 1) (Bytes.length b - i - 1) }
+
+  let with_ttl ~ttl payload =
+    Bytes.cat (Bytes.of_string (Printf.sprintf "TTL%d " ttl)) payload
+
+  let split_ttl payload =
+    let s = Bytes.to_string payload in
+    if not (prefix "TTL" s) then (None, payload)
+    else
+      match String.index_opt s ' ' with
+      | None -> (None, payload)
+      | Some sp -> (
+        match int_of_string_opt (String.sub s 3 (sp - 3)) with
+        | Some ttl when ttl > 0 ->
+          (Some ttl, Bytes.sub payload (sp + 1) (Bytes.length payload - sp - 1))
+        | _ -> (None, payload))
+end
+
+type 'a outcome = Value of 'a | Bad of string | Raised of string
+
+let outcome f x =
+  match f x with
+  | v -> Value v
+  | exception Http.Bad_request m -> Bad m
+  | exception e -> Raised (Printexc.to_string e)
+
+(* Wire bytes: serialized requests and responses, with and without a
+   TTL prefix, and arbitrary bytes seeded with the prefixes the parsers
+   branch on. *)
+let gen_wire =
+  let open QCheck.Gen in
+  let text = string_size ~gen:(oneofl [ 'a'; 'k'; '0'; '7'; ' '; ':'; '-'; '_'; 'x'; '/' ]) (int_bound 12) in
+  let req =
+    oneof
+      [
+        map (fun k -> Http.Kv_get k) text;
+        map2 (fun k v -> Http.Kv_put (k, Bytes.of_string v)) text text;
+        map (fun n -> Http.Fs_get n) text;
+      ]
+  in
+  let status = oneof [ int_range (-20) 999; oneofl [ 200; 404; 503; max_int; min_int ] ] in
+  let junk =
+    map2 ( ^ )
+      (oneofl [ ""; "GET /kv/"; "PUT /kv/"; "GET /fs/"; "TTL"; "TTL12 "; "TTL0 "; "TTL-3 ";
+                "TTL0x1F "; "TTL1_0 "; "200 "; "-5 "; "0x1F "; "+7 "; "99999999999999999999 " ])
+      (string_size ~gen:char (int_bound 40))
+  in
+  oneof
+    [
+      map (fun r -> `Req r) req;
+      map2 (fun ttl r -> `Ttl (ttl, r)) (int_range 1 1_000_000_000) req;
+      map2 (fun st body -> `Resp { Http.status = st; body = Bytes.of_string body }) status text;
+      map (fun j -> `Junk (Bytes.of_string j)) junk;
+    ]
+
+let prop_codec_equivalence =
+  QCheck.Test.make ~name:"in-place codec agrees with the string-based one" ~count:2000
+    (QCheck.make gen_wire)
+    (fun input ->
+      let same name a b =
+        if a <> b then QCheck.Test.fail_reportf "%s differs from the reference" name;
+        match a with
+        | Raised e -> QCheck.Test.fail_reportf "%s raised %s" name e
+        | Value _ | Bad _ -> ()
+      in
+      let check_bytes b =
+        same "parse_request" (outcome Http.parse_request b) (outcome Ref_http.parse_request b);
+        same "parse_response" (outcome Http.parse_response b) (outcome Ref_http.parse_response b);
+        same "split_ttl" (outcome Http.split_ttl b) (outcome Ref_http.split_ttl b)
+      in
+      (match input with
+      | `Req r ->
+        let b = Http.serialize_request r in
+        if not (Bytes.equal b (Ref_http.serialize_request r)) then
+          QCheck.Test.fail_report "serialize_request differs";
+        check_bytes b
+      | `Ttl (ttl, r) ->
+        let b = Http.with_ttl ~ttl (Http.serialize_request r) in
+        if not (Bytes.equal b (Ref_http.with_ttl ~ttl (Ref_http.serialize_request r))) then
+          QCheck.Test.fail_report "with_ttl differs";
+        check_bytes b
+      | `Resp resp ->
+        let b = Http.serialize_response resp in
+        if not (Bytes.equal b (Ref_http.serialize_response resp)) then
+          QCheck.Test.fail_report "serialize_response differs";
+        check_bytes b
+      | `Junk b -> check_bytes b);
+      true)
+
 (* ------------------------------------------------------------------ *)
 (* Interleaved run loop                                                *)
 (* ------------------------------------------------------------------ *)
@@ -262,6 +402,29 @@ let test_web_smoke () =
   (* both workers actually served traffic *)
   Alcotest.(check bool) "worker 0 busy" true (Httpd.worker_served (Web.httpd t) 0 > 0);
   Alcotest.(check bool) "worker 1 busy" true (Httpd.worker_served (Web.httpd t) 1 > 0)
+
+(* Hostile wire input never aborts the run: a stray packet with a
+   nonzero sequence number on a flow nobody opened, and a duplicate of
+   a load-generator SYN the server already consumed, are dropped and
+   counted while every real request is served. *)
+let test_stray_packets_dropped () =
+  let t = small Web.Skybridge in
+  let nic = Web.nic t in
+  let junk = Http.serialize_request (Http.Kv_get "stray") in
+  Nic.deliver nic ~flow:999_999 ~seq:3 ~payload:junk ~at:0;
+  let s = Web.start_run t in
+  (* The first load-generator connection: the first flow id RSS steers
+     to queue 0. Its SYN is already in the ring, so the copy lands
+     behind it and arrives out of sequence. *)
+  let rec first f = if Nic.queue_of_flow nic f = 0 then f else first (f + 1) in
+  Nic.deliver nic ~flow:(first 1) ~seq:0 ~payload:junk ~at:0;
+  (match Web.advance t s ~until:max_int with
+  | `Done -> ()
+  | `Paused -> Alcotest.fail "run paused at max_int");
+  let lg = Web.loadgen t in
+  Alcotest.(check int) "every request answered" (Loadgen.expected lg) (Loadgen.responses lg);
+  Alcotest.(check int) "no validation errors" 0 (Loadgen.errors lg);
+  Alcotest.(check int) "both packets dropped" 2 (Httpd.dropped_packets (Web.httpd t))
 
 let test_web_slowpath_and_gap () =
   let sky = small Web.Skybridge in
@@ -460,7 +623,9 @@ let () =
           Alcotest.test_case "irq-coalescing" `Quick test_nic_irq_coalescing;
           Alcotest.test_case "ring-full-drops" `Quick test_nic_ring_full_drops;
         ] );
-      ("http", [ Alcotest.test_case "codec" `Quick test_http_roundtrip ]);
+      ( "http",
+        [ Alcotest.test_case "codec" `Quick test_http_roundtrip ]
+        @ List.map QCheck_alcotest.to_alcotest [ prop_codec_equivalence ] );
       ( "interleave",
         [
           Alcotest.test_case "virtual-time-order" `Quick
@@ -475,6 +640,7 @@ let () =
       ( "web",
         [
           Alcotest.test_case "smoke" `Quick test_web_smoke;
+          Alcotest.test_case "stray-packets-dropped" `Quick test_stray_packets_dropped;
           Alcotest.test_case "skybridge-vs-slowpath" `Quick test_web_slowpath_and_gap;
           Alcotest.test_case "deterministic" `Quick test_web_deterministic;
           Alcotest.test_case "worker-crash-recovery" `Quick

@@ -403,6 +403,26 @@ let test_fig7_table_identical_with_tracing () =
   Trace.clear ();
   Alcotest.(check string) "fig7 cycle totals identical" off on
 
+(* The serving experiments: the routed call, the trampoline crossing
+   and the worker's batch build their spans only when tracing is on, so
+   the traced branch needs its own identity check. Every registry
+   payload must come out byte-identical with tracing enabled. *)
+let test_serving_identical_with_tracing id () =
+  fresh ();
+  let entry =
+    match Sky_experiments.Registry.find id with
+    | Some e -> e
+    | None -> Alcotest.failf "no registry entry %s" id
+  in
+  let budgets = Sky_harness.Budget.load Sky_harness.Budget.default_file in
+  let off = entry.Sky_experiments.Registry.run budgets in
+  Trace.enable ();
+  let on = entry.Sky_experiments.Registry.run budgets in
+  Trace.disable ();
+  Trace.clear ();
+  Alcotest.(check string) (id ^ " payload identical") off.Sky_harness.Outcome.json
+    on.Sky_harness.Outcome.json
+
 (* ------------------------------------------------------------------ *)
 (* Breakdown                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -486,6 +506,12 @@ let () =
             test_tracing_cycle_neutral;
           Alcotest.test_case "fig7 table identical with tracing" `Slow
             test_fig7_table_identical_with_tracing;
+          Alcotest.test_case "web payload identical with tracing" `Slow
+            (test_serving_identical_with_tracing "web");
+          Alcotest.test_case "overload payload identical with tracing" `Slow
+            (test_serving_identical_with_tracing "overload");
+          Alcotest.test_case "mesh payload identical with tracing" `Slow
+            (test_serving_identical_with_tracing "mesh");
         ] );
       ( "breakdown",
         [
