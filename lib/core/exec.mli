@@ -1,9 +1,12 @@
-(** Guest user-code execution.
+(** Guest user-code execution: the MMU-backed machine of
+    {!Sky_isa.Semantics}, the one instruction semantics the reference
+    interpreter also runs.
 
     Fetches instruction bytes {e through the simulated MMU} (i-TLB,
-    nested page walks, i-cache) and executes them with real register and
+    nested page walks, i-cache), checking execute permission over every
+    byte of each instruction, and executes them with real register and
     guest-memory semantics; a [Vmfunc] instruction performs the actual
-    EPTP switch on the vCPU. This closes the loop on the reproduction's
+    EPTP switch on the vCPU, and a [Wrpkru] faults unless ECX = EDX = 0. This closes the loop on the reproduction's
     central artifact: the trampoline page the Subkernel maps is not just
     scanned — it can be {e run}, and running it really moves the core
     into the server's address space (tested in test/test_core.ml).
@@ -40,7 +43,9 @@ val run :
     when [regs] is omitted, a fresh 4 KiB stack is mapped in the current
     process with the sentinel pre-pushed.
 
-    @raise Exec_fault on undecodable/unsupported instructions.
+    @raise Exec_fault on undecodable/unsupported instructions and on a
+    WRPKRU with ECX or EDX nonzero.
     @raise Sky_mmu.Translate.Page_fault on unmapped/forbidden access,
-    including instruction fetches from NX pages (W^X enforced for real).
+    including instruction fetches from NX pages (W^X enforced for real),
+    even when only an instruction's tail lies on the NX or unmapped page.
     @raise Sky_mmu.Vmfunc.Invalid_vmfunc as the hardware would. *)

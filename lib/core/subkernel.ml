@@ -402,7 +402,7 @@ let thread_regs t proc =
 (* Trampoline save area (§7 forced-return recovery)                    *)
 (* ------------------------------------------------------------------ *)
 
-(* The registers the trampoline prologue pushes (Trampoline.code): the
+(* The registers the trampoline prologue pushes (Trampoline.prologue): the
    SysV callee-saved set plus the client RSP. *)
 let callee_saved =
   Sky_isa.Reg.[ Rbx; Rbp; Rsp; R12; R13; R14; R15 ]

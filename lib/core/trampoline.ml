@@ -10,11 +10,9 @@
 
 open Sky_isa
 
-(* direct_server_call entry:
-     save callee-saved registers, load the EPTP index, VMFUNC into the
-     server, install the server stack, call the registered handler via
-     the server function list, VMFUNC back, restore, return. *)
-let insns =
+(* Every gate saves the callee-saved registers and remembers the client
+   stack in RBP, then restores both and returns. *)
+let prologue =
   [
     Insn.Push Reg.Rbx;
     Insn.Push Reg.Rbp;
@@ -23,15 +21,10 @@ let insns =
     Insn.Push Reg.R14;
     Insn.Push Reg.R15;
     Insn.Mov_rr (Reg.Rbp, Reg.Rsp) (* remember the client stack *);
-    Insn.Mov_ri (Reg.Rax, 0L) (* VM function 0: EPTP switching *);
-    Insn.Mov_rr (Reg.Rcx, Reg.Rdi) (* EPTP index argument *);
-    Insn.Vmfunc;
-    Insn.Mov_rr (Reg.Rsp, Reg.Rsi) (* install the server stack *);
-    Insn.Mov_load (Reg.R11, Insn.mem ~base:Reg.Rdx ()) (* function list *);
-    Insn.Call_rel 0 (* call the registered handler (linked at runtime) *);
-    Insn.Mov_ri (Reg.Rax, 0L);
-    Insn.Mov_ri (Reg.Rcx, 0L) (* EPTP index 0: back to the caller *);
-    Insn.Vmfunc;
+  ]
+
+let epilogue =
+  [
     Insn.Mov_rr (Reg.Rsp, Reg.Rbp) (* restore the client stack *);
     Insn.Pop Reg.R15;
     Insn.Pop Reg.R14;
@@ -41,6 +34,25 @@ let insns =
     Insn.Pop Reg.Rbx;
     Insn.Ret;
   ]
+
+let gate body = prologue @ body @ epilogue
+
+(* direct_server_call entry: load the EPTP index, VMFUNC into the server,
+   install the server stack, call the registered handler via the server
+   function list, VMFUNC back. *)
+let insns =
+  gate
+    [
+      Insn.Mov_ri (Reg.Rax, 0L) (* VM function 0: EPTP switching *);
+      Insn.Mov_rr (Reg.Rcx, Reg.Rdi) (* EPTP index argument *);
+      Insn.Vmfunc;
+      Insn.Mov_rr (Reg.Rsp, Reg.Rsi) (* install the server stack *);
+      Insn.Mov_load (Reg.R11, Insn.mem ~base:Reg.Rdx ()) (* function list *);
+      Insn.Call_rel 0 (* call the registered handler (linked at runtime) *);
+      Insn.Mov_ri (Reg.Rax, 0L);
+      Insn.Mov_ri (Reg.Rcx, 0L) (* EPTP index 0: back to the caller *);
+      Insn.Vmfunc;
+    ]
 
 let code () = Encode.encode_all insns
 
@@ -52,60 +64,32 @@ let code () = Encode.encode_all insns
    R9 = the client's resting PKRU to restore on the way out (stashed in
    callee-saved RBX across the handler call). *)
 let mpk_insns =
-  [
-    Insn.Push Reg.Rbx;
-    Insn.Push Reg.Rbp;
-    Insn.Push Reg.R12;
-    Insn.Push Reg.R13;
-    Insn.Push Reg.R14;
-    Insn.Push Reg.R15;
-    Insn.Mov_rr (Reg.Rbp, Reg.Rsp) (* remember the client stack *);
-    Insn.Mov_rr (Reg.Rbx, Reg.R9) (* client resting PKRU, survives the call *);
-    Insn.Xor_rr (Reg.Rcx, Reg.Rcx);
-    Insn.Xor_rr (Reg.Rdx, Reg.Rdx);
-    Insn.Mov_rr (Reg.Rax, Reg.Rdi) (* server view *);
-    Insn.Wrpkru;
-    Insn.Mov_rr (Reg.Rsp, Reg.Rsi) (* install the server stack *);
-    Insn.Mov_load (Reg.R11, Insn.mem ~base:Reg.R8 ()) (* function list *);
-    Insn.Call_rel 0 (* call the registered handler (linked at runtime) *);
-    Insn.Xor_rr (Reg.Rcx, Reg.Rcx);
-    Insn.Xor_rr (Reg.Rdx, Reg.Rdx);
-    Insn.Mov_rr (Reg.Rax, Reg.Rbx) (* restore the client view *);
-    Insn.Wrpkru;
-    Insn.Mov_rr (Reg.Rsp, Reg.Rbp) (* restore the client stack *);
-    Insn.Pop Reg.R15;
-    Insn.Pop Reg.R14;
-    Insn.Pop Reg.R13;
-    Insn.Pop Reg.R12;
-    Insn.Pop Reg.Rbp;
-    Insn.Pop Reg.Rbx;
-    Insn.Ret;
-  ]
+  gate
+    [
+      Insn.Mov_rr (Reg.Rbx, Reg.R9) (* client resting PKRU, survives the call *);
+      Insn.Xor_rr (Reg.Rcx, Reg.Rcx);
+      Insn.Xor_rr (Reg.Rdx, Reg.Rdx);
+      Insn.Mov_rr (Reg.Rax, Reg.Rdi) (* server view *);
+      Insn.Wrpkru;
+      Insn.Mov_rr (Reg.Rsp, Reg.Rsi) (* install the server stack *);
+      Insn.Mov_load (Reg.R11, Insn.mem ~base:Reg.R8 ()) (* function list *);
+      Insn.Call_rel 0 (* call the registered handler (linked at runtime) *);
+      Insn.Xor_rr (Reg.Rcx, Reg.Rcx);
+      Insn.Xor_rr (Reg.Rdx, Reg.Rdx);
+      Insn.Mov_rr (Reg.Rax, Reg.Rbx) (* restore the client view *);
+      Insn.Wrpkru;
+    ]
 
 (* The filtered-syscall gate: the crossing is one SYSCALL; the kernel's
    trap path checks the entry filter, context-switches, runs the
    handler, and SYSRETs back. RDI carries the server id the kernel
    filters on. *)
 let syscall_insns =
-  [
-    Insn.Push Reg.Rbx;
-    Insn.Push Reg.Rbp;
-    Insn.Push Reg.R12;
-    Insn.Push Reg.R13;
-    Insn.Push Reg.R14;
-    Insn.Push Reg.R15;
-    Insn.Mov_rr (Reg.Rbp, Reg.Rsp);
-    Insn.Mov_rr (Reg.Rax, Reg.Rdi) (* server id for the entry filter *);
-    Insn.Syscall;
-    Insn.Mov_rr (Reg.Rsp, Reg.Rbp);
-    Insn.Pop Reg.R15;
-    Insn.Pop Reg.R14;
-    Insn.Pop Reg.R13;
-    Insn.Pop Reg.R12;
-    Insn.Pop Reg.Rbp;
-    Insn.Pop Reg.Rbx;
-    Insn.Ret;
-  ]
+  gate
+    [
+      Insn.Mov_rr (Reg.Rax, Reg.Rdi) (* server id for the entry filter *);
+      Insn.Syscall;
+    ]
 
 let mpk_code () = Encode.encode_all mpk_insns
 let syscall_code () = Encode.encode_all syscall_insns

@@ -6,10 +6,10 @@ open Sky_ukernel
 open Sky_kernels
 open Sky_core
 
-let make ?(vpid = true) ?max_eptp ?max_bindings ?(cores = 4) () =
+let make ?backend ?(vpid = true) ?max_eptp ?max_bindings ?(cores = 4) () =
   let machine = Machine.create ~cores ~mem_mib:64 () in
   let k = Kernel.create machine in
-  let sb = Subkernel.init ~vpid ?max_eptp ?max_bindings k in
+  let sb = Subkernel.init ?backend ~vpid ?max_eptp ?max_bindings k in
   (k, sb)
 
 let user_code = Sky_isa.Encode.encode_all [ Sky_isa.Insn.Nop; Sky_isa.Insn.Ret ]
@@ -22,8 +22,8 @@ let spawn_with_code k name =
 let echo ~core:_ msg = msg
 
 (* Standard topology: client + echo server, registered and bound. *)
-let setup ?vpid ?max_eptp () =
-  let k, sb = make ?vpid ?max_eptp () in
+let setup ?backend ?vpid ?max_eptp () =
+  let k, sb = make ?backend ?vpid ?max_eptp () in
   let client = spawn_with_code k "client" in
   let server = spawn_with_code k "server" in
   let sid = Subkernel.register_server sb server echo in
@@ -312,6 +312,30 @@ let test_trampoline_structure () =
   Alcotest.(check int) "two allowed ranges" 2
     (List.length (Sky_core.Trampoline.vmfunc_ranges code))
 
+(* The three gates' bytes, pinned: prologue, body and epilogue are
+   assembled from one frame, and the encoding must not move. *)
+let test_trampoline_golden_bytes () =
+  let hex b =
+    String.concat ""
+      (List.init (Bytes.length b) (fun i ->
+           Printf.sprintf "%02x" (Char.code (Bytes.get b i))))
+  in
+  List.iter
+    (fun (name, code, expected) -> Alcotest.(check string) name expected (hex code))
+    [
+      ( "vmfunc",
+        Trampoline.code (),
+        "535541544155415641574889e548c7c0000000004889f90f01d44889f44c8b1ae800000000"
+        ^ "48c7c00000000048c7c1000000000f01d44889ec415f415e415d415c5d5bc3" );
+      ( "mpk",
+        Trampoline.mpk_code (),
+        "535541544155415641574889e54c89cb4831c94831d24889f80f01ef4889f44d8b18e80000"
+        ^ "00004831c94831d24889d80f01ef4889ec415f415e415d415c5d5bc3" );
+      ( "syscall",
+        Trampoline.syscall_code (),
+        "535541544155415641574889e54889f80f054889ec415f415e415d415c5d5bc3" );
+    ]
+
 let test_trampoline_shared_frame () =
   (* One physical trampoline frame serves every registered process. *)
   let k, sb, client, server, _ = setup () in
@@ -472,66 +496,253 @@ let test_exec_nx_enforced () =
     Alcotest.fail "expected NX fetch fault"
   with Sky_mmu.Translate.Page_fault _ -> ()
 
-(* Differential check of the two instruction semantics: the same encoded
-   program through the flat-memory reference interpreter (Sky_isa.Interp)
-   and through the MMU-backed executor (Exec) must leave identical
-   general registers. Each program ends in a RET to the caller's return
-   address: Exec's sentinel, or for Interp the code length, its clean
-   exit. *)
-let interp_agrees_with_exec name prog =
+(* An instruction straddling a page boundary is fetched from both pages:
+   a 10-byte MOV starts 4 bytes before the end of the RX code page and a
+   RET follows it. [second] takes execute permission or the mapping away
+   from the second page; the fetch of the MOV must then fault on that
+   page, before the MOV runs. *)
+let straddling_fetch_fault second =
   let open Sky_isa in
-  let code = Encode.encode_all prog in
   let k, _sb = make () in
-  let p = Kernel.spawn k ~name:"diff" in
+  let p = Kernel.spawn k ~name:"straddle" in
+  let tail = Encode.encode_all [ Insn.Mov_ri (Reg.Rax, 0x1122334455667788L); Insn.Ret ] in
+  let code = Bytes.make (4096 - 4 + Bytes.length tail) '\x90' in
+  Bytes.blit tail 0 code (4096 - 4) (Bytes.length tail);
   ignore (Kernel.map_code k p code);
+  second k p ~va:(Layout.code_va + 4096);
   Kernel.context_switch k ~core:0 p;
-  let rsp = Kernel.map_anon k p 4096 + 4096 - 8 in
-  Sky_mmu.Translate.write_u64 (Kernel.vcpu k ~core:0) (Kernel.mem k) ~va:rsp
-    (Int64.of_int Exec.return_sentinel);
-  let regs = Array.make 16 0L in
+  match Exec.run k ~core:0 ~entry:(Layout.code_va + 4096 - 4) () with
+  | _ -> Alcotest.fail "expected a fetch fault"
+  | exception Sky_mmu.Translate.Page_fault f -> f
+
+let test_exec_fetch_nx_second_page () =
+  let fault =
+    straddling_fetch_fault (fun k p ~va ->
+        Sky_mmu.Page_table.protect p.Proc.page_table ~mem:(Kernel.mem k) ~va
+          ~flags:{ Sky_mmu.Pte.urw with Sky_mmu.Pte.nx = true })
+  in
+  Alcotest.(check bool) "protection fault on the NX page" true
+    (fault = Sky_mmu.Page_table.Protection (Layout.code_va + 4096))
+
+let test_exec_fetch_unmapped_second_page () =
+  let fault =
+    straddling_fetch_fault (fun k p ~va ->
+        Sky_mmu.Page_table.unmap p.Proc.page_table ~mem:(Kernel.mem k) ~va)
+  in
+  Alcotest.(check bool) "not-present fault on the unmapped page" true
+    (fault = Sky_mmu.Page_table.Not_present (Layout.code_va + 4096))
+
+(* Running the other two gates. [gate_regs] gives a client on core 0 the
+   registers a caller would: recognisable callee-saved values, RSP at the
+   sentinel, RSI at the top of a scratch server stack and R8 at a
+   function list whose first word is 0x5eed, all of it client-mapped. *)
+let gate_regs k client =
+  let open Sky_isa in
+  let vcpu = Kernel.vcpu k ~core:0 and mem = Kernel.mem k in
+  let page () = Kernel.map_anon k client 4096 in
+  let rsp = page () + 4096 - 8 and fn_list = page () in
+  Sky_mmu.Translate.write_u64 vcpu mem ~va:rsp (Int64.of_int Exec.return_sentinel);
+  Sky_mmu.Translate.write_u64 vcpu mem ~va:fn_list 0x5eedL;
+  let regs = Array.init 16 (fun i -> Int64.of_int (0x1000 * (i + 1))) in
   regs.(Reg.encoding Reg.Rsp) <- Int64.of_int rsp;
-  let stop, out = Exec.run k ~core:0 ~entry:Layout.code_va ~regs () in
-  Alcotest.(check bool) (name ^ ": Exec returned") true (stop = `Returned);
-  let st = Interp.create ~rsp () in
+  regs.(Reg.encoding Reg.Rsi) <- Int64.of_int (page () + 4096);
+  regs.(Reg.encoding Reg.R8) <- Int64.of_int fn_list;
+  regs
+
+(* An MPK machine and the client's registers for its gate: RDI = the
+   server's view, R9 = the client's. *)
+let mpk_gate () =
+  let open Sky_isa in
+  let k, sb, client, server, _ = setup ~backend:Backend.Mpk () in
+  let view p = snd (Option.get (Subkernel.mpk_view sb p)) in
+  let regs = gate_regs k client in
+  regs.(Reg.encoding Reg.Rdi) <- Int64.of_int (view server);
+  regs.(Reg.encoding Reg.R9) <- Int64.of_int (view client);
+  (k, client, regs, view client)
+
+let test_mpk_gate_executes () =
+  let open Sky_isa in
+  let k, _, regs, client_view = mpk_gate () in
+  let pmu = Cpu.pmu (Kernel.cpu k ~core:0) in
+  let wrpkrus = Pmu.read pmu Pmu.Wrpkru_exec in
+  let stop, out = Exec.run k ~core:0 ~entry:Subkernel.trampoline_va ~regs () in
+  let reg r = out.(Reg.encoding r) in
+  Alcotest.(check bool) "returned to the sentinel" true (stop = `Returned);
+  Alcotest.(check int) "PKRU back at the client view" client_view
+    (Kernel.vcpu k ~core:0).Sky_mmu.Vcpu.pkru;
+  Alcotest.(check int) "two WRPKRUs executed" 2
+    (Pmu.read pmu Pmu.Wrpkru_exec - wrpkrus);
+  Alcotest.(check int64) "function list read" 0x5eedL (reg Reg.R11);
+  List.iter
+    (fun r ->
+      Alcotest.(check int64) (Reg.name r) regs.(Reg.encoding r) (reg r))
+    [ Reg.Rbx; Reg.Rbp; Reg.R12; Reg.R13; Reg.R14; Reg.R15 ];
+  (* The final RET popped the caller's return address, the sentinel. *)
+  Alcotest.(check int64) "rsp"
+    (Int64.add regs.(Reg.encoding Reg.Rsp) 8L)
+    (reg Reg.Rsp)
+
+let test_mpk_gate_without_xor_faults () =
+  (* ERIM's operand discipline, executed: drop the XOR that zeroes RCX
+     before the entry WRPKRU (NOPs keep the layout) and the WRPKRU
+     faults on the caller's RCX. *)
+  let open Sky_isa in
+  let k, client, regs, _ = mpk_gate () in
+  let dropped = ref false in
+  let sloppy =
+    List.concat_map
+      (fun i ->
+        if i = Insn.Xor_rr (Reg.Rcx, Reg.Rcx) && not !dropped then begin
+          dropped := true;
+          List.init (Encode.length i) (fun _ -> Insn.Nop)
+        end
+        else [ i ])
+      Trampoline.mpk_insns
+  in
+  Kernel.write_code k client ~va:Subkernel.trampoline_va (Encode.encode_all sloppy);
+  match Exec.run k ~core:0 ~entry:Subkernel.trampoline_va ~regs () with
+  | _ -> Alcotest.fail "expected the WRPKRU to fault"
+  | exception Exec.Exec_fault msg ->
+    Alcotest.(check string) "faulted at the WRPKRU" "wrpkru with ECX/EDX nonzero" msg
+
+let test_syscall_gate_stops_at_syscall () =
+  let open Sky_isa in
+  let k, _sb, client, _, sid = setup ~backend:Backend.Syscall () in
+  let regs = gate_regs k client in
+  regs.(Reg.encoding Reg.Rdi) <- Int64.of_int sid;
+  let stop, out = Exec.run k ~core:0 ~entry:Subkernel.trampoline_va ~regs () in
+  Alcotest.(check bool) "stopped at the SYSCALL" true (stop = `Syscall);
+  Alcotest.(check int64) "rax = server id" (Int64.of_int sid)
+    out.(Reg.encoding Reg.Rax)
+
+(* Differential check of the two machines that run the one instruction
+   semantics: the same encoded program through the flat-memory reference
+   interpreter (Sky_isa.Interp) and through the MMU-backed executor
+   (Exec), from the same registers and the same data page, must leave
+   identical registers and data-page bytes. Each program ends in a RET
+   to the caller's return address: Exec's sentinel, or for Interp the
+   code length, its clean exit. One process serves every run. *)
+let diff_data_va = 0x50_0000
+let diff_seed = Bytes.init 4096 (fun i -> Char.chr ((i * 7) land 0xff))
+
+let diff_rig =
+  lazy
+    (let k, _sb = make () in
+     let p = Kernel.spawn k ~name:"diff" in
+     ignore (Kernel.map_code k p (Bytes.make 4096 '\x90'));
+     ignore (Kernel.map_anon k p ~va:diff_data_va 4096);
+     let rsp = Kernel.map_anon k p 4096 + 4096 - 8 in
+     Kernel.context_switch k ~core:0 p;
+     (k, p, rsp))
+
+(* Each machine's final registers and data page after running [prog]
+   from [regs], whose RSP and RBP are replaced by the address of the
+   return address on the rig's stack. *)
+let run_both regs prog =
+  let open Sky_isa in
+  let k, p, rsp = Lazy.force diff_rig in
+  let vcpu = Kernel.vcpu k ~core:0 and mem = Kernel.mem k in
+  let code = Encode.encode_all prog in
+  let regs = Array.copy regs in
+  regs.(Reg.encoding Reg.Rsp) <- Int64.of_int rsp;
+  regs.(Reg.encoding Reg.Rbp) <- Int64.of_int rsp;
+  Kernel.write_code k p ~va:Layout.code_va code;
+  Sky_mmu.Translate.write_bytes vcpu mem ~va:diff_data_va diff_seed;
+  Sky_mmu.Translate.write_u64 vcpu mem ~va:rsp (Int64.of_int Exec.return_sentinel);
+  let stop, exec_regs = Exec.run k ~core:0 ~entry:Layout.code_va ~regs () in
+  if stop <> `Returned then Alcotest.fail "Exec did not return";
+  let exec_page = Sky_mmu.Translate.read_bytes vcpu mem ~va:diff_data_va ~len:4096 in
+  let st = Interp.create () in
+  Array.blit regs 0 st.Interp.regs 0 16;
   Interp.write64 st rsp (Int64.of_int (Bytes.length code));
+  Bytes.iteri (fun i c -> Interp.write_byte st (diff_data_va + i) (Char.code c)) diff_seed;
   Interp.run st code;
-  Alcotest.(check (array int64)) (name ^ ": registers") out st.Interp.regs
+  let interp_page =
+    Bytes.init 4096 (fun i -> Char.chr (Interp.read_byte st (diff_data_va + i)))
+  in
+  ((exec_regs, exec_page), (st.Interp.regs, interp_page))
+
+(* Hand-written control flow, with the value RBX must end with. *)
+let interp_agrees_with_exec ~rbx name prog =
+  let (exec_regs, exec_page), (interp_regs, interp_page) =
+    run_both (Array.make 16 0L) prog
+  in
+  Alcotest.(check (array int64)) (name ^ ": registers") exec_regs interp_regs;
+  Alcotest.(check bool) (name ^ ": data page") true (Bytes.equal exec_page interp_page);
+  Alcotest.(check int64) (name ^ ": rbx") rbx
+    exec_regs.(Sky_isa.Reg.encoding Sky_isa.Reg.Rbx)
 
 let test_interp_agrees_with_exec () =
   let open Sky_isa in
   let len = List.fold_left (fun a i -> a + Encode.length i) 0 in
   (* [setup]; jcc over [mov rbx, 1]; ret — rbx records whether it jumped. *)
-  let branch setup cond =
+  let branch ~taken name setup cond =
     let skipped = [ Insn.Mov_ri (Reg.Rbx, 1L) ] in
-    setup @ [ Insn.Jcc (cond, len skipped) ] @ skipped @ [ Insn.Ret ]
+    interp_agrees_with_exec ~rbx:(if taken then 0L else 1L) name
+      (setup @ [ Insn.Jcc (cond, len skipped) ] @ skipped @ [ Insn.Ret ])
   in
   (* XOR sets the flags from its result, as x86 does: a zero result
      after a non-equal compare must take JE, a nonzero one after an
      equal compare must not. *)
-  interp_agrees_with_exec "xor zero -> je"
-    (branch
-       [ Insn.Mov_ri (Reg.Rax, 5L); Insn.Cmp_ri (Reg.Rax, 0);
-         Insn.Xor_rr (Reg.Rax, Reg.Rax) ]
-       Insn.E);
-  interp_agrees_with_exec "xor nonzero -> je"
-    (branch
-       [ Insn.Mov_ri (Reg.Rcx, 0L); Insn.Cmp_ri (Reg.Rcx, 0);
-         Insn.Mov_ri (Reg.Rdx, 6L); Insn.Xor_rr (Reg.Rdx, Reg.Rcx) ]
-       Insn.E);
+  branch ~taken:true "xor zero -> je"
+    [ Insn.Mov_ri (Reg.Rax, 5L); Insn.Cmp_ri (Reg.Rax, 0);
+      Insn.Xor_rr (Reg.Rax, Reg.Rax) ]
+    Insn.E;
+  branch ~taken:false "xor nonzero -> je"
+    [ Insn.Mov_ri (Reg.Rcx, 0L); Insn.Cmp_ri (Reg.Rcx, 0);
+      Insn.Mov_ri (Reg.Rdx, 6L); Insn.Xor_rr (Reg.Rdx, Reg.Rcx) ]
+    Insn.E;
   List.iter
-    (fun (cond, a, b) ->
-      interp_agrees_with_exec
+    (fun (cond, a, b, taken) ->
+      branch ~taken
         (Printf.sprintf "cmp %Ld,%d -> j%s" a b (Insn.cond_name cond))
-        (branch [ Insn.Mov_ri (Reg.Rax, a); Insn.Cmp_ri (Reg.Rax, b) ] cond))
-    [ (Insn.E, 3L, 3); (Insn.Ne, 3L, 3); (Insn.L, -1L, 1); (Insn.Ge, 2L, 1);
-      (Insn.Le, 4L, 4); (Insn.G, 7L, 3); (Insn.B, -1L, 1); (Insn.Ae, 0L, 0) ];
-  interp_agrees_with_exec "push/pop"
+        [ Insn.Mov_ri (Reg.Rax, a); Insn.Cmp_ri (Reg.Rax, b) ]
+        cond)
+    [ (Insn.E, 3L, 3, true); (Insn.Ne, 3L, 3, false); (Insn.L, -1L, 1, true);
+      (Insn.Ge, 2L, 1, true); (Insn.Le, 4L, 4, true); (Insn.G, 7L, 3, true);
+      (Insn.B, -1L, 1, false); (Insn.Ae, 0L, 0, true) ];
+  interp_agrees_with_exec ~rbx:7L "push/pop"
     [ Insn.Mov_ri (Reg.Rax, 7L); Insn.Push Reg.Rax; Insn.Mov_ri (Reg.Rax, 0L);
       Insn.Pop Reg.Rbx; Insn.Ret ];
   let after_call = [ Insn.Mov_ri (Reg.Rcx, 1L); Insn.Ret ] in
-  interp_agrees_with_exec "call/ret"
+  interp_agrees_with_exec ~rbx:5L "call/ret"
     ((Insn.Call_rel (len after_call) :: after_call)
     @ [ Insn.Mov_ri (Reg.Rbx, 5L); Insn.Ret ])
+
+(* Random straight-line programs from the ISA generator, from random
+   registers. Memory operands are moved into the data page (LEA keeps
+   its address arithmetic), and SYSCALL and VMFUNC, whose effects the
+   two machines implement differently, become NOPs. The generator never
+   writes RBP, so [mov rsp, rbp; ret] returns past whatever was pushed. *)
+let prop_interp_agrees_with_exec =
+  let open Sky_isa in
+  let confine (m : Insn.mem) =
+    Insn.mem ~disp:(diff_data_va + (m.Insn.disp land 0xff8)) ()
+  in
+  let operand = function Insn.M m -> Insn.M (confine m) | r -> r in
+  let confine_insn = function
+    | Insn.Syscall | Insn.Vmfunc -> Insn.Nop
+    | Insn.Mov_load (d, m) -> Insn.Mov_load (d, confine m)
+    | Insn.Mov_store (m, s) -> Insn.Mov_store (confine m, s)
+    | Insn.Add_rm (d, m) -> Insn.Add_rm (d, confine m)
+    | Insn.Imul_rri (d, s, i) -> Insn.Imul_rri (d, operand s, i)
+    | Insn.Imul_rm (d, s) -> Insn.Imul_rm (d, operand s)
+    | i -> i
+  in
+  let gen =
+    QCheck.Gen.(
+      pair
+        (map
+           (fun prog ->
+             List.map confine_insn prog @ [ Insn.Mov_rr (Reg.Rsp, Reg.Rbp); Insn.Ret ])
+           Isa_gen.gen_straightline)
+        (array_repeat 16 ui64))
+  in
+  let print (prog, _) = String.concat "; " (List.map Insn.to_string prog) in
+  QCheck.Test.make ~name:"Interp agrees with Exec on straight-line code"
+    ~count:200 (QCheck.make ~print gen) (fun (prog, regs) ->
+      let exec_state, interp_state = run_both regs prog in
+      exec_state = interp_state)
 
 let test_meltdown_isolation () =
   (* §7: "SkyBridge can also defeat such attack since it still puts
@@ -825,11 +1036,22 @@ let () =
           Alcotest.test_case "rewritten attacker runs inert" `Quick
             test_exec_rewritten_attacker_is_inert;
           Alcotest.test_case "NX fetch enforced" `Quick test_exec_nx_enforced;
+          Alcotest.test_case "fetch faults on NX second page" `Quick
+            test_exec_fetch_nx_second_page;
+          Alcotest.test_case "fetch faults on unmapped second page" `Quick
+            test_exec_fetch_unmapped_second_page;
+          Alcotest.test_case "MPK gate executes" `Quick test_mpk_gate_executes;
+          Alcotest.test_case "MPK gate without XOR faults" `Quick
+            test_mpk_gate_without_xor_faults;
+          Alcotest.test_case "syscall gate stops at SYSCALL" `Quick
+            test_syscall_gate_stops_at_syscall;
+          Alcotest.test_case "golden gate bytes" `Quick test_trampoline_golden_bytes;
           Alcotest.test_case "Interp agrees with Exec" `Quick
             test_interp_agrees_with_exec;
           Alcotest.test_case "shared frame" `Quick test_trampoline_shared_frame;
           Alcotest.test_case "two clients isolated" `Quick test_two_clients_isolated;
-        ] );
+        ]
+        @ [ QCheck_alcotest.to_alcotest prop_interp_agrees_with_exec ] );
       ( "eptp_lists",
         [
           Alcotest.test_case "context switch installs list" `Quick
