@@ -37,31 +37,14 @@ type server = {
   deps : int list;
 }
 
-(* What a binding materializes as, per isolation backend: the VMFUNC
-   backend builds a binding EPT (an EPTP-list slot candidate); the MPK
-   backend precomputes the elevated PKRU view the call gate installs;
-   the filtered-syscall backend records the granted kernel entry point
-   (the grant itself lives in the kernel's {!Entry_filter}). *)
-type mech =
-  | Meptp of Ept.t
-  | Mpkey of { view : int; sproc : Proc.t }
-  | Mentry of int
-
 type binding = {
   b_server_id : int;
   server_key : int64;
   buffer_vas : int array;  (** one per server connection/stack *)
   buffer_pas : int array;  (** backing frames, for re-sharing on rebind *)
-  mech : mech;
+  mech : Backend.mech;
   mutable last_use : int;  (** for EPTP-list LRU eviction *)
 }
-
-(* Only the VMFUNC backend ever puts a binding in an EPTP list, so the
-   installed list is Meptp-only by construction. *)
-let binding_ept_exn b =
-  match b.mech with
-  | Meptp e -> e
-  | Mpkey _ | Mentry _ -> invalid_arg "Subkernel: binding has no EPT"
 
 type pstate = {
   proc : Proc.t;
@@ -70,7 +53,8 @@ type pstate = {
   save_area_pa : int;  (** trampoline save area: callee-saved regs, per call *)
   regs : int64 array;  (** modelled register file (16 GPRs, §7 recovery) *)
   mutable bindings : binding list;
-  mutable installed : binding list;  (** subset currently in the EPTP list *)
+  mutable installed : binding list;
+      (** the bindings holding EPTP-list slots, in slot order from 1 *)
   mutable revoked : int list;  (** server ids whose binding was revoked *)
   mutable p_evictions : int;  (** EPTP-slot LRU evictions in this process *)
   pkey : int;  (** MPK: the protection key tagging this domain (0 = none) *)
@@ -87,7 +71,6 @@ type t = {
   backend : Backend.kind;  (** the isolation mechanism carrying crossings *)
   entry_filter : Entry_filter.t;
       (** the filtered-syscall backend's per-domain grant table *)
-  mutable next_pkey : int;  (** MPK key allocator (virtualized mod 15) *)
   mutable servers : server list;
   pstates : (int, pstate) Hashtbl.t;
   mutable next_server_id : int;
@@ -196,22 +179,25 @@ let bindings t =
     t.pstates []
   |> List.sort compare
 
-let eptp_list_of ps =
-  Ept.root_pa ps.own_ept
-  :: List.map (fun b -> Ept.root_pa (binding_ept_exn b)) ps.installed
+let slot_root b = Ept.root_pa (Backend.slot_ept b.mech)
+let eptp_list_of ps = Ept.root_pa ps.own_ept :: List.map slot_root ps.installed
+
+(* The bindings that own a binding EPT, for the audits. *)
+let slot_bindings ps =
+  List.filter (fun b -> Backend.holds_slot b.mech) ps.bindings
 
 (* Install the EPTP list for [proc] on [core] — called from the kernel's
    context-switch hook. Only processes registered into SkyBridge carry a
    list; switching between unregistered processes keeps the base list
-   installed and costs no VM exit (Table 5). Under the MPK backend the
-   scheduled process additionally gets its resting PKRU view. *)
+   installed and costs no VM exit (Table 5). In a shared address space
+   (MPK) the scheduled process additionally gets its resting PKRU
+   view. *)
 let install_for t ~core proc =
-  (match (t.backend, pstate_opt t proc) with
-  | Backend.Mpk, Some ps ->
-    (Kernel.vcpu t.kernel ~core).Vcpu.pkru <- ps.pkru_view
-  | _ -> ());
   match pstate_opt t proc with
-  | Some ps -> Rootkernel.install_eptp_list t.root ~core (eptp_list_of ps)
+  | Some ps ->
+    if Backend.shared_address_space t.backend then
+      (Kernel.vcpu t.kernel ~core).Vcpu.pkru <- ps.pkru_view;
+    Rootkernel.install_eptp_list t.root ~core (eptp_list_of ps)
   | None ->
     let vmcs = t.root.Rootkernel.vmcses.(core) in
     let base = Ept.root_pa t.root.Rootkernel.base_ept in
@@ -226,7 +212,7 @@ let init ?backend ?(vpid = true) ?(huge_ept = true)
     match backend with Some b -> b | None -> Backend.get_default ()
   in
   let root = Rootkernel.boot ~vpid ~huge_ept kernel in
-  let trampoline_bytes = Trampoline.code_for backend in
+  let trampoline_bytes = Backend.gate_code backend in
   let trampoline_frame = Frame_alloc.alloc_frame (Kernel.alloc kernel) in
   Phys_mem.write_bytes (Kernel.mem kernel) trampoline_frame trampoline_bytes;
   let t =
@@ -236,7 +222,6 @@ let init ?backend ?(vpid = true) ?(huge_ept = true)
       rng = Rng.create ~seed;
       backend;
       entry_filter = Entry_filter.create ();
-      next_pkey = 1;
       servers = [];
       pstates = Hashtbl.create 16;
       next_server_id = 1;
@@ -320,15 +305,15 @@ let gadget_images t proc =
 
 (* Mandatory post-pass at registration: independently prove the rewrite
    result before the process gains a trampoline mapping. A process whose
-   executable pages cannot be verified must not join SkyBridge. Under
-   the MPK backend the same images must additionally prove free of
-   WRPKRU occurrences (ERIM's inspection requirement): a stray
+   executable pages cannot be verified must not join SkyBridge. In a
+   shared address space (MPK) the same images must additionally prove
+   free of WRPKRU occurrences (ERIM's inspection requirement): a stray
    [0F 01 EF] would let the domain rewrite its own PKRU. *)
 let audit_registration t proc =
   let images = gadget_images t proc in
   let vs = List.concat_map Sky_analysis.Gadget.audit images in
   let vs =
-    if t.backend = Backend.Mpk then
+    if Backend.shared_address_space t.backend then
       vs @ List.concat_map Sky_analysis.Gadget.audit_wrpkru images
     else vs
   in
@@ -359,19 +344,9 @@ let ensure_pstate t proc =
       ~pa:t.trampoline_frame ~len:4096 ~flags:Pte.urx;
     let own_ept = Rootkernel.new_process_ept t.root proc in
     harden_trampoline_ept t own_ept;
-    (* MPK: hand the domain a protection key and its resting view (own
-       key + the shared-buffer key 0). With more domains than the 15
-       non-default hardware keys, keys are virtualized round-robin —
-       domains sharing a key fall back to page-table separation, which
-       the Isoflow pkru-escape check accounts for. *)
-    let pkey =
-      match t.backend with
-      | Backend.Mpk ->
-        let k = ((t.next_pkey - 1) mod 15) + 1 in
-        t.next_pkey <- t.next_pkey + 1;
-        k
-      | Backend.Vmfunc | Backend.Syscall -> 0
-    in
+    (* Processes are never unregistered, so this is the domain's
+       registration ordinal. *)
+    let pkey = Backend.domain_key t.backend (Hashtbl.length t.pstates + 1) in
     let rec ps =
       {
         proc;
@@ -385,8 +360,7 @@ let ensure_pstate t proc =
         revoked = [];
         p_evictions = 0;
         pkey;
-        pkru_view =
-          (if t.backend = Backend.Mpk then Pkru.allow_only [ 0; pkey ] else 0);
+        pkru_view = Backend.resting_view t.backend pkey;
         active = Some ps;
       }
     in
@@ -535,27 +509,15 @@ let fresh_key t =
 
 let bind_one t ps ~server_id ~key ~share_with =
   let srv = find_server t server_id in
+  let server_view =
+    match pstate_opt t srv.sproc with
+    | Some sps -> sps.pkru_view
+    | None -> invalid_arg "Subkernel.bind_one: server not registered"
+  in
   let mech =
-    match t.backend with
-    | Backend.Vmfunc ->
-      let ept = Rootkernel.bind_ept t.root ~client:ps.proc ~server:srv.sproc in
-      harden_trampoline_ept t ept;
-      Meptp ept
-    | Backend.Mpk ->
-      (* The elevated view the call gate installs for the handler's
-         duration: the server's key plus the shared-buffer key. *)
-      let spk =
-        match pstate_opt t srv.sproc with
-        | Some sps -> sps.pkey
-        | None -> invalid_arg "Subkernel.bind_one: server not registered"
-      in
-      Mpkey { view = Pkru.allow_only [ 0; spk ]; sproc = srv.sproc }
-    | Backend.Syscall ->
-      (* Grant the kernel entry point; the trap-time filter will match
-         it exactly. The gate page is the only blessed entry range. *)
-      Entry_filter.allow t.entry_filter ~pid:ps.proc.Proc.pid ~server:server_id
-        ~entry:Layout.trampoline_va;
-      Mentry Layout.trampoline_va
+    Backend.bind t.backend t.root t.entry_filter
+      ~harden:(harden_trampoline_ept t) ~client:ps.proc ~server:srv.sproc
+      ~server_id ~server_view
   in
   (* Shared buffers, one per server connection, mapped at the same VA in
      every address space of the call chain: the client, the target
@@ -589,11 +551,8 @@ let bind_one t ps ~server_id ~key ~share_with =
   in
   ps.bindings <- ps.bindings @ [ b ];
   t.live_bindings <- t.live_bindings + 1;
-  (match mech with
-  | Meptp _ ->
-    if List.length ps.installed + 1 < t.max_eptp then
-      ps.installed <- ps.installed @ [ b ]
-  | Mpkey _ | Mentry _ -> ());
+  if Backend.holds_slot mech && List.length ps.installed + 1 < t.max_eptp then
+    ps.installed <- ps.installed @ [ b ];
   b
 
 (* The key a process uses to call [server_id]: its own binding's key. *)
@@ -713,32 +672,34 @@ let clear_key t srv ~client_pid ~key =
     Phys_mem.write_u64 mem (base + 8) 0L
   done
 
-(* A revoked binding's EPTP slot degenerates to the process's own EPT
-   root instead of being removed: in-flight nested frames hold slot
-   indices into the installed list, which must therefore keep its
-   positions stable. *)
+(* What a revoked binding leaves in its EPTP slot (see
+   {!Backend.placeholder}). *)
 let dummy_binding ps =
   {
     b_server_id = -1;
     server_key = 0L;
     buffer_vas = [||];
     buffer_pas = [||];
-    mech = Meptp ps.own_ept;
+    mech = Backend.placeholder ps.own_ept;
     last_use = 0;
   }
 
+(* Rewrite [ps]'s EPTP list on [core], keeping the live EPTP index: the
+   hardware list update does not switch, so a running call stays in
+   its address space. *)
+let reinstall t ~core ps =
+  let vmcs = t.root.Rootkernel.vmcses.(core) in
+  let saved = Vmcs.current_index vmcs in
+  Rootkernel.install_eptp_list t.root ~core (eptp_list_of ps);
+  vmcs.Vmcs.current_index <- saved
+
 (* Push the (changed) EPTP list to every core currently running the
-   process, preserving the live EPTP index (the list rewrite must not
-   switch address spaces under a running call). *)
+   process. *)
 let refresh_lists t ps =
   Array.iteri
     (fun core running ->
       match running with
-      | Some p when p == ps.proc ->
-        let vmcs = t.root.Rootkernel.vmcses.(core) in
-        let saved = Vmcs.current_index vmcs in
-        Rootkernel.install_eptp_list t.root ~core (eptp_list_of ps);
-        vmcs.Vmcs.current_index <- saved
+      | Some p when p == ps.proc -> reinstall t ~core ps
       | _ -> ())
     t.kernel.Kernel.running
 
@@ -751,20 +712,14 @@ let revoke_binding ?(orphan = true) t ~core proc ~server_id ~reason =
     | Some b ->
       ps.bindings <- List.filter (fun x -> x != b) ps.bindings;
       t.live_bindings <- t.live_bindings - 1;
-      (* Per-mechanism invalidation: the VMFUNC backend degenerates the
-         EPTP slot in place (in-flight nested frames hold slot indices);
-         the filtered-syscall backend erases the kernel grant, so the
-         very next trap is denied; the MPK backend has nothing standing
-         — the elevated view only ever exists inside the call gate and
-         the binding's disappearance already unreaches it. *)
-      (match b.mech with
-      | Meptp _ ->
+      (* An EPTP slot degenerates in place (in-flight nested frames
+         hold slot indices); whatever else the mechanism left standing
+         is torn down by the backend. *)
+      if Backend.holds_slot b.mech then
         ps.installed <-
           List.map (fun x -> if x == b then dummy_binding ps else x)
-            ps.installed
-      | Mentry _ ->
-        Entry_filter.revoke t.entry_filter ~pid:proc.Proc.pid ~server:server_id
-      | Mpkey _ -> ());
+            ps.installed;
+      Backend.revoke t.entry_filter ~pid:proc.Proc.pid ~server_id b.mech;
       if not (List.mem server_id ps.revoked) then
         ps.revoked <- server_id :: ps.revoked;
       (* [orphan = false] is the capability-revocation path: the teardown
@@ -922,123 +877,40 @@ let rebind t proc ~server_id =
 (* direct_server_call                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let binding_index ps b =
-  let rec go i = function
-    | [] -> None
-    | x :: rest -> if x == b then Some (i + 1) else go (i + 1) rest
-  in
-  go 0 ps.installed
+(* [b]'s EPTP-list slot (from 1), or -1 if it holds none. *)
+let rec slot_in b i = function
+  | [] -> -1
+  | x :: rest -> if x == b then i else slot_in b (i + 1) rest
+
+(* The first least-recently-used binding of an installed list. *)
+let rec lru v = function
+  | [] -> v
+  | x :: rest -> lru (if x.last_use < v.last_use then x else v) rest
 
 (* EPTP-list LRU eviction (§10 future work): make sure [b] occupies a
    slot, evicting the least-recently-used binding when the list is
    full. Requires a Rootkernel VMCALL to rewrite the list. *)
 let ensure_installed t ~core ps b =
-  let vmcs = t.root.Rootkernel.vmcses.(core) in
-  let refresh () =
-    (* Rewriting the EPTP list mid-call must not disturb the currently
-       installed EPTP (the hardware list update does not switch). *)
-    let saved_index = Vmcs.current_index vmcs in
-    Rootkernel.install_eptp_list t.root ~core (eptp_list_of ps);
-    vmcs.Vmcs.current_index <- saved_index
-  in
-  match binding_index ps b with
-  | Some idx ->
+  let idx = slot_in b 1 ps.installed in
+  if idx >= 0 then begin
     (* The list in the VMCS may predate this binding (registered after
        the client was last scheduled): refresh it if stale. *)
-    if Vmcs.eptp_at vmcs ~index:idx <> Ept.root_pa (binding_ept_exn b) then
-      refresh ();
+    let vmcs = t.root.Rootkernel.vmcses.(core) in
+    if Vmcs.eptp_at vmcs ~index:idx <> slot_root b then reinstall t ~core ps;
     idx
-  | None ->
-    let saved_index = Vmcs.current_index vmcs in
-    let victim =
-      List.fold_left
-        (fun acc x -> match acc with
-          | None -> Some x
-          | Some v -> if x.last_use < v.last_use then Some x else acc)
-        None ps.installed
-    in
-    (match victim with
-    | Some v when List.length ps.installed + 1 >= t.max_eptp ->
+  end
+  else begin
+    (match ps.installed with
+    | v :: rest when List.length ps.installed + 1 >= t.max_eptp ->
+      let victim = lru v rest in
       ps.installed <-
-        List.map (fun x -> if x == v then b else x) ps.installed;
+        List.map (fun x -> if x == victim then b else x) ps.installed;
       t.evictions <- t.evictions + 1;
       ps.p_evictions <- ps.p_evictions + 1
     | _ -> ps.installed <- ps.installed @ [ b ]);
-    Rootkernel.install_eptp_list t.root ~core (eptp_list_of ps);
-    vmcs.Vmcs.current_index <- saved_index;
-    (match binding_index ps b with Some i -> i | None -> assert false)
-
-(* ---- the per-mechanism crossing ----
-
-   [cross_enter] switches the vCPU into the server's domain and returns
-   the token [cross_leave] needs to switch back; the pair is the only
-   place the three mechanisms differ on the hot path. The VMFUNC legs
-   are byte-for-byte the original EPTP switches (the cost-neutrality
-   gate holds the pingpong budget to ±2%). *)
-type cross_token =
-  | Tindex of int  (** VMFUNC: the EPTP index to return to *)
-  | Tpkru of { pkru : int; cr3 : int; pcid : int }  (** MPK: client state *)
-  | Tcr3 of { cr3 : int; pcid : int }  (** syscall: client translation *)
-
-(* [idx] is the binding's EPTP-list slot under the VMFUNC backend (from
-   [ensure_installed]), unused otherwise. *)
-let cross_enter t ~core vcpu ps b srv ~idx =
-  match b.mech with
-  | Meptp _ ->
-    let return_index = Vmcs.current_index (Vcpu.vmcs_exn vcpu) in
-    Vmfunc.execute vcpu ~func:0 ~index:idx;
-    Tindex return_index
-  | Mpkey { view; sproc } ->
-    let token =
-      Tpkru { pkru = vcpu.Vcpu.pkru; cr3 = vcpu.Vcpu.cr3; pcid = vcpu.Vcpu.pcid }
-    in
-    (* The architectural switch is the WRPKRU alone: no EPTP change, no
-       CR3 write, no flush. The CR3/PCID assignment below is the
-       single-address-space emulation — under MPK client and server
-       share one address space, which this machine models by viewing
-       the server's page tables uncharged. Giving the borrowed view the
-       server's own PCID tag keeps the TLB sound without a flush: the
-       client's untagged entries stay filed under its own ASID. *)
-    Wrpkru.execute vcpu ~pkru:view;
-    vcpu.Vcpu.cr3 <- Proc.cr3 sproc;
-    vcpu.Vcpu.pcid <- sproc.Proc.pid;
-    token
-  | Mentry entry ->
-    let token = Tcr3 { cr3 = vcpu.Vcpu.cr3; pcid = vcpu.Vcpu.pcid } in
-    (* The filtered kernel slowpath: trap, check the grant table before
-       anything else, then a full (flushing) CR3 switch into the
-       server. A missing grant is denied at the cheapest point. *)
-    Kernel.kernel_entry t.kernel ~core;
-    Cpu.charge (Kernel.cpu t.kernel ~core) Costs.entry_filter_check;
-    if
-      not
-        (Entry_filter.check t.entry_filter ~pid:ps.proc.Proc.pid
-           ~server:b.b_server_id ~entry)
-    then begin
-      Kernel.kernel_exit t.kernel ~core;
-      security t
-        (Printf.sprintf "entry filter denied pid %d -> server %d"
-           ps.proc.Proc.pid b.b_server_id);
-      raise (Binding_revoked { server_id = b.b_server_id })
-    end;
-    Vcpu.write_cr3 vcpu ~cr3:(Proc.cr3 srv.sproc) ~pcid:srv.sproc.Proc.pid;
-    Kernel.kernel_exit t.kernel ~core;
-    token
-
-let cross_leave t ~core vcpu token =
-  match token with
-  | Tindex return_index -> Vmfunc.execute vcpu ~func:0 ~index:return_index
-  | Tpkru { pkru; cr3; pcid } ->
-    Wrpkru.execute vcpu ~pkru;
-    vcpu.Vcpu.cr3 <- cr3;
-    vcpu.Vcpu.pcid <- pcid
-  | Tcr3 { cr3; pcid } ->
-    (* Returning is a kernel round trip too: trap, validate the return
-       frame, switch back to the client's translation. *)
-    Kernel.kernel_entry t.kernel ~core;
-    Cpu.charge (Kernel.cpu t.kernel ~core) Costs.entry_filter_check;
-    Vcpu.write_cr3 vcpu ~cr3 ~pcid;
-    Kernel.kernel_exit t.kernel ~core
+    reinstall t ~core ps;
+    slot_in b 1 ps.installed
+  end
 
 let guest_copy_out t ~core va data =
   Translate.write_bytes (Kernel.vcpu t.kernel ~core) (Kernel.mem t.kernel) ~va data
@@ -1130,7 +1002,7 @@ let pop_frame t ~core = if t.depth.(core) > 0 then t.depth.(core) <- t.depth.(co
 (* --- cross back, restore --- *)
 let finish_return t ~core cpu vcpu ps token outer =
   Fault.leave_scope ();
-  cross_leave t ~core vcpu token;
+  Backend.leave t.kernel ~core vcpu token;
   t.active_client.(core) <- outer;
   pop_frame t ~core;
   Trampoline.charge_crossing cpu ~text_pa:ps.trampoline_text_pa
@@ -1144,7 +1016,7 @@ let forced_return t ~core cpu vcpu ps token outer ~slot =
   Fault.leave_scope ();
   t.forced_returns <- t.forced_returns + 1;
   Sky_trace.Trace.span ~core ~cat:"recovery" "recovery.forced_return" @@ fun () ->
-  cross_leave t ~core vcpu token;
+  Backend.leave t.kernel ~core vcpu token;
   t.active_client.(core) <- outer;
   pop_frame t ~core;
   Trampoline.charge_crossing cpu ~text_pa:ps.trampoline_text_pa;
@@ -1185,7 +1057,10 @@ let direct_call t ~core ps b srv ~server_id ~idx ~start ~walk0 ~budget ?attack m
      a nested call (the FS returning from the disk driver must land
      back in the FS's address space, not the client's); the MPK and
      syscall tokens capture the analogous client state. *)
-  let token = cross_enter t ~core vcpu ps b srv ~idx in
+  let token =
+    Backend.enter t.kernel t.entry_filter ~core vcpu ~pid:ps.proc.Proc.pid
+      ~server_id ~server:srv.sproc ~idx b.mech
+  in
   t.active_client.(core) <- ps.active;
   push_frame t ~core ~server_id ~start;
   (* Set once the client is back in its own space, by either return. *)
@@ -1262,15 +1137,12 @@ let direct_call t ~core ps b srv ~server_id ~idx ~start ~walk0 ~budget ?attack m
         else reply
       in
       (* Accounting (Figure 7 categories): the two switch legs land
-         in the domain-switch bucket for the user-level mechanisms
-         and the syscall bucket for the kernel-mediated one. *)
-      (match t.backend with
-      | Backend.Vmfunc | Backend.Mpk ->
-        t.stats.Breakdown.vmfunc <-
-          t.stats.Breakdown.vmfunc + (2 * Backend.switch_cycles t.backend)
-      | Backend.Syscall ->
-        t.stats.Breakdown.syscall <-
-          t.stats.Breakdown.syscall + (2 * Backend.switch_cycles t.backend));
+         in the syscall bucket when the kernel is on the path, in the
+         domain-switch bucket otherwise. *)
+      let legs = 2 * Backend.switch_cycles t.backend in
+      if Backend.kernel_on_path t.backend then
+        t.stats.Breakdown.syscall <- t.stats.Breakdown.syscall + legs
+      else t.stats.Breakdown.vmfunc <- t.stats.Breakdown.vmfunc + legs;
       t.stats.Breakdown.other <-
         t.stats.Breakdown.other + (2 * Trampoline.crossing_cycles);
       t.stats.Breakdown.copy <- t.stats.Breakdown.copy + !copy_cycles;
@@ -1353,20 +1225,32 @@ let call_internal t ~core ~client ~server_id ~budget ?attack msg =
         Kernel.context_switch t.kernel ~core ps.proc;
       t.calls <- t.calls + 1;
       b.last_use <- t.calls;
-      (* EPTP-slot residency is a VMFUNC-backend concern; prepared
-         outside the measured crossing, as before the backend split. *)
+      (* EPTP-slot residency, prepared outside the measured crossing. *)
       let idx =
-        match b.mech with
-        | Meptp _ -> ensure_installed t ~core ps b
-        | Mpkey _ | Mentry _ -> -1
+        if Backend.holds_slot b.mech then ensure_installed t ~core ps b else -1
       in
       let start = Cpu.cycles cpu in
       let walk0 = Pmu.read (Cpu.pmu cpu) Pmu.Walk_cycles in
-      if Sky_trace.Trace.is_enabled () then
-        Sky_trace.Trace.span ~core ~cat:"ipc" (call_span_name t) (fun () ->
-            direct_call t ~core ps b srv ~server_id ~idx ~start ~walk0 ~budget
-              ?attack msg)
-      else direct_call t ~core ps b srv ~server_id ~idx ~start ~walk0 ~budget ?attack msg
+      match
+        if Sky_trace.Trace.is_enabled () then
+          Sky_trace.Trace.span ~core ~cat:"ipc" (call_span_name t) (fun () ->
+              direct_call t ~core ps b srv ~server_id ~idx ~start ~walk0 ~budget
+                ?attack msg)
+        else
+          direct_call t ~core ps b srv ~server_id ~idx ~start ~walk0 ~budget
+            ?attack msg
+      with
+      | served -> served
+      | exception Backend.Denied ->
+        (* The kernel refused the trap: the grant is gone although the
+           binding stands. Retire the binding, as an EPT fault does, so
+           a retry rebinds with a fresh grant. *)
+        security t
+          (Printf.sprintf "entry filter denied pid %d -> server %d"
+             ps.proc.Proc.pid server_id);
+        revoke_binding t ~core ps.proc ~server_id
+          ~reason:"entry filter denied the trap";
+        Failed (Revoked { server_id })
 
 let call t ~core ~client ~server_id ?(timeout = default_watchdog) ?attack msg =
   match call_internal t ~core ~client ~server_id ~budget:timeout ?attack msg with
@@ -1482,16 +1366,16 @@ let server_ids t =
 let binding_ept t proc ~server_id =
   match pstate_opt t proc with
   | None -> None
-  | Some ps ->
-    List.find_opt (fun b -> b.b_server_id = server_id) ps.bindings
-    |> fun o ->
-    Option.bind o (fun b ->
-        match b.mech with Meptp e -> Some e | Mpkey _ | Mentry _ -> None)
+  | Some ps -> (
+    match List.find_opt (fun b -> b.b_server_id = server_id) ps.bindings with
+    | Some b when Backend.holds_slot b.mech -> Some (Backend.slot_ept b.mech)
+    | _ -> None)
 
 (* Test accessor: the MPK identity of a registered process. *)
 let mpk_view t proc =
   match pstate_opt t proc with
-  | Some ps when t.backend = Backend.Mpk -> Some (ps.pkey, ps.pkru_view)
+  | Some ps when Backend.shared_address_space t.backend ->
+    Some (ps.pkey, ps.pkru_view)
   | _ -> None
 
 (* Lower the live machine into Isoflow's input: every registered process
@@ -1521,13 +1405,7 @@ let isoflow_input ?granted t =
           d_cr3 = Proc.cr3 ps.proc;
           d_slots = List.mapi (fun i root -> (i, root)) (eptp_list_of ps);
           d_allowed =
-            Ept.root_pa ps.own_ept
-            :: List.filter_map
-                 (fun b ->
-                   match b.mech with
-                   | Meptp e -> Some (Ept.root_pa e)
-                   | Mpkey _ | Mentry _ -> None)
-                 ps.bindings;
+            Ept.root_pa ps.own_ept :: List.map slot_root (slot_bindings ps);
         })
       pstates
   in
@@ -1590,23 +1468,22 @@ let isoflow_input ?granted t =
     trampoline_gpa = t.trampoline_frame;
     trampoline_bytes = live_trampoline t;
     mpk =
-      (match t.backend with
-      | Backend.Mpk ->
-        Some
-          {
-            Sky_analysis.Isoflow.m_domains =
-              List.map
-                (fun ps ->
-                  {
-                    Sky_analysis.Isoflow.m_pid = ps.proc.Proc.pid;
-                    m_name = ps.proc.Proc.name;
-                    m_key = ps.pkey;
-                    m_view = ps.pkru_view;
-                  })
-                pstates;
-            m_shared_key = 0;
-          }
-      | Backend.Vmfunc | Backend.Syscall -> None);
+      (if Backend.shared_address_space t.backend then
+         Some
+           {
+             Sky_analysis.Isoflow.m_domains =
+               List.map
+                 (fun ps ->
+                   {
+                     Sky_analysis.Isoflow.m_pid = ps.proc.Proc.pid;
+                     m_name = ps.proc.Proc.name;
+                     m_key = ps.pkey;
+                     m_view = ps.pkru_view;
+                   })
+                 pstates;
+             m_shared_key = 0;
+           }
+       else None);
   }
 
 (* The full pass-registry input for this machine. *)
@@ -1620,41 +1497,36 @@ let audit_input ?granted t =
       ~allowed tramp
     :: List.concat_map (fun ps -> gadget_images t ps.proc) pstates
   in
-  (* The MPK backend's WRPKRU scan: same images, but the allowed ranges
-     are the call gate's two WRPKRUs rather than VMFUNCs. *)
+  (* The shared address space's WRPKRU scan: same images, but the
+     allowed ranges are the call gate's two WRPKRUs rather than VMFUNCs. *)
   let wrpkru_images =
-    match t.backend with
-    | Backend.Mpk ->
+    if Backend.shared_address_space t.backend then
       Sky_analysis.Gadget.image ~name:"trampoline" ~va:Layout.trampoline_va
         ~allowed:(Trampoline.wrpkru_ranges t.trampoline_bytes)
         tramp
       :: List.concat_map (fun ps -> gadget_images t ps.proc) pstates
-    | Backend.Vmfunc | Backend.Syscall -> []
+    else []
   in
+  (* With the kernel on the path, its grant table is authority too. *)
   let entry_filter =
-    match t.backend with
-    | Backend.Syscall ->
+    if Backend.kernel_on_path t.backend then
       Some
         {
           Sky_analysis.Audit.ef_entries = Entry_filter.entries t.entry_filter;
           ef_blessed = [ (Layout.trampoline_va, 4096) ];
         }
-    | Backend.Vmfunc | Backend.Mpk -> None
+    else None
   in
   let epts =
     List.concat_map
       (fun ps ->
         (Printf.sprintf "ept:%s" ps.proc.Proc.name, Ept.root_pa ps.own_ept)
-        :: List.filter_map
+        :: List.map
              (fun b ->
-               match b.mech with
-               | Meptp e ->
-                 Some
-                   ( Printf.sprintf "ept:%s->server%d" ps.proc.Proc.name
-                       b.b_server_id,
-                     Ept.root_pa e )
-               | Mpkey _ | Mentry _ -> None)
-             ps.bindings)
+               ( Printf.sprintf "ept:%s->server%d" ps.proc.Proc.name
+                   b.b_server_id,
+                 slot_root b ))
+             (slot_bindings ps))
       pstates
   in
   let known_roots =

@@ -118,8 +118,10 @@ val call :
     watchdog is armed by default ([timeout] defaults to 1M cycles) and
     abnormal outcomes surface as typed errors instead of exceptions. A
     revoked binding transparently degrades to the kernel-mediated
-    slowpath ([`Slowpath]). Every error path forces the client back to
-    its own EPT (VMFUNC-0 + saved-register restore) first. *)
+    slowpath ([`Slowpath]). A trap the entry filter refuses, or an EPT
+    fault mid-call, retires the binding and returns [Revoked], so a
+    retry rebinds. Every error path forces the client back to its own
+    EPT (VMFUNC-0 + saved-register restore) first. *)
 
 val revoke_binding :
   ?orphan:bool ->

@@ -94,11 +94,6 @@ let syscall_insns =
 let mpk_code () = Encode.encode_all mpk_insns
 let syscall_code () = Encode.encode_all syscall_insns
 
-let code_for = function
-  | Backend.Vmfunc -> code ()
-  | Backend.Mpk -> mpk_code ()
-  | Backend.Syscall -> syscall_code ()
-
 (* Offsets of the two legal VMFUNCs — the allowed ranges for the
    rewriter. *)
 let vmfunc_ranges code =

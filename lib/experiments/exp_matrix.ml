@@ -2,7 +2,7 @@
     EPTP switching, ERIM-style MPK, the filtered-syscall slowpath —
     driven through the same three probes, one matrix out.
 
-    Per backend ({!Sky_backends.Registry.with_backend} re-points every
+    Per backend ({!Sky_core.Backend.with_default} re-points every
     [Subkernel.init] in the probes, so the probes themselves are
     backend-blind):
 
@@ -26,10 +26,10 @@
 open Sky_harness
 module Fault = Sky_faults.Fault
 module Subkernel = Sky_core.Subkernel
-module Descriptor = Sky_backends.Descriptor
+module Backend = Sky_core.Backend
 
 type cell = {
-  x_d : Descriptor.t;
+  x_kind : Backend.kind;
   x_ping : Exp_pingpong.full;
   x_injected : int;
   x_attempts : int;
@@ -90,12 +90,12 @@ let run_storm ~seed =
   in
   ( injected, st, !lost_hard, Subkernel.forced_returns sb, audit )
 
-let run_cell ~seed d =
-  Sky_backends.Registry.with_backend (Descriptor.kind d) @@ fun () ->
+let run_cell ~seed kind =
+  Backend.with_default kind @@ fun () ->
   let ping = Exp_pingpong.measure_full () in
   let injected, st, lost_hard, forced, audit = run_storm ~seed in
   {
-    x_d = d;
+    x_kind = kind;
     x_ping = ping;
     x_injected = injected;
     x_attempts = st.Sky_core.Retry.attempts;
@@ -111,12 +111,12 @@ let default_seed = 7
 
 let run_matrix ?(seed = default_seed) () =
   { r_seed = seed;
-    r_cells = List.map (run_cell ~seed) Sky_backends.Registry.all }
+    r_cells = List.map (run_cell ~seed) Backend.all }
 
 (* ---- gates ---- *)
 
 let cell_of r kind =
-  List.find (fun c -> Descriptor.kind c.x_d = kind) r.r_cells
+  List.find (fun c -> c.x_kind = kind) r.r_cells
 
 let cycles r kind = (cell_of r kind).x_ping.Exp_pingpong.f_cycles_per_call
 let zero_lost r = List.for_all (fun c -> c.x_lost = 0) r.r_cells
@@ -128,7 +128,7 @@ let audits_clean r =
     workload (strictly — both legs are cheaper and nothing else in the
     crossing changed). *)
 let mpk_beats_vmfunc r =
-  cycles r Sky_core.Backend.Mpk < cycles r Sky_core.Backend.Vmfunc
+  cycles r Backend.Mpk < cycles r Backend.Vmfunc
 
 let recovered_under_storm r =
   List.for_all (fun c -> c.x_injected > 0 && c.x_restarts > 0) r.r_cells
@@ -148,17 +148,18 @@ let ok r = List.for_all snd (checks r)
 let audit_total c = List.fold_left (fun a (_, n) -> a + n) 0 c.x_audit
 
 let table r =
+  let yes_no b = if b then "yes" else "no" in
   let row c =
-    let d = c.x_d in
+    let k = c.x_kind in
     [
-      Descriptor.name d;
+      Backend.name k;
       Tbl.fmt_int c.x_ping.Exp_pingpong.f_cycles_per_call;
-      Tbl.fmt_int (Descriptor.switch_cycles d);
+      Tbl.fmt_int (Backend.switch_cycles k);
       Tbl.fmt_int c.x_ping.Exp_pingpong.f_switch_per_call;
       Tbl.fmt_int c.x_ping.Exp_pingpong.f_kernel_per_call;
-      (if d.Descriptor.d_kernel_on_path then "yes" else "no");
-      (if d.Descriptor.d_tlb_flush_on_switch then "yes" else "no");
-      (if d.Descriptor.d_shared_address_space then "yes" else "no");
+      yes_no (Backend.kernel_on_path k);
+      yes_no (Backend.tlb_flush_on_switch k);
+      yes_no (Backend.shared_address_space k);
       string_of_int c.x_injected;
       string_of_int c.x_recovered;
       string_of_int c.x_degraded;
@@ -193,19 +194,19 @@ let table r =
 let to_json r =
   let open Sky_trace.Json in
   let cell c =
-    let d = c.x_d in
+    let k = c.x_kind in
     Obj
       [
-        ("backend", String (Descriptor.name d));
-        ("title", String d.Descriptor.d_title);
+        ("backend", String (Backend.name k));
+        ("title", String (Backend.title k));
         ("cycles_per_call", Int c.x_ping.Exp_pingpong.f_cycles_per_call);
-        ("switch_cycles_leg", Int (Descriptor.switch_cycles d));
+        ("switch_cycles_leg", Int (Backend.switch_cycles k));
         ("switch_cycles_per_call", Int c.x_ping.Exp_pingpong.f_switch_per_call);
         ("kernel_cycles_per_call", Int c.x_ping.Exp_pingpong.f_kernel_per_call);
         ("copy_cycles_per_call", Int c.x_ping.Exp_pingpong.f_copy_per_call);
-        ("kernel_on_path", Bool d.Descriptor.d_kernel_on_path);
-        ("tlb_flush_on_switch", Bool d.Descriptor.d_tlb_flush_on_switch);
-        ("shared_address_space", Bool d.Descriptor.d_shared_address_space);
+        ("kernel_on_path", Bool (Backend.kernel_on_path k));
+        ("tlb_flush_on_switch", Bool (Backend.tlb_flush_on_switch k));
+        ("shared_address_space", Bool (Backend.shared_address_space k));
         ("injected", Int c.x_injected);
         ("attempts", Int c.x_attempts);
         ("recovered", Int c.x_recovered);
@@ -232,7 +233,7 @@ let outcome budgets r =
       (checks r
       @ [
           Budget.ceiling budgets ~section:"pingpong" ~key:"cycles_per_call"
-            (cycles r Sky_core.Backend.Vmfunc);
+            (cycles r Backend.Vmfunc);
         ])
     (table r) (to_json r)
 

@@ -14,8 +14,8 @@
       intentionally records boundary placement).
 
     Phase B ({e speedup}) runs a larger cluster — [shards × workers]
-    sized to the paper's 16-core evaluation box, loaded so the [Seq] run
-    takes over a second on a 2-vCPU host — in three alternating
+    sized to the paper's 16-core evaluation box; its [Seq] run takes
+    about 0.3 s on a 2-vCPU host — in three alternating
     [Seq]/[Par] pairs, wall-clocking every run on the host clock. The
     speedup is the median of the three per-pair ratios: one shot at this
     size varies by tens of percent on a shared host.
@@ -154,9 +154,9 @@ let sc_shards = 4
 let sc_workers = 4
 let sc_conns = 128
 
-(* 7,168 requests per shard: long enough that Seq takes over a second on
-   a 2-vCPU host, short of the ~12,000 a shard serves before Kv_server's
-   4,096-slot table fills. *)
+(* 7,168 requests per shard (Seq about 0.3 s on a 2-vCPU host): short of
+   the ~12,000 a shard serves before Kv_server's 4,096-slot table fills,
+   so a longer phase needs more shards or rounds, not more requests. *)
 let sc_requests = 56
 let sc_quantum = Sky_sim.Quantum.default_quantum
 let sc_pairs = 3

@@ -253,8 +253,9 @@ let test_rng_golden () =
    token. The bound is the measured value (141 words before the call
    frames became flat arrays and the return paths toplevel functions),
    so a new per-call allocation fails here; the span closures, the call
-   frame, the root client's option, the server and binding lookups and
-   the callee-saved register save allocate nothing. *)
+   frame, the root client's option, the server and binding lookups, the
+   EPTP-slot check and the callee-saved register save allocate
+   nothing. *)
 let test_direct_call () =
   let machine = Machine.create ~cores:2 ~mem_mib:128 () in
   let kernel = Kernel.create machine in
@@ -275,7 +276,7 @@ let test_direct_call () =
   Kernel.context_switch kernel ~core:0 client;
   Vcpu.set_mode vcpu Vcpu.User;
   let msg = Bytes.create 8 in
-  check_words "Subkernel.direct_server_call (VMFUNC)" ~per_op:57 (fun () ->
+  check_words "Subkernel.direct_server_call (VMFUNC)" ~per_op:50 (fun () ->
       ignore (Sky_core.Subkernel.direct_server_call sb ~core:0 ~client ~server_id msg))
 
 (* The routed call on a resolved [kv://] binding: cache-hit resolve,
@@ -296,7 +297,7 @@ let test_mesh_call () =
   ignore (Sky_mesh.Mesh.grant mesh ~core:0 ~client "kv://");
   Kernel.context_switch kernel ~core:0 client;
   let msg = Bytes.create 8 in
-  check_words "Mesh.call (resolved kv://)" ~per_op:56 (fun () ->
+  check_words "Mesh.call (resolved kv://)" ~per_op:49 (fun () ->
       match Sky_mesh.Mesh.call mesh ~core:0 ~client "kv://" msg with
       | Ok _ -> ()
       | Error _ -> Alcotest.fail "routed call failed")

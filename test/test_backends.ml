@@ -1,17 +1,16 @@
 (* Tests for the pluggable isolation backends: the same Subkernel
    behavior (calls, crash -> restart -> rebind, revocation -> slowpath,
    watchdog forced returns) under VMFUNC, MPK and the filtered syscall;
-   each mechanism's own security argument (the WRPKRU binary scan, the
-   flow.pkru-escape invariant, the entry filter) via injected-mutation
-   tests; the per-flavor trampoline checks; the cost ordering; and the
-   qcheck cross-backend equivalence sweep. *)
+   the matrix's facts against what a call does; each mechanism's own
+   security argument (the WRPKRU binary scan, the flow.pkru-escape
+   invariant, the entry filter) via injected-mutation tests; the
+   per-flavor trampoline checks; the cost ordering; and the qcheck
+   cross-backend equivalence sweep. *)
 
 open Sky_sim
 open Sky_ukernel
 open Sky_core
 module Fault = Sky_faults.Fault
-module Descriptor = Sky_backends.Descriptor
-module Registry = Sky_backends.Registry
 
 let with_faults f = Fun.protect ~finally:Fault.disable f
 
@@ -89,6 +88,30 @@ let test_backend_state ~backend =
       (fun (_, _, entry) ->
         Alcotest.(check int) "blessed entry" Layout.trampoline_va entry)
       (Entry_filter.entries ef)
+
+(* The facts the matrix prints are the ones a call runs on: a warmed
+   direct call enters the kernel iff [kernel_on_path] and writes CR3 iff
+   [tlb_flush_on_switch], and a process holds an MPK view iff
+   [shared_address_space]. *)
+let test_facts_match_a_call ~backend =
+  let k, sb, client, _, sid = setup ~backend () in
+  let pmu = Cpu.pmu (Kernel.cpu k ~core:0) in
+  let call () =
+    ignore (Subkernel.direct_server_call sb ~core:0 ~client ~server_id:sid msg8)
+  in
+  call ();
+  let syscalls = Pmu.read pmu Pmu.Syscall_exec in
+  let cr3_writes = Pmu.read pmu Pmu.Cr3_write in
+  call ();
+  Alcotest.(check bool) "kernel entered iff kernel_on_path"
+    (Backend.kernel_on_path backend)
+    (Pmu.read pmu Pmu.Syscall_exec > syscalls);
+  Alcotest.(check bool) "CR3 written iff tlb_flush_on_switch"
+    (Backend.tlb_flush_on_switch backend)
+    (Pmu.read pmu Pmu.Cr3_write > cr3_writes);
+  Alcotest.(check bool) "MPK view iff shared_address_space"
+    (Backend.shared_address_space backend)
+    (Subkernel.mpk_view sb client <> None)
 
 let test_crash_restart_rebind ~backend =
   with_faults @@ fun () ->
@@ -239,6 +262,34 @@ let test_entry_filter_denial () =
   Alcotest.(check bool) "denial counted" true
     (Entry_filter.denials (Subkernel.entry_filter sb) > 0)
 
+(* The same refused trap through the typed-error API: [call] returns
+   [Revoked] and retires the binding instead of raising, so
+   [Retry.call] rebinds with a fresh grant and gets its echo. *)
+let test_denied_trap_typed_error () =
+  let tamper sb client sid =
+    Entry_filter.revoke (Subkernel.entry_filter sb) ~pid:client.Proc.pid
+      ~server:sid
+  in
+  let _, sb, client, _, sid = setup ~backend:Backend.Syscall () in
+  tamper sb client sid;
+  (match Subkernel.call sb ~core:0 ~client ~server_id:sid msg8 with
+  | Error (Subkernel.Revoked { server_id }) ->
+    Alcotest.(check int) "revoked id" sid server_id
+  | _ -> Alcotest.fail "expected Error Revoked"
+  | exception e -> Alcotest.failf "call raised %s" (Printexc.to_string e));
+  Alcotest.(check (list (pair int int))) "binding retired" []
+    (Subkernel.bindings sb);
+  let _, sb, client, _, sid = setup ~backend:Backend.Syscall () in
+  tamper sb client sid;
+  let stats = Retry.create_stats () in
+  (match Retry.call ~stats sb ~core:0 ~client ~server_id:sid msg8 with
+  | reply -> Alcotest.(check bool) "echo" true (Bytes.equal reply msg8)
+  | exception e -> Alcotest.failf "Retry.call raised %s" (Printexc.to_string e));
+  Alcotest.(check int) "rebound on the retry" 1 stats.Retry.retried_ok;
+  Alcotest.(check int) "one fresh grant" 1
+    (Entry_filter.size (Subkernel.entry_filter sb));
+  Alcotest.(check (list Alcotest.reject)) "audit clean" [] (Subkernel.audit sb)
+
 (* A grant pointing outside every blessed code range fails the
    entryfilter audit pass. *)
 let test_unblessed_entry_flagged () =
@@ -281,17 +332,15 @@ let test_trampoline_flavors () =
 
 let test_registry () =
   Alcotest.(check (list string)) "names" [ "vmfunc"; "mpk"; "syscall" ]
-    (Registry.names ());
+    (List.map Backend.name Backend.all);
   List.iter
-    (fun d ->
-      match Registry.of_string (Descriptor.name d) with
-      | Some d' ->
-        Alcotest.(check bool) "roundtrip" true
-          (Descriptor.kind d' = Descriptor.kind d)
+    (fun k ->
+      match Backend.of_string (Backend.name k) with
+      | Some k' -> Alcotest.(check bool) "roundtrip" true (k' = k)
       | None -> Alcotest.fail "of_string failed")
-    Registry.all;
-  Alcotest.(check bool) "unknown rejected" true (Registry.of_string "ept" = None);
-  let leg k = Descriptor.switch_cycles (Registry.find k) in
+    Backend.all;
+  Alcotest.(check bool) "unknown rejected" true (Backend.of_string "ept" = None);
+  let leg = Backend.switch_cycles in
   Alcotest.(check bool) "mpk < vmfunc < syscall per leg" true
     (leg Backend.Mpk < leg Backend.Vmfunc
     && leg Backend.Vmfunc < leg Backend.Syscall)
@@ -301,7 +350,7 @@ let test_registry () =
    trails both. *)
 let test_cost_ordering_measured () =
   let cycles backend =
-    Registry.with_backend backend (fun () ->
+    Backend.with_default backend (fun () ->
         (Sky_experiments.Exp_pingpong.measure_full ())
           .Sky_experiments.Exp_pingpong.f_cycles_per_call)
   in
@@ -430,6 +479,7 @@ let () =
         [
           t "echo direct on every backend" (each_backend test_echo_direct);
           t "per-backend machine state" (each_backend test_backend_state);
+          t "matrix facts match a call" (each_backend test_facts_match_a_call);
           t "crash -> restart -> rebind" (each_backend test_crash_restart_rebind);
           t "revoke -> slowpath -> rebind"
             (each_backend test_revoke_slowpath_rebind);
@@ -441,6 +491,8 @@ let () =
             test_wrpkru_scan_gates_registration;
           t "flow.pkru-escape mutation" test_pkru_escape_mutation;
           t "entry filter denies tampered grant" test_entry_filter_denial;
+          t "denied trap is a typed error; retry rebinds"
+            test_denied_trap_typed_error;
           t "unblessed entry grant flagged" test_unblessed_entry_flagged;
           t "trampoline per-flavor checks" test_trampoline_flavors;
         ] );
