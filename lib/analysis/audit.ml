@@ -11,8 +11,7 @@
 
     Passes, in registry order:
 
-    - [gadget] — whole-image VMFUNC scan ({!Gadget}, memoized on image
-      content)
+    - [gadget] — whole-image VMFUNC scan ({!Gadget})
     - [wrpkru] — whole-image WRPKRU scan, the MPK backend's ERIM-style
       binary inspection ({!Gadget.audit_wrpkru})
     - [trampoline] — abstract interpretation of the live trampoline

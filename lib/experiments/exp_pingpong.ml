@@ -6,8 +6,8 @@
     calls to a server that touches a few pages of its own — §2.1.2's
     indirect-cost scenario, where every call's real price includes the
     TLB refills the crossing provokes. The same workload is measured
-    twice: once with the paging-structure caches / EPT walk cache / hot
-    lines enabled, once with {!Sky_sim.Accel} disabled (the cache-free
+    twice: once with the paging-structure caches and EPT walk cache
+    enabled, once with {!Sky_sim.Accel} disabled (the cache-free
     reference walker). The gap is exactly the cycles the acceleration
     structures save; `skybench perf` gates cycles-per-call against
     bench/budgets.json and CI diffs two same-seed runs for determinism. *)
@@ -23,7 +23,6 @@ type result = {
   psc_misses : int;
   ept_wc_hits : int;
   ept_wc_misses : int;
-  hot_line_hits : int;
 }
 
 let iters_warm = 50
@@ -76,7 +75,6 @@ let measure () =
   let psc_h0 = read Sky_sim.Pmu.Psc_hit and psc_m0 = read Sky_sim.Pmu.Psc_miss in
   let wc_h0 = read Sky_sim.Pmu.Ept_walk_cache_hit
   and wc_m0 = read Sky_sim.Pmu.Ept_walk_cache_miss in
-  let hl0 = read Sky_sim.Pmu.Hot_line_hit in
   for _ = 1 to iters do
     one ()
   done;
@@ -88,7 +86,6 @@ let measure () =
     psc_misses = read Sky_sim.Pmu.Psc_miss - psc_m0;
     ept_wc_hits = read Sky_sim.Pmu.Ept_walk_cache_hit - wc_h0;
     ept_wc_misses = read Sky_sim.Pmu.Ept_walk_cache_miss - wc_m0;
-    hot_line_hits = read Sky_sim.Pmu.Hot_line_hit - hl0;
   }
 
 (* The cross-backend view of the same measured window: total per-call
@@ -144,8 +141,8 @@ let table r =
     ~header:[ "metric"; "value" ]
     ~notes:
       [
-        "'accel off' disables PSCs, the EPT walk cache and host hot lines \
-         (the cache-free reference walker)";
+        "'accel off' disables PSCs and the EPT walk cache (the cache-free \
+         reference walker)";
         "hit rates are over the measured window, acceleration on";
       ]
     [
@@ -157,7 +154,6 @@ let table r =
         "ept walk cache hit rate %";
         Printf.sprintf "%.1f" (pct_hit r.ept_wc_hits r.ept_wc_misses);
       ];
-      [ "hot line hits"; Tbl.fmt_int r.hot_line_hits ];
     ]
 
 let to_json r =
@@ -165,9 +161,9 @@ let to_json r =
     "{\"experiment\":\"pingpong\",\"cycles_per_call\":%d,\
      \"cycles_per_call_noaccel\":%d,\"walk_cycles_per_call\":%d,\
      \"psc_hits\":%d,\"psc_misses\":%d,\"ept_wc_hits\":%d,\
-     \"ept_wc_misses\":%d,\"hot_line_hits\":%d}"
+     \"ept_wc_misses\":%d}"
     r.cycles_per_call r.cycles_per_call_noaccel r.walk_cycles_per_call
-    r.psc_hits r.psc_misses r.ept_wc_hits r.ept_wc_misses r.hot_line_hits
+    r.psc_hits r.psc_misses r.ept_wc_hits r.ept_wc_misses
 
 let outcome budgets r =
   Outcome.make

@@ -1,7 +1,7 @@
 (** `--jobs N` replica harness: run the same experiment closure on N
     OCaml domains at once, each inside a fresh {!Sky_sim.Scopes} bundle
-    (its own tracer, fault engine, Accel epoch and hot-line table), and
-    byte-compare a rendering of every replica's result.
+    (its own tracer, fault engine and Accel epoch), and byte-compare a
+    rendering of every replica's result.
 
     This is the cheap, always-on form of the parallelism determinism
     gate: any host-global mutable state that leaked out of the scoped

@@ -106,25 +106,8 @@ let is_enabled () = Atomic.get enabled_engines > 0 && (engine ()).e_enabled
 
 let set_clock f = (engine ()).e_clock <- f
 
-(* Layers above (e.g. the simulator's host-side hot lines) register
-   state to drop whenever a fault scope opens, so runs with the engine
-   armed take identical code paths regardless of prior warm-up. The
-   hook list is registered once at module-init time and is process-wide;
-   each callback acts on the *current* scoped state (e.g. the current
-   shard's hot-line table), so scope entry in one shard cannot disturb
-   another. *)
-let scope_enter_hook : (unit -> unit) ref = ref (fun () -> ())
-
-let on_scope_enter f =
-  let prev = !scope_enter_hook in
-  scope_enter_hook :=
-    fun () ->
-      prev ();
-      f ()
-
 let enter_scope () =
   let e = engine () in
-  if e.e_enabled then !scope_enter_hook ();
   e.e_scope <- e.e_scope + 1
 
 let leave_scope () =

@@ -104,8 +104,8 @@ let map_4k_flags t ~mem ~alloc ~gpa ~hpa ~flags =
   let v = Pte.encode ~pa:hpa { flags with Pte.huge = false } in
   Sky_mem.Phys_mem.write_u64 mem epa v;
   (* Overwriting a live leaf (a remap) can strand cached translations
-     anywhere in the machine — TLBs, EPT walk caches, host hot lines.
-     Bump the global mutation epoch so they all lazily self-flush.
+     anywhere in the machine — TLBs, PSCs, EPT walk caches. Bump the
+     global mutation epoch so they all lazily self-flush.
      Fresh installs can't invalidate a cached positive translation, so
      boot-time identity-map loops stay bump-free. *)
   if Pte.is_present old && old <> v then Sky_sim.Accel.bump ()

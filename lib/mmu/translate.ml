@@ -17,7 +17,7 @@ module P = Pte.Packed
    allocate nothing on the host and make no accessor call, so every call
    left is a modelled step (a TLB/PSC/EWC probe or insert, an entry
    read, a cache-hierarchy access, a PMU count). A translation works out
-   its core, TLB, ASID and acceleration switch once, a refill its EPT
+   its core, TLB and ASID once, a refill its acceleration switch and EPT
    root ([-1]: not virtualized); they travel down as arguments. Core
    structures are fields of the private {!Cpu.t}, entries are tested
    against {!Pte.Packed}'s masks, probes return sentinels, and the EPT
@@ -135,11 +135,12 @@ let serve_hit vcpu acc ~va tlb slot =
     ~user:(Tlb.slot_user tlb slot) ~nx:false;
   (Tlb.slot_ppn tlb slot lsl 12) lor (va land 0xfff)
 
-let walk_and_fill vcpu mem acc ~va (cpu : Cpu.t) ~accel ~tlb ~asid =
+let walk_and_fill vcpu mem acc ~va (cpu : Cpu.t) ~tlb ~asid =
   let c0 = cpu.tsc in
   (* Fault site "mmu.walk": a spurious EPT violation (or crash) injected
      into the nested walk — only fires inside a mediated-call scope. *)
   if Sky_faults.Fault.is_enabled () then Sky_faults.Fault.inject ~core:cpu.id "mmu.walk";
+  let accel = Sky_sim.Accel.is_enabled () in
   let root =
     match vcpu.Vcpu.vmcs with None -> -1 | Some v -> Vmcs.current_eptp v
   in
@@ -156,43 +157,19 @@ let walk_and_fill vcpu mem acc ~va (cpu : Cpu.t) ~accel ~tlb ~asid =
   Pmu.add cpu.pmu Pmu.Walk_cycles (cpu.tsc - c0);
   page_hpa lor (va land 0xfff)
 
-let refill vcpu mem acc ~va cpu ~accel ~tlb ~asid =
+let refill vcpu mem acc ~va cpu ~tlb ~asid =
   if Sky_trace.Trace.is_enabled () then
     Sky_trace.Trace.span ~core:cpu.Cpu.id ~cat:"walk" "tlb.refill" (fun () ->
-        walk_and_fill vcpu mem acc ~va cpu ~accel ~tlb ~asid)
-  else walk_and_fill vcpu mem acc ~va cpu ~accel ~tlb ~asid
+        walk_and_fill vcpu mem acc ~va cpu ~tlb ~asid)
+  else walk_and_fill vcpu mem acc ~va cpu ~tlb ~asid
 
 let translate vcpu mem acc ~va =
   let cpu = vcpu.Vcpu.cpu in
-  let insn = acc.kind = Sky_sim.Memsys.Insn in
-  let tlb = if insn then cpu.itlb else cpu.dtlb in
-  let vpn = va lsr 12 in
+  let tlb = if acc.kind = Sky_sim.Memsys.Insn then cpu.itlb else cpu.dtlb in
   let asid = Vcpu.asid vcpu in
-  let accel = Sky_sim.Accel.is_enabled () in
-  if not accel then begin
-    let slot = Tlb.lookup_slot tlb ~asid ~vpn in
-    if slot >= 0 then serve_hit vcpu acc ~va tlb slot
-    else refill vcpu mem acc ~va cpu ~accel ~tlb ~asid
-  end
-  else begin
-    (* Host fast path: revalidate the hot line remembered for this
-       (core, side, vpn). Success is observably identical to a TLB hit
-       (same counters, LRU and zero charged cycles) but skips the set
-       scan. *)
-    let line = Sky_sim.Memsys.Hotline.line_for ~core:cpu.id ~insn ~vpn in
-    let slot = Sky_sim.Memsys.Hotline.probe line ~tlb ~asid ~vpn in
-    if slot >= 0 then begin
-      Pmu.count cpu.pmu Pmu.Hot_line_hit;
-      serve_hit vcpu acc ~va tlb slot
-    end
-    else
-      let slot = Tlb.lookup_slot tlb ~asid ~vpn in
-      if slot >= 0 then begin
-        Sky_sim.Memsys.Hotline.record line ~tlb ~slot ~asid ~vpn;
-        serve_hit vcpu acc ~va tlb slot
-      end
-      else refill vcpu mem acc ~va cpu ~accel ~tlb ~asid
-  end
+  let slot = Tlb.lookup_slot tlb ~asid ~vpn:(va lsr 12) in
+  if slot >= 0 then serve_hit vcpu acc ~va tlb slot
+  else refill vcpu mem acc ~va cpu ~tlb ~asid
 
 let accessed vcpu mem acc ~va =
   let hpa = translate vcpu mem acc ~va in

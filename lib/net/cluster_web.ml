@@ -4,14 +4,14 @@
 
     Each shard is a complete machine + skyhttpd + load-generator stack
     built and run inside its own {!Sky_sim.Scopes} bundle, so its
-    tracer, fault engine, Accel epoch and hot-line table are private:
-    during a quantum, nothing a shard touches is visible to any other
-    shard, which is what lets {!Sky_sim.Quantum} advance shards on
-    separate OCaml domains. The only cross-shard interaction is the
-    boundary {e gossip} commit: after every quantum's barrier the
-    cluster-wide served total is computed and recorded into each shard,
-    single-threaded, in shard order, at a fixed virtual time — so it is
-    bit-identical under [Seq] and [Par].
+    tracer, fault engine and Accel epoch are private: during a quantum,
+    nothing a shard touches is visible to any other shard, which is
+    what lets {!Sky_sim.Quantum} advance shards on separate OCaml
+    domains. The only cross-shard interaction is the boundary {e gossip}
+    commit: after every quantum's barrier the cluster-wide served total
+    is computed and recorded into each shard, single-threaded, in shard
+    order, at a fixed virtual time — so it is bit-identical under [Seq]
+    and [Par].
 
     {!digest} folds everything observable about a shard's world —
     per-core clocks and PMU vectors, cache footprints, serving counters,
@@ -121,7 +121,7 @@ let pmu_events =
     Pmu.Ipi_sent; Pmu.Vm_exit; Pmu.Vmfunc_exec; Pmu.Syscall_exec;
     Pmu.Cr3_write; Pmu.Ipc_roundtrip; Pmu.Instruction; Pmu.Psc_hit;
     Pmu.Psc_miss; Pmu.Ept_walk_cache_hit; Pmu.Ept_walk_cache_miss;
-    Pmu.Hot_line_hit; Pmu.Walk_cycles; Pmu.Wrpkru_exec;
+    Pmu.Walk_cycles; Pmu.Wrpkru_exec;
   ]
 
 let digest_shard ?(gossip = true) sh =

@@ -4,14 +4,14 @@
     load:
 
     {b The kill switch.} All acceleration structures (paging-structure
-    caches, EPT walk cache, host-side hot lines) consult [is_enabled].
-    Disabling them restores the pre-acceleration walker bit for bit —
-    the cache-free reference the equivalence property tests against and
-    the "before" column of the EXPERIMENTS.md pingpong table. The
-    switch lives in the scope, not in process-wide state: the pingpong
-    experiment toggles it mid-run, and a `--jobs` replica flipping a
-    shared flag would perturb the measurements of replicas running
-    concurrently on other domains.
+    caches, EPT walk cache) consult [is_enabled]. Disabling them
+    restores the pre-acceleration walker bit for bit — the cache-free
+    reference the equivalence property tests against and the "before"
+    column of the EXPERIMENTS.md pingpong table. The switch lives in
+    the scope, not in process-wide state: the pingpong experiment
+    toggles it mid-run, and a `--jobs` replica flipping a shared flag
+    would perturb the measurements of replicas running concurrently on
+    other domains.
 
     {b The mutation epoch.} Control-plane events that can invalidate a
     cached translation without going through an architectural flush —

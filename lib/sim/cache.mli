@@ -28,8 +28,8 @@ val flush : t -> unit
 
 (** {2 Run replay}
 
-    A host-side memo for state-only range touches ({!Memsys.touch_range_state_only}),
-    in the spirit of {!Memsys.Hotline}: it reproduces the observable
+    A host-side memo for state-only range touches
+    ({!Memsys.touch_range_state_only}): it reproduces the observable
     state exactly — tags, LRU stamps, clock, hit and miss counters — and
     only skips the set scans. After a per-line pass over a run of lines
     that hit on every line, the cache remembers each line's slot (a few

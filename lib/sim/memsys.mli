@@ -30,34 +30,3 @@ val access_uncached : Cpu.t -> unit
 val touch_range : Cpu.t -> kind -> pa:int -> len:int -> unit
 (** Access every 64-byte line of [pa, pa+len) — used to model code or data
     footprints (e.g. the kernel text executed during an IPC). *)
-
-(** Host-side hot lines: a flat direct-mapped memo over recent TLB hits,
-    keyed by (core, i/d-side, VPN). A successful probe revalidates the
-    remembered {!Tlb} slot and reproduces the exact observable state of
-    a TLB hit (simulated cycles, counters, LRU) while letting the
-    translation layer skip its walk machinery — a pure host wall-clock
-    optimization. Cleared on fault-scope entry so chaos runs are
-    bit-identical. *)
-module Hotline : sig
-  type line
-
-  type table
-  (** One hot-line memo table. Single-machine runs share the
-      process-wide default; the parallel scheduler binds a fresh table
-      per shard ({!with_table}, domain-local) so one shard's fault-scope
-      clears can never drop another shard's lines. *)
-
-  val fresh_table : unit -> table
-  val with_table : table -> (unit -> 'a) -> 'a
-
-  val line_for : core:int -> insn:bool -> vpn:int -> line
-  val probe : line -> tlb:Tlb.t -> asid:int -> vpn:int -> int
-  (** The remembered {!Tlb} slot index if it still holds the live
-      (asid, vpn) mapping — counted as a TLB hit by {!Tlb.slot_hit} —
-      else [-1] (nothing counted). *)
-
-  val record : line -> tlb:Tlb.t -> slot:int -> asid:int -> vpn:int -> unit
-
-  val clear_all : unit -> unit
-  (** Drop every line of the current table. *)
-end

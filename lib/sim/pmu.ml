@@ -12,7 +12,8 @@
     count nested translations served from the EPT walk cache, and
     [Walk_cycles] accumulates the simulated cycles spent inside TLB
     refills (read as a delta by the IPC layers for the Figure-7
-    breakdown's "walk" column). *)
+    breakdown's "walk" column). Nothing counts [Hot_line_hit]; it reads
+    0 and stays only for skyperf's event list. *)
 
 type event =
   | Ipi_sent

@@ -17,7 +17,9 @@ type event =
   | Psc_miss  (** TLB refill had to walk from CR3 *)
   | Ept_walk_cache_hit
   | Ept_walk_cache_miss
-  | Hot_line_hit  (** host-side hot line served the translation *)
+  | Hot_line_hit
+      (** never counted: the host-side TLB memo it counted is gone; kept
+          only because [bench/perf] still lists it *)
   | Walk_cycles  (** accumulator: simulated cycles spent in TLB refills *)
   | Wrpkru_exec  (** WRPKRU protection-key switches (MPK backend) *)
 

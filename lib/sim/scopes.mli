@@ -1,5 +1,5 @@
 (** One shard's worth of host-global simulator state, bundled: tracer
-    context, fault engine, Accel epoch scope and hot-line table.
+    context, fault engine and Accel epoch scope.
 
     Parallel shards (and `--jobs` replicas) each build a fresh bundle
     and run their whole machine inside {!enter}, so the domain-local
@@ -10,12 +10,11 @@ type t = {
   sc_trace : Sky_trace.Trace.ctx;
   sc_fault : Sky_faults.Fault.engine;
   sc_accel : Accel.scope;
-  sc_hot : Memsys.Hotline.table;
 }
 
 val fresh : ?seed:int -> unit -> t
 (** A new, independent world: empty tracer, disabled fault engine seeded
-    with [seed], fresh Accel epoch, cold hot-line table. *)
+    with [seed], fresh Accel epoch. *)
 
 val enter : t -> (unit -> 'a) -> 'a
 (** Run [f] with every scoped singleton bound to this bundle. Nests:

@@ -98,23 +98,6 @@ let lookup t ~asid ~vpn =
         writable = slot_writable t i;
         user = slot_user t i }
 
-(* Hot-line revalidation: the caller remembered slot [i] from an earlier
-   lookup of the same (asid, vpn). If the slot still holds that live
-   mapping, replicate the observable effects of a hit (LRU clock,
-   stamp, hit counter) without scanning the set. Failure counts
-   nothing — the caller falls back to [lookup_slot], which accounts
-   the access. *)
-let slot_hit t i ~asid ~vpn =
-  sync t;
-  let d = t.data and o = i * width in
-  if d.(o + f_gen) = t.gen && d.(o + f_vpn) = vpn && d.(o + f_asid) = asid then begin
-    t.clock <- t.clock + 1;
-    d.(o + f_stamp) <- t.clock;
-    t.hits <- t.hits + 1;
-    true
-  end
-  else false
-
 let fill t ~asid ~vpn ~ppn ~page_shift ~writable ~user =
   sync t;
   t.clock <- t.clock + 1;

@@ -34,8 +34,7 @@ val lookup : t -> asid:int -> vpn:int -> entry option
 
     A slot index names the storage of one entry. {!lookup_slot} returns
     one ([-1] on a miss); the translation layer reads the entry's fields
-    through it and remembers it for hot-line revalidation with
-    {!slot_hit} instead of re-scanning the set. *)
+    through it instead of building an {!entry}. *)
 
 val lookup_slot : t -> asid:int -> vpn:int -> int
 (** Like {!lookup} (same accounting) but returns the hit's slot index,
@@ -47,13 +46,6 @@ val lookup_payload : t -> asid:int -> key:int -> int
 val slot_ppn : t -> int -> int
 val slot_writable : t -> int -> bool
 val slot_user : t -> int -> bool
-
-val slot_hit : t -> int -> asid:int -> vpn:int -> bool
-(** If slot [i] still holds a live mapping for (asid, vpn), count a
-    hit, update LRU state and return [true] — observably identical to a
-    {!lookup} hit, without the set scan. Returns [false] (and counts
-    nothing) if the slot was reused, flushed or outlived by a flush;
-    the caller then falls back to {!lookup_slot}. *)
 
 val insert : t -> asid:int -> vpn:int -> entry -> unit
 

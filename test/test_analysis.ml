@@ -516,22 +516,71 @@ let test_severity_order () =
          && v.Report.severity = Report.Warn)
        vs)
 
-let test_gadget_memo () =
-  Gadget.memo_reset ();
-  let img =
-    Gadget.image ~name:"memo" (encode [ Insn.Nop; Insn.Vmfunc; Insn.Ret ])
+(* Hostile bytes through the scan both audits always run: random
+   images of 1-9,000 bytes with up to eight planted VMFUNC or WRPKRU
+   triples (some straddling the 4 KiB and 8 KiB page boundaries, some cut
+   short by the image's end) and an entry point inside the image.
+   [Decode.decode_one] never raises, so [decode_all] tiles the image;
+   both audits return, and their pattern findings are exactly the
+   offsets a naive byte search finds. *)
+let naive_find pat code =
+  let p = Bytes.length pat in
+  List.filter
+    (fun at -> Bytes.equal (Bytes.sub code at p) pat)
+    (List.init (max 0 (Bytes.length code - p + 1)) Fun.id)
+
+let pattern_addrs invariant vs =
+  List.filter_map
+    (fun v -> if v.Report.invariant = invariant then v.Report.addr else None)
+    vs
+
+let prop_hostile_bytes =
+  let gen =
+    QCheck.Gen.(
+      let* n = int_range 1 9000 in
+      let at = oneof [ int_range 4093 4096; int_range 8189 8192; int_bound (n - 1) ] in
+      let* plants = list_size (int_bound 8) (pair bool at) in
+      let* code = bytes_size (return n) in
+      let+ entry = int_bound (n - 1) in
+      List.iter
+        (fun (wrpkru, at) ->
+          let pat = if wrpkru then Scan.wrpkru_bytes else Scan.vmfunc_bytes in
+          if at < n then Bytes.blit pat 0 code at (min 3 (n - at)))
+        plants;
+      (code, plants, entry))
   in
-  let v1 = Gadget.audit img in
-  let v2 = Gadget.audit img in
-  Alcotest.(check bool) "cached verdict identical" true (v1 = v2);
-  Alcotest.(check (pair int int)) "one hit, one miss" (1, 1)
-    (Gadget.memo_stats ());
-  (* Same name, different bytes: content hash changes, full rescan. *)
-  let img2 = Gadget.image ~name:"memo" (encode [ Insn.Nop; Insn.Ret ]) in
-  Alcotest.(check int) "changed content re-audits clean" 0
-    (List.length (Gadget.audit img2));
-  Alcotest.(check (pair int int)) "miss on changed content" (1, 2)
-    (Gadget.memo_stats ())
+  let print (code, plants, entry) =
+    Printf.sprintf "%d bytes, entry %d, plants [%s]" (Bytes.length code) entry
+      (String.concat "; "
+         (List.map
+            (fun (w, at) -> Printf.sprintf "%s@%d" (if w then "wrpkru" else "vmfunc") at)
+            plants))
+  in
+  QCheck.Test.make ~name:"hostile bytes: decode tiles, audits find every pattern"
+    ~count:60 (QCheck.make ~print gen)
+    (fun (code, _, entry) ->
+      let tiled =
+        List.fold_left
+          (fun at (d : Decode.decoded) ->
+            if d.Decode.off <> at || d.Decode.len <= 0 then
+              QCheck.Test.fail_reportf "decode_all: instruction at %d, expected %d (len %d)"
+                d.Decode.off at d.Decode.len;
+            at + d.Decode.len)
+          0 (Decode.decode_all code)
+      in
+      if tiled <> Bytes.length code then
+        QCheck.Test.fail_reportf "decode_all covers %d of %d bytes" tiled (Bytes.length code);
+      let img = Gadget.image ~entries:[ entry ] ~name:"hostile" code in
+      let check invariant pat vs =
+        let want = naive_find pat code and got = pattern_addrs invariant vs in
+        if got <> want then
+          QCheck.Test.fail_reportf "%s at [%s], naive search finds [%s]" invariant
+            (String.concat "; " (List.map string_of_int got))
+            (String.concat "; " (List.map string_of_int want))
+      in
+      check "gadget.vmfunc-pattern" Scan.vmfunc_bytes (Gadget.audit img);
+      check "gadget.wrpkru-pattern" Scan.wrpkru_bytes (Gadget.audit_wrpkru img);
+      true)
 
 let () =
   let qc = List.map QCheck_alcotest.to_alcotest in
@@ -560,9 +609,8 @@ let () =
           Alcotest.test_case "allowed range" `Quick test_gadget_allowed_range;
           Alcotest.test_case "unverifiable bytes" `Quick test_gadget_unverifiable;
           Alcotest.test_case "severity ordering" `Quick test_severity_order;
-          Alcotest.test_case "memoized scan" `Quick test_gadget_memo;
         ]
-        @ qc [ prop_rewrite_then_audit ] );
+        @ qc [ prop_rewrite_then_audit; prop_hostile_bytes ] );
       ( "verify",
         [
           Alcotest.test_case "catches tampering" `Quick test_verify_catches_tampering;

@@ -71,7 +71,6 @@ let test_budget_scoped_to_section () =
           psc_misses = 0;
           ept_wc_hits = 0;
           ept_wc_misses = 0;
-          hot_line_hits = 0;
         }
       in
       match (Sky_experiments.Exp_pingpong.outcome b r).failed with

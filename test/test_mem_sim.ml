@@ -402,7 +402,6 @@ type m_entry = {
 type tlb_op =
   | T_lookup of int * int
   | T_lookup_entry of int * int
-  | T_slot_hit of int * int * int
   | T_fill of int * int * int * bool * bool
   | T_flush_all
   | T_flush_asid of int
@@ -413,7 +412,6 @@ type tlb_op =
 let show_tlb_op = function
   | T_lookup (a, v) -> Printf.sprintf "lookup_slot %d/%d" a v
   | T_lookup_entry (a, v) -> Printf.sprintf "lookup %d/%d" a v
-  | T_slot_hit (i, a, v) -> Printf.sprintf "slot_hit %d %d/%d" i a v
   | T_fill (a, v, p, w, u) -> Printf.sprintf "fill %d/%d ppn %d w %b u %b" a v p w u
   | T_flush_all -> "flush_all"
   | T_flush_asid a -> Printf.sprintf "flush_asid %d" a
@@ -431,7 +429,6 @@ let prop_tlb_model =
         [
           (6, map2 (fun a v -> T_lookup (a, v)) asid vpn);
           (2, map2 (fun a v -> T_lookup_entry (a, v)) asid vpn);
-          (2, map3 (fun i a v -> T_slot_hit (i, a, v)) (int_bound (slots - 1)) asid vpn);
           ( 6,
             let* a = asid and* v = vpn and* p = int_bound 999 and* w = bool in
             let+ u = bool in
@@ -512,14 +509,6 @@ let prop_tlb_model =
                  || e.Tlb.user <> w.m_user || e.Tlb.page_shift <> 12
               then fail step op "entry differs from the model's"
             | got, i -> fail step op "hit %b, model slot %d" (got <> None) i)
-          | T_slot_hit (i, asid, vpn) ->
-            let want =
-              match m.(i) with
-              | Some e when e.m_asid = asid && e.m_vpn = vpn -> incr hits; touch i; true
-              | _ -> false
-            in
-            let got = Tlb.slot_hit t i ~asid ~vpn in
-            if got <> want then fail step op "%b, model %b" got want
           | T_fill (asid, vpn, ppn, writable, user) ->
             Tlb.fill t ~asid ~vpn ~ppn ~page_shift:12 ~writable ~user;
             let i = find asid vpn in

@@ -1,8 +1,7 @@
 (* Tests for the translation-acceleration layer: the paging-structure
-   caches, EPT walk cache and host hot lines must be pure accelerators —
-   observably identical to the cache-free reference walker under any
-   interleaving of mapping mutations, flushes, CR3 writes and VMFUNC
-   EPTP switches. *)
+   caches and EPT walk cache must be pure accelerators — observably
+   identical to the cache-free reference walker under any interleaving
+   of mapping mutations, flushes, CR3 writes and VMFUNC EPTP switches. *)
 
 open Sky_mem
 open Sky_sim
@@ -151,8 +150,8 @@ let prop_noaccel_equals_reference =
 (* Targeted regressions                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* A guest unmap must fault on the very next access: neither the TLB,
-   the PSCs nor a hot line may serve the stale leaf. *)
+(* A guest unmap must fault on the very next access: neither the TLB
+   nor the PSCs may serve the stale leaf. *)
 let test_stale_psc_after_unmap () =
   let machine = Machine.create ~cores:1 ~mem_mib:64 () in
   let mem = machine.Machine.mem and alloc = machine.Machine.alloc in
@@ -162,7 +161,7 @@ let test_stale_psc_after_unmap () =
   Page_table.map pt ~mem ~alloc ~va:0x400000 ~pa:frame ~flags:Pte.urw;
   Vcpu.write_cr3 vcpu ~cr3:(Page_table.root_pa pt) ~pcid:1;
   Vcpu.set_mode vcpu Vcpu.User;
-  (* Warm every structure: TLB, PSCs, and the hot line (3rd access). *)
+  (* Warm every structure: TLB and PSCs, then TLB hits. *)
   for _ = 1 to 3 do
     ignore (Translate.translate vcpu mem Translate.data_read ~va:0x400000)
   done;
@@ -236,10 +235,10 @@ let test_faulting_walk_charges_nothing () =
   check false
 
 (* Figure-6 configuration: the same VA resolves through different guest
-   page tables on either side of a VMFUNC (CR3-remap trick). The hot
-   line recorded for the client's ASID must never answer for the
+   page tables on either side of a VMFUNC (CR3-remap trick). The TLB
+   entry filled under the client's ASID must never answer for the
    server's, and vice versa — with VPID on, so nothing is flushed. *)
-let test_hot_line_across_vmfunc () =
+let test_tlb_across_vmfunc () =
   let machine = Machine.create ~cores:1 ~mem_mib:64 () in
   let mem = machine.Machine.mem and alloc = machine.Machine.alloc in
   let vcpu = Vcpu.create ~pcid_enabled:true (Machine.core machine 0) in
@@ -263,7 +262,7 @@ let test_hot_line_across_vmfunc () =
   Vcpu.write_cr3 vcpu ~cr3:(Page_table.root_pa client_pt) ~pcid:1;
   Vcpu.set_mode vcpu Vcpu.User;
   let xlate () = Translate.translate vcpu mem Translate.data_read ~va in
-  (* Three accesses: miss+record, then a genuine hot-line hit. *)
+  (* Three accesses: a refill, then TLB hits under the client's ASID. *)
   for _ = 1 to 3 do
     Alcotest.(check int) "client frame" client_frame (xlate ())
   done;
@@ -341,8 +340,8 @@ let () =
             test_faulting_walk_charges_nothing;
           Alcotest.test_case "EPT unmap faults immediately" `Quick
             test_stale_tlb_after_ept_unmap;
-          Alcotest.test_case "hot line respects VMFUNC ASID" `Quick
-            test_hot_line_across_vmfunc;
+          Alcotest.test_case "TLB respects VMFUNC ASID" `Quick
+            test_tlb_across_vmfunc;
         ] );
       ( "flush_paths",
         [

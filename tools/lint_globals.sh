@@ -21,25 +21,55 @@ cd "$(dirname "$0")/.."
 
 allow=tools/lint_globals.allow
 
-# A toplevel binding is flush-left `let`; we flag ones whose right-hand
-# side constructs mutable state on the same line.  Heuristic by design
-# -- false negatives are acceptable, the goal is a cheap reviewable
-# census, not a proof.
-pattern='^let [a-zA-Z_0-9]* *(: *[^=]*)?= *(ref |ref$|Hashtbl\.create|Array\.make|Array\.create|Bytes\.make|Bytes\.create|Buffer\.create|Queue\.create|Stack\.create|Atomic\.make|Mutex\.create)'
+# A toplevel binding is a flush-left `let`, or a `let` indented two
+# spaces inside a flush-left `module ... = struct ... end`; we flag ones
+# whose right-hand side constructs mutable state.  A `let ... =` that
+# ends its line is read together with the next line, so a type
+# annotation cannot push the constructor out of sight.  Heuristic by
+# design -- false negatives are acceptable, the goal is a cheap
+# reviewable census, not a proof.
+#
+# census FILE prints `SYMBOL LINE:TEXT` for every finding in FILE.
+census() {
+  awk '
+    function flag(n, text,   sym) {
+      sub(/^ +/, "", text)
+      if (text ~ /^let [a-zA-Z_0-9]* *(: *[^=]*)?= *(ref |ref$|Hashtbl\.create|Array\.make|Array\.create|Bytes\.make|Bytes\.create|Buffer\.create|Queue\.create|Stack\.create|Atomic\.make|Mutex\.create)/) {
+        sym = substr(text, 5)
+        sub(/[^a-zA-Z_0-9].*$/, "", sym)
+        print sym " " n ":" text
+      }
+    }
+    pending != "" {
+      rest = $0
+      sub(/^ +/, "", rest)
+      flag(pending_nr, pending " " rest)
+      pending = ""
+    }
+    /^module .*= *struct *$/ { in_module = 1; next }
+    in_module && /^end/ { in_module = 0; next }
+    /^let / || (in_module && /^  let /) {
+      if ($0 ~ /= *$/) { pending = $0; pending_nr = NR } else flag(NR, $0)
+    }
+  ' "$1"
+}
 
 echo "== toplevel mutable host state in lib/ (enforcing) =="
 total=0
 bad=0
+found=
 for f in $(find lib -name '*.ml' | sort); do
-  hits=$(grep -nE "$pattern" "$f" || true)
+  hits=$(census "$f")
   [ -n "$hits" ] || continue
-  while IFS= read -r line; do
+  while IFS= read -r hit; do
     total=$((total + 1))
-    sym=$(printf '%s\n' "$line" | sed -E 's/^[0-9]+:let ([a-zA-Z_0-9]*).*/\1/')
+    sym=${hit%% *}
+    found="$found$f:$sym
+"
     if grep -q "^$f:$sym\$" "$allow"; then
-      echo "  ok    $f:$line"
+      echo "  ok    $f:${hit#* }"
     else
-      echo "  FAIL  $f:$line"
+      echo "  FAIL  $f:${hit#* }"
       echo "        not in $allow -- move it into a scoped bundle"
       echo "        (Sky_sim.Scopes / Domain.DLS override) or review and allowlist it"
       bad=$((bad + 1))
@@ -49,14 +79,12 @@ $hits
 EOF
 done
 
-# Stale allowlist entries rot the census: flag entries whose binding no
-# longer exists so the list shrinks as globals are burned down.
+# Stale allowlist entries rot the census: flag entries the census above
+# did not find, so the list shrinks as globals are burned down.
 while IFS= read -r entry; do
   case "$entry" in ''|'#'*) continue ;; esac
-  ef=${entry%%:*}
-  es=${entry##*:}
-  if [ ! -f "$ef" ] || ! grep -qE "^let $es( |:|$)" "$ef"; then
-    echo "  STALE $entry (allowlisted but no such toplevel binding)"
+  if ! printf '%s' "$found" | grep -qxF "$entry"; then
+    echo "  STALE $entry (allowlisted but no such mutable binding)"
     bad=$((bad + 1))
   fi
 done < "$allow"
