@@ -166,30 +166,34 @@ let revoke entry_filter ~pid ~server_id = function
 
 (* ---- the crossing ----
 
-   [enter] switches the vCPU into the server's domain and returns the
-   token [leave] needs to switch back: the state that mechanism must
-   restore. The VMFUNC legs are byte-for-byte the paper's EPTP
-   switches (the cost-neutrality gate holds the pingpong budget to
-   ±2%). *)
-type token =
-  | Tindex of int  (** VMFUNC: the EPTP index to return to *)
-  | Tpkru of { pkru : int; cr3 : int; pcid : int }  (** MPK: client state *)
-  | Tcr3 of { cr3 : int; pcid : int }  (** syscall: client translation *)
+   [enter] switches the vCPU into the server's domain and records in a
+   token what [leave] needs to switch back: the state that mechanism
+   must restore. A token is mutable and reused, one per call frame, so
+   a crossing allocates nothing. The VMFUNC legs are byte-for-byte the
+   paper's EPTP switches (the cost-neutrality gate holds the pingpong
+   budget to ±2%). *)
+type token = {
+  mutable ret_index : int;  (** VMFUNC: the EPTP index to return to *)
+  mutable ret_pkru : int;  (** MPK: the client's PKRU view *)
+  mutable ret_cr3 : int;  (** MPK and syscall: the client's translation *)
+  mutable ret_pcid : int;
+}
+
+let token () = { ret_index = 0; ret_pkru = 0; ret_cr3 = 0; ret_pcid = 0 }
 
 (* The entry filter refused the trap: the grant is gone. *)
 exception Denied
 
 (* [idx] is the binding's EPTP-list slot (unused by the other
    mechanisms); [server] is the server's process. *)
-let enter kernel entry_filter ~core vcpu ~pid ~server_id ~server ~idx = function
+let enter kernel entry_filter ~core vcpu ~pid ~server_id ~server ~idx tok = function
   | Meptp _ ->
-    let return_index = Vmcs.current_index (Vcpu.vmcs_exn vcpu) in
-    Vmfunc.execute vcpu ~func:0 ~index:idx;
-    Tindex return_index
+    tok.ret_index <- Vmcs.current_index (Vcpu.vmcs_exn vcpu);
+    Vmfunc.execute vcpu ~func:0 ~index:idx
   | Mpkey { view; sproc } ->
-    let token =
-      Tpkru { pkru = vcpu.Vcpu.pkru; cr3 = vcpu.Vcpu.cr3; pcid = vcpu.Vcpu.pcid }
-    in
+    tok.ret_pkru <- vcpu.Vcpu.pkru;
+    tok.ret_cr3 <- vcpu.Vcpu.cr3;
+    tok.ret_pcid <- vcpu.Vcpu.pcid;
     (* The architectural switch is the WRPKRU alone: no EPTP change, no
        CR3 write, no flush. The CR3/PCID assignment below is the
        single-address-space emulation — under MPK client and server
@@ -199,10 +203,10 @@ let enter kernel entry_filter ~core vcpu ~pid ~server_id ~server ~idx = function
        client's untagged entries stay filed under its own ASID. *)
     Wrpkru.execute vcpu ~pkru:view;
     vcpu.Vcpu.cr3 <- Proc.cr3 sproc;
-    vcpu.Vcpu.pcid <- sproc.Proc.pid;
-    token
+    vcpu.Vcpu.pcid <- sproc.Proc.pid
   | Mentry entry ->
-    let token = Tcr3 { cr3 = vcpu.Vcpu.cr3; pcid = vcpu.Vcpu.pcid } in
+    tok.ret_cr3 <- vcpu.Vcpu.cr3;
+    tok.ret_pcid <- vcpu.Vcpu.pcid;
     (* The filtered kernel slowpath: trap, check the grant table before
        anything else, then a full (flushing) CR3 switch into the
        server. A missing grant is denied at the cheapest point. *)
@@ -214,19 +218,19 @@ let enter kernel entry_filter ~core vcpu ~pid ~server_id ~server ~idx = function
       raise Denied
     end;
     Vcpu.write_cr3 vcpu ~cr3:(Proc.cr3 server) ~pcid:server.Proc.pid;
-    Kernel.kernel_exit kernel ~core;
-    token
+    Kernel.kernel_exit kernel ~core
 
-let leave kernel ~core vcpu = function
-  | Tindex return_index -> Vmfunc.execute vcpu ~func:0 ~index:return_index
-  | Tpkru { pkru; cr3; pcid } ->
-    Wrpkru.execute vcpu ~pkru;
-    vcpu.Vcpu.cr3 <- cr3;
-    vcpu.Vcpu.pcid <- pcid
-  | Tcr3 { cr3; pcid } ->
+(* [mech] is the binding [enter] crossed through. *)
+let leave kernel ~core vcpu tok = function
+  | Meptp _ -> Vmfunc.execute vcpu ~func:0 ~index:tok.ret_index
+  | Mpkey _ ->
+    Wrpkru.execute vcpu ~pkru:tok.ret_pkru;
+    vcpu.Vcpu.cr3 <- tok.ret_cr3;
+    vcpu.Vcpu.pcid <- tok.ret_pcid
+  | Mentry _ ->
     (* Returning is a kernel round trip too: trap, validate the return
        frame, switch back to the client's translation. *)
     Kernel.kernel_entry kernel ~core;
     Cpu.charge (Kernel.cpu kernel ~core) Costs.entry_filter_check;
-    Vcpu.write_cr3 vcpu ~cr3 ~pcid;
+    Vcpu.write_cr3 vcpu ~cr3:tok.ret_cr3 ~pcid:tok.ret_pcid;
     Kernel.kernel_exit kernel ~core

@@ -63,11 +63,16 @@ let bump stats f = match stats with Some s -> f s | None -> ()
 let rec attempt ~max_attempts ~backoff stats budget timeout on_crash sb cpu ~core
     ~client ~server_id msg n =
   bump stats (fun s -> s.attempts <- s.attempts + 1);
+  let degraded0 = Subkernel.degraded_calls sb in
   match Subkernel.call sb ~core ~client ~server_id ?timeout msg with
-  | Ok (reply, via) ->
+  | Ok reply ->
     if n > 0 then bump stats (fun s -> s.retried_ok <- s.retried_ok + 1);
-    if via = `Slowpath then bump stats (fun s -> s.degraded <- s.degraded + 1);
+    if Subkernel.degraded_calls sb > degraded0 then
+      bump stats (fun s -> s.degraded <- s.degraded + 1);
     reply
+  | Error (Subkernel.Too_large _ as err) ->
+    (* The message can never fit: retrying changes nothing. *)
+    raise (Gave_up err)
   | Error err ->
     let refused =
       match budget with Some b -> not (try_withdraw b) | None -> false
@@ -96,7 +101,7 @@ let rec attempt ~max_attempts ~backoff stats budget timeout on_crash sb cpu ~cor
          (a top-level revocation degrades inside Subkernel.call and
          never reaches this handler). *)
       Subkernel.rebind sb client ~server_id:sid
-    | Subkernel.Timeout _ -> ());
+    | Subkernel.Timeout _ | Subkernel.Too_large _ -> ());
     attempt ~max_attempts ~backoff stats budget timeout on_crash sb cpu ~core ~client
       ~server_id msg (n + 1)
 

@@ -4,7 +4,8 @@
     On [Crashed] the server is restarted (orphans rebound) before the
     retry; on [Revoked] from an aborted direct call the binding is
     re-established; a top-level revoked binding never errors at all — it
-    degrades to the slowpath inside {!Subkernel.call}. *)
+    degrades to the slowpath inside {!Subkernel.call}. [Too_large] is
+    never retried. *)
 
 type stats = {
   mutable attempts : int;  (** total call attempts, including retries *)
@@ -35,7 +36,9 @@ val budget_refused : budget -> int
 val budget_withdrawn : budget -> int
 
 exception Gave_up of Subkernel.call_error
-(** The retry budget is exhausted; carries the last typed error. *)
+(** The retry budget is exhausted, or the error is one no retry can
+    mend ([Too_large], raised on the first attempt); carries the last
+    typed error. *)
 
 val call :
   ?max_attempts:int ->

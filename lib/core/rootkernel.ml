@@ -74,15 +74,20 @@ let total_vm_exits t =
 let exits_of t reason =
   Array.fold_left (fun acc v -> acc + Vmcs.exits v reason) 0 t.vmcses
 
-let record t ~core reason cost =
-  Sky_trace.Trace.span ~core ~cat:"vmexit"
-    ("vmexit." ^ Vmcs.exit_reason_name reason)
-  @@ fun () ->
+let exit_to_root t ~core reason cost =
   let cpu = Kernel.cpu t.kernel ~core in
   Log.debug (fun m -> m "VM exit on core %d: %s" core (Vmcs.exit_reason_name reason));
   Vmcs.record_exit t.vmcses.(core) reason;
   Pmu.count (Cpu.pmu cpu) Pmu.Vm_exit;
   Cpu.charge cpu cost
+
+(* The span and its name are built only when tracing is on. *)
+let record t ~core reason cost =
+  if Sky_trace.Trace.is_enabled () then
+    Sky_trace.Trace.span ~core ~cat:"vmexit"
+      ("vmexit." ^ Vmcs.exit_reason_name reason)
+      (fun () -> exit_to_root t ~core reason cost)
+  else exit_to_root t ~core reason cost
 
 let handle_cpuid t ~core = record t ~core Vmcs.Exit_cpuid cpuid_exit_cost
 

@@ -20,6 +20,7 @@ type call_error =
   | Timeout of { server_id : int; elapsed : int }
   | Crashed of { server_id : int }
   | Revoked of { server_id : int }
+  | Too_large of { server_id : int; len : int }
 
 let buffer_size = 8192
 let key_table_slots = 64
@@ -64,6 +65,13 @@ type pstate = {
           while it is the root client of a direct call *)
 }
 
+(* One direct call in flight on a core. *)
+type frame = {
+  mutable f_server_id : int;
+  mutable f_since : int;  (** in-server since cycle *)
+  f_token : Backend.token;  (** what the return crossing restores *)
+}
+
 type t = {
   kernel : Kernel.t;
   root : Rootkernel.t;
@@ -89,9 +97,9 @@ type t = {
   mutable sec_count : int;
   mutable sec_dropped : int;
   active_client : pstate option array;  (** per core: live direct call *)
-  frames : int array array;
-      (** per core: the live call frames, outermost first, two ints
-          each (server_id, in-server since cycle); grown on demand *)
+  frames : frame array array;
+      (** per core: the call frames, outermost first; the first
+          [depth] are live, the rest reused; grown on demand *)
   depth : int array;  (** per core: live frames in [frames] *)
   mutable dead_servers : int list;
   mutable orphans : (int * int) list;  (** (client pid, server_id) to rebind *)
@@ -147,7 +155,9 @@ let dead_servers t = t.dead_servers
 let call_state t ~core =
   let d = t.depth.(core) in
   if d = 0 then None
-  else Some (t.frames.(core).((2 * d) - 2), t.frames.(core).((2 * d) - 1))
+  else
+    let f = t.frames.(core).(d - 1) in
+    Some (f.f_server_id, f.f_since)
 
 let pstate_opt t proc = Hashtbl.find_opt t.pstates proc.Proc.pid
 
@@ -238,7 +248,7 @@ let init ?backend ?(vpid = true) ?(huge_ept = true)
       sec_count = 0;
       sec_dropped = 0;
       active_client = Array.make (Machine.n_cores kernel.Kernel.machine) None;
-      frames = Array.init (Machine.n_cores kernel.Kernel.machine) (fun _ -> [||]);
+      frames = Array.make (Machine.n_cores kernel.Kernel.machine) [||];
       depth = Array.make (Machine.n_cores kernel.Kernel.machine) 0;
       dead_servers = [];
       orphans = [];
@@ -478,22 +488,20 @@ let install_key t srv ~client_pid ~key =
   Phys_mem.write_u64 mem (srv.key_table_pa + (slot * 16)) (Int64.of_int client_pid);
   Phys_mem.write_u64 mem (srv.key_table_pa + (slot * 16) + 8) key
 
+(* The table scan compares each slot's words in place: a check reads
+   no boxed [int64]. *)
+let rec key_in mem cpu table key i =
+  i < key_table_slots
+  &&
+  let slot = table + (i * 16) in
+  Memsys.access cpu Memsys.Data slot;
+  (not (Phys_mem.equal_u64 mem slot 0L))
+  && (Phys_mem.equal_u64 mem (slot + 8) key || key_in mem cpu table key (i + 1))
+
 (* Check [key] against the server's table, charging the reads the
    receiver performs (§4.4). *)
 let check_key t ~core srv key =
-  let mem = Kernel.mem t.kernel in
-  let cpu = Kernel.cpu t.kernel ~core in
-  let rec go i =
-    if i >= key_table_slots then false
-    else begin
-      Memsys.access cpu Memsys.Data (srv.key_table_pa + (i * 16));
-      let pid = Phys_mem.read_u64 mem (srv.key_table_pa + (i * 16)) in
-      if pid = 0L then false
-      else if Phys_mem.read_u64 mem (srv.key_table_pa + (i * 16) + 8) = key then true
-      else go (i + 1)
-    end
-  in
-  go 0
+  key_in (Kernel.mem t.kernel) (Kernel.cpu t.kernel ~core) srv.key_table_pa key 0
 
 (* Transitive dependency closure of a server, in call order. *)
 let rec dep_closure t server_id =
@@ -930,10 +938,8 @@ let fallback_endpoint t srv =
     Hashtbl.replace t.fallback_eps srv.server_id ep;
     ep
 
-(* How a call ended. One constructor per outcome, so a direct call
-   builds no tuple around its reply. *)
-type served = Direct of bytes | Slowpath of bytes | Failed of call_error
-
+(* The degraded call: every slowpath reply is counted in
+   [degraded_calls], which is how a caller tells it from a direct one. *)
 let slowpath_call t ~core ps ~server_id msg =
   let srv = find_server t server_id in
   let ep = fallback_endpoint t srv in
@@ -943,17 +949,18 @@ let slowpath_call t ~core ps ~server_id msg =
   | reply ->
     Fault.leave_scope ();
     t.degraded_calls <- t.degraded_calls + 1;
-    Slowpath reply
+    Ok reply
   | exception e ->
     Fault.leave_scope ();
     Kernel.context_switch t.kernel ~core ps.proc;
     (match e with
     | Fault.Injected _ ->
       mark_server_dead t ~core ~server_id;
-      Failed (Crashed { server_id })
-    | Server_crashed { server_id = sid } -> Failed (Crashed { server_id = sid })
+      Error (Crashed { server_id })
+    | Server_crashed { server_id = sid } -> Error (Crashed { server_id = sid })
     | Call_timeout { server_id = sid; elapsed } ->
-      Failed (Timeout { server_id = sid; elapsed })
+      Error (Timeout { server_id = sid; elapsed })
+    | Ipc.Message_too_large { len; _ } -> Error (Too_large { server_id; len })
     | e -> raise e)
 
 (* Map an in-server exception to the typed error the client observes,
@@ -980,29 +987,38 @@ let classify_abort t ~core cpu ~start ps ~server_id e =
 
 (* ---- the direct call's frames ----
 
-   Each core keeps its live call frames in a flat int array (server id
-   and in-server-since cycle per frame), and its root client as the
-   pstate's prebuilt [active] option: entering and leaving a call
-   allocates nothing. *)
+   Each core keeps its call frames in an array of mutable records
+   reused from call to call (server id, in-server-since cycle and the
+   crossing token), and its root client as the pstate's prebuilt
+   [active] option: entering and leaving a call allocates nothing. *)
 
-let push_frame t ~core ~server_id ~start =
+let new_frame () = { f_server_id = 0; f_since = 0; f_token = Backend.token () }
+
+(* The frame the next call on [core] fills, the array grown on demand. *)
+let next_frame t ~core =
   let d = t.depth.(core) in
-  if (2 * d) + 2 > Array.length t.frames.(core) then begin
-    let fr = t.frames.(core) in
-    let grown = Array.make (Int.max 8 (2 * Array.length fr)) 0 in
-    Array.blit fr 0 grown 0 (Array.length fr);
-    t.frames.(core) <- grown
-  end;
-  t.frames.(core).(2 * d) <- server_id;
-  t.frames.(core).((2 * d) + 1) <- start;
-  t.depth.(core) <- d + 1
+  let fr = t.frames.(core) in
+  if d < Array.length fr then fr.(d)
+  else begin
+    let grown =
+      Array.init (Int.max 4 (2 * Array.length fr)) (fun i ->
+          if i < Array.length fr then fr.(i) else new_frame ())
+    in
+    t.frames.(core) <- grown;
+    grown.(d)
+  end
+
+let push_frame t ~core f ~server_id ~start =
+  f.f_server_id <- server_id;
+  f.f_since <- start;
+  t.depth.(core) <- t.depth.(core) + 1
 
 let pop_frame t ~core = if t.depth.(core) > 0 then t.depth.(core) <- t.depth.(core) - 1
 
 (* --- cross back, restore --- *)
-let finish_return t ~core cpu vcpu ps token outer =
+let finish_return t ~core cpu vcpu ps b f outer =
   Fault.leave_scope ();
-  Backend.leave t.kernel ~core vcpu token;
+  Backend.leave t.kernel ~core vcpu f.f_token b.mech;
   t.active_client.(core) <- outer;
   pop_frame t ~core;
   Trampoline.charge_crossing cpu ~text_pa:ps.trampoline_text_pa
@@ -1012,11 +1028,11 @@ let finish_return t ~core cpu vcpu ps token outer =
    restore, or the kernel's CR3 switch back — and restores the
    callee-saved registers from the trampoline save area (the aborted
    server run never ran the gate epilogue). *)
-let forced_return t ~core cpu vcpu ps token outer ~slot =
+let forced_return t ~core cpu vcpu ps b f outer ~slot =
   Fault.leave_scope ();
   t.forced_returns <- t.forced_returns + 1;
   Sky_trace.Trace.span ~core ~cat:"recovery" "recovery.forced_return" @@ fun () ->
-  Backend.leave t.kernel ~core vcpu token;
+  Backend.leave t.kernel ~core vcpu f.f_token b.mech;
   t.active_client.(core) <- outer;
   pop_frame t ~core;
   Trampoline.charge_crossing cpu ~text_pa:ps.trampoline_text_pa;
@@ -1030,39 +1046,51 @@ let key_check t ~core srv presented =
         check_key t ~core srv presented)
   else check_key t ~core srv presented
 
+(* A large message's pass through the connection's shared buffer, in a
+   copy span when tracing is on. *)
+let copy_out t ~core va data =
+  if Sky_trace.Trace.is_enabled () then
+    Sky_trace.Trace.span ~core ~cat:"copy" "skybridge.copy" (fun () ->
+        guest_copy_out t ~core va data)
+  else guest_copy_out t ~core va data
+
+let copy_in t ~core va len =
+  if Sky_trace.Trace.is_enabled () then
+    Sky_trace.Trace.span ~core ~cat:"copy" "skybridge.copy" (fun () ->
+        guest_copy_in t ~core va len)
+  else guest_copy_in t ~core va len
+
 (* The crossing proper, from the trampoline entry to the accounted
    reply. [budget] is the §7 watchdog budget ([max_int] = none). *)
 let direct_call t ~core ps b srv ~server_id ~idx ~start ~walk0 ~budget ?attack msg =
   let cpu = Kernel.cpu t.kernel ~core in
   let vcpu = Kernel.vcpu t.kernel ~core in
-  let conn = core mod srv.connection_count in
+  let window = b.buffer_vas.(core mod srv.connection_count) in
   let large = Bytes.length msg > Ipc.register_msg_limit in
   (* --- client side of the trampoline --- *)
   Trampoline.charge_crossing cpu ~text_pa:ps.trampoline_text_pa;
   (* Trampoline prologue: the callee-saved set goes to the per-call
      save slot, from which a forced return can restore it (§7). *)
-  let depth = t.depth.(core) in
-  let slot = ((core * 8) + depth) land 63 in
+  let slot = ((core * 8) + t.depth.(core)) land 63 in
   save_callee_saved t ps ~slot;
   let copy0 = Cpu.cycles cpu in
-  if large then
-    Sky_trace.Trace.span ~core ~cat:"copy" "skybridge.copy" (fun () ->
-        guest_copy_out t ~core b.buffer_vas.(conn) msg);
-  let copy_cycles = ref (Cpu.cycles cpu - copy0) in
-  let client_key = fresh_key t in
+  if large then copy_out t ~core window msg;
+  let copy_cycles = Cpu.cycles cpu - copy0 in
+  (* The client key only has to survive the round trip, so it is drawn
+     as an immediate (the same generator step as a stored key). *)
+  let client_key = Rng.next t.rng in
   (* --- cross into the server --- *)
   let outer = t.active_client.(core) in
+  let f = next_frame t ~core in
   (* The gate returns to whatever state it was entered from: EPTP
      slot 0 for a plain VMFUNC client, the calling server's slot for
      a nested call (the FS returning from the disk driver must land
      back in the FS's address space, not the client's); the MPK and
      syscall tokens capture the analogous client state. *)
-  let token =
-    Backend.enter t.kernel t.entry_filter ~core vcpu ~pid:ps.proc.Proc.pid
-      ~server_id ~server:srv.sproc ~idx b.mech
-  in
+  Backend.enter t.kernel t.entry_filter ~core vcpu ~pid:ps.proc.Proc.pid ~server_id
+    ~server:srv.sproc ~idx f.f_token b.mech;
   t.active_client.(core) <- ps.active;
-  push_frame t ~core ~server_id ~start;
+  push_frame t ~core f ~server_id ~start;
   (* Set once the client is back in its own space, by either return. *)
   let returned = ref false in
   (* Scoped ambient fault sites (sim/mmu/exec/ipc) may fire from here
@@ -1078,64 +1106,60 @@ let direct_call t ~core ps b srv ~server_id ~idx ~start ~walk0 ~budget ?attack m
       security t
         (Printf.sprintf "server %d rejected key %Lx from pid %d" server_id
            presented ps.proc.Proc.pid);
-      finish_return t ~core cpu vcpu ps token outer;
+      finish_return t ~core cpu vcpu ps b f outer;
       returned := true;
       raise (Bad_server_key { server_id; presented })
     end;
-    let msg' =
-      if large then
-        Sky_trace.Trace.span ~core ~cat:"copy" "skybridge.copy" (fun () ->
-            guest_copy_in t ~core b.buffer_vas.(conn) (Bytes.length msg))
-      else msg
-    in
+    let msg' = if large then copy_in t ~core window (Bytes.length msg) else msg in
     let reply = srv.handler ~core msg' in
     (* DoS timeout (§7): if the server burned past the budget, the
        kernel's timer tick forces control back to the client. *)
     if Cpu.cycles cpu - start > budget then begin
       let elapsed = Cpu.cycles cpu - start in
       clobber_callee_saved ps;
-      forced_return t ~core cpu vcpu ps token outer ~slot;
+      forced_return t ~core cpu vcpu ps b f outer ~slot;
       returned := true;
       Kernel.kernel_entry t.kernel ~core;
       Kernel.kernel_exit t.kernel ~core;
       security t
         (Printf.sprintf "server %d timed out after %d cycles; client forced back"
            server_id elapsed);
-      Failed (Timeout { server_id; elapsed })
+      Error (Timeout { server_id; elapsed })
+    end
+    else if Bytes.length reply > buffer_size then begin
+      (* A reply that cannot fit the window is never copied: the
+         client is forced back (§7) and told why. *)
+      forced_return t ~core cpu vcpu ps b f outer ~slot;
+      returned := true;
+      security t
+        (Printf.sprintf
+           "server %d returned %d bytes, over its %d-byte buffer; client forced back"
+           server_id (Bytes.length reply) buffer_size);
+      Error (Too_large { server_id; len = Bytes.length reply })
     end
     else begin
       (* Client-key echo (illegal client return defence). *)
       let echoed =
         match attack with
-        | Some `Corrupt_return_key -> Int64.lognot client_key
+        | Some `Corrupt_return_key -> lnot client_key
         | _ -> client_key
       in
       let reply_large = Bytes.length reply > Ipc.register_msg_limit in
-      if reply_large then begin
-        let c0 = Cpu.cycles cpu in
-        Sky_trace.Trace.span ~core ~cat:"copy" "skybridge.copy" (fun () ->
-            guest_copy_out t ~core b.buffer_vas.(conn) reply);
-        copy_cycles := !copy_cycles + (Cpu.cycles cpu - c0)
-      end;
-      finish_return t ~core cpu vcpu ps token outer;
+      let copy1 = Cpu.cycles cpu in
+      if reply_large then copy_out t ~core window reply;
+      let copy_cycles = copy_cycles + (Cpu.cycles cpu - copy1) in
+      finish_return t ~core cpu vcpu ps b f outer;
       returned := true;
       if echoed <> client_key then begin
         security t
           (Printf.sprintf "server %d returned a corrupted client key" server_id);
         raise (Bad_client_return { server_id })
       end;
+      let copy2 = Cpu.cycles cpu in
       let reply =
-        if reply_large then begin
-          let c0 = Cpu.cycles cpu in
-          let r =
-            Sky_trace.Trace.span ~core ~cat:"copy" "skybridge.copy" (fun () ->
-                guest_copy_in t ~core b.buffer_vas.(conn) (Bytes.length reply))
-          in
-          copy_cycles := !copy_cycles + (Cpu.cycles cpu - c0);
-          r
-        end
-        else reply
+        if reply_large then copy_in t ~core window (Bytes.length reply) else reply
       in
+      let copy_cycles = copy_cycles + (Cpu.cycles cpu - copy2) in
       (* Accounting (Figure 7 categories): the two switch legs land
          in the syscall bucket when the kernel is on the path, in the
          domain-switch bucket otherwise. *)
@@ -1145,11 +1169,11 @@ let direct_call t ~core ps b srv ~server_id ~idx ~start ~walk0 ~budget ?attack m
       else t.stats.Breakdown.vmfunc <- t.stats.Breakdown.vmfunc + legs;
       t.stats.Breakdown.other <-
         t.stats.Breakdown.other + (2 * Trampoline.crossing_cycles);
-      t.stats.Breakdown.copy <- t.stats.Breakdown.copy + !copy_cycles;
+      t.stats.Breakdown.copy <- t.stats.Breakdown.copy + copy_cycles;
       t.stats.Breakdown.walk <-
         t.stats.Breakdown.walk
         + (Pmu.read (Cpu.pmu cpu) Pmu.Walk_cycles - walk0);
-      Direct reply
+      Ok reply
     end
   with
   | outcome -> outcome
@@ -1158,13 +1182,13 @@ let direct_call t ~core ps b srv ~server_id ~idx ~start ~walk0 ~budget ?attack m
        back, then surface a typed error (or re-raise a genuine bug —
        the cleanup has already happened either way). *)
     clobber_callee_saved ps;
-    forced_return t ~core cpu vcpu ps token outer ~slot;
+    forced_return t ~core cpu vcpu ps b f outer ~slot;
     (match classify_abort t ~core cpu ~start ps ~server_id e with
     | Some err ->
       security t
         (Printf.sprintf "call to server %d aborted (%s); client forced back"
            server_id (Printexc.to_string e));
-      Failed err
+      Error err
     | None -> raise e)
 
 (* Roundtrip span name: feeds the "skybridge.<kernel>.call" latency
@@ -1177,7 +1201,19 @@ let call_span_name t =
   | Config.Zircon -> "skybridge.zircon.call"
   | Config.Linux -> "skybridge.linux.call"
 
-let call_internal t ~core ~client ~server_id ~budget ?attack msg =
+(* The root client of a call on [core]: nested calls resolve against
+   the root client's EPTP list, which carries the dependency EPTs
+   (§4.2). *)
+let root_client t ~core ~client ~server_id =
+  match t.active_client.(core) with
+  | Some ps -> ps
+  | None -> (
+    match Hashtbl.find t.pstates client.Proc.pid with
+    | ps -> ps
+    | exception Not_found ->
+      raise (Not_registered { client_pid = client.Proc.pid; server_id }))
+
+let call_bound t ~core ~client ~server_id ~budget ?attack msg =
   (* Fault site "subkernel.call": a revocation storm yanks the binding at
      call entry; top-level calls then degrade to the slowpath. *)
   (match Fault.check ~core "subkernel.call" with
@@ -1187,20 +1223,11 @@ let call_internal t ~core ~client ~server_id ~budget ?attack msg =
     in
     revoke_binding t ~core proc ~server_id ~reason:"injected revocation storm"
   | _ -> ());
-  let ps =
-    (* Nested calls resolve against the root client's EPTP list, which
-       carries the dependency EPTs (§4.2). *)
-    match t.active_client.(core) with
-    | Some ps -> ps
-    | None -> (
-      match pstate_opt t client with
-      | Some ps -> ps
-      | None -> raise (Not_registered { client_pid = client.Proc.pid; server_id }))
-  in
+  let ps = root_client t ~core ~client ~server_id in
   if server_dead t server_id then begin
     security t
       (Printf.sprintf "pid %d called dead server %d" ps.proc.Proc.pid server_id);
-    Failed (Crashed { server_id })
+    Error (Crashed { server_id })
   end
   else
     match binding_in server_id ps.bindings with
@@ -1216,7 +1243,7 @@ let call_internal t ~core ~client ~server_id ~budget ?attack msg =
         (Printf.sprintf "pid %d attempted unbound call to server %d"
            ps.proc.Proc.pid server_id);
       raise (Not_registered { client_pid = ps.proc.Proc.pid; server_id })
-    | b ->
+    | b -> (
       let srv = find_server t server_id in
       let cpu = Kernel.cpu t.kernel ~core in
       (* Make sure the root client is the running process (normally a
@@ -1240,7 +1267,7 @@ let call_internal t ~core ~client ~server_id ~budget ?attack msg =
           direct_call t ~core ps b srv ~server_id ~idx ~start ~walk0 ~budget
             ?attack msg
       with
-      | served -> served
+      | outcome -> outcome
       | exception Backend.Denied ->
         (* The kernel refused the trap: the grant is gone although the
            binding stands. Retire the binding, as an EPT fault does, so
@@ -1250,22 +1277,32 @@ let call_internal t ~core ~client ~server_id ~budget ?attack msg =
              ps.proc.Proc.pid server_id);
         revoke_binding t ~core ps.proc ~server_id
           ~reason:"entry filter denied the trap";
-        Failed (Revoked { server_id })
+        Error (Revoked { server_id }))
+
+(* A request longer than a connection's buffer window is refused here,
+   before anything is charged, copied or revoked. *)
+let call_internal t ~core ~client ~server_id ~budget ?attack msg =
+  if Bytes.length msg > buffer_size then begin
+    security t
+      (Printf.sprintf "pid %d sent %d bytes to server %d, over its %d-byte buffer"
+         client.Proc.pid (Bytes.length msg) server_id buffer_size);
+    Error (Too_large { server_id; len = Bytes.length msg })
+  end
+  else call_bound t ~core ~client ~server_id ~budget ?attack msg
 
 let call t ~core ~client ~server_id ?(timeout = default_watchdog) ?attack msg =
-  match call_internal t ~core ~client ~server_id ~budget:timeout ?attack msg with
-  | Direct reply -> Ok (reply, `Direct)
-  | Slowpath reply -> Ok (reply, `Slowpath)
-  | Failed err -> Error err
+  call_internal t ~core ~client ~server_id ~budget:timeout ?attack msg
 
 let direct_server_call t ~core ~client ~server_id ?timeout ?attack msg =
   let budget = match timeout with Some b -> b | None -> max_int in
   match call_internal t ~core ~client ~server_id ~budget ?attack msg with
-  | Direct reply | Slowpath reply -> reply
-  | Failed (Timeout { server_id; elapsed }) ->
+  | Ok reply -> reply
+  | Error (Timeout { server_id; elapsed }) ->
     raise (Call_timeout { server_id; elapsed })
-  | Failed (Crashed { server_id }) -> raise (Server_crashed { server_id })
-  | Failed (Revoked { server_id }) -> raise (Binding_revoked { server_id })
+  | Error (Crashed { server_id }) -> raise (Server_crashed { server_id })
+  | Error (Revoked { server_id }) -> raise (Binding_revoked { server_id })
+  | Error (Too_large { len; _ }) ->
+    raise (Ipc.Message_too_large { len; limit = buffer_size })
 
 let current_identity t ~core = Rootkernel.current_identity t.root ~core
 

@@ -104,6 +104,15 @@ type call_error =
       (** The server died mid-call; its connections were reaped. *)
   | Revoked of { server_id : int }
       (** The binding was revoked out from under the call. *)
+  | Too_large of { server_id : int; len : int }
+      (** A [len]-byte request or reply does not fit a connection's
+          {!buffer_size}-byte buffer window. A request is refused before
+          anything is charged or copied; a reply is never copied, and
+          the client is forced back (§7). Not worth a retry. *)
+
+val buffer_size : int
+(** Bytes of each connection's shared buffer window (8 KiB): the
+    longest message a call carries. *)
 
 val call :
   t ->
@@ -113,15 +122,19 @@ val call :
   ?timeout:int ->
   ?attack:[ `Fake_server_key | `Corrupt_return_key ] ->
   bytes ->
-  (bytes * [ `Direct | `Slowpath ], call_error) result
+  (bytes, call_error) result
 (** Recovery-aware direct call: like {!direct_server_call} but the §7
     watchdog is armed by default ([timeout] defaults to 1M cycles) and
     abnormal outcomes surface as typed errors instead of exceptions. A
     revoked binding transparently degrades to the kernel-mediated
-    slowpath ([`Slowpath]). A trap the entry filter refuses, or an EPT
-    fault mid-call, retires the binding and returns [Revoked], so a
-    retry rebinds. Every error path forces the client back to its own
-    EPT (VMFUNC-0 + saved-register restore) first. *)
+    slowpath; a degraded reply is counted in {!degraded_calls}, which
+    is how a caller tells it from a direct one. A trap the entry filter
+    refuses, or an EPT fault mid-call, retires the binding and returns
+    [Revoked], so a retry rebinds. Every error path forces the client
+    back to its own EPT (VMFUNC-0 + saved-register restore) first. A
+    direct call allocates its reply's [Ok] and, for a message over
+    {!Sky_kernels.Ipc.register_msg_limit} bytes, the copies a crossing
+    really makes; nothing else. *)
 
 val revoke_binding :
   ?orphan:bool ->
@@ -211,7 +224,9 @@ val direct_server_call :
     invoked from inside another server's handler (nested calls resolve
     against the EPTP list of the root client, which carries the
     dependency EPTs). [attack] is a test hook simulating a malicious
-    participant. *)
+    participant. A request or reply longer than {!buffer_size} raises
+    {!Sky_kernels.Ipc.Message_too_large}, as {!call}'s [Too_large]
+    does. *)
 
 val current_identity : t -> core:int -> int
 (** Pid of the address space live on [core] — the misidentification fix. *)

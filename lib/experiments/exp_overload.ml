@@ -241,9 +241,10 @@ let run_tenants ~seed ~tenants () =
       Bytes.set w 0 tag;
       w
     in
+    let degraded0 = Subkernel.degraded_calls sb in
     match Subkernel.call sb ~core:0 ~client:p ~server_id:sid msg with
-    | Ok (r, `Direct) -> if Bytes.equal r want then incr fast else incr lost
-    | Ok (r, `Slowpath) -> if Bytes.equal r want then incr slow else incr lost
+    | Ok r when not (Bytes.equal r want) -> incr lost
+    | Ok _ -> if Subkernel.degraded_calls sb > degraded0 then incr slow else incr fast
     | Error _ -> incr lost
   in
   let procs =

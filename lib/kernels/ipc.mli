@@ -55,6 +55,11 @@ val grant_send :
 val register :
   t -> Sky_ukernel.Proc.t -> ?cores:int list -> handler -> endpoint
 
+exception Message_too_large of { len : int; limit : int }
+(** A message of [len] bytes does not fit the [limit]-byte IPC buffer
+    ({!ipc_buffer_size}). Raised by {!call}, and by
+    {!Sky_core.Subkernel.direct_server_call} for its shared buffers. *)
+
 val call :
   t ->
   core:int ->
@@ -66,8 +71,17 @@ val call :
     Charges all direct costs, performs the real mode/address-space
     switches on the core's vCPU, copies the message through simulated
     memory (polluting caches), and runs the handler in the server's
-    context. *)
+    context.
+
+    Raises {!Message_too_large} for a request longer than
+    {!ipc_buffer_size} before anything is charged. A reply that long is
+    not copied: the reply leg still returns the client to its own
+    address space in user mode, then {!Message_too_large} is raised. *)
 
 val register_msg_limit : int
 (** Messages at most this long travel in CPU registers (seL4 fastpath
     condition; 32 bytes ~ 4 message registers). *)
+
+val ipc_buffer_size : int
+(** Bytes of each process's IPC buffer (8 KiB): the longest message
+    {!call} carries. *)

@@ -21,10 +21,13 @@ let create machine =
   in
   { mem = machine.Sky_sim.Machine.mem; base_pa; entries = 0 }
 
-let hash key =
+(* Keys and values are slices [buf, off, len) of a caller's bytes — a
+   wire message's fields are stored and compared where they lie, never
+   copied out first. *)
+let hash buf off len =
   let h = ref 5381 in
-  for i = 0 to Bytes.length key - 1 do
-    h := ((!h lsl 5) + !h + Char.code (Bytes.unsafe_get key i)) land 0x3fffffff
+  for i = off to off + len - 1 do
+    h := ((!h lsl 5) + !h + Char.code (Bytes.unsafe_get buf i)) land 0x3fffffff
   done;
   !h mod slot_count
 
@@ -36,17 +39,17 @@ let touch cpu pa len =
 let slot_used t i = Sky_mem.Phys_mem.read_u16 t.mem (slot_pa t i) = 1
 
 (* The slot's key compared where it lives, without copying it out. *)
-let slot_key_is t i key =
+let slot_key_is t i buf off len =
   let pa = slot_pa t i in
-  Sky_mem.Phys_mem.read_u16 t.mem (pa + 2) = Bytes.length key
-  && Sky_mem.Phys_mem.equal_bytes t.mem (pa + 8) key
+  Sky_mem.Phys_mem.read_u16 t.mem (pa + 2) = len
+  && Sky_mem.Phys_mem.equal_sub t.mem (pa + 8) buf ~off ~len
 
 exception Table_full
 
-(* Linear probing from the hash slot: the first slot matching [key]
+(* Linear probing from the hash slot: the first slot matching the key
    (or the first free slot when [for_insert]), or -1. A toplevel loop,
    so a probe allocates nothing. *)
-let rec probe_from t cpu key ~for_insert start n =
+let rec probe_from t cpu buf off len ~for_insert start n =
   if n >= slot_count then if for_insert then raise Table_full else -1
   else begin
     let i = (start + n) mod slot_count in
@@ -54,40 +57,80 @@ let rec probe_from t cpu key ~for_insert start n =
     touch cpu pa 8;
     if not (slot_used t i) then if for_insert then i else -1
     else begin
-      touch cpu (pa + 8) (Bytes.length key);
-      if slot_key_is t i key then i
-      else probe_from t cpu key ~for_insert start (n + 1)
+      touch cpu (pa + 8) len;
+      if slot_key_is t i buf off len then i
+      else probe_from t cpu buf off len ~for_insert start (n + 1)
     end
   end
 
-let probe t cpu key ~for_insert = probe_from t cpu key ~for_insert (hash key) 0
+let probe t cpu buf off len ~for_insert =
+  probe_from t cpu buf off len ~for_insert (hash buf off len) 0
 
-let insert t cpu ~key ~value =
-  if Bytes.length key > max_kv || Bytes.length value > max_kv then
+(* A slice must lie inside its buffer: a malformed wire length is an
+   [Invalid_argument], as the copy it replaces would raise. *)
+let check_slice buf off len =
+  if off < 0 || len < 0 || off + len > Bytes.length buf then
+    invalid_arg "Kv_server: slice out of bounds"
+
+let store t cpu kbuf ~key_off ~key_len vbuf ~value_off ~value_len =
+  check_slice kbuf key_off key_len;
+  check_slice vbuf value_off value_len;
+  if key_len > max_kv || value_len > max_kv then
     invalid_arg "Kv_server.insert: too large";
   (* record packing / checksum work *)
-  Sky_sim.Cpu.charge cpu (2 * (Bytes.length key + Bytes.length value));
-  match probe t cpu key ~for_insert:true with
+  Sky_sim.Cpu.charge cpu (2 * (key_len + value_len));
+  match probe t cpu kbuf key_off key_len ~for_insert:true with
   | -1 -> raise Table_full
   | i ->
     let pa = slot_pa t i in
     if not (slot_used t i) then t.entries <- t.entries + 1;
     Sky_mem.Phys_mem.write_u16 t.mem pa 1;
-    Sky_mem.Phys_mem.write_u16 t.mem (pa + 2) (Bytes.length key);
-    Sky_mem.Phys_mem.write_u16 t.mem (pa + 4) (Bytes.length value);
-    Sky_mem.Phys_mem.write_bytes t.mem (pa + 8) key;
-    Sky_mem.Phys_mem.write_bytes t.mem (pa + 8 + max_kv) value;
-    touch cpu (pa + 8) (Bytes.length key);
-    touch cpu (pa + 8 + max_kv) (Bytes.length value)
+    Sky_mem.Phys_mem.write_u16 t.mem (pa + 2) key_len;
+    Sky_mem.Phys_mem.write_u16 t.mem (pa + 4) value_len;
+    Sky_mem.Phys_mem.blit_from t.mem ~src:kbuf ~src_off:key_off ~dst_pa:(pa + 8)
+      ~len:key_len;
+    Sky_mem.Phys_mem.blit_from t.mem ~src:vbuf ~src_off:value_off
+      ~dst_pa:(pa + 8 + max_kv) ~len:value_len;
+    touch cpu (pa + 8) key_len;
+    touch cpu (pa + 8 + max_kv) value_len
+
+let insert t cpu ~key ~value =
+  store t cpu key ~key_off:0 ~key_len:(Bytes.length key) value ~value_off:0
+    ~value_len:(Bytes.length value)
+
+let insert_sub t cpu buf ~key_off ~key_len ~value_off ~value_len =
+  store t cpu buf ~key_off ~key_len buf ~value_off ~value_len
+
+(* The value's slot, charged as a lookup (key hashing, probe, value
+   read), or -1 on a miss. *)
+let find t cpu buf off len =
+  check_slice buf off len;
+  Sky_sim.Cpu.charge cpu (2 * len);
+  match probe t cpu buf off len ~for_insert:false with
+  | -1 -> -1
+  | i ->
+    let pa = slot_pa t i in
+    touch cpu (pa + 8 + max_kv) (Sky_mem.Phys_mem.read_u16 t.mem (pa + 4));
+    i
+
+let value_of t i =
+  let pa = slot_pa t i in
+  Sky_mem.Phys_mem.read_bytes t.mem (pa + 8 + max_kv)
+    (Sky_mem.Phys_mem.read_u16 t.mem (pa + 4))
 
 let query t cpu ~key =
-  Sky_sim.Cpu.charge cpu (2 * Bytes.length key);
-  match probe t cpu key ~for_insert:false with
-  | -1 -> None
+  match find t cpu key 0 (Bytes.length key) with -1 -> None | i -> Some (value_of t i)
+
+let query_sub t cpu buf ~key_off ~key_len =
+  match find t cpu buf key_off key_len with -1 -> None | i -> Some (value_of t i)
+
+let query_into t cpu buf ~key_off ~key_len ~dst ~dst_off =
+  match find t cpu buf key_off key_len with
+  | -1 -> -1
   | i ->
     let pa = slot_pa t i in
     let vlen = Sky_mem.Phys_mem.read_u16 t.mem (pa + 4) in
-    touch cpu (pa + 8 + max_kv) vlen;
-    Some (Sky_mem.Phys_mem.read_bytes t.mem (pa + 8 + max_kv) vlen)
+    Sky_mem.Phys_mem.blit_to t.mem ~src_pa:(pa + 8 + max_kv) ~dst ~dst_off ~len:vlen;
+    vlen
 
 let entries t = t.entries

@@ -17,4 +17,24 @@ val insert : t -> Sky_sim.Cpu.t -> key:bytes -> value:bytes -> unit
 (** Linear-probed insert or overwrite. *)
 
 val query : t -> Sky_sim.Cpu.t -> key:bytes -> bytes option
+
+(** {2 In-place forms}
+
+    The same operations on slices of one buffer — a wire message's
+    fields are hashed, compared and stored where they lie, so serving a
+    request copies no key. Charges are exactly those of {!insert} and
+    {!query}. *)
+
+val insert_sub :
+  t -> Sky_sim.Cpu.t -> bytes -> key_off:int -> key_len:int -> value_off:int ->
+  value_len:int -> unit
+
+val query_sub : t -> Sky_sim.Cpu.t -> bytes -> key_off:int -> key_len:int -> bytes option
+
+val query_into :
+  t -> Sky_sim.Cpu.t -> bytes -> key_off:int -> key_len:int -> dst:bytes -> dst_off:int ->
+  int
+(** A hit's value copied into [dst] at [dst_off] (which must have
+    {!max_kv} bytes of room); its length, or -1 on a miss. *)
+
 val entries : t -> int

@@ -89,6 +89,10 @@ let u64_frame t pa =
 
 let read_u64 t pa = Bytes.get_int64_le (u64_frame t pa) (pa land (frame_size - 1))
 
+(* [=] at type [int64] compares unboxed: nothing is allocated. *)
+let equal_u64 t pa (v : int64) =
+  Bytes.get_int64_le (u64_frame t pa) (pa land (frame_size - 1)) = v
+
 let write_u64 t pa v =
   check_range t pa 8;
   if not (aligned pa 8) then
@@ -130,21 +134,25 @@ let read_bytes t pa len =
   dst
 
 (* A toplevel loop, frame by frame: comparing allocates nothing. *)
-let rec equal_from t pa b off =
-  off >= Bytes.length b
+let rec equal_from t pa b off stop =
+  off >= stop
   ||
   let frame = get_frame t (frame_of_addr pa) in
   let in_frame = pa land (frame_size - 1) in
-  let n = min (Bytes.length b - off) (frame_size - in_frame) in
+  let n = min (stop - off) (frame_size - in_frame) in
   let i = ref 0 in
   while !i < n && Bytes.unsafe_get frame (in_frame + !i) = Bytes.unsafe_get b (off + !i) do
     incr i
   done;
-  !i = n && equal_from t (pa + n) b (off + n)
+  !i = n && equal_from t (pa + n) b (off + n) stop
 
-let equal_bytes t pa b =
-  check_range t pa (Bytes.length b);
-  equal_from t pa b 0
+let equal_sub t pa b ~off ~len =
+  if off < 0 || len < 0 || off + len > Bytes.length b then
+    invalid_arg "Phys_mem.equal_sub";
+  check_range t pa len;
+  equal_from t pa b off (off + len)
+
+let equal_bytes t pa b = equal_sub t pa b ~off:0 ~len:(Bytes.length b)
 
 let write_bytes t pa src =
   blit_from t ~src ~src_off:0 ~dst_pa:pa ~len:(Bytes.length src)

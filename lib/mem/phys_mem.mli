@@ -46,6 +46,10 @@ val read_u64 : t -> int -> int64
 
 val write_u64 : t -> int -> int64 -> unit
 
+val equal_u64 : t -> int -> int64 -> bool
+(** [equal_u64 mem pa v] is [read_u64 mem pa = v] (same checks), compared
+    in place: the word read is never boxed. *)
+
 val u64_frame : t -> int -> bytes
 (** [u64_frame mem pa] makes exactly {!read_u64}'s checks (same
     exceptions) and returns the frame holding the word, which sits at
@@ -64,6 +68,10 @@ val equal_bytes : t -> int -> bytes -> bool
 (** [equal_bytes mem pa b] compares the [Bytes.length b] bytes at [pa]
     with [b] in place — {!read_bytes} then [Bytes.equal], without the
     copy. May span frame boundaries. *)
+
+val equal_sub : t -> int -> bytes -> off:int -> len:int -> bool
+(** [equal_sub mem pa b ~off ~len] is {!equal_bytes} on [b]'s bytes
+    [off, off + len). *)
 
 val blit_to : t -> src_pa:int -> dst:bytes -> dst_off:int -> len:int -> unit
 val blit_from : t -> src:bytes -> src_off:int -> dst_pa:int -> len:int -> unit

@@ -78,30 +78,31 @@ let try_push t ~core ?receiver item =
     true
 
 (* Steal source: the longest peer queue, ties to the lowest index — a
-   pure function of queue contents, so the schedule stays deterministic. *)
-let steal_source t ~recv =
-  let best = ref (-1) and best_len = ref 0 in
-  Array.iteri
-    (fun i q ->
-      if i <> recv && Queue.length q > !best_len then begin
-        best := i;
-        best_len := Queue.length q
-      end)
-    t.queues;
-  if !best >= 0 then Some !best else None
+   pure function of queue contents, so the schedule stays deterministic.
+   -1 when every peer queue is empty. *)
+let rec steal_source t ~recv i best best_len =
+  if i >= Array.length t.queues then best
+  else
+    let len = Queue.length t.queues.(i) in
+    if i <> recv && len > best_len then steal_source t ~recv (i + 1) i len
+    else steal_source t ~recv (i + 1) best best_len
 
+(* A pop allocates only the option it returns. *)
 let pop t ~core ~recv =
-  match Queue.take_opt t.queues.(recv) with
-  | Some item ->
+  let own = t.queues.(recv) in
+  if not (Queue.is_empty own) then begin
+    let item = Queue.take own in
     t.popped <- t.popped + 1;
     Cpu.charge (Kernel.cpu t.kernel ~core) pop_cycles;
     Some item
-  | None -> (
-    match steal_source t ~recv with
-    | None -> None
-    | Some src ->
+  end
+  else
+    let src = steal_source t ~recv 0 (-1) 0 in
+    if src < 0 then None
+    else begin
       let item = Queue.take t.queues.(src) in
       t.popped <- t.popped + 1;
       t.steals <- t.steals + 1;
       Cpu.charge (Kernel.cpu t.kernel ~core) (pop_cycles + steal_cycles);
-      Some item)
+      Some item
+    end

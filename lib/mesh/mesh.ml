@@ -60,7 +60,7 @@ type t = {
   admin : Proc.t;  (** the mesh's own privileged client for wire ops *)
   mutable grants : grant list;  (** newest first; order never observed *)
   suspended : (int, int list) Hashtbl.t;  (** pid -> sids parked by suspend *)
-  rstats : Retry.stats;
+  rstats : Retry.stats option;  (** [Some], built once: passed on every call *)
   rbudget : Retry.budget option;  (** retry budget for routed calls *)
   mutable resolves : int;  (** wire round trips to the name service *)
   mutable cache_hits : int;
@@ -200,7 +200,7 @@ let create ?(seed = 0) ?retry_budget sb =
       admin;
       grants = [];
       suspended = Hashtbl.create 4;
-      rstats = Retry.create_stats ();
+      rstats = Some (Retry.create_stats ());
       rbudget = retry_budget;
       resolves = 0;
       cache_hits = 0;
@@ -223,14 +223,14 @@ let create ?(seed = 0) ?retry_budget sb =
 let register t ~core ~uri ~server_id =
   let scheme = Uri.service uri in
   ignore
-    (Retry.call ~stats:t.rstats t.sb ~core ~client:t.admin ~server_id:t.ns_sid
+    (Retry.call ?stats:t.rstats t.sb ~core ~client:t.admin ~server_id:t.ns_sid
        (enc_register ~sid:server_id scheme));
   ignore (root_of t server_id)
 
 let unregister t ~core ~uri =
   let scheme = Uri.service uri in
   ignore
-    (Retry.call ~stats:t.rstats t.sb ~core ~client:t.admin ~server_id:t.ns_sid
+    (Retry.call ?stats:t.rstats t.sb ~core ~client:t.admin ~server_id:t.ns_sid
        (enc_unregister scheme))
 
 (* The server id for [uri], negative when the name service has none. *)
@@ -245,7 +245,7 @@ let resolve_sid t ~core ~client uri =
   | _ | (exception Not_found) ->
     t.resolves <- t.resolves + 1;
     let reply =
-      Retry.call ~stats:t.rstats t.sb ~core ~client ~server_id:t.ns_sid
+      Retry.call ?stats:t.rstats t.sb ~core ~client ~server_id:t.ns_sid
         (enc_resolve scheme)
     in
     let sid = Int32.to_int (Bytes.get_int32_le reply 0) in
@@ -340,31 +340,45 @@ let resume_client t client =
 
 (* ---- the routed call ---- *)
 
-let call t ~core ~client ?on_crash ?timeout uri msg =
-  let pid = client.Proc.pid in
+(* The server a routed call may reach: its id, [unresolved] or
+   [denied]. Outcomes are immediates, so the routing step allocates
+   nothing. *)
+let unresolved = -1
+let denied = -2
+
+let route t ~core ~client uri =
   let sid = resolve_sid t ~core ~client uri in
-  if sid < 0 then Error (`Unresolved uri)
-  else (
+  if sid < 0 then unresolved
+  else begin
     Cpu.charge (Kernel.cpu t.kernel ~core) cap_check_cycles;
-    if not (covered t ~pid ~sid) then begin
+    if covered t ~pid:client.Proc.pid ~sid then sid
+    else begin
       t.denials <- t.denials + 1;
       Sky_trace.Trace.instant ~core ~cat:"mesh" "mesh.denied";
-      Error (`Denied uri)
+      denied
     end
-    else
-      match
-        Retry.call ~stats:t.rstats ?budget:t.rbudget ?timeout ?on_crash t.sb
-          ~core ~client ~server_id:sid msg
-      with
-      | reply -> Ok reply
-      | exception Retry.Gave_up e -> Error (`Failed e))
+  end
 
+let retry_call t ~core ~client ?on_crash ?timeout sid msg =
+  Retry.call ?stats:t.rstats ?budget:t.rbudget ?timeout ?on_crash t.sb ~core ~client
+    ~server_id:sid msg
+
+let call t ~core ~client ?on_crash ?timeout uri msg =
+  let sid = route t ~core ~client uri in
+  if sid = unresolved then Error (`Unresolved uri)
+  else if sid = denied then Error (`Denied uri)
+  else
+    match retry_call t ~core ~client ?on_crash ?timeout sid msg with
+    | reply -> Ok reply
+    | exception Retry.Gave_up e -> Error (`Failed e)
+
+(* The routed call without a result to unwrap: what a serving layer
+   calls per request. *)
 let call_exn t ~core ~client ?on_crash ?timeout uri msg =
-  match call t ~core ~client ?on_crash ?timeout uri msg with
-  | Ok reply -> reply
-  | Error (`Unresolved u) -> raise (Unknown_service u)
-  | Error (`Denied u) -> raise (Denied { uri = u; pid = client.Proc.pid })
-  | Error (`Failed e) -> raise (Retry.Gave_up e)
+  let sid = route t ~core ~client uri in
+  if sid = unresolved then raise (Unknown_service uri)
+  else if sid = denied then raise (Denied { uri; pid = client.Proc.pid })
+  else retry_call t ~core ~client ?on_crash ?timeout sid msg
 
 (* ---- audit ---- *)
 
@@ -423,6 +437,6 @@ let resolves t = t.resolves
 let cache_hits t = t.cache_hits
 let denials t = t.denials
 let registrations t = t.registrations
-let retry_stats t = t.rstats
+let retry_stats t = Option.get t.rstats
 let registry t = t.caps
 let name_server_id t = t.ns_sid

@@ -187,33 +187,29 @@ let read_u64 vcpu mem ~va =
 let write_u64 vcpu mem ~va v =
   Sky_mem.Phys_mem.write_u64 mem (accessed vcpu mem data_write ~va) v
 
-(* Iterate a virtual range page by page, giving [f] the HPA and length of
-   each in-page chunk, charging one cached access per 64-byte line. *)
-let iter_range vcpu mem acc ~va ~len f =
-  let cpu = Vcpu.cpu vcpu in
-  let rec go va off remaining =
-    if remaining > 0 then begin
-      let in_page = 4096 - (va land 0xfff) in
-      let n = min remaining in_page in
-      let hpa = translate vcpu mem acc ~va in
-      Sky_sim.Memsys.touch_range cpu acc.kind ~pa:hpa ~len:n;
-      f ~hpa ~off ~len:n;
-      go (va + n) (off + n) (remaining - n)
-    end
-  in
-  go va 0 len
+(* Walk a virtual range page by page, charging one cached access per
+   64-byte line of each in-page chunk, and with [copy] move the chunk
+   between [buf] (at the matching offset) and simulated memory: into
+   memory on a write access, out of it on a read. A toplevel loop, so a
+   copy allocates nothing but a read's destination. *)
+let rec copy_range vcpu mem acc ~copy buf va off remaining =
+  if remaining > 0 then begin
+    let n = min remaining (4096 - (va land 0xfff)) in
+    let hpa = translate vcpu mem acc ~va in
+    Sky_sim.Memsys.touch_range vcpu.Vcpu.cpu acc.kind ~pa:hpa ~len:n;
+    if copy then
+      if acc.write then
+        Sky_mem.Phys_mem.blit_from mem ~src:buf ~src_off:off ~dst_pa:hpa ~len:n
+      else Sky_mem.Phys_mem.blit_to mem ~src_pa:hpa ~dst:buf ~dst_off:off ~len:n;
+    copy_range vcpu mem acc ~copy buf (va + n) (off + n) (remaining - n)
+  end
 
 let read_bytes vcpu mem ~va ~len =
   let dst = Bytes.create len in
-  iter_range vcpu mem data_read ~va ~len (fun ~hpa ~off ~len ->
-      Sky_mem.Phys_mem.blit_to mem ~src_pa:hpa ~dst ~dst_off:off ~len);
+  copy_range vcpu mem data_read ~copy:true dst va 0 len;
   dst
 
 let write_bytes vcpu mem ~va src =
-  iter_range vcpu mem data_write ~va ~len:(Bytes.length src)
-    (fun ~hpa ~off ~len ->
-      Sky_mem.Phys_mem.blit_from mem ~src ~src_off:off ~dst_pa:hpa ~len)
+  copy_range vcpu mem data_write ~copy:true src va 0 (Bytes.length src)
 
-let touch vcpu mem acc ~va ~len =
-  if len > 0 then
-    iter_range vcpu mem acc ~va ~len (fun ~hpa:_ ~off:_ ~len:_ -> ())
+let touch vcpu mem acc ~va ~len = copy_range vcpu mem acc ~copy:false Bytes.empty va 0 len

@@ -56,9 +56,7 @@ let asid t =
   in
   eptp_part lor t.pcid
 
-let write_cr3 t ~cr3 ~pcid =
-  let core = Sky_sim.Cpu.id t.cpu in
-  Sky_trace.Trace.span ~core ~cat:"ctx" "cr3_write" @@ fun () ->
+let load_cr3 t ~core ~cr3 ~pcid =
   Sky_sim.Cpu.charge t.cpu Sky_sim.Costs.cr3_write;
   Sky_sim.Pmu.count (Sky_sim.Cpu.pmu t.cpu) Sky_sim.Pmu.Cr3_write;
   t.cr3 <- cr3;
@@ -69,6 +67,15 @@ let write_cr3 t ~cr3 ~pcid =
        linear address space: leaf TLBs and paging-structure caches. *)
     Sky_sim.Cpu.flush_guest_translation t.cpu
   end
+
+(* Every context switch and every filtered-syscall crossing writes CR3:
+   the span closure is built only when tracing is on. *)
+let write_cr3 t ~cr3 ~pcid =
+  let core = Sky_sim.Cpu.id t.cpu in
+  if Sky_trace.Trace.is_enabled () then
+    Sky_trace.Trace.span ~core ~cat:"ctx" "cr3_write" (fun () ->
+        load_cr3 t ~core ~cr3 ~pcid)
+  else load_cr3 t ~core ~cr3 ~pcid
 
 (* INVLPG: invalidate one page's leaf-TLB entries under the current
    ASID, and (as on hardware, which drops paging-structure-cache

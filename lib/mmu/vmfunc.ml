@@ -8,10 +8,7 @@
 
 exception Invalid_vmfunc of { func : int; index : int }
 
-let execute vcpu ~func ~index =
-  let cpu = Vcpu.cpu vcpu in
-  let core = Sky_sim.Cpu.id cpu in
-  Sky_trace.Trace.span ~core ~cat:"vmfunc" "vmfunc" @@ fun () ->
+let switch vcpu cpu ~core ~func ~index =
   Sky_sim.Cpu.charge cpu Sky_sim.Costs.vmfunc;
   Sky_sim.Pmu.count (Sky_sim.Cpu.pmu cpu) Sky_sim.Pmu.Vmfunc_exec;
   let vmcs = Vcpu.vmcs_exn vcpu in
@@ -34,3 +31,13 @@ let execute vcpu ~func ~index =
     Sky_trace.Trace.instant ~core ~cat:"vmfunc" "tlb.flush";
     Sky_sim.Cpu.flush_guest_translation cpu
   end
+
+(* Every crossing runs this twice: the span closure is built only when
+   tracing is on. *)
+let execute vcpu ~func ~index =
+  let cpu = Vcpu.cpu vcpu in
+  let core = Sky_sim.Cpu.id cpu in
+  if Sky_trace.Trace.is_enabled () then
+    Sky_trace.Trace.span ~core ~cat:"vmfunc" "vmfunc" (fun () ->
+        switch vcpu cpu ~core ~func ~index)
+  else switch vcpu cpu ~core ~func ~index

@@ -11,10 +11,16 @@
     {!Sky_analysis.Tramp_check} in its MPK flavor, not dynamically
     here. *)
 
-let execute vcpu ~pkru =
-  let cpu = Vcpu.cpu vcpu in
-  let core = Sky_sim.Cpu.id cpu in
-  Sky_trace.Trace.span ~core ~cat:"vmfunc" "wrpkru" @@ fun () ->
+let switch vcpu cpu ~pkru =
   Sky_sim.Cpu.charge cpu Sky_sim.Costs.wrpkru;
   Sky_sim.Pmu.count (Sky_sim.Cpu.pmu cpu) Sky_sim.Pmu.Wrpkru_exec;
   vcpu.Vcpu.pkru <- pkru land 0xffff_ffff
+
+(* Every MPK crossing runs this twice: the span closure is built only
+   when tracing is on. *)
+let execute vcpu ~pkru =
+  let cpu = Vcpu.cpu vcpu in
+  if Sky_trace.Trace.is_enabled () then
+    Sky_trace.Trace.span ~core:(Sky_sim.Cpu.id cpu) ~cat:"vmfunc" "wrpkru"
+      (fun () -> switch vcpu cpu ~pkru)
+  else switch vcpu cpu ~pkru

@@ -134,6 +134,7 @@ let ok body = { status = 200; body }
 let not_found = { status = 404; body = Bytes.empty }
 let bad_request = { status = 400; body = Bytes.empty }
 let server_error = { status = 500; body = Bytes.empty }
+let stored = { status = 200; body = Bytes.unsafe_of_string "stored" }
 let service_unavailable = { status = 503; body = Bytes.empty }
 let forbidden = { status = 403; body = Bytes.empty }
 
@@ -154,13 +155,18 @@ let with_ttl ~ttl payload =
   Bytes.blit payload 0 b head (Bytes.length payload);
   b
 
-let split_ttl payload =
-  if not (has_prefix "TTL" payload) then (None, payload)
+(* The TTL a payload carries, -1 when it carries none (no prefix, or
+   not a positive number): read in place, so a plain request costs a
+   three-byte compare and no allocation. *)
+let ttl payload =
+  if not (has_prefix "TTL" payload) then -1
   else
     let sp = space_from payload 0 in
-    if sp < 0 then (None, payload)
-    else
-      match int_at payload 3 (sp - 3) with
-      | ttl when ttl > 0 ->
-        (Some ttl, Bytes.sub payload (sp + 1) (Bytes.length payload - sp - 1))
-      | _ -> (None, payload)
+    if sp < 0 then -1
+    else match int_at payload 3 (sp - 3) with n when n > 0 -> n | _ -> -1
+
+let strip_ttl payload =
+  if ttl payload < 0 then payload
+  else
+    let sp = space_from payload 0 in
+    Bytes.sub payload (sp + 1) (Bytes.length payload - sp - 1)

@@ -22,6 +22,10 @@ val not_found : response
 val bad_request : response
 val server_error : response
 
+val stored : response
+(** 200 [stored] — the reply to a PUT the store accepted. Shared, like
+    the other constant responses: its body must not be mutated. *)
+
 val service_unavailable : response
 (** 503 — the typed load-shed rejection (queue full, deadline blown). *)
 
@@ -32,6 +36,10 @@ val with_ttl : ttl:int -> bytes -> bytes
 (** Prefix a serialized request with a relative deadline ([TTL<cycles> ]).
     Requests without the prefix are wire-identical to the old format. *)
 
-val split_ttl : bytes -> int option * bytes
-(** Strip the TTL prefix, if any, returning the relative deadline and
-    the bare request payload. *)
+val ttl : bytes -> int
+(** The relative deadline a payload's TTL prefix carries, or -1 when it
+    carries none (no prefix, or not a positive number). *)
+
+val strip_ttl : bytes -> bytes
+(** The bare request payload: a copy without the prefix when {!ttl}
+    finds one, the payload itself otherwise. *)

@@ -99,7 +99,13 @@ type req = {
   rq_payload : bytes;
   rq_deadline : int option;
   mutable rq_denied : int;
+  mutable rq_request : Http.request;
+      (** the parse, meaningful once [rq_valid] is set by the worker *)
+  mutable rq_valid : bool;
 }
+
+(* [rq_request] until the worker parses the payload. *)
+let unparsed = Http.Fs_get ""
 
 type admission = {
   a_queue_cap : int option;
@@ -343,7 +349,7 @@ let dispatch t w kv_replies pr =
         match Queue.pop q with R_stored ok -> ok | R_value _ -> misaligned ())
       | None -> w.w_binding.kv_put ~core ~key ~value
     in
-    if stored then Http.ok (Bytes.of_string "stored") else Http.server_error
+    if stored then Http.stored else Http.server_error
   | Http.Kv_get key -> (
     let value =
       match kv_replies with
@@ -366,32 +372,29 @@ let dispatch t w kv_replies pr =
         Http.ok data
       | None -> Http.not_found))
 
-(* Charge and parse each request of a batch, in order; a malformed one
-   is kept (as [None]) to be answered 400 in its turn. *)
+(* Charge and parse each request of a batch, in order, into the request
+   itself; a malformed one stays invalid, to be answered 400 in its
+   turn. *)
 let rec parse_all t cpu = function
-  | [] -> []
+  | [] -> ()
   | r :: rest ->
     Cpu.charge cpu (parse_base + (parse_per_byte * Bytes.length r.rq_payload));
-    let parsed =
-      match Http.parse_request r.rq_payload with
-      | pr -> (r, Some pr)
-      | exception Http.Bad_request _ ->
-        t.bad_requests <- t.bad_requests + 1;
-        (r, None)
-    in
-    parsed :: parse_all t cpu rest
+    (match Http.parse_request r.rq_payload with
+    | pr ->
+      r.rq_request <- pr;
+      r.rq_valid <- true
+    | exception Http.Bad_request _ -> t.bad_requests <- t.bad_requests + 1);
+    parse_all t cpu rest
 
 (* Answer each parsed request in pop order: a response, a bounce on
    [Denied], or a 503 on [Expired]. *)
 let rec reply_all t w kv_replies = function
   | [] -> ()
-  | (r, pr) :: rest ->
+  | r :: rest ->
     let core = w.w_core in
     t.deadlines.(core) <- r.rq_deadline;
     (match
-       match pr with
-       | None -> Http.bad_request
-       | Some pr -> dispatch t w kv_replies pr
+       if r.rq_valid then dispatch t w kv_replies r.rq_request else Http.bad_request
      with
     | response ->
       t.deadlines.(core) <- None;
@@ -416,33 +419,35 @@ let serve_batch t w reqs =
   (* The crash point: mid-request, after the packet left the ring. *)
   check_fault t w;
   Memsys.touch_range_state_only cpu Memsys.Insn ~pa:w.w_text_pa ~len:worker_text;
-  let parsed = parse_all t cpu reqs in
+  parse_all t cpu reqs;
   (* Batched worker→backend hop: every KV operation of the batch in
      one crossing, under the tightest member deadline. A [Denied] or
      [Expired] from the batched call falls back to the individual
      path so each request gets its own terminal outcome. *)
   let kv_replies =
     match w.w_binding.kv_batch with
-    | Some batch when List.length parsed > 1 -> (
+    | Some batch when List.length reqs > 1 -> (
       let ops =
         List.filter_map
-          (fun (_, pr) ->
-            match pr with
-            | Some (Http.Kv_put (key, value)) -> Some (Op_put (key, value))
-            | Some (Http.Kv_get key) -> Some (Op_get key)
-            | Some (Http.Fs_get _) | None -> None)
-          parsed
+          (fun r ->
+            if not r.rq_valid then None
+            else
+              match r.rq_request with
+              | Http.Kv_put (key, value) -> Some (Op_put (key, value))
+              | Http.Kv_get key -> Some (Op_get key)
+              | Http.Fs_get _ -> None)
+          reqs
       in
       if List.length ops < 2 then None
       else begin
         t.deadlines.(core) <-
           List.fold_left
-            (fun acc (r, _) ->
+            (fun acc r ->
               match (r.rq_deadline, acc) with
               | None, a -> a
               | Some d, None -> Some d
               | Some d, Some a -> Some (Int.min d a))
-            None parsed;
+            None reqs;
         match batch ~core ops with
         | replies ->
           t.deadlines.(core) <- None;
@@ -457,7 +462,7 @@ let serve_batch t w reqs =
       end)
     | _ -> None
   in
-  reply_all t w kv_replies parsed
+  reply_all t w kv_replies reqs
 
 (* The span closure is built only when tracing is on. *)
 let handle_batch t w reqs =
@@ -537,9 +542,14 @@ let rec live_members t w now = function
       live_members t w now rest
     | _ -> r :: live_members t w now rest)
 
+let rec all_live now = function
+  | [] -> true
+  | r :: rest -> (
+    match r.rq_deadline with Some d when now > d -> false | _ -> all_live now rest)
+
 let serve t w reqs =
   let now = Cpu.cycles (Kernel.cpu t.kernel ~core:w.w_core) in
-  let live = live_members t w now reqs in
+  let live = if all_live now reqs then reqs else live_members t w now reqs in
   if live = [] then Machine.Progress
   else
     match handle_batch t w live with
@@ -636,18 +646,28 @@ let step t ~core =
           else Socket.Nothing
         with
         | Socket.Accepted _ -> Machine.Progress
-        | Socket.Request (conn, payload) ->
+        | Socket.Request ->
           (* Admission: stamp the deadline from the carried TTL (or the
              configured default) and bounce off a full target queue with
              a 503 before the request costs anything downstream. *)
-          let ttl, body = Http.split_ttl payload in
+          let payload = Socket.request_payload t.socks ~queue:core in
+          let ttl = Http.ttl payload in
           let deadline =
-            match (ttl, t.admission.a_default_ttl) with
-            | Some n, _ | None, Some n -> Some (Cpu.cycles cpu + n)
-            | None, None -> None
+            if ttl > 0 then Some (Cpu.cycles cpu + ttl)
+            else
+              match t.admission.a_default_ttl with
+              | Some n -> Some (Cpu.cycles cpu + n)
+              | None -> None
           in
           let r =
-            { rq_conn = conn; rq_payload = body; rq_deadline = deadline; rq_denied = 0 }
+            {
+              rq_conn = Socket.request_conn t.socks ~queue:core;
+              rq_payload = (if ttl > 0 then Http.strip_ttl payload else payload);
+              rq_deadline = deadline;
+              rq_denied = 0;
+              rq_request = unparsed;
+              rq_valid = false;
+            }
           in
           if Endpoint.try_push t.ep ~core r then Machine.Progress
           else begin

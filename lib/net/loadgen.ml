@@ -153,18 +153,18 @@ let validate t f (resp : Http.response) =
 
 (* TX-completion hook: account the response, then keep the loop closed by
    scheduling the connection's next request one RTT out. *)
-let on_response t (pkt : Nic.pkt) =
-  match Hashtbl.find t.by_flow pkt.Nic.flow with
+let on_response t ~flow ~payload ~deliver_at =
+  match Hashtbl.find t.by_flow flow with
   | exception Not_found -> t.errors <- t.errors + 1
   | f ->
-    (match Http.parse_response pkt.Nic.payload with
+    (match Http.parse_response payload with
     | resp -> validate t f resp
     | exception Http.Bad_request _ -> t.errors <- t.errors + 1);
-    Sky_trace.Histogram.add t.hist (pkt.Nic.deliver_at - f.f_sent_at);
+    Sky_trace.Histogram.add t.hist (deliver_at - f.f_sent_at);
     f.f_done <- f.f_done + 1;
     t.responses <- t.responses + 1;
     t.remaining.(f.f_queue) <- t.remaining.(f.f_queue) - 1;
-    if f.f_done < f.f_total then inject t f ~at:(pkt.Nic.deliver_at + t.rtt)
+    if f.f_done < f.f_total then inject t f ~at:(deliver_at + t.rtt)
 
 let start t ~at =
   Nic.set_on_tx t.nic (on_response t);

@@ -45,7 +45,8 @@ type t = {
   kernel : Kernel.t;
   queues : queue array;
   reta : int array;
-  mutable on_tx : pkt -> unit;  (** wire-side TX-completion hook *)
+  mutable on_tx : flow:int -> payload:bytes -> deliver_at:int -> unit;
+      (** wire-side TX-completion hook *)
   mutable dropped : int;  (** ring-full drops *)
 }
 
@@ -82,7 +83,7 @@ let create kernel ~queues:nq =
   in
   (* RETA default: round-robin over the enabled queues. *)
   let reta = Array.init reta_entries (fun i -> i mod nq) in
-  { kernel; queues; reta; on_tx = (fun _ -> ()); dropped = 0 }
+  { kernel; queues; reta; on_tx = (fun ~flow:_ ~payload:_ ~deliver_at:_ -> ()); dropped = 0 }
 
 let n_queues t = Array.length t.queues
 let irq t ~queue = t.queues.(queue).irq
@@ -201,10 +202,10 @@ let tx t ~queue ~core ~flow ~seq payload =
   (* Doorbell: an uncached MMIO store. *)
   Memsys.access_uncached cpu;
   (* The simulated wire completes TX immediately: hand the packet to the
-     installed wire hook (the load generator's loopback). *)
-  let pkt = { flow; seq; payload; deliver_at = Cpu.cycles cpu } in
+     installed wire hook (the load generator's loopback), field by field,
+     so a reply builds no packet record. *)
   r.head <- r.head + 1;
-  t.on_tx pkt
+  t.on_tx ~flow ~payload ~deliver_at:(Cpu.cycles cpu)
 
 let rx_pkts t ~queue = t.queues.(queue).rx_pkts
 let tx_pkts t ~queue = t.queues.(queue).tx_pkts

@@ -32,9 +32,10 @@ val pin : t -> queue:int -> core:int -> unit
 val queue_of_flow : t -> int -> int
 (** RSS: splitmix hash of the flow id into the 128-entry RETA. *)
 
-val set_on_tx : t -> (pkt -> unit) -> unit
+val set_on_tx : t -> (flow:int -> payload:bytes -> deliver_at:int -> unit) -> unit
 (** Install the wire-side TX-completion hook (the load generator's
-    loopback). Called synchronously from {!tx}. *)
+    loopback). Called synchronously from {!tx} with the sent packet's
+    flow, payload and completion time. *)
 
 val deliver : t -> flow:int -> seq:int -> payload:bytes -> at:int -> unit
 (** Wire side: DMA one packet into the RSS-selected queue's RX ring and,

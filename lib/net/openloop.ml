@@ -217,8 +217,8 @@ and pump t tn ~at =
 
 (* TX-completion hook: classify the response against what the in-flight
    request should produce, then feed the tenant's next queued arrival. *)
-let on_response t (pkt : Nic.pkt) =
-  match Hashtbl.find t.by_flow pkt.Nic.flow with
+let on_response t ~flow ~payload ~deliver_at =
+  match Hashtbl.find t.by_flow flow with
   | exception Not_found -> t.corrupt <- t.corrupt + 1
   | tn ->
     if not tn.tn_busy then t.corrupt <- t.corrupt + 1
@@ -226,17 +226,17 @@ let on_response t (pkt : Nic.pkt) =
       tn.tn_busy <- false;
       t.responses <- t.responses + 1;
       t.remaining.(tn.tn_queue) <- t.remaining.(tn.tn_queue) - 1;
-      (match Http.parse_response pkt.Nic.payload with
+      (match Http.parse_response payload with
       | resp -> (
         match Workload.classify tn.tn_expect resp with
         | Workload.Good ->
           t.ok <- t.ok + 1;
-          Sky_trace.Histogram.add t.hist (pkt.Nic.deliver_at - tn.tn_arrival)
+          Sky_trace.Histogram.add t.hist (deliver_at - tn.tn_arrival)
         | Workload.Shed -> t.shed <- t.shed + 1
         | Workload.Unservable -> t.unservable <- t.unservable + 1
         | Workload.Corrupt -> t.corrupt <- t.corrupt + 1)
       | exception Http.Bad_request _ -> t.corrupt <- t.corrupt + 1);
-      pump t tn ~at:(pkt.Nic.deliver_at + t.rtt)
+      pump t tn ~at:(deliver_at + t.rtt)
     end
 
 (* Fire one arrival of the global Poisson process: route it to a

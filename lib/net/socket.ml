@@ -22,31 +22,44 @@ type conn = {
   mutable requests : int;
 }
 
-type event =
-  | Nothing
-  | Accepted of conn
-  | Request of conn * bytes
+type event = Nothing | Accepted of conn | Request
 
 type t = {
   kernel : Kernel.t;
   nic : Nic.t;
   conns : (int, conn) Hashtbl.t;  (** flow id -> connection *)
-  staged : event array;
-      (** per queue: the request embedded in a just-accepted SYN, or
-          [Nothing] *)
+  staged : bool array;
+      (** per queue: a just-accepted SYN's embedded request waits in
+          [req_conn]/[req_payload] *)
+  req_conn : conn array;  (** per queue: the last [Request]'s connection *)
+  req_payload : bytes array;  (** per queue: and its payload *)
   mutable accepts : int;
   mutable dropped : int;  (** stray and duplicate packets dropped *)
 }
 
 let create kernel nic =
+  let n = Nic.n_queues nic in
+  let no_conn = { flow = -1; queue = -1; rx_seq = 0; tx_seq = 0; requests = 0 } in
   {
     kernel;
     nic;
     conns = Hashtbl.create 64;
-    staged = Array.make (Nic.n_queues nic) Nothing;
+    staged = Array.make n false;
+    req_conn = Array.make n no_conn;
+    req_payload = Array.make n Bytes.empty;
     accepts = 0;
     dropped = 0;
   }
+
+let request_conn t ~queue = t.req_conn.(queue)
+let request_payload t ~queue = t.req_payload.(queue)
+
+(* A request is reported through the per-queue slots, so demultiplexing
+   one allocates no event. *)
+let request t ~queue c payload =
+  t.req_conn.(queue) <- c;
+  t.req_payload.(queue) <- payload;
+  Request
 
 let conn_count t = Hashtbl.length t.conns
 let accepts t = t.accepts
@@ -60,36 +73,37 @@ let dropped t = t.dropped
    a duplicate) — is dropped and counted, and the next packet is
    serviced instead: hostile wire input never stops the server. *)
 let rec service t ~queue ~core =
-  match t.staged.(queue) with
-  | Request _ as staged ->
-    t.staged.(queue) <- Nothing;
-    staged
-  | Nothing | Accepted _ ->
-    if Nic.rx_level t.nic ~queue = 0 then Nothing
-    else begin
-      let pkt = Nic.take t.nic ~queue ~core in
-      Kernel.user_compute t.kernel ~core ~cycles:demux_cost;
-      match Hashtbl.find t.conns pkt.Nic.flow with
-      | exception Not_found ->
-        if pkt.Nic.seq <> 0 then drop t ~queue ~core
-        else begin
-          let c = { flow = pkt.Nic.flow; queue; rx_seq = 1; tx_seq = 0; requests = 0 } in
-          Hashtbl.add t.conns pkt.Nic.flow c;
-          t.accepts <- t.accepts + 1;
-          Kernel.user_compute t.kernel ~core ~cycles:accept_cost;
-          (* The SYN carries the first request: deliver it on the next
-             service pass. *)
-          if Bytes.length pkt.Nic.payload > 0 then
-            t.staged.(queue) <- Request (c, pkt.Nic.payload);
-          Accepted c
-        end
-      | c ->
-        if pkt.Nic.seq <> c.rx_seq then drop t ~queue ~core
-        else begin
-          c.rx_seq <- c.rx_seq + 1;
-          Request (c, pkt.Nic.payload)
-        end
-    end
+  if t.staged.(queue) then begin
+    t.staged.(queue) <- false;
+    Request
+  end
+  else if Nic.rx_level t.nic ~queue = 0 then Nothing
+  else begin
+    let pkt = Nic.take t.nic ~queue ~core in
+    Kernel.user_compute t.kernel ~core ~cycles:demux_cost;
+    match Hashtbl.find t.conns pkt.Nic.flow with
+    | exception Not_found ->
+      if pkt.Nic.seq <> 0 then drop t ~queue ~core
+      else begin
+        let c = { flow = pkt.Nic.flow; queue; rx_seq = 1; tx_seq = 0; requests = 0 } in
+        Hashtbl.add t.conns pkt.Nic.flow c;
+        t.accepts <- t.accepts + 1;
+        Kernel.user_compute t.kernel ~core ~cycles:accept_cost;
+        (* The SYN carries the first request: deliver it on the next
+           service pass. *)
+        if Bytes.length pkt.Nic.payload > 0 then begin
+          ignore (request t ~queue c pkt.Nic.payload);
+          t.staged.(queue) <- true
+        end;
+        Accepted c
+      end
+    | c ->
+      if pkt.Nic.seq <> c.rx_seq then drop t ~queue ~core
+      else begin
+        c.rx_seq <- c.rx_seq + 1;
+        request t ~queue c pkt.Nic.payload
+      end
+  end
 
 and drop t ~queue ~core =
   t.dropped <- t.dropped + 1;

@@ -15,7 +15,9 @@ type t
 type event =
   | Nothing  (** the ring is empty *)
   | Accepted of conn  (** new flow; its first request follows *)
-  | Request of conn * bytes
+  | Request
+      (** a request: {!request_conn} and {!request_payload} of the same
+          queue hold it until the next {!service} of that queue *)
 
 val create : Sky_ukernel.Kernel.t -> Nic.t -> t
 
@@ -26,6 +28,9 @@ val service : t -> queue:int -> core:int -> event
     the next call. A packet out of sequence (a new flow's first packet
     with a nonzero [seq], or a stray or duplicate on an established
     flow) is dropped, counted in {!dropped}, and the next one serviced. *)
+
+val request_conn : t -> queue:int -> conn
+val request_payload : t -> queue:int -> bytes
 
 val dropped : t -> int
 (** Out-of-sequence packets dropped by {!service}. *)

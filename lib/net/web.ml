@@ -142,55 +142,67 @@ let kv_batch_replies resp =
         Httpd.R_value (Some v)
       | c -> invalid_arg (Printf.sprintf "web kv_batch_replies: tag %c" c))
 
+(* The store works on the message's fields in place; a batch's reply is
+   assembled in a reply buffer owned by this handler (one server
+   process, one call at a time) and copied out once, so a crossing
+   allocates only its reply. *)
 let kv_handler kv kernel ~text_pa : Ipc.handler =
- fun ~core msg ->
-  let cpu = Kernel.cpu kernel ~core in
-  Memsys.touch_range_state_only cpu Memsys.Insn ~pa:text_pa ~len:backend_text;
-  match Bytes.get msg 0 with
-  | 'I' ->
-    let klen = Bytes.get_uint16_le msg 2 in
-    let key = Bytes.sub msg 4 klen in
-    let value = Bytes.sub msg (4 + klen) (Bytes.length msg - 4 - klen) in
-    Kv_server.insert kv cpu ~key ~value;
-    Bytes.of_string "ok"
-  | 'Q' -> (
-    let klen = Bytes.get_uint16_le msg 2 in
-    let key = Bytes.sub msg 4 klen in
-    match Kv_server.query kv cpu ~key with Some v -> v | None -> Bytes.empty)
-  | 'B' ->
-    (* One crossing, many operations: the store pays per-op cache
-       footprint as usual, but the SkyBridge/IPC transit is amortized. *)
-    let count = Bytes.get_uint16_le msg 2 in
-    let off = ref 4 in
-    let parts =
-      List.init count (fun _ ->
-          match Bytes.get msg !off with
+  let reply_buf = ref (Bytes.create 256) in
+  let room n =
+    if Bytes.length !reply_buf < n then
+      reply_buf := Bytes.extend !reply_buf 0 (Int.max n (2 * Bytes.length !reply_buf))
+  in
+  fun ~core msg ->
+    let cpu = Kernel.cpu kernel ~core in
+    Memsys.touch_range_state_only cpu Memsys.Insn ~pa:text_pa ~len:backend_text;
+    match Bytes.get msg 0 with
+    | 'I' ->
+      let klen = Bytes.get_uint16_le msg 2 in
+      Kv_server.insert_sub kv cpu msg ~key_off:4 ~key_len:klen ~value_off:(4 + klen)
+        ~value_len:(Bytes.length msg - 4 - klen);
+      Bytes.of_string "ok"
+    | 'Q' -> (
+      match Kv_server.query_sub kv cpu msg ~key_off:4 ~key_len:(Bytes.get_uint16_le msg 2) with
+      | Some v -> v
+      | None -> Bytes.empty)
+    | 'B' ->
+      (* One crossing, many operations: the store pays per-op cache
+         footprint as usual, but the SkyBridge/IPC transit is amortized. *)
+      let count = Bytes.get_uint16_le msg 2 in
+      room 2;
+      Bytes.set_uint16_le !reply_buf 0 count;
+      let rec ops i off out =
+        if i = count then out
+        else
+          match Bytes.get msg off with
           | 'I' ->
-            let klen = Bytes.get_uint16_le msg (!off + 1) in
-            let vlen = Bytes.get_uint16_le msg (!off + 3) in
-            let key = Bytes.sub msg (!off + 5) klen in
-            let value = Bytes.sub msg (!off + 5 + klen) vlen in
-            off := !off + 5 + klen + vlen;
-            Kv_server.insert kv cpu ~key ~value;
-            Bytes.of_string "s"
-          | 'Q' -> (
-            let klen = Bytes.get_uint16_le msg (!off + 1) in
-            let key = Bytes.sub msg (!off + 3) klen in
-            off := !off + 3 + klen;
-            match Kv_server.query kv cpu ~key with
-            | Some v ->
-              let r = Bytes.create (3 + Bytes.length v) in
-              Bytes.set r 0 'v';
-              Bytes.set_uint16_le r 1 (Bytes.length v);
-              Bytes.blit v 0 r 3 (Bytes.length v);
-              r
-            | None -> Bytes.of_string "m")
-          | c -> invalid_arg (Printf.sprintf "web kv_handler: batch op %c" c))
-    in
-    let head = Bytes.create 2 in
-    Bytes.set_uint16_le head 0 count;
-    Bytes.concat Bytes.empty (head :: parts)
-  | c -> invalid_arg (Printf.sprintf "web kv_handler: opcode %c" c)
+            let klen = Bytes.get_uint16_le msg (off + 1) in
+            let vlen = Bytes.get_uint16_le msg (off + 3) in
+            Kv_server.insert_sub kv cpu msg ~key_off:(off + 5) ~key_len:klen
+              ~value_off:(off + 5 + klen) ~value_len:vlen;
+            room (out + 1);
+            Bytes.set !reply_buf out 's';
+            ops (i + 1) (off + 5 + klen + vlen) (out + 1)
+          | 'Q' ->
+            let klen = Bytes.get_uint16_le msg (off + 1) in
+            room (out + 3 + Kv_server.max_kv);
+            let vlen =
+              Kv_server.query_into kv cpu msg ~key_off:(off + 3) ~key_len:klen
+                ~dst:!reply_buf ~dst_off:(out + 3)
+            in
+            if vlen < 0 then begin
+              Bytes.set !reply_buf out 'm';
+              ops (i + 1) (off + 3 + klen) (out + 1)
+            end
+            else begin
+              Bytes.set !reply_buf out 'v';
+              Bytes.set_uint16_le !reply_buf (out + 1) vlen;
+              ops (i + 1) (off + 3 + klen) (out + 3 + vlen)
+            end
+          | c -> invalid_arg (Printf.sprintf "web kv_handler: batch op %c" c)
+      in
+      Bytes.sub !reply_buf 0 (ops 0 4 2)
+    | c -> invalid_arg (Printf.sprintf "web kv_handler: opcode %c" c)
 
 (* Allocate the KV server's instruction working set and close the wire
    handler over it — shared with the composed mesh scenario, which runs
@@ -348,13 +360,10 @@ let assemble ~variant ~seed ~cores ~disk_blocks ?max_eptp ?max_bindings
               let now = Cpu.cycles (Kernel.cpu kernel ~core) in
               if d <= now then raise Httpd.Expired else Some (d - now)
           in
-          match Mesh.call mesh ~core ~client:w_proc ?on_crash ?timeout uri msg with
-          | Ok r -> r
-          | Error (`Denied _) -> raise Httpd.Denied
-          | Error (`Unresolved u) -> raise (Mesh.Unknown_service u)
-          | Error (`Failed e) ->
-            if timeout <> None then raise Httpd.Expired
-            else raise (Retry.Gave_up e)
+          match Mesh.call_exn mesh ~core ~client:w_proc ?on_crash ?timeout uri msg with
+          | r -> r
+          | exception Mesh.Denied _ -> raise Httpd.Denied
+          | exception Retry.Gave_up _ when timeout <> None -> raise Httpd.Expired
         in
         binding_of_calls ~batch
           ~call_kv:(routed "kv://")

@@ -14,37 +14,47 @@
     the VMFUNC path. *)
 
 type t = {
-  allowed : (int * int, int) Hashtbl.t;
-      (** (client pid, server id) -> granted entry VA *)
+  allowed : (int, int) Hashtbl.t;
+      (** (client pid, server id), packed by [grant], -> granted entry VA *)
   mutable checks : int;
   mutable denials : int;
 }
 
 let create () = { allowed = Hashtbl.create 64; checks = 0; denials = 0 }
 
-let allow t ~pid ~server ~entry = Hashtbl.replace t.allowed (pid, server) entry
+(* A grant's key packs the client pid and the server id into one
+   immediate, so the trap-time lookup allocates nothing. *)
+let id_bits = 31
+let id_mask = (1 lsl id_bits) - 1
+let grant ~pid ~server = (pid lsl id_bits) lor (server land id_mask)
 
-let revoke t ~pid ~server = Hashtbl.remove t.allowed (pid, server)
+let allow t ~pid ~server ~entry =
+  if pid < 0 || server < 0 || server > id_mask then
+    invalid_arg "Entry_filter.allow: id out of range";
+  Hashtbl.replace t.allowed (grant ~pid ~server) entry
+
+let revoke t ~pid ~server = Hashtbl.remove t.allowed (grant ~pid ~server)
 
 let revoke_server t ~server =
   Hashtbl.filter_map_inplace
-    (fun (_, s) entry -> if s = server then None else Some entry)
+    (fun k entry -> if k land id_mask = server then None else Some entry)
     t.allowed
 
 (* The trap-time check: charged at Costs.entry_filter_check by the
    caller (the kernel entry path), counted here. *)
 let check t ~pid ~server ~entry =
   t.checks <- t.checks + 1;
-  match Hashtbl.find_opt t.allowed (pid, server) with
-  | Some granted when granted = entry -> true
-  | _ ->
+  match Hashtbl.find t.allowed (grant ~pid ~server) with
+  | granted when granted = entry -> true
+  | _ | (exception Not_found) ->
     t.denials <- t.denials + 1;
     false
 
 let size t = Hashtbl.length t.allowed
 
 let entries t =
-  Hashtbl.fold (fun (pid, server) entry acc -> (pid, server, entry) :: acc)
+  Hashtbl.fold
+    (fun k entry acc -> (k lsr id_bits, k land id_mask, entry) :: acc)
     t.allowed []
   |> List.sort compare
 

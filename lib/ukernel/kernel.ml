@@ -148,6 +148,20 @@ let write_code t p ~va code =
   in
   go 0
 
+(* Every kernel-mediated IPC leg switches address spaces: the hooks run
+   from a toplevel loop and the span closure is built only when tracing
+   is on. *)
+let rec run_hooks t ~core to_proc = function
+  | [] -> ()
+  | f :: rest ->
+    f t ~core to_proc;
+    run_hooks t ~core to_proc rest
+
+let switch_to t ~core to_proc =
+  Vcpu.write_cr3 t.vcpus.(core) ~cr3:(Proc.cr3 to_proc) ~pcid:to_proc.Proc.pid;
+  t.running.(core) <- Some to_proc;
+  run_hooks t ~core to_proc t.on_context_switch
+
 let context_switch t ~core to_proc =
   let same =
     match t.running.(core) with
@@ -155,11 +169,10 @@ let context_switch t ~core to_proc =
     | None -> false
   in
   if not same then
-    Sky_trace.Trace.span ~core ~cat:"ctx" "context_switch" @@ fun () ->
-    let v = t.vcpus.(core) in
-    Vcpu.write_cr3 v ~cr3:(Proc.cr3 to_proc) ~pcid:to_proc.Proc.pid;
-    t.running.(core) <- Some to_proc;
-    List.iter (fun f -> f t ~core to_proc) t.on_context_switch
+    if Sky_trace.Trace.is_enabled () then
+      Sky_trace.Trace.span ~core ~cat:"ctx" "context_switch" (fun () ->
+          switch_to t ~core to_proc)
+    else switch_to t ~core to_proc
 
 let touch_kernel_text t ~core ~bytes ~off =
   Memsys.touch_range_state_only (cpu t ~core) Memsys.Insn

@@ -14,6 +14,15 @@ module Fault = Sky_faults.Fault
 
 let with_faults f = Fun.protect ~finally:Fault.disable f
 
+(* [Subkernel.call] with how it was served: a degraded (slowpath) reply
+   is the one that bumps [Subkernel.degraded_calls]. *)
+let call_via sb ~core ~client ~server_id ?timeout msg =
+  let degraded0 = Subkernel.degraded_calls sb in
+  match Subkernel.call sb ~core ~client ~server_id ?timeout msg with
+  | Ok reply ->
+    Ok (reply, if Subkernel.degraded_calls sb > degraded0 then `Slowpath else `Direct)
+  | Error e -> Error e
+
 let user_code = Sky_isa.Encode.encode_all [ Sky_isa.Insn.Nop; Sky_isa.Insn.Ret ]
 
 let spawn_with_code k name =
@@ -54,7 +63,7 @@ let each_backend test () =
 let test_echo_direct ~backend =
   let _, sb, client, _, sid = setup ~backend () in
   Alcotest.(check bool) "backend recorded" true (Subkernel.backend sb = backend);
-  (match Subkernel.call sb ~core:0 ~client ~server_id:sid msg8 with
+  (match call_via sb ~core:0 ~client ~server_id:sid msg8 with
   | Ok (reply, `Direct) ->
     Alcotest.(check bool) "echo" true (Bytes.equal reply msg8)
   | _ -> Alcotest.fail "expected direct success");
@@ -118,7 +127,7 @@ let test_crash_restart_rebind ~backend =
   let _, sb, client, _, sid = setup ~backend () in
   Fault.reset ~seed:2 ();
   Fault.arm ~site:"server.server" ~kind:Fault.Crash (Fault.At_hit 1);
-  (match Subkernel.call sb ~core:0 ~client ~server_id:sid msg8 with
+  (match call_via sb ~core:0 ~client ~server_id:sid msg8 with
   | Error (Subkernel.Crashed { server_id }) ->
     Alcotest.(check int) "crashed id" sid server_id
   | _ -> Alcotest.fail "expected Error Crashed");
@@ -126,7 +135,7 @@ let test_crash_restart_rebind ~backend =
   Alcotest.(check (list int)) "dead" [ sid ] (Subkernel.dead_servers sb);
   Subkernel.restart_server sb ~server_id:sid;
   Alcotest.(check (list int)) "alive" [] (Subkernel.dead_servers sb);
-  (match Subkernel.call sb ~core:0 ~client ~server_id:sid msg8 with
+  (match call_via sb ~core:0 ~client ~server_id:sid msg8 with
   | Ok (reply, `Direct) ->
     Alcotest.(check bool) "echo after rebind" true (Bytes.equal reply msg8)
   | _ -> Alcotest.fail "expected direct success after restart");
@@ -135,7 +144,7 @@ let test_crash_restart_rebind ~backend =
 let test_revoke_slowpath_rebind ~backend =
   let _, sb, client, _, sid = setup ~backend () in
   Subkernel.revoke_binding sb ~core:0 client ~server_id:sid ~reason:"test";
-  (match Subkernel.call sb ~core:0 ~client ~server_id:sid msg8 with
+  (match call_via sb ~core:0 ~client ~server_id:sid msg8 with
   | Ok (reply, `Slowpath) ->
     Alcotest.(check bool) "slowpath echo" true (Bytes.equal reply msg8)
   | _ -> Alcotest.fail "expected slowpath degradation");
@@ -145,7 +154,7 @@ let test_revoke_slowpath_rebind ~backend =
       (Entry_filter.size (Subkernel.entry_filter sb))
   | _ -> ());
   Subkernel.rebind sb client ~server_id:sid;
-  (match Subkernel.call sb ~core:0 ~client ~server_id:sid msg8 with
+  (match call_via sb ~core:0 ~client ~server_id:sid msg8 with
   | Ok (reply, `Direct) ->
     Alcotest.(check bool) "direct again" true (Bytes.equal reply msg8)
   | _ -> Alcotest.fail "expected direct success after rebind");
@@ -156,7 +165,7 @@ let test_hang_forced_return ~backend =
   let _, sb, client, _, sid = setup ~backend () in
   Fault.reset ~seed:3 ();
   Fault.arm ~site:"server.server" ~kind:Fault.Hang (Fault.At_hit 1);
-  (match Subkernel.call sb ~core:0 ~client ~server_id:sid ~timeout:10_000 msg8 with
+  (match call_via sb ~core:0 ~client ~server_id:sid ~timeout:10_000 msg8 with
   | Error (Subkernel.Timeout { server_id; _ }) ->
     Alcotest.(check int) "timed-out id" sid server_id
   | _ -> Alcotest.fail "expected Error Timeout");
@@ -164,7 +173,7 @@ let test_hang_forced_return ~backend =
   Alcotest.(check bool) "forced return recorded" true
     (Subkernel.forced_returns sb > 0);
   (* The forced return restored the client: the connection still works. *)
-  match Subkernel.call sb ~core:0 ~client ~server_id:sid msg8 with
+  match call_via sb ~core:0 ~client ~server_id:sid msg8 with
   | Ok (reply, `Direct) ->
     Alcotest.(check bool) "echo after forced return" true
       (Bytes.equal reply msg8)
@@ -272,7 +281,7 @@ let test_denied_trap_typed_error () =
   in
   let _, sb, client, _, sid = setup ~backend:Backend.Syscall () in
   tamper sb client sid;
-  (match Subkernel.call sb ~core:0 ~client ~server_id:sid msg8 with
+  (match call_via sb ~core:0 ~client ~server_id:sid msg8 with
   | Error (Subkernel.Revoked { server_id }) ->
     Alcotest.(check int) "revoked id" sid server_id
   | _ -> Alcotest.fail "expected Error Revoked"
@@ -423,6 +432,7 @@ let run_steps ~backend steps =
     | Error (Subkernel.Timeout _) -> "timeout"
     | Error (Subkernel.Crashed _) -> "crashed"
     | Error (Subkernel.Revoked _) -> "revoked"
+    | Error (Subkernel.Too_large _) -> "too-large"
   in
   let outcome step =
     match step with
@@ -430,11 +440,11 @@ let run_steps ~backend steps =
       let msg = Bytes.make 8 v in
       Bytes.set msg 0 (Char.chr key);
       Bytes.set msg 1 v;
-      tag_of (Subkernel.call sb ~core:0 ~client ~server_id:sid msg)
+      tag_of (call_via sb ~core:0 ~client ~server_id:sid msg)
     | Crash ->
       Fault.reset ~seed:9 ();
       Fault.arm ~site:"server.kv" ~kind:Fault.Crash (Fault.At_hit 1);
-      let t = tag_of (Subkernel.call sb ~core:0 ~client ~server_id:sid msg8) in
+      let t = tag_of (call_via sb ~core:0 ~client ~server_id:sid msg8) in
       Fault.disable ();
       t
     | Restart ->

@@ -6,6 +6,15 @@ open Sky_ukernel
 open Sky_kernels
 open Sky_core
 
+(* [Subkernel.call] with how it was served: a degraded (slowpath) reply
+   is the one that bumps [Subkernel.degraded_calls]. *)
+let call_via sb ~core ~client ~server_id ?timeout msg =
+  let degraded0 = Subkernel.degraded_calls sb in
+  match Subkernel.call sb ~core ~client ~server_id ?timeout msg with
+  | Ok reply ->
+    Ok (reply, if Subkernel.degraded_calls sb > degraded0 then `Slowpath else `Direct)
+  | Error e -> Error e
+
 let make ?backend ?(vpid = true) ?max_eptp ?max_bindings ?(cores = 4) () =
   let machine = Machine.create ~cores ~mem_mib:64 () in
   let k = Kernel.create machine in
@@ -891,7 +900,7 @@ let test_eptp_lru_never_evicts_recent () =
   Alcotest.(check bool) "new d installed" true (List.mem d installed);
   Alcotest.(check int) "exactly one eviction" 1 (Subkernel.process_evictions sb client);
   (* The evicted binding still serves — degraded to the slowpath. *)
-  match Subkernel.call sb ~core:0 ~client ~server_id:b (Bytes.create 4) with
+  match call_via sb ~core:0 ~client ~server_id:b (Bytes.create 4) with
   | Ok (r, _) -> Alcotest.(check int) "b still answers" 4 (Bytes.length r)
   | Error _ -> Alcotest.fail "evicted binding must degrade, not fail"
 
@@ -919,14 +928,14 @@ let test_max_bindings_global_budget () =
      comes back correct via the slowpath. *)
   let c0 = List.hd clients in
   Kernel.context_switch k ~core:0 c0;
-  (match Subkernel.call sb ~core:0 ~client:c0 ~server_id:sid (Bytes.create 4) with
+  (match call_via sb ~core:0 ~client:c0 ~server_id:sid (Bytes.create 4) with
   | Ok (r, `Slowpath) -> Alcotest.(check int) "slowpath echo" 4 (Bytes.length r)
   | Ok (_, `Direct) -> Alcotest.fail "retired tenant must be on the slowpath"
   | Error _ -> Alcotest.fail "retired tenant must degrade, not fail");
   (* The most recent client still calls direct. *)
   let c5 = List.nth clients 5 in
   Kernel.context_switch k ~core:0 c5;
-  match Subkernel.call sb ~core:0 ~client:c5 ~server_id:sid (Bytes.create 4) with
+  match call_via sb ~core:0 ~client:c5 ~server_id:sid (Bytes.create 4) with
   | Ok (_, `Direct) -> ()
   | Ok (_, `Slowpath) -> Alcotest.fail "recent tenant should still be fast"
   | Error _ -> Alcotest.fail "recent tenant must not fail"

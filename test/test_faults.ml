@@ -12,6 +12,15 @@ module Fault = Sky_faults.Fault
 (* Every test leaves the global engine disabled, whatever happens. *)
 let with_faults f = Fun.protect ~finally:Fault.disable f
 
+(* [Subkernel.call] with how it was served: a degraded (slowpath) reply
+   is the one that bumps [Subkernel.degraded_calls]. *)
+let call_via sb ~core ~client ~server_id ?timeout msg =
+  let degraded0 = Subkernel.degraded_calls sb in
+  match Subkernel.call sb ~core ~client ~server_id ?timeout msg with
+  | Ok reply ->
+    Ok (reply, if Subkernel.degraded_calls sb > degraded0 then `Slowpath else `Direct)
+  | Error e -> Error e
+
 (* ------------------------------------------------------------------ *)
 (* Engine semantics (no machine: hand-cranked clock)                   *)
 (* ------------------------------------------------------------------ *)
@@ -111,26 +120,142 @@ let setup () =
 
 let msg8 = Bytes.make 8 'm'
 
+(* ---- oversized messages (hostile input) ----
+
+   Each connection owns one 8 KiB window of the shared buffer area,
+   windows laid out back to back. A message one byte over must end in
+   the typed [Too_large] error before any byte moves: with eight
+   connections the parent of this change let a long request run on
+   through the neighbouring windows and return [Ok]; with one it
+   escaped as a raw [Page_fault]. *)
+
+let window = Subkernel.buffer_size
+
+(* A client bound to a server that echoes, or answers [!reply_len]
+   bytes when that is set. *)
+let oversize_rig ~conns =
+  let machine = Machine.create ~cores:2 ~mem_mib:64 () in
+  let k = Kernel.create machine in
+  let sb = Subkernel.init k in
+  let client = spawn_with_code k "client" in
+  let server = spawn_with_code k "server" in
+  let reply_len = ref (-1) in
+  let sid =
+    Subkernel.register_server sb server ~connection_count:conns (fun ~core:_ msg ->
+        if !reply_len < 0 then msg else Bytes.make !reply_len 'r')
+  in
+  Subkernel.register_client_to_server sb client ~server_id:sid;
+  Kernel.context_switch k ~core:0 client;
+  (k, sb, client, sid, reply_len)
+
+(* Connection [i]'s window, as the client sees it (the first binding's
+   windows start the shared buffer area). *)
+let window_bytes k i =
+  Sky_mmu.Translate.read_bytes (Kernel.vcpu k ~core:0) (Kernel.mem k)
+    ~va:(Layout.skybridge_buffer_va + (i * window)) ~len:window
+
+let expect_too_large what len = function
+  | Error (Subkernel.Too_large { len = l; _ }) ->
+    Alcotest.(check int) (what ^ ": reported length") len l
+  | Error _ -> Alcotest.failf "%s: expected Too_large, got another error" what
+  | Ok _ -> Alcotest.failf "%s: expected Too_large, got Ok" what
+
+let test_oversized_request () =
+  List.iter
+    (fun conns ->
+      let what = Printf.sprintf "%d connection(s)" conns in
+      let k, sb, client, sid, _ = oversize_rig ~conns in
+      let full = Bytes.make window 'f' in
+      (match Subkernel.call sb ~core:0 ~client ~server_id:sid full with
+      | Ok reply -> Alcotest.(check bool) (what ^ ": 8 KiB echoes") true (Bytes.equal reply full)
+      | _ -> Alcotest.failf "%s: an 8,192-byte request must pass" what);
+      let neighbour = if conns > 1 then Some (window_bytes k 1) else None in
+      let cpu = Kernel.cpu k ~core:0 in
+      let cycles0 = Cpu.cycles cpu and calls0 = Subkernel.calls sb in
+      expect_too_large what (window + 1)
+        (Subkernel.call sb ~core:0 ~client ~server_id:sid (Bytes.make (window + 1) 'x'));
+      Alcotest.(check int) (what ^ ": nothing charged") cycles0 (Cpu.cycles cpu);
+      Alcotest.(check int) (what ^ ": no call made") calls0 (Subkernel.calls sb);
+      (match neighbour with
+      | Some before ->
+        Alcotest.(check bool) (what ^ ": neighbouring window unchanged") true
+          (Bytes.equal before (window_bytes k 1))
+      | None -> ());
+      (match
+         Subkernel.direct_server_call sb ~core:0 ~client ~server_id:sid
+           (Bytes.make (window + 1) 'x')
+       with
+      | _ -> Alcotest.failf "%s: direct_server_call must refuse" what
+      | exception Sky_kernels.Ipc.Message_too_large { len; limit } ->
+        Alcotest.(check (pair int int)) (what ^ ": exception") (window + 1, window)
+          (len, limit));
+      (* Not worth a retry: one attempt, then the typed error. *)
+      let stats = Retry.create_stats () in
+      (match Retry.call ~stats sb ~core:0 ~client ~server_id:sid (Bytes.make (window + 1) 'x') with
+      | _ -> Alcotest.failf "%s: Retry.call must give up" what
+      | exception Retry.Gave_up (Subkernel.Too_large _) -> ());
+      Alcotest.(check int) (what ^ ": one attempt") 1 stats.Retry.attempts;
+      Alcotest.(check (list Alcotest.reject)) (what ^ ": audit clean") [] (Subkernel.audit sb))
+    [ 1; 8 ]
+
+let test_oversized_reply () =
+  List.iter
+    (fun conns ->
+      let what = Printf.sprintf "%d connection(s)" conns in
+      let k, sb, client, sid, reply_len = oversize_rig ~conns in
+      reply_len := window;
+      (match Subkernel.call sb ~core:0 ~client ~server_id:sid msg8 with
+      | Ok reply -> Alcotest.(check int) (what ^ ": 8 KiB reply") window (Bytes.length reply)
+      | _ -> Alcotest.failf "%s: an 8,192-byte reply must pass" what);
+      let neighbour = if conns > 1 then Some (window_bytes k 1) else None in
+      let forced0 = Subkernel.forced_returns sb in
+      reply_len := window + 1;
+      expect_too_large what (window + 1)
+        (Subkernel.call sb ~core:0 ~client ~server_id:sid (Bytes.make 48 'q'));
+      Alcotest.(check int) (what ^ ": forced return") (forced0 + 1)
+        (Subkernel.forced_returns sb);
+      Alcotest.(check int) (what ^ ": client back in its own domain") client.Proc.pid
+        (Subkernel.current_identity sb ~core:0);
+      Alcotest.(check bool) (what ^ ": no call in flight") true
+        (Subkernel.call_state sb ~core:0 = None);
+      (match neighbour with
+      | Some before ->
+        Alcotest.(check bool) (what ^ ": neighbouring window unchanged") true
+          (Bytes.equal before (window_bytes k 1))
+      | None -> ());
+      Alcotest.(check (list Alcotest.reject)) (what ^ ": audit clean") [] (Subkernel.audit sb);
+      (match
+         Subkernel.direct_server_call sb ~core:0 ~client ~server_id:sid msg8
+       with
+      | _ -> Alcotest.failf "%s: direct_server_call must refuse the reply" what
+      | exception Sky_kernels.Ipc.Message_too_large { len; _ } ->
+        Alcotest.(check int) (what ^ ": exception length") (window + 1) len);
+      reply_len := -1;
+      match Subkernel.call sb ~core:0 ~client ~server_id:sid msg8 with
+      | Ok reply -> Alcotest.(check bool) (what ^ ": next call echoes") true (Bytes.equal reply msg8)
+      | Error _ -> Alcotest.failf "%s: the connection must stay usable" what)
+    [ 1; 8 ]
+
 let test_crash_typed_error_and_restart () =
   with_faults @@ fun () ->
   let _, sb, client, _, sid = setup () in
   Fault.reset ~seed:2 ();
   Fault.arm ~site:"server.server" ~kind:Fault.Crash (Fault.At_hit 1);
-  (match Subkernel.call sb ~core:0 ~client ~server_id:sid msg8 with
+  (match call_via sb ~core:0 ~client ~server_id:sid msg8 with
   | Error (Subkernel.Crashed { server_id }) ->
     Alcotest.(check int) "crashed server id" sid server_id
   | _ -> Alcotest.fail "expected Error Crashed");
   Alcotest.(check (list int)) "server marked dead" [ sid ]
     (Subkernel.dead_servers sb);
   (* A call to a dead server fails fast with the typed error. *)
-  (match Subkernel.call sb ~core:0 ~client ~server_id:sid msg8 with
+  (match call_via sb ~core:0 ~client ~server_id:sid msg8 with
   | Error (Subkernel.Crashed _) -> ()
   | _ -> Alcotest.fail "dead server must refuse calls");
   Fault.disable ();
   Subkernel.restart_server sb ~server_id:sid;
   Alcotest.(check (list int)) "alive again" [] (Subkernel.dead_servers sb);
   (* The restart rebound the orphaned connection: calls flow again. *)
-  (match Subkernel.call sb ~core:0 ~client ~server_id:sid msg8 with
+  (match call_via sb ~core:0 ~client ~server_id:sid msg8 with
   | Ok (reply, `Direct) ->
     Alcotest.(check bool) "echo" true (Bytes.equal reply msg8)
   | _ -> Alcotest.fail "expected direct success after restart");
@@ -141,11 +266,11 @@ let test_drop_is_timeout () =
   let _, sb, client, _, sid = setup () in
   Fault.reset ~seed:2 ();
   Fault.arm ~site:"server.server" ~kind:Fault.Drop (Fault.At_hit 1);
-  (match Subkernel.call sb ~core:0 ~client ~server_id:sid msg8 with
+  (match call_via sb ~core:0 ~client ~server_id:sid msg8 with
   | Error (Subkernel.Timeout _) -> ()
   | _ -> Alcotest.fail "a dropped reply surfaces as a timeout");
   Fault.disable ();
-  match Subkernel.call sb ~core:0 ~client ~server_id:sid msg8 with
+  match call_via sb ~core:0 ~client ~server_id:sid msg8 with
   | Ok (_, `Direct) -> ()
   | _ -> Alcotest.fail "lost reply must not poison the binding"
 
@@ -156,7 +281,7 @@ let test_hang_hits_watchdog () =
   Fault.reset ~seed:2 ();
   Fault.arm ~site:"server.server" ~kind:Fault.Hang (Fault.At_hit 1);
   let before = Cpu.cycles cpu in
-  (match Subkernel.call sb ~core:0 ~client ~server_id:sid msg8 with
+  (match call_via sb ~core:0 ~client ~server_id:sid msg8 with
   | Error (Subkernel.Timeout { elapsed; _ }) ->
     Alcotest.(check bool) "elapsed past the default watchdog" true
       (elapsed > 1_000_000)
@@ -171,19 +296,19 @@ let test_revoke_degrades_to_slowpath () =
   let _, sb, client, _, sid = setup () in
   Fault.reset ~seed:2 ();
   Fault.arm ~site:"subkernel.call" ~kind:Fault.Revoke (Fault.At_hit 1);
-  (match Subkernel.call sb ~core:0 ~client ~server_id:sid msg8 with
+  (match call_via sb ~core:0 ~client ~server_id:sid msg8 with
   | Ok (reply, `Slowpath) ->
     Alcotest.(check bool) "echo over slowpath" true (Bytes.equal reply msg8)
   | _ -> Alcotest.fail "revoked binding must degrade, not fail");
   Fault.disable ();
   (* Degradation is sticky until the client rebinds. *)
-  (match Subkernel.call sb ~core:0 ~client ~server_id:sid msg8 with
+  (match call_via sb ~core:0 ~client ~server_id:sid msg8 with
   | Ok (_, `Slowpath) -> ()
   | _ -> Alcotest.fail "still degraded before rebind");
   Alcotest.(check bool) "degraded calls counted" true
     (Subkernel.degraded_calls sb >= 2);
   Subkernel.rebind sb client ~server_id:sid;
-  match Subkernel.call sb ~core:0 ~client ~server_id:sid msg8 with
+  match call_via sb ~core:0 ~client ~server_id:sid msg8 with
   | Ok (_, `Direct) -> ()
   | _ -> Alcotest.fail "rebind must restore the direct path"
 
@@ -195,18 +320,18 @@ let test_ept_fault_revokes_binding () =
   let big = Bytes.make 4096 'x' in
   Fault.reset ~seed:2 ();
   Fault.arm ~site:"mmu.walk" ~kind:Fault.Ept_fault (Fault.At_hit 1);
-  (match Subkernel.call sb ~core:0 ~client ~server_id:sid big with
+  (match call_via sb ~core:0 ~client ~server_id:sid big with
   | Error (Subkernel.Revoked { server_id }) ->
     Alcotest.(check int) "revoked server id" sid server_id
   | Ok _ -> Alcotest.fail "expected the EPT fault to abort the call"
   | Error _ -> Alcotest.fail "expected Error Revoked");
   Fault.disable ();
   (* Revoked -> slowpath until rebound, then direct again. *)
-  (match Subkernel.call sb ~core:0 ~client ~server_id:sid big with
+  (match call_via sb ~core:0 ~client ~server_id:sid big with
   | Ok (_, `Slowpath) -> ()
   | _ -> Alcotest.fail "revoked binding degrades to slowpath");
   Subkernel.rebind sb client ~server_id:sid;
-  (match Subkernel.call sb ~core:0 ~client ~server_id:sid big with
+  (match call_via sb ~core:0 ~client ~server_id:sid big with
   | Ok (reply, `Direct) ->
     Alcotest.(check bool) "payload intact" true (Bytes.equal reply big)
   | _ -> Alcotest.fail "rebind must restore the direct path");
@@ -223,7 +348,7 @@ let test_forced_abort_restores_registers () =
   let before = Array.copy regs in
   Fault.reset ~seed:5 ();
   Fault.arm ~site:"server.server" ~kind:Fault.Crash (Fault.At_hit 1);
-  (match Subkernel.call sb ~core:0 ~client ~server_id:sid msg8 with
+  (match call_via sb ~core:0 ~client ~server_id:sid msg8 with
   | Error (Subkernel.Crashed _) -> ()
   | _ -> Alcotest.fail "expected Error Crashed");
   Fault.disable ();
@@ -251,7 +376,7 @@ let test_timeout_restores_registers () =
   let before = Array.copy regs in
   Fault.reset ~seed:5 ();
   Fault.arm ~site:"server.server" ~kind:Fault.Hang (Fault.At_hit 1);
-  (match Subkernel.call sb ~core:0 ~client ~server_id:sid msg8 with
+  (match call_via sb ~core:0 ~client ~server_id:sid msg8 with
   | Error (Subkernel.Timeout _) -> ()
   | _ -> Alcotest.fail "expected watchdog timeout");
   Fault.disable ();
@@ -322,7 +447,7 @@ let test_fault_and_recovery_traced () =
   Sky_trace.Trace.enable ();
   Fault.reset ~seed:4 ();
   Fault.arm ~site:"server.server" ~kind:Fault.Crash (Fault.At_hit 1);
-  (match Subkernel.call sb ~core:0 ~client ~server_id:sid msg8 with
+  (match call_via sb ~core:0 ~client ~server_id:sid msg8 with
   | Error (Subkernel.Crashed _) -> ()
   | _ -> Alcotest.fail "expected Error Crashed");
   Fault.disable ();
@@ -348,7 +473,7 @@ let test_fault_trace_noop_when_disabled () =
   (* Tracing off: a firing fault must emit nothing. *)
   Fault.reset ~seed:4 ();
   Fault.arm ~site:"server.server" ~kind:Fault.Crash (Fault.At_hit 1);
-  (match Subkernel.call sb ~core:0 ~client ~server_id:sid msg8 with
+  (match call_via sb ~core:0 ~client ~server_id:sid msg8 with
   | Error (Subkernel.Crashed _) -> ()
   | _ -> Alcotest.fail "expected Error Crashed");
   Fault.disable ();
@@ -422,7 +547,7 @@ let crash_sweep =
          client executes inside the server's space. *)
       Fault.arm ~site:"sim.cycle" ~kind
         (Fault.At_cycle (Cpu.cycles cpu + 1 + (seed * 131 mod 997)));
-      let outcome = Subkernel.call sb ~core:0 ~client ~server_id:sid big in
+      let outcome = call_via sb ~core:0 ~client ~server_id:sid big in
       Fault.disable ();
       (* Whatever happened, the machine must audit clean... *)
       if Subkernel.audit sb <> [] then false
@@ -434,7 +559,7 @@ let crash_sweep =
           Subkernel.restart_server sb ~server_id
         | Error (Subkernel.Revoked { server_id }) ->
           Subkernel.rebind sb client ~server_id
-        | Error (Subkernel.Timeout _) -> ());
+        | Error (Subkernel.Timeout _ | Subkernel.Too_large _) -> ());
         let reply =
           Subkernel.direct_server_call sb ~core:0 ~client ~server_id:sid big
         in
@@ -495,6 +620,10 @@ let () =
         ] );
       ( "recovery",
         [
+          Alcotest.test_case "oversized request -> typed error" `Quick
+            test_oversized_request;
+          Alcotest.test_case "oversized reply -> forced return" `Quick
+            test_oversized_reply;
           Alcotest.test_case "crash -> typed error -> restart -> recovered"
             `Quick test_crash_typed_error_and_restart;
           Alcotest.test_case "dropped reply -> timeout" `Quick

@@ -127,6 +127,60 @@ let roundtrip ?(core = 0) (k, ipc, client, ep) msg =
   let reply = Ipc.call ipc ~core ~client ep msg in
   (reply, Cpu.cycles c - before)
 
+(* A message over the 8 KiB IPC buffer is refused with the typed
+   [Message_too_large]: a request before the kernel is entered (nothing
+   charged), a reply without its copy, the reply leg still taking the
+   client home in user mode. The parent of this change raised
+   [Page_fault] in the middle of a leg, with the kernel entered. Both
+   dispatches: the local path and the cross-core (ST-Server) one. *)
+let test_oversized_message () =
+  let limit = Ipc.ipc_buffer_size in
+  List.iter
+    (fun server_cores ->
+      let what = if server_cores = [] then "local" else "cross-core" in
+      let k, ipc = make () in
+      let client = Kernel.spawn k ~name:"client" in
+      let server = Kernel.spawn k ~name:"server" in
+      let reply_len = ref (-1) in
+      let ep =
+        Ipc.register ipc server ~cores:server_cores (fun ~core:_ msg ->
+            if !reply_len < 0 then msg else Bytes.make !reply_len 'r')
+      in
+      Kernel.context_switch k ~core:0 client;
+      let vcpu = Kernel.vcpu k ~core:0 and cpu = Kernel.cpu k ~core:0 in
+      let at_home label =
+        Alcotest.(check bool) (what ^ ": " ^ label ^ ", user mode") true
+          (vcpu.Sky_mmu.Vcpu.mode = Sky_mmu.Vcpu.User);
+        Alcotest.(check bool) (what ^ ": " ^ label ^ ", client running") true
+          (match k.Kernel.running.(0) with
+          | Some p -> p.Proc.pid = client.Proc.pid
+          | None -> false)
+      in
+      let full = Bytes.make limit 'f' in
+      Alcotest.(check bool) (what ^ ": 8 KiB echoes") true
+        (Bytes.equal full (Ipc.call ipc ~core:0 ~client ep full));
+      let cycles0 = Cpu.cycles cpu in
+      (match Ipc.call ipc ~core:0 ~client ep (Bytes.make (limit + 1) 'x') with
+      | _ -> Alcotest.failf "%s: an 8,193-byte request must be refused" what
+      | exception Ipc.Message_too_large { len; limit = l } ->
+        Alcotest.(check (pair int int)) (what ^ ": request error") (limit + 1, limit) (len, l));
+      Alcotest.(check int) (what ^ ": request refused before any charge") cycles0
+        (Cpu.cycles cpu);
+      at_home "after the request";
+      reply_len := limit;
+      Alcotest.(check int) (what ^ ": 8 KiB reply") limit
+        (Bytes.length (Ipc.call ipc ~core:0 ~client ep (Bytes.make 8 'm')));
+      reply_len := limit + 1;
+      (match Ipc.call ipc ~core:0 ~client ep (Bytes.make 8 'm') with
+      | _ -> Alcotest.failf "%s: an 8,193-byte reply must be refused" what
+      | exception Ipc.Message_too_large { len; _ } ->
+        Alcotest.(check int) (what ^ ": reply error") (limit + 1) len);
+      at_home "after the reply";
+      reply_len := -1;
+      Alcotest.(check string) (what ^ ": next call echoes") "ping"
+        (Bytes.to_string (Ipc.call ipc ~core:0 ~client ep (Bytes.of_string "ping"))))
+    [ []; [ 1 ] ]
+
 let test_sel4_fastpath_direct_cost () =
   let env = setup_ipc () in
   (* Warm up, then measure the steady-state roundtrip. *)
@@ -254,5 +308,7 @@ let () =
           Alcotest.test_case "nested IPC (client->fs->disk)" `Quick test_nested_ipc;
           Alcotest.test_case "IPC pollutes TLB (Table 1)" `Quick test_ipc_pollutes_tlb;
           Alcotest.test_case "breakdown accounting" `Quick test_breakdown_totals;
+          Alcotest.test_case "oversized message -> typed error" `Quick
+            test_oversized_message;
         ] );
     ]
