@@ -146,7 +146,7 @@ let run_mesh ?(seed = default_seed) ?(conns = 24) ?(requests_per_conn = 8)
   let nic = Nic.create kernel ~queues in
   let lg =
     Loadgen.create nic ~seed ~mix:Loadgen.default_mix ~conns ~requests_per_conn
-      ~rtt:Web.rtt ~files
+      ~rtt:Web.rtt ~files Loadgen.Closed
   in
   let kv1_grants = Array.make workers None in
   let fs_grants = Array.make workers None in

@@ -120,30 +120,30 @@ let saturation ~seed ~workers =
 let point_of ~mult ~mean_gap (o : Web.open_t) =
   let ol = o.Web.o_ol in
   let httpd = o.Web.o_httpd in
-  let offered = Openloop.offered ol in
-  let ok = Openloop.ok ol in
+  let offered = Loadgen.offered ol in
+  let ok = Loadgen.ok ol in
   let accounted =
-    Openloop.finished ol
+    Loadgen.finished ol
     && offered
-       = ok + Openloop.shed ol + Openloop.shed_wire ol
-         + Openloop.unservable ol + Openloop.corrupt ol
+       = ok + Loadgen.shed ol + Loadgen.shed_wire ol
+         + Loadgen.unservable ol + Loadgen.corrupt ol
   in
-  let h = Openloop.latencies ol in
+  let h = Loadgen.latencies ol in
   {
     p_mult = mult;
     p_mean_gap = mean_gap;
     p_offered = offered;
     p_ok = ok;
-    p_shed = Openloop.shed ol;
-    p_shed_wire = Openloop.shed_wire ol;
-    p_unservable = Openloop.unservable ol;
-    p_corrupt = Openloop.corrupt ol;
+    p_shed = Loadgen.shed ol;
+    p_shed_wire = Loadgen.shed_wire ol;
+    p_unservable = Loadgen.unservable ol;
+    p_corrupt = Loadgen.corrupt ol;
     p_accounted = accounted;
     p_goodput = Sky_sim.Costs.ops_per_sec ~ops:ok ~cycles:(Int.max 1 o.Web.o_elapsed);
     p_p50 = Histogram.p50 h;
     p_p99 = Histogram.p99 h;
     p_p999 = Histogram.p999 h;
-    p_churns = Openloop.churns ol;
+    p_churns = Loadgen.churns ol;
     p_batches = Httpd.batches httpd;
     p_batched_ops = Httpd.batched_ops httpd;
     p_shed_queue = Httpd.shed_queue httpd;

@@ -15,9 +15,9 @@
 
     Two front ends share the assembly:
 
-    - {!build} — the classic closed-loop stack ({!Loadgen});
-    - {!build_open} — the {b overload} stack: an {!Openloop}
-      Poisson-arrival generator driven by a dedicated wire-side pump
+    - {!build} — the classic stack under closed-loop {!Loadgen} arrivals;
+    - {!build_open} — the {b overload} stack: open-loop {!Loadgen}
+      Poisson arrivals driven by a dedicated wire-side pump
       core, admission control on the server ({!Httpd.admission}),
       request TTLs propagated as backend call timeouts, an optional
       {!Sky_core.Retry.budget} bounding recovery retries, and a
@@ -266,7 +266,7 @@ let tenant_keys ~seed ~tenants ~keys_per_tenant =
   let rng = Rng.create ~seed:(seed lxor 0x7e4a47) in
   Array.init tenants (fun ti ->
       Array.init keys_per_tenant (fun ki ->
-          (Printf.sprintf "t%d-p%d" ti ki, Workload.value_bytes rng (ti * 131) ki)))
+          (Printf.sprintf "t%d-p%d" ti ki, Loadgen.value_bytes rng (ti * 131) ki)))
 
 (* ---- shared assembly: backends + transport + worker bindings ---- *)
 
@@ -414,7 +414,9 @@ let build ?(variant = Config.Sel4) ?(seed = 42) ?(cores = 8)
   let st = assemble ~variant ~seed ~cores ~disk_blocks ~workers ~transport () in
   let files = provision_files !(st.st_fs_cell) ~seed in
   let nic = Nic.create st.st_kernel ~queues:workers in
-  let lg = Loadgen.create nic ~seed ~mix ~conns ~requests_per_conn ~rtt ~files in
+  let lg =
+    Loadgen.create nic ~seed ~mix ~conns ~requests_per_conn ~rtt ~files Loadgen.Closed
+  in
   let httpd =
     Httpd.create st.st_kernel nic
       ~preload:(Array.to_list (Array.map fst files))
@@ -491,7 +493,7 @@ type open_t = {
   o_workers : int;
   o_nic : Nic.t;
   o_httpd : Httpd.t;
-  o_ol : Openloop.t;
+  o_ol : Loadgen.t;
   o_sb : Subkernel.t option;
   o_mesh : Mesh.t option;
   o_rstats : Retry.stats option;
@@ -524,19 +526,19 @@ let build_open ?(variant = Config.Sel4) ?(seed = 42)
     keys;
   let nic = Nic.create st.st_kernel ~queues:workers in
   let ol =
-    Openloop.create nic ~seed ~mix ~tenants ~requests_per_conn ~mean_gap ~total
-      ~rtt ?ttl ~files ~keys ()
+    Loadgen.create nic ~seed ~mix ~conns:tenants ~requests_per_conn ~rtt ~files
+      (Loadgen.Open { mean_gap; total; ttl; keys })
   in
   let httpd =
     Httpd.create st.st_kernel nic
       ~preload:(Array.to_list (Array.map fst files))
       ~admission
-      ~wire_hint:(fun () -> Openloop.next_event ol)
+      ~wire_hint:(fun () -> Loadgen.next_event ol)
       ~workers:
         (Array.map
            (fun p -> (p, st.st_bind ~batch:(admission.Httpd.a_batch_max > 1) p))
            st.st_worker_procs)
-      ~queue_done:(fun ~queue -> Openloop.queue_done ol ~queue)
+      ~queue_done:(fun ~queue -> Loadgen.queue_done ol ~queue)
   in
   st.st_deadline := (fun ~core -> Httpd.current_deadline httpd ~core);
   {
@@ -559,12 +561,12 @@ let build_open ?(variant = Config.Sel4) ?(seed = 42)
 let run_open o =
   Machine.sync_cores o.o_machine;
   let start = Cpu.cycles (Machine.core o.o_machine 0) in
-  Openloop.start o.o_ol ~at:(start + 500);
+  Loadgen.start o.o_ol ~at:(start + 500);
   Machine.interleave o.o_machine
     ~cores:(List.init (o.o_workers + 1) Fun.id)
     ~step:(fun ~core ->
       if core < o.o_workers then Httpd.step o.o_httpd ~core
-      else Openloop.step o.o_ol ~now:(Cpu.cycles (Machine.core o.o_machine core)));
+      else Loadgen.step o.o_ol ~now:(Cpu.cycles (Machine.core o.o_machine core)));
   let elapsed = ref 1 in
   for core = 0 to o.o_workers - 1 do
     let c = Cpu.cycles (Machine.core o.o_machine core) - start in

@@ -3,10 +3,10 @@
     worker→backend hop over SkyBridge direct calls or the baseline
     kernel's synchronous IPC (the slowpath variant).
 
-    Two front ends share the assembly: {!build} (closed-loop
-    {!Loadgen}) and {!build_open} (the {b overload} stack — open-loop
-    Poisson arrivals, admission control, deadline propagation, retry
-    budgets and batched backend crossings). *)
+    Two front ends share the assembly and the {!Loadgen}: {!build}
+    (closed-loop arrivals) and {!build_open} (the {b overload} stack —
+    open-loop Poisson arrivals, admission control, deadline propagation,
+    retry budgets and batched backend crossings). *)
 
 type transport = Ipc_slowpath | Skybridge
 
@@ -120,7 +120,7 @@ type open_t = {
   o_workers : int;
   o_nic : Nic.t;
   o_httpd : Httpd.t;
-  o_ol : Openloop.t;
+  o_ol : Loadgen.t;
   o_sb : Sky_core.Subkernel.t option;
   o_mesh : Sky_mesh.Mesh.t option;
   o_rstats : Sky_core.Retry.stats option;
@@ -150,7 +150,7 @@ val build_open :
   unit ->
   open_t
 (** The overload stack: same backends and bindings as {!build}, but fed
-    by an {!Openloop} Poisson generator ([mean_gap] cycles between
+    by open-loop {!Loadgen} Poisson arrivals ([mean_gap] cycles between
     arrivals, [total] arrivals, spread over [tenants] pipelined
     connections) pumped by one extra core at index [workers]. [ttl]
     stamps a relative deadline on every request wire-side; [admission]

@@ -159,7 +159,7 @@ let rec run_hooks t ~core to_proc = function
 
 let switch_to t ~core to_proc =
   Vcpu.write_cr3 t.vcpus.(core) ~cr3:(Proc.cr3 to_proc) ~pcid:to_proc.Proc.pid;
-  t.running.(core) <- Some to_proc;
+  t.running.(core) <- to_proc.Proc.self;
   run_hooks t ~core to_proc t.on_context_switch
 
 let context_switch t ~core to_proc =

@@ -8,18 +8,23 @@ type t = {
   mutable next_stack_va : int;
   mutable code : (int * bytes) list;  (** (va, bytes) executable regions *)
   mutable identity_frame : int;  (** PA of the identity page (0 = none) *)
+  self : t option;  (** [Some] of this process, built once *)
 }
 
 let create ~pid ~name ~page_table =
-  {
-    pid;
-    name;
-    page_table;
-    next_heap_va = Layout.heap_va;
-    next_stack_va = Layout.stack_top_va;
-    code = [];
-    identity_frame = 0;
-  }
+  let rec p =
+    {
+      pid;
+      name;
+      page_table;
+      next_heap_va = Layout.heap_va;
+      next_stack_va = Layout.stack_top_va;
+      code = [];
+      identity_frame = 0;
+      self = Some p;
+    }
+  in
+  p
 
 let cr3 t = Sky_mmu.Page_table.root_pa t.page_table
 

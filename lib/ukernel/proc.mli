@@ -11,6 +11,9 @@ type t = {
   mutable code : (int * bytes) list;  (** (va, original bytes) regions *)
   mutable identity_frame : int;
       (** PA of the §4.2 identity page (0 before {!Kernel.spawn} fills it) *)
+  self : t option;
+      (** [Some] of this process, built once: what {!Kernel} stores as a
+          core's running process, so a context switch allocates nothing *)
 }
 
 val create : pid:int -> name:string -> page_table:Sky_mmu.Page_table.t -> t

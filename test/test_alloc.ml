@@ -303,9 +303,10 @@ let test_direct_call () =
    buffer or the IPC buffer). What a call may allocate is its wire
    bytes: a [Subkernel.call] its [Ok] (2 words) and, for a large
    message, the request copied in on the server side and the reply
-   copied back (8 words each for 48 bytes); seL4's [Ipc.call] the two
-   [Some] of the context switches its legs make. Bounds = measured (at
-   the parent of this change: 43/151 words under VMFUNC, 41/149 under
+   copied back (8 words each for 48 bytes); seL4's [Ipc.call] nothing,
+   since a context switch stores the process's prebuilt [Some] (4/4
+   while it built one per leg). Bounds = measured (at the parent of the
+   allocation-free crossings: 43/151 words under VMFUNC, 41/149 under
    MPK, 47/155 under the filtered syscall, 149/301 over seL4 IPC). *)
 let test_transports () =
   let echo ~core:_ m = m in
@@ -342,7 +343,7 @@ let test_transports () =
       ("Subkernel.call (VMFUNC)", subkernel Sky_core.Backend.Vmfunc, 2, 18);
       ("Subkernel.call (MPK)", subkernel Sky_core.Backend.Mpk, 2, 18);
       ("Subkernel.call (syscall)", subkernel Sky_core.Backend.Syscall, 2, 18);
-      ("Ipc.call (seL4)", sel4 (), 4, 4);
+      ("Ipc.call (seL4)", sel4 (), 0, 0);
     ]
 
 (* The served request through every layer: one whole [Web.run] at
@@ -370,6 +371,32 @@ let test_served_request () =
   Alcotest.(check int) "no errors" 0 (Sky_net.Loadgen.errors lg);
   if per_request > 88.0 then
     Alcotest.failf "served request: %.2f words/request, bound 88" per_request
+
+(* The open-loop served request: one whole [Web.run_open] at the
+   overload workload's shape (3 workers, 32 tenants, queue cap 8, batch
+   4, seed 2), the Poisson pump, admission and batched crossings
+   included. Words per offered arrival by [Gc.minor_words]: 69.98 (71.8
+   while the open generator built an option per queued arrival it
+   injected and recorded every churned flow id in a table). Bound =
+   measured, rounded up. *)
+let test_served_open () =
+  let o =
+    Sky_net.Web.build_open ~seed:2 ~tenants:32 ~mean_gap:700 ~total:4000 ~workers:3
+      ~admission:
+        { Sky_net.Httpd.a_queue_cap = Some 8; a_default_ttl = None; a_batch_max = 4 }
+      ~transport:Sky_net.Web.Skybridge ()
+  in
+  let lg = o.Sky_net.Web.o_ol in
+  let before = Gc.minor_words () in
+  Sky_net.Web.run_open o;
+  let per_arrival =
+    (Gc.minor_words () -. before) /. float_of_int (Sky_net.Loadgen.offered lg)
+  in
+  Alcotest.(check bool) "every arrival resolved" true (Sky_net.Loadgen.finished lg);
+  Alcotest.(check int) "all offered" 4000 (Sky_net.Loadgen.offered lg);
+  Alcotest.(check int) "zero corrupt" 0 (Sky_net.Loadgen.corrupt lg);
+  if per_arrival > 70.0 then
+    Alcotest.failf "served open-loop request: %.2f words/arrival, bound 70" per_arrival
 
 (* The routed call on a resolved [kv://] binding: cache-hit resolve,
    capability check, retry wrapper and the direct call, with a handler
@@ -437,6 +464,7 @@ let () =
           Alcotest.test_case "direct_server_call" `Quick test_direct_call;
           Alcotest.test_case "every transport" `Quick test_transports;
           Alcotest.test_case "served request" `Quick test_served_request;
+          Alcotest.test_case "served open-loop request" `Quick test_served_open;
           Alcotest.test_case "Mesh.call" `Quick test_mesh_call;
           Alcotest.test_case "Kv_server.query" `Quick test_kv_query;
           Alcotest.test_case "notification signal/wait" `Quick test_notification_pair;

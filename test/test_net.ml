@@ -391,6 +391,12 @@ let test_run_until_idle_hop () =
 let small ?(seed = 7) ?(workers = 2) transport =
   Web.build ~seed ~cores:4 ~conns:8 ~requests_per_conn:3 ~workers ~transport ()
 
+(* Closed and open arrivals share one accounting identity. *)
+let accounted lg =
+  Loadgen.offered lg
+  = Loadgen.ok lg + Loadgen.shed lg + Loadgen.shed_wire lg
+    + Loadgen.unservable lg + Loadgen.corrupt lg
+
 let test_web_smoke () =
   let t = small Web.Skybridge in
   Web.run t;
@@ -400,6 +406,10 @@ let test_web_smoke () =
   Alcotest.(check int) "no validation errors" 0 (Loadgen.errors lg);
   Alcotest.(check int) "httpd served them" (Loadgen.expected lg)
     (Httpd.served (Web.httpd t));
+  Alcotest.(check bool) "finished" true (Loadgen.finished lg);
+  Alcotest.(check int) "every request offered" (Loadgen.expected lg) (Loadgen.offered lg);
+  Alcotest.(check bool) "accounting identity" true (accounted lg);
+  Alcotest.(check int) "all goodput" (Loadgen.expected lg) (Loadgen.ok lg);
   Alcotest.(check bool) "positive throughput" true (Web.throughput t > 0.0);
   (match Web.subkernel t with
   | None -> Alcotest.fail "skybridge stack has a subkernel"
@@ -431,6 +441,42 @@ let test_stray_packets_dropped () =
   Alcotest.(check int) "every request answered" (Loadgen.expected lg) (Loadgen.responses lg);
   Alcotest.(check int) "no validation errors" 0 (Loadgen.errors lg);
   Alcotest.(check int) "both packets dropped" 2 (Httpd.dropped_packets (Web.httpd t))
+
+(* More closed-loop connections than one 256-entry RX ring holds: the
+   SYNs that find the ring full are shed at the wire and resolve like a
+   response, so the run ends in accounting instead of waiting forever
+   for answers to packets the NIC dropped. *)
+let test_closed_ring_overflow () =
+  let t =
+    Web.build ~seed:1 ~cores:1 ~workers:1 ~conns:300 ~requests_per_conn:1
+      ~transport:Web.Skybridge ()
+  in
+  Web.run t;
+  let lg = Web.loadgen t in
+  Alcotest.(check int) "the ring dropped 44 SYNs" 44 (Nic.dropped (Web.nic t));
+  Alcotest.(check int) "each one counted shed_wire" 44 (Loadgen.shed_wire lg);
+  Alcotest.(check int) "every request offered" 300 (Loadgen.offered lg);
+  Alcotest.(check int) "expected" 300 (Loadgen.expected lg);
+  Alcotest.(check int) "responses + shed_wire = expected" 300
+    (Loadgen.responses lg + Loadgen.shed_wire lg);
+  Alcotest.(check int) "no errors" 0 (Loadgen.errors lg);
+  Alcotest.(check bool) "finished" true (Loadgen.finished lg);
+  Alcotest.(check bool) "accounting identity" true (accounted lg)
+
+(* A response on a connection with nothing in flight (here a replayed
+   "stored" after the run) is corrupt, and nothing else moves: the
+   finished run stays finished. *)
+let test_stray_response_corrupt () =
+  let t = small Web.Skybridge in
+  Web.run t;
+  let lg = Web.loadgen t and nic = Web.nic t in
+  let rec first f = if Nic.queue_of_flow nic f = 0 then f else first (f + 1) in
+  let stored = Http.serialize_response { Http.status = 200; body = Bytes.of_string "stored" } in
+  Nic.tx nic ~queue:0 ~core:0 ~flow:(first 1) ~seq:0 stored;
+  Alcotest.(check int) "responses unchanged" 24 (Loadgen.responses lg);
+  Alcotest.(check int) "one error" 1 (Loadgen.errors lg);
+  Alcotest.(check int) "counted corrupt" 1 (Loadgen.corrupt lg);
+  Alcotest.(check bool) "still finished" true (Loadgen.finished lg)
 
 let test_web_slowpath_and_gap () =
   let sky = small Web.Skybridge in
@@ -504,11 +550,6 @@ let test_denied_by_all_terminates () =
 (* Open-loop generator + admission control                             *)
 (* ------------------------------------------------------------------ *)
 
-let accounted ol =
-  Openloop.offered ol
-  = Openloop.ok ol + Openloop.shed ol + Openloop.shed_wire ol
-    + Openloop.unservable ol + Openloop.corrupt ol
-
 let test_openloop_accounting () =
   (* Moderate load: everything served, nothing shed, invariant holds. *)
   let o =
@@ -517,12 +558,12 @@ let test_openloop_accounting () =
   in
   Web.run_open o;
   let ol = o.Web.o_ol in
-  Alcotest.(check bool) "finished" true (Openloop.finished ol);
-  Alcotest.(check int) "all offered" 160 (Openloop.offered ol);
+  Alcotest.(check bool) "finished" true (Loadgen.finished ol);
+  Alcotest.(check int) "all offered" 160 (Loadgen.offered ol);
   Alcotest.(check bool) "accounting invariant" true (accounted ol);
-  Alcotest.(check int) "zero errors at moderate load" 0 (Openloop.errors ol);
-  Alcotest.(check int) "all goodput" 160 (Openloop.ok ol);
-  Alcotest.(check bool) "connections churned" true (Openloop.churns ol > 0)
+  Alcotest.(check int) "zero errors at moderate load" 0 (Loadgen.errors ol);
+  Alcotest.(check int) "all goodput" 160 (Loadgen.ok ol);
+  Alcotest.(check bool) "connections churned" true (Loadgen.churns ol > 0)
 
 let test_openloop_deterministic () =
   let run () =
@@ -534,10 +575,10 @@ let test_openloop_deterministic () =
     in
     Web.run_open o;
     let ol = o.Web.o_ol in
-    let h = Openloop.latencies ol in
-    ( Openloop.ok ol,
-      Openloop.shed ol,
-      Openloop.churns ol,
+    let h = Loadgen.latencies ol in
+    ( Loadgen.ok ol,
+      Loadgen.shed ol,
+      Loadgen.churns ol,
       Sky_trace.Histogram.p50 h,
       Sky_trace.Histogram.p99 h,
       o.Web.o_elapsed )
@@ -560,10 +601,10 @@ let test_admission_queue_cap_sheds () =
   Alcotest.(check bool) "queue-full sheds happened" true
     (Httpd.shed_queue o.Web.o_httpd > 0);
   Alcotest.(check int) "client saw every shed as a 503"
-    (Httpd.shed o.Web.o_httpd + Openloop.shed_wire ol)
-    (Openloop.shed ol + Openloop.shed_wire ol);
-  Alcotest.(check int) "zero corrupt" 0 (Openloop.corrupt ol);
-  Alcotest.(check int) "zero unservable" 0 (Openloop.unservable ol)
+    (Httpd.shed o.Web.o_httpd + Loadgen.shed_wire ol)
+    (Loadgen.shed ol + Loadgen.shed_wire ol);
+  Alcotest.(check int) "zero corrupt" 0 (Loadgen.corrupt ol);
+  Alcotest.(check int) "zero unservable" 0 (Loadgen.unservable ol)
 
 let test_admission_deadline_sheds () =
   (* A TTL so tight the queue can never be worked off: expired requests
@@ -579,8 +620,8 @@ let test_admission_deadline_sheds () =
   Alcotest.(check bool) "accounting invariant" true (accounted ol);
   Alcotest.(check bool) "deadline sheds happened" true
     (Httpd.shed_expired o.Web.o_httpd > 0);
-  Alcotest.(check int) "zero corrupt" 0 (Openloop.corrupt ol);
-  Alcotest.(check bool) "some goodput survived" true (Openloop.ok ol > 0)
+  Alcotest.(check int) "zero corrupt" 0 (Loadgen.corrupt ol);
+  Alcotest.(check bool) "some goodput survived" true (Loadgen.ok ol > 0)
 
 let test_batching_amortizes () =
   (* Deep queues + batch_max > 1: workers drain several requests per
@@ -599,7 +640,7 @@ let test_batching_amortizes () =
     (Httpd.batched_ops httpd >= 2 * Httpd.batches httpd);
   Alcotest.(check bool) "accounting invariant" true (accounted ol);
   Alcotest.(check int) "zero errors: batched replies validate" 0
-    (Openloop.errors ol)
+    (Loadgen.errors ol)
 
 let test_openloop_worker_crash_zero_lost () =
   (* The chaos interlock: a worker crash mid-overload parks the live
@@ -617,7 +658,7 @@ let test_openloop_worker_crash_zero_lost () =
   let ol = o.Web.o_ol in
   Alcotest.(check bool) "workers crashed" true (Httpd.restarts o.Web.o_httpd >= 1);
   Alcotest.(check bool) "accounting invariant" true (accounted ol);
-  Alcotest.(check int) "zero corrupt under crash replay" 0 (Openloop.corrupt ol)
+  Alcotest.(check int) "zero corrupt under crash replay" 0 (Loadgen.corrupt ol)
 
 let () =
   Alcotest.run "net"
@@ -647,6 +688,8 @@ let () =
         [
           Alcotest.test_case "smoke" `Quick test_web_smoke;
           Alcotest.test_case "stray-packets-dropped" `Quick test_stray_packets_dropped;
+          Alcotest.test_case "closed-ring-overflow" `Quick test_closed_ring_overflow;
+          Alcotest.test_case "stray-response-corrupt" `Quick test_stray_response_corrupt;
           Alcotest.test_case "skybridge-vs-slowpath" `Quick test_web_slowpath_and_gap;
           Alcotest.test_case "deterministic" `Quick test_web_deterministic;
           Alcotest.test_case "worker-crash-recovery" `Quick
