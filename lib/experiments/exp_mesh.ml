@@ -154,11 +154,8 @@ let run_mesh ?(seed = default_seed) ?(conns = 24) ?(requests_per_conn = 8)
     kv1_grants.(i) <- Some (Mesh.grant mesh ~core:0 ~client:w_proc "kv://");
     fs_grants.(i) <- Some (Mesh.grant mesh ~core:0 ~client:w_proc "fs://");
     let routed ?on_crash uri ~core msg =
-      match Mesh.call mesh ~core ~client:w_proc ?on_crash uri msg with
-      | Ok r -> r
-      | Error (`Denied _) -> raise Httpd.Denied
-      | Error (`Unresolved u) -> raise (Mesh.Unknown_service u)
-      | Error (`Failed e) -> raise (Retry.Gave_up e)
+      try Mesh.call_exn mesh ~core ~client:w_proc ?on_crash uri msg
+      with Mesh.Denied _ -> raise Httpd.Denied
     in
     Web.binding_of_calls
       ~call_kv:(routed "kv://")
@@ -167,7 +164,6 @@ let run_mesh ?(seed = default_seed) ?(conns = 24) ?(requests_per_conn = 8)
       ~rebind:(fun ~core ->
         ignore core;
         Mesh.resume_client mesh w_proc)
-      ()
   in
   (* No preload and no static-file cache: every Fs_get takes the
      capability-checked backend path, so revocation is actually felt. *)

@@ -117,9 +117,9 @@ let saturation ~seed ~workers =
 
 (* ---- phases 2 & 3: the open-loop sweep ---- *)
 
-let point_of ~mult ~mean_gap (o : Web.open_t) =
-  let ol = o.Web.o_ol in
-  let httpd = o.Web.o_httpd in
+let point_of ~mult ~mean_gap (o : Web.t) =
+  let ol = Web.loadgen o in
+  let httpd = Web.httpd o in
   let offered = Loadgen.offered ol in
   let ok = Loadgen.ok ol in
   let accounted =
@@ -139,7 +139,7 @@ let point_of ~mult ~mean_gap (o : Web.open_t) =
     p_unservable = Loadgen.unservable ol;
     p_corrupt = Loadgen.corrupt ol;
     p_accounted = accounted;
-    p_goodput = Sky_sim.Costs.ops_per_sec ~ops:ok ~cycles:(Int.max 1 o.Web.o_elapsed);
+    p_goodput = Sky_sim.Costs.ops_per_sec ~ops:ok ~cycles:(Int.max 1 (Web.elapsed o));
     p_p50 = Histogram.p50 h;
     p_p99 = Histogram.p99 h;
     p_p999 = Histogram.p999 h;
@@ -148,7 +148,7 @@ let point_of ~mult ~mean_gap (o : Web.open_t) =
     p_batched_ops = Httpd.batched_ops httpd;
     p_shed_queue = Httpd.shed_queue httpd;
     p_shed_expired = Httpd.shed_expired httpd;
-    p_elapsed = o.Web.o_elapsed;
+    p_elapsed = Web.elapsed o;
   }
 
 let build_point ~seed ~workers ~tenants ~total ~ttl ~queue_cap ~batch_max
@@ -190,17 +190,17 @@ let run_chaos ~seed ~workers ~tenants ~total ~ttl ~queue_cap ~batch_max
       ~mean_gap
   in
   storm ~seed ~total;
-  Web.run_open o;
+  Web.run o;
   Fault.disable ();
-  let st = match o.Web.o_rstats with Some s -> s | None -> assert false in
-  let sb = match o.Web.o_sb with Some sb -> sb | None -> assert false in
-  let budget = match o.Web.o_budget with Some b -> b | None -> assert false in
-  let fsck = Sky_xv6fs.Fsck.check !(o.Web.o_fs_cell) ~core:0 in
+  let st = match Web.retry_stats o with Some s -> s | None -> assert false in
+  let sb = match Web.subkernel o with Some sb -> sb | None -> assert false in
+  let budget = match Web.retry_budget o with Some b -> b | None -> assert false in
+  let fsck = Sky_xv6fs.Fsck.check (Web.fs o) ~core:0 in
   {
     c_point = point_of ~mult:2.0 ~mean_gap o;
     c_injected = Fault.fired_counts ();
     c_recovered = st.Retry.retried_ok;
-    c_restarts = st.Retry.restarts + Httpd.restarts o.Web.o_httpd;
+    c_restarts = st.Retry.restarts + Httpd.restarts (Web.httpd o);
     c_degraded = st.Retry.degraded;
     c_lost_calls = st.Retry.lost;
     c_budget_withdrawn = Retry.budget_withdrawn budget;
@@ -296,7 +296,7 @@ let run_overload ?(seed = default_seed) ?(workers = 3) ?(tenants = 32)
       build_point ~seed ~workers ~tenants ~total ~ttl ~queue_cap ~batch_max
         ~mean_gap
     in
-    Web.run_open o;
+    Web.run o;
     point_of ~mult ~mean_gap o
   in
   let points = List.map measure mults in

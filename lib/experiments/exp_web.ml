@@ -33,7 +33,6 @@ type side = {
 type point = { p_workers : int; p_sky : side; p_ipc : side }
 
 type result = {
-  r_variant : Sky_ukernel.Config.variant;
   r_seed : int;
   r_cores : int;
   r_conns : int;
@@ -65,23 +64,18 @@ let side_of t =
     v_worker_evictions = worker_evictions;
   }
 
-let measure ~variant ~seed ~cores ~conns ~requests_per_conn ~workers transport =
-  let t =
-    Web.build ~variant ~seed ~cores ~conns ~requests_per_conn ~workers
-      ~transport ()
-  in
+let measure ~seed ~cores ~conns ~requests_per_conn ~workers transport =
+  let t = Web.build ~seed ~cores ~conns ~requests_per_conn ~workers ~transport () in
   Web.run t;
   side_of t
 
-let run_curve ?(variant = Sky_ukernel.Config.Sel4) ?(seed = 42) ?(cores = 16)
-    ?(conns = Web.default_conns)
+let run_curve ?(seed = 42) ?(cores = 16) ?(conns = Web.default_conns)
     ?(requests_per_conn = Web.default_requests_per_conn) () =
   let point workers =
-    let m = measure ~variant ~seed ~cores ~conns ~requests_per_conn ~workers in
+    let m = measure ~seed ~cores ~conns ~requests_per_conn ~workers in
     { p_workers = workers; p_sky = m Web.Skybridge; p_ipc = m Web.Ipc_slowpath }
   in
   {
-    r_variant = variant;
     r_seed = seed;
     r_cores = cores;
     r_conns = conns;
@@ -111,11 +105,13 @@ let all_served r =
 
 (* ---- rendering ---- *)
 
+(* The kernel {!Web} builds. *)
+let variant = Sky_ukernel.Config.(variant_name Sel4)
+
 let table r =
   Tbl.make
     ~title:
-      (Printf.sprintf "Web serving on %s: throughput vs workers (%d conns)"
-         (Sky_ukernel.Config.variant_name r.r_variant)
+      (Printf.sprintf "Web serving on %s: throughput vs workers (%d conns)" variant
          r.r_conns)
     ~header:
       [
@@ -163,7 +159,7 @@ let to_json r =
     (Obj
        [
          ("bench", String "web");
-         ("variant", String (Sky_ukernel.Config.variant_name r.r_variant));
+         ("variant", String variant);
          ("seed", Int r.r_seed);
          ("cores", Int r.r_cores);
          ("conns", Int r.r_conns);

@@ -23,7 +23,9 @@ val query : t -> Sky_sim.Cpu.t -> key:bytes -> bytes option
     The same operations on slices of one buffer — a wire message's
     fields are hashed, compared and stored where they lie, so serving a
     request copies no key. Charges are exactly those of {!insert} and
-    {!query}. *)
+    {!query}: {!Kv_wire.handler} serves every wire message through
+    them, and the simulation cannot tell it from copying the fields out
+    first. *)
 
 val insert_sub :
   t -> Sky_sim.Cpu.t -> bytes -> key_off:int -> key_len:int -> value_off:int ->

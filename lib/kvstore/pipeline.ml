@@ -39,38 +39,7 @@ let touch_text kernel ~core pa len =
   Sky_sim.Memsys.touch_range_state_only (Kernel.cpu kernel ~core)
     Sky_sim.Memsys.Insn ~pa ~len
 
-(* ---- server wire formats ---- *)
-
-let kv_insert_msg ~key ~value =
-  let b = Bytes.create (4 + Bytes.length key + Bytes.length value) in
-  Bytes.set b 0 'I';
-  Bytes.set_uint16_le b 2 (Bytes.length key);
-  Bytes.blit key 0 b 4 (Bytes.length key);
-  Bytes.blit value 0 b (4 + Bytes.length key) (Bytes.length value);
-  b
-
-let kv_query_msg ~key =
-  let b = Bytes.create (4 + Bytes.length key) in
-  Bytes.set b 0 'Q';
-  Bytes.set_uint16_le b 2 (Bytes.length key);
-  Bytes.blit key 0 b 4 (Bytes.length key);
-  b
-
-let kv_handler kv kernel : Sky_kernels.Ipc.handler =
- fun ~core msg ->
-  let cpu = Kernel.cpu kernel ~core in
-  let klen = Bytes.get_uint16_le msg 2 in
-  let key = Bytes.sub msg 4 klen in
-  match Bytes.get msg 0 with
-  | 'I' ->
-    let value = Bytes.sub msg (4 + klen) (Bytes.length msg - 4 - klen) in
-    Kv_server.insert kv cpu ~key ~value;
-    Bytes.of_string "ok"
-  | 'Q' -> (
-    match Kv_server.query kv cpu ~key with
-    | Some v -> v
-    | None -> Bytes.empty)
-  | c -> invalid_arg (Printf.sprintf "kv_handler: opcode %c" c)
+(* ---- server handlers (the KV store speaks {!Kv_wire}) ---- *)
 
 let enc_handler rc4 kernel : Sky_kernels.Ipc.handler =
  fun ~core msg -> Rc4.crypt rc4 (Kernel.cpu kernel ~core) msg
@@ -87,7 +56,7 @@ type t = {
   ws_va : int;  (** client data working set (TLB footprint) *)
   client_text_pa : int;
   rng : Rng.t;
-  mutable live_keys : (bytes * bytes) list;  (** (key, plaintext value) *)
+  mutable live_keys : (string * bytes) list;  (** (key, plaintext value) *)
   mutable ops : int;
   rstats : Sky_core.Retry.stats option;
 }
@@ -103,7 +72,7 @@ let create ?sb ?ipc ?mesh ?(resilient = false) kernel config =
   let client_text_pa = alloc_text client_text in
   let enc_text_pa = alloc_text server_text in
   let kv_text_pa = alloc_text server_text in
-  let enc_h0 = enc_handler rc4 kernel and kv_h0 = kv_handler kv kernel in
+  let enc_h0 = enc_handler rc4 kernel and kv_h0 = Kv_wire.handler kv kernel in
   let enc_h ~core msg =
     touch_text kernel ~core enc_text_pa server_text;
     enc_h0 ~core msg
@@ -241,7 +210,7 @@ let fresh_kv t ~len =
   (* Printable keys avoid zero-length collisions in the store. *)
   Bytes.set key 0 (Char.chr (0x41 + (t.ops land 0xf)));
   let value = Rng.bytes t.rng len in
-  (key, value)
+  (Bytes.unsafe_to_string key, value)
 
 let insert t ~core ~len =
   t.ops <- t.ops + 1;
@@ -250,7 +219,7 @@ let insert t ~core ~len =
   (* encrypt, then store the ciphertext *)
   let cipher = t.call_enc ~core value in
   touch_working_set t ~core;
-  let reply = t.call_kv ~core (kv_insert_msg ~key ~value:cipher) in
+  let reply = t.call_kv ~core (Kv_wire.insert_msg ~key ~value:cipher) in
   touch_working_set t ~core;
   assert (Bytes.length reply > 0);
   t.live_keys <- (key, value) :: t.live_keys;
@@ -265,8 +234,8 @@ let query t ~core ~len =
   match t.live_keys with
   | [] -> insert t ~core ~len
   | (key, expected) :: _ ->
-    compose t ~core key;
-    let cipher = t.call_kv ~core (kv_query_msg ~key) in
+    compose t ~core (Bytes.unsafe_of_string key);
+    let cipher = t.call_kv ~core (Kv_wire.query_msg ~key) in
     touch_working_set t ~core;
     if Bytes.length cipher = 0 then
       raise (Corrupt_pipeline "stored key vanished from the KV server");

@@ -26,7 +26,7 @@ open Sky_ukernel
 module Subkernel = Sky_core.Subkernel
 module Retry = Sky_core.Retry
 
-let cache_hit_cycles = 60 (* per-core hash probe *)
+let cache_hit_cycles = 60 (* per-core cache probe *)
 let cap_check_cycles = 40 (* capability-space walk *)
 let ns_lookup_cycles = 180 (* name-service table op, inside the handler *)
 
@@ -47,6 +47,9 @@ type grant = {
   mutable g_live : bool;
 }
 
+(* One scheme's resolution in a core's cache. *)
+type centry = { c_scheme : string; mutable c_sid : int; mutable c_epoch : int }
+
 type t = {
   sb : Subkernel.t;
   kernel : Kernel.t;
@@ -54,7 +57,7 @@ type t = {
   table : (string, int) Hashtbl.t;  (** authoritative scheme -> sid *)
   roots : (int, Capability.t) Hashtbl.t;  (** per-sid root capability *)
   mutable epoch : int;
-  cache : (string, int * int) Hashtbl.t array;  (** per-core scheme -> (sid, epoch) *)
+  cache : centry list array;  (** per core: one entry per scheme resolved there *)
   ns_proc : Proc.t;
   mutable ns_sid : int;
   admin : Proc.t;  (** the mesh's own privileged client for wire ops *)
@@ -194,7 +197,7 @@ let create ?(seed = 0) ?retry_budget sb =
       table = Hashtbl.create 8;
       roots = Hashtbl.create 8;
       epoch = 0;
-      cache = Array.init cores (fun _ -> Hashtbl.create 8);
+      cache = Array.make cores [];
       ns_proc;
       ns_sid = -1;
       admin;
@@ -233,24 +236,36 @@ let unregister t ~core ~uri =
     (Retry.call ?stats:t.rstats t.sb ~core ~client:t.admin ~server_id:t.ns_sid
        (enc_unregister scheme))
 
+(* The core's cache entry for [uri]'s scheme, compared in place: a
+   routed call copies its scheme only on a miss. *)
+let rec find_entry uri = function
+  | [] -> raise Not_found
+  | e :: rest -> if Uri.has_scheme e.c_scheme uri then e else find_entry uri rest
+
+(* A miss or a stale entry: resolve over the wire and refill the entry. *)
+let resolve_miss t ~core ~client uri =
+  let scheme = Uri.service uri in
+  t.resolves <- t.resolves + 1;
+  let reply =
+    Retry.call ?stats:t.rstats t.sb ~core ~client ~server_id:t.ns_sid (enc_resolve scheme)
+  in
+  let sid = Int32.to_int (Bytes.get_int32_le reply 0) in
+  (match find_entry uri t.cache.(core) with
+  | e ->
+    e.c_sid <- sid;
+    e.c_epoch <- t.epoch
+  | exception Not_found ->
+    t.cache.(core) <- { c_scheme = scheme; c_sid = sid; c_epoch = t.epoch } :: t.cache.(core));
+  sid
+
 (* The server id for [uri], negative when the name service has none. *)
 let resolve_sid t ~core ~client uri =
-  let scheme = Uri.service uri in
-  let cache = t.cache.(core) in
-  match Hashtbl.find cache scheme with
-  | sid, e when e = t.epoch ->
+  match find_entry uri t.cache.(core) with
+  | e when e.c_epoch = t.epoch ->
     t.cache_hits <- t.cache_hits + 1;
     Cpu.charge (Kernel.cpu t.kernel ~core) cache_hit_cycles;
-    sid
-  | _ | (exception Not_found) ->
-    t.resolves <- t.resolves + 1;
-    let reply =
-      Retry.call ?stats:t.rstats t.sb ~core ~client ~server_id:t.ns_sid
-        (enc_resolve scheme)
-    in
-    let sid = Int32.to_int (Bytes.get_int32_le reply 0) in
-    Hashtbl.replace cache scheme (sid, t.epoch);
-    sid
+    e.c_sid
+  | _ | (exception Not_found) -> resolve_miss t ~core ~client uri
 
 let resolve t ~core ~client uri =
   let sid = resolve_sid t ~core ~client uri in

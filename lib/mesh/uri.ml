@@ -27,5 +27,20 @@ let parse s =
   { scheme = String.sub s 0 i; path = String.sub s (i + 3) (String.length s - i - 3) }
 
 let service s = String.sub s 0 (scheme_length s)
+
+(* Toplevel, so a comparison builds no closure. *)
+let rec same_prefix a b i n =
+  i >= n || (String.unsafe_get a i = String.unsafe_get b i && same_prefix a b (i + 1) n)
+
+(* A valid scheme holds no [':'], so [uri]'s first ["://"] is the one
+   right after it. *)
+let has_scheme scheme uri =
+  let n = String.length scheme in
+  String.length uri >= n + 3
+  && uri.[n] = ':'
+  && uri.[n + 1] = '/'
+  && uri.[n + 2] = '/'
+  && same_prefix scheme uri 0 n
+
 let to_string t = t.scheme ^ "://" ^ t.path
 let pp fmt t = Format.pp_print_string fmt (to_string t)

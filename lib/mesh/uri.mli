@@ -17,5 +17,10 @@ val parse : string -> t
 val service : string -> string
 (** [service uri] is [(parse uri).scheme] — the name-service key. *)
 
+val has_scheme : string -> string -> bool
+(** [has_scheme scheme uri] is [service uri = scheme] for a valid
+    [scheme], compared in place: nothing is copied, and an invalid
+    [uri] is [false] rather than {!Bad_uri}. *)
+
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit

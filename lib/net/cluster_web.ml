@@ -38,8 +38,7 @@ type t = {
   mutable cl_quanta : int;
 }
 
-let build ?(variant = Sky_ukernel.Config.Sel4) ?(seed = 42)
-    ?(quantum = Quantum.default_quantum) ?(conns = 12)
+let build ?(seed = 42) ?(quantum = Quantum.default_quantum) ?(conns = 12)
     ?(requests_per_conn = 2) ?prepare ~shards ~workers ~transport () =
   if shards <= 0 then invalid_arg "Cluster_web.build: shards <= 0";
   let mk i =
@@ -50,7 +49,7 @@ let build ?(variant = Sky_ukernel.Config.Sel4) ?(seed = 42)
     let web =
       Scopes.enter scope (fun () ->
           let w =
-            Web.build ~variant ~seed:sseed ~cores:workers ~conns
+            Web.build ~seed:sseed ~cores:workers ~conns
               ~requests_per_conn ~workers ~transport ()
           in
           (match prepare with None -> () | Some f -> f ~shard:i);

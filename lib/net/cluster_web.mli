@@ -12,7 +12,6 @@
 type t
 
 val build :
-  ?variant:Sky_ukernel.Config.variant ->
   ?seed:int ->
   ?quantum:int ->
   ?conns:int ->

@@ -56,6 +56,7 @@ module Fault = Sky_faults.Fault
 module Scheduler = Sky_kernels.Scheduler
 module Notification = Sky_kernels.Notification
 module Endpoint = Sky_mesh.Endpoint
+module Kv_wire = Sky_kvstore.Kv_wire
 
 let worker_text = 6 * 1024 (* request-handling instruction working set *)
 let parse_base = 300
@@ -73,20 +74,20 @@ let denial_backoff_cycles = 4_000
    request ping-pongs dozens of times before being served. *)
 
 (* One KV operation / reply of a batched worker→backend crossing. *)
-type kv_op = Op_put of string * bytes | Op_get of string
-type kv_reply = R_stored of bool | R_value of bytes option
+type kv_op = Kv_wire.op
+type kv_reply = Kv_wire.reply
 
 (* Typed backend bindings, one set per worker. The closures capture the
    worker's process and transport (SkyBridge direct calls — possibly
    URI-routed through the mesh — or baseline kernel IPC);
    [revoke]/[rebind] tear down and re-establish the worker's server
-   bindings around a crash. [kv_batch], when present, carries a whole
-   list of KV operations in one backend crossing. *)
+   bindings around a crash. [kv_batch] carries a whole list of KV
+   operations in one backend crossing. *)
 type binding = {
   kv_put : core:int -> key:string -> value:bytes -> bool;
   kv_get : core:int -> key:string -> bytes option;
   fs_read : core:int -> name:string -> bytes option;
-  kv_batch : (core:int -> kv_op list -> kv_reply list) option;
+  kv_batch : core:int -> kv_op list -> kv_reply list;
   revoke : core:int -> unit;
   rebind : core:int -> unit;
 }
@@ -346,7 +347,9 @@ let dispatch t w kv_replies pr =
     let stored =
       match kv_replies with
       | Some q -> (
-        match Queue.pop q with R_stored ok -> ok | R_value _ -> misaligned ())
+        match Queue.pop q with
+        | Kv_wire.R_stored ok -> ok
+        | Kv_wire.R_value _ -> misaligned ())
       | None -> w.w_binding.kv_put ~core ~key ~value
     in
     if stored then Http.stored else Http.server_error
@@ -354,7 +357,9 @@ let dispatch t w kv_replies pr =
     let value =
       match kv_replies with
       | Some q -> (
-        match Queue.pop q with R_value v -> v | R_stored _ -> misaligned ())
+        match Queue.pop q with
+        | Kv_wire.R_value v -> v
+        | Kv_wire.R_stored _ -> misaligned ())
       | None -> w.w_binding.kv_get ~core ~key
     in
     match value with Some v -> Http.ok v | None -> Http.not_found)
@@ -423,18 +428,19 @@ let serve_batch t w reqs =
   (* Batched worker→backend hop: every KV operation of the batch in
      one crossing, under the tightest member deadline. A [Denied] or
      [Expired] from the batched call falls back to the individual
-     path so each request gets its own terminal outcome. *)
+     path so each request gets its own terminal outcome. A batch of one
+     (every batch when [a_batch_max = 1]) takes the individual path. *)
   let kv_replies =
-    match w.w_binding.kv_batch with
-    | Some batch when List.length reqs > 1 -> (
+    if List.length reqs < 2 then None
+    else
       let ops =
         List.filter_map
           (fun r ->
             if not r.rq_valid then None
             else
               match r.rq_request with
-              | Http.Kv_put (key, value) -> Some (Op_put (key, value))
-              | Http.Kv_get key -> Some (Op_get key)
+              | Http.Kv_put (key, value) -> Some (Kv_wire.Op_put (key, value))
+              | Http.Kv_get key -> Some (Kv_wire.Op_get key)
               | Http.Fs_get _ -> None)
           reqs
       in
@@ -448,7 +454,7 @@ let serve_batch t w reqs =
               | Some d, None -> Some d
               | Some d, Some a -> Some (Int.min d a))
             None reqs;
-        match batch ~core ops with
+        match w.w_binding.kv_batch ~core ops with
         | replies ->
           t.deadlines.(core) <- None;
           t.batches <- t.batches + 1;
@@ -459,8 +465,7 @@ let serve_batch t w reqs =
         | exception (Denied | Expired) ->
           t.deadlines.(core) <- None;
           None
-      end)
-    | _ -> None
+      end
   in
   reply_all t w kv_replies reqs
 
@@ -617,7 +622,7 @@ let step t ~core =
           (* Ring events first; otherwise the generator's hint (an
              open-loop pump's next arrival), so a fully drained fleet
              sleeps to the next offered request instead of leapfrogging
-             one cycle at a time into the interleave deadlock guard. *)
+             one cycle at a time into the run loop's deadlock guard. *)
           match next_wire_event t with
           | Some (q, at) ->
             let now = Cpu.cycles cpu in
@@ -691,23 +696,3 @@ let step t ~core =
               Scheduler.block w.w_sched cpu w.w_thread;
               Machine.Progress)
       end)
-
-(* Resumable form of [run], for the quantum scheduler: the run-loop
-   state persists across [advance] calls so the server can be driven one
-   bounded slice of virtual time at a time. *)
-type session = Machine.run
-
-let start t =
-  let cores = Array.to_list (Array.init (Array.length t.workers) (fun i -> i)) in
-  Machine.start_run t.kernel.Kernel.machine ~cores
-
-let advance t s ~until =
-  Machine.run_until t.kernel.Kernel.machine s
-    ~step:(fun ~core -> step t ~core)
-    ~until
-
-let run t =
-  let s = start t in
-  match advance t s ~until:max_int with
-  | `Done -> ()
-  | `Paused -> assert false (* no core's clock can reach max_int *)

@@ -29,21 +29,22 @@
     denied by {e every} worker terminates with a typed 403 instead of
     cycling forever. *)
 
-type kv_op = Op_put of string * bytes | Op_get of string
-type kv_reply = R_stored of bool | R_value of bytes option
+type kv_op = Sky_kvstore.Kv_wire.op
+type kv_reply = Sky_kvstore.Kv_wire.reply
 
 type binding = {
   kv_put : core:int -> key:string -> value:bytes -> bool;
   kv_get : core:int -> key:string -> bytes option;
   fs_read : core:int -> name:string -> bytes option;
-  kv_batch : (core:int -> kv_op list -> kv_reply list) option;
+  kv_batch : core:int -> kv_op list -> kv_reply list;
   revoke : core:int -> unit;
   rebind : core:int -> unit;
 }
 (** One worker's typed view of the backends, closed over its process and
     transport. [revoke]/[rebind] bracket a worker crash/restart;
-    [kv_batch] (optional) serves a whole list of KV operations in one
-    backend crossing — the batched worker→backend hop. *)
+    [kv_batch] serves a whole list of KV operations in one backend
+    crossing — the batched worker→backend hop, taken only by a batch of
+    two or more, so only when [a_batch_max > 1]. *)
 
 type req
 (** A demultiplexed request riding the endpoint (opaque): carries its
@@ -107,24 +108,9 @@ val create :
     exit test. *)
 
 val step : t -> core:int -> Sky_sim.Machine.step
-(** One event-loop quantum of [core]'s worker, for
-    {!Sky_sim.Machine.interleave}. *)
-
-val run : t -> unit
-(** Interleave all workers by virtual time until every queue is done and
-    the endpoint is drained. *)
-
-type session
-(** Persistent run-loop state for driving the server a bounded slice of
-    virtual time at a time (the quantum scheduler's lane hook). *)
-
-val start : t -> session
-
-val advance : t -> session -> until:int -> [ `Paused | `Done ]
-(** Interleave workers until every live core's clock reaches [until]
-    ([`Paused]) or the whole workload completes ([`Done]). Chunking via
-    [advance] replays exactly the same step sequence as one [run] — see
-    {!Sky_sim.Machine.run_until}. *)
+(** One event-loop quantum of [core]'s worker; [Done] once every queue
+    is done and the endpoint is drained. The run loop that steps the
+    workers (and an open-loop pump) is {!Web}'s. *)
 
 val served : t -> int
 val bad_requests : t -> int

@@ -351,10 +351,10 @@ let test_transports () =
    seed 2), load generator and wire included, feeding each request
    through the NIC, the socket layer, skyhttpd, the mesh, the retry
    wrapper, the direct call and the KV/FS backends. Words per request
-   by [Gc.minor_words]: 203.5 at the parent of this change, when the
-   serving layers still built tuples, options and lists per request
-   and a direct call allocated about 92 words. Bound = measured,
-   rounded up. *)
+   by [Gc.minor_words]: 85.7; 87.3 while the mesh copied the scheme
+   string per routed call, and 203.5 while the serving layers still
+   built tuples, options and lists per request and a direct call
+   allocated about 92 words. Bound = 87.3, rounded up. *)
 let test_served_request () =
   let w =
     Sky_net.Web.build ~seed:2 ~cores:8 ~workers:8 ~conns:120 ~requests_per_conn:100
@@ -372,10 +372,11 @@ let test_served_request () =
   if per_request > 88.0 then
     Alcotest.failf "served request: %.2f words/request, bound 88" per_request
 
-(* The open-loop served request: one whole [Web.run_open] at the
+(* The open-loop served request: one whole open-loop [Web.run] at the
    overload workload's shape (3 workers, 32 tenants, queue cap 8, batch
    4, seed 2), the Poisson pump, admission and batched crossings
-   included. Words per offered arrival by [Gc.minor_words]: 69.98 (71.8
+   included. Words per offered arrival by [Gc.minor_words]: 69.78
+   (69.98 while the mesh copied the scheme string per routed call, 71.8
    while the open generator built an option per queued arrival it
    injected and recorded every churned flow id in a table). Bound =
    measured, rounded up. *)
@@ -386,9 +387,9 @@ let test_served_open () =
         { Sky_net.Httpd.a_queue_cap = Some 8; a_default_ttl = None; a_batch_max = 4 }
       ~transport:Sky_net.Web.Skybridge ()
   in
-  let lg = o.Sky_net.Web.o_ol in
+  let lg = Sky_net.Web.loadgen o in
   let before = Gc.minor_words () in
-  Sky_net.Web.run_open o;
+  Sky_net.Web.run o;
   let per_arrival =
     (Gc.minor_words () -. before) /. float_of_int (Sky_net.Loadgen.offered lg)
   in
@@ -400,11 +401,11 @@ let test_served_open () =
 
 (* The routed call on a resolved [kv://] binding: cache-hit resolve,
    capability check, retry wrapper and the direct call, with a handler
-   that allocates nothing. Bound = measured: the scheme string and the
-   two [Ok] results (the mesh's and the direct call's) remain; it was
-   49 words while the span closures, the crossing token, the boxed
-   key-table reads and the retry stats option were still built per
-   call. *)
+   that allocates nothing. Bound = measured: the two [Ok] results (the
+   mesh's and the direct call's) remain. It was 6 words while the
+   resolution cache was probed with a copy of the scheme string, and
+   49 while the span closures, the crossing token, the boxed key-table
+   reads and the retry stats option were still built per call. *)
 let test_mesh_call () =
   let machine = Machine.create ~cores:2 ~mem_mib:64 () in
   let kernel = Kernel.create machine in
@@ -419,7 +420,7 @@ let test_mesh_call () =
   ignore (Sky_mesh.Mesh.grant mesh ~core:0 ~client "kv://");
   Kernel.context_switch kernel ~core:0 client;
   let msg = Bytes.create 8 in
-  check_words "Mesh.call (resolved kv://)" ~per_op:6 (fun () ->
+  check_words "Mesh.call (resolved kv://)" ~per_op:4 (fun () ->
       match Sky_mesh.Mesh.call mesh ~core:0 ~client "kv://" msg with
       | Ok _ -> ()
       | Error _ -> Alcotest.fail "routed call failed")

@@ -98,6 +98,49 @@ let prop_kv_model =
           | None -> false)
         model true)
 
+(* The wire protocol: one 'B' message must answer, op by op, what
+   single 'I'/'Q' messages answer on a twin store. Keys come from a
+   small pool (so GETs hit and PUTs overwrite) or are random, up to
+   [max_kv] bytes like the values. *)
+let prop_kv_wire_batch =
+  let open QCheck.Gen in
+  let bound = Kv_server.max_kv in
+  let key =
+    oneof [ map (Printf.sprintf "k%d") (int_bound 7); string_size (int_range 1 bound) ]
+  in
+  let value = map Bytes.of_string (string_size (int_range 1 bound)) in
+  let op =
+    oneof
+      [
+        map2 (fun k v -> Kv_wire.Op_put (k, v)) key value;
+        map (fun k -> Kv_wire.Op_get k) key;
+      ]
+  in
+  let print ops =
+    String.concat "; "
+      (List.map
+         (function
+           | Kv_wire.Op_put (k, v) -> Printf.sprintf "PUT %S (%d B)" k (Bytes.length v)
+           | Kv_wire.Op_get k -> Printf.sprintf "GET %S" k)
+         ops)
+  in
+  QCheck.Test.make ~name:"kv wire batch = single messages" ~count:50
+    (QCheck.make ~print (list_size (int_range 1 40) op))
+    (fun ops ->
+      let store () =
+        let machine, k = machine_kernel () in
+        Kv_wire.handler (Kv_server.create machine) k ~core:0
+      in
+      let batched = store () and single = store () in
+      let one = function
+        | Kv_wire.Op_put (key, value) ->
+          Kv_wire.R_stored (Bytes.to_string (single (Kv_wire.insert_msg ~key ~value)) = "ok")
+        | Kv_wire.Op_get key ->
+          let r = single (Kv_wire.query_msg ~key) in
+          Kv_wire.R_value (if Bytes.length r = 0 then None else Some r)
+      in
+      Kv_wire.batch_replies (batched (Kv_wire.batch_msg ops)) = List.map one ops)
+
 (* ------------------------------------------------------------------ *)
 (* Pipeline                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -204,7 +247,7 @@ let () =
           Alcotest.test_case "insert/query" `Quick test_kv_insert_query;
           Alcotest.test_case "overwrite" `Quick test_kv_overwrite;
         ]
-        @ qc [ prop_kv_model ] );
+        @ qc [ prop_kv_model; prop_kv_wire_batch ] );
       ( "pipeline",
         [
           Alcotest.test_case "all configs run" `Quick test_pipeline_all_configs;

@@ -410,6 +410,7 @@ let test_web_smoke () =
   Alcotest.(check int) "every request offered" (Loadgen.expected lg) (Loadgen.offered lg);
   Alcotest.(check bool) "accounting identity" true (accounted lg);
   Alcotest.(check int) "all goodput" (Loadgen.expected lg) (Loadgen.ok lg);
+  Alcotest.(check int) "no batched crossing" 0 (Httpd.batches (Web.httpd t));
   Alcotest.(check bool) "positive throughput" true (Web.throughput t > 0.0);
   (match Web.subkernel t with
   | None -> Alcotest.fail "skybridge stack has a subkernel"
@@ -556,8 +557,8 @@ let test_openloop_accounting () =
     Web.build_open ~seed:5 ~tenants:8 ~mean_gap:4000 ~total:160 ~workers:2
       ~transport:Web.Skybridge ()
   in
-  Web.run_open o;
-  let ol = o.Web.o_ol in
+  Web.run o;
+  let ol = Web.loadgen o in
   Alcotest.(check bool) "finished" true (Loadgen.finished ol);
   Alcotest.(check int) "all offered" 160 (Loadgen.offered ol);
   Alcotest.(check bool) "accounting invariant" true (accounted ol);
@@ -573,18 +574,48 @@ let test_openloop_deterministic () =
           { Httpd.a_queue_cap = Some 4; a_default_ttl = None; a_batch_max = 3 }
         ~transport:Web.Skybridge ()
     in
-    Web.run_open o;
-    let ol = o.Web.o_ol in
+    Web.run o;
+    let ol = Web.loadgen o in
     let h = Loadgen.latencies ol in
     ( Loadgen.ok ol,
       Loadgen.shed ol,
       Loadgen.churns ol,
       Sky_trace.Histogram.p50 h,
       Sky_trace.Histogram.p99 h,
-      o.Web.o_elapsed )
+      Web.elapsed o )
   in
   let a = run () and b = run () in
   Alcotest.(check bool) "same seed, bit-identical run" true (a = b)
+
+(* The one run loop drives an open stack in slices too: 20,000-cycle
+   advances end exactly where one [run] of a twin does. *)
+let test_openloop_chunked () =
+  let build () =
+    Web.build_open ~seed:13 ~tenants:10 ~mean_gap:900 ~total:250 ~workers:2
+      ~admission:{ Httpd.a_queue_cap = Some 4; a_default_ttl = None; a_batch_max = 3 }
+      ~transport:Web.Skybridge ()
+  in
+  let summary o =
+    let ol = Web.loadgen o in
+    let h = Loadgen.latencies ol in
+    ( (Web.elapsed o, Loadgen.ok ol, Loadgen.shed ol, Loadgen.shed_wire ol),
+      (Loadgen.churns ol, Httpd.batches (Web.httpd o)),
+      (Sky_trace.Histogram.p50 h, Sky_trace.Histogram.p99 h) )
+  in
+  let whole = build () in
+  Web.run whole;
+  let chunked = build () in
+  let s = Web.start_run chunked in
+  let clock = Machine.core (Web.kernel chunked).Kernel.machine 0 in
+  let rec slices n until =
+    match Web.advance chunked s ~until with
+    | `Done -> n
+    | `Paused -> slices (n + 1) (until + 20_000)
+  in
+  let n = slices 1 (Cpu.cycles clock + 20_000) in
+  Alcotest.(check bool) (Printf.sprintf "paused between slices (%d slices)" n) true (n > 2);
+  Alcotest.(check bool) "some batched crossings" true (Httpd.batches (Web.httpd whole) > 0);
+  Alcotest.(check bool) "chunked = whole" true (summary chunked = summary whole)
 
 let test_admission_queue_cap_sheds () =
   (* Far past saturation with a tiny queue bound: overflow sheds as
@@ -595,13 +626,13 @@ let test_admission_queue_cap_sheds () =
         { Httpd.a_queue_cap = Some 2; a_default_ttl = None; a_batch_max = 1 }
       ~transport:Web.Skybridge ()
   in
-  Web.run_open o;
-  let ol = o.Web.o_ol in
+  Web.run o;
+  let ol = Web.loadgen o in
   Alcotest.(check bool) "accounting invariant" true (accounted ol);
   Alcotest.(check bool) "queue-full sheds happened" true
-    (Httpd.shed_queue o.Web.o_httpd > 0);
+    (Httpd.shed_queue (Web.httpd o) > 0);
   Alcotest.(check int) "client saw every shed as a 503"
-    (Httpd.shed o.Web.o_httpd + Loadgen.shed_wire ol)
+    (Httpd.shed (Web.httpd o) + Loadgen.shed_wire ol)
     (Loadgen.shed ol + Loadgen.shed_wire ol);
   Alcotest.(check int) "zero corrupt" 0 (Loadgen.corrupt ol);
   Alcotest.(check int) "zero unservable" 0 (Loadgen.unservable ol)
@@ -615,11 +646,11 @@ let test_admission_deadline_sheds () =
         { Httpd.a_queue_cap = None; a_default_ttl = None; a_batch_max = 1 }
       ~ttl:9_000 ~transport:Web.Skybridge ()
   in
-  Web.run_open o;
-  let ol = o.Web.o_ol in
+  Web.run o;
+  let ol = Web.loadgen o in
   Alcotest.(check bool) "accounting invariant" true (accounted ol);
   Alcotest.(check bool) "deadline sheds happened" true
-    (Httpd.shed_expired o.Web.o_httpd > 0);
+    (Httpd.shed_expired (Web.httpd o) > 0);
   Alcotest.(check int) "zero corrupt" 0 (Loadgen.corrupt ol);
   Alcotest.(check bool) "some goodput survived" true (Loadgen.ok ol > 0)
 
@@ -632,9 +663,9 @@ let test_batching_amortizes () =
         { Httpd.a_queue_cap = Some 8; a_default_ttl = None; a_batch_max = 4 }
       ~transport:Web.Skybridge ()
   in
-  Web.run_open o;
-  let ol = o.Web.o_ol in
-  let httpd = o.Web.o_httpd in
+  Web.run o;
+  let ol = Web.loadgen o in
+  let httpd = Web.httpd o in
   Alcotest.(check bool) "batched crossings happened" true (Httpd.batches httpd > 0);
   Alcotest.(check bool) "each batch carries >= 2 ops" true
     (Httpd.batched_ops httpd >= 2 * Httpd.batches httpd);
@@ -654,9 +685,9 @@ let test_openloop_worker_crash_zero_lost () =
         { Httpd.a_queue_cap = Some 16; a_default_ttl = None; a_batch_max = 3 }
       ~transport:Web.Skybridge ()
   in
-  Web.run_open o;
-  let ol = o.Web.o_ol in
-  Alcotest.(check bool) "workers crashed" true (Httpd.restarts o.Web.o_httpd >= 1);
+  Web.run o;
+  let ol = Web.loadgen o in
+  Alcotest.(check bool) "workers crashed" true (Httpd.restarts (Web.httpd o) >= 1);
   Alcotest.(check bool) "accounting invariant" true (accounted ol);
   Alcotest.(check int) "zero corrupt under crash replay" 0 (Loadgen.corrupt ol)
 
@@ -701,6 +732,7 @@ let () =
         [
           Alcotest.test_case "openloop-accounting" `Quick
             test_openloop_accounting;
+          Alcotest.test_case "openloop-chunked" `Quick test_openloop_chunked;
           Alcotest.test_case "openloop-deterministic" `Quick
             test_openloop_deterministic;
           Alcotest.test_case "queue-cap-sheds" `Quick
