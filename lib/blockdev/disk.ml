@@ -1,22 +1,17 @@
 (** Transport-independent block-device interface.
 
     The file system talks to whatever this record wraps: the raw RAM disk
-    in the same address space (Baseline), an IPC server (the paper's
-    evaluated configuration), a SkyBridge server, or a fault-injecting
-    wrapper used by the crash-recovery tests. *)
+    in the same address space (Baseline), a server reached over any
+    call edge (IPC, the paper's evaluated configuration, or SkyBridge),
+    or a fault-injecting wrapper used by the crash-recovery tests. *)
 
-type t = {
-  read : core:int -> int -> bytes;
-  write : core:int -> int -> bytes -> unit;
-  name : string;
-}
+type t = { read : core:int -> int -> bytes; write : core:int -> int -> bytes -> unit }
 
 exception Crash of { writes_completed : int }
 
 (* Same-process access: device work charged on the calling core. *)
 let direct kernel rd =
   {
-    name = "direct";
     read = (fun ~core blockno -> Ramdisk.read rd (Sky_ukernel.Kernel.cpu kernel ~core) blockno);
     write =
       (fun ~core blockno data ->
@@ -34,32 +29,14 @@ let handler kernel rd : Sky_kernels.Ipc.handler =
     Ramdisk.write rd cpu blockno data;
     Proto.write_ack
 
-let over_ipc ipc ~client endpoint =
+(* The client side over any request/reply transport, as
+   {!Sky_xv6fs.Fs_iface.over_call} is for the file system. *)
+let over_call call =
   {
-    name = "ipc";
-    read =
-      (fun ~core blockno ->
-        Sky_kernels.Ipc.call ipc ~core ~client endpoint
-          (Proto.encode_request (Proto.Read blockno)));
+    read = (fun ~core blockno -> call ~core (Proto.encode_request (Proto.Read blockno)));
     write =
       (fun ~core blockno data ->
-        ignore
-          (Sky_kernels.Ipc.call ipc ~core ~client endpoint
-             (Proto.encode_request (Proto.Write (blockno, data)))));
-  }
-
-let over_skybridge sb ~client ~server_id =
-  {
-    name = "skybridge";
-    read =
-      (fun ~core blockno ->
-        Sky_core.Subkernel.direct_server_call sb ~core ~client ~server_id
-          (Proto.encode_request (Proto.Read blockno)));
-    write =
-      (fun ~core blockno data ->
-        ignore
-          (Sky_core.Subkernel.direct_server_call sb ~core ~client ~server_id
-             (Proto.encode_request (Proto.Write (blockno, data)))));
+        ignore (call ~core (Proto.encode_request (Proto.Write (blockno, data)))));
   }
 
 (* Crash injection: the machine "loses power" after [fail_after] more
@@ -67,7 +44,6 @@ let over_skybridge sb ~client ~server_id =
 let faulty inner ~fail_after =
   let completed = ref 0 in
   {
-    name = "faulty:" ^ inner.name;
     read = inner.read;
     write =
       (fun ~core blockno data ->

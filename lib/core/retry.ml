@@ -17,21 +17,19 @@ let create_stats () =
    multiplying the offered load — the amplification limiter. The budget
    also owns the jitter stream: decorrelated backoff, deterministic
    because the simulation is single-threaded. *)
+let ratio = 0.2
+let cap = 32.0
+
 type budget = {
   b_rng : Sky_sim.Rng.t;
-  b_ratio : float;
-  b_cap : float;
   mutable b_tokens : float;
   mutable b_withdrawn : int;
   mutable b_refused : int;
 }
 
-let budget ?(cap = 32.0) ?(ratio = 0.2) ~seed () =
-  if ratio < 0.0 then invalid_arg "Retry.budget: ratio";
+let budget ~seed =
   {
     b_rng = Sky_sim.Rng.create ~seed:(seed lxor 0x5e77b);
-    b_ratio = ratio;
-    b_cap = cap;
     b_tokens = cap /. 2.0;
     b_withdrawn = 0;
     b_refused = 0;
@@ -41,7 +39,7 @@ let budget_refused b = b.b_refused
 let budget_withdrawn b = b.b_withdrawn
 
 let deposit b =
-  b.b_tokens <- Float.min b.b_cap (b.b_tokens +. b.b_ratio)
+  b.b_tokens <- Float.min cap (b.b_tokens +. ratio)
 
 let try_withdraw b =
   if b.b_tokens >= 1.0 then begin
@@ -58,9 +56,12 @@ exception Gave_up of Subkernel.call_error
 
 let bump stats f = match stats with Some s -> f s | None -> ()
 
+(* Base backoff in cycles: attempt [n] waits [backoff lsl n]. *)
+let backoff = 2000
+
 (* One attempt and, on failure, the backoff and recovery before the
    next: a toplevel loop, so a call builds no closure. *)
-let rec attempt ~max_attempts ~backoff stats budget timeout on_crash sb cpu ~core
+let rec attempt ~max_attempts stats budget timeout on_crash sb cpu ~core
     ~client ~server_id msg n =
   bump stats (fun s -> s.attempts <- s.attempts + 1);
   let degraded0 = Subkernel.degraded_calls sb in
@@ -102,12 +103,12 @@ let rec attempt ~max_attempts ~backoff stats budget timeout on_crash sb cpu ~cor
          never reaches this handler). *)
       Subkernel.rebind sb client ~server_id:sid
     | Subkernel.Timeout _ | Subkernel.Too_large _ -> ());
-    attempt ~max_attempts ~backoff stats budget timeout on_crash sb cpu ~core ~client
+    attempt ~max_attempts stats budget timeout on_crash sb cpu ~core ~client
       ~server_id msg (n + 1)
 
-let call ?(max_attempts = 4) ?(backoff = 2000) ?stats ?budget ?timeout
-    ?(on_crash = fun _ -> ()) sb ~core ~client ~server_id msg =
+let call ?(max_attempts = 4) ?stats ?budget ?timeout ?(on_crash = fun _ -> ()) sb ~core
+    ~client ~server_id msg =
   let cpu = Kernel.cpu (Subkernel.kernel sb) ~core in
   (match budget with Some b -> deposit b | None -> ());
-  attempt ~max_attempts ~backoff stats budget timeout on_crash sb cpu ~core ~client
+  attempt ~max_attempts stats budget timeout on_crash sb cpu ~core ~client
     ~server_id msg 0

@@ -25,9 +25,10 @@ type budget
     saturation collapse. Also owns the deterministic jitter stream used
     to decorrelate backoff. *)
 
-val budget : ?cap:float -> ?ratio:float -> seed:int -> unit -> budget
-(** [ratio] (default 0.2) = sustained retries allowed per fresh call;
-    [cap] (default 32) bounds the burst. *)
+val budget : seed:int -> budget
+(** Every fresh call deposits 0.2 tokens (the sustained retries allowed
+    per fresh call) and the bucket holds at most 32 (the burst); it
+    starts half full. *)
 
 val budget_refused : budget -> int
 (** Retries suppressed because the bucket was empty (each surfaces as a
@@ -42,7 +43,6 @@ exception Gave_up of Subkernel.call_error
 
 val call :
   ?max_attempts:int ->
-  ?backoff:int ->
   ?stats:stats ->
   ?budget:budget ->
   ?timeout:int ->
@@ -54,8 +54,8 @@ val call :
   bytes ->
   bytes
 (** [call sb ~core ~client ~server_id msg] with up to [max_attempts]
-    (default 4) attempts, charging [backoff lsl attempt] cycles (default
-    base 2000) between attempts; with a [budget], each retry must also
+    (default 4) attempts, charging [2000 lsl attempt] cycles between
+    attempts; with a [budget], each retry must also
     withdraw a token (else the call gives up immediately) and the
     backoff is decorrelated-jittered from the budget's seeded stream.
     [on_crash sid] runs after a crashed server [sid] has been restarted

@@ -22,7 +22,9 @@ exception Fatal_ept_violation of int
 let vmcall_cost = 1200
 let cpuid_exit_cost = 1500
 
-let boot ?(vpid = true) ?(reserved_mib = 8) ?(huge_ept = true) kernel =
+let reserved_mib = 8 (* the paper reserves 100 MiB of 16 GiB: the same ratio *)
+
+let boot ?(vpid = true) ?(huge_ept = true) kernel =
   let machine = kernel.Kernel.machine in
   let mem = Kernel.mem kernel and alloc = Kernel.alloc kernel in
   (* Reserve the Rootkernel's own memory at the top of the physical

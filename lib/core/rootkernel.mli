@@ -23,10 +23,10 @@ val vmcall_cost : int
 (** Cycles charged for a VMCALL round trip (VM exit + handler + resume). *)
 
 val boot :
-  ?vpid:bool -> ?reserved_mib:int -> ?huge_ept:bool -> Sky_ukernel.Kernel.t -> t
+  ?vpid:bool -> ?huge_ept:bool -> Sky_ukernel.Kernel.t -> t
 (** Self-virtualize the machine under the given Subkernel. Reserves
-    [reserved_mib] (default 8; the paper reserves 100 MiB on a 16 GiB
-    box — same ratio) and flips every vCPU into non-root mode with the
+    8 MiB (the paper reserves 100 MiB on a 16 GiB box — the same ratio)
+    and flips every vCPU into non-root mode with the
     base EPT installed in EPTP slot 0. *)
 
 val total_vm_exits : t -> int

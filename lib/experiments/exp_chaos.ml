@@ -55,7 +55,8 @@ let run_kv ~seed =
   let machine = Sky_sim.Machine.create ~cores:4 ~mem_mib:128 () in
   let kernel = Kernel.create machine in
   let sb = Subkernel.init kernel in
-  let p = Pipeline.create ~sb ~resilient:true kernel Pipeline.Skybridge in
+  let st = Sky_core.Retry.create_stats () in
+  let p = Pipeline.create ~sb ~retry:st kernel Pipeline.Skybridge in
   ignore (Pipeline.run p ~core:0 ~ops:32 ~len:64) (* warm, faults off *);
   kv_storm seed;
   let lost_hard = ref 0 in
@@ -69,9 +70,6 @@ let run_kv ~seed =
      with Sky_core.Retry.Gave_up _ -> incr lost_hard
    done);
   Fault.disable ();
-  let st =
-    match Pipeline.retry_stats p with Some s -> s | None -> assert false
-  in
   {
     s_name = "kv-pipeline";
     s_attempts = st.Sky_core.Retry.attempts;
@@ -100,12 +98,9 @@ let fs_storm seed =
   Fault.arm ~budget:2 ~site:"sim.cycle" ~kind:Fault.Crash (Fault.Prob 5e-5)
 
 let run_fs ~seed =
-  let stack =
-    Stack.build ~transport:Stack.Skybridge ~resilient:true ~cores:4
-      ~disk_blocks:4096 ()
-  in
+  let st = Sky_core.Retry.create_stats () in
+  let stack, sb = Stack.build_resilient ~cores:4 ~disk_blocks:4096 st in
   let db = stack.Stack.db in
-  let sb = match stack.Stack.sb with Some sb -> sb | None -> assert false in
   let rng = Sky_sim.Rng.create ~seed:0xc4a05 in
   let value () = Sky_sim.Rng.bytes rng 100 in
   for key = 0 to 31 do
@@ -122,9 +117,6 @@ let run_fs ~seed =
      with Sky_core.Retry.Gave_up _ -> incr lost_hard
    done);
   Fault.disable ();
-  let st =
-    match Stack.retry_stats stack with Some s -> s | None -> assert false
-  in
   let fsck = Sky_xv6fs.Fsck.check (Stack.fs stack) ~core:0 in
   {
     s_name = "sqlite-xv6fs";
@@ -163,14 +155,12 @@ let run_web ~seed =
     Sky_net.Web.build ~seed ~cores:4 ~conns:24 ~requests_per_conn:4 ~workers:3
       ~transport:Sky_net.Web.Skybridge ()
   in
-  let sb = match Sky_net.Web.subkernel w with Some sb -> sb | None -> assert false in
+  let { Sky_net.Web.sb; mesh; _ } = Sky_net.Web.sky w in
   (* Arm after build: boot (preload through the FS) runs fault-free. *)
   web_storm seed;
   Sky_net.Web.run w;
   Fault.disable ();
-  let st =
-    match Sky_net.Web.retry_stats w with Some s -> s | None -> assert false
-  in
+  let st = Sky_mesh.Mesh.retry_stats mesh in
   let lg = Sky_net.Web.loadgen w in
   let httpd = Sky_net.Web.httpd w in
   let dropped =

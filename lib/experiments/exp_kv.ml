@@ -8,17 +8,15 @@ open Sky_harness
 
 let lens = [ 16; 64; 256; 1024 ]
 
+(* A 4-core machine and the pipeline over [config]. *)
 let make_pipeline config =
   let machine = Sky_sim.Machine.create ~cores:4 ~mem_mib:128 () in
   let kernel = Kernel.create machine in
-  match config with
-  | Pipeline.Skybridge ->
-    let sb = Sky_core.Subkernel.init kernel in
-    Pipeline.create ~sb kernel config
-  | _ -> Pipeline.create kernel config
+  let sb = if config = Pipeline.Skybridge then Some (Sky_core.Subkernel.init kernel) else None in
+  (machine, Pipeline.create ?sb kernel config)
 
 let latency config ~ops ~len =
-  let p = make_pipeline config in
+  let _, p = make_pipeline config in
   ignore (Pipeline.run p ~core:0 ~ops:(ops / 4) ~len) (* warmup *);
   Pipeline.run p ~core:0 ~ops ~len
 
@@ -27,15 +25,7 @@ let latency config ~ops ~len =
 let run_table1 () =
   let ops = 512 and len = 64 in
   let measure config =
-    let machine = Sky_sim.Machine.create ~cores:4 ~mem_mib:128 () in
-    let kernel = Kernel.create machine in
-    let p =
-      match config with
-      | Pipeline.Skybridge ->
-        let sb = Sky_core.Subkernel.init kernel in
-        Pipeline.create ~sb kernel config
-      | _ -> Pipeline.create kernel config
-    in
+    let machine, p = make_pipeline config in
     ignore (Pipeline.run p ~core:0 ~ops:64 ~len) (* warm *);
     let cpu = Sky_sim.Machine.core machine 0 in
     Sky_sim.Cpu.reset_stats cpu;

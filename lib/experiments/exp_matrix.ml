@@ -61,8 +61,8 @@ let run_storm ~seed =
   let machine = Sky_sim.Machine.create ~cores:4 ~mem_mib:128 () in
   let kernel = Sky_ukernel.Kernel.create machine in
   let sb = Subkernel.init kernel in
-  let p = Sky_kvstore.Pipeline.create ~sb ~resilient:true kernel
-      Sky_kvstore.Pipeline.Skybridge in
+  let st = Sky_core.Retry.create_stats () in
+  let p = Sky_kvstore.Pipeline.create ~sb ~retry:st kernel Sky_kvstore.Pipeline.Skybridge in
   ignore (Sky_kvstore.Pipeline.run p ~core:0 ~ops:16 ~len:64) (* warm, faults off *);
   storm seed;
   let lost_hard = ref 0 in
@@ -73,11 +73,6 @@ let run_storm ~seed =
      with Sky_core.Retry.Gave_up _ -> incr lost_hard
    done);
   Fault.disable ();
-  let st =
-    match Sky_kvstore.Pipeline.retry_stats p with
-    | Some s -> s
-    | None -> assert false
-  in
   let injected =
     List.fold_left (fun a (_, n) -> a + n) 0 (Fault.fired_counts ())
   in

@@ -29,13 +29,13 @@
 
 open Sky_sim
 open Sky_ukernel
-open Sky_blockdev
 open Sky_xv6fs
 open Sky_harness
 module Kv_server = Sky_kvstore.Kv_server
 module Subkernel = Sky_core.Subkernel
 module Retry = Sky_core.Retry
 module Mesh = Sky_mesh.Mesh
+module Graph = Sky_mesh.Service_graph
 module Web = Sky_net.Web
 module Httpd = Sky_net.Httpd
 module Nic = Sky_net.Nic
@@ -92,7 +92,7 @@ let run_mesh ?(seed = default_seed) ?(conns = 24) ?(requests_per_conn = 8)
   let machine = Machine.create ~cores:6 ~mem_mib:128 () in
   let kernel = Kernel.create machine in
   let sb = Subkernel.init ~seed kernel in
-  let mesh = Mesh.create ~seed sb in
+  let mesh = Mesh.create sb in
   (* Backends: blockdev → xv6fs, plus two generations of the KV server
      over one shared store (state survives the hot upgrade). *)
   let kv = Kv_server.create machine in
@@ -101,105 +101,65 @@ let run_mesh ?(seed = default_seed) ?(conns = 24) ?(requests_per_conn = 8)
     incr counter;
     h ~core msg
   in
-  let ramdisk = Ramdisk.create machine ~nblocks:4096 in
-  let raw = Disk.direct kernel ramdisk in
-  Fs.mkfs kernel raw ~core:0 ~size:4096 ~ninodes:64 ();
+  let ramdisk = Fs_tier.format kernel ~blocks:4096 in
   let disk_proc = Kernel.spawn kernel ~name:"blockdev" in
   let fs_proc = Kernel.spawn kernel ~name:"xv6fs" in
   let kv1_proc = Kernel.spawn kernel ~name:"kvstore" in
   let kv2_proc = Kernel.spawn kernel ~name:"kvstore-v2" in
   let worker_procs = Array.init workers (fun _ -> Kernel.spawn kernel ~name:"httpd") in
-  let disk_sid =
-    Subkernel.register_server sb disk_proc ~connection_count:6
-      (Disk.handler kernel ramdisk)
-  in
-  Mesh.register mesh ~core:0 ~uri:"blk://" ~server_id:disk_sid;
-  ignore (Mesh.grant mesh ~core:0 ~client:fs_proc "blk://");
-  let sdisk = Disk.over_skybridge sb ~client:fs_proc ~server_id:disk_sid in
-  let fs_cell = ref (Fs.mount kernel sdisk ~core:0) in
-  let fs_handler ~core msg = Fs_iface.server_handler !fs_cell ~core msg in
-  let fs_sid =
-    Subkernel.register_server sb fs_proc ~connection_count:6 ~deps:[ disk_sid ]
-      fs_handler
-  in
-  let kv1_sid =
-    Subkernel.register_server sb kv1_proc ~connection_count:6
-      (counted kv_v1_calls (Web.kv_backend kernel kv))
+  let graph = Graph.create kernel (Graph.Skybridge (sb, Graph.Mesh mesh)) in
+  let tier = Fs_tier.create graph kernel ramdisk ~disk:disk_proc ~fs:fs_proc in
+  let kv1 =
+    Graph.serve graph ~connections:6 kv1_proc (counted kv_v1_calls (Web.kv_backend kernel kv))
   in
   (* v2 exists from boot but owns no URI until the upgrade commits. *)
-  let kv2_sid =
-    Subkernel.register_server sb kv2_proc ~connection_count:6
-      (counted kv_v2_calls (Web.kv_backend kernel kv))
+  let kv2 =
+    Graph.serve graph ~connections:6 kv2_proc (counted kv_v2_calls (Web.kv_backend kernel kv))
   in
-  Mesh.register mesh ~core:0 ~uri:"fs://" ~server_id:fs_sid;
-  Mesh.register mesh ~core:0 ~uri:"kv://" ~server_id:kv1_sid;
-  let remount () =
-    let rec go n =
-      try fs_cell := Fs.mount kernel sdisk ~core:0 with
-      | Subkernel.Server_crashed { server_id } when n > 0 ->
-        Subkernel.restart_server sb ~server_id;
-        go (n - 1)
-    in
-    go 3
-  in
-  let files = Web.provision_files !fs_cell ~seed in
+  Graph.name graph ~core:0 ~uri:"fs://" (Fs_tier.server tier);
+  Graph.name graph ~core:0 ~uri:"kv://" kv1;
+  let files = Web.provision_files (Fs_tier.fs tier) ~seed in
   let nic = Nic.create kernel ~queues in
   let lg =
     Loadgen.create nic ~seed ~mix:Loadgen.default_mix ~conns ~requests_per_conn
       ~rtt:Web.rtt ~files Loadgen.Closed
   in
-  let kv1_grants = Array.make workers None in
-  let fs_grants = Array.make workers None in
-  let bind i w_proc =
-    kv1_grants.(i) <- Some (Mesh.grant mesh ~core:0 ~client:w_proc "kv://");
-    fs_grants.(i) <- Some (Mesh.grant mesh ~core:0 ~client:w_proc "fs://");
-    let routed ?on_crash uri ~core msg =
-      try Mesh.call_exn mesh ~core ~client:w_proc ?on_crash uri msg
-      with Mesh.Denied _ -> raise Httpd.Denied
-    in
-    Web.binding_of_calls
-      ~call_kv:(routed "kv://")
-      ~call_fs:(routed ~on_crash:(fun _ -> remount ()) "fs://")
-      ~revoke:(fun ~core -> Mesh.suspend_client mesh ~core w_proc)
-      ~rebind:(fun ~core ->
-        ignore core;
-        Mesh.resume_client mesh w_proc)
-  in
   (* No preload and no static-file cache: every Fs_get takes the
      capability-checked backend path, so revocation is actually felt. *)
   let httpd =
     Httpd.create ~preload:[] ~file_cache:false kernel nic
-      ~workers:(Array.mapi (fun i p -> (p, bind i p)) worker_procs)
+      ~workers:
+        (Array.map
+           (fun p -> (p, Web.bind graph kernel ~tier ~kv:kv1 ~deadline:(fun ~core:_ -> None) p))
+           worker_procs)
       ~queue_done:(fun ~queue -> Loadgen.queue_done lg ~queue)
   in
   (* ---- the supervisor's two control-plane events ---- *)
   let expected = conns * requests_per_conn in
   let upgrade_threshold = expected / 3 and revoke_threshold = expected / 2 in
   let upgrade_at = ref 0 and revoke_at = ref 0 and grants_retired = ref 0 in
+  (* The workers' grants on [uri], in worker order. *)
+  let grants_on uri = List.filter (fun g -> Mesh.grant_uri g = uri) (Mesh.grants mesh) in
+  let retire ~core g =
+    Mesh.revoke_grant mesh ~core g;
+    incr grants_retired
+  in
   let do_upgrade ~core =
     (* Make before break: grant v2 to everyone, flip the name, and only
        then tear the v1 capability tree down. *)
-    Mesh.register mesh ~core ~uri:"kv2://" ~server_id:kv2_sid;
+    let v1 = grants_on "kv://" in
+    Graph.name graph ~core ~uri:"kv2://" kv2;
     Array.iter
       (fun p -> ignore (Mesh.grant mesh ~core ~client:p "kv2://"))
       worker_procs;
-    Mesh.register mesh ~core ~uri:"kv://" ~server_id:kv2_sid;
+    Graph.name graph ~core ~uri:"kv://" kv2;
     Mesh.unregister mesh ~core ~uri:"kv2://";
-    Array.iter
-      (function
-        | Some g ->
-          Mesh.revoke_grant mesh ~core g;
-          incr grants_retired
-        | None -> ())
-      kv1_grants;
+    List.iter (retire ~core) v1;
     upgrade_at := Httpd.served httpd
   in
   let do_revoke ~core =
-    (match fs_grants.(workers - 1) with
-    | Some g ->
-      Mesh.revoke_grant mesh ~core g;
-      incr grants_retired
-    | None -> ());
+    let last = worker_procs.(workers - 1).Proc.pid in
+    List.iter (retire ~core) (List.filter (fun g -> Mesh.grant_pid g = last) (grants_on "fs://"));
     revoke_at := Httpd.served httpd
   in
   let sup_state = ref 0 in
@@ -279,7 +239,7 @@ let run_mesh ?(seed = default_seed) ?(conns = 24) ?(requests_per_conn = 8)
     m_graph_added = List.length gdelta.Sky_analysis.Isoflow.added;
     m_graph_removed = List.length gdelta.Sky_analysis.Isoflow.removed;
     m_graph_stale = List.length stale;
-    m_fsck = List.length (Fsck.check !fs_cell ~core:0);
+    m_fsck = List.length (Fsck.check (Fs_tier.fs tier) ~core:0);
     m_elapsed = !elapsed;
     m_tput = Costs.ops_per_sec ~ops:(Loadgen.responses lg) ~cycles:(max 1 !elapsed);
   }

@@ -117,7 +117,7 @@ let saturation ~seed ~workers =
 
 (* ---- phases 2 & 3: the open-loop sweep ---- *)
 
-let point_of ~mult ~mean_gap (o : Web.t) =
+let point_of ~mult ~mean_gap (o : _ Web.t) =
   let ol = Web.loadgen o in
   let httpd = Web.httpd o in
   let offered = Loadgen.offered ol in
@@ -192,9 +192,8 @@ let run_chaos ~seed ~workers ~tenants ~total ~ttl ~queue_cap ~batch_max
   storm ~seed ~total;
   Web.run o;
   Fault.disable ();
-  let st = match Web.retry_stats o with Some s -> s | None -> assert false in
-  let sb = match Web.subkernel o with Some sb -> sb | None -> assert false in
-  let budget = match Web.retry_budget o with Some b -> b | None -> assert false in
+  let { Web.sb; mesh; budget } = Web.sky o in
+  let st = Sky_mesh.Mesh.retry_stats mesh in
   let fsck = Sky_xv6fs.Fsck.check (Web.fs o) ~core:0 in
   {
     c_point = point_of ~mult:2.0 ~mean_gap o;

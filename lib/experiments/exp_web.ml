@@ -72,7 +72,7 @@ let measure ~seed ~cores ~conns ~requests_per_conn ~workers transport =
 let run_curve ?(seed = 42) ?(cores = 16) ?(conns = Web.default_conns)
     ?(requests_per_conn = Web.default_requests_per_conn) () =
   let point workers =
-    let m = measure ~seed ~cores ~conns ~requests_per_conn ~workers in
+    let m transport = measure ~seed ~cores ~conns ~requests_per_conn ~workers transport in
     { p_workers = workers; p_sky = m Web.Skybridge; p_ipc = m Web.Ipc_slowpath }
   in
   {

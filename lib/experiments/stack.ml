@@ -9,117 +9,51 @@
       FS, so its EPT rides in every client's EPTP list. *)
 
 open Sky_ukernel
-open Sky_blockdev
 open Sky_xv6fs
+module Graph = Sky_mesh.Service_graph
 
 type transport = Ipc of { st : bool } | Skybridge
-
-let transport_name = function
-  | Ipc { st = true } -> "ST-Server"
-  | Ipc { st = false } -> "MT-Server"
-  | Skybridge -> "SkyBridge"
 
 type t = {
   machine : Sky_sim.Machine.t;
   kernel : Kernel.t;
   client : Proc.t;
-  fs_cell : Fs.t ref;  (** server-side handle; {!remount} swaps it *)
-  iface : Fs_iface.t;  (** client-side view over the transport *)
+  tier : Fs_tier.t;
   db : Sky_sqldb.Db.t;
-  sb : Sky_core.Subkernel.t option;
-  ramdisk : Ramdisk.t;
-  rstats : Sky_core.Retry.stats option;
-  remount : (unit -> unit) option;  (** Skybridge: remount after a crash *)
 }
 
-let fs t = !(t.fs_cell)
-let retry_stats t = t.rstats
+let fs t = Fs_tier.fs t.tier
 
-let fs_server_core = 1
-let disk_server_core = 2
-
-let build ?(variant = Config.Sel4) ?(kpti = false) ?(cores = 8)
-    ?(disk_blocks = 16384) ?(value_size = 100) ?(resilient = false) ~transport
-    () =
+(* The transport [link kernel] returns is made after the spawns: a
+   subkernel's boot allocates frames. *)
+let assemble ~variant ~cores ~disk_blocks link =
   let machine = Sky_sim.Machine.create ~cores ~mem_mib:128 () in
-  let config = { (Config.default variant) with Config.kpti } in
-  let kernel = Kernel.create ~config machine in
-  let ramdisk = Ramdisk.create machine ~nblocks:disk_blocks in
-  let raw = Disk.direct kernel ramdisk in
-  Fs.mkfs kernel raw ~core:0 ~size:disk_blocks ~ninodes:64 ();
+  let kernel = Kernel.create ~config:(Config.default variant) machine in
+  let ramdisk = Fs_tier.format kernel ~blocks:disk_blocks in
   let client = Kernel.spawn kernel ~name:"client" in
-  let fs_proc = Kernel.spawn kernel ~name:"xv6fs" in
-  let disk_proc = Kernel.spawn kernel ~name:"blockdev" in
-  let rstats =
-    if resilient then Some (Sky_core.Retry.create_stats ()) else None
-  in
-  let sb, iface, fs_cell, remount =
-    match transport with
-    | Ipc { st } ->
-      let ipc = Sky_kernels.Ipc.create kernel in
-      let disk_ep =
-        Sky_kernels.Ipc.register ipc disk_proc
-          ~cores:(if st then [ disk_server_core ] else [])
-          (Disk.handler kernel ramdisk)
-      in
-      let fs =
-        Fs.mount kernel (Disk.over_ipc ipc ~client:fs_proc disk_ep) ~core:0
-      in
-      let fs_ep =
-        Sky_kernels.Ipc.register ipc fs_proc
-          ~cores:(if st then [ fs_server_core ] else [])
-          (Fs_iface.server_handler fs)
-      in
-      ( None,
-        Fs_iface.over_call (fun ~core msg ->
-            Sky_kernels.Ipc.call ipc ~core ~client fs_ep msg),
-        ref fs,
-        None )
-    | Skybridge ->
-      let sb = Sky_core.Subkernel.init kernel in
-      let disk_sid =
-        Sky_core.Subkernel.register_server sb disk_proc
-          ~connection_count:cores (Disk.handler kernel ramdisk)
-      in
-      Sky_core.Subkernel.register_client_to_server sb fs_proc ~server_id:disk_sid;
-      let sdisk = Disk.over_skybridge sb ~client:fs_proc ~server_id:disk_sid in
-      let fs_cell = ref (Fs.mount kernel sdisk ~core:0) in
-      (* Handler indirection: a crash-recovery remount swaps the Fs.t
-         (running log recovery off the surviving ramdisk) without
-         re-registering the server. *)
-      let fs_handler ~core msg = Fs_iface.server_handler !fs_cell ~core msg in
-      let fs_sid =
-        Sky_core.Subkernel.register_server sb fs_proc ~connection_count:cores
-          ~deps:[ disk_sid ] fs_handler
-      in
-      Sky_core.Subkernel.register_client_to_server sb client ~server_id:fs_sid;
-      let remount () =
-        let rec go n =
-          try fs_cell := Fs.mount kernel sdisk ~core:0 with
-          | Sky_core.Subkernel.Server_crashed { server_id } when n > 0 ->
-            Sky_core.Subkernel.restart_server sb ~server_id;
-            go (n - 1)
-        in
-        go 3
-      in
-      let call =
-        if resilient then fun ~core msg ->
-          (* Any crash along the chain (FS or disk) invalidates the FS's
-             in-memory state: remount after the restart, which replays
-             or rolls back the on-disk log — each FS op stays atomic, so
-             the retried op re-applies cleanly. *)
-          Sky_core.Retry.call ?stats:rstats
-            ~on_crash:(fun _ -> remount ())
-            sb ~core ~client ~server_id:fs_sid msg
-        else fun ~core msg ->
-          Sky_core.Subkernel.direct_server_call sb ~core ~client
-            ~server_id:fs_sid msg
-      in
-      (Some sb, Fs_iface.over_call call, fs_cell, Some remount)
-  in
+  let fs = Kernel.spawn kernel ~name:"xv6fs" in
+  let disk = Kernel.spawn kernel ~name:"blockdev" in
+  let handles, transport = link kernel in
+  let graph = Graph.create kernel transport in
+  let tier = Fs_tier.create graph kernel ramdisk ~disk ~fs in
+  let call = Graph.edge graph ~on_crash:(Fs_tier.on_crash tier) ~client (Fs_tier.server tier) in
   Kernel.context_switch kernel ~core:0 client;
-  let db = Sky_sqldb.Db.create kernel iface ~core:0 ~name:"sqlite3" ~value_size in
-  { machine; kernel; client; fs_cell; iface; db; sb; ramdisk; rstats; remount }
+  let db =
+    Sky_sqldb.Db.create kernel (Fs_iface.over_call call) ~core:0 ~name:"sqlite3" ~value_size:100
+  in
+  ({ machine; kernel; client; tier; db }, handles)
+
+let build ?(variant = Config.Sel4) ?(cores = 8) ?(disk_blocks = 16384) ~transport () =
+  fst
+    (assemble ~variant ~cores ~disk_blocks (fun kernel ->
+         match transport with
+         | Ipc { st } -> ((), Graph.Ipc { pinned = st })
+         | Skybridge -> ((), Graph.Skybridge (Sky_core.Subkernel.init kernel, Graph.Flat))))
+
+let build_resilient ~cores ~disk_blocks stats =
+  assemble ~variant:Config.Sel4 ~cores ~disk_blocks (fun kernel ->
+      let sb = Sky_core.Subkernel.init kernel in
+      (sb, Graph.Skybridge (sb, Graph.Retry stats)))
 
 (* Make the client current on the cores a multi-threaded run will use. *)
 let spread_client t ~threads =

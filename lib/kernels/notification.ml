@@ -120,8 +120,10 @@ let rec wait_rounds t ~core cpu ~poll n =
       wait_rounds t ~core cpu ~poll (n - 1)
     end
 
-let wait_blocking ?(poll = 200) ?(polls = 1) t ~core =
-  wait_rounds t ~core (Kernel.cpu t.kernel ~core) ~poll polls
+let poll_cycles = 200 (* per polling round of [wait_blocking] *)
+
+let wait_blocking ?(polls = 1) t ~core =
+  wait_rounds t ~core (Kernel.cpu t.kernel ~core) ~poll:poll_cycles polls
 
 let signals t = t.signals
 let waits t = t.waits

@@ -1,19 +1,9 @@
-(** The three-process KV pipeline of Figure 1 (client → encryption
-    server → KV store), wired over every interconnect the paper
-    measures:
-
-    - [Baseline]: all three components in one address space, function
-      calls (Figure 2's lower bound);
-    - [Delay]: function calls plus a busy-wait equal to the direct cost
-      of an IPC roundtrip (986 cycles per server call) — isolates the
-      *indirect* cost of IPC, which is the gap left between [Delay] and
-      [Ipc];
-    - [Ipc_local] / [Ipc_cross]: separate processes over the kernel's
-      synchronous IPC, servers co-located or pinned to other cores;
-    - [Skybridge]: separate processes over [direct_server_call]. *)
+(* The three-process KV pipeline of Figure 1 over every interconnect of
+   Figures 2/8; pipeline.mli describes the five configurations. *)
 
 open Sky_sim
 open Sky_ukernel
+module Graph = Sky_mesh.Service_graph
 
 type config = Baseline | Delay | Ipc_local | Ipc_cross | Skybridge
 
@@ -49,7 +39,6 @@ let enc_handler rc4 kernel : Sky_kernels.Ipc.handler =
 type t = {
   kernel : Kernel.t;
   config : config;
-  client : Proc.t;
   call_enc : core:int -> bytes -> bytes;
   call_kv : core:int -> bytes -> bytes;
   buf_va : int;  (** client-side scratch where requests are composed *)
@@ -58,10 +47,9 @@ type t = {
   rng : Rng.t;
   mutable live_keys : (string * bytes) list;  (** (key, plaintext value) *)
   mutable ops : int;
-  rstats : Sky_core.Retry.stats option;
 }
 
-let create ?sb ?ipc ?mesh ?(resilient = false) kernel config =
+let create ?sb ?mesh ?retry kernel config =
   let machine = kernel.Kernel.machine in
   let rc4 = Rc4.create machine ~key:"skybridge-pipeline" in
   let kv = Kv_server.create machine in
@@ -81,109 +69,62 @@ let create ?sb ?ipc ?mesh ?(resilient = false) kernel config =
     touch_text kernel ~core kv_text_pa server_text;
     kv_h0 ~core msg
   in
-  let rstats =
-    if resilient then Some (Sky_core.Retry.create_stats ()) else None
+  let client, enc_proc, kv_proc =
+    match config with
+    | Baseline | Delay ->
+      let app = Kernel.spawn kernel ~name:"kv-app" in
+      (app, app, app)
+    | Ipc_local | Ipc_cross | Skybridge ->
+      let client = Kernel.spawn kernel ~name:"client" in
+      let enc_proc = Kernel.spawn kernel ~name:"enc-server" in
+      (client, enc_proc, Kernel.spawn kernel ~name:"kv-server")
   in
-  let finish client call_enc call_kv =
-    let buf_va = Kernel.map_anon kernel client 4096 in
-    let ws_va = Kernel.map_anon kernel client 16384 in
-    Kernel.context_switch kernel ~core:0 client;
-    Sky_mmu.Vcpu.set_mode (Kernel.vcpu kernel ~core:0) Sky_mmu.Vcpu.User;
-    {
-      kernel;
-      config;
-      client;
-      call_enc;
-      call_kv;
-      buf_va;
-      ws_va;
-      client_text_pa;
-      rng = Rng.create ~seed:0x6b76;
-      live_keys = [];
-      ops = 0;
-      rstats;
-    }
+  let transport =
+    match config with
+    | Baseline -> Graph.Call { delay = 0 }
+    | Delay -> Graph.Call { delay = direct_ipc_roundtrip }
+    | Ipc_local -> Graph.Ipc { pinned = false }
+    | Ipc_cross -> Graph.Ipc { pinned = true }
+    | Skybridge -> (
+      let sb =
+        match sb with
+        | Some sb -> sb
+        | None -> invalid_arg "Pipeline.create: Skybridge requires ~sb"
+      in
+      (* With a mesh the servers are named [enc://] and [kv://] and the
+         client calls by URI under capability-granted bindings (the
+         service-mesh wiring of the composed scenarios); the flat wiring
+         is kept for the pinned Figure 2/8 measurements. A retry census
+         wraps every call in bounded retry with exponential backoff:
+         RC4 is stateless per message and KV insert is idempotent. *)
+      match (mesh, retry) with
+      | Some m, _ -> Graph.Skybridge (sb, Graph.Mesh m)
+      | None, Some st -> Graph.Skybridge (sb, Graph.Retry st)
+      | None, None -> Graph.Skybridge (sb, Graph.Flat))
   in
-  match config with
-  | Baseline | Delay ->
-    let app = Kernel.spawn kernel ~name:"kv-app" in
-    let delay ~core =
-      if config = Delay then
-        Cpu.charge (Kernel.cpu kernel ~core) direct_ipc_roundtrip
-    in
-    finish app
-      (fun ~core msg ->
-        delay ~core;
-        enc_h ~core msg)
-      (fun ~core msg ->
-        delay ~core;
-        kv_h ~core msg)
-  | Ipc_local | Ipc_cross ->
-    let ipc =
-      match ipc with Some i -> i | None -> Sky_kernels.Ipc.create kernel
-    in
-    let client = Kernel.spawn kernel ~name:"client" in
-    let enc_proc = Kernel.spawn kernel ~name:"enc-server" in
-    let kv_proc = Kernel.spawn kernel ~name:"kv-server" in
-    let cores_enc, cores_kv =
-      if config = Ipc_cross then ([ 1 ], [ 2 ]) else ([], [])
-    in
-    let enc_ep = Sky_kernels.Ipc.register ipc enc_proc ~cores:cores_enc enc_h in
-    let kv_ep = Sky_kernels.Ipc.register ipc kv_proc ~cores:cores_kv kv_h in
-    finish client
-      (fun ~core msg -> Sky_kernels.Ipc.call ipc ~core ~client enc_ep msg)
-      (fun ~core msg -> Sky_kernels.Ipc.call ipc ~core ~client kv_ep msg)
-  | Skybridge ->
-    let sb =
-      match sb with
-      | Some sb -> sb
-      | None -> invalid_arg "Pipeline.create: Skybridge requires ~sb"
-    in
-    let client = Kernel.spawn kernel ~name:"client" in
-    let enc_proc = Kernel.spawn kernel ~name:"enc-server" in
-    let kv_proc = Kernel.spawn kernel ~name:"kv-server" in
-    let enc_sid = Sky_core.Subkernel.register_server sb enc_proc enc_h in
-    let kv_sid = Sky_core.Subkernel.register_server sb kv_proc kv_h in
-    (match mesh with
-    | Some m ->
-      (* URI addressing: servers register with the name service and the
-         client is capability-granted (which also binds it); every call
-         resolves [enc://] / [kv://] through the per-core cache. *)
-      let module Mesh = Sky_mesh.Mesh in
-      Mesh.register m ~core:0 ~uri:"enc://" ~server_id:enc_sid;
-      Mesh.register m ~core:0 ~uri:"kv://" ~server_id:kv_sid;
-      ignore (Mesh.grant m ~core:0 ~client "enc://");
-      ignore (Mesh.grant m ~core:0 ~client "kv://")
-    | None ->
-      Sky_core.Subkernel.register_client_to_server sb client ~server_id:enc_sid;
-      Sky_core.Subkernel.register_client_to_server sb client ~server_id:kv_sid);
-    (match mesh with
-    | Some m ->
-      let module Mesh = Sky_mesh.Mesh in
-      finish client
-        (fun ~core msg -> Mesh.call_exn m ~core ~client "enc://" msg)
-        (fun ~core msg -> Mesh.call_exn m ~core ~client "kv://" msg)
-    | None ->
-    if resilient then
-      (* Bounded retry + exponential backoff around the recovery-aware
-         call: crashed servers are restarted, revoked bindings degrade
-         to the slowpath. Safe to retry: RC4 is stateless per message
-         and KV insert is idempotent. *)
-      finish client
-        (fun ~core msg ->
-          Sky_core.Retry.call ?stats:rstats sb ~core ~client
-            ~server_id:enc_sid msg)
-        (fun ~core msg ->
-          Sky_core.Retry.call ?stats:rstats sb ~core ~client ~server_id:kv_sid
-            msg)
-    else
-      finish client
-        (fun ~core msg ->
-          Sky_core.Subkernel.direct_server_call sb ~core ~client
-            ~server_id:enc_sid msg)
-        (fun ~core msg ->
-          Sky_core.Subkernel.direct_server_call sb ~core ~client
-            ~server_id:kv_sid msg))
+  let g = Graph.create kernel transport in
+  let enc = Graph.serve g ~core:1 enc_proc enc_h in
+  let kv = Graph.serve g ~core:2 kv_proc kv_h in
+  Graph.name g ~core:0 ~uri:"enc://" enc;
+  Graph.name g ~core:0 ~uri:"kv://" kv;
+  let call_enc = Graph.edge g ~client enc in
+  let call_kv = Graph.edge g ~client kv in
+  let buf_va = Kernel.map_anon kernel client 4096 in
+  let ws_va = Kernel.map_anon kernel client 16384 in
+  Kernel.context_switch kernel ~core:0 client;
+  Sky_mmu.Vcpu.set_mode (Kernel.vcpu kernel ~core:0) Sky_mmu.Vcpu.User;
+  {
+    kernel;
+    config;
+    call_enc;
+    call_kv;
+    buf_va;
+    ws_va;
+    client_text_pa;
+    rng = Rng.create ~seed:0x6b76;
+    live_keys = [];
+    ops = 0;
+  }
 
 (* ---- client operations ---- *)
 
@@ -260,4 +201,3 @@ let run t ~core ~ops ~len =
   done;
   (Cpu.cycles cpu - start) / ops
 
-let retry_stats t = t.rstats

@@ -17,26 +17,22 @@ type t
 
 val create :
   ?sb:Sky_core.Subkernel.t ->
-  ?ipc:Sky_kernels.Ipc.t ->
   ?mesh:Sky_mesh.Mesh.t ->
-  ?resilient:bool ->
+  ?retry:Sky_core.Retry.stats ->
   Sky_ukernel.Kernel.t ->
   config ->
   t
-(** Builds the processes, servers and client-side working sets.
-    [Skybridge] requires [~sb]; the IPC configs create their own
-    {!Sky_kernels.Ipc.t} unless one is passed. With [resilient] (default
-    false) the Skybridge client wraps every server call in
-    {!Sky_core.Retry.call}: bounded retry with exponential backoff,
-    server restart on crash, slowpath degradation on revocation. With
-    [mesh] the Skybridge servers register as [enc://] and [kv://] with
-    the name service and the client calls by URI under
+(** Spawns the processes, then declares the two servers and the client's
+    edges in one {!Sky_mesh.Service_graph} over the config's transport
+    ([Ipc_cross] pins the encryption server to core 1 and the store to
+    core 2). [Skybridge] requires [~sb]. With [retry] the client wraps
+    every server call in {!Sky_core.Retry.call}, counted in that census:
+    bounded retry with exponential backoff, server restart on crash,
+    slowpath degradation on revocation. With [mesh] the servers are
+    named [enc://] and [kv://] and the client calls by URI under
     capability-granted bindings — the service-mesh wiring of the
     composed scenarios (the default flat wiring is kept for the pinned
     Figure 2/8 measurements). *)
-
-val retry_stats : t -> Sky_core.Retry.stats option
-(** The shared retry census when built with [~resilient:true]. *)
 
 val insert : t -> core:int -> len:int -> unit
 (** One insert: compose a [len]-byte key and value, encrypt via the

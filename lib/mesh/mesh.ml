@@ -68,7 +68,6 @@ type t = {
   mutable resolves : int;  (** wire round trips to the name service *)
   mutable cache_hits : int;
   mutable denials : int;
-  mutable registrations : int;
 }
 
 (* ---- name-service wire protocol ---- *)
@@ -116,7 +115,6 @@ let ns_handler t : Sky_kernels.Ipc.handler =
     let sid = Int32.to_int (Bytes.get_int32_le msg 1) in
     let scheme = Bytes.sub_string msg 5 (Bytes.length msg - 5) in
     Hashtbl.replace t.table scheme sid;
-    t.registrations <- t.registrations + 1;
     invalidate t;
     Sky_trace.Trace.instant ~core ~cat:"mesh" "mesh.register";
     ok_reply ()
@@ -183,8 +181,7 @@ let connect t client =
 
 (* ---- construction ---- *)
 
-let create ?(seed = 0) ?retry_budget sb =
-  ignore seed;
+let create ?retry_budget sb =
   let kernel = Subkernel.kernel sb in
   let cores = Machine.n_cores kernel.Kernel.machine in
   let ns_proc = Kernel.spawn kernel ~name:"nameserv" in
@@ -208,7 +205,6 @@ let create ?(seed = 0) ?retry_budget sb =
       resolves = 0;
       cache_hits = 0;
       denials = 0;
-      registrations = 0;
     }
   in
   t.ns_sid <-
@@ -451,7 +447,4 @@ let epoch t = t.epoch
 let resolves t = t.resolves
 let cache_hits t = t.cache_hits
 let denials t = t.denials
-let registrations t = t.registrations
 let retry_stats t = Option.get t.rstats
-let registry t = t.caps
-let name_server_id t = t.ns_sid

@@ -35,7 +35,7 @@ exception Denied of { uri : string; pid : int }
 
 val fault_site : string
 
-val create : ?seed:int -> ?retry_budget:Sky_core.Retry.budget -> Sky_core.Subkernel.t -> t
+val create : ?retry_budget:Sky_core.Retry.budget -> Sky_core.Subkernel.t -> t
 (** Spawns and registers the ["nameserv"] server (one connection per
     core) and the mesh's privileged ["meshd"] admin client, and
     subscribes to {!Sky_core.Subkernel.on_binding_change} so crash /
@@ -155,11 +155,5 @@ val resolves : t -> int
 
 val cache_hits : t -> int
 val denials : t -> int
-val registrations : t -> int
 val retry_stats : t -> Sky_core.Retry.stats
-val registry : t -> Sky_ukernel.Capability.registry
-val name_server_id : t -> int
 
-val cache_hit_cycles : int
-val cap_check_cycles : int
-val ns_lookup_cycles : int

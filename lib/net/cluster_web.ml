@@ -22,18 +22,18 @@
 
 open Sky_sim
 
-type shard = {
+type 'h shard = {
   sh_id : int;
   sh_seed : int;
   sh_scope : Scopes.t;
-  sh_web : Web.t;
+  sh_web : 'h Web.t;
   mutable sh_session : Web.session option;
   mutable sh_gossip : (int * int) list;
       (** (boundary, cluster served total), newest first *)
 }
 
-type t = {
-  cl_shards : shard array;
+type 'h t = {
+  cl_shards : 'h shard array;
   cl_quantum : int;
   mutable cl_quanta : int;
 }

@@ -9,7 +9,7 @@
     canonical string; digest equality between engines is the
     determinism gate. *)
 
-type t
+type 'h t
 
 val build :
   ?seed:int ->
@@ -19,19 +19,19 @@ val build :
   ?prepare:(shard:int -> unit) ->
   shards:int ->
   workers:int ->
-  transport:Web.transport ->
+  transport:'h Web.transport ->
   unit ->
-  t
+  'h t
 (** Build [shards] independent stacks of [workers] cores each, seeded
     distinctly from [seed]. [prepare] runs once per shard {e inside}
     its scope bundle — the hook for arming per-shard fault storms or
     enabling tracing. *)
 
-val run : t -> Sky_sim.Quantum.engine -> int
+val run : _ t -> Sky_sim.Quantum.engine -> int
 (** Drive every shard to completion under the given engine; returns the
     number of quanta executed. *)
 
-val digest : ?gossip:bool -> t -> string
+val digest : ?gossip:bool -> _ t -> string
 (** Canonical rendering of all shard worlds: per-core clocks, PMU
     vectors, cache footprints, serving counters, latency percentiles,
     fired faults, trace-stream hash, gossip log. Two runs of the same
@@ -39,14 +39,14 @@ val digest : ?gossip:bool -> t -> string
     [~gossip:false] omits the gossip log (which intentionally depends
     on the quantum size), for comparisons across different quanta. *)
 
-val n_shards : t -> int
-val quanta : t -> int
-val served : t -> int
-val errors : t -> int
+val n_shards : _ t -> int
+val quanta : _ t -> int
+val served : _ t -> int
+val errors : _ t -> int
 
-val max_cycles : t -> int
+val max_cycles : _ t -> int
 (** Furthest-ahead core clock across all shards — the cluster's virtual
     elapsed time. *)
 
-val shard_scope : t -> int -> Sky_sim.Scopes.t
-val shard_web : t -> int -> Web.t
+val shard_scope : _ t -> int -> Sky_sim.Scopes.t
+val shard_web : 'h t -> int -> 'h Web.t

@@ -9,9 +9,10 @@
 
     Worker [i] is pinned to core [i]; backend handlers run on the
     calling worker's core in the server's address space, exactly as a
-    direct server call (or local IPC) executes them. All worker calls go
-    through {!Sky_core.Retry.call} on the SkyBridge path, so backend
-    crashes injected by the chaos experiment recover transparently.
+    direct server call (or local IPC) executes them. Backends and edges
+    are declared in one {!Sky_mesh.Service_graph}; on the SkyBridge path
+    every worker call rides the mesh's {!Sky_core.Retry.call}, so
+    injected backend crashes recover transparently.
 
     One record, one assembly and one run loop serve both arrival
     processes of {!Loadgen}. Under [Closed] arrivals the workers alone
@@ -24,20 +25,16 @@
 
 open Sky_sim
 open Sky_ukernel
-open Sky_blockdev
 open Sky_xv6fs
 module Kv_server = Sky_kvstore.Kv_server
 module Kv_wire = Sky_kvstore.Kv_wire
 module Subkernel = Sky_core.Subkernel
 module Retry = Sky_core.Retry
-module Ipc = Sky_kernels.Ipc
 module Mesh = Sky_mesh.Mesh
+module Graph = Sky_mesh.Service_graph
 
-type transport = Ipc_slowpath | Skybridge
-
-let transport_name = function
-  | Ipc_slowpath -> "slowpath-IPC"
-  | Skybridge -> "SkyBridge"
+type sky = { sb : Subkernel.t; mesh : Mesh.t; budget : Retry.budget }
+type _ transport = Ipc_slowpath : unit transport | Skybridge : sky transport
 
 let default_conns = 120
 let default_requests_per_conn = 8
@@ -48,7 +45,7 @@ let backend_text = 6 * 1024 (* KV server instruction working set *)
 let disk_blocks = 4096
 let keys_per_tenant = 4
 
-type t = {
+type 'h t = {
   o_machine : Machine.t;
   o_kernel : Kernel.t;
   o_workers : int;
@@ -61,10 +58,12 @@ type t = {
   o_budget : Retry.budget option;
   o_worker_procs : Proc.t array;
   o_fs_cell : Fs.t ref;
+  o_tier : Fs_tier.t;
+  o_sky : 'h;
   mutable o_elapsed : int;  (** busiest worker core's cycles across {!run} *)
 }
 
-type open_t = t
+type 'h open_t = 'h t
 
 (* Allocate the KV server's instruction working set and serve the
    store's wire protocol behind it — shared with the composed mesh
@@ -81,7 +80,7 @@ let kv_backend kernel kv =
       ~len:backend_text;
     serve ~core msg
 
-(* ---- typed worker bindings over either transport ---- *)
+(* ---- a worker's typed binding over the graph's edges ---- *)
 
 let fs_read_of iface ~core ~name =
   match iface.Fs_iface.lookup ~core name with
@@ -90,8 +89,32 @@ let fs_read_of iface ~core ~name =
     let len = iface.Fs_iface.size ~core inum in
     Some (iface.Fs_iface.read ~core ~inum ~off:0 ~len)
 
-let binding_of_calls ~call_kv ~call_fs ~revoke ~rebind =
-  let iface = Fs_iface.over_call call_fs in
+let bind graph kernel ~tier ~kv ~deadline w =
+  (* The live request's remaining budget becomes the backend call's
+     timeout; a spent one sheds as 503 via [Httpd.Expired]. A revoked
+     capability bounces the request to a privileged peer via
+     [Httpd.Denied] instead of killing the worker. *)
+  let timeout ~core =
+    match deadline ~core with
+    | None -> None
+    | Some d ->
+      let now = Cpu.cycles (Kernel.cpu kernel ~core) in
+      if d <= now then raise Httpd.Expired else Some (d - now)
+  in
+  let routed call ~core msg =
+    match call ~core msg with
+    | r -> r
+    | exception Mesh.Denied _ -> raise Httpd.Denied
+    | exception Retry.Gave_up _ when deadline ~core <> None -> raise Httpd.Expired
+  in
+  let call_kv = routed (Graph.edge graph ~timeout ~client:w kv) in
+  let iface =
+    Fs_iface.over_call
+      (routed
+         (Graph.edge graph ~on_crash:(Fs_tier.on_crash tier) ~timeout ~client:w
+            (Fs_tier.server tier)))
+  in
+  let mesh = Graph.mesh graph in
   {
     Httpd.kv_put =
       (fun ~core ~key ~value ->
@@ -104,8 +127,8 @@ let binding_of_calls ~call_kv ~call_fs ~revoke ~rebind =
         if Bytes.length r = 0 then None else Some r);
     fs_read = (fun ~core ~name -> fs_read_of iface ~core ~name);
     kv_batch = (fun ~core ops -> Kv_wire.batch_replies (call_kv ~core (Kv_wire.batch_msg ops)));
-    revoke;
-    rebind;
+    revoke = (fun ~core -> match mesh with Some m -> Mesh.suspend_client m ~core w | None -> ());
+    rebind = (fun ~core:_ -> match mesh with Some m -> Mesh.resume_client m w | None -> ());
   }
 
 (* Provision the FS objects the load mix reads: deterministic printable
@@ -127,110 +150,43 @@ let provision_files fs ~seed =
 
 (* ---- the one assembly ---- *)
 
-let assemble ~seed ~cores ~conns ~requests_per_conn ~admission ~workers ~transport
-    arrivals =
+let assemble (type h) ~seed ~cores ~conns ~requests_per_conn ~admission ~workers
+    ~(transport : h transport) arrivals : h t =
   if workers < 1 || workers > cores then
     invalid_arg "Web.build: workers must be in [1, cores]";
-  let pump = match arrivals with Loadgen.Open _ -> true | Loadgen.Closed -> false in
-  let budget = if pump then Some (Retry.budget ~seed ()) else None in
+  (* The retry budget bounds the mesh's recovery retries under open
+     arrivals only. *)
+  let budget = Retry.budget ~seed in
+  let o_budget = match arrivals with Loadgen.Open _ -> Some budget | Loadgen.Closed -> None in
   let machine = Machine.create ~cores ~mem_mib:128 () in
   let kernel = Kernel.create ~config:(Config.default Config.Sel4) machine in
   (* Backends: KV store + xv6fs over a RAM disk. *)
   let kv = Kv_server.create machine in
   let kv_h = kv_backend kernel kv in
-  let ramdisk = Ramdisk.create machine ~nblocks:disk_blocks in
-  let raw = Disk.direct kernel ramdisk in
-  Fs.mkfs kernel raw ~core:0 ~size:disk_blocks ~ninodes:64 ();
+  let ramdisk = Fs_tier.format kernel ~blocks:disk_blocks in
   let kv_proc = Kernel.spawn kernel ~name:"kvstore" in
   let fs_proc = Kernel.spawn kernel ~name:"xv6fs" in
   let disk_proc = Kernel.spawn kernel ~name:"blockdev" in
   let worker_procs = Array.init workers (fun _ -> Kernel.spawn kernel ~name:"httpd") in
-  (* Set to the httpd's live deadline once it exists: the SkyBridge
-     bindings propagate the remaining request budget as a backend call
-     timeout. *)
-  let deadline = ref (fun ~core:_ -> None) in
-  let sb, mesh, fs_cell, bind =
+  let (sky : h), o_sb, link =
     match transport with
     | Skybridge ->
+      (* URI addressing through the mesh: servers are named by scheme,
+         workers are granted capabilities and call by URI — no flat sid
+         plumbing reaches the worker bindings. *)
       let sb = Subkernel.init ~seed kernel in
-      (* URI addressing through the mesh: servers register under their
-         scheme, workers are granted capabilities and call by URI — no
-         flat sid plumbing reaches the worker bindings. *)
-      let mesh = Mesh.create ~seed ?retry_budget:budget sb in
-      let disk_sid =
-        Subkernel.register_server sb disk_proc ~connection_count:cores
-          (Disk.handler kernel ramdisk)
-      in
-      Mesh.register mesh ~core:0 ~uri:"blk://" ~server_id:disk_sid;
-      ignore (Mesh.grant mesh ~core:0 ~client:fs_proc "blk://");
-      let sdisk = Disk.over_skybridge sb ~client:fs_proc ~server_id:disk_sid in
-      let fs_cell = ref (Fs.mount kernel sdisk ~core:0) in
-      (* Handler indirection so a crash-recovery remount swaps the Fs.t
-         without re-registering the server (same trick as the SQLite
-         stack). *)
-      let fs_handler ~core msg = Fs_iface.server_handler !fs_cell ~core msg in
-      let fs_sid =
-        Subkernel.register_server sb fs_proc ~connection_count:cores
-          ~deps:[ disk_sid ] fs_handler
-      in
-      let kv_sid = Subkernel.register_server sb kv_proc ~connection_count:cores kv_h in
-      Mesh.register mesh ~core:0 ~uri:"fs://" ~server_id:fs_sid;
-      Mesh.register mesh ~core:0 ~uri:"kv://" ~server_id:kv_sid;
-      let remount () =
-        let rec go n =
-          try fs_cell := Fs.mount kernel sdisk ~core:0 with
-          | Subkernel.Server_crashed { server_id } when n > 0 ->
-            Subkernel.restart_server sb ~server_id;
-            go (n - 1)
-        in
-        go 3
-      in
-      let bind w_proc =
-        ignore (Mesh.grant mesh ~core:0 ~client:w_proc "kv://");
-        ignore (Mesh.grant mesh ~core:0 ~client:w_proc "fs://");
-        (* The routed call: deadline-aware (the live request's remaining
-           budget becomes the backend timeout; an exhausted budget sheds
-           as 503 via [Httpd.Expired]) and denial-aware (a revoked
-           capability bounces the request to a privileged peer via
-           [Httpd.Denied] instead of killing the worker). *)
-        let routed ?on_crash uri ~core msg =
-          let timeout =
-            match !deadline ~core with
-            | None -> None
-            | Some d ->
-              let now = Cpu.cycles (Kernel.cpu kernel ~core) in
-              if d <= now then raise Httpd.Expired else Some (d - now)
-          in
-          match Mesh.call_exn mesh ~core ~client:w_proc ?on_crash ?timeout uri msg with
-          | r -> r
-          | exception Mesh.Denied _ -> raise Httpd.Denied
-          | exception Retry.Gave_up _ when timeout <> None -> raise Httpd.Expired
-        in
-        binding_of_calls
-          ~call_kv:(routed "kv://")
-          ~call_fs:(routed ~on_crash:(fun _ -> remount ()) "fs://")
-          ~revoke:(fun ~core -> Mesh.suspend_client mesh ~core w_proc)
-          ~rebind:(fun ~core ->
-            ignore core;
-            Mesh.resume_client mesh w_proc)
-      in
-      (Some sb, Some mesh, fs_cell, bind)
-    | Ipc_slowpath ->
-      let ipc = Ipc.create kernel in
-      let disk_ep = Ipc.register ipc disk_proc ~cores:[] (Disk.handler kernel ramdisk) in
-      let fs = Fs.mount kernel (Disk.over_ipc ipc ~client:fs_proc disk_ep) ~core:0 in
-      let fs_ep = Ipc.register ipc fs_proc ~cores:[] (Fs_iface.server_handler fs) in
-      let kv_ep = Ipc.register ipc kv_proc ~cores:[] kv_h in
-      let bind w_proc =
-        binding_of_calls
-          ~call_kv:(fun ~core msg -> Ipc.call ipc ~core ~client:w_proc kv_ep msg)
-          ~call_fs:(fun ~core msg -> Ipc.call ipc ~core ~client:w_proc fs_ep msg)
-          ~revoke:(fun ~core -> ignore core)
-          ~rebind:(fun ~core -> ignore core)
-      in
-      (None, None, ref fs, bind)
+      let mesh = Mesh.create ?retry_budget:o_budget sb in
+      ({ sb; mesh; budget }, Some sb, Graph.Skybridge (sb, Graph.Mesh mesh))
+    | Ipc_slowpath -> ((), None, Graph.Ipc { pinned = false })
   in
-  let files = provision_files !fs_cell ~seed in
+  let graph = Graph.create kernel link in
+  let tier = Fs_tier.create graph kernel ramdisk ~disk:disk_proc ~fs:fs_proc in
+  let kv_server = Graph.serve graph ~connections:cores kv_proc kv_h in
+  Graph.name graph ~core:0 ~uri:"fs://" (Fs_tier.server tier);
+  Graph.name graph ~core:0 ~uri:"kv://" kv_server;
+  (* Set to the httpd's live deadline once it exists. *)
+  let deadline = ref (fun ~core:_ -> None) in
+  let files = provision_files (Fs_tier.fs tier) ~seed in
   (* Open arrivals: warm the per-tenant keyspace server-side before any
      traffic, so the read path touches only provisioned keys. *)
   (match arrivals with
@@ -250,7 +206,11 @@ let assemble ~seed ~cores ~conns ~requests_per_conn ~admission ~workers ~transpo
       ~preload:(Array.to_list (Array.map fst files))
       ~admission
       ~wire_hint:(fun () -> Loadgen.next_event lg)
-      ~workers:(Array.map (fun p -> (p, bind p)) worker_procs)
+      ~workers:
+        (Array.map
+           (fun p ->
+             (p, bind graph kernel ~tier ~kv:kv_server ~deadline:(fun ~core -> !deadline ~core) p))
+           worker_procs)
       ~queue_done:(fun ~queue -> Loadgen.queue_done lg ~queue)
   in
   deadline := (fun ~core -> Httpd.current_deadline httpd ~core);
@@ -258,15 +218,17 @@ let assemble ~seed ~cores ~conns ~requests_per_conn ~admission ~workers ~transpo
     o_machine = machine;
     o_kernel = kernel;
     o_workers = workers;
-    o_pump = pump;
+    o_pump = o_budget <> None;
     o_nic = nic;
     o_httpd = httpd;
     o_ol = lg;
-    o_sb = sb;
-    o_mesh = mesh;
-    o_budget = budget;
+    o_sb;
+    o_mesh = Graph.mesh graph;
+    o_budget;
     o_worker_procs = worker_procs;
-    o_fs_cell = fs_cell;
+    o_fs_cell = Fs_tier.cell tier;
+    o_tier = tier;
+    o_sky = sky;
     o_elapsed = 0;
   }
 
@@ -338,7 +300,6 @@ let nic t = t.o_nic
 let kernel t = t.o_kernel
 let subkernel t = t.o_sb
 let mesh t = t.o_mesh
-let retry_stats t = Option.map Mesh.retry_stats t.o_mesh
-let retry_budget t = t.o_budget
-let fs t = !(t.o_fs_cell)
+let sky t = t.o_sky
+let fs t = Fs_tier.fs t.o_tier
 let worker_procs t = t.o_worker_procs

@@ -9,15 +9,21 @@
     core, admission control, deadline propagation, a retry budget and
     batched backend crossings). The kernel is seL4's. *)
 
-type transport = Ipc_slowpath | Skybridge
+type sky = {
+  sb : Sky_core.Subkernel.t;
+  mesh : Sky_mesh.Mesh.t;  (** routes and counts every backend call *)
+  budget : Sky_core.Retry.budget;  (** drawn on under open arrivals only *)
+}
+(** What only the SkyBridge stack has. *)
 
-val transport_name : transport -> string
+(** A stack's type carries its transport's handles. *)
+type _ transport = Ipc_slowpath : unit transport | Skybridge : sky transport
 
 val default_conns : int
 val default_requests_per_conn : int
 val rtt : int
 
-type t = {
+type 'h t = {
   o_machine : Sky_sim.Machine.t;
   o_kernel : Sky_ukernel.Kernel.t;
   o_workers : int;
@@ -30,12 +36,14 @@ type t = {
   o_budget : Sky_core.Retry.budget option;
   o_worker_procs : Sky_ukernel.Proc.t array;
   o_fs_cell : Sky_xv6fs.Fs.t ref;
+  o_tier : Sky_xv6fs.Fs_tier.t;
+  o_sky : 'h;
   mutable o_elapsed : int;  (** set by {!run}; see {!elapsed} *)
 }
 (** The stack. The [o_] names and {!open_t} are those of the former
     open-loop record, kept while the benchmark sources name them. *)
 
-type open_t = t
+type 'h open_t = 'h t
 
 (** {2 Stack pieces} — shared with the composed service-mesh scenario
     ({!Sky_experiments.Exp_mesh} wires the same backends under a
@@ -47,16 +55,18 @@ val kv_backend :
     instruction working set, touched on every call (so each server
     generation pollutes the caches like a real process would). *)
 
-val binding_of_calls :
-  call_kv:(core:int -> bytes -> bytes) ->
-  call_fs:(core:int -> bytes -> bytes) ->
-  revoke:(core:int -> unit) ->
-  rebind:(core:int -> unit) ->
+val bind :
+  Sky_mesh.Service_graph.t ->
+  Sky_ukernel.Kernel.t ->
+  tier:Sky_xv6fs.Fs_tier.t ->
+  kv:Sky_mesh.Service_graph.server ->
+  deadline:(core:int -> int option) ->
+  Sky_ukernel.Proc.t ->
   Httpd.binding
-(** Lift raw wire calls into a worker's typed {!Httpd.binding}: KV
-    operations in the {!Sky_kvstore.Kv_wire} messages (a batch in one
-    ['B'] crossing), the FS side through
-    {!Sky_xv6fs.Fs_iface.over_call}. *)
+(** A worker's {!Httpd.binding} over its edges to the KV server (the
+    {!Sky_kvstore.Kv_wire} messages) and the tier's FS: the request's
+    remaining [deadline] is each call's timeout ({!Httpd.Expired} once
+    spent), a mesh denial raises {!Httpd.Denied}. *)
 
 val provision_files : Sky_xv6fs.Fs.t -> seed:int -> (string * bytes) array
 (** Create the static files the load mix reads (deterministic printable
@@ -69,9 +79,9 @@ val build :
   ?conns:int ->
   ?requests_per_conn:int ->
   workers:int ->
-  transport:transport ->
+  transport:'h transport ->
   unit ->
-  t
+  'h t
 (** The stack under closed arrivals: the machine, kernel, backends (KV
     store, xv6fs over a RAM disk), NIC with [workers] queues, [workers]
     worker processes bound to the backends over [transport], and the
@@ -87,9 +97,9 @@ val build_open :
   mean_gap:int ->
   total:int ->
   workers:int ->
-  transport:transport ->
+  transport:'h transport ->
   unit ->
-  open_t
+  'h open_t
 (** The same stack under open arrivals ([mean_gap] cycles between
     Poisson arrivals, [total] arrivals, spread over [tenants] pipelined
     connections) pumped by one extra core at index [workers]. [ttl]
@@ -102,47 +112,42 @@ val build_open :
 type session
 (** The run loop's state between {!advance} calls. *)
 
-val start_run : t -> session
+val start_run : _ t -> session
 (** Arm the load generator and capture the start clock. *)
 
-val advance : t -> session -> until:int -> [ `Paused | `Done ]
+val advance : _ t -> session -> until:int -> [ `Paused | `Done ]
 (** Step the workers (and, under open arrivals, the pump) by virtual
     time until every live core's clock reaches [until] ([`Paused]) or
     every arrival is resolved and the server drained ([`Done], at which
     point {!elapsed} and {!throughput} are valid). Chunked advances
     replay exactly the step sequence of one {!run}. *)
 
-val run : t -> unit
+val run : _ t -> unit
 (** {!start_run}, then {!advance} until [`Done]. *)
 
-val run_open : t -> unit
+val run_open : _ t -> unit
 (** {!run}, under the former open-loop name. *)
 
-val throughput : t -> float
+val throughput : _ t -> float
 (** Responses per simulated second, over {!elapsed}. *)
 
-val elapsed : t -> int
+val elapsed : _ t -> int
 (** The busiest worker core's cycles across the run. *)
 
-val loadgen : t -> Loadgen.t
-val httpd : t -> Httpd.t
-val nic : t -> Nic.t
-val kernel : t -> Sky_ukernel.Kernel.t
-val subkernel : t -> Sky_core.Subkernel.t option
+val loadgen : _ t -> Loadgen.t
+val httpd : _ t -> Httpd.t
+val nic : _ t -> Nic.t
+val kernel : _ t -> Sky_ukernel.Kernel.t
+val subkernel : _ t -> Sky_core.Subkernel.t option
+val mesh : _ t -> Sky_mesh.Mesh.t option
 
-val mesh : t -> Sky_mesh.Mesh.t option
-(** The service mesh routing worker→backend calls on the SkyBridge
-    path ([kv://], [fs://], [blk://] plus the name service itself). *)
+val sky : sky t -> sky
+(** The SkyBridge stack's subkernel, mesh and retry budget. *)
 
-val retry_stats : t -> Sky_core.Retry.stats option
-
-val retry_budget : t -> Sky_core.Retry.budget option
-(** [Some] exactly under open arrivals. *)
-
-val fs : t -> Sky_xv6fs.Fs.t
+val fs : _ t -> Sky_xv6fs.Fs.t
 (** The mounted xv6fs backend (post-recovery handle on the SkyBridge
     path) — for fsck after a fault storm. *)
 
-val worker_procs : t -> Sky_ukernel.Proc.t array
+val worker_procs : _ t -> Sky_ukernel.Proc.t array
 (** The worker processes, in core order — for per-process census
     (e.g. {!Sky_core.Subkernel.process_evictions}). *)

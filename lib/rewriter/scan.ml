@@ -63,7 +63,8 @@ let find_pattern_chunked ?(pattern = vmfunc_bytes) chunks =
 (* [find_bytes] over [code] presented as [page_size]-sized pages — the
    shape a per-page audit sees. Equivalent to scanning the whole buffer
    contiguously thanks to the carried overlap. *)
-let find_pattern_paged ?(page_size = 4096) ?(pattern = vmfunc_bytes) code =
+let find_pattern_paged ?(pattern = vmfunc_bytes) code =
+  let page_size = 4096 in
   let n = Bytes.length code in
   let rec pages off acc =
     if off >= n then List.rev acc

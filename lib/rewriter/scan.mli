@@ -46,8 +46,8 @@ val find_pattern_chunked : ?pattern:bytes -> (int * bytes) list -> int list
     chunks is still found. A gap between chunks resets the carry. Returns
     sorted global offsets. *)
 
-val find_pattern_paged : ?page_size:int -> ?pattern:bytes -> bytes -> int list
-(** [find_bytes] with the buffer scanned page by page (default 4096) —
+val find_pattern_paged : ?pattern:bytes -> bytes -> int list
+(** [find_bytes] with the buffer scanned in 4096-byte pages —
     the shape a per-page audit sees; equivalent to the contiguous scan. *)
 
 val scan : ?pattern:bytes -> bytes -> occurrence list

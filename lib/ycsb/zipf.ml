@@ -4,7 +4,6 @@
 
 type t = {
   n : int;
-  theta : float;
   alpha : float;
   zetan : float;
   eta : float;
@@ -18,13 +17,14 @@ let zeta n theta =
   done;
   !acc
 
-let create ?(theta = 0.99) ~items rng =
+let theta = 0.99
+
+let create ~items rng =
   if items <= 0 then invalid_arg "Zipf.create: items <= 0";
   let zetan = zeta items theta in
   let zeta2 = zeta 2 theta in
   {
     n = items;
-    theta;
     alpha = 1.0 /. (1.0 -. theta);
     zetan;
     eta =
@@ -38,7 +38,7 @@ let next t =
   let u = Sky_sim.Rng.float t.rng in
   let uz = u *. t.zetan in
   if uz < 1.0 then 0
-  else if uz < 1.0 +. Float.pow 0.5 t.theta then 1
+  else if uz < 1.0 +. Float.pow 0.5 theta then 1
   else
     let v =
       float_of_int t.n

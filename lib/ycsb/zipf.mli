@@ -4,6 +4,6 @@
 
 type t
 
-val create : ?theta:float -> items:int -> Sky_sim.Rng.t -> t
+val create : items:int -> Sky_sim.Rng.t -> t
 val next : t -> int
 (** Next item index in [\[0, items)]; low indices are the hot ones. *)

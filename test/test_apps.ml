@@ -201,6 +201,72 @@ let test_latency_grows_with_size () =
     true (small < large)
 
 (* ------------------------------------------------------------------ *)
+(* The SQLite stack over every transport of its service graph           *)
+(* ------------------------------------------------------------------ *)
+
+type db_op = Insert of int * char | Update of int * char | Query of int
+
+(* One random op list on the stack over ST-IPC, MT-IPC and SkyBridge:
+   every transport must answer every update and query as a plain
+   Hashtbl does, and leave an fsck-clean image. Keys come from a pool of
+   twelve so most queries and updates hit. *)
+let prop_stack_transports =
+  let module Stack = Sky_experiments.Stack in
+  let value c = Bytes.make 100 c in
+  let op =
+    let open QCheck.Gen in
+    let key = int_range 0 11 and fill = map Char.chr (int_range 97 122) in
+    frequency
+      [
+        (3, map2 (fun k c -> Insert (k, c)) key fill);
+        (2, map2 (fun k c -> Update (k, c)) key fill);
+        (3, map (fun k -> Query k) key);
+      ]
+  in
+  let print =
+    QCheck.Print.list (function
+      | Insert (k, c) -> Printf.sprintf "insert %d %c" k c
+      | Update (k, c) -> Printf.sprintf "update %d %c" k c
+      | Query k -> Printf.sprintf "query %d" k)
+  in
+  let answers ops ~insert ~update ~query =
+    List.filter_map
+      (function
+        | Insert (key, c) ->
+          insert key (value c);
+          None
+        | Update (key, c) -> Some (if update key (value c) then "updated" else "absent")
+        | Query key -> Some (match query key with Some v -> Bytes.to_string v | None -> "none"))
+      ops
+  in
+  QCheck.Test.make ~name:"stack: every transport answers as a Hashtbl" ~count:20
+    (QCheck.make ~print QCheck.Gen.(list_size (int_range 1 30) op))
+    (fun ops ->
+      let model = Hashtbl.create 16 in
+      let expected =
+        answers ops
+          ~insert:(Hashtbl.replace model)
+          ~update:(fun k v ->
+            Hashtbl.mem model k
+            && begin
+                 Hashtbl.replace model k v;
+                 true
+               end)
+          ~query:(Hashtbl.find_opt model)
+      in
+      List.for_all
+        (fun transport ->
+          let stack = Stack.build ~cores:3 ~disk_blocks:1024 ~transport () in
+          let db = stack.Stack.db in
+          answers ops
+            ~insert:(fun key value -> Sky_sqldb.Db.insert db ~core:0 ~key ~value)
+            ~update:(fun key value -> Sky_sqldb.Db.update db ~core:0 ~key ~value)
+            ~query:(fun key -> Sky_sqldb.Db.query db ~core:0 ~key)
+          = expected
+          && Sky_xv6fs.Fsck.check (Stack.fs stack) ~core:0 = [])
+        [ Stack.Ipc { st = true }; Stack.Ipc { st = false }; Stack.Skybridge ])
+
+(* ------------------------------------------------------------------ *)
 (* Zipf                                                                *)
 (* ------------------------------------------------------------------ *)
 
@@ -255,6 +321,7 @@ let () =
           Alcotest.test_case "latency grows with size" `Quick
             test_latency_grows_with_size;
         ] );
+      ("stack", qc [ prop_stack_transports ]);
       ( "zipf",
         [
           Alcotest.test_case "bounds" `Quick test_zipf_bounds;

@@ -572,16 +572,11 @@ let fs_crash_sweep =
     ~count:5 QCheck.small_nat
     (fun seed ->
       with_faults @@ fun () ->
-      let stack =
-        Sky_experiments.Stack.build ~transport:Sky_experiments.Stack.Skybridge
-          ~resilient:true ~cores:2 ~disk_blocks:2048 ()
+      let stats = Retry.create_stats () in
+      let stack, sb =
+        Sky_experiments.Stack.build_resilient ~cores:2 ~disk_blocks:2048 stats
       in
       let db = stack.Sky_experiments.Stack.db in
-      let sb =
-        match stack.Sky_experiments.Stack.sb with
-        | Some sb -> sb
-        | None -> assert false
-      in
       Fault.reset ~seed ();
       Fault.arm ~budget:1 ~site:"server.xv6fs" ~kind:Fault.Crash
         (Fault.At_hit (1 + (seed mod 13)));
@@ -592,14 +587,61 @@ let fs_crash_sweep =
         Sky_sqldb.Db.insert db ~core:0 ~key ~value:v
       done;
       Fault.disable ();
-      let stats =
-        match Sky_experiments.Stack.retry_stats stack with
-        | Some s -> s
-        | None -> assert false
-      in
       stats.Retry.lost = 0
       && Sky_xv6fs.Fsck.check (Sky_experiments.Stack.fs stack) ~core:0 = []
       && Subkernel.audit sb = [])
+
+(* A server that keeps crashing through the SQLite stack's remount: the
+   remount's three restarts run out while the disk is still crashing.
+   The op must end in [Retry.Gave_up] (never an escaping
+   [Server_crashed]), no server is left dead, and once the storm stops
+   the FS is fsck-clean and the next op succeeds — whichever comes
+   first, an fsck or the next request. Budgets 3 and 4 recover inside
+   the remount; 5 and 8 exhaust it; the FS server crashing 6 times in a
+   row exhausts the retry itself. *)
+let test_remount_exhaustion () =
+  List.iter
+    (fun (site, budget, gives_up, fsck_first) ->
+      with_faults @@ fun () ->
+      let stats = Retry.create_stats () in
+      let stack, sb =
+        Sky_experiments.Stack.build_resilient ~cores:2 ~disk_blocks:2048 stats
+      in
+      let db = stack.Sky_experiments.Stack.db in
+      let v = Bytes.make 100 'r' in
+      Sky_sqldb.Db.insert db ~core:0 ~key:1 ~value:v;
+      Fault.reset ~seed:1 ();
+      Fault.arm ~budget ~site ~kind:Fault.Crash (Fault.Every 1);
+      let gave_up =
+        match Sky_sqldb.Db.insert db ~core:0 ~key:2 ~value:v with
+        | () -> false
+        | exception Retry.Gave_up _ -> true
+      in
+      Fault.disable ();
+      let name = Printf.sprintf "%s x%d" site budget in
+      Alcotest.(check bool) (name ^ ": gave up") gives_up gave_up;
+      let fsck () =
+        Alcotest.(check int)
+          (name ^ ": fsck")
+          0
+          (List.length (Sky_xv6fs.Fsck.check (Sky_experiments.Stack.fs stack) ~core:0))
+      in
+      if fsck_first then fsck ();
+      Sky_sqldb.Db.insert db ~core:0 ~key:3 ~value:v;
+      Alcotest.(check bool)
+        (name ^ ": ops after the storm")
+        true
+        (Sky_sqldb.Db.query db ~core:0 ~key:1 = Some v
+        && Sky_sqldb.Db.query db ~core:0 ~key:3 = Some v);
+      fsck ();
+      Alcotest.(check int) (name ^ ": audit") 0 (List.length (Subkernel.audit sb)))
+    [
+      ("server.blockdev", 3, false, true);
+      ("server.blockdev", 4, false, false);
+      ("server.blockdev", 5, true, false);
+      ("server.blockdev", 8, true, true);
+      ("server.xv6fs", 6, true, true);
+    ]
 
 (* ------------------------------------------------------------------ *)
 
@@ -647,6 +689,8 @@ let () =
             test_retry_recovers_crash;
           Alcotest.test_case "persistent crash gives up with typed error"
             `Quick test_retry_gives_up;
+          Alcotest.test_case "remount exhaustion gives up typed" `Quick
+            test_remount_exhaustion;
         ] );
       ( "trace",
         [

@@ -59,7 +59,7 @@ let test_blockdev_over_ipc () =
   let server = Kernel.spawn k ~name:"blockdev" in
   let client = Kernel.spawn k ~name:"fs" in
   let ep = Sky_kernels.Ipc.register ipc server (Disk.handler k rd) in
-  let disk = Disk.over_ipc ipc ~client ep in
+  let disk = Disk.over_call (fun ~core msg -> Sky_kernels.Ipc.call ipc ~core ~client ep msg) in
   let block = Bytes.make Ramdisk.block_size 'x' in
   disk.Disk.write ~core:0 3 block;
   Alcotest.(check bool) "read back over IPC" true

@@ -30,7 +30,7 @@ let make ?(cores = 4) ?(seed = 1) () =
   let machine = Machine.create ~cores ~mem_mib:64 () in
   let kernel = Kernel.create machine in
   let sb = Subkernel.init ~seed kernel in
-  let mesh = Mesh.create ~seed sb in
+  let mesh = Mesh.create sb in
   let store_proc = Kernel.spawn kernel ~name:"store" in
   let svc_proc = Kernel.spawn kernel ~name:"meshsvc" in
   let client = Kernel.spawn kernel ~name:"client" in
