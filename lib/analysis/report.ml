@@ -43,8 +43,6 @@ let to_string r =
     (match r.addr with Some a -> Printf.sprintf " @ %#x" a | None -> "")
     r.detail
 
-let pp fmt r = Format.pp_print_string fmt (to_string r)
-
 let has ~invariant vs = List.exists (fun r -> r.invariant = invariant) vs
 
 let severity_rank = function Error -> 0 | Warn -> 1

@@ -70,7 +70,10 @@ let fetch m ip =
     ~len:d.Decode.len;
   d
 
-let run kernel ~core ~entry ?regs ?(max_steps = 100_000) () =
+(* Steps before a run is abandoned as runaway. *)
+let max_steps = 100_000
+
+let run kernel ~core ~entry ?regs () =
   let vcpu = Kernel.vcpu kernel ~core in
   let mem = Kernel.mem kernel in
   Sky_mmu.Vcpu.set_mode vcpu Sky_mmu.Vcpu.User;

@@ -34,7 +34,6 @@ val run :
   core:int ->
   entry:int ->
   ?regs:regs ->
-  ?max_steps:int ->
   unit ->
   stop * regs
 (** Execute from virtual address [entry] in whatever address space is
@@ -43,8 +42,8 @@ val run :
     when [regs] is omitted, a fresh 4 KiB stack is mapped in the current
     process with the sentinel pre-pushed.
 
-    @raise Exec_fault on undecodable/unsupported instructions and on a
-    WRPKRU with ECX or EDX nonzero.
+    @raise Exec_fault on undecodable/unsupported instructions, on a
+    WRPKRU with ECX or EDX nonzero, and after 100,000 steps.
     @raise Sky_mmu.Translate.Page_fault on unmapped/forbidden access,
     including instruction fetches from NX pages (W^X enforced for real),
     even when only an instruction's tail lies on the NX or unmapped page.

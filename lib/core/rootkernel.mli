@@ -19,9 +19,6 @@ type t = {
 
 exception Fatal_ept_violation of int  (** guest-physical address *)
 
-val vmcall_cost : int
-(** Cycles charged for a VMCALL round trip (VM exit + handler + resume). *)
-
 val boot :
   ?vpid:bool -> ?huge_ept:bool -> Sky_ukernel.Kernel.t -> t
 (** Self-virtualize the machine under the given Subkernel. Reserves
@@ -38,10 +35,6 @@ val handle_cpuid : t -> core:int -> unit
 val handle_ept_violation : t -> core:int -> gpa:int -> 'a
 (** Records the exit and raises {!Fatal_ept_violation} — under the base
     EPT's full mapping a violation means a guest bug or an attack. *)
-
-val vmcall : t -> core:int -> (unit -> 'a) -> 'a
-(** Subkernel→Rootkernel call: charges the exit cost, counts it, runs the
-    handler body in root mode. *)
 
 val new_process_ept : t -> Sky_ukernel.Proc.t -> Sky_mmu.Ept.t
 (** Shallow clone of the base EPT with the process's identity page

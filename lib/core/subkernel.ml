@@ -1290,8 +1290,8 @@ let call_internal t ~core ~client ~server_id ~budget ?attack msg =
   end
   else call_bound t ~core ~client ~server_id ~budget ?attack msg
 
-let call t ~core ~client ~server_id ?(timeout = default_watchdog) ?attack msg =
-  call_internal t ~core ~client ~server_id ~budget:timeout ?attack msg
+let call t ~core ~client ~server_id ?(timeout = default_watchdog) msg =
+  call_internal t ~core ~client ~server_id ~budget:timeout msg
 
 let direct_server_call t ~core ~client ~server_id ?timeout ?attack msg =
   let budget = match timeout with Some b -> b | None -> max_int in
@@ -1598,8 +1598,8 @@ let audit_input ?granted t =
 (* Whole-machine audit through the unified pass registry; the dynamic
    callee-saved check (live register state, not lowerable to plain data)
    rides in the trampoline pass. *)
-let audit_passes ?granted t =
-  let prs = Sky_analysis.Audit.run_passes (audit_input ?granted t) in
+let audit_passes t =
+  let prs = Sky_analysis.Audit.run_passes (audit_input t) in
   match callee_saved_violations t with
   | [] -> prs
   | cs ->

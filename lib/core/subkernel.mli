@@ -120,7 +120,6 @@ val call :
   client:Sky_ukernel.Proc.t ->
   server_id:int ->
   ?timeout:int ->
-  ?attack:[ `Fake_server_key | `Corrupt_return_key ] ->
   bytes ->
   (bytes, call_error) result
 (** Recovery-aware direct call: like {!direct_server_call} but the §7
@@ -259,12 +258,11 @@ val audit : t -> Sky_analysis.Report.violation list
     Isoflow cross-domain reachability pass over the composed PT∘EPT
     sharing graph. [[]] means every invariant holds. *)
 
-val audit_passes :
-  ?granted:(int * int) list -> t -> Sky_analysis.Audit.pass_result list
+val audit_passes : t -> Sky_analysis.Audit.pass_result list
 (** {!audit} with per-pass structure and timing ([skybench audit]'s
-    view). [granted] overrides Isoflow's authority ground truth with the
-    mesh capability closure (as [(client pid, server pid)] pairs); it
-    defaults to the binding registry itself. *)
+    view). Isoflow's authority ground truth is the binding registry
+    itself; {!Sky_mesh.Mesh.audit_passes} runs the same passes against
+    the mesh capability closure. *)
 
 val audit_input : ?granted:(int * int) list -> t -> Sky_analysis.Audit.input
 (** The lowered pass-registry input for this machine (every image, EPT,

@@ -12,7 +12,7 @@
     ({!Sky_mesh.Mesh.audit_passes}). A healthy build reports zero
     violations everywhere — the CI gate.
 
-    [run_cases] re-scans the Table 6 synthetic corpus and classifies every
+    [run] re-scans the Table 6 synthetic corpus and classifies every
     occurrence by case, the way ERIM reports WRPKRU occurrences — the
     EXPERIMENTS.md appendix. *)
 
@@ -120,7 +120,8 @@ let case_key occ =
   | Sky_rewriter.Scan.C2_spanning -> `C2
   | Sky_rewriter.Scan.C3_embedded _ -> `C3
 
-let run_cases ?(scale = 256) ?(seed = 0x5B) () =
+let run () =
+  let scale = 256 and seed = 0x5B in
   let rows =
     List.map
       (fun (g : Sky_rewriter.Corpus.group) ->
@@ -172,5 +173,3 @@ let run_cases ?(scale = 256) ?(seed = 0x5B) () =
           scale;
       ]
     rows
-
-let run () = run_cases ()

@@ -51,32 +51,50 @@ let kv_storm seed =
   Fault.arm ~budget:2 ~site:"sim.cycle" ~kind:Fault.Crash (Fault.Prob 1e-4);
   Fault.arm ~budget:1 ~site:"subkernel.call" ~kind:Fault.Revoke (Fault.At_hit 650)
 
-let run_kv ~seed =
+(* The resilient KV-pipeline storm, also the backend matrix's recovery
+   probe: a 4-core machine, the pipeline with every call through
+   {!Sky_core.Retry}, [warm] ops with faults off, [arm ()] the storm, then
+   [ops] alternating inserts and queries, a [Gave_up] counted as lost.
+   Faults are disabled again on return; the census is read from the
+   returned stats, subkernel and {!Fault.fired_counts}. *)
+type storm_run = {
+  k_stats : Sky_core.Retry.stats;
+  k_gave_up : int;  (** calls that raised [Retry.Gave_up] *)
+  k_sb : Subkernel.t;
+}
+
+let run_kv_storm ~warm ~ops arm =
   let machine = Sky_sim.Machine.create ~cores:4 ~mem_mib:128 () in
   let kernel = Kernel.create machine in
   let sb = Subkernel.init kernel in
   let st = Sky_core.Retry.create_stats () in
   let p = Pipeline.create ~sb ~retry:st kernel Pipeline.Skybridge in
-  ignore (Pipeline.run p ~core:0 ~ops:32 ~len:64) (* warm, faults off *);
-  kv_storm seed;
-  let lost_hard = ref 0 in
-  (for i = 1 to 400 do
+  ignore (Pipeline.run p ~core:0 ~ops:warm ~len:64) (* warm, faults off *);
+  arm ();
+  let gave_up = ref 0 in
+  (for i = 1 to ops do
      (* The workload itself is the integrity check: every query verifies
         decrypt(store(encrypt(v))) = v across whatever recovery path the
         storm forced the call down. *)
      try
        if i land 1 = 0 then Pipeline.query p ~core:0 ~len:64
        else Pipeline.insert p ~core:0 ~len:64
-     with Sky_core.Retry.Gave_up _ -> incr lost_hard
+     with Sky_core.Retry.Gave_up _ -> incr gave_up
    done);
   Fault.disable ();
+  { k_stats = st; k_gave_up = !gave_up; k_sb = sb }
+
+let run_kv ~seed =
+  let { k_stats = st; k_gave_up; k_sb = sb } =
+    run_kv_storm ~warm:32 ~ops:400 (fun () -> kv_storm seed)
+  in
   {
     s_name = "kv-pipeline";
     s_attempts = st.Sky_core.Retry.attempts;
     s_injected = Fault.fired_counts ();
     s_recovered = st.Sky_core.Retry.retried_ok;
     s_degraded = st.Sky_core.Retry.degraded;
-    s_lost = st.Sky_core.Retry.lost + !lost_hard;
+    s_lost = st.Sky_core.Retry.lost + k_gave_up;
     s_restarts = st.Sky_core.Retry.restarts;
     s_forced_returns = Subkernel.forced_returns sb;
     s_sec_dropped = Subkernel.security_events_dropped sb;

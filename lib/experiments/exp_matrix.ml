@@ -57,22 +57,12 @@ let storm seed =
   Fault.arm ~budget:1 ~site:"subkernel.call" ~kind:Fault.Revoke
     (Fault.At_hit 130)
 
-let run_storm ~seed =
-  let machine = Sky_sim.Machine.create ~cores:4 ~mem_mib:128 () in
-  let kernel = Sky_ukernel.Kernel.create machine in
-  let sb = Subkernel.init kernel in
-  let st = Sky_core.Retry.create_stats () in
-  let p = Sky_kvstore.Pipeline.create ~sb ~retry:st kernel Sky_kvstore.Pipeline.Skybridge in
-  ignore (Sky_kvstore.Pipeline.run p ~core:0 ~ops:16 ~len:64) (* warm, faults off *);
-  storm seed;
-  let lost_hard = ref 0 in
-  (for i = 1 to 200 do
-     try
-       if i land 1 = 0 then Sky_kvstore.Pipeline.query p ~core:0 ~len:64
-       else Sky_kvstore.Pipeline.insert p ~core:0 ~len:64
-     with Sky_core.Retry.Gave_up _ -> incr lost_hard
-   done);
-  Fault.disable ();
+let run_cell ~seed kind =
+  Backend.with_default kind @@ fun () ->
+  let ping = Exp_pingpong.measure_full () in
+  let { Exp_chaos.k_stats = st; k_gave_up; k_sb = sb } =
+    Exp_chaos.run_kv_storm ~warm:16 ~ops:200 (fun () -> storm seed)
+  in
   let injected =
     List.fold_left (fun a (_, n) -> a + n) 0 (Fault.fired_counts ())
   in
@@ -83,12 +73,6 @@ let run_storm ~seed =
          List.length pr.Sky_analysis.Audit.pr_violations))
       (Subkernel.audit_passes sb)
   in
-  ( injected, st, !lost_hard, Subkernel.forced_returns sb, audit )
-
-let run_cell ~seed kind =
-  Backend.with_default kind @@ fun () ->
-  let ping = Exp_pingpong.measure_full () in
-  let injected, st, lost_hard, forced, audit = run_storm ~seed in
   {
     x_kind = kind;
     x_ping = ping;
@@ -96,9 +80,9 @@ let run_cell ~seed kind =
     x_attempts = st.Sky_core.Retry.attempts;
     x_recovered = st.Sky_core.Retry.retried_ok;
     x_degraded = st.Sky_core.Retry.degraded;
-    x_lost = st.Sky_core.Retry.lost + lost_hard;
+    x_lost = st.Sky_core.Retry.lost + k_gave_up;
     x_restarts = st.Sky_core.Retry.restarts;
-    x_forced_returns = forced;
+    x_forced_returns = Subkernel.forced_returns sb;
     x_audit = audit;
   }
 

@@ -64,4 +64,3 @@ let all =
   ]
 
 let find id = List.find_opt (fun e -> e.id = id) all
-let ids () = List.map (fun e -> e.id) all

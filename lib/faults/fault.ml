@@ -4,13 +4,6 @@ type trigger = At_cycle of int | At_hit of int | Every of int | Prob of float
 
 exception Injected of { site : string; kind : kind }
 
-let string_of_kind = function
-  | Crash -> "crash"
-  | Hang -> "hang"
-  | Revoke -> "revoke"
-  | Ept_fault -> "ept_fault"
-  | Drop -> "drop"
-
 type arm_state = {
   a_kind : kind;
   a_trigger : trigger;

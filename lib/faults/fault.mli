@@ -87,5 +87,3 @@ val fired : unit -> (string * kind * int) list
 
 val fired_counts : unit -> (string * int) list
 (** Fires per site, sorted by site name (census-stable order). *)
-
-val string_of_kind : kind -> string

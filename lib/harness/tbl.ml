@@ -110,6 +110,5 @@ let fmt_int n =
     s;
   Buffer.contents buf
 
-let fmt_float f = Printf.sprintf "%.1f" f
 let fmt_ops f = Printf.sprintf "%.0f" f
 let fmt_speedup f = Printf.sprintf "%+.1f%%" ((f -. 1.0) *. 100.0)

@@ -27,8 +27,6 @@ let kind_of_code = function
   | 3 -> Data
   | n -> raise (Bad_image (Printf.sprintf "bad section kind %d" n))
 
-let kind_name = function Text -> "text" | Rodata -> "rodata" | Data -> "data"
-
 (* Layout: magic | entry u32 | nsections u32 | sections.
    Section: kind u8 | name_len u8 | name | vaddr u32 | body_len u32 | body. *)
 let encode img =

@@ -47,8 +47,3 @@ let scale t n =
       other = t.other / n;
       walk = t.walk / n;
     }
-
-let pp fmt t =
-  Format.fprintf fmt
-    "total %d (vmfunc %d, syscall/sysret %d, ctx %d, ipi %d, copy %d, sched %d, other %d; walk %d)"
-    (total t) t.vmfunc t.syscall t.ctx t.ipi t.copy t.sched t.other t.walk

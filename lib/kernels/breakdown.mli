@@ -29,5 +29,3 @@ val add : t -> t -> unit
 
 val scale : t -> int -> t
 (** Per-roundtrip average over [n] calls. *)
-
-val pp : Format.formatter -> t -> unit

@@ -68,7 +68,6 @@ let create ?(enforce_caps = false) ?(long_ipc = Shared_copy) kernel =
     slow_leg_name = leg_name variant ~fast:false;
   }
 
-let kernel t = t.kernel
 let caps t = t.cap_registry
 
 let register t server ?(cores = []) handler =

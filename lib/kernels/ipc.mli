@@ -43,7 +43,6 @@ val create :
     setups), {!call} requires the client to hold a live send capability
     on the endpoint, seL4-style; grant one with {!grant_send}. *)
 
-val kernel : t -> Sky_ukernel.Kernel.t
 val caps : t -> Sky_ukernel.Capability.registry
 
 val grant_send :

@@ -71,19 +71,6 @@ let pick t cpu =
   in
   go ()
 
-let direct_switch t cpu ~from_thread ~to_thread =
-  (* Fastpath: sender blocks, receiver (which was blocked in recv) runs.
-     Under Benno neither is in the queue, so nothing is touched; under
-     lazy scheduling the sender's stale entry stays behind for a later
-     pick to trip over. *)
-  from_thread.runnable <- false;
-  to_thread.runnable <- true;
-  match t.policy with
-  | Benno -> ()
-  | Lazy_scheduling ->
-    ignore cpu;
-    ignore t
-
 let queue_length t = List.length t.queue
 let examined t = t.examined
 let queue_ops t = t.queue_ops

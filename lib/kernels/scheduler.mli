@@ -41,11 +41,6 @@ val pick : t -> Sky_sim.Cpu.t -> thread option
     blocked entries on the way (charging per examined entry) — the
     unbounded part. *)
 
-val direct_switch : t -> Sky_sim.Cpu.t -> from_thread:thread -> to_thread:thread -> unit
-(** The seL4 fastpath's direct process switch: control moves to the
-    receiver without consulting the queue at all (the sender blocks, the
-    receiver was blocked waiting). Under Benno this touches nothing. *)
-
 val queue_length : t -> int
 val examined : t -> int
 (** Total queue entries looked at by [pick] — the §8.1 boundedness

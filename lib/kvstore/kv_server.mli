@@ -7,7 +7,6 @@ type t
 
 exception Table_full
 
-val slot_count : int
 val max_kv : int
 (** Maximum key or value length (1024 — Figure 2's largest point). *)
 

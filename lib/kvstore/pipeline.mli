@@ -49,6 +49,3 @@ val query : t -> core:int -> len:int -> unit
 val run : t -> core:int -> ops:int -> len:int -> int
 (** The §2.1.2 workload (50% insert / 50% query); returns the average
     latency per operation in cycles. *)
-
-val client_compute : int
-val direct_ipc_roundtrip : int

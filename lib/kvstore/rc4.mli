@@ -16,6 +16,3 @@ val crypt : t -> Sky_sim.Cpu.t -> bytes -> bytes
 
 val crypt_pure : bytes -> bytes -> bytes
 (** [crypt_pure key data]: the bare cipher, for tests. *)
-
-val ksa_cycles : int
-val cycles_per_byte : int

@@ -152,8 +152,6 @@ let equal_sub t pa b ~off ~len =
   check_range t pa len;
   equal_from t pa b off (off + len)
 
-let equal_bytes t pa b = equal_sub t pa b ~off:0 ~len:(Bytes.length b)
-
 let write_bytes t pa src =
   blit_from t ~src ~src_off:0 ~dst_pa:pa ~len:(Bytes.length src)
 

@@ -11,9 +11,6 @@ type t
 val frame_size : int
 (** 4096. *)
 
-val frame_shift : int
-(** 12. *)
-
 val create : frames:int -> t
 (** [create ~frames] makes a physical memory of [frames] zeroed 4 KiB
     frames. Frames are allocated lazily, so large memories are cheap until
@@ -64,14 +61,10 @@ val read_bytes : t -> int -> int -> bytes
 
 val write_bytes : t -> int -> bytes -> unit
 
-val equal_bytes : t -> int -> bytes -> bool
-(** [equal_bytes mem pa b] compares the [Bytes.length b] bytes at [pa]
-    with [b] in place — {!read_bytes} then [Bytes.equal], without the
-    copy. May span frame boundaries. *)
-
 val equal_sub : t -> int -> bytes -> off:int -> len:int -> bool
-(** [equal_sub mem pa b ~off ~len] is {!equal_bytes} on [b]'s bytes
-    [off, off + len). *)
+(** [equal_sub mem pa b ~off ~len] compares the [len] bytes at [pa] with
+    [b]'s bytes [off, off + len) in place, without a copy. May span frame
+    boundaries. *)
 
 val blit_to : t -> src_pa:int -> dst:bytes -> dst_off:int -> len:int -> unit
 val blit_from : t -> src:bytes -> src_off:int -> dst_pa:int -> len:int -> unit

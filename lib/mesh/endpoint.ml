@@ -35,15 +35,12 @@ let create ?capacity kernel ~name ~receivers =
     rejected = 0;
   }
 
-let receivers t = Array.length t.queues
 let note t = t.note
-let queue_level t ~recv = Queue.length t.queues.(recv)
 let pending t = Array.fold_left (fun a q -> a + Queue.length q) 0 t.queues
 let pushed t = t.pushed
 let popped t = t.popped
 let steals t = t.steals
 let rejected t = t.rejected
-let capacity t = t.capacity
 
 let pick_receiver t receiver =
   match receiver with
@@ -64,17 +61,14 @@ let push t ~core ?receiver item = enqueue t ~core (pick_receiver t receiver) ite
 (* Admission-controlled enqueue: against the configured bound the length
    check happens before the round-robin cursor moves, so a rejected push
    leaves the cursor (and thus the deterministic schedule) untouched. *)
-let try_push t ~core ?receiver item =
-  let target =
-    match receiver with Some r -> r mod Array.length t.queues | None -> t.rr
-  in
+let try_push t ~core item =
   match t.capacity with
-  | Some cap when Queue.length t.queues.(target) >= cap ->
+  | Some cap when Queue.length t.queues.(t.rr) >= cap ->
     t.rejected <- t.rejected + 1;
     Cpu.charge (Kernel.cpu t.kernel ~core) push_cycles;
     false
   | _ ->
-    enqueue t ~core (pick_receiver t receiver) item;
+    enqueue t ~core (pick_receiver t None) item;
     true
 
 (* Steal source: the longest peer queue, ties to the lowest index — a

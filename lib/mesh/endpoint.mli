@@ -21,18 +21,16 @@ val create :
     control); {!push} itself stays unbounded — reserved for items that
     must not be dropped (crash replays, denial bounces). *)
 
-val receivers : 'a t -> int
-
 val push : 'a t -> core:int -> ?receiver:int -> 'a -> unit
 (** Enqueue on [receiver]'s queue (default: round-robin cursor), charge
     the enqueue cost on [core], and signal the wake notification with
     badge bit [1 lsl receiver]. *)
 
-val try_push : 'a t -> core:int -> ?receiver:int -> 'a -> bool
-(** Like {!push} but refusing (returning [false], counting it in
-    {!rejected}) when the target queue already holds [capacity] items —
-    the bounded-queue admission decision. Always succeeds on an
-    unbounded endpoint. *)
+val try_push : 'a t -> core:int -> 'a -> bool
+(** Like {!push} to the round-robin receiver, but refusing (returning
+    [false], counting it in {!rejected}) when the target queue already
+    holds [capacity] items — the bounded-queue admission decision.
+    Always succeeds on an unbounded endpoint. *)
 
 val pop : 'a t -> core:int -> recv:int -> 'a option
 (** Dequeue for receiver [recv]: own queue first, then steal from the
@@ -44,16 +42,9 @@ val note : 'a t -> Sky_kernels.Notification.t
 val pending : 'a t -> int
 (** Items currently queued across all receivers. *)
 
-val queue_level : 'a t -> recv:int -> int
 val pushed : 'a t -> int
 val popped : 'a t -> int
 val steals : 'a t -> int
 
 val rejected : 'a t -> int
 (** {!try_push} refusals (load shed at the queue). *)
-
-val capacity : 'a t -> int option
-
-val push_cycles : int
-val pop_cycles : int
-val steal_cycles : int

@@ -271,7 +271,7 @@ let server_of_uri t uri = Hashtbl.find_opt t.table (Uri.service uri)
 
 (* ---- grant / revoke ---- *)
 
-let grant t ~core ?(rights = Capability.send_only) ~client uri =
+let grant t ~core ~client uri =
   connect t client;
   let pid = client.Proc.pid in
   match resolve t ~core ~client:t.admin uri with
@@ -281,8 +281,9 @@ let grant t ~core ?(rights = Capability.send_only) ~client uri =
     let caps =
       List.map
         (fun s ->
-          let r = if s = sid then rights else Capability.send_only in
-          (s, Capability.derive t.caps (root_of t s) ~new_owner:pid ~badge:s r))
+          (s,
+           Capability.derive t.caps (root_of t s) ~new_owner:pid ~badge:s
+             Capability.send_only))
         closure
     in
     if not (List.mem (pid, sid) (Subkernel.bindings t.sb)) then

@@ -62,21 +62,17 @@ val resolve : t -> core:int -> client:Sky_ukernel.Proc.t -> string -> int option
     {!Sky_core.Retry.call} — a crashed name service restarts and the
     resolve retries). [client] must be {!connect}ed. *)
 
-val server_of_uri : t -> string -> int option
-(** Authoritative table lookup, no wire call — supervisor-side only. *)
-
 type grant
 
 val grant :
   t ->
   core:int ->
-  ?rights:Sky_ukernel.Capability.rights ->
   client:Sky_ukernel.Proc.t ->
   string ->
   grant
-(** [grant t ~core ~client uri] derives capabilities to [client] for the
-    resolved server {e and every server in its dependency closure}
-    (deps get send-only), then establishes the Subkernel binding.
+(** [grant t ~core ~client uri] derives send-only capabilities to
+    [client] for the resolved server {e and every server in its
+    dependency closure}, then establishes the Subkernel binding.
     @raise Unknown_service when the URI does not resolve. *)
 
 val grant_uri : grant -> string

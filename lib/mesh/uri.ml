@@ -1,5 +1,3 @@
-type t = { scheme : string; path : string }
-
 exception Bad_uri of string
 
 let scheme_char c =
@@ -22,10 +20,6 @@ let scheme_length s =
   done;
   !i
 
-let parse s =
-  let i = scheme_length s in
-  { scheme = String.sub s 0 i; path = String.sub s (i + 3) (String.length s - i - 3) }
-
 let service s = String.sub s 0 (scheme_length s)
 
 (* Toplevel, so a comparison builds no closure. *)
@@ -41,6 +35,3 @@ let has_scheme scheme uri =
   && uri.[n + 1] = '/'
   && uri.[n + 2] = '/'
   && same_prefix scheme uri 0 n
-
-let to_string t = t.scheme ^ "://" ^ t.path
-let pp fmt t = Format.pp_print_string fmt (to_string t)

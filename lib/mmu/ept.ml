@@ -196,11 +196,3 @@ let iter_leaves ~mem ~root_pa f =
   go root_pa 3 0
 
 let pages_owned t = Hashtbl.length t.owned
-
-let destroy t ~alloc =
-  Hashtbl.iter (fun pa () -> Sky_mem.Frame_alloc.free_frame alloc pa) t.owned;
-  Hashtbl.reset t.owned;
-  (* The root (and table) frames return to the allocator and may be
-     recycled as a new EPT — including as a new root whose EPTP value
-     would collide with ASID tags derived from this one. *)
-  Sky_sim.Accel.bump ()

@@ -22,10 +22,6 @@ val create : Sky_mem.Frame_alloc.t -> t
 val root_pa : t -> int
 (** The EPTP value (physical address of the root table). *)
 
-val entry_shift : int -> int
-(** log2 of the region one entry covers at [level]: 12 (4 KiB) at 0,
-    21 (2 MiB) at 1, 30 (1 GiB) at 2, 39 at 3. *)
-
 val map_identity_1g :
   t -> mem:Sky_mem.Phys_mem.t -> alloc:Sky_mem.Frame_alloc.t -> gib:int -> unit
 (** Identity-map [gib] gibibytes of guest-physical space with 1 GiB huge
@@ -117,5 +113,3 @@ val iter_leaves :
 val pages_owned : t -> int
 (** Table pages private to this EPT — 1 for a fresh shallow clone, 4 after
     one CR3 remap (§4.3's "only four pages"). *)
-
-val destroy : t -> alloc:Sky_mem.Frame_alloc.t -> unit

@@ -105,8 +105,3 @@ let iter_leaves ~mem ~root_pa f =
   go root_pa 3 0
 
 let pages t = List.length t.owned
-
-let destroy t ~alloc =
-  List.iter (fun pa -> Sky_mem.Frame_alloc.free_frame alloc pa) t.owned;
-  t.owned <- [];
-  Sky_sim.Accel.bump ()

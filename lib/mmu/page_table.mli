@@ -78,6 +78,3 @@ val iter_leaves :
 
 val pages : t -> int
 (** Number of table pages owned by this page table (including the root). *)
-
-val destroy : t -> alloc:Sky_mem.Frame_alloc.t -> unit
-(** Free all table pages (not the mapped frames). *)

@@ -10,8 +10,6 @@
 
 let n_keys = 16
 
-let valid_key k = k >= 0 && k < n_keys
-
 (* The PKRU value denying every key except those listed (listed keys get
    full read/write). *)
 let allow_only keys =
@@ -25,11 +23,3 @@ let allows_read ~pkru ~key = pkru land (1 lsl (2 * key)) = 0
 
 let allows_write ~pkru ~key =
   allows_read ~pkru ~key && pkru land (1 lsl ((2 * key) + 1)) = 0
-
-(* The keys a PKRU value grants write access to — for census/debugging. *)
-let writable_keys pkru =
-  List.filter (fun k -> allows_write ~pkru ~key:k) (List.init n_keys Fun.id)
-
-let to_string pkru =
-  Printf.sprintf "pkru:%#x[w:%s]" pkru
-    (String.concat "," (List.map string_of_int (writable_keys pkru)))

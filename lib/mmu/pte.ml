@@ -17,7 +17,6 @@ let rw = { present = true; writable = true; user = false; huge = false; nx = fal
 let urw = { rw with user = true }
 let urx = { present = true; writable = false; user = true; huge = false; nx = false }
 let ur = { present = true; writable = false; user = true; huge = false; nx = true }
-let kernel_rx = { present = true; writable = false; user = false; huge = false; nx = false }
 let absent = { present = false; writable = false; user = false; huge = false; nx = false }
 
 (* Bit positions of the x86-64 layout. *)

@@ -25,7 +25,6 @@ val urx : flags
 val ur : flags
 (** User read-only, no-execute (the calling-key table). *)
 
-val kernel_rx : flags
 val absent : flags
 
 val encode : pa:int -> flags -> int64
@@ -38,8 +37,6 @@ val is_present : int64 -> bool
 
 val zero : int64
 (** The not-present entry. *)
-
-val addr_mask : int64
 
 (** Allocation-free entry reads for the hardware walker. {!decode}
     returns a tuple and a record, and a {!Sky_mem.Phys_mem.read_u64}

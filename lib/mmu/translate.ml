@@ -176,11 +176,6 @@ let accessed vcpu mem acc ~va =
   Sky_sim.Memsys.access vcpu.Vcpu.cpu acc.kind hpa;
   hpa
 
-let read_u8 vcpu mem ~va = Sky_mem.Phys_mem.read_u8 mem (accessed vcpu mem data_read ~va)
-
-let write_u8 vcpu mem ~va v =
-  Sky_mem.Phys_mem.write_u8 mem (accessed vcpu mem data_write ~va) v
-
 let read_u64 vcpu mem ~va =
   Sky_mem.Phys_mem.read_u64 mem (accessed vcpu mem data_read ~va)
 

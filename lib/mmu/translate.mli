@@ -26,8 +26,6 @@ val translate : Vcpu.t -> Sky_mem.Phys_mem.t -> access -> va:int -> int
     page) and {!Ept_violation} on an EPT fault (a VM exit in real
     hardware; the Rootkernel handles it). *)
 
-val read_u8 : Vcpu.t -> Sky_mem.Phys_mem.t -> va:int -> int
-val write_u8 : Vcpu.t -> Sky_mem.Phys_mem.t -> va:int -> int -> unit
 val read_u64 : Vcpu.t -> Sky_mem.Phys_mem.t -> va:int -> int64
 val write_u64 : Vcpu.t -> Sky_mem.Phys_mem.t -> va:int -> int64 -> unit
 

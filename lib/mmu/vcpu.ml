@@ -44,9 +44,8 @@ let enter_non_root t vmcs = t.vmcs <- Some vmcs
    needs a flush. Tagging by EPTP value rather than list index matters:
    EPTP-list slots are LRU-recycled and re-pointed by the kernel layer,
    so an index tag could match a stale translation after a slot is
-   reused for a different EPT. The value tag can only be recycled when
-   an EPT root frame is freed, and {!Ept.destroy} bumps the global
-   mutation epoch, which flushes every translation structure. *)
+   reused for a different EPT. The value tag could only be recycled if
+   an EPT root frame were freed, and no EPT frame is ever freed. *)
 let asid t =
   let eptp_part =
     match t.vmcs with

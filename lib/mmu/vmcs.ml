@@ -47,7 +47,6 @@ let set_eptp t ~index ~eptp =
     invalid_arg "Vmcs.set_eptp: index out of range";
   t.eptp_list.(index) <- eptp
 
-let clear_eptp t ~index = set_eptp t ~index ~eptp:0
 let eptp_at t ~index = t.eptp_list.(index)
 let current_eptp t = t.eptp_list.(t.current_index)
 let current_index t = t.current_index

@@ -29,7 +29,6 @@ val create : ?vpid:bool -> unit -> t
     TLBs ({!Vmfunc.execute}). *)
 
 val set_eptp : t -> index:int -> eptp:int -> unit
-val clear_eptp : t -> index:int -> unit
 val eptp_at : t -> index:int -> int
 
 val install_list : t -> int list -> unit

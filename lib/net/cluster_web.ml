@@ -173,11 +173,5 @@ let errors t =
     (fun acc sh -> acc + Loadgen.errors (Web.loadgen sh.sh_web))
     0 t.cl_shards
 
-let max_cycles t =
-  Array.fold_left
-    (fun acc sh ->
-      max acc (Machine.max_cycles (Web.kernel sh.sh_web).Sky_ukernel.Kernel.machine))
-    0 t.cl_shards
-
 let shard_scope t i = t.cl_shards.(i).sh_scope
 let shard_web t i = t.cl_shards.(i).sh_web

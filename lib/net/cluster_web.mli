@@ -44,9 +44,5 @@ val quanta : _ t -> int
 val served : _ t -> int
 val errors : _ t -> int
 
-val max_cycles : _ t -> int
-(** Furthest-ahead core clock across all shards — the cluster's virtual
-    elapsed time. *)
-
 val shard_scope : _ t -> int -> Sky_sim.Scopes.t
 val shard_web : 'h t -> int -> 'h Web.t

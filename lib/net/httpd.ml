@@ -142,7 +142,6 @@ type worker = {
   mutable w_denied : int;  (** requests bounced to a peer on Denied *)
   mutable w_backoff : int;
       (** no endpoint pops before this cycle (set on a denial) *)
-  mutable w_fs_cold : int;  (** cache misses served through the FS *)
 }
 
 type t = {
@@ -218,7 +217,6 @@ let create ?(preload = []) ?(file_cache = true) ?(admission = no_admission)
           w_hangs = 0;
           w_denied = 0;
           w_backoff = 0;
-          w_fs_cold = 0;
         })
   in
   let t =
@@ -255,9 +253,7 @@ let create ?(preload = []) ?(file_cache = true) ?(admission = no_admission)
         List.iter
           (fun name ->
             match w.w_binding.fs_read ~core:w.w_core ~name with
-            | Some data ->
-              w.w_fs_cold <- w.w_fs_cold + 1;
-              Hashtbl.replace w.w_cache name data
+            | Some data -> Hashtbl.replace w.w_cache name data
             | None -> ())
           preload;
       Scheduler.block w.w_sched cpu w.w_thread;
@@ -277,7 +273,6 @@ let dropped_packets t = Socket.dropped t.socks
 let restarts t = Array.fold_left (fun a w -> a + w.w_restarts) 0 t.workers
 let hangs t = Array.fold_left (fun a w -> a + w.w_hangs) 0 t.workers
 let denials t = Array.fold_left (fun a w -> a + w.w_denied) 0 t.workers
-let fs_cold t = Array.fold_left (fun a w -> a + w.w_fs_cold) 0 t.workers
 let worker_served t i = t.workers.(i).w_served
 let steals t = Endpoint.steals t.ep
 let endpoint t = t.ep
@@ -372,7 +367,6 @@ let dispatch t w kv_replies pr =
     | None -> (
       match w.w_binding.fs_read ~core ~name with
       | Some data ->
-        w.w_fs_cold <- w.w_fs_cold + 1;
         if t.file_cache then Hashtbl.replace w.w_cache name data;
         Http.ok data
       | None -> Http.not_found))

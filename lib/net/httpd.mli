@@ -78,8 +78,6 @@ exception Expired
 (** Raised by a deadline-aware binding when the request's remaining
     budget is gone: the request is shed with a 503 ({!shed_expired}). *)
 
-val restart_cycles : int
-
 val create :
   ?preload:string list ->
   ?file_cache:bool ->
@@ -155,10 +153,5 @@ val steals : t -> int
 (** Endpoint pops satisfied from a peer's receive queue. *)
 
 val endpoint : t -> req Sky_mesh.Endpoint.t
-
-val fs_cold : t -> int
-(** Static-file cache misses served through the (big-locked) xv6fs
-    backend. Each worker pays one per file per lifetime — a crash wipes
-    its cache, so restarts re-read through the FS. *)
 
 val worker_served : t -> int -> int

@@ -37,7 +37,6 @@ type queue = {
   irq : Sky_kernels.Notification.t;
   mutable pinned_core : int;
   mutable rx_pkts : int;
-  mutable tx_pkts : int;
   mutable irqs_raised : int;
 }
 
@@ -77,7 +76,6 @@ let create kernel ~queues:nq =
               ~name:(Printf.sprintf "nic-rxq%d" id);
           pinned_core = id;
           rx_pkts = 0;
-          tx_pkts = 0;
           irqs_raised = 0;
         })
   in
@@ -198,7 +196,6 @@ let tx t ~queue ~core ~flow ~seq payload =
   write_desc mem r slot ~flow ~seq ~len:(Bytes.length payload);
   Sky_mem.Phys_mem.write_bytes mem (r.buf_pa + (slot * buf_slot)) payload;
   r.tail <- r.tail + 1;
-  q.tx_pkts <- q.tx_pkts + 1;
   (* Doorbell: an uncached MMIO store. *)
   Memsys.access_uncached cpu;
   (* The simulated wire completes TX immediately: hand the packet to the
@@ -208,5 +205,4 @@ let tx t ~queue ~core ~flow ~seq payload =
   t.on_tx ~flow ~payload ~deliver_at:(Cpu.cycles cpu)
 
 let rx_pkts t ~queue = t.queues.(queue).rx_pkts
-let tx_pkts t ~queue = t.queues.(queue).tx_pkts
 let irqs_raised t ~queue = t.queues.(queue).irqs_raised

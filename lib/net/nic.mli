@@ -16,8 +16,6 @@ type t
 exception Ring_full of { queue : int }
 
 val ring_entries : int
-val payload_max : int
-(** MTU-ish: largest payload one descriptor's buffer slot carries. *)
 
 val create : Sky_ukernel.Kernel.t -> queues:int -> t
 (** Allocate per-queue RX/TX rings and buffer frames from the kernel's
@@ -63,6 +61,5 @@ val tx : t -> queue:int -> core:int -> flow:int -> seq:int -> bytes -> unit
 
 val rx_level : t -> queue:int -> int
 val rx_pkts : t -> queue:int -> int
-val tx_pkts : t -> queue:int -> int
 val irqs_raised : t -> queue:int -> int
 val dropped : t -> int

@@ -33,7 +33,6 @@ type t = {
           [req_conn]/[req_payload] *)
   req_conn : conn array;  (** per queue: the last [Request]'s connection *)
   req_payload : bytes array;  (** per queue: and its payload *)
-  mutable accepts : int;
   mutable dropped : int;  (** stray and duplicate packets dropped *)
 }
 
@@ -47,7 +46,6 @@ let create kernel nic =
     staged = Array.make n false;
     req_conn = Array.make n no_conn;
     req_payload = Array.make n Bytes.empty;
-    accepts = 0;
     dropped = 0;
   }
 
@@ -61,8 +59,6 @@ let request t ~queue c payload =
   t.req_payload.(queue) <- payload;
   Request
 
-let conn_count t = Hashtbl.length t.conns
-let accepts t = t.accepts
 let dropped t = t.dropped
 
 (* Pop the next RX packet of [queue] and demultiplex it. The [Accepted]
@@ -87,7 +83,6 @@ let rec service t ~queue ~core =
       else begin
         let c = { flow = pkt.Nic.flow; queue; rx_seq = 1; tx_seq = 0; requests = 0 } in
         Hashtbl.add t.conns pkt.Nic.flow c;
-        t.accepts <- t.accepts + 1;
         Kernel.user_compute t.kernel ~core ~cycles:accept_cost;
         (* The SYN carries the first request: deliver it on the next
            service pass. *)

@@ -37,9 +37,3 @@ val dropped : t -> int
 
 val reply : t -> conn -> core:int -> bytes -> unit
 (** Send one sequenced response packet back down the connection. *)
-
-val conn_count : t -> int
-val accepts : t -> int
-
-val accept_cost : int
-val demux_cost : int

@@ -202,34 +202,28 @@ let elements_of_decoded ~code ~code_va (d : Decode.decoded) =
   | Some i -> [ E_insn i ]
   | None -> [ E_bytes (Bytes.sub_string code d.Decode.off d.Decode.len) ]
 
-(* Replacement elements for one occurrence (C1 is handled in place by the
-   caller). *)
-let elements_for_occurrence ~code ~code_va (occ : Scan.occurrence) =
-  match occ.Scan.case with
-  | Scan.C1_vmfunc -> assert false
-  | Scan.C2_spanning ->
-    (* The same instructions with a NOP wedged between each pair. *)
-    let rec interleave = function
-      | [] -> []
-      | [ d ] -> elements_of_decoded ~code ~code_va d
-      | d :: rest ->
-        elements_of_decoded ~code ~code_va d @ (E_insn Insn.Nop :: interleave rest)
-    in
-    interleave occ.Scan.span
-  | Scan.C3_embedded field -> (
-    let d = List.hd occ.Scan.span in
-    match d.Decode.insn with
-    | None -> raise (Rewrite_failed "pattern inside undecodable instruction")
-    | Some (Insn.Jmp_rel _) | Some (Insn.Call_rel _) | Some (Insn.Jcc _) ->
-      (* Jump-like: moving to the rewrite page re-encodes the offset. *)
-      elements_of_decoded ~code ~code_va d
-    | Some insn -> (
-      match field with
-      | Scan.In_modrm | Scan.In_sib -> strategy_subst_base insn
-      | Scan.In_disp -> strategy_disp insn
-      | Scan.In_imm -> strategy_imm insn
-      | Scan.In_opcode ->
-        raise (Rewrite_failed "pattern in opcode of non-vmfunc instruction")))
+(* C2: the span's instructions with a NOP wedged between each pair. *)
+let c2_elements ~code ~code_va first rest =
+  elements_of_decoded ~code ~code_va first
+  @ List.concat_map
+      (fun d -> E_insn Insn.Nop :: elements_of_decoded ~code ~code_va d)
+      rest
+
+(* C3: the replacement for the one instruction whose [field] holds the
+   pattern. *)
+let c3_elements ~code ~code_va field (d : Decode.decoded) =
+  match d.Decode.insn with
+  | None -> raise (Rewrite_failed "pattern inside undecodable instruction")
+  | Some (Insn.Jmp_rel _) | Some (Insn.Call_rel _) | Some (Insn.Jcc _) ->
+    (* Jump-like: moving to the rewrite page re-encodes the offset. *)
+    elements_of_decoded ~code ~code_va d
+  | Some insn -> (
+    match field with
+    | Scan.In_modrm | Scan.In_sib -> strategy_subst_base insn
+    | Scan.In_disp -> strategy_disp insn
+    | Scan.In_imm -> strategy_imm insn
+    | Scan.In_opcode ->
+      raise (Rewrite_failed "pattern in opcode of non-vmfunc instruction"))
 
 let nop_byte = '\x90'
 
@@ -268,65 +262,62 @@ let emit_snippet page ~page_va ~return_va elems =
   in
   try_pad 0
 
-(* Grow the span rightwards until it is big enough for a 5-byte jump,
-   pulling whole following instructions in. *)
-let widen_span ~code span =
-  let last = List.nth span (List.length span - 1) in
-  let span_off = (List.hd span).Decode.off in
-  let rec grow span last =
-    let span_len = last.Decode.off + last.Decode.len - span_off in
-    if span_len >= 5 then span
-    else begin
-      let next_off = last.Decode.off + last.Decode.len in
-      if next_off >= Bytes.length code then
-        raise (Rewrite_failed "span too short at end of code")
-      else begin
-        let d = Decode.decode_one code next_off in
-        grow (span @ [ d ]) d
-      end
-    end
+(* Grow the span [first :: rest] rightwards until it is big enough for a
+   5-byte jump, pulling whole following instructions in. Returns the grown
+   [rest] and the span's length. *)
+let widen_span ~code (first : Decode.decoded) rest =
+  let rec grow rev_rest (last : Decode.decoded) =
+    let next_off = last.Decode.off + last.Decode.len in
+    let span_len = next_off - first.Decode.off in
+    if span_len >= 5 then (List.rev rev_rest, span_len)
+    else if next_off >= Bytes.length code then
+      raise (Rewrite_failed "span too short at end of code")
+    else
+      let d = Decode.decode_one code next_off in
+      grow (d :: rev_rest) d
   in
-  grow span last
+  match List.rev rest with
+  | [] -> grow [] first
+  | last :: _ as rev_rest -> grow rev_rest last
+
+(* Replace the span [first :: rest], widened to fit a jump, by [elements]
+   of the widened span: in place when they fit and stay clean, else as a
+   rewrite-page snippet reached by a jump. *)
+let replace_span ~code ~code_va ~page_va ~page first rest elements =
+  let rest, span_len = widen_span ~code first rest in
+  let span_off = first.Decode.off in
+  let elems = elements first rest in
+  let in_place = encode_elements ~base_va:(code_va + span_off) elems in
+  if String.length in_place <= span_len && clean_bytes in_place then
+    patch_in_place code ~off:span_off ~len:span_len ~bytes_str:in_place
+  else begin
+    let return_va = code_va + span_off + span_len in
+    let snippet_va = emit_snippet page ~page_va ~return_va elems in
+    let jmp =
+      (Encode.encode (Insn.Jmp_rel (snippet_va - (code_va + span_off + 5))))
+        .Encode.bytes
+    in
+    patch_in_place code ~off:span_off ~len:span_len ~bytes_str:jmp
+  end
 
 let handle_occurrence ~code ~code_va ~page_va ~page (occ : Scan.occurrence) =
-  match occ.Scan.case with
-  | Scan.C1_vmfunc ->
-    let d = List.hd occ.Scan.span in
-    (* Three NOPs in place (Table 3 row 1). VMFUNC is exactly 3 bytes
-       but a redundant-prefix encoding could be longer; pad whatever the
-       instruction occupies. *)
-    patch_in_place code ~off:d.Decode.off ~len:d.Decode.len ~bytes_str:""
-  | Scan.C2_spanning | Scan.C3_embedded _ ->
-    let span = widen_span ~code occ.Scan.span in
-    let span_off = (List.hd span).Decode.off in
-    let last = List.nth span (List.length span - 1) in
-    let span_len = last.Decode.off + last.Decode.len - span_off in
-    let occ = { occ with Scan.span } in
-    let elems =
-      match occ.Scan.case with
-      | Scan.C2_spanning -> elements_for_occurrence ~code ~code_va occ
-      | _ -> (
-        (* Widening may have appended trailing instructions after a C3;
-           rewrite the first instruction, then move the rest verbatim. *)
-        match span with
-        | [] -> assert false
-        | first :: rest ->
-          elements_for_occurrence ~code ~code_va { occ with Scan.span = [ first ] }
-          @ List.concat_map (elements_of_decoded ~code ~code_va) rest)
-    in
-    (* Try in place first. *)
-    let in_place = encode_elements ~base_va:(code_va + span_off) elems in
-    if String.length in_place <= span_len && clean_bytes in_place then
-      patch_in_place code ~off:span_off ~len:span_len ~bytes_str:in_place
-    else begin
-      let return_va = code_va + span_off + span_len in
-      let snippet_va = emit_snippet page ~page_va ~return_va elems in
-      let jmp =
-        (Encode.encode (Insn.Jmp_rel (snippet_va - (code_va + span_off + 5))))
-          .Encode.bytes
-      in
-      patch_in_place code ~off:span_off ~len:span_len ~bytes_str:jmp
-    end
+  match occ.Scan.span with
+  | [] -> raise (Rewrite_failed "occurrence covers no instruction")
+  | first :: rest -> (
+    match occ.Scan.case with
+    | Scan.C1_vmfunc ->
+      (* Three NOPs in place (Table 3 row 1). VMFUNC is exactly 3 bytes
+         but a redundant-prefix encoding could be longer; pad whatever the
+         instruction occupies. *)
+      patch_in_place code ~off:first.Decode.off ~len:first.Decode.len ~bytes_str:""
+    | Scan.C2_spanning ->
+      replace_span ~code ~code_va ~page_va ~page first rest (c2_elements ~code ~code_va)
+    | Scan.C3_embedded field ->
+      (* Widening may have appended trailing instructions after a C3;
+         rewrite the first instruction, then move the rest verbatim. *)
+      replace_span ~code ~code_va ~page_va ~page first rest (fun first rest ->
+          c3_elements ~code ~code_va field first
+          @ List.concat_map (elements_of_decoded ~code ~code_va) rest))
 
 (* ------------------------------------------------------------------ *)
 (* Independent post-verification (ERIM-style scan-and-verify)          *)

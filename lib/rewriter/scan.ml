@@ -25,7 +25,7 @@ let find_bytes ~pattern code =
   in
   if p = 0 then [] else go 0 []
 
-let find_pattern ?(pattern = vmfunc_bytes) code = find_bytes ~pattern code
+let find_pattern code = find_bytes ~pattern:vmfunc_bytes code
 let find_wrpkru code = find_bytes ~pattern:wrpkru_bytes code
 let count_pattern code = List.length (find_pattern code)
 
@@ -84,12 +84,9 @@ let field_of (l : Encode.layout) rel =
   else if in_span l.Encode.imm_off l.Encode.imm_len then In_imm
   else In_opcode
 
-let scan ?(pattern = vmfunc_bytes) code =
-  let expected_insn =
-    if Bytes.equal pattern wrpkru_bytes then Insn.Wrpkru else Insn.Vmfunc
-  in
-  let plen = Bytes.length pattern in
-  let hits = find_bytes ~pattern code in
+let scan code =
+  let plen = Bytes.length vmfunc_bytes in
+  let hits = find_pattern code in
   if hits = [] then []
   else begin
     let insns = Array.of_list (Decode.decode_all code) in
@@ -120,7 +117,7 @@ let scan ?(pattern = vmfunc_bytes) code =
           in
           { at; case = C2_spanning; span = collect i [] }
         end
-        else if d.Decode.insn = Some expected_insn then
+        else if d.Decode.insn = Some Insn.Vmfunc then
           { at; case = C1_vmfunc; span = [ d ] }
         else
           {

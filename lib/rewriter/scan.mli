@@ -28,14 +28,11 @@ val wrpkru_bytes : bytes
 (** [0F 01 EF] — the WRPKRU encoding the MPK backend's binary audit
     hunts for, exactly as ERIM's inspection pass does. *)
 
-val find_bytes : pattern:bytes -> bytes -> int list
-(** All byte offsets where [pattern] occurs, boundary-oblivious. *)
-
-val find_pattern : ?pattern:bytes -> bytes -> int list
-(** [find_bytes] defaulting to {!vmfunc_bytes}. *)
+val find_pattern : bytes -> int list
+(** All byte offsets where {!vmfunc_bytes} occurs, boundary-oblivious. *)
 
 val find_wrpkru : bytes -> int list
-(** [find_bytes ~pattern:wrpkru_bytes]. *)
+(** All byte offsets where {!wrpkru_bytes} occurs. *)
 
 val count_pattern : bytes -> int
 
@@ -47,13 +44,11 @@ val find_pattern_chunked : ?pattern:bytes -> (int * bytes) list -> int list
     sorted global offsets. *)
 
 val find_pattern_paged : ?pattern:bytes -> bytes -> int list
-(** [find_bytes] with the buffer scanned in 4096-byte pages —
-    the shape a per-page audit sees; equivalent to the contiguous scan. *)
+(** All byte offsets where [pattern] (default {!vmfunc_bytes}) occurs,
+    with the buffer scanned in 4096-byte pages — the shape a per-page
+    audit sees; equivalent to the contiguous scan. *)
 
-val scan : ?pattern:bytes -> bytes -> occurrence list
-(** Classified occurrences, in increasing [at] order. [C1_vmfunc] means
-    "the covering instruction {e is} the mechanism instruction" for
-    whichever pattern is being scanned. *)
+val scan : bytes -> occurrence list
+(** Classified VMFUNC occurrences, in increasing [at] order. *)
 
-val field_name : field -> string
 val case_name : case -> string

@@ -63,9 +63,7 @@ let create ~name ~size_bytes ~ways ~line_bytes =
     rec_moves = 0;
   }
 
-let name t = t.name
 let sets t = t.sets
-let ways t = t.ways
 let line_bytes t = t.line_bytes
 
 (* The set scan is an inline loop, and a miss picks the LRU way in a

@@ -12,9 +12,7 @@ val create : name:string -> size_bytes:int -> ways:int -> line_bytes:int -> t
 (** Raises [Invalid_argument] unless [size_bytes] is divisible into an
     integral power-of-two number of sets of [ways] lines. *)
 
-val name : t -> string
 val sets : t -> int
-val ways : t -> int
 val line_bytes : t -> int
 
 val access : t -> int -> bool

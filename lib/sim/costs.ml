@@ -47,12 +47,6 @@ let sel4_fastpath_logic = 98
    restoring register values and installing the target stack. *)
 let skybridge_crossing_other = 64
 
-(* Table 2: no-op system call round trips, for the table2 experiment.
-   Note the paper's own Table 2 (181 w/o KPTI) differs slightly from the
-   §2.1.1 decomposition (82+26+26+75 = 209); see EXPERIMENTS.md. *)
-let noop_syscall_kpti = 431
-let noop_syscall_nokpti = 181
-
 (* Memory hierarchy access latencies (Skylake, public figures; the paper
    does not list them but the indirect-cost experiment in §2.1.2 depends on
    realistic values). *)

@@ -13,7 +13,6 @@
 type t = Tlb.t
 
 let create ~name ~entries ~ways = Tlb.create ~name ~entries ~ways
-let name = Tlb.name
 
 let miss = -1
 
@@ -23,6 +22,4 @@ let insert = Tlb.fill_payload
 let flush_all = Tlb.flush_all
 let flush_asid = Tlb.flush_asid
 let flush_key t ~key = Tlb.flush_vpn_all_asids t ~vpn:key
-let hits = Tlb.hits
-let misses = Tlb.misses
 let reset_stats = Tlb.reset_stats

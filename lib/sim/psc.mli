@@ -8,7 +8,6 @@
 type t
 
 val create : name:string -> entries:int -> ways:int -> t
-val name : t -> string
 
 val miss : int
 (** [-1]: what {!lookup} returns on a miss. Payloads are addresses or
@@ -31,6 +30,4 @@ val flush_key : t -> key:int -> unit
 (** Invalidate [key] under every ASID (INVLPG drops paging-structure
     entries regardless of PCID). *)
 
-val hits : t -> int
-val misses : t -> int
 val reset_stats : t -> unit

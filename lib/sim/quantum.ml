@@ -30,9 +30,6 @@ type lane = { l_name : string; l_advance : until:int -> [ `Paused | `Done ] }
 
 type engine = Seq | Par of { jobs : int }
 
-let engine_name = function
-  | Seq -> "seq"
-  | Par { jobs } -> Printf.sprintf "par%d" jobs
 
 let default_quantum = 50_000
 

@@ -28,8 +28,6 @@ type engine =
           joined before [run] returns, also when a lane or [commit]
           raises. *)
 
-val engine_name : engine -> string
-
 val default_quantum : int
 (** 50k simulated cycles: coarse enough to amortize the barrier, fine
     enough that boundary commits (gossip, load rebalance) stay timely. *)

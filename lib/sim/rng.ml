@@ -37,8 +37,6 @@ let float t =
   (* 53 random bits mapped to [0, 1). *)
   float_of_int (next t land ((1 lsl 53) - 1)) /. float_of_int (1 lsl 53)
 
-let bool t = next t land 1 = 1
-
 let bytes t len =
   let b = Bytes.create len in
   for i = 0 to len - 1 do

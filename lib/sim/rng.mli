@@ -24,8 +24,6 @@ val int : t -> int -> int
 val float : t -> float
 (** Uniform in [\[0, 1)]. *)
 
-val bool : t -> bool
-
 val bytes : t -> int -> bytes
 (** Random payloads for KV/YCSB values. *)
 

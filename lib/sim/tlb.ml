@@ -42,7 +42,6 @@ let create ~name ~entries ~ways =
   { name; sets; ways; data; gen = 0; seen_epoch = Accel.current_epoch ();
     clock = 0; hits = 0; misses = 0 }
 
-let name t = t.name
 let capacity t = Array.length t.data / width
 let base_of t vpn = (vpn land (t.sets - 1)) * t.ways
 

@@ -23,9 +23,6 @@ type entry = {
 
 val create : name:string -> entries:int -> ways:int -> t
 
-val name : t -> string
-val capacity : t -> int
-
 val lookup : t -> asid:int -> vpn:int -> entry option
 (** Hit updates LRU state and the hit counter; miss counts a miss.
     Builds the returned entry: the hot paths use {!lookup_slot}. *)

@@ -129,8 +129,6 @@ let query t ~core key =
   | Ok i -> Some (lval t b i)
   | Error _ -> None
 
-let mem t ~core key = query t ~core key <> None
-
 (* ---- insertion ---- *)
 
 (* Insert separator (key, child) into the internal node at [page],

@@ -27,7 +27,6 @@ val update : t -> core:int -> key:int -> value:bytes -> bool
 val query : t -> core:int -> int -> bytes option
 (** The stored (padded) value. *)
 
-val mem : t -> core:int -> int -> bool
 val delete : t -> core:int -> key:int -> bool
 
 val count : t -> int
@@ -35,9 +34,6 @@ val count : t -> int
 
 val flush : t -> core:int -> unit
 (** Persist the header (root + count). *)
-
-val fold : t -> core:int -> ('a -> int -> bytes -> 'a) -> 'a -> 'a
-(** In key order, via the leaf chain. *)
 
 val keys : t -> core:int -> int list
 

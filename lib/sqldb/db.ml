@@ -19,7 +19,6 @@ type t = {
           the whole journaled transaction; readers take it briefly. This
           — together with the xv6fs big lock — is what collapses the
           YCSB curves as threads are added (Figures 9–11). *)
-  mutable txs : int;
 }
 
 (* Per-operation CPU work of the SQL layer (parsing, planning, record
@@ -58,7 +57,7 @@ let create kernel fs ~core ~name ~value_size =
   let pager = Pager.create kernel fs ~core ~inum in
   let tree = Btree.create pager ~core ~value_size in
   { fs; kernel; name; pager; tree; journal_inum;
-    db_lock = Sky_ukernel.Lock.create (name ^ "-dblock"); txs = 0 }
+    db_lock = Sky_ukernel.Lock.create (name ^ "-dblock") }
 
 let open_ kernel fs ~core ~name =
   match fs.Sky_xv6fs.Fs_iface.lookup ~core name with
@@ -74,7 +73,7 @@ let open_ kernel fs ~core ~name =
     let pager = Pager.create kernel fs ~core ~inum in
     let tree = Btree.open_ pager ~core in
     { fs; kernel; name; pager; tree; journal_inum;
-      db_lock = Sky_ukernel.Lock.create (name ^ "-dblock"); txs = 0 }
+      db_lock = Sky_ukernel.Lock.create (name ^ "-dblock") }
 
 let compute t ~core cycles = Sky_ukernel.Kernel.user_compute t.kernel ~core ~cycles
 
@@ -92,7 +91,6 @@ let with_tx t ~core ~page f =
     ~finally:(fun () ->
       Sky_ukernel.Lock.release t.db_lock (Sky_ukernel.Kernel.cpu t.kernel ~core))
   @@ fun () ->
-  t.txs <- t.txs + 1;
   (* 1. Rollback image. *)
   let original = Pager.read t.pager ~core page in
   t.fs.Sky_xv6fs.Fs_iface.write ~core ~inum:t.journal_inum ~off:Pager.page_size
@@ -138,7 +136,6 @@ let delete t ~core ~key =
       compute t ~core sql_compute_cycles;
       Btree.delete t.tree ~core ~key)
 
-let count t = Btree.count t.tree
 let pager t = t.pager
 let tree t = t.tree
 let name t = t.name

@@ -13,12 +13,6 @@
 
 type t
 
-val sql_compute_cycles : int
-(** Per-statement SQL-layer work (parse/plan/pack), charged inside the
-    transaction. Calibration documented in EXPERIMENTS.md. *)
-
-val query_compute_cycles : int
-
 val create :
   Sky_ukernel.Kernel.t ->
   Sky_xv6fs.Fs_iface.t ->
@@ -38,7 +32,6 @@ val update : t -> core:int -> key:int -> value:bytes -> bool
 val query : t -> core:int -> key:int -> bytes option
 val delete : t -> core:int -> key:int -> bool
 
-val count : t -> int
 val pager : t -> Pager.t
 val tree : t -> Btree.t
 

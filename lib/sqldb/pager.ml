@@ -23,8 +23,6 @@ type t = {
   mutable clock : int;
   mutable npages : int;
   mutable hits : int;
-  mutable misses : int;
-  mutable page_writes : int;
 }
 
 let create kernel fs ~core ~inum =
@@ -46,8 +44,6 @@ let create kernel fs ~core ~inum =
     clock = 0;
     npages = (size + page_size - 1) / page_size;
     hits = 0;
-    misses = 0;
-    page_writes = 0;
   }
 
 let touch t ~core slot =
@@ -77,7 +73,6 @@ let read t ~core page_no =
     touch t ~core slot;
     Sky_mem.Phys_mem.read_bytes t.mem slot.pa page_size
   | None ->
-    t.misses <- t.misses + 1;
     let data =
       t.fs.Sky_xv6fs.Fs_iface.read ~core ~inum:t.inum ~off:(page_no * page_size)
         ~len:page_size
@@ -98,7 +93,6 @@ let read t ~core page_no =
 let write t ~core page_no data =
   if Bytes.length data <> page_size then invalid_arg "Pager.write: bad size";
   t.clock <- t.clock + 1;
-  t.page_writes <- t.page_writes + 1;
   t.fs.Sky_xv6fs.Fs_iface.write ~core ~inum:t.inum ~off:(page_no * page_size) data;
   (match Hashtbl.find_opt t.index page_no with
   | Some slot ->
@@ -113,7 +107,4 @@ let alloc_page t ~core =
   write t ~core page_no (Bytes.make page_size '\000');
   page_no
 
-let npages t = t.npages
 let hits t = t.hits
-let misses t = t.misses
-let page_writes t = t.page_writes

@@ -10,8 +10,6 @@ type t
 val page_size : int
 (** 1024 (= the FS block size). *)
 
-val cache_slots : int
-
 val create :
   Sky_ukernel.Kernel.t -> Sky_xv6fs.Fs_iface.t -> core:int -> inum:int -> t
 
@@ -24,7 +22,4 @@ val write : t -> core:int -> int -> bytes -> unit
 val alloc_page : t -> core:int -> int
 (** Append a zeroed page; returns its number. *)
 
-val npages : t -> int
 val hits : t -> int
-val misses : t -> int
-val page_writes : t -> int

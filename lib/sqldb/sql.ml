@@ -92,6 +92,8 @@ let where_clause toks =
   let toks = punct '=' toks in
   int_lit toks
 
+(* Case-insensitive keywords; string literals in single quotes with ['']
+   escaping. *)
 let parse s =
   match tokenize s with
   | Word "insert" :: rest ->

@@ -12,18 +12,7 @@
     Statements are parsed (with real errors), charged as part of the SQL
     compute the DB layer models, and executed against the B+tree. *)
 
-type stmt =
-  | Insert of { table : string; key : int; value : string }
-  | Select of { table : string; key : int }
-  | Update of { table : string; key : int; value : string }
-  | Delete of { table : string; key : int }
-
 exception Parse_error of string
-
-val parse : string -> stmt
-(** Case-insensitive keywords; string literals in single quotes with
-    [''] escaping.
-    @raise Parse_error with a human-readable message. *)
 
 type result =
   | Ok_affected of int  (** rows affected (0 or 1) *)

@@ -26,13 +26,6 @@ let create () =
     max_v = 0;
   }
 
-let reset t =
-  Array.fill t.counts 0 (Array.length t.counts) 0;
-  t.n <- 0;
-  t.sum <- 0;
-  t.min_v <- max_int;
-  t.max_v <- 0
-
 (* Bucket index of a non-negative value. Values 0..sub_buckets-1 map to
    exact unit buckets in the first rows. *)
 let bucket_of v =
@@ -100,7 +93,3 @@ let p50 t = percentile t 50.0
 let p95 t = percentile t 95.0
 let p99 t = percentile t 99.0
 let p999 t = percentile t 99.9
-
-let pp fmt t =
-  Format.fprintf fmt "n=%d p50=%d p95=%d p99=%d max=%d" t.n (p50 t) (p95 t)
-    (p99 t) t.max_v

@@ -103,7 +103,6 @@ let enabled = Atomic.make false
 
 let is_enabled () = Atomic.get enabled
 let set_clock f = (ctx ()).c_clock <- f
-let now ~core = (ctx ()).c_clock core
 
 let clear () =
   let c = ctx () in

@@ -68,7 +68,6 @@ let rec kill cap =
 let revoke _r cap = List.iter kill cap.children
 let delete _r cap = kill cap
 let is_live _r cap = cap.live
-let owner cap = cap.owner
 let target cap = cap.target
 let badge cap = cap.badge
 let rights cap = cap.rights
@@ -83,8 +82,3 @@ let check r ~pid ~target ~need =
   match Hashtbl.find r.by_owner pid with
   | exception Not_found -> false
   | l -> any_covers ~target ~need !l
-
-let caps_of r ~pid =
-  match Hashtbl.find_opt r.by_owner pid with
-  | None -> []
-  | Some l -> List.filter (fun c -> c.live) !l

@@ -41,12 +41,9 @@ val delete : registry -> t -> unit
 (** Destroy this capability and its subtree. *)
 
 val is_live : registry -> t -> bool
-val owner : t -> int
 val target : t -> int
 val badge : t -> int
 val rights : t -> rights
 
 val check : registry -> pid:int -> target:int -> need:rights -> bool
 (** Does [pid] hold any live capability on [target] covering [need]? *)
-
-val caps_of : registry -> pid:int -> t list

@@ -16,11 +16,10 @@
 type t = {
   allowed : (int, int) Hashtbl.t;
       (** (client pid, server id), packed by [grant], -> granted entry VA *)
-  mutable checks : int;
   mutable denials : int;
 }
 
-let create () = { allowed = Hashtbl.create 64; checks = 0; denials = 0 }
+let create () = { allowed = Hashtbl.create 64; denials = 0 }
 
 (* A grant's key packs the client pid and the server id into one
    immediate, so the trap-time lookup allocates nothing. *)
@@ -35,15 +34,9 @@ let allow t ~pid ~server ~entry =
 
 let revoke t ~pid ~server = Hashtbl.remove t.allowed (grant ~pid ~server)
 
-let revoke_server t ~server =
-  Hashtbl.filter_map_inplace
-    (fun k entry -> if k land id_mask = server then None else Some entry)
-    t.allowed
-
 (* The trap-time check: charged at Costs.entry_filter_check by the
-   caller (the kernel entry path), counted here. *)
+   caller (the kernel entry path); a denial is counted here. *)
 let check t ~pid ~server ~entry =
-  t.checks <- t.checks + 1;
   match Hashtbl.find t.allowed (grant ~pid ~server) with
   | granted when granted = entry -> true
   | _ | (exception Not_found) ->
@@ -58,9 +51,4 @@ let entries t =
     t.allowed []
   |> List.sort compare
 
-let checks t = t.checks
 let denials t = t.denials
-
-let reset_stats t =
-  t.checks <- 0;
-  t.denials <- 0

@@ -13,9 +13,6 @@ val allow : t -> pid:int -> server:int -> entry:int -> unit
 
 val revoke : t -> pid:int -> server:int -> unit
 
-val revoke_server : t -> server:int -> unit
-(** Erase every grant targeting [server] — the crash/revoke path. *)
-
 val check : t -> pid:int -> server:int -> entry:int -> bool
 (** Trap-time filter: true iff the pair holds a grant for exactly this
     entry VA. Counts the check, and the denial when it fails. The
@@ -27,6 +24,4 @@ val size : t -> int
 val entries : t -> (int * int * int) list
 (** [(pid, server, entry)] grants, sorted — audit input. *)
 
-val checks : t -> int
 val denials : t -> int
-val reset_stats : t -> unit

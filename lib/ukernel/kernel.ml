@@ -60,10 +60,6 @@ let spawn t ~name =
   List.iter (fun f -> f t p) t.on_spawn;
   p
 
-let find_proc t ~pid =
-  match List.find_opt (fun p -> p.Proc.pid = pid) t.procs with
-  | Some p -> p
-  | None -> invalid_arg (Printf.sprintf "Kernel.find_proc: no pid %d" pid)
 
 let map_frames t p ~va ~pa ~len ~flags =
   Page_table.map_range p.Proc.page_table ~mem:(mem t) ~alloc:(alloc t) ~va ~pa

@@ -34,8 +34,6 @@ val spawn : t -> name:string -> Proc.t
 (** New process with an empty page table and fresh identity frame;
     triggers [on_spawn] hooks. *)
 
-val find_proc : t -> pid:int -> Proc.t
-
 val map_anon : t -> Proc.t -> ?va:int -> ?flags:Sky_mmu.Pte.flags -> int -> int
 (** [map_anon t p len]: allocate frames and map them at [va] (heap-bumped
     when omitted); returns the VA. Default flags are user read/write with

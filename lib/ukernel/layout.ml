@@ -10,7 +10,6 @@ let rewrite_page_va = 0x1000
 let code_va = 0x400000
 let heap_va = 0x1000_0000
 let trampoline_va = 0x7000_0000
-let skybridge_stack_va = 0x7100_0000
 let skybridge_buffer_va = 0x7200_0000
 let identity_page_va = 0x7300_0000
 let stack_top_va = 0x7ff0_0000

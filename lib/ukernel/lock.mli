@@ -29,9 +29,3 @@ val release : t -> Sky_sim.Cpu.t -> unit
 
 val with_lock : t -> Sky_sim.Cpu.t -> (unit -> 'a) -> 'a
 (** Acquire, run, release (exception-safe). *)
-
-val convoy_size : t -> int
-(** Distinct cores among the recent acquirers. *)
-
-val contended_handoff_cycles : int
-val migration_cycles : int

@@ -14,8 +14,6 @@ type t = {
   slots : slot array;
   index : (int, slot) Hashtbl.t;
   mutable clock : int;
-  mutable hits : int;
-  mutable misses : int;
 }
 
 let bsize = Sky_blockdev.Ramdisk.block_size
@@ -32,8 +30,6 @@ let create machine =
       Array.init nbuf (fun i -> { pa = pa + (i * bsize); blockno = -1; stamp = 0 });
     index = Hashtbl.create nbuf;
     clock = 0;
-    hits = 0;
-    misses = 0;
   }
 
 let touch cpu slot =
@@ -44,12 +40,10 @@ let get t cpu blockno ~load =
   t.clock <- t.clock + 1;
   match Hashtbl.find_opt t.index blockno with
   | Some slot ->
-    t.hits <- t.hits + 1;
     slot.stamp <- t.clock;
     touch cpu slot;
     Sky_mem.Phys_mem.read_bytes t.mem slot.pa bsize
   | None ->
-    t.misses <- t.misses + 1;
     let victim = ref t.slots.(0) in
     Array.iter (fun s -> if s.stamp < !victim.stamp then victim := s) t.slots;
     let slot = !victim in
@@ -75,7 +69,3 @@ let put t cpu blockno data =
   | None ->
     ignore (get t cpu blockno ~load:(fun () -> data)));
   ()
-
-let invalidate t = Hashtbl.reset t.index
-let hits t = t.hits
-let misses t = t.misses

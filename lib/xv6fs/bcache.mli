@@ -7,7 +7,6 @@
 
 type t
 
-val nbuf : int
 val create : Sky_sim.Machine.t -> t
 
 val get : t -> Sky_sim.Cpu.t -> int -> load:(unit -> bytes) -> bytes
@@ -16,7 +15,3 @@ val get : t -> Sky_sim.Cpu.t -> int -> load:(unit -> bytes) -> bytes
 val put : t -> Sky_sim.Cpu.t -> int -> bytes -> unit
 (** Refresh (or insert) the cached copy — used when a transaction
     installs committed blocks. *)
-
-val invalidate : t -> unit
-val hits : t -> int
-val misses : t -> int

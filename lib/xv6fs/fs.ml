@@ -68,7 +68,6 @@ type t = {
   bcache : Bcache.t;
   log : Log.t;
   lock : Sky_ukernel.Lock.t;
-  mutable ops : int;  (** completed public operations *)
 }
 
 let cpu t ~core = Sky_ukernel.Kernel.cpu t.kernel ~core
@@ -77,9 +76,9 @@ let cpu t ~core = Sky_ukernel.Kernel.cpu t.kernel ~core
 (* mkfs                                                                *)
 (* ------------------------------------------------------------------ *)
 
-let mkfs kernel disk ~core ?(size = 2000) ?(ninodes = 200) ?(nlog = 30) () =
+let mkfs kernel disk ~core ?(size = 2000) ?(ninodes = 200) () =
   ignore kernel;
-  let sb = Superblock.layout ~size ~ninodes ~nlog in
+  let sb = Superblock.layout ~size ~ninodes ~nlog:30 in
   disk.Sky_blockdev.Disk.write ~core 1 (Superblock.encode sb);
   (* Clear the log header. *)
   disk.Sky_blockdev.Disk.write ~core sb.Superblock.logstart (Bytes.make bsize '\000');
@@ -120,7 +119,6 @@ let mount kernel disk ~core =
     bcache;
     log = Log.create disk sb bcache;
     lock = Sky_ukernel.Lock.create "xv6fs-big-lock";
-    ops = 0;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -343,7 +341,6 @@ let with_op t ~core f =
       match f () with
       | v ->
         Log.end_op t.log (cpu t ~core) ~core;
-        t.ops <- t.ops + 1;
         v
       | exception e ->
         (* A crash mid-transaction leaves the log uncommitted; recovery
@@ -429,7 +426,6 @@ let list_dir t ~core =
              None));
       List.rev !acc)
 
-let ops t = t.ops
 let lock t = t.lock
 let superblock t = t.sb
 
@@ -440,6 +436,4 @@ let inspect_inode t ~core inum =
 let inspect_block t ~core blockno =
   Sky_ukernel.Lock.with_lock t.lock (cpu t ~core) (fun () ->
       bread t ~core blockno)
-let cache_hits t = Bcache.hits t.bcache
-let cache_misses t = Bcache.misses t.bcache
 let log_commits t = Log.commits t.log

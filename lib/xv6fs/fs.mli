@@ -34,11 +34,10 @@ val mkfs :
   core:int ->
   ?size:int ->
   ?ninodes:int ->
-  ?nlog:int ->
   unit ->
   unit
-(** Format the device: superblock, empty log, free inodes, bitmap with
-    the metadata marked used, root directory. *)
+(** Format the device: superblock, an empty 30-block log, free inodes,
+    bitmap with the metadata marked used, root directory. *)
 
 val mount : Sky_ukernel.Kernel.t -> Sky_blockdev.Disk.t -> core:int -> t
 (** Read the superblock and {e replay the log} (crash recovery), then
@@ -64,14 +63,9 @@ val unlink : t -> core:int -> string -> bool
 
 val list_dir : t -> core:int -> string list
 
-val ops : t -> int
-(** Completed public operations. *)
-
 val lock : t -> Sky_ukernel.Lock.t
 (** The big lock, exposed for the contention experiments. *)
 
-val cache_hits : t -> int
-val cache_misses : t -> int
 val log_commits : t -> int
 
 (** {2 Introspection (for {!Fsck} and tests)} *)

@@ -124,5 +124,3 @@ let abort t =
   t.in_tx <- false
 
 let commits t = t.commits
-let in_tx t = t.in_tx
-let pending_blocks t = Hashtbl.length t.pending

@@ -18,9 +18,6 @@ exception Nested_transaction
 
 val create : Sky_blockdev.Disk.t -> Superblock.t -> Bcache.t -> t
 
-val max_blocks : t -> int
-(** Distinct blocks one transaction may dirty (nlog - 1). *)
-
 val begin_op : t -> unit
 (** @raise Nested_transaction if one is already open. *)
 
@@ -44,5 +41,3 @@ val recover : Sky_blockdev.Disk.t -> Superblock.t -> core:int -> int
 (** Replay at mount; returns the number of replayed blocks. *)
 
 val commits : t -> int
-val in_tx : t -> bool
-val pending_blocks : t -> int

@@ -373,6 +373,37 @@ let prop_rewrite_equiv =
            Reg.all
       && non_stack_mem orig = non_stack_mem rewr)
 
+(* Hostile images: random bytes of 16-615 bytes with 1-3 planted
+   [0F 01 D4] triples (some cut short by the image's end). Whatever the
+   decoder makes of them, [rewrite] ends either in a result [verify]
+   accepts or in the typed [Rewrite_failed], never in another exception. *)
+let prop_rewrite_hostile_bytes =
+  let gen =
+    QCheck.Gen.(
+      let* n = int_range 16 615 in
+      let* plants = list_size (int_range 1 3) (int_bound (n - 1)) in
+      let+ code = bytes_size (return n) in
+      List.iter
+        (fun at -> Bytes.blit Scan.vmfunc_bytes 0 code at (min 3 (n - at)))
+        plants;
+      code)
+  in
+  let print code =
+    String.concat " "
+      (List.init (Bytes.length code) (fun i ->
+           Printf.sprintf "%02x" (Char.code (Bytes.get code i))))
+  in
+  QCheck.Test.make ~name:"hostile bytes: verified result or Rewrite_failed"
+    ~count:1000 (QCheck.make ~print gen)
+    (fun code ->
+      match Rewrite.rewrite ~code_va code with
+      | r ->
+        Rewrite.verify r;
+        true
+      | exception Rewrite.Rewrite_failed _ -> true
+      | exception e ->
+        QCheck.Test.fail_reportf "rewrite raised %s" (Printexc.to_string e))
+
 (* ------------------------------------------------------------------ *)
 (* Corpus (Table 6)                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -437,7 +468,7 @@ let () =
           Alcotest.test_case "idempotent on clean code" `Quick
             test_rewrite_idempotent_on_clean;
         ]
-        @ qc [ prop_rewrite_equiv ] );
+        @ qc [ prop_rewrite_equiv; prop_rewrite_hostile_bytes ] );
       ( "negative",
         [
           Alcotest.test_case "undecodable carrier" `Quick
