@@ -24,8 +24,8 @@
 
     {!Subkernel} binds, revokes and crosses through [bind], [revoke],
     [enter] and [leave], and otherwise branches only on the facts below
-    — the ones [skybench matrix] prints, so the matrix reports what the
-    code runs on.
+    — the ones [skybench run matrix] prints, so the matrix reports what
+    the code runs on.
 
     The process-wide [default] mirrors {!Sky_sim.Accel}'s kill switch:
     {!Subkernel.init} picks it up unless told otherwise, so every

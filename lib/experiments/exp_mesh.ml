@@ -21,7 +21,7 @@
       — the worker survives and bounces the request to a privileged
       peer ({!Sky_net.Httpd.Denied}), degradation instead of crash.
 
-    `skybench mesh` gates on: every request served and content-checked,
+    `skybench run mesh` gates on: every request served and content-checked,
     fan-out across all four workers (with work steals — two of them own
     no RX ring at all), both KV generations served traffic, denials
     observed and absorbed, and the mesh + subkernel audits clean. The
@@ -43,7 +43,8 @@ module Loadgen = Sky_net.Loadgen
 
 let workers = 4
 let queues = 2
-let default_seed = 7
+let conns = 24
+let requests_per_conn = 8
 
 type result = {
   m_seed : int;
@@ -87,8 +88,7 @@ type result = {
    keeps its virtual clock moving with the workers. *)
 let supervisor_poll_cycles = 400
 
-let run_mesh ?(seed = default_seed) ?(conns = 24) ?(requests_per_conn = 8)
-    ?(storm = fun () -> ()) () =
+let run_mesh ?(seed = 7) ?(storm = fun () -> ()) () =
   let machine = Machine.create ~cores:6 ~mem_mib:128 () in
   let kernel = Kernel.create machine in
   let sb = Subkernel.init ~seed kernel in

@@ -40,7 +40,16 @@ module Retry = Sky_core.Retry
 module Histogram = Sky_trace.Histogram
 
 let mults = [ 0.5; 1.0; 1.5; 2.0 ]
-let default_seed = 42
+
+(* The one configuration, which CI gates and BENCH_overload.json
+   records. *)
+let seed = 42
+let workers = 2
+let tenants = 32 (* open-loop client flows *)
+let total = 400 (* open-loop arrivals per sweep point *)
+let scale_tenants = 80 (* short-lived processes in the eviction phase *)
+let queue_cap = 8
+let batch_max = 4
 
 type point = {
   p_mult : float;  (** offered load as a multiple of the saturation rate *)
@@ -78,7 +87,6 @@ type chaos = {
 }
 
 type tenant_phase = {
-  t_tenants : int;
   t_calls : int;
   t_fast : int;  (** served by VMFUNC direct calls *)
   t_slow : int;  (** served by slowpath IPC after slot eviction *)
@@ -89,15 +97,9 @@ type tenant_phase = {
 }
 
 type result = {
-  r_seed : int;
-  r_workers : int;
-  r_tenants : int;
-  r_total : int;
   r_sat_gap : int;  (** closed-loop mean completion gap, cycles/request *)
   r_sat_tput : float;  (** closed-loop saturation throughput, req/s *)
   r_ttl : int;
-  r_queue_cap : int;
-  r_batch_max : int;
   r_points : point list;
   r_chaos : chaos;
   r_tenant : tenant_phase;
@@ -105,7 +107,7 @@ type result = {
 
 (* ---- phase 1: saturation probe (closed loop) ---- *)
 
-let saturation ~seed ~workers =
+let saturation () =
   let conns = 16 * workers in
   let t =
     Web.build ~seed ~cores:workers ~conns ~requests_per_conn:6 ~workers
@@ -151,8 +153,7 @@ let point_of ~mult ~mean_gap (o : _ Web.t) =
     p_elapsed = Web.elapsed o;
   }
 
-let build_point ~seed ~workers ~tenants ~total ~ttl ~queue_cap ~batch_max
-    ~mean_gap =
+let build_point ~ttl ~mean_gap =
   Web.build_open ~seed ~tenants ~mean_gap ~total ~workers
     ~admission:
       {
@@ -167,7 +168,7 @@ let build_point ~seed ~workers ~tenants ~total ~ttl ~queue_cap ~batch_max
    crash invalidates the resolution caches, so the re-resolve storm
    actually reaches nameserv). Armed after build: boot and provisioning
    run fault-free. *)
-let storm ~seed ~total =
+let storm () =
   Fault.reset ~seed ();
   let period = Int.max 20 (total / 12) in
   Fault.arm ~budget:3 ~site:Httpd.fault_site ~kind:Fault.Crash
@@ -183,13 +184,9 @@ let storm ~seed ~total =
   Fault.arm ~budget:1 ~site:Sky_mesh.Mesh.fault_site ~kind:Fault.Crash
     (Fault.At_hit 2)
 
-let run_chaos ~seed ~workers ~tenants ~total ~ttl ~queue_cap ~batch_max
-    ~mean_gap =
-  let o =
-    build_point ~seed ~workers ~tenants ~total ~ttl ~queue_cap ~batch_max
-      ~mean_gap
-  in
-  storm ~seed ~total;
+let run_chaos ~ttl ~mean_gap =
+  let o = build_point ~ttl ~mean_gap in
+  storm ();
   Web.run o;
   Fault.disable ();
   let { Web.sb; mesh; budget } = Web.sky o in
@@ -212,7 +209,7 @@ let run_chaos ~seed ~workers ~tenants ~total ~ttl ~queue_cap ~batch_max
 
 let tenant_code = Sky_isa.Encode.encode_all [ Sky_isa.Insn.Nop; Sky_isa.Insn.Ret ]
 
-let run_tenants ~seed ~tenants () =
+let run_tenants () =
   let open Sky_ukernel in
   let machine = Sky_sim.Machine.create ~cores:2 ~mem_mib:256 () in
   let k = Kernel.create machine in
@@ -247,7 +244,7 @@ let run_tenants ~seed ~tenants () =
     | Error _ -> incr lost
   in
   let procs =
-    Array.init tenants (fun i ->
+    Array.init scale_tenants (fun i ->
         let p = Kernel.spawn k ~name:(Printf.sprintf "tenant%d" i) in
         ignore (Kernel.map_code k p tenant_code);
         List.iter
@@ -262,14 +259,13 @@ let run_tenants ~seed ~tenants () =
      the global budget while they were idle, so the calls must come back
      correct via slowpath IPC — degraded, not failed. *)
   let i = ref 0 in
-  while !i < tenants do
+  while !i < scale_tenants do
     let p = procs.(!i) in
     Kernel.context_switch k ~core:0 p;
     do_call p !i (List.hd sids) (List.hd tags);
     i := !i + 16
   done;
   {
-    t_tenants = tenants;
     t_calls = !calls;
     t_fast = !fast;
     t_slow = !slow;
@@ -281,39 +277,25 @@ let run_tenants ~seed ~tenants () =
 
 (* ---- the full experiment ---- *)
 
-let run_overload ?(seed = default_seed) ?(workers = 3) ?(tenants = 32)
-    ?(total = 1600) ?(scale_tenants = 240) ?(queue_cap = 8) ?(batch_max = 4)
-    () =
-  let sat_gap, sat_tput = saturation ~seed ~workers in
+let run_overload () =
+  let sat_gap, sat_tput = saturation () in
   (* TTL: generous against honest queueing (the per-receiver queue bound
      times the per-worker service time, with slack for batching and
      retry backoff), tight against unbounded backlog. *)
   let ttl = 12 * queue_cap * workers * sat_gap in
   let measure mult =
     let mean_gap = Int.max 1 (int_of_float (float_of_int sat_gap /. mult)) in
-    let o =
-      build_point ~seed ~workers ~tenants ~total ~ttl ~queue_cap ~batch_max
-        ~mean_gap
-    in
+    let o = build_point ~ttl ~mean_gap in
     Web.run o;
     point_of ~mult ~mean_gap o
   in
   let points = List.map measure mults in
-  let chaos =
-    run_chaos ~seed ~workers ~tenants ~total ~ttl ~queue_cap ~batch_max
-      ~mean_gap:(Int.max 1 (sat_gap / 2))
-  in
-  let tenant = run_tenants ~seed ~tenants:scale_tenants () in
+  let chaos = run_chaos ~ttl ~mean_gap:(Int.max 1 (sat_gap / 2)) in
+  let tenant = run_tenants () in
   {
-    r_seed = seed;
-    r_workers = workers;
-    r_tenants = tenants;
-    r_total = total;
     r_sat_gap = sat_gap;
     r_sat_tput = sat_tput;
     r_ttl = ttl;
-    r_queue_cap = queue_cap;
-    r_batch_max = batch_max;
     r_points = points;
     r_chaos = chaos;
     r_tenant = tenant;
@@ -404,7 +386,7 @@ let table r =
       (Printf.sprintf
          "Overload: open-loop load vs admission control (%d workers, \
           saturation %s req/s)"
-         r.r_workers (Tbl.fmt_ops r.r_sat_tput))
+         workers (Tbl.fmt_ops r.r_sat_tput))
     ~header:
       [
         "offered"; "arrivals"; "goodput"; "shed"; "errors"; "good req/s";
@@ -415,7 +397,7 @@ let table r =
         Printf.sprintf
           "admission: queue cap %d/receiver, TTL %d cycles, batch <= %d; \
            latency = arrival to response of admitted requests"
-          r.r_queue_cap r.r_ttl r.r_batch_max;
+          queue_cap r.r_ttl batch_max;
         Printf.sprintf
           "chaos row: %d faults injected at 2x load; %d retries recovered, \
            %d restarts, budget %d withdrawn / %d refused, audit %d, fsck %d"
@@ -426,7 +408,7 @@ let table r =
         Printf.sprintf
           "tenant scale: %d procs, %d calls, %d fast / %d slowpath, %d LRU + \
            %d slot evictions, %d lost"
-          r.r_tenant.t_tenants r.r_tenant.t_calls r.r_tenant.t_fast
+          scale_tenants r.r_tenant.t_calls r.r_tenant.t_fast
           r.r_tenant.t_slow r.r_tenant.t_evictions
           r.r_tenant.t_slot_evictions r.r_tenant.t_lost;
       ]
@@ -462,15 +444,15 @@ let to_json r =
     (Obj
        [
          ("bench", String "overload");
-         ("seed", Int r.r_seed);
-         ("workers", Int r.r_workers);
-         ("tenants", Int r.r_tenants);
-         ("arrivals", Int r.r_total);
+         ("seed", Int seed);
+         ("workers", Int workers);
+         ("tenants", Int tenants);
+         ("arrivals", Int total);
          ("saturation_gap_cycles", Int r.r_sat_gap);
          ("saturation_req_per_sec", Float r.r_sat_tput);
          ("ttl_cycles", Int r.r_ttl);
-         ("queue_cap", Int r.r_queue_cap);
-         ("batch_max", Int r.r_batch_max);
+         ("queue_cap", Int queue_cap);
+         ("batch_max", Int batch_max);
          ("points", List (List.map point r.r_points));
          ( "chaos",
            Obj
@@ -493,7 +475,7 @@ let to_json r =
          ( "tenant_scale",
            Obj
              [
-               ("tenants", Int r.r_tenant.t_tenants);
+               ("tenants", Int scale_tenants);
                ("calls", Int r.r_tenant.t_calls);
                ("fast", Int r.r_tenant.t_fast);
                ("slowpath", Int r.r_tenant.t_slow);
@@ -513,8 +495,4 @@ let to_json r =
 let outcome budgets r =
   Outcome.make ~checks:(checks budgets r) (table r) (to_json r)
 
-(* Registry entry: the small configuration CI gates and
-   BENCH_overload.json records, so `skybench run all` stays fast;
-   `skybench overload` defaults to the full sweep. *)
-let run budgets =
-  outcome budgets (run_overload ~workers:2 ~total:400 ~scale_tenants:80 ())
+let run budgets = outcome budgets (run_overload ())

@@ -228,7 +228,8 @@ let speedup_phase ~seed ~checks =
     List.map (fun ((s, _), (p, _)) -> (s, p)) pairs,
     speedup )
 
-let run_full ?(seed = 42) () =
+let run_full () =
+  let seed = 42 in
   let eq, fired, checks = equivalence ~seed in
   let sc_served, sc_quanta, checks, domains, jobs, pairs, speedup =
     speedup_phase ~seed ~checks

@@ -9,8 +9,9 @@
     twice: once with the paging-structure caches and EPT walk cache
     enabled, once with {!Sky_sim.Accel} disabled (the cache-free
     reference walker). The gap is exactly the cycles the acceleration
-    structures save; `skybench perf` gates cycles-per-call against
-    bench/budgets.json and CI diffs two same-seed runs for determinism. *)
+    structures save; `skybench run pingpong` gates cycles-per-call
+    against bench/budgets.json and CI diffs two same-seed runs for
+    determinism. *)
 
 open Sky_ukernel
 open Sky_harness

@@ -10,8 +10,8 @@
     interconnect cost — the paper's macro story (§6) played out at the
     application tier.
 
-    Two structural properties are asserted by `skybench web` and the
-    test suite: SkyBridge throughput strictly above slowpath IPC at
+    Two structural properties are asserted by `skybench run web` and
+    the test suite: SkyBridge throughput strictly above slowpath IPC at
     every worker count, and SkyBridge throughput monotonically
     increasing with workers up to the core count. *)
 
@@ -32,8 +32,9 @@ type side = {
 
 type point = { p_workers : int; p_sky : side; p_ipc : side }
 
+let seed = 42
+
 type result = {
-  r_seed : int;
   r_cores : int;
   r_conns : int;
   r_requests_per_conn : int;
@@ -64,19 +65,17 @@ let side_of t =
     v_worker_evictions = worker_evictions;
   }
 
-let measure ~seed ~cores ~conns ~requests_per_conn ~workers transport =
+let measure ~cores ~conns ~requests_per_conn ~workers transport =
   let t = Web.build ~seed ~cores ~conns ~requests_per_conn ~workers ~transport () in
   Web.run t;
   side_of t
 
-let run_curve ?(seed = 42) ?(cores = 16) ?(conns = Web.default_conns)
-    ?(requests_per_conn = Web.default_requests_per_conn) () =
+let run_curve ~cores ~conns ~requests_per_conn =
   let point workers =
-    let m transport = measure ~seed ~cores ~conns ~requests_per_conn ~workers transport in
+    let m transport = measure ~cores ~conns ~requests_per_conn ~workers transport in
     { p_workers = workers; p_sky = m Web.Skybridge; p_ipc = m Web.Ipc_slowpath }
   in
   {
-    r_seed = seed;
     r_cores = cores;
     r_conns = conns;
     r_requests_per_conn = requests_per_conn;
@@ -160,7 +159,7 @@ let to_json r =
        [
          ("bench", String "web");
          ("variant", String variant);
-         ("seed", Int r.r_seed);
+         ("seed", Int seed);
          ("cores", Int r.r_cores);
          ("conns", Int r.r_conns);
          ("requests_per_conn", Int r.r_requests_per_conn);
@@ -193,7 +192,7 @@ let outcome r =
     (table r) (to_json r)
 
 (* Registry entry: the small configuration CI gates and BENCH_web.json
-   records, so `skybench run all` stays fast; `skybench web` defaults to
-   the full 16-core curve. *)
+   records, so `skybench run all` stays fast; test_experiments checks the
+   full 16-core curve. *)
 let run (_ : Budget.t) =
-  outcome (run_curve ~cores:4 ~conns:24 ~requests_per_conn:2 ())
+  outcome (run_curve ~cores:4 ~conns:24 ~requests_per_conn:2)

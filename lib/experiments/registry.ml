@@ -1,8 +1,9 @@
 (** Experiment registry: one entry per paper table/figure (plus the
     ablations and the gated experiments), consumed by bin/skybench.ml.
-    Every entry runs its experiment against the given perf budgets and
-    returns one {!Sky_harness.Outcome.t}: `skybench run <id>` and the
-    experiment's own subcommand print, archive and gate the same value. *)
+    Every entry runs its experiment, at the one configuration its
+    committed BENCH_<id>.json records, against the given perf budgets
+    and returns one {!Sky_harness.Outcome.t}, which `skybench run <id>`
+    prints, archives and gates. *)
 
 type entry = {
   id : string;

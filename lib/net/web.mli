@@ -19,8 +19,6 @@ type sky = {
 (** A stack's type carries its transport's handles. *)
 type _ transport = Ipc_slowpath : unit transport | Skybridge : sky transport
 
-val default_conns : int
-val default_requests_per_conn : int
 val rtt : int
 
 type 'h t = {

@@ -1,5 +1,4 @@
 type t = {
-  name : string;
   sets : int;
   ways : int;
   line_bytes : int;
@@ -34,7 +33,7 @@ let log2 n =
   let rec go acc n = if n = 1 then acc else go (acc + 1) (n lsr 1) in
   go 0 n
 
-let create ~name ~size_bytes ~ways ~line_bytes =
+let create ~size_bytes ~ways ~line_bytes =
   if not (is_pow2 line_bytes) then invalid_arg "Cache.create: line not pow2";
   if ways <= 0 then invalid_arg "Cache.create: ways <= 0";
   let lines = size_bytes / line_bytes in
@@ -43,7 +42,6 @@ let create ~name ~size_bytes ~ways ~line_bytes =
   let sets = lines / ways in
   if not (is_pow2 sets) then invalid_arg "Cache.create: sets not pow2";
   {
-    name;
     sets;
     ways;
     line_bytes;

@@ -8,7 +8,7 @@
 
 type t
 
-val create : name:string -> size_bytes:int -> ways:int -> line_bytes:int -> t
+val create : size_bytes:int -> ways:int -> line_bytes:int -> t
 (** Raises [Invalid_argument] unless [size_bytes] is divisible into an
     integral power-of-two number of sets of [ways] lines. *)
 

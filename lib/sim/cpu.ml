@@ -21,29 +21,16 @@ let create ~id ~l3 =
   {
     id;
     tsc = 0;
-    l1i =
-      Cache.create
-        ~name:(Printf.sprintf "core%d.l1i" id)
-        ~size_bytes:(32 * 1024) ~ways:8 ~line_bytes:64;
-    l1d =
-      Cache.create
-        ~name:(Printf.sprintf "core%d.l1d" id)
-        ~size_bytes:(32 * 1024) ~ways:8 ~line_bytes:64;
-    l2 =
-      Cache.create
-        ~name:(Printf.sprintf "core%d.l2" id)
-        ~size_bytes:(256 * 1024) ~ways:4 ~line_bytes:64;
+    l1i = Cache.create ~size_bytes:(32 * 1024) ~ways:8 ~line_bytes:64;
+    l1d = Cache.create ~size_bytes:(32 * 1024) ~ways:8 ~line_bytes:64;
+    l2 = Cache.create ~size_bytes:(256 * 1024) ~ways:4 ~line_bytes:64;
     l3;
-    itlb = Tlb.create ~name:(Printf.sprintf "core%d.itlb" id) ~entries:128 ~ways:8;
-    dtlb = Tlb.create ~name:(Printf.sprintf "core%d.dtlb" id) ~entries:64 ~ways:4;
-    psc_pml4e =
-      Psc.create ~name:(Printf.sprintf "core%d.psc_pml4e" id) ~entries:16 ~ways:4;
-    psc_pdpte =
-      Psc.create ~name:(Printf.sprintf "core%d.psc_pdpte" id) ~entries:16 ~ways:4;
-    psc_pde =
-      Psc.create ~name:(Printf.sprintf "core%d.psc_pde" id) ~entries:32 ~ways:4;
-    ept_walk_cache =
-      Psc.create ~name:(Printf.sprintf "core%d.ept_wc" id) ~entries:64 ~ways:4;
+    itlb = Tlb.create ~entries:128 ~ways:8;
+    dtlb = Tlb.create ~entries:64 ~ways:4;
+    psc_pml4e = Psc.create ~entries:16 ~ways:4;
+    psc_pdpte = Psc.create ~entries:16 ~ways:4;
+    psc_pde = Psc.create ~entries:32 ~ways:4;
+    ept_walk_cache = Psc.create ~entries:64 ~ways:4;
     walk_scratch = Array.make 4 0;
     pmu = Pmu.create ();
   }

@@ -10,9 +10,7 @@ let create ?(cores = 8) ?(mem_mib = 256) () =
   let mem =
     Sky_mem.Phys_mem.create ~frames:(mem_mib * 1024 * 1024 / Sky_mem.Phys_mem.frame_size)
   in
-  let l3 =
-    Cache.create ~name:"l3" ~size_bytes:(8 * 1024 * 1024) ~ways:16 ~line_bytes:64
-  in
+  let l3 = Cache.create ~size_bytes:(8 * 1024 * 1024) ~ways:16 ~line_bytes:64 in
   let t =
     {
       mem;

@@ -12,7 +12,7 @@
 
 type t = Tlb.t
 
-let create ~name ~entries ~ways = Tlb.create ~name ~entries ~ways
+let create ~entries ~ways = Tlb.create ~entries ~ways
 
 let miss = -1
 

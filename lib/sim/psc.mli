@@ -7,7 +7,7 @@
 
 type t
 
-val create : name:string -> entries:int -> ways:int -> t
+val create : entries:int -> ways:int -> t
 
 val miss : int
 (** [-1]: what {!lookup} returns on a miss. Payloads are addresses or

@@ -17,7 +17,6 @@ let f_bits = 5 (* page_shift lsl 2 lor writable lsl 1 lor user *)
 let dead = -1
 
 type t = {
-  name : string;
   sets : int;
   ways : int;
   data : int array;
@@ -30,7 +29,7 @@ type t = {
 
 let is_pow2 n = n > 0 && n land (n - 1) = 0
 
-let create ~name ~entries ~ways =
+let create ~entries ~ways =
   if ways <= 0 || entries mod ways <> 0 then
     invalid_arg "Tlb.create: geometry does not divide";
   let sets = entries / ways in
@@ -39,7 +38,7 @@ let create ~name ~entries ~ways =
   for i = 0 to entries - 1 do
     data.((i * width) + f_gen) <- dead
   done;
-  { name; sets; ways; data; gen = 0; seen_epoch = Accel.current_epoch ();
+  { sets; ways; data; gen = 0; seen_epoch = Accel.current_epoch ();
     clock = 0; hits = 0; misses = 0 }
 
 let capacity t = Array.length t.data / width

@@ -21,7 +21,7 @@ type entry = {
   user : bool;
 }
 
-val create : name:string -> entries:int -> ways:int -> t
+val create : entries:int -> ways:int -> t
 
 val lookup : t -> asid:int -> vpn:int -> entry option
 (** Hit updates LRU state and the hit counter; miss counts a miss.

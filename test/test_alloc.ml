@@ -43,7 +43,7 @@ let check_zero name f = check_words name ~per_op:0 f
 (* Cache hierarchy                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let l1 () = Cache.create ~name:"l1" ~size_bytes:(32 * 1024) ~ways:8 ~line_bytes:64
+let l1 () = Cache.create ~size_bytes:(32 * 1024) ~ways:8 ~line_bytes:64
 
 (* [n] distinct lines that all index set 0 of [c]: cycling through more
    of them than the set has ways misses on every access under LRU. *)
@@ -78,7 +78,7 @@ let test_memsys_access () =
 (* ------------------------------------------------------------------ *)
 
 let test_psc_probe () =
-  let p = Psc.create ~name:"pde" ~entries:32 ~ways:4 in
+  let p = Psc.create ~entries:32 ~ways:4 in
   Psc.insert p ~asid:1 ~key:7 0x5000;
   check_zero "Psc.lookup hit" (fun () ->
       if Psc.lookup p ~asid:1 ~key:7 <> 0x5000 then Alcotest.fail "lost the entry");

@@ -245,15 +245,12 @@ let test_experiments_deterministic () =
       | None -> Alcotest.failf "missing experiment %s" id)
     [ "fig7"; "table2"; "table6" ]
 
-(* The overload scenario's acceptance gates on a test-sized config:
+(* The overload scenario's acceptance gates at its one configuration:
    accounting holds with zero lost/corrupt, admission sheds at 2x,
    goodput survives, the storm is survived cleanly, and the tenant
    fleet drives both eviction paths. *)
 let test_overload_gates () =
-  let r =
-    Exp_overload.run_overload ~workers:2 ~tenants:12 ~total:400
-      ~scale_tenants:80 ()
-  in
+  let r = Exp_overload.run_overload () in
   Alcotest.(check bool) "zero lost/corrupt" true (Exp_overload.zero_lost r);
   Alcotest.(check bool) "sheds under 2x overload" true
     (Exp_overload.overload_sheds r);
@@ -266,21 +263,23 @@ let test_overload_gates () =
   Alcotest.(check bool) "tenant fleet evicted to slowpath" true
     (Exp_overload.tenants_evicted r)
 
-(* `skybench run <id>` and the experiment's own subcommand must render the
-   same JSON for the same parameters: the registry entries run the small
-   configurations CI gates and the committed artifacts record. *)
-let test_registry_matches_subcommands () =
-  let via_registry id = ((Option.get (Registry.find id)).Registry.run no_budgets).json in
-  let same id (o : Sky_harness.Outcome.t) =
-    Alcotest.(check string) (id ^ " registry = subcommand") o.json (via_registry id)
-  in
-  same "web"
-    Exp_web.(outcome (run_curve ~seed:42 ~cores:4 ~conns:24 ~requests_per_conn:2 ()));
-  same "mesh" Exp_mesh.(outcome (run_mesh ~seed:default_seed ()));
-  same "overload"
-    Exp_overload.(
-      outcome no_budgets
-        (run_overload ~seed:default_seed ~workers:2 ~total:400 ~scale_tenants:80 ()))
+(* EXPERIMENTS.md's 16-worker web table: every request served and
+   validated, SkyBridge ahead of slowpath IPC at every width, and
+   throughput rising with every added worker. The registry runs the
+   4-worker curve only. *)
+let test_web_curve_16 () =
+  let r = Exp_web.run_curve ~cores:16 ~conns:120 ~requests_per_conn:8 in
+  Alcotest.(check (list string)) "all web checks hold" [] (Exp_web.outcome r).failed
+
+(* EXPERIMENTS.md's census seeds beyond the registry's seed 1: the storm
+   loses no call and leaves clean audits and a clean file system. *)
+let test_chaos_seeds () =
+  List.iter
+    (fun seed ->
+      Alcotest.(check (list string))
+        (Printf.sprintf "seed %d clean" seed)
+        [] (Exp_chaos.outcome (Exp_chaos.run_chaos ~seed)).failed)
+    [ 2; 7 ]
 
 (* Every mesh predicate reaches the gate by name: a stale mapping left
    after revocation fails `no_stale` and nothing else. *)
@@ -339,10 +338,12 @@ let () =
         [
           Alcotest.test_case "deterministic" `Slow test_experiments_deterministic;
           Alcotest.test_case "complete" `Quick test_registry_complete;
-          Alcotest.test_case "registry = subcommand JSON" `Slow
-            test_registry_matches_subcommands;
           Alcotest.test_case "mesh failures named" `Quick test_mesh_failures_named;
         ] );
       ( "overload",
         [ Alcotest.test_case "acceptance gates" `Slow test_overload_gates ] );
+      ( "web",
+        [ Alcotest.test_case "curve to 16 workers" `Slow test_web_curve_16 ] );
+      ( "chaos",
+        [ Alcotest.test_case "clean at seeds 2, 7" `Slow test_chaos_seeds ] );
     ]

@@ -159,7 +159,7 @@ let prop_alloc_no_overlap =
 (* ------------------------------------------------------------------ *)
 
 let small_cache () =
-  Cache.create ~name:"t" ~size_bytes:(4 * 64 * 2) ~ways:2 ~line_bytes:64
+  Cache.create ~size_bytes:(4 * 64 * 2) ~ways:2 ~line_bytes:64
 (* 4 sets, 2 ways *)
 
 let test_cache_hit_after_access () =
@@ -194,7 +194,7 @@ let test_cache_stats () =
 
 let test_cache_geometry_validation () =
   try
-    ignore (Cache.create ~name:"bad" ~size_bytes:100 ~ways:3 ~line_bytes:64);
+    ignore (Cache.create ~size_bytes:100 ~ways:3 ~line_bytes:64);
     Alcotest.fail "expected Invalid_argument"
   with Invalid_argument _ -> ()
 
@@ -233,7 +233,7 @@ let prop_cache_model =
        ~print:(fun l -> String.concat "; " (List.map show_cache_op l))
        QCheck.Gen.(list_size (int_range 1 120) op))
     (fun ops ->
-      let c = Cache.create ~name:"m" ~size_bytes:(sets * ways * 64) ~ways ~line_bytes:64 in
+      let c = Cache.create ~size_bytes:(sets * ways * 64) ~ways ~line_bytes:64 in
       let model = Array.make sets [] and hits = ref 0 and misses = ref 0 in
       List.iteri
         (fun step op ->
@@ -311,7 +311,7 @@ let prop_run_replay =
     (fun ops ->
       let core () =
         Cpu.create ~id:0
-          ~l3:(Cache.create ~name:"l3" ~size_bytes:(4 * 4 * 64) ~ways:4 ~line_bytes:64)
+          ~l3:(Cache.create ~size_bytes:(4 * 4 * 64) ~ways:4 ~line_bytes:64)
       in
       let sub = core () and ref_ = core () in
       let levels (c : Cpu.t) = [ c.Cpu.l1i; c.Cpu.l1d; c.Cpu.l2; c.Cpu.l3 ] in
@@ -347,7 +347,7 @@ let prop_run_replay =
 (* Tlb                                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let tlb () = Tlb.create ~name:"t" ~entries:8 ~ways:2
+let tlb () = Tlb.create ~entries:8 ~ways:2
 
 let entry ppn = { Tlb.ppn; page_shift = 12; writable = true; user = true }
 
@@ -446,7 +446,7 @@ let prop_tlb_model =
        QCheck.Gen.(list_size (int_range 1 120) op))
     (fun ops ->
       Accel.with_scope (Accel.fresh_scope ()) @@ fun () ->
-      let t = Tlb.create ~name:"m" ~entries:slots ~ways in
+      let t = Tlb.create ~entries:slots ~ways in
       let m = Array.make slots None in
       let clock = ref 0 and hits = ref 0 and misses = ref 0 in
       let fail step op fmt =

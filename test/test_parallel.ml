@@ -93,7 +93,7 @@ let quantum_invariance =
       ignore (Cluster_web.run b (Sky_sim.Quantum.Par { jobs = 2 }));
       Cluster_web.digest ~gossip:false a = Cluster_web.digest ~gossip:false b)
 
-(* Deterministic (non-random) anchor: the shape of `skybench parallel`'s
+(* Deterministic (non-random) anchor: the shape of `skybench run parallel`'s
    speedup phase (4 shards x 4 workers, 16 simulated cores), at a
    smaller load, must digest-match engines too. *)
 let scale_anchor () =

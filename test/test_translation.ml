@@ -280,7 +280,7 @@ let test_tlb_across_vmfunc () =
 let e ppn = { Tlb.ppn; page_shift = 12; writable = true; user = true }
 
 let test_tlb_flush_all_then_reuse () =
-  let t = Tlb.create ~name:"t" ~entries:16 ~ways:4 in
+  let t = Tlb.create ~entries:16 ~ways:4 in
   Tlb.insert t ~asid:1 ~vpn:5 (e 100);
   Tlb.insert t ~asid:2 ~vpn:9 (e 200);
   Tlb.flush_all t;
@@ -292,7 +292,7 @@ let test_tlb_flush_all_then_reuse () =
     (Tlb.lookup t ~asid:1 ~vpn:5 = Some (e 300))
 
 let test_tlb_flush_asid_is_selective () =
-  let t = Tlb.create ~name:"t" ~entries:16 ~ways:4 in
+  let t = Tlb.create ~entries:16 ~ways:4 in
   Tlb.insert t ~asid:1 ~vpn:5 (e 100);
   Tlb.insert t ~asid:2 ~vpn:5 (e 200);
   Tlb.flush_asid t ~asid:1;
@@ -305,7 +305,7 @@ let test_tlb_flush_asid_is_selective () =
     (Tlb.lookup t ~asid:1 ~vpn:5 = Some (e 300))
 
 let test_psc_flush_key_all_asids () =
-  let p = Psc.create ~name:"p" ~entries:16 ~ways:4 in
+  let p = Psc.create ~entries:16 ~ways:4 in
   Psc.insert p ~asid:1 ~key:7 100;
   Psc.insert p ~asid:2 ~key:7 200;
   Psc.insert p ~asid:1 ~key:8 300;
@@ -315,7 +315,7 @@ let test_psc_flush_key_all_asids () =
   Alcotest.(check int) "key 8 survives" 300 (Psc.lookup p ~asid:1 ~key:8)
 
 let test_accel_toggle_flushes_everything () =
-  let t = Tlb.create ~name:"t" ~entries:16 ~ways:4 in
+  let t = Tlb.create ~entries:16 ~ways:4 in
   Tlb.insert t ~asid:1 ~vpn:5 (e 100);
   let saved = Accel.is_enabled () in
   Fun.protect
