@@ -130,7 +130,7 @@ let run_mesh ?(seed = 7) ?(storm = fun () -> ()) () =
     Httpd.create ~preload:[] ~file_cache:false kernel nic
       ~workers:
         (Array.map
-           (fun p -> (p, Web.bind graph kernel ~tier ~kv:kv1 ~deadline:(fun ~core:_ -> None) p))
+           (fun p -> (p, Web.bind graph kernel ~tier ~kv:kv1 ~deadline:(fun ~core:_ -> -1) p))
            worker_procs)
       ~queue_done:(fun ~queue -> Loadgen.queue_done lg ~queue)
   in

@@ -108,13 +108,13 @@ let wait t ~core =
    cycles per round, up to [polls] rounds. In a single-threaded
    simulation a signal can only arrive between invocations (when the
    signaling core runs), so callers embed this in a run loop — e.g.
-   {!Sky_sim.Machine.interleave} — and treat [None] as "idle, let the
-   other cores run". *)
+   {!Sky_sim.Machine.interleave} — and treat 0 as "idle, let the other
+   cores run". Badges are non-zero, so a consumed word never is. *)
 let rec wait_rounds t ~core cpu ~poll n =
   match wait t ~core with
-  | w -> Some w
+  | w -> w
   | exception Would_block ->
-    if n <= 0 then None
+    if n <= 0 then 0
     else begin
       Cpu.charge cpu poll;
       wait_rounds t ~core cpu ~poll (n - 1)

@@ -39,13 +39,14 @@ val wait : t -> core:int -> int
 
 exception Would_block
 
-val wait_blocking : ?polls:int -> t -> core:int -> int option
+val wait_blocking : ?polls:int -> t -> core:int -> int
 (** [wait_blocking t ~core] is the ergonomic wrapper around {!wait}'s
     [Would_block]: consume the word if one is pending (advancing to its
-    delivery time), otherwise register as a waiter, charge 200 cycles
-    per retry for up to [polls] (default 1) rounds,
-    and return [None]. [None] means "block": the caller's run loop
-    (e.g. {!Sky_sim.Machine.interleave}) should let other cores — the
+    delivery time) and return it, otherwise register as a waiter, charge
+    200 cycles per retry for up to [polls] (default 1) rounds, and
+    return 0 — never a consumed word, since badges are non-zero. 0 means
+    "block": the caller's run loop (e.g.
+    {!Sky_sim.Machine.interleave}) should let other cores — the
     signalers — run and then re-poll; the registered waiter guarantees
     the wakeup IPI is delivered cross-core when the signal lands. *)
 

@@ -4,81 +4,95 @@
 
 open Sky_ukernel
 
-type op = Op_put of string * bytes | Op_get of string
-type reply = R_stored of bool | R_value of bytes option
-
-let insert_msg ~key ~value =
-  let k = String.length key in
-  let b = Bytes.create (4 + k + Bytes.length value) in
+(* Messages are written straight from the caller's key and value
+   slices. *)
+let insert_msg key ~key_off ~key_len value ~value_off ~value_len =
+  let b = Bytes.create (4 + key_len + value_len) in
   Bytes.set b 0 'I';
-  Bytes.set_uint16_le b 2 k;
-  Bytes.blit_string key 0 b 4 k;
-  Bytes.blit value 0 b (4 + k) (Bytes.length value);
+  Bytes.set b 1 '\000';
+  Bytes.set_uint16_le b 2 key_len;
+  Bytes.blit key key_off b 4 key_len;
+  Bytes.blit value value_off b (4 + key_len) value_len;
   b
 
-let query_msg ~key =
-  let k = String.length key in
-  let b = Bytes.create (4 + k) in
+let query_msg key ~key_off ~key_len =
+  let b = Bytes.create (4 + key_len) in
   Bytes.set b 0 'Q';
-  Bytes.set_uint16_le b 2 k;
-  Bytes.blit_string key 0 b 4 k;
+  Bytes.set b 1 '\000';
+  Bytes.set_uint16_le b 2 key_len;
+  Bytes.blit key key_off b 4 key_len;
   b
 
 (* 'B': [count:u16] then per op 'I'[klen:u16][vlen:u16]key value or
    'Q'[klen:u16]key — a whole request batch in one server crossing. The
    reply mirrors it: [count:u16] then 's' (stored), 'm' (miss) or
-   'v'[len:u16]bytes per op, in order. *)
-let batch_msg ops =
-  let size =
-    List.fold_left
-      (fun a op ->
-        a
-        +
-        match op with
-        | Op_put (k, v) -> 5 + String.length k + Bytes.length v
-        | Op_get k -> 3 + String.length k)
-      4 ops
-  in
-  let b = Bytes.create size in
-  Bytes.set b 0 'B';
-  Bytes.set b 1 '\000';
-  Bytes.set_uint16_le b 2 (List.length ops);
-  let off = ref 4 in
-  List.iter
-    (fun op ->
-      match op with
-      | Op_put (k, v) ->
-        Bytes.set b !off 'I';
-        Bytes.set_uint16_le b (!off + 1) (String.length k);
-        Bytes.set_uint16_le b (!off + 3) (Bytes.length v);
-        Bytes.blit_string k 0 b (!off + 5) (String.length k);
-        Bytes.blit v 0 b (!off + 5 + String.length k) (Bytes.length v);
-        off := !off + 5 + String.length k + Bytes.length v
-      | Op_get k ->
-        Bytes.set b !off 'Q';
-        Bytes.set_uint16_le b (!off + 1) (String.length k);
-        Bytes.blit_string k 0 b (!off + 3) (String.length k);
-        off := !off + 3 + String.length k)
-    ops;
-  b
+   'v'[len:u16]bytes per op, in order. A batch is assembled in a buffer
+   its owner reuses, behind the 4-byte header {!batch_msg} writes. *)
+type batch = { mutable buf : bytes; mutable len : int; mutable count : int }
 
-let batch_replies resp =
-  let count = Bytes.get_uint16_le resp 0 in
-  let off = ref 2 in
-  List.init count (fun _ ->
-      match Bytes.get resp !off with
+let batch () = { buf = Bytes.create 256; len = 4; count = 0 }
+
+let reserve b n =
+  let size = Bytes.length b.buf in
+  if b.len + n > size then b.buf <- Bytes.extend b.buf 0 (Int.max (b.len + n - size) size)
+
+let add_put b key ~key_off ~key_len value ~value_off ~value_len =
+  reserve b (5 + key_len + value_len);
+  let o = b.len in
+  Bytes.set b.buf o 'I';
+  Bytes.set_uint16_le b.buf (o + 1) key_len;
+  Bytes.set_uint16_le b.buf (o + 3) value_len;
+  Bytes.blit key key_off b.buf (o + 5) key_len;
+  Bytes.blit value value_off b.buf (o + 5 + key_len) value_len;
+  b.len <- o + 5 + key_len + value_len;
+  b.count <- b.count + 1
+
+let add_get b key ~key_off ~key_len =
+  reserve b (3 + key_len);
+  let o = b.len in
+  Bytes.set b.buf o 'Q';
+  Bytes.set_uint16_le b.buf (o + 1) key_len;
+  Bytes.blit key key_off b.buf (o + 3) key_len;
+  b.len <- o + 3 + key_len;
+  b.count <- b.count + 1
+
+let batch_msg b =
+  Bytes.set b.buf 0 'B';
+  Bytes.set b.buf 1 '\000';
+  Bytes.set_uint16_le b.buf 2 b.count;
+  let msg = Bytes.sub b.buf 0 b.len in
+  b.len <- 4;
+  b.count <- 0;
+  msg
+
+let reply_stored = -2
+let reply_miss = -1
+
+let batch_replies r ~off ~len =
+  let count = Bytes.get_uint16_le r 0 in
+  if count > Array.length off || count > Array.length len then
+    invalid_arg "Kv_wire.batch_replies: more replies than room";
+  let rec go i o =
+    if i < count then
+      match Bytes.get r o with
       | 's' ->
-        incr off;
-        R_stored true
+        len.(i) <- reply_stored;
+        go (i + 1) (o + 1)
       | 'm' ->
-        incr off;
-        R_value None
+        len.(i) <- reply_miss;
+        go (i + 1) (o + 1)
       | 'v' ->
-        let len = Bytes.get_uint16_le resp (!off + 1) in
-        let v = Bytes.sub resp (!off + 3) len in
-        off := !off + 3 + len;
-        R_value (Some v)
-      | c -> invalid_arg (Printf.sprintf "Kv_wire.batch_replies: tag %c" c))
+        let n = Bytes.get_uint16_le r (o + 1) in
+        off.(i) <- o + 3;
+        len.(i) <- n;
+        go (i + 1) (o + 3 + n)
+      | c -> invalid_arg (Printf.sprintf "Kv_wire.batch_replies: tag %c" c)
+  in
+  go 0 2;
+  count
+
+(* The answer to an 'I': a constant, never mutated. *)
+let ok = Bytes.unsafe_of_string "ok"
 
 (* The store works on the message's fields in place; a batch's reply is
    assembled in a reply buffer owned by this handler (one server
@@ -97,7 +111,7 @@ let handler kv kernel : Sky_kernels.Ipc.handler =
       let klen = Bytes.get_uint16_le msg 2 in
       Kv_server.insert_sub kv cpu msg ~key_off:4 ~key_len:klen ~value_off:(4 + klen)
         ~value_len:(Bytes.length msg - 4 - klen);
-      Bytes.of_string "ok"
+      ok
     | 'Q' -> (
       match Kv_server.query_sub kv cpu msg ~key_off:4 ~key_len:(Bytes.get_uint16_le msg 2) with
       | Some v -> v

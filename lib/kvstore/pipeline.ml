@@ -160,7 +160,11 @@ let insert t ~core ~len =
   (* encrypt, then store the ciphertext *)
   let cipher = t.call_enc ~core value in
   touch_working_set t ~core;
-  let reply = t.call_kv ~core (Kv_wire.insert_msg ~key ~value:cipher) in
+  let reply =
+    t.call_kv ~core
+      (Kv_wire.insert_msg (Bytes.unsafe_of_string key) ~key_off:0 ~key_len:(String.length key)
+         cipher ~value_off:0 ~value_len:(Bytes.length cipher))
+  in
   touch_working_set t ~core;
   assert (Bytes.length reply > 0);
   t.live_keys <- (key, value) :: t.live_keys;
@@ -176,7 +180,10 @@ let query t ~core ~len =
   | [] -> insert t ~core ~len
   | (key, expected) :: _ ->
     compose t ~core (Bytes.unsafe_of_string key);
-    let cipher = t.call_kv ~core (Kv_wire.query_msg ~key) in
+    let cipher =
+      t.call_kv ~core
+        (Kv_wire.query_msg (Bytes.unsafe_of_string key) ~key_off:0 ~key_len:(String.length key))
+    in
     touch_working_set t ~core;
     if Bytes.length cipher = 0 then
       raise (Corrupt_pipeline "stored key vanished from the KV server");

@@ -20,7 +20,7 @@
     bounds the endpoint's per-receiver queues — a demultiplexed request
     that finds its target queue full is {e shed} with a typed 503 before
     it costs anything but the parse of its envelope. Requests may carry
-    a TTL ([Http.with_ttl]); the ring owner stamps an absolute deadline
+    a TTL (a [TTL<cycles> ] prefix); the ring owner stamps an absolute deadline
     at demux time, a request that expires while queued is shed on pop,
     and the live deadline is exported ({!current_deadline}) so the
     worker→backend hop can propagate the remaining budget as a call
@@ -73,40 +73,22 @@ let denial_backoff_cycles = 4_000
    bounced faster than the privileged peer can wake, and a single fs://
    request ping-pongs dozens of times before being served. *)
 
-(* One KV operation / reply of a batched worker→backend crossing. *)
-type kv_op = Kv_wire.op
-type kv_reply = Kv_wire.reply
-
 (* Typed backend bindings, one set per worker. The closures capture the
    worker's process and transport (SkyBridge direct calls — possibly
    URI-routed through the mesh — or baseline kernel IPC);
    [revoke]/[rebind] tear down and re-establish the worker's server
-   bindings around a crash. [kv_batch] carries a whole list of KV
-   operations in one backend crossing. *)
+   bindings around a crash. Keys and values are slices of the request's
+   wire bytes; [kv_batch] carries a whole ['B'] message of KV operations
+   in one backend crossing and answers its reply. *)
 type binding = {
-  kv_put : core:int -> key:string -> value:bytes -> bool;
-  kv_get : core:int -> key:string -> bytes option;
+  kv_put :
+    core:int -> bytes -> key_off:int -> key_len:int -> value_off:int -> value_len:int -> bool;
+  kv_get : core:int -> bytes -> key_off:int -> key_len:int -> bytes;
   fs_read : core:int -> name:string -> bytes option;
-  kv_batch : core:int -> kv_op list -> kv_reply list;
+  kv_batch : core:int -> bytes -> bytes;
   revoke : core:int -> unit;
   rebind : core:int -> unit;
 }
-
-(* A demultiplexed request riding the endpoint: the deadline is absolute
-   (stamped by the ring owner), the denied mask accumulates the workers
-   that bounced it so denial-by-all terminates instead of looping. *)
-type req = {
-  rq_conn : Socket.conn;
-  rq_payload : bytes;
-  rq_deadline : int option;
-  mutable rq_denied : int;
-  mutable rq_request : Http.request;
-      (** the parse, meaningful once [rq_valid] is set by the worker *)
-  mutable rq_valid : bool;
-}
-
-(* [rq_request] until the worker parses the payload. *)
-let unparsed = Http.Fs_get ""
 
 type admission = {
   a_queue_cap : int option;
@@ -129,13 +111,18 @@ type worker = {
   w_thread : Scheduler.thread;
   w_binding : binding;
   w_text_pa : int;
-  w_cache : (string, bytes) Hashtbl.t;
+  mutable w_state : worker_state;
+  mutable w_cache : (string * bytes) list;
       (** static-file cache: xv6fs is hit only on cold misses (the
           big-locked FS would otherwise convoy every worker, §8.1);
-          wiped when the worker crashes, like any process-local state *)
-  mutable w_state : worker_state;
-  mutable w_inflight : req list;
-      (** requests being served when the worker crashed — replayed *)
+          wiped when the worker crashes, like any process-local state.
+          A handful of static assets, probed by comparing the requested
+          name in place. *)
+  w_batch : int array;  (** the request slots being served, in pop order *)
+  mutable w_nbatch : int;
+  mutable w_parked : bool;
+      (** [w_batch] holds the requests being served when the worker
+          crashed — replayed on restart *)
   mutable w_served : int;
   mutable w_restarts : int;
   mutable w_hangs : int;
@@ -144,22 +131,46 @@ type worker = {
       (** no endpoint pops before this cycle (set on a denial) *)
 }
 
+(* A demultiplexed request is an int slot riding the endpoint; its
+   fields live in the [s_] arrays, which double when every slot is
+   taken. The deadline is absolute (stamped by the ring owner, -1 for
+   none), the denied mask accumulates the workers that bounced it so
+   denial-by-all terminates instead of looping, and the parse is
+   {!Http.parse_request}'s answer on the payload from [s_off] (past any
+   TTL prefix). A slot is freed when its terminal response is sent. *)
 type t = {
   kernel : Kernel.t;
   nic : Nic.t;
   socks : Socket.t;
   workers : worker array;
-  ep : req Endpoint.t;
+  ep : Endpoint.t;
       (** the routing mechanism: every parsed request goes through here *)
   file_cache : bool;
   admission : admission;
-  deadlines : int option array;
-      (** per-core live deadline while a request is dispatched — what the
-          binding's deadline-propagation wrapper reads *)
-  wire_hint : unit -> int option;
+  deadlines : int array;
+      (** per-core live deadline (-1 = none) while a request is
+          dispatched — what the binding's deadline-propagation wrapper
+          reads *)
+  wire_hint : unit -> int;
       (** next known future wire event beyond the rings (an open-loop
-          generator's next arrival) — lets idle workers sleep to it *)
+          generator's next arrival), -1 for none — lets idle workers
+          sleep to it *)
   queue_done : queue:int -> bool;
+  mutable s_conn : Socket.conn array;
+  mutable s_payload : bytes array;
+  mutable s_off : int array;
+  mutable s_deadline : int array;
+  mutable s_denied : int array;
+  mutable s_parse : int array;
+  mutable s_free : int array;  (** free slots, a stack *)
+  mutable s_nfree : int;
+  kv_batch : Kv_wire.batch;  (** the batched crossing's message *)
+  reply_off : int array;  (** its answer, read in place *)
+  reply_len : int array;
+  mutable kv_reply : bytes;
+  mutable kv_count : int;  (** batched replies being answered; 0 = none *)
+  mutable kv_next : int;  (** the next one's index *)
+  mutable idle : Machine.step;  (** the last [Idle_until] returned *)
   mutable served : int;
   mutable bad_requests : int;
   mutable shed_queue : int;
@@ -178,8 +189,58 @@ exception Expired
 (** Raised by a deadline-aware binding when the request's remaining
     budget is gone: the request is shed with a 503, not an error. *)
 
+(* A slot's parse before the worker parses it, and after a malformed
+   request: answered 400. *)
+let invalid = min_int
+
+let initial_slots = 16
+
+let grow a fill =
+  let n = Array.length a in
+  let b = Array.make (2 * n) fill in
+  Array.blit a 0 b 0 n;
+  b
+
+(* The last freed slot, or a fresh one when every slot is taken: the
+   arrays double and the new ids join the free stack. *)
+let alloc_slot t =
+  if t.s_nfree = 0 then begin
+    let n = Array.length t.s_off in
+    t.s_conn <- grow t.s_conn t.s_conn.(0);
+    t.s_payload <- grow t.s_payload Bytes.empty;
+    t.s_off <- grow t.s_off 0;
+    t.s_deadline <- grow t.s_deadline 0;
+    t.s_denied <- grow t.s_denied 0;
+    t.s_parse <- grow t.s_parse 0;
+    t.s_free <- grow t.s_free 0;
+    for i = 0 to n - 1 do
+      t.s_free.(i) <- (2 * n) - 1 - i
+    done;
+    t.s_nfree <- n
+  end;
+  t.s_nfree <- t.s_nfree - 1;
+  t.s_free.(t.s_nfree)
+
+let free_slot t r =
+  t.s_payload.(r) <- Bytes.empty;
+  t.s_free.(t.s_nfree) <- r;
+  t.s_nfree <- t.s_nfree + 1
+
+let rec same_name p off name i =
+  i >= String.length name
+  || (Bytes.unsafe_get p (off + i) = String.unsafe_get name i && same_name p off name (i + 1))
+
+(* The cached contents of the file named by [p]'s [len] bytes from
+   [off]; [Not_found] when none. *)
+let rec cached p off len = function
+  | [] -> raise Not_found
+  | (name, data) :: rest ->
+    if String.length name = len && same_name p off name 0 then data else cached p off len rest
+
+let cache_file w name data = w.w_cache <- (name, data) :: List.remove_assoc name w.w_cache
+
 let create ?(preload = []) ?(file_cache = true) ?(admission = no_admission)
-    ?(wire_hint = fun () -> None) kernel nic ~workers:procs ~queue_done =
+    ?(wire_hint = fun () -> -1) kernel nic ~workers:procs ~queue_done =
   let n = Array.length procs in
   if n = 0 then invalid_arg "Httpd.create: no workers";
   if Nic.n_queues nic > n then
@@ -209,9 +270,11 @@ let create ?(preload = []) ?(file_cache = true) ?(admission = no_admission)
           w_thread = thread;
           w_binding = binding;
           w_text_pa = text_pa;
-          w_cache = Hashtbl.create 16;
           w_state = Running;
-          w_inflight = [];
+          w_cache = [];
+          w_batch = Array.make admission.a_batch_max 0;
+          w_nbatch = 0;
+          w_parked = false;
           w_served = 0;
           w_restarts = 0;
           w_hangs = 0;
@@ -219,6 +282,7 @@ let create ?(preload = []) ?(file_cache = true) ?(admission = no_admission)
           w_backoff = 0;
         })
   in
+  let no_conn = { Socket.flow = -1; queue = -1; rx_seq = 0; tx_seq = 0; requests = 0 } in
   let t =
     {
       kernel;
@@ -228,9 +292,24 @@ let create ?(preload = []) ?(file_cache = true) ?(admission = no_admission)
       ep;
       file_cache;
       admission;
-      deadlines = Array.make n None;
+      deadlines = Array.make n (-1);
       wire_hint;
       queue_done;
+      s_conn = Array.make initial_slots no_conn;
+      s_payload = Array.make initial_slots Bytes.empty;
+      s_off = Array.make initial_slots 0;
+      s_deadline = Array.make initial_slots 0;
+      s_denied = Array.make initial_slots 0;
+      s_parse = Array.make initial_slots 0;
+      s_free = Array.init initial_slots (fun i -> initial_slots - 1 - i);
+      s_nfree = initial_slots;
+      kv_batch = Kv_wire.batch ();
+      reply_off = Array.make admission.a_batch_max 0;
+      reply_len = Array.make admission.a_batch_max 0;
+      kv_reply = Bytes.empty;
+      kv_count = 0;
+      kv_next = 0;
+      idle = Machine.Idle;
       served = 0;
       bad_requests = 0;
       shed_queue = 0;
@@ -253,7 +332,7 @@ let create ?(preload = []) ?(file_cache = true) ?(admission = no_admission)
         List.iter
           (fun name ->
             match w.w_binding.fs_read ~core:w.w_core ~name with
-            | Some data -> Hashtbl.replace w.w_cache name data
+            | Some data -> cache_file w name data
             | None -> ())
           preload;
       Scheduler.block w.w_sched cpu w.w_thread;
@@ -283,6 +362,7 @@ let unservable t = t.unservable
 let batches t = t.batches
 let batched_ops t = t.batched_ops
 let current_deadline t ~core = t.deadlines.(core)
+let slots_in_use t = Array.length t.s_off - t.s_nfree
 
 (* ---- request handling ---- *)
 
@@ -294,11 +374,14 @@ let check_fault t w =
     Kernel.user_compute t.kernel ~core:w.w_core ~cycles:hang_cycles
   | Some (Fault.Drop | Fault.Revoke | Fault.Ept_fault) | None -> ()
 
-let respond t ~core conn response =
+(* Send request [r]'s terminal response, serialized straight from its
+   status and the [len] body bytes from [off], and free its slot. *)
+let respond t ~core r ~status body ~off ~len =
   let cpu = Kernel.cpu t.kernel ~core in
-  let wire = Http.serialize_response response in
+  let wire = Http.response ~status body ~off ~len in
   Cpu.charge cpu (respond_base + (respond_per_byte * Bytes.length wire));
-  Socket.reply t.socks conn ~core wire
+  Socket.reply t.socks t.s_conn.(r) ~core wire;
+  free_slot t r
 
 (* Shed one request with the typed 503: the load-shedding outcome the
    client's retry policy treats as backpressure, never as data loss. *)
@@ -310,7 +393,7 @@ let shed_reply t ~core ~counter r =
     (match counter with
     | `Queue -> "web.shed-queue"
     | `Expired -> "web.shed-expired");
-  respond t ~core r.rq_conn Http.service_unavailable
+  respond t ~core r ~status:503 Bytes.empty ~off:0 ~len:0
 
 (* A binding raised [Denied]: record this worker in the request's mask.
    If every worker has now denied it, no receiver can ever serve it —
@@ -321,11 +404,12 @@ let deny t w r =
   let core = w.w_core in
   let n = Array.length t.workers in
   w.w_denied <- w.w_denied + 1;
-  r.rq_denied <- r.rq_denied lor (1 lsl core);
-  if r.rq_denied = (1 lsl n) - 1 then begin
+  let mask = t.s_denied.(r) lor (1 lsl core) in
+  t.s_denied.(r) <- mask;
+  if mask = (1 lsl n) - 1 then begin
     t.unservable <- t.unservable + 1;
     Sky_trace.Trace.instant ~core ~cat:"web" "web.unservable";
-    respond t ~core r.rq_conn Http.forbidden
+    respond t ~core r ~status:403 Bytes.empty ~off:0 ~len:0
   end
   else begin
     Sky_trace.Trace.instant ~core ~cat:"web" "web.denied-bounce";
@@ -334,150 +418,183 @@ let deny t w r =
       Cpu.cycles (Kernel.cpu t.kernel ~core) + denial_backoff_cycles
   end
 
-let dispatch t w kv_replies pr =
-  let core = w.w_core in
-  let misaligned () = invalid_arg "Httpd: batch reply misaligned" in
-  match pr with
-  | Http.Kv_put (key, value) ->
-    let stored =
-      match kv_replies with
-      | Some q -> (
-        match Queue.pop q with
-        | Kv_wire.R_stored ok -> ok
-        | Kv_wire.R_value _ -> misaligned ())
-      | None -> w.w_binding.kv_put ~core ~key ~value
-    in
-    if stored then Http.stored else Http.server_error
-  | Http.Kv_get key -> (
-    let value =
-      match kv_replies with
-      | Some q -> (
-        match Queue.pop q with
-        | Kv_wire.R_value v -> v
-        | Kv_wire.R_stored _ -> misaligned ())
-      | None -> w.w_binding.kv_get ~core ~key
-    in
-    match value with Some v -> Http.ok v | None -> Http.not_found)
-  | Http.Fs_get name -> (
-    match if t.file_cache then Hashtbl.find_opt w.w_cache name else None with
-    | Some data ->
-      Kernel.user_compute t.kernel ~core
-        ~cycles:(cache_hit_base + (Bytes.length data / 16));
-      Http.ok data
-    | None -> (
-      match w.w_binding.fs_read ~core ~name with
-      | Some data ->
-        if t.file_cache then Hashtbl.replace w.w_cache name data;
-        Http.ok data
-      | None -> Http.not_found))
+(* A served request's response; the dispatch that produced it is over,
+   so the live deadline goes first. *)
+let answer t w r ~status body ~off ~len =
+  t.deadlines.(w.w_core) <- -1;
+  respond t ~core:w.w_core r ~status body ~off ~len;
+  w.w_served <- w.w_served + 1;
+  t.served <- t.served + 1
 
-(* Charge and parse each request of a batch, in order, into the request
-   itself; a malformed one stays invalid, to be answered 400 in its
-   turn. *)
-let rec parse_all t cpu = function
-  | [] -> ()
-  | r :: rest ->
-    Cpu.charge cpu (parse_base + (parse_per_byte * Bytes.length r.rq_payload));
-    (match Http.parse_request r.rq_payload with
-    | pr ->
-      r.rq_request <- pr;
-      r.rq_valid <- true
-    | exception Http.Bad_request _ -> t.bad_requests <- t.bad_requests + 1);
-    parse_all t cpu rest
+let answer_empty t w r status = answer t w r ~status Bytes.empty ~off:0 ~len:0
+let answer_body t w r body = answer t w r ~status:200 body ~off:0 ~len:(Bytes.length body)
+let misaligned () = invalid_arg "Httpd: batch reply misaligned"
+
+(* The batched crossing's reply to the next KV operation, in pop
+   order. *)
+let next_reply t =
+  let i = t.kv_next in
+  if i >= t.kv_count then misaligned ();
+  t.kv_next <- i + 1;
+  i
+
+let serve_file t w r p ~off ~len =
+  match if t.file_cache then cached p off len w.w_cache else raise Not_found with
+  | data ->
+    Kernel.user_compute t.kernel ~core:w.w_core
+      ~cycles:(cache_hit_base + (Bytes.length data / 16));
+    answer_body t w r data
+  | exception Not_found -> (
+    let name = Bytes.sub_string p off len in
+    match w.w_binding.fs_read ~core:w.w_core ~name with
+    | Some data ->
+      if t.file_cache then cache_file w name data;
+      answer_body t w r data
+    | None -> answer_empty t w r 404)
+
+(* Answer request [r] from its parse: through the binding, or from the
+   batched crossing's replies while [kv_count > 0]. *)
+let dispatch t w r =
+  let core = w.w_core in
+  let p = t.s_payload.(r) and sep = t.s_parse.(r) in
+  let key_off = t.s_off.(r) + Http.prefix_len and n = Bytes.length p in
+  if sep = invalid then answer_empty t w r 400
+  else if sep = Http.fs_get then serve_file t w r p ~off:key_off ~len:(n - key_off)
+  else if sep = Http.kv_get then begin
+    if t.kv_count > 0 then begin
+      let i = next_reply t in
+      let len = t.reply_len.(i) in
+      if len = Kv_wire.reply_stored then misaligned ()
+      else if len = Kv_wire.reply_miss then answer_empty t w r 404
+      else answer t w r ~status:200 t.kv_reply ~off:t.reply_off.(i) ~len
+    end
+    else
+      let v = w.w_binding.kv_get ~core p ~key_off ~key_len:(n - key_off) in
+      if Bytes.length v = 0 then answer_empty t w r 404 else answer_body t w r v
+  end
+  else
+    let stored =
+      if t.kv_count > 0 then
+        t.reply_len.(next_reply t) = Kv_wire.reply_stored || misaligned ()
+      else
+        w.w_binding.kv_put ~core p ~key_off ~key_len:(sep - key_off) ~value_off:(sep + 1)
+          ~value_len:(n - sep - 1)
+    in
+    if stored then answer_body t w r Http.stored else answer_empty t w r 500
+
+(* Charge and parse each request of the batch, in order, into its slot;
+   a malformed one stays [invalid], to be answered 400 in its turn. *)
+let parse_all t w cpu =
+  for i = 0 to w.w_nbatch - 1 do
+    let r = w.w_batch.(i) in
+    let p = t.s_payload.(r) and off = t.s_off.(r) in
+    Cpu.charge cpu (parse_base + (parse_per_byte * (Bytes.length p - off)));
+    t.s_parse.(r) <-
+      (match Http.parse_request p ~off with
+      | sep -> sep
+      | exception Http.Bad_request _ ->
+        t.bad_requests <- t.bad_requests + 1;
+        invalid)
+  done
+
+(* A batch member the batched crossing carries: a parsed KV request. *)
+let is_kv t r =
+  let sep = t.s_parse.(r) in
+  sep <> invalid && sep <> Http.fs_get
+
+let rec kv_ops t w i n =
+  if i >= w.w_nbatch then n else kv_ops t w (i + 1) (if is_kv t w.w_batch.(i) then n + 1 else n)
+
+(* The tightest deadline among the batch's members, -1 for none. *)
+let rec tightest t w i d =
+  if i >= w.w_nbatch then d
+  else
+    let x = t.s_deadline.(w.w_batch.(i)) in
+    tightest t w (i + 1) (if x >= 0 && (d < 0 || x < d) then x else d)
+
+let add_op t r =
+  let p = t.s_payload.(r) and sep = t.s_parse.(r) in
+  let key_off = t.s_off.(r) + Http.prefix_len in
+  if sep = Http.kv_get then
+    Kv_wire.add_get t.kv_batch p ~key_off ~key_len:(Bytes.length p - key_off)
+  else
+    Kv_wire.add_put t.kv_batch p ~key_off ~key_len:(sep - key_off) p ~value_off:(sep + 1)
+      ~value_len:(Bytes.length p - sep - 1)
+
+(* Batched worker→backend hop: every KV operation of the batch in one
+   crossing, under the tightest member deadline, its replies read in
+   place by {!dispatch}. A [Denied] or [Expired] from the batched call
+   falls back to the individual path so each request gets its own
+   terminal outcome. A batch of one (every batch when [a_batch_max =
+   1]) takes the individual path. *)
+let batch_kv t w =
+  let core = w.w_core in
+  let ops = if w.w_nbatch < 2 then 0 else kv_ops t w 0 0 in
+  if ops >= 2 then begin
+    t.deadlines.(core) <- tightest t w 0 (-1);
+    for i = 0 to w.w_nbatch - 1 do
+      if is_kv t w.w_batch.(i) then add_op t w.w_batch.(i)
+    done;
+    match w.w_binding.kv_batch ~core (Kv_wire.batch_msg t.kv_batch) with
+    | reply ->
+      t.deadlines.(core) <- -1;
+      t.batches <- t.batches + 1;
+      t.batched_ops <- t.batched_ops + ops;
+      if Kv_wire.batch_replies reply ~off:t.reply_off ~len:t.reply_len <> ops then misaligned ();
+      t.kv_reply <- reply;
+      t.kv_count <- ops;
+      t.kv_next <- 0
+    | exception (Denied | Expired) -> t.deadlines.(core) <- -1
+  end
 
 (* Answer each parsed request in pop order: a response, a bounce on
    [Denied], or a 503 on [Expired]. *)
-let rec reply_all t w kv_replies = function
-  | [] -> ()
-  | r :: rest ->
-    let core = w.w_core in
-    t.deadlines.(core) <- r.rq_deadline;
-    (match
-       if r.rq_valid then dispatch t w kv_replies r.rq_request else Http.bad_request
-     with
-    | response ->
-      t.deadlines.(core) <- None;
-      respond t ~core r.rq_conn response;
-      w.w_served <- w.w_served + 1;
-      t.served <- t.served + 1
+let reply_all t w =
+  let core = w.w_core in
+  for i = 0 to w.w_nbatch - 1 do
+    let r = w.w_batch.(i) in
+    t.deadlines.(core) <- t.s_deadline.(r);
+    match dispatch t w r with
+    | () -> ()
     | exception Denied ->
-      t.deadlines.(core) <- None;
+      t.deadlines.(core) <- -1;
       deny t w r
     | exception Expired ->
-      t.deadlines.(core) <- None;
-      shed_reply t ~core ~counter:`Expired r);
-    reply_all t w kv_replies rest
+      t.deadlines.(core) <- -1;
+      shed_reply t ~core ~counter:`Expired r
+  done;
+  t.kv_count <- 0;
+  t.kv_reply <- Bytes.empty
 
-(* Serve a drained batch (singleton in the un-batched default). The
-   crash point is before any reply, so a [Worker_crashed] escaping here
-   parks the whole batch; everything after replies request by request,
-   in pop order — per-connection response ordering is preserved. *)
-let serve_batch t w reqs =
+(* Serve the worker's drained batch (singleton in the un-batched
+   default). The crash point is before any reply, so a [Worker_crashed]
+   escaping here parks the whole batch; everything after replies request
+   by request, in pop order — per-connection response ordering is
+   preserved. *)
+let serve_batch t w =
   let core = w.w_core in
   let cpu = Kernel.cpu t.kernel ~core in
   (* The crash point: mid-request, after the packet left the ring. *)
   check_fault t w;
   Memsys.touch_range_state_only cpu Memsys.Insn ~pa:w.w_text_pa ~len:worker_text;
-  parse_all t cpu reqs;
-  (* Batched worker→backend hop: every KV operation of the batch in
-     one crossing, under the tightest member deadline. A [Denied] or
-     [Expired] from the batched call falls back to the individual
-     path so each request gets its own terminal outcome. A batch of one
-     (every batch when [a_batch_max = 1]) takes the individual path. *)
-  let kv_replies =
-    if List.length reqs < 2 then None
-    else
-      let ops =
-        List.filter_map
-          (fun r ->
-            if not r.rq_valid then None
-            else
-              match r.rq_request with
-              | Http.Kv_put (key, value) -> Some (Kv_wire.Op_put (key, value))
-              | Http.Kv_get key -> Some (Kv_wire.Op_get key)
-              | Http.Fs_get _ -> None)
-          reqs
-      in
-      if List.length ops < 2 then None
-      else begin
-        t.deadlines.(core) <-
-          List.fold_left
-            (fun acc r ->
-              match (r.rq_deadline, acc) with
-              | None, a -> a
-              | Some d, None -> Some d
-              | Some d, Some a -> Some (Int.min d a))
-            None reqs;
-        match w.w_binding.kv_batch ~core ops with
-        | replies ->
-          t.deadlines.(core) <- None;
-          t.batches <- t.batches + 1;
-          t.batched_ops <- t.batched_ops + List.length ops;
-          let q = Queue.create () in
-          List.iter (fun rep -> Queue.add rep q) replies;
-          Some q
-        | exception (Denied | Expired) ->
-          t.deadlines.(core) <- None;
-          None
-      end
-  in
-  reply_all t w kv_replies reqs
+  parse_all t w cpu;
+  batch_kv t w;
+  reply_all t w
 
 (* The span closure is built only when tracing is on. *)
-let handle_batch t w reqs =
+let handle_batch t w =
   if Sky_trace.Trace.is_enabled () then
-    Sky_trace.Trace.span ~core:w.w_core ~cat:"web" "web.serve" (fun () ->
-        serve_batch t w reqs)
-  else serve_batch t w reqs
+    Sky_trace.Trace.span ~core:w.w_core ~cat:"web" "web.serve" (fun () -> serve_batch t w)
+  else serve_batch t w
 
-(* Crash bookkeeping: park the in-flight requests, revoke the worker's
+(* Crash bookkeeping: park the in-flight batch, revoke the worker's
    bindings (they are re-established on restart — the PR 3 revoke/rebind
    machinery), and schedule the restart. *)
-let crash t w ~inflight =
+let crash t w =
   let core = w.w_core in
   let cpu = Kernel.cpu t.kernel ~core in
   Sky_trace.Trace.instant ~core ~cat:"web" "web.worker-crash";
-  w.w_inflight <- inflight;
+  w.w_parked <- true;
   w.w_binding.revoke ~core;
   w.w_state <- Dead (Cpu.cycles cpu + restart_cycles);
   Scheduler.block w.w_sched cpu w.w_thread
@@ -488,7 +605,7 @@ let restart t w =
   Sky_trace.Trace.instant ~core ~cat:"web" "web.worker-restart";
   (* Fresh worker image: cold caches for its text, fresh bindings, and
      an empty file cache — the restarted worker re-reads from the FS. *)
-  Hashtbl.reset w.w_cache;
+  w.w_cache <- [];
   Kernel.context_switch t.kernel ~core w.w_proc;
   Kernel.user_compute t.kernel ~core ~cycles:restart_cycles;
   w.w_binding.rebind ~core;
@@ -496,77 +613,99 @@ let restart t w =
   w.w_restarts <- w.w_restarts + 1;
   Scheduler.wake w.w_sched cpu w.w_thread
 
+let rec queues_done t nq q = q >= nq || (t.queue_done ~queue:q && queues_done t nq (q + 1))
+
 (* The run is finished only globally: every NIC queue exhausted, the
    endpoint drained, nobody mid-restart with parked requests. Until
    then an idle worker must keep stepping — stolen work can appear on
    the endpoint at any time. *)
 let finished t =
-  let nq = Nic.n_queues t.nic in
-  let rec queues_done q = q >= nq || (t.queue_done ~queue:q && queues_done (q + 1)) in
-  queues_done 0
+  queues_done t (Nic.n_queues t.nic) 0
   && Endpoint.pending t.ep = 0
   && Array.for_all
-       (fun w ->
-         (match w.w_state with Running -> true | Dead _ -> false)
-         && w.w_inflight = [])
+       (fun w -> (match w.w_state with Running -> true | Dead _ -> false) && not w.w_parked)
        t.workers
 
-(* Earliest packet timestamp still sitting in any RX ring, and the ring
-   it sits in (= the core that owns it: only the owner can drain it). A
-   blocked worker uses it as its next-event time: with cross-core
-   serving, a fast peer's replies can strand a ring owner's clock far
-   above the laggard pack, and plain [Idle] only leapfrogs idle cores
-   one cycle at a time — the run loop's idle guard trips long before the
-   pack creeps up to the owner. *)
-let next_wire_event t =
-  let best = ref None in
-  for q = 0 to Nic.n_queues t.nic - 1 do
-    match Nic.next_deliver_at t.nic ~queue:q with
-    | Some at -> (
-      match !best with
-      | Some (_, b) when b <= at -> ()
-      | _ -> best := Some (q, at))
-    | None -> ()
-  done;
-  !best
-
-(* Serve a batch of popped (or replayed) requests: expired members are
-   shed up front, a crash parks whatever was not yet replied. *)
-let rec live_members t w now = function
-  | [] -> []
-  | r :: rest -> (
-    match r.rq_deadline with
-    | Some d when now > d ->
-      shed_reply t ~core:w.w_core ~counter:`Expired r;
-      live_members t w now rest
-    | _ -> r :: live_members t w now rest)
-
-let rec all_live now = function
-  | [] -> true
-  | r :: rest -> (
-    match r.rq_deadline with Some d when now > d -> false | _ -> all_live now rest)
-
-let serve t w reqs =
-  let now = Cpu.cycles (Kernel.cpu t.kernel ~core:w.w_core) in
-  let live = if all_live now reqs then reqs else live_members t w now reqs in
-  if live = [] then Machine.Progress
+(* The RX ring whose head packet is due first, ties to the lowest queue
+   (= the core that owns it: only the owner can drain it), or -1 when
+   every ring is empty. A blocked worker uses it as its next-event time:
+   with cross-core serving, a fast peer's replies can strand a ring
+   owner's clock far above the laggard pack, and plain [Idle] only
+   leapfrogs idle cores one cycle at a time — the run loop's idle guard
+   trips long before the pack creeps up to the owner. *)
+let rec earliest_ring t nq q best best_at =
+  if q >= nq then best
   else
-    match handle_batch t w live with
-    | () -> Machine.Progress
-    | exception Worker_crashed ->
-      crash t w ~inflight:live;
-      Machine.Progress
+    let at = Nic.next_deliver_at t.nic ~queue:q in
+    if at >= 0 && at < best_at then earliest_ring t nq (q + 1) q at
+    else earliest_ring t nq (q + 1) best best_at
+
+(* [Machine.Idle_until at], reusing the last one built while [at]
+   repeats: blocked workers keep idling to the same packet. *)
+let idle_until t at =
+  match t.idle with
+  | Machine.Idle_until a when a = at -> t.idle
+  | _ ->
+    let s = Machine.Idle_until at in
+    t.idle <- s;
+    s
+
+(* Serve the worker's batch, popped or replayed: members whose deadline
+   passed are shed up front, in order, and a crash parks the rest. *)
+let serve t w =
+  let now = Cpu.cycles (Kernel.cpu t.kernel ~core:w.w_core) in
+  let live = ref 0 in
+  for i = 0 to w.w_nbatch - 1 do
+    let r = w.w_batch.(i) in
+    let d = t.s_deadline.(r) in
+    if d >= 0 && now > d then shed_reply t ~core:w.w_core ~counter:`Expired r
+    else begin
+      w.w_batch.(!live) <- r;
+      incr live
+    end
+  done;
+  w.w_nbatch <- !live;
+  if !live > 0 then begin
+    match handle_batch t w with
+    | () -> ()
+    | exception Worker_crashed -> crash t w
+  end;
+  Machine.Progress
 
 (* ---- the per-core event loop, one quantum per call ---- *)
 
-(* The rest of a batch: up to [a_batch_max - n] more pops, in pop
-   order. *)
-let rec pop_more t ~core n =
-  if n >= t.admission.a_batch_max then []
+(* Admission of a demultiplexed request: stamp the deadline from the
+   carried TTL (or the configured default) and bounce off a full target
+   queue with a 503 before the request costs anything downstream. *)
+let admit t ~core cpu =
+  let payload = Socket.request_payload t.socks ~queue:core in
+  let ttl = Http.ttl payload in
+  let r = alloc_slot t in
+  t.s_conn.(r) <- Socket.request_conn t.socks ~queue:core;
+  t.s_payload.(r) <- payload;
+  t.s_off.(r) <- (if ttl > 0 then Http.request_off payload else 0);
+  t.s_deadline.(r) <-
+    (if ttl > 0 then Cpu.cycles cpu + ttl
+     else
+       match t.admission.a_default_ttl with
+       | Some n -> Cpu.cycles cpu + n
+       | None -> -1);
+  t.s_denied.(r) <- 0;
+  t.s_parse.(r) <- invalid;
+  if not (Endpoint.try_push t.ep ~core r) then shed_reply t ~core ~counter:`Queue r;
+  Machine.Progress
+
+(* The rest of a batch: up to [a_batch_max - n] more pops appended to
+   the worker's batch in pop order; answers its new size. *)
+let rec pop_more t w ~core n =
+  if n >= t.admission.a_batch_max then n
   else
-    match Endpoint.pop t.ep ~core ~recv:core with
-    | Some r -> r :: pop_more t ~core (n + 1)
-    | None -> []
+    let r = Endpoint.pop t.ep ~core ~recv:core in
+    if r < 0 then n
+    else begin
+      w.w_batch.(n) <- r;
+      pop_more t w ~core (n + 1)
+    end
 
 let step t ~core =
   let w = t.workers.(core) in
@@ -577,14 +716,14 @@ let step t ~core =
       restart t w;
       Machine.Progress
     end
-    else Machine.Idle_until at
-  | Running -> (
+    else idle_until t at
+  | Running ->
     (* Replay requests parked by a crash before touching any queue. *)
-    match w.w_inflight with
-    | _ :: _ as parked ->
-      w.w_inflight <- [];
-      serve t w parked
-    | [] ->
+    if w.w_parked then begin
+      w.w_parked <- false;
+      serve t w
+    end
+    else
       let has_queue = core < Nic.n_queues t.nic in
       if not (Scheduler.runnable w.w_thread) then begin
         (* Blocked in recv: wake on a pending RX IRQ (advancing to its
@@ -594,8 +733,7 @@ let step t ~core =
            that without a notification. *)
         let irq_wake =
           has_queue
-          && (Notification.wait_blocking (Nic.irq t.nic ~queue:core) ~core
-              <> None
+          && (Notification.wait_blocking (Nic.irq t.nic ~queue:core) ~core <> 0
              || (* Level check: with cross-core serving a peer's reply can
                    land in our ring while the edge word is already consumed;
                    only the owner can drain it, so wake on occupancy too. *)
@@ -603,8 +741,7 @@ let step t ~core =
         in
         let ep_wake =
           (not irq_wake)
-          && (Notification.wait_blocking ~polls:0 (Endpoint.note t.ep) ~core
-              <> None
+          && (Notification.wait_blocking ~polls:0 (Endpoint.note t.ep) ~core <> 0
              || Endpoint.pending t.ep > 0)
         in
         if irq_wake || ep_wake then begin
@@ -612,15 +749,15 @@ let step t ~core =
           Machine.Progress
         end
         else if finished t then Machine.Done
-        else (
+        else
           (* Ring events first; otherwise the generator's hint (an
              open-loop pump's next arrival), so a fully drained fleet
              sleeps to the next offered request instead of leapfrogging
              one cycle at a time into the run loop's deadlock guard. *)
-          match next_wire_event t with
-          | Some (q, at) ->
-            let now = Cpu.cycles cpu in
-            if at > now then Machine.Idle_until at
+          let q = earliest_ring t (Nic.n_queues t.nic) 0 (-1) max_int in
+          if q >= 0 then begin
+            let at = Nic.next_deliver_at t.nic ~queue:q and now = Cpu.cycles cpu in
+            if at > now then idle_until t at
             else
               (* A packet already due on our clock sits in another
                  core's ring (a due head in our own ring wakes us via
@@ -630,12 +767,11 @@ let step t ~core =
                  the pack passes it, instead of everyone creeping up one
                  leapfrog at a time into the idle guard. *)
               let owner = Cpu.cycles (Kernel.cpu t.kernel ~core:q) in
-              if owner >= now then Machine.Idle_until (owner + 1)
-              else Machine.Idle
-          | None -> (
-            match t.wire_hint () with
-            | Some at when at > Cpu.cycles cpu -> Machine.Idle_until at
-            | Some _ | None -> Machine.Idle))
+              if owner >= now then idle_until t (owner + 1) else Machine.Idle
+          end
+          else
+            let at = t.wire_hint () in
+            if at > Cpu.cycles cpu then idle_until t at else Machine.Idle
       end
       else begin
         (* Route first, serve second: RSS only places packets in rings;
@@ -644,49 +780,26 @@ let step t ~core =
           if has_queue then Socket.service t.socks ~queue:core ~core
           else Socket.Nothing
         with
-        | Socket.Accepted _ -> Machine.Progress
-        | Socket.Request ->
-          (* Admission: stamp the deadline from the carried TTL (or the
-             configured default) and bounce off a full target queue with
-             a 503 before the request costs anything downstream. *)
-          let payload = Socket.request_payload t.socks ~queue:core in
-          let ttl = Http.ttl payload in
-          let deadline =
-            if ttl > 0 then Some (Cpu.cycles cpu + ttl)
-            else
-              match t.admission.a_default_ttl with
-              | Some n -> Some (Cpu.cycles cpu + n)
-              | None -> None
-          in
-          let r =
-            {
-              rq_conn = Socket.request_conn t.socks ~queue:core;
-              rq_payload = (if ttl > 0 then Http.strip_ttl payload else payload);
-              rq_deadline = deadline;
-              rq_denied = 0;
-              rq_request = unparsed;
-              rq_valid = false;
-            }
-          in
-          if Endpoint.try_push t.ep ~core r then Machine.Progress
-          else begin
-            shed_reply t ~core ~counter:`Queue r;
-            Machine.Progress
-          end
-        | Socket.Nothing -> (
+        | Socket.Accepted -> Machine.Progress
+        | Socket.Request -> admit t ~core cpu
+        | Socket.Nothing ->
           if Cpu.cycles cpu < w.w_backoff then
             (* Just bounced a denied request: stay off the endpoint so
                the privileged peer drains it instead of us re-stealing. *)
-            Machine.Idle_until w.w_backoff
+            idle_until t w.w_backoff
           else
-            match Endpoint.pop t.ep ~core ~recv:core with
-            | Some r ->
+            let r = Endpoint.pop t.ep ~core ~recv:core in
+            if r < 0 then begin
+              (* Ring and endpoint drained: back to recv. *)
+              Scheduler.block w.w_sched cpu w.w_thread;
+              Machine.Progress
+            end
+            else begin
               (* Drain up to [a_batch_max] requests for one quantum —
                  deep queues amortize the backend crossing, an empty
                  queue degenerates to the classic one-at-a-time loop. *)
-              serve t w (r :: pop_more t ~core 1)
-            | None ->
-              (* Ring and endpoint drained: back to recv. *)
-              Scheduler.block w.w_sched cpu w.w_thread;
-              Machine.Progress)
-      end)
+              w.w_batch.(0) <- r;
+              w.w_nbatch <- pop_more t w ~core 1;
+              serve t w
+            end
+      end

@@ -12,7 +12,7 @@
 
     {b Admission control} ({!admission}): bounded per-receiver queues
     shed overflow with a typed 503 at demux time; a TTL carried on the
-    request ([Http.with_ttl]) becomes an absolute deadline — expired
+    request (a [TTL<cycles> ] prefix) becomes an absolute deadline — expired
     requests are shed on pop, and the live deadline is exported
     ({!current_deadline}) so bindings can propagate the remaining budget
     as a backend call timeout. [a_batch_max > 1] lets a worker drain
@@ -29,26 +29,22 @@
     denied by {e every} worker terminates with a typed 403 instead of
     cycling forever. *)
 
-type kv_op = Sky_kvstore.Kv_wire.op
-type kv_reply = Sky_kvstore.Kv_wire.reply
-
 type binding = {
-  kv_put : core:int -> key:string -> value:bytes -> bool;
-  kv_get : core:int -> key:string -> bytes option;
+  kv_put :
+    core:int -> bytes -> key_off:int -> key_len:int -> value_off:int -> value_len:int -> bool;
+  kv_get : core:int -> bytes -> key_off:int -> key_len:int -> bytes;
   fs_read : core:int -> name:string -> bytes option;
-  kv_batch : core:int -> kv_op list -> kv_reply list;
+  kv_batch : core:int -> bytes -> bytes;
   revoke : core:int -> unit;
   rebind : core:int -> unit;
 }
 (** One worker's typed view of the backends, closed over its process and
-    transport. [revoke]/[rebind] bracket a worker crash/restart;
-    [kv_batch] serves a whole list of KV operations in one backend
-    crossing — the batched worker→backend hop, taken only by a batch of
-    two or more, so only when [a_batch_max > 1]. *)
-
-type req
-(** A demultiplexed request riding the endpoint (opaque): carries its
-    connection, body, absolute deadline, and denied-worker mask. *)
+    transport. Keys and values are slices of the request's wire bytes;
+    [kv_get] answers the value, empty on a miss. [revoke]/[rebind]
+    bracket a worker crash/restart; [kv_batch] carries a whole
+    {!Sky_kvstore.Kv_wire} ['B'] message in one backend crossing and
+    answers its reply — the batched worker→backend hop, taken only by a
+    batch of two or more KV operations, so only when [a_batch_max > 1]. *)
 
 type admission = {
   a_queue_cap : int option;
@@ -82,7 +78,7 @@ val create :
   ?preload:string list ->
   ?file_cache:bool ->
   ?admission:admission ->
-  ?wire_hint:(unit -> int option) ->
+  ?wire_hint:(unit -> int) ->
   Sky_ukernel.Kernel.t ->
   Nic.t ->
   workers:(Sky_ukernel.Proc.t * binding) array ->
@@ -101,9 +97,9 @@ val create :
     exercises the capability-checked backend path. [admission] (default
     {!no_admission}) configures queue bounds, default deadlines and
     batching. [wire_hint] reports the next future wire event the rings
-    cannot see (an open-loop generator's next arrival) so drained
-    workers sleep to it. [queue_done] is the load generator's per-queue
-    exit test. *)
+    cannot see (an open-loop generator's next arrival; -1 for none) so
+    drained workers sleep to it. [queue_done] is the load generator's
+    per-queue exit test. *)
 
 val step : t -> core:int -> Sky_sim.Machine.step
 (** One event-loop quantum of [core]'s worker; [Done] once every queue
@@ -144,14 +140,19 @@ val batches : t -> int
 val batched_ops : t -> int
 (** KV operations carried by those crossings. *)
 
-val current_deadline : t -> core:int -> int option
-(** Absolute deadline of the request being dispatched on [core], if any
-    — what a deadline-propagating binding reads to derive the backend
-    call timeout. *)
+val current_deadline : t -> core:int -> int
+(** Absolute deadline of the request being dispatched on [core], -1 for
+    none — what a deadline-propagating binding reads to derive the
+    backend call timeout. *)
 
 val steals : t -> int
 (** Endpoint pops satisfied from a peer's receive queue. *)
 
-val endpoint : t -> req Sky_mesh.Endpoint.t
+val endpoint : t -> Sky_mesh.Endpoint.t
+
+val slots_in_use : t -> int
+(** Requests demultiplexed and not yet answered: each holds an int slot
+    from its demux until its terminal response (200, 400, 403, 404, 500
+    or 503) is sent. *)
 
 val worker_served : t -> int -> int

@@ -22,10 +22,6 @@ type arrivals =
       keys : (string * bytes) array array;
     }
 
-type expect =
-  | Stored  (** a PUT: the body must be ["stored"] *)
-  | Body of bytes  (** a GET: the stored value or the file's contents *)
-
 type conn = {
   c_id : int;
   c_queue : int;  (** RSS queue every flow of this connection lands on *)
@@ -37,7 +33,9 @@ type conn = {
   mutable c_sent : int;  (** requests built *)
   mutable c_writes : int;  (** PUTs built *)
   mutable c_busy : bool;  (** a request is in flight *)
-  mutable c_expect : expect;  (** what the in-flight one must produce *)
+  mutable c_expect : bytes;
+      (** the body the in-flight one must produce: {!Http.stored} for a
+          PUT, the stored value or the file's contents for a GET *)
   mutable c_arrival : int;  (** its arrival timestamp *)
   mutable c_keys : string array;
       (** readable keys: [Open]'s provisioned ones, or [Closed]'s own
@@ -53,6 +51,7 @@ type t = {
   requests_per_conn : int;
   files : (string * bytes) array;
   arrivals : arrivals;
+  ttl : int;  (** [Open]'s relative deadline per request, -1 for none *)
   total : int;
   conns : conn array;
   by_flow : (int, conn) Hashtbl.t;
@@ -89,14 +88,20 @@ let value_bytes rng id n =
 let create nic ~seed ~mix ~conns ~requests_per_conn ~rtt ~files arrivals =
   if conns <= 0 then invalid_arg "Loadgen.create: conns";
   if requests_per_conn <= 0 then invalid_arg "Loadgen.create: requests_per_conn";
-  let total =
+  let total, ttl =
     match arrivals with
-    | Closed -> conns * requests_per_conn
-    | Open { mean_gap; total; keys; _ } ->
+    | Closed -> (conns * requests_per_conn, -1)
+    | Open { mean_gap; total; keys; ttl } ->
       if mean_gap <= 0 then invalid_arg "Loadgen.create: mean_gap";
       if total <= 0 then invalid_arg "Loadgen.create: total";
       if Array.length keys <> conns then invalid_arg "Loadgen.create: keys";
-      total
+      let ttl =
+        match ttl with
+        | Some n when n <= 0 -> invalid_arg "Loadgen.create: ttl"
+        | Some n -> n
+        | None -> -1
+      in
+      (total, ttl)
   in
   let nq = Nic.n_queues nic in
   (* Connection [i]'s flow: the next id whose RSS hash lands on queue
@@ -119,7 +124,7 @@ let create nic ~seed ~mix ~conns ~requests_per_conn ~rtt ~files arrivals =
           c_sent = 0;
           c_writes = 0;
           c_busy = false;
-          c_expect = Stored;
+          c_expect = Http.stored;
           c_arrival = 0;
           c_keys = Array.map fst keys;
           c_values = Array.map snd keys;
@@ -135,6 +140,7 @@ let create nic ~seed ~mix ~conns ~requests_per_conn ~rtt ~files arrivals =
     requests_per_conn;
     files;
     arrivals;
+    ttl;
     total;
     conns;
     by_flow;
@@ -153,13 +159,13 @@ let create nic ~seed ~mix ~conns ~requests_per_conn ~rtt ~files arrivals =
     churns = 0;
   }
 
-(* A PUT of the connection's next write. [Closed] appends it to the keys
-   it reads back (capacity doubles, so a request copies no list); [Open]
-   writes a key no GET asks for. *)
+(* The wire bytes of a PUT of the connection's next write. [Closed]
+   appends it to the keys it reads back (capacity doubles, so a request
+   copies no list); [Open] writes a key no GET asks for. *)
 let put t c =
   let n = c.c_writes in
   c.c_writes <- n + 1;
-  c.c_expect <- Stored;
+  c.c_expect <- Http.stored;
   match t.arrivals with
   | Closed ->
     let key = Dec.tag "f" c.c_flow "-k" n "" in
@@ -173,13 +179,15 @@ let put t c =
     c.c_keys.(i) <- key;
     c.c_values.(i) <- value;
     c.c_nkeys <- i + 1;
-    Http.Kv_put (key, value)
-  | Open _ -> Http.Kv_put (Dec.tag "t" c.c_id "-w" n "", value_bytes c.c_rng c.c_id n)
+    Http.kv_put_request ~ttl:t.ttl key value
+  | Open _ ->
+    let value = value_bytes c.c_rng c.c_id n in
+    Http.kv_put_request ~ttl:t.ttl (Dec.tag "t" c.c_id "-w" n "") value
 
-(* Connection [c]'s next request, its expectation left in [c_expect].
-   [Closed] opens with a PUT, seeding the keyspace it reads back, and
-   reads newest first; then the mix weights decide, a GET falling back
-   to PUT while there is nothing to read. *)
+(* The wire bytes of connection [c]'s next request, its expectation
+   left in [c_expect]. [Closed] opens with a PUT, seeding the keyspace
+   it reads back, and reads newest first; then the mix weights decide,
+   a GET falling back to PUT while there is nothing to read. *)
 let next_request t c =
   let n = c.c_nkeys in
   match t.arrivals with
@@ -194,22 +202,15 @@ let next_request t c =
         | Closed -> n - 1 - Rng.int c.c_rng n
         | Open _ -> Rng.int c.c_rng n
       in
-      c.c_expect <- Body c.c_values.(i);
-      Http.Kv_get c.c_keys.(i)
+      c.c_expect <- c.c_values.(i);
+      Http.kv_get_request ~ttl:t.ttl c.c_keys.(i)
     end
     else if roll < m_kv_get + m_kv_put || nfiles = 0 then put t c
     else begin
       let name, data = t.files.(Rng.int c.c_rng nfiles) in
-      c.c_expect <- Body data;
-      Http.Fs_get name
+      c.c_expect <- data;
+      Http.fs_get_request ~ttl:t.ttl name
     end
-
-let wire_request t c =
-  let p = Http.serialize_request (next_request t c) in
-  c.c_sent <- c.c_sent + 1;
-  match t.arrivals with
-  | Open { ttl = Some ttl; _ } -> Http.with_ttl ~ttl p
-  | _ -> p
 
 (* Retire the connection's flow and open a fresh one (new SYN, seq
    restarts at 0) on the same RSS queue. The per-queue cursor starts
@@ -232,7 +233,8 @@ let churn t c =
 
 let rec inject t c ~arrival ~at =
   if c.c_left = 0 then churn t c;
-  let payload = wire_request t c in
+  let payload = next_request t c in
+  c.c_sent <- c.c_sent + 1;
   let before = Nic.dropped t.nic in
   Nic.deliver t.nic ~flow:c.c_flow ~seq:c.c_seq ~payload ~at;
   if Nic.dropped t.nic > before then begin
@@ -265,12 +267,16 @@ and arrive t c ~at =
   if (not c.c_busy) && Queue.is_empty c.c_backlog then inject t c ~arrival:at ~at
   else Queue.add at c.c_backlog
 
-let body_matches expect (resp : Http.response) =
-  resp.Http.status = 200
-  &&
-  match expect with
-  | Stored -> String.equal (Bytes.unsafe_to_string resp.Http.body) "stored"
-  | Body v -> Bytes.equal resp.Http.body v
+type outcome = Served | Shed | Unservable | Corrupt
+
+(* Read in place: the status, then the body where it lies. *)
+let classify ~expect payload =
+  match Http.status payload with
+  | 503 -> Shed
+  | 403 -> Unservable
+  | 200 when Http.body_is payload expect -> Served
+  | _ -> Corrupt
+  | exception Http.Bad_request _ -> Corrupt
 
 (* TX-completion hook: classify the response against what the request in
    flight should produce, then let the connection go on. *)
@@ -281,14 +287,13 @@ let on_response t ~flow ~payload ~deliver_at =
   | c ->
     c.c_busy <- false;
     t.responses <- t.responses + 1;
-    (match Http.parse_response payload with
-    | { Http.status = 503; _ } -> t.shed <- t.shed + 1
-    | { Http.status = 403; _ } -> t.unservable <- t.unservable + 1
-    | resp when body_matches c.c_expect resp ->
+    (match classify ~expect:c.c_expect payload with
+    | Shed -> t.shed <- t.shed + 1
+    | Unservable -> t.unservable <- t.unservable + 1
+    | Served ->
       t.ok <- t.ok + 1;
       Sky_trace.Histogram.add t.hist (deliver_at - c.c_arrival)
-    | _ -> t.corrupt <- t.corrupt + 1
-    | exception Http.Bad_request _ -> t.corrupt <- t.corrupt + 1);
+    | Corrupt -> t.corrupt <- t.corrupt + 1);
     resolve t c ~at:deliver_at
 
 (* One arrival of the global Poisson process: a uniformly random
@@ -322,8 +327,8 @@ let step t ~now =
 
 let next_event t =
   match t.arrivals with
-  | Open _ when t.offered < t.total -> Some t.next_at
-  | _ -> None
+  | Open _ when t.offered < t.total -> t.next_at
+  | _ -> -1
 
 let queue_done t ~queue = t.offered >= t.total && t.remaining.(queue) = 0
 let finished t = t.offered >= t.total && Array.for_all (fun r -> r = 0) t.remaining

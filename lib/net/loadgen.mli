@@ -78,8 +78,17 @@ val step : t -> now:int -> Sky_sim.Machine.step
     inject every arrival due by [now], then sleep to the next; [Done]
     once all arrivals have fired ([Closed]: at once). *)
 
-val next_event : t -> int option
-(** The pump's next arrival, if any remains (the {!Httpd} [wire_hint]). *)
+val next_event : t -> int
+(** The pump's next arrival, -1 once none remains (the {!Httpd}
+    [wire_hint]). *)
+
+type outcome = Served | Shed | Unservable | Corrupt
+
+val classify : expect:bytes -> bytes -> outcome
+(** How a response resolves the request it answers, read in place:
+    [Shed] on a 503, [Unservable] on a 403, [Served] on a 200 whose body
+    is [expect] byte for byte, [Corrupt] on anything else, malformed
+    bytes included. *)
 
 val queue_done : t -> queue:int -> bool
 (** Every arrival offered and none owed by [queue]. *)

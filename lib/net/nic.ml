@@ -20,8 +20,6 @@ let reta_entries = 128
 
 let payload_max = buf_slot - 2 (* u16 length prefix in the buffer slot *)
 
-type pkt = { flow : int; seq : int; payload : bytes; deliver_at : int }
-
 type ring = {
   desc_pa : int;  (** descriptor array base (simulated physical memory) *)
   buf_pa : int;  (** packet buffer slots, [buf_slot] bytes each *)
@@ -38,6 +36,8 @@ type queue = {
   mutable pinned_core : int;
   mutable rx_pkts : int;
   mutable irqs_raised : int;
+  mutable rx_flow : int;  (** the flow of the packet {!take} returned last *)
+  mutable rx_seq : int;  (** and its sequence number *)
 }
 
 type t = {
@@ -77,6 +77,8 @@ let create kernel ~queues:nq =
           pinned_core = id;
           rx_pkts = 0;
           irqs_raised = 0;
+          rx_flow = -1;
+          rx_seq = -1;
         })
   in
   (* RETA default: round-robin over the enabled queues. *)
@@ -162,23 +164,22 @@ let take t ~queue ~core =
   charge_desc cpu r slot;
   let mem = Kernel.mem t.kernel in
   let pa = r.desc_pa + (slot * desc_bytes) in
-  let flow = Sky_mem.Phys_mem.read_u32 mem pa in
-  let seq = Sky_mem.Phys_mem.read_u32 mem (pa + 4) in
+  q.rx_flow <- Sky_mem.Phys_mem.read_u32 mem pa;
+  q.rx_seq <- Sky_mem.Phys_mem.read_u32 mem (pa + 4);
   let len = Sky_mem.Phys_mem.read_u16 mem (pa + 8) in
   (* The packet exists on the wire only from its delivery time. *)
   Cpu.advance_to cpu r.deliver_at.(slot);
   charge_payload cpu r slot len;
   let payload = Sky_mem.Phys_mem.read_bytes mem (r.buf_pa + (slot * buf_slot)) len in
   r.head <- r.head + 1;
-  { flow; seq; payload; deliver_at = r.deliver_at.(slot) }
+  payload
 
-let rx t ~queue ~core =
-  if rx_level t ~queue = 0 then None else Some (take t ~queue ~core)
+let rx_flow t ~queue = t.queues.(queue).rx_flow
+let rx_seq t ~queue = t.queues.(queue).rx_seq
 
 let next_deliver_at t ~queue =
   let r = t.queues.(queue).rx in
-  if ring_level r = 0 then None
-  else Some r.deliver_at.(r.head mod ring_entries)
+  if ring_level r = 0 then -1 else r.deliver_at.(r.head mod ring_entries)
 
 let tx t ~queue ~core ~flow ~seq payload =
   if Bytes.length payload > payload_max then

@@ -5,11 +5,9 @@
 
     The wire side ([deliver], the [on_tx] hook) models the device's DMA
     engine: raw memory masters that cost no core cycles. The driver side
-    ([rx], [tx]) reads and writes the same rings through the cache
+    ([take], [tx]) reads and writes the same rings through the cache
     hierarchy, so a busy queue has a real footprint in the pinned core's
     caches. *)
-
-type pkt = { flow : int; seq : int; payload : bytes; deliver_at : int }
 
 type t
 
@@ -41,19 +39,21 @@ val deliver : t -> flow:int -> seq:int -> payload:bytes -> at:int -> unit
     queue]). [at] is the wire timestamp: a consumer polling earlier is
     advanced to it. A full ring drops the packet (counted). *)
 
-val rx : t -> queue:int -> core:int -> pkt option
-(** Driver: pop the next RX packet, charging descriptor + payload reads
-    through [core]'s caches and advancing the core to the packet's
-    delivery time. [None] when the ring is empty. *)
+val take : t -> queue:int -> core:int -> bytes
+(** Driver: pop the next RX packet of a ring the caller knows is not
+    empty ({!rx_level}), charging descriptor + payload reads through
+    [core]'s caches and advancing the core to the packet's delivery
+    time. Returns the payload; its flow and sequence number are
+    {!rx_flow} and {!rx_seq} until the next [take] of the queue. Raises
+    [Invalid_argument] on an empty ring. *)
 
-val take : t -> queue:int -> core:int -> pkt
-(** {!rx} on a ring the caller knows is not empty ({!rx_level}), with
-    no option around the packet. Raises [Invalid_argument] on an empty
-    ring. *)
+val rx_flow : t -> queue:int -> int
+val rx_seq : t -> queue:int -> int
 
-val next_deliver_at : t -> queue:int -> int option
-(** Wire timestamp of the head RX packet, if any — what an idle worker
-    reports to the interleaved run loop as its next-event time. *)
+val next_deliver_at : t -> queue:int -> int
+(** Wire timestamp of the head RX packet, -1 when the ring is empty —
+    what an idle worker reports to the interleaved run loop as its
+    next-event time. *)
 
 val tx : t -> queue:int -> core:int -> flow:int -> seq:int -> bytes -> unit
 (** Driver: post one TX descriptor (charged), ring the doorbell (one

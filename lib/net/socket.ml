@@ -22,7 +22,7 @@ type conn = {
   mutable requests : int;
 }
 
-type event = Nothing | Accepted of conn | Request
+type event = Nothing | Accepted | Request
 
 type t = {
   kernel : Kernel.t;
@@ -75,28 +75,29 @@ let rec service t ~queue ~core =
   end
   else if Nic.rx_level t.nic ~queue = 0 then Nothing
   else begin
-    let pkt = Nic.take t.nic ~queue ~core in
+    let payload = Nic.take t.nic ~queue ~core in
+    let flow = Nic.rx_flow t.nic ~queue and seq = Nic.rx_seq t.nic ~queue in
     Kernel.user_compute t.kernel ~core ~cycles:demux_cost;
-    match Hashtbl.find t.conns pkt.Nic.flow with
+    match Hashtbl.find t.conns flow with
     | exception Not_found ->
-      if pkt.Nic.seq <> 0 then drop t ~queue ~core
+      if seq <> 0 then drop t ~queue ~core
       else begin
-        let c = { flow = pkt.Nic.flow; queue; rx_seq = 1; tx_seq = 0; requests = 0 } in
-        Hashtbl.add t.conns pkt.Nic.flow c;
+        let c = { flow; queue; rx_seq = 1; tx_seq = 0; requests = 0 } in
+        Hashtbl.add t.conns flow c;
         Kernel.user_compute t.kernel ~core ~cycles:accept_cost;
         (* The SYN carries the first request: deliver it on the next
            service pass. *)
-        if Bytes.length pkt.Nic.payload > 0 then begin
-          ignore (request t ~queue c pkt.Nic.payload);
+        if Bytes.length payload > 0 then begin
+          ignore (request t ~queue c payload);
           t.staged.(queue) <- true
         end;
-        Accepted c
+        Accepted
       end
     | c ->
-      if pkt.Nic.seq <> c.rx_seq then drop t ~queue ~core
+      if seq <> c.rx_seq then drop t ~queue ~core
       else begin
         c.rx_seq <- c.rx_seq + 1;
-        request t ~queue c pkt.Nic.payload
+        request t ~queue c payload
       end
   end
 

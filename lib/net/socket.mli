@@ -14,7 +14,7 @@ type t
 
 type event =
   | Nothing  (** the ring is empty *)
-  | Accepted of conn  (** new flow; its first request follows *)
+  | Accepted  (** new flow; its first request follows *)
   | Request
       (** a request: {!request_conn} and {!request_payload} of the same
           queue hold it until the next {!service} of that queue *)

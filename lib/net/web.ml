@@ -95,9 +95,9 @@ let bind graph kernel ~tier ~kv ~deadline w =
      capability bounces the request to a privileged peer via
      [Httpd.Denied] instead of killing the worker. *)
   let timeout ~core =
-    match deadline ~core with
-    | None -> None
-    | Some d ->
+    let d = deadline ~core in
+    if d < 0 then None
+    else
       let now = Cpu.cycles (Kernel.cpu kernel ~core) in
       if d <= now then raise Httpd.Expired else Some (d - now)
   in
@@ -105,7 +105,7 @@ let bind graph kernel ~tier ~kv ~deadline w =
     match call ~core msg with
     | r -> r
     | exception Mesh.Denied _ -> raise Httpd.Denied
-    | exception Retry.Gave_up _ when deadline ~core <> None -> raise Httpd.Expired
+    | exception Retry.Gave_up _ when deadline ~core >= 0 -> raise Httpd.Expired
   in
   let call_kv = routed (Graph.edge graph ~timeout ~client:w kv) in
   let iface =
@@ -117,16 +117,15 @@ let bind graph kernel ~tier ~kv ~deadline w =
   let mesh = Graph.mesh graph in
   {
     Httpd.kv_put =
-      (fun ~core ~key ~value ->
+      (fun ~core p ~key_off ~key_len ~value_off ~value_len ->
         String.equal
-          (Bytes.unsafe_to_string (call_kv ~core (Kv_wire.insert_msg ~key ~value)))
+          (Bytes.unsafe_to_string
+             (call_kv ~core (Kv_wire.insert_msg p ~key_off ~key_len p ~value_off ~value_len)))
           "ok");
     kv_get =
-      (fun ~core ~key ->
-        let r = call_kv ~core (Kv_wire.query_msg ~key) in
-        if Bytes.length r = 0 then None else Some r);
+      (fun ~core p ~key_off ~key_len -> call_kv ~core (Kv_wire.query_msg p ~key_off ~key_len));
     fs_read = (fun ~core ~name -> fs_read_of iface ~core ~name);
-    kv_batch = (fun ~core ops -> Kv_wire.batch_replies (call_kv ~core (Kv_wire.batch_msg ops)));
+    kv_batch = call_kv;
     revoke = (fun ~core -> match mesh with Some m -> Mesh.suspend_client m ~core w | None -> ());
     rebind = (fun ~core:_ -> match mesh with Some m -> Mesh.resume_client m w | None -> ());
   }
@@ -185,7 +184,7 @@ let assemble (type h) ~seed ~cores ~conns ~requests_per_conn ~admission ~workers
   Graph.name graph ~core:0 ~uri:"fs://" (Fs_tier.server tier);
   Graph.name graph ~core:0 ~uri:"kv://" kv_server;
   (* Set to the httpd's live deadline once it exists. *)
-  let deadline = ref (fun ~core:_ -> None) in
+  let deadline = ref (fun ~core:_ -> -1) in
   let files = provision_files (Fs_tier.fs tier) ~seed in
   (* Open arrivals: warm the per-tenant keyspace server-side before any
      traffic, so the read path touches only provisioned keys. *)

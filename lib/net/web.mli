@@ -58,13 +58,14 @@ val bind :
   Sky_ukernel.Kernel.t ->
   tier:Sky_xv6fs.Fs_tier.t ->
   kv:Sky_mesh.Service_graph.server ->
-  deadline:(core:int -> int option) ->
+  deadline:(core:int -> int) ->
   Sky_ukernel.Proc.t ->
   Httpd.binding
 (** A worker's {!Httpd.binding} over its edges to the KV server (the
-    {!Sky_kvstore.Kv_wire} messages) and the tier's FS: the request's
-    remaining [deadline] is each call's timeout ({!Httpd.Expired} once
-    spent), a mesh denial raises {!Httpd.Denied}. *)
+    {!Sky_kvstore.Kv_wire} messages, written from the request's slices)
+    and the tier's FS: the request's remaining [deadline] (-1 for none)
+    is each call's timeout ({!Httpd.Expired} once spent), a mesh denial
+    raises {!Httpd.Denied}. *)
 
 val provision_files : Sky_xv6fs.Fs.t -> seed:int -> (string * bytes) array
 (** Create the static files the load mix reads (deterministic printable

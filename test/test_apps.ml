@@ -102,6 +102,8 @@ let prop_kv_model =
    single 'I'/'Q' messages answer on a twin store. Keys come from a
    small pool (so GETs hit and PUTs overwrite) or are random, up to
    [max_kv] bytes like the values. *)
+type kv_op = Put of string * bytes | Get of string
+
 let prop_kv_wire_batch =
   let open QCheck.Gen in
   let bound = Kv_server.max_kv in
@@ -109,19 +111,13 @@ let prop_kv_wire_batch =
     oneof [ map (Printf.sprintf "k%d") (int_bound 7); string_size (int_range 1 bound) ]
   in
   let value = map Bytes.of_string (string_size (int_range 1 bound)) in
-  let op =
-    oneof
-      [
-        map2 (fun k v -> Kv_wire.Op_put (k, v)) key value;
-        map (fun k -> Kv_wire.Op_get k) key;
-      ]
-  in
+  let op = oneof [ map2 (fun k v -> Put (k, v)) key value; map (fun k -> Get k) key ] in
   let print ops =
     String.concat "; "
       (List.map
          (function
-           | Kv_wire.Op_put (k, v) -> Printf.sprintf "PUT %S (%d B)" k (Bytes.length v)
-           | Kv_wire.Op_get k -> Printf.sprintf "GET %S" k)
+           | Put (k, v) -> Printf.sprintf "PUT %S (%d B)" k (Bytes.length v)
+           | Get k -> Printf.sprintf "GET %S" k)
          ops)
   in
   QCheck.Test.make ~name:"kv wire batch = single messages" ~count:50
@@ -132,14 +128,38 @@ let prop_kv_wire_batch =
         Kv_wire.handler (Kv_server.create machine) k ~core:0
       in
       let batched = store () and single = store () in
-      let one = function
-        | Kv_wire.Op_put (key, value) ->
-          Kv_wire.R_stored (Bytes.to_string (single (Kv_wire.insert_msg ~key ~value)) = "ok")
-        | Kv_wire.Op_get key ->
-          let r = single (Kv_wire.query_msg ~key) in
-          Kv_wire.R_value (if Bytes.length r = 0 then None else Some r)
-      in
-      Kv_wire.batch_replies (batched (Kv_wire.batch_msg ops)) = List.map one ops)
+      let key k = (Bytes.of_string k, String.length k) in
+      let b = Kv_wire.batch () in
+      List.iter
+        (function
+          | Put (k, v) ->
+            let kb, key_len = key k in
+            Kv_wire.add_put b kb ~key_off:0 ~key_len v ~value_off:0 ~value_len:(Bytes.length v)
+          | Get k ->
+            let kb, key_len = key k in
+            Kv_wire.add_get b kb ~key_off:0 ~key_len)
+        ops;
+      let reply = batched (Kv_wire.batch_msg b) in
+      let n = List.length ops in
+      let off = Array.make n 0 and len = Array.make n 0 in
+      Kv_wire.batch_replies reply ~off ~len = n
+      && List.for_all2
+           (fun i op ->
+             match op with
+             | Put (k, v) ->
+               let kb, key_len = key k in
+               let r =
+                 single
+                   (Kv_wire.insert_msg kb ~key_off:0 ~key_len v ~value_off:0
+                      ~value_len:(Bytes.length v))
+               in
+               Bytes.to_string r = "ok" && len.(i) = Kv_wire.reply_stored
+             | Get k ->
+               let kb, key_len = key k in
+               let r = single (Kv_wire.query_msg kb ~key_off:0 ~key_len) in
+               if Bytes.length r = 0 then len.(i) = Kv_wire.reply_miss
+               else len.(i) >= 0 && Bytes.equal r (Bytes.sub reply off.(i) len.(i)))
+           (List.init n Fun.id) ops)
 
 (* ------------------------------------------------------------------ *)
 (* Pipeline                                                            *)

@@ -149,9 +149,9 @@ let test_notification_multi_waiter_coalesce () =
   let k, _ = make () in
   let n = Notification.create k ~name:"nic-irq" in
   (* Two cores block in recv, the NIC IRQ consumer path. *)
-  Alcotest.(check (option int)) "core 1 blocks" None
+  Alcotest.(check int) "core 1 blocks" 0
     (Notification.wait_blocking ~polls:0 n ~core:1);
-  Alcotest.(check (option int)) "core 2 blocks" None
+  Alcotest.(check int) "core 2 blocks" 0
     (Notification.wait_blocking ~polls:0 n ~core:2);
   Alcotest.(check (list int)) "both registered, oldest first" [ 1; 2 ]
     (Notification.waiting_cores n);
@@ -165,11 +165,11 @@ let test_notification_multi_waiter_coalesce () =
   Notification.signal n ~core:0 ~badge:0b100;
   Alcotest.(check int) "no IPIs while nobody blocks" 2 (Notification.ipis n);
   (* The first waiter to run consumes the whole coalesced word... *)
-  Alcotest.(check (option int)) "union of all three badges" (Some 0b111)
+  Alcotest.(check int) "union of all three badges" 0b111
     (Notification.wait_blocking ~polls:0 n ~core:1);
   (* ...and the second finds it empty and re-registers: three signals,
      two woken waiters, one delivered word. *)
-  Alcotest.(check (option int)) "second waiter re-blocks" None
+  Alcotest.(check int) "second waiter re-blocks" 0
     (Notification.wait_blocking ~polls:0 n ~core:2);
   Alcotest.(check (list int)) "re-registered" [ 2 ]
     (Notification.waiting_cores n)
@@ -221,7 +221,7 @@ let test_notification_fresh_time_after_consume () =
 let test_notification_zero_badge_rejected () =
   let k, _ = make () in
   let n = Notification.create k ~name:"n" in
-  Alcotest.(check (option int)) "core 0 blocks" None
+  Alcotest.(check int) "core 0 blocks" 0
     (Notification.wait_blocking ~polls:0 n ~core:0);
   at k ~core:1 100_000;
   let before = cycles k ~core:1 in

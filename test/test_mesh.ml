@@ -247,9 +247,8 @@ let prop_endpoint_conservation =
           if op = 0 then (
             (* op 0: pop for [recv]; anything else: push (round-robin
                when the receiver index is out of range). *)
-            match Endpoint.pop ep ~core:recv ~recv with
-            | Some v -> popped := v :: !popped
-            | None -> ())
+            let v = Endpoint.pop ep ~core:recv ~recv in
+            if v >= 0 then popped := v :: !popped)
           else begin
             let v = !next in
             incr next;
@@ -261,9 +260,8 @@ let prop_endpoint_conservation =
       (* Drain: rotate over receivers until the endpoint is empty. *)
       let rec drain r guard =
         if Endpoint.pending ep > 0 && guard > 0 then begin
-          (match Endpoint.pop ep ~core:(r mod 4) ~recv:(r mod 4) with
-          | Some v -> popped := v :: !popped
-          | None -> ());
+          (let v = Endpoint.pop ep ~core:(r mod 4) ~recv:(r mod 4) in
+           if v >= 0 then popped := v :: !popped);
           drain (r + 1) (guard - 1)
         end
       in
@@ -272,6 +270,129 @@ let prop_endpoint_conservation =
       && List.sort compare !popped = List.sort compare !pushed
       && Endpoint.pushed ep = List.length !pushed
       && Endpoint.popped ep = List.length !pushed)
+
+(* The queue discipline the ring endpoint must keep, on [Queue]s: FIFO
+   per receiver, the round-robin push cursor, [try_push]'s capacity
+   check before the cursor moves, and steals from the longest peer
+   queue, ties to the lowest index. *)
+module Ref_endpoint = struct
+  type t = {
+    queues : int Queue.t array;
+    capacity : int;
+    mutable rr : int;
+    mutable pushed : int;
+    mutable popped : int;
+    mutable steals : int;
+    mutable rejected : int;
+  }
+
+  let create ~capacity receivers =
+    {
+      queues = Array.init receivers (fun _ -> Queue.create ());
+      capacity;
+      rr = 0;
+      pushed = 0;
+      popped = 0;
+      steals = 0;
+      rejected = 0;
+    }
+
+  let push t ?receiver item =
+    let n = Array.length t.queues in
+    let r =
+      match receiver with
+      | Some r -> r mod n
+      | None ->
+        let r = t.rr in
+        t.rr <- (r + 1) mod n;
+        r
+    in
+    Queue.add item t.queues.(r);
+    t.pushed <- t.pushed + 1
+
+  let try_push t item =
+    if Queue.length t.queues.(t.rr) >= t.capacity then begin
+      t.rejected <- t.rejected + 1;
+      false
+    end
+    else begin
+      push t item;
+      true
+    end
+
+  let pop t ~recv =
+    let take q =
+      t.popped <- t.popped + 1;
+      Queue.take q
+    in
+    if not (Queue.is_empty t.queues.(recv)) then take t.queues.(recv)
+    else begin
+      let src = ref (-1) and best = ref 0 in
+      Array.iteri
+        (fun i q ->
+          if i <> recv && Queue.length q > !best then begin
+            src := i;
+            best := Queue.length q
+          end)
+        t.queues;
+      if !src < 0 then -1
+      else begin
+        t.steals <- t.steals + 1;
+        take t.queues.(!src)
+      end
+    end
+
+  let pending t = Array.fold_left (fun a q -> a + Queue.length q) 0 t.queues
+end
+
+(* Order: the ring endpoint and the [Queue] reference, driven with the
+   same pushes, [try_push]es, pops and steals, pop the same id every
+   time and keep the same counters. Small capacities fill the rings
+   past their initial size, so growth is crossed mid-run. *)
+let prop_endpoint_order =
+  QCheck.Test.make ~name:"ring endpoint pops what a Queue endpoint pops" ~count:200
+    QCheck.(
+      triple (int_range 1 4) (option (int_range 1 12))
+        (list_of_size Gen.(int_range 0 300) (pair (int_bound 3) (int_bound 5))))
+    (fun (receivers, capacity, ops) ->
+      let machine = Machine.create ~cores:4 ~mem_mib:32 () in
+      let kernel = Kernel.create machine in
+      let ep = Endpoint.create ?capacity kernel ~name:"order" ~receivers in
+      let model =
+        Ref_endpoint.create ~capacity:(Option.value capacity ~default:max_int) receivers
+      in
+      let next = ref 0 in
+      let fresh () =
+        incr next;
+        !next
+      in
+      List.iter
+        (fun (r, op) ->
+          let recv = r mod receivers in
+          match op with
+          | 0 | 1 ->
+            let got = Endpoint.pop ep ~core:recv ~recv in
+            let want = Ref_endpoint.pop model ~recv in
+            if got <> want then
+              QCheck.Test.fail_reportf "pop %d: ring %d, reference %d" recv got want
+          | 2 ->
+            let v = fresh () in
+            Endpoint.push ep ~core:0 v;
+            Ref_endpoint.push model v
+          | 3 ->
+            let v = fresh () in
+            Endpoint.push ep ~core:0 ~receiver:r v;
+            Ref_endpoint.push model ~receiver:r v
+          | _ ->
+            let v = fresh () in
+            if Endpoint.try_push ep ~core:0 v <> Ref_endpoint.try_push model v then
+              QCheck.Test.fail_report "try_push decisions differ")
+        ops;
+      Endpoint.pending ep = Ref_endpoint.pending model
+      && Endpoint.pushed ep = model.Ref_endpoint.pushed
+      && Endpoint.popped ep = model.Ref_endpoint.popped
+      && Endpoint.steals ep = model.Ref_endpoint.steals
+      && Endpoint.rejected ep = model.Ref_endpoint.rejected)
 
 (* Refcount invariant: after any grant/revoke sequence over the two
    overlapping services, a binding exists iff it was established by a
@@ -369,5 +490,5 @@ let () =
             test_nameserv_crash_mid_resolve;
         ] );
       ( "properties",
-        qc [ prop_endpoint_conservation; prop_grant_revoke_refcount ] );
+        qc [ prop_endpoint_conservation; prop_endpoint_order; prop_grant_revoke_refcount ] );
     ]

@@ -31,15 +31,13 @@ let test_nic_roundtrip () =
   Nic.deliver nic ~flow ~seq:0 ~payload ~at:5_000;
   Alcotest.(check int) "queued" 1 (Nic.rx_level nic ~queue:0);
   Alcotest.(check int) "other queue empty" 0 (Nic.rx_level nic ~queue:1);
-  (match Nic.rx nic ~queue:0 ~core:0 with
-  | None -> Alcotest.fail "expected a packet"
-  | Some pkt ->
-    Alcotest.(check int) "flow" flow pkt.Nic.flow;
-    Alcotest.(check int) "seq" 0 pkt.Nic.seq;
-    Alcotest.(check bytes) "payload survives the rings" payload pkt.Nic.payload;
-    Alcotest.(check bool) "consumer advanced to delivery time" true
-      (Cpu.cycles (Kernel.cpu k ~core:0) >= 5_000));
-  Alcotest.(check bool) "drained" true (Nic.rx nic ~queue:0 ~core:0 = None)
+  let got = Nic.take nic ~queue:0 ~core:0 in
+  Alcotest.(check int) "flow" flow (Nic.rx_flow nic ~queue:0);
+  Alcotest.(check int) "seq" 0 (Nic.rx_seq nic ~queue:0);
+  Alcotest.(check bytes) "payload survives the rings" payload got;
+  Alcotest.(check bool) "consumer advanced to delivery time" true
+    (Cpu.cycles (Kernel.cpu k ~core:0) >= 5_000);
+  Alcotest.(check int) "drained" 0 (Nic.rx_level nic ~queue:0)
 
 let test_nic_rss_spreads () =
   let k, _ = make () in
@@ -65,7 +63,7 @@ let test_nic_irq_coalescing () =
   done;
   Alcotest.(check int) "burst into empty ring raises one IRQ" 1
     (Nic.irqs_raised nic ~queue:0);
-  while Nic.rx nic ~queue:0 ~core:0 <> None do () done;
+  while Nic.rx_level nic ~queue:0 > 0 do ignore (Nic.take nic ~queue:0 ~core:0) done;
   Nic.deliver nic ~flow:1 ~seq:3 ~payload:(Bytes.of_string "y") ~at:0;
   Alcotest.(check int) "empty->non-empty edge raises again" 2
     (Nic.irqs_raised nic ~queue:0)
@@ -84,34 +82,14 @@ let test_nic_ring_full_drops () =
 (* HTTP codec                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let test_http_roundtrip () =
-  let reqs =
-    [
-      Http.Kv_get "alpha";
-      Http.Kv_put ("k1", Bytes.of_string "some value with spaces");
-      Http.Fs_get "web0.html";
-    ]
-  in
-  List.iter
-    (fun r ->
-      Alcotest.(check bool) "request roundtrips" true
-        (Http.parse_request (Http.serialize_request r) = r))
-    reqs;
-  let resp = Http.ok (Bytes.of_string "body bytes") in
-  let back = Http.parse_response (Http.serialize_response resp) in
-  Alcotest.(check int) "status" 200 back.Http.status;
-  Alcotest.(check bytes) "body" resp.Http.body back.Http.body;
-  List.iter
-    (fun junk ->
-      try
-        ignore (Http.parse_request (Bytes.of_string junk));
-        Alcotest.fail ("accepted junk: " ^ junk)
-      with Http.Bad_request _ -> ())
-    [ "DELETE /kv/x"; "GET /kv/"; "PUT /kv/nokey"; "" ]
-
 (* The string-based codec the in-place one replaced, kept as the
-   reference: same values, same [Bad_request] messages. *)
+   reference: its request variant and response record, the same
+   [Bad_request] messages, and the client's old body check. *)
 module Ref_http = struct
+  type request = Kv_get of string | Kv_put of string * bytes | Fs_get of string
+  type response = { status : int; body : bytes }
+  type expect = Stored | Body of bytes
+
   let prefix p s =
     String.length s >= String.length p && String.sub s 0 (String.length p) = p
 
@@ -122,7 +100,7 @@ module Ref_http = struct
     if prefix "GET /kv/" s then begin
       let key = after "GET /kv/" s in
       if key = "" then raise (Http.Bad_request "empty key");
-      Http.Kv_get key
+      Kv_get key
     end
     else if prefix "PUT /kv/" s then begin
       let rest = after "PUT /kv/" s in
@@ -131,23 +109,21 @@ module Ref_http = struct
       | Some i ->
         let key = String.sub rest 0 i in
         if key = "" then raise (Http.Bad_request "empty key");
-        Http.Kv_put
-          (key, Bytes.of_string (String.sub rest (i + 1) (String.length rest - i - 1)))
+        Kv_put (key, Bytes.of_string (String.sub rest (i + 1) (String.length rest - i - 1)))
     end
     else if prefix "GET /fs/" s then begin
       let name = after "GET /fs/" s in
       if name = "" then raise (Http.Bad_request "empty path");
-      Http.Fs_get name
+      Fs_get name
     end
     else raise (Http.Bad_request (if String.length s > 32 then String.sub s 0 32 else s))
 
   let serialize_request = function
-    | Http.Kv_get key -> Bytes.of_string ("GET /kv/" ^ key)
-    | Http.Kv_put (key, value) ->
-      Bytes.cat (Bytes.of_string ("PUT /kv/" ^ key ^ " ")) value
-    | Http.Fs_get name -> Bytes.of_string ("GET /fs/" ^ name)
+    | Kv_get key -> Bytes.of_string ("GET /kv/" ^ key)
+    | Kv_put (key, value) -> Bytes.cat (Bytes.of_string ("PUT /kv/" ^ key ^ " ")) value
+    | Fs_get name -> Bytes.of_string ("GET /fs/" ^ name)
 
-  let serialize_response { Http.status; body } =
+  let serialize_response { status; body } =
     Bytes.cat (Bytes.of_string (string_of_int status ^ " ")) body
 
   let parse_response b =
@@ -160,7 +136,23 @@ module Ref_http = struct
         | Some n -> n
         | None -> raise (Http.Bad_request "non-numeric status")
       in
-      { Http.status; body = Bytes.sub b (i + 1) (Bytes.length b - i - 1) }
+      { status; body = Bytes.sub b (i + 1) (Bytes.length b - i - 1) }
+
+  let body_matches expect resp =
+    resp.status = 200
+    &&
+    match expect with
+    | Stored -> String.equal (Bytes.unsafe_to_string resp.body) "stored"
+    | Body v -> Bytes.equal resp.body v
+
+  (* How the client classified a response before it read it in place. *)
+  let classify expect b =
+    match parse_response b with
+    | { status = 503; _ } -> Loadgen.Shed
+    | { status = 403; _ } -> Loadgen.Unservable
+    | resp when body_matches expect resp -> Loadgen.Served
+    | _ -> Loadgen.Corrupt
+    | exception Http.Bad_request _ -> Loadgen.Corrupt
 
   let with_ttl ~ttl payload =
     Bytes.cat (Bytes.of_string (Printf.sprintf "TTL%d " ttl)) payload
@@ -178,6 +170,47 @@ module Ref_http = struct
         | _ -> (None, payload))
 end
 
+(* A request's wire bytes from the in-place writers. *)
+let write ~ttl = function
+  | Ref_http.Kv_get key -> Http.kv_get_request ~ttl key
+  | Ref_http.Kv_put (key, value) -> Http.kv_put_request ~ttl key value
+  | Ref_http.Fs_get name -> Http.fs_get_request ~ttl name
+
+(* The in-place parse of a payload, past any TTL prefix as the server
+   skips it, read back as the reference's request value. *)
+let parsed b =
+  let off = Http.request_off b in
+  let sep = Http.parse_request b ~off in
+  let k = off + Http.prefix_len and n = Bytes.length b in
+  if sep = Http.kv_get then Ref_http.Kv_get (Bytes.sub_string b k (n - k))
+  else if sep = Http.fs_get then Ref_http.Fs_get (Bytes.sub_string b k (n - k))
+  else Ref_http.Kv_put (Bytes.sub_string b k (sep - k), Bytes.sub b (sep + 1) (n - sep - 1))
+
+let test_http_roundtrip () =
+  let reqs =
+    [
+      Ref_http.Kv_get "alpha";
+      Ref_http.Kv_put ("k1", Bytes.of_string "some value with spaces");
+      Ref_http.Fs_get "web0.html";
+    ]
+  in
+  List.iter
+    (fun r ->
+      Alcotest.(check bool) "request roundtrips" true (parsed (write ~ttl:(-1) r) = r);
+      Alcotest.(check bool) "request roundtrips past a TTL" true (parsed (write ~ttl:77 r) = r))
+    reqs;
+  let body = Bytes.of_string "body bytes" in
+  let resp = Http.response ~status:200 body ~off:0 ~len:(Bytes.length body) in
+  Alcotest.(check int) "status" 200 (Http.status resp);
+  Alcotest.(check bool) "body" true (Http.body_is resp body);
+  List.iter
+    (fun junk ->
+      try
+        ignore (Http.parse_request (Bytes.of_string junk) ~off:0);
+        Alcotest.fail ("accepted junk: " ^ junk)
+      with Http.Bad_request _ -> ())
+    [ "DELETE /kv/x"; "GET /kv/"; "PUT /kv/nokey"; "" ]
+
 type 'a outcome = Value of 'a | Bad of string | Raised of string
 
 let outcome f x =
@@ -189,18 +222,21 @@ let outcome f x =
 (* Wire bytes: serialized requests and responses, with and without a
    TTL prefix, and arbitrary bytes seeded with the prefixes the parsers
    branch on. *)
+let text =
+  QCheck.Gen.(
+    string_size ~gen:(oneofl [ 'a'; 'k'; '0'; '7'; ' '; ':'; '-'; '_'; 'x'; '/' ]) (int_bound 12))
+
 let gen_wire =
   let open QCheck.Gen in
-  let text = string_size ~gen:(oneofl [ 'a'; 'k'; '0'; '7'; ' '; ':'; '-'; '_'; 'x'; '/' ]) (int_bound 12) in
   let req =
     oneof
       [
-        map (fun k -> Http.Kv_get k) text;
-        map2 (fun k v -> Http.Kv_put (k, Bytes.of_string v)) text text;
-        map (fun n -> Http.Fs_get n) text;
+        map (fun k -> Ref_http.Kv_get k) text;
+        map2 (fun k v -> Ref_http.Kv_put (k, Bytes.of_string v)) text text;
+        map (fun n -> Ref_http.Fs_get n) text;
       ]
   in
-  let status = oneof [ int_range (-20) 999; oneofl [ 200; 404; 503; max_int; min_int ] ] in
+  let status = oneof [ int_range (-20) 999; oneofl [ 200; 403; 404; 503; max_int; min_int ] ] in
   let junk =
     map2 ( ^ )
       (oneofl [ ""; "GET /kv/"; "PUT /kv/"; "GET /fs/"; "TTL"; "TTL12 "; "TTL0 "; "TTL-3 ";
@@ -211,7 +247,7 @@ let gen_wire =
     [
       map (fun r -> `Req r) req;
       map2 (fun ttl r -> `Ttl (ttl, r)) (int_range 1 1_000_000_000) req;
-      map2 (fun st body -> `Resp { Http.status = st; body = Bytes.of_string body }) status text;
+      map2 (fun st body -> `Resp { Ref_http.status = st; body = Bytes.of_string body }) status text;
       map (fun j -> `Junk (Bytes.of_string j)) junk;
     ]
 
@@ -226,34 +262,83 @@ let prop_codec_equivalence =
         | Value _ | Bad _ -> ()
       in
       let check_bytes b =
-        same "parse_request" (outcome Http.parse_request b) (outcome Ref_http.parse_request b);
-        same "parse_response" (outcome Http.parse_response b) (outcome Ref_http.parse_response b);
-        same "ttl/strip_ttl"
+        same "parse_request" (outcome parsed b)
+          (outcome (fun b -> Ref_http.parse_request (snd (Ref_http.split_ttl b))) b);
+        same "status" (outcome Http.status b)
+          (outcome (fun b -> (Ref_http.parse_response b).Ref_http.status) b);
+        same "ttl/request_off"
           (outcome
              (fun b ->
-               let n = Http.ttl b in
-               ((if n < 0 then None else Some n), Http.strip_ttl b))
+               let n = Http.ttl b and off = Http.request_off b in
+               ((if n < 0 then None else Some n), Bytes.sub b off (Bytes.length b - off)))
              b)
           (outcome Ref_http.split_ttl b)
       in
       (match input with
       | `Req r ->
-        let b = Http.serialize_request r in
+        let b = write ~ttl:(-1) r in
         if not (Bytes.equal b (Ref_http.serialize_request r)) then
-          QCheck.Test.fail_report "serialize_request differs";
+          QCheck.Test.fail_report "request bytes differ";
         check_bytes b
       | `Ttl (ttl, r) ->
-        let b = Http.with_ttl ~ttl (Http.serialize_request r) in
+        let b = write ~ttl r in
         if not (Bytes.equal b (Ref_http.with_ttl ~ttl (Ref_http.serialize_request r))) then
-          QCheck.Test.fail_report "with_ttl differs";
+          QCheck.Test.fail_report "TTL request bytes differ";
         check_bytes b
       | `Resp resp ->
-        let b = Http.serialize_response resp in
+        let body = resp.Ref_http.body in
+        let b =
+          Http.response ~status:resp.Ref_http.status body ~off:0 ~len:(Bytes.length body)
+        in
         if not (Bytes.equal b (Ref_http.serialize_response resp)) then
-          QCheck.Test.fail_report "serialize_response differs";
+          QCheck.Test.fail_report "response bytes differ";
         check_bytes b
       | `Junk b -> check_bytes b);
       true)
+
+(* The client's in-place response check against the reference parse and
+   the old body check: responses, some carrying exactly the expected
+   body, and junk, under either expectation. *)
+let prop_response_check =
+  let open QCheck.Gen in
+  let expect =
+    oneof [ return Ref_http.Stored; map (fun s -> Ref_http.Body (Bytes.of_string s)) text ]
+  in
+  let case =
+    oneof
+      [
+        map (fun w -> (w, Ref_http.Stored)) gen_wire;
+        map2 (fun w e -> (w, e)) gen_wire expect;
+        (* The body the expectation names, exactly, extended or cut
+           short by a byte. *)
+        map3
+          (fun st e edit ->
+            let want =
+              match e with Ref_http.Stored -> Bytes.of_string "stored" | Ref_http.Body v -> v
+            in
+            let n = Bytes.length want in
+            let body =
+              match edit with
+              | 0 -> want
+              | 1 -> Bytes.cat want (Bytes.of_string "x")
+              | _ -> Bytes.sub want 0 (max 0 (n - 1))
+            in
+            (`Resp { Ref_http.status = st; body }, e))
+          (oneofl [ 200; 201; 403; 503 ]) expect (int_bound 2);
+      ]
+  in
+  QCheck.Test.make ~name:"in-place response check agrees with the old one" ~count:2000
+    (QCheck.make case)
+    (fun (input, e) ->
+      let b =
+        match input with
+        | `Req r -> write ~ttl:(-1) r
+        | `Ttl (ttl, r) -> write ~ttl r
+        | `Resp resp -> Ref_http.serialize_response resp
+        | `Junk b -> b
+      in
+      let expect = match e with Ref_http.Stored -> Http.stored | Ref_http.Body v -> v in
+      Loadgen.classify ~expect b = Ref_http.classify e b)
 
 (* ------------------------------------------------------------------ *)
 (* Interleaved run loop                                                *)
@@ -427,7 +512,7 @@ let test_web_smoke () =
 let test_stray_packets_dropped () =
   let t = small Web.Skybridge in
   let nic = Web.nic t in
-  let junk = Http.serialize_request (Http.Kv_get "stray") in
+  let junk = Http.kv_get_request ~ttl:(-1) "stray" in
   Nic.deliver nic ~flow:999_999 ~seq:3 ~payload:junk ~at:0;
   let s = Web.start_run t in
   (* The first load-generator connection: the first flow id RSS steers
@@ -472,7 +557,7 @@ let test_stray_response_corrupt () =
   Web.run t;
   let lg = Web.loadgen t and nic = Web.nic t in
   let rec first f = if Nic.queue_of_flow nic f = 0 then f else first (f + 1) in
-  let stored = Http.serialize_response { Http.status = 200; body = Bytes.of_string "stored" } in
+  let stored = Bytes.of_string "200 stored" in
   Nic.tx nic ~queue:0 ~core:0 ~flow:(first 1) ~seq:0 stored;
   Alcotest.(check int) "responses unchanged" 24 (Loadgen.responses lg);
   Alcotest.(check int) "one error" 1 (Loadgen.errors lg);
@@ -691,6 +776,47 @@ let test_openloop_worker_crash_zero_lost () =
   Alcotest.(check bool) "accounting invariant" true (accounted ol);
   Alcotest.(check int) "zero corrupt under crash replay" 0 (Loadgen.corrupt ol)
 
+(* A request holds an int slot from demux to its terminal response.
+   A worker crash mid-batch parks the batch's slots and replays them; a
+   request denied by every worker keeps its slot while it bounces and
+   frees it with the 403. Either way every request is answered once,
+   and the run ends with the endpoint empty and every slot free. *)
+let test_slot_lifecycle () =
+  let drained name httpd =
+    Alcotest.(check int) (name ^ ": endpoint empty") 0
+      (Sky_mesh.Endpoint.pending (Httpd.endpoint httpd));
+    Alcotest.(check int) (name ^ ": every slot free") 0 (Httpd.slots_in_use httpd)
+  in
+  (with_faults @@ fun () ->
+   Fault.reset ~seed:3 ();
+   Fault.arm ~budget:3 ~site:Httpd.fault_site ~kind:Fault.Crash (Fault.At_hit 5);
+   let o =
+     Web.build_open ~seed:29 ~tenants:10 ~mean_gap:300 ~total:300 ~workers:2
+       ~admission:{ Httpd.a_queue_cap = Some 16; a_default_ttl = None; a_batch_max = 4 }
+       ~transport:Web.Skybridge ()
+   in
+   Web.run o;
+   let ol = Web.loadgen o and httpd = Web.httpd o in
+   Alcotest.(check bool) "workers crashed" true (Httpd.restarts httpd >= 1);
+   Alcotest.(check bool) "batches were served" true (Httpd.batches httpd > 0);
+   Alcotest.(check bool) "accounting invariant" true (accounted ol);
+   Alcotest.(check int) "every admitted request answered once"
+     (Loadgen.offered ol - Loadgen.shed_wire ol)
+     (Loadgen.responses ol);
+   Alcotest.(check int) "zero corrupt" 0 (Loadgen.corrupt ol);
+   drained "crash" httpd);
+  let t = small Web.Skybridge in
+  (match Web.mesh t with
+  | None -> Alcotest.fail "skybridge stack has a mesh"
+  | Some mesh -> ignore (Sky_mesh.Mesh.revoke_service mesh ~core:0 "kv://"));
+  Web.run t;
+  let lg = Web.loadgen t and httpd = Web.httpd t in
+  Alcotest.(check bool) "requests denied by every worker" true (Httpd.unservable httpd > 0);
+  Alcotest.(check int) "every request answered once" (Loadgen.expected lg) (Loadgen.responses lg);
+  Alcotest.(check bool) "accounting invariant" true (accounted lg);
+  Alcotest.(check int) "only the 403s are errors" (Httpd.unservable httpd) (Loadgen.errors lg);
+  drained "denial" httpd
+
 let () =
   Alcotest.run "net"
     [
@@ -703,7 +829,7 @@ let () =
         ] );
       ( "http",
         [ Alcotest.test_case "codec" `Quick test_http_roundtrip ]
-        @ List.map QCheck_alcotest.to_alcotest [ prop_codec_equivalence ] );
+        @ List.map QCheck_alcotest.to_alcotest [ prop_codec_equivalence; prop_response_check ] );
       ( "interleave",
         [
           Alcotest.test_case "virtual-time-order" `Quick
@@ -742,5 +868,6 @@ let () =
           Alcotest.test_case "batching-amortizes" `Quick test_batching_amortizes;
           Alcotest.test_case "crash-zero-lost" `Quick
             test_openloop_worker_crash_zero_lost;
+          Alcotest.test_case "slot-lifecycle" `Quick test_slot_lifecycle;
         ] );
     ]
