@@ -6,13 +6,14 @@
      skybench run all
      skybench run table4 --json          (machine-readable table)
      skybench run chaos --backend mpk    (any experiment under MPK or syscall)
+     skybench run audit                  (the whole-machine security audit)
      skybench trace fig7 -o trace.json   (Chrome/Perfetto trace) *)
 
 open Cmdliner
 open Sky_harness
 open Sky_experiments
 
-(* run, trace and audit take --backend: the isolation mechanism carrying the
+(* run and trace take --backend: the isolation mechanism carrying the
    mediated calls (VMFUNC EPTP switching, ERIM-style MPK, or the
    filtered-syscall slowpath). It sets the process-wide default that
    Subkernel.init picks up, so every experiment runs unchanged against
@@ -183,83 +184,6 @@ let trace_cmd =
   Cmd.v (Cmd.info "trace" ~doc)
     Term.(const run $ id $ out $ folded $ backend_arg)
 
-let audit_cmd =
-  let doc =
-    "Statically audit SkyBridge's security invariants: boot each kernel \
-     personality, register a client/server/dependency topology (including \
-     a client shipping C1/C2/C3 VMFUNC encodings), run traffic, then \
-     verify no VMFUNC gadget survives outside the trampoline, EPT and \
-     guest page tables are W^X with an execute-only trampoline, EPTP-list \
-     slots are valid, and the trampoline code abstract-interprets \
-     correctly. Exit code 0 iff every invariant holds."
-  in
-  let json =
-    Arg.(value & flag & info [ "json" ] ~doc:"Emit violations as JSON.")
-  in
-  let run json jobs backend =
-    set_backend backend;
-    let viols prs = Sky_analysis.Audit.violations prs in
-    (* Replica comparison renders names + violations only: per-pass
-       timings are host wall-clock and legitimately differ. *)
-    let render scenarios =
-      String.concat ";"
-        (List.map
-           (fun (name, prs) ->
-             name ^ "=" ^ Sky_analysis.Report.list_to_json (viols prs))
-           scenarios)
-    in
-    let scenarios = Par_harness.replicate ~jobs ~render Exp_audit.scenarios in
-    let total =
-      List.fold_left
-        (fun acc (_, prs) -> acc + List.length (viols prs))
-        0 scenarios
-    in
-    if json then begin
-      let pass_json (pr : Sky_analysis.Audit.pass_result) =
-        Printf.sprintf "{\"pass\":\"%s\",\"ms\":%.3f,\"violations\":%s}"
-          pr.Sky_analysis.Audit.pr_name pr.Sky_analysis.Audit.pr_ms
-          (Sky_analysis.Report.list_to_json pr.Sky_analysis.Audit.pr_violations)
-      in
-      let scenario_json (name, prs) =
-        let vs = viols prs in
-        Printf.sprintf
-          "{\"scenario\":\"%s\",\"ok\":%b,\"passes\":[%s],\"violations\":%s}"
-          name (vs = [])
-          (String.concat "," (List.map pass_json prs))
-          (Sky_analysis.Report.list_to_json vs)
-      in
-      Printf.printf "{\"ok\":%b,\"passes\":[%s],\"scenarios\":[%s]}\n"
-        (total = 0)
-        (String.concat ","
-           (List.map (Printf.sprintf "\"%s\"") Sky_analysis.Audit.pass_names))
-        (String.concat "," (List.map scenario_json scenarios))
-    end
-    else
-      List.iter
-        (fun (name, prs) ->
-          let timing =
-            String.concat " "
-              (List.map
-                 (fun (pr : Sky_analysis.Audit.pass_result) ->
-                   Printf.sprintf "%s:%.2fms" pr.Sky_analysis.Audit.pr_name
-                     pr.Sky_analysis.Audit.pr_ms)
-                 prs)
-          in
-          match viols prs with
-          | [] ->
-            Printf.printf "scenario %-8s OK (0 violations) [%s]\n" name timing
-          | vs ->
-            Printf.printf "scenario %-8s FAIL (%d violations) [%s]\n" name
-              (List.length vs) timing;
-            List.iter
-              (fun v ->
-                Printf.printf "  %s\n" (Sky_analysis.Report.to_string v))
-              vs)
-        scenarios;
-    if total > 0 then exit 1
-  in
-  Cmd.v (Cmd.info "audit" ~doc) Term.(const run $ json $ jobs_arg $ backend_arg)
-
 let md_cmd =
   let doc = "Render every experiment as a markdown report (for EXPERIMENTS.md)." in
   let run () =
@@ -276,4 +200,4 @@ let () =
     (Cmd.eval
        (Cmd.group
           (Cmd.info "skybench" ~doc ~version:"1.0")
-          [ list_cmd; run_cmd; md_cmd; trace_cmd; audit_cmd ]))
+          [ list_cmd; run_cmd; md_cmd; trace_cmd ]))

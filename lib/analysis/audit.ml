@@ -1,13 +1,13 @@
 (** The unified audit-pass registry.
 
-    Every auditor is a named pass over one {!input} record, so the
-    whole-machine sweep ([skybench audit --json], the chaos/mesh gates,
-    {!Sky_core.Subkernel.audit}) runs them from a single driver with
-    per-pass timing and one report schema. The inputs are plain data
-    (bytes, roots, VMCSes, pid pairs) rather than Subkernel values so the
-    library stays below [sky_core] in the dependency order;
-    {!Sky_core.Subkernel.audit} assembles the inputs from a live machine
-    and the CLI formats the result.
+    Every auditor is a named pass over one {!input} record, so every
+    whole-machine sweep (the [audit] experiment, the chaos/mesh gates,
+    {!Sky_core.Subkernel.audit}) runs them from a single driver,
+    {!Sky_core.Subkernel.audit_passes}, with per-pass timing and one
+    report schema. The inputs are plain data (bytes, roots, VMCSes, pid
+    pairs) rather than Subkernel values so the library stays below
+    [sky_core] in the dependency order; the driver assembles the inputs
+    from a live machine.
 
     Passes, in registry order:
 
@@ -38,18 +38,14 @@ type input = {
   images : Gadget.image list;
   wrpkru_images : Gadget.image list;
       (** images the MPK backend's WRPKRU scan must prove clean *)
-  machine : Ept_check.input option;
+  machine : Ept_check.input;
   trampolines : (string * bytes * flavor) list;
       (** trampoline page bytes as read from the shared physical frame,
           with the isolation flavor governing which gate rules apply *)
   entry_filter : entry_filter option;
   mesh : Mesh_check.input option;
-  isoflow : Isoflow.input option;
+  isoflow : Isoflow.input;
 }
-
-let input ?(images = []) ?(wrpkru_images = []) ?machine ?(trampolines = [])
-    ?entry_filter ?mesh ?isoflow () =
-  { images; wrpkru_images; machine; trampolines; entry_filter; mesh; isoflow }
 
 type pass = {
   p_name : string;
@@ -91,18 +87,12 @@ let passes =
           match inp.entry_filter with
           | None -> []
           | Some ef -> check_entry_filter ef) };
-    { p_name = "ept";
-      p_run =
-        (fun inp ->
-          match inp.machine with None -> [] | Some m -> Ept_check.check m) };
+    { p_name = "ept"; p_run = (fun inp -> Ept_check.check inp.machine) };
     { p_name = "mesh";
       p_run =
         (fun inp ->
           match inp.mesh with None -> [] | Some m -> Mesh_check.check m) };
-    { p_name = "isoflow";
-      p_run =
-        (fun inp ->
-          match inp.isoflow with None -> [] | Some i -> Isoflow.check i) };
+    { p_name = "isoflow"; p_run = (fun inp -> Isoflow.check inp.isoflow) };
   ]
 
 let pass_names = List.map (fun p -> p.p_name) passes
@@ -124,7 +114,5 @@ let run_passes inp =
     passes
 
 let violations prs = Report.sort (List.concat_map (fun pr -> pr.pr_violations) prs)
-
-let run inp = violations (run_passes inp)
 
 let ok vs = vs = []

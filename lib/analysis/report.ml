@@ -58,28 +58,13 @@ let sort vs =
         (severity_rank b.severity, b.invariant, b.image, b.addr, b.detail))
     vs
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_json r =
-  Printf.sprintf
-    "{\"invariant\":\"%s\",\"severity\":\"%s\",\"image\":\"%s\",\"addr\":%s,\"detail\":\"%s\"}"
-    (json_escape r.invariant)
-    (severity_name r.severity)
-    (json_escape r.image)
-    (match r.addr with Some a -> string_of_int a | None -> "null")
-    (json_escape r.detail)
-
-let list_to_json vs =
-  "[" ^ String.concat "," (List.map to_json vs) ^ "]"
+  Sky_trace.Json.(
+    Obj
+      [
+        ("invariant", String r.invariant);
+        ("severity", String (severity_name r.severity));
+        ("image", String r.image);
+        ("addr", match r.addr with Some a -> Int a | None -> Null);
+        ("detail", String r.detail);
+      ])

@@ -18,15 +18,21 @@ let direct kernel rd =
         Ramdisk.write rd (Sky_ukernel.Kernel.cpu kernel ~core) blockno data);
   }
 
+(* A request's block number, refused unless it lies on the device. *)
+let on_device rd blockno =
+  if blockno < 0 || blockno >= Ramdisk.nblocks rd then
+    raise (Proto.Bad_message (Printf.sprintf "block %d outside the device" blockno));
+  blockno
+
 (* The IPC server side: decode, execute against the RAM disk on the
-   serving core. *)
+   serving core. Hostile bytes end in [Proto.Bad_message]. *)
 let handler kernel rd : Sky_kernels.Ipc.handler =
  fun ~core msg ->
   let cpu = Sky_ukernel.Kernel.cpu kernel ~core in
   match Proto.decode_request msg with
-  | Proto.Read blockno -> Proto.encode_read_reply (Ramdisk.read rd cpu blockno)
+  | Proto.Read blockno -> Proto.encode_read_reply (Ramdisk.read rd cpu (on_device rd blockno))
   | Proto.Write (blockno, data) ->
-    Ramdisk.write rd cpu blockno data;
+    Ramdisk.write rd cpu (on_device rd blockno) data;
     Proto.write_ack
 
 (* The client side over any request/reply transport, as

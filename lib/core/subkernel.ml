@@ -1349,9 +1349,6 @@ let live_trampoline t =
   Phys_mem.read_bytes (Kernel.mem t.kernel) t.trampoline_frame
     (Bytes.length t.trampoline_bytes)
 
-(* Whole-machine audit: every registered process image, every guest page
-   table, every process/binding EPT, every EPTP list, and the live
-   trampoline bytes. Returns the (sorted) violation list; [] = clean. *)
 (* [trampoline.callee-saved]: a thread at rest (no in-flight direct
    call) whose callee-saved registers still hold the aborted server
    run's clobber pattern — the §7 forced return failed to restore the
@@ -1523,8 +1520,11 @@ let isoflow_input ?granted t =
        else None);
   }
 
-(* The full pass-registry input for this machine. *)
-let audit_input ?granted t =
+(* The full pass-registry input for this machine: every registered
+   process image, every guest page table, every process/binding EPT,
+   every EPTP list and the live trampoline bytes; [mesh] is the mesh
+   authority model, when a mesh routes this machine's calls. *)
+let audit_input ?granted ?mesh t =
   let mem = Kernel.mem t.kernel in
   let tramp = live_trampoline t in
   let allowed = Trampoline.vmfunc_ranges t.trampoline_bytes in
@@ -1591,15 +1591,21 @@ let audit_input ?granted t =
       trampoline_va = Layout.trampoline_va;
     }
   in
-  Sky_analysis.Audit.input ~images ~wrpkru_images ~machine
-    ~trampolines:[ ("trampoline", tramp, Backend.tramp_flavor t.backend) ]
-    ?entry_filter ~isoflow:(isoflow_input ?granted t) ()
+  {
+    Sky_analysis.Audit.images;
+    wrpkru_images;
+    machine;
+    trampolines = [ ("trampoline", tramp, Backend.tramp_flavor t.backend) ];
+    entry_filter;
+    mesh;
+    isoflow = isoflow_input ?granted t;
+  }
 
-(* Whole-machine audit through the unified pass registry; the dynamic
-   callee-saved check (live register state, not lowerable to plain data)
-   rides in the trampoline pass. *)
-let audit_passes t =
-  let prs = Sky_analysis.Audit.run_passes (audit_input t) in
+(* The one whole-machine audit driver, through the unified pass
+   registry; the dynamic callee-saved check (live register state, not
+   lowerable to plain data) rides in the trampoline pass. *)
+let audit_passes ?granted ?mesh t =
+  let prs = Sky_analysis.Audit.run_passes (audit_input ?granted ?mesh t) in
   match callee_saved_violations t with
   | [] -> prs
   | cs ->

@@ -258,15 +258,17 @@ val audit : t -> Sky_analysis.Report.violation list
     Isoflow cross-domain reachability pass over the composed PT∘EPT
     sharing graph. [[]] means every invariant holds. *)
 
-val audit_passes : t -> Sky_analysis.Audit.pass_result list
-(** {!audit} with per-pass structure and timing ([skybench audit]'s
-    view). Isoflow's authority ground truth is the binding registry
-    itself; {!Sky_mesh.Mesh.audit_passes} runs the same passes against
-    the mesh capability closure. *)
-
-val audit_input : ?granted:(int * int) list -> t -> Sky_analysis.Audit.input
-(** The lowered pass-registry input for this machine (every image, EPT,
-    page table, EPTP list, and the Isoflow machine model). *)
+val audit_passes :
+  ?granted:(int * int) list ->
+  ?mesh:Sky_analysis.Mesh_check.input ->
+  t ->
+  Sky_analysis.Audit.pass_result list
+(** {!audit} with per-pass structure and timing: the one whole-machine
+    audit driver. Isoflow's authority ground truth is [granted]
+    ((client pid, server pid) pairs), by default the binding registry
+    itself; the [mesh] pass runs only when [mesh] is given.
+    {!Sky_mesh.Mesh.audit_passes} passes the capability closure and the
+    mesh's authority model. *)
 
 val isoflow_input :
   ?granted:(int * int) list -> t -> Sky_analysis.Isoflow.input

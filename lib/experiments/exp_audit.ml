@@ -1,25 +1,25 @@
-(** The `skybench audit` scenarios and the ERIM-style gadget-occurrence
-    breakdown.
+(** The whole-machine security audit ([skybench run audit]).
 
-    [scenarios] boots each kernel personality, registers a client/server/
-    dependency topology whose client ships VMFUNC encodings of all three
-    cases (C1 actual instruction, C2 spanning an instruction boundary, C3
-    embedded in an immediate), exercises direct calls, and then runs the
-    whole-machine pass registry ({!Sky_core.Subkernel.audit_passes}),
-    returning per-pass results with timing. A fourth scenario routes the
-    same topology through the capability mesh and audits with the
-    capability closure as Isoflow's ground truth
+    Every scenario boots a kernel personality and declares one client →
+    fs → disk service graph ({!Sky_mesh.Service_graph}) whose client
+    ships VMFUNC encodings of all three cases (C1 actual instruction, C2
+    spanning an instruction boundary, C3 embedded in an immediate),
+    makes one call, and is audited by the one driver
+    ({!Sky_core.Subkernel.audit_passes}). The [sel4], [fiasco] and
+    [zircon] scenarios call by flat server id; [mesh] routes the same
+    graph through the capability mesh, so the [mesh] pass runs and
+    Isoflow's ground truth is the capability closure
     ({!Sky_mesh.Mesh.audit_passes}). A healthy build reports zero
-    violations everywhere — the CI gate.
-
-    [run] re-scans the Table 6 synthetic corpus and classifies every
-    occurrence by case, the way ERIM reports WRPKRU occurrences — the
-    EXPERIMENTS.md appendix. *)
+    violations everywhere: the [clean] check. *)
 
 open Sky_sim
 open Sky_ukernel
 open Sky_core
 open Sky_harness
+module Mesh = Sky_mesh.Mesh
+module Graph = Sky_mesh.Service_graph
+module Audit = Sky_analysis.Audit
+module Report = Sky_analysis.Report
 
 let echo ~core:_ msg = msg
 
@@ -50,13 +50,17 @@ let dirty_client_code () =
   in
   Bytes.cat aligned c2
 
-let variants =
-  [ (Config.Sel4, "sel4"); (Config.Fiasco, "fiasco"); (Config.Zircon, "zircon") ]
+type scenario = { name : string; sb : Subkernel.t; mesh : Mesh.t option }
 
-let build variant =
+(* The client → fs → disk graph on a fresh machine, routed through the
+   capability mesh when [meshed]. The call leaves the VMCS EPTP lists
+   and bindings in their live, post-traffic state when audited. *)
+let build (name, variant, meshed) =
   let machine = Machine.create ~cores:2 ~mem_mib:64 () in
   let kernel = Kernel.create ~config:(Config.default variant) machine in
   let sb = Subkernel.init kernel in
+  let route = if meshed then Graph.Mesh (Mesh.create sb) else Graph.Flat in
+  let g = Graph.create kernel (Graph.Skybridge (sb, route)) in
   let spawn name code =
     let p = Kernel.spawn kernel ~name in
     ignore (Kernel.map_code kernel p code);
@@ -65,111 +69,101 @@ let build variant =
   let clean = Sky_isa.Encode.encode_all [ Sky_isa.Insn.Nop; Sky_isa.Insn.Ret ] in
   let client = spawn "client" (dirty_client_code ()) in
   let fs = spawn "fs" clean in
-  let disk = spawn "disk" clean in
-  let sid_disk = Subkernel.register_server sb disk echo in
-  let sid_fs = Subkernel.register_server sb fs ~deps:[ sid_disk ] echo in
-  Subkernel.register_client_to_server sb client ~server_id:sid_fs;
+  let disk = Graph.serve g (spawn "disk" clean) echo in
+  let fs = Graph.serve g ~deps:[ disk ] fs echo in
+  Graph.name g ~core:0 ~uri:"blk://" disk;
+  Graph.name g ~core:0 ~uri:"fs://" fs;
+  let call = Graph.edge g ~client fs in
   Kernel.context_switch kernel ~core:0 client;
-  (* Exercise calls so VMCS EPTP lists and bindings are in their live,
-     post-traffic state when audited. *)
-  ignore
-    (Subkernel.direct_server_call sb ~core:0 ~client ~server_id:sid_fs
-       (Bytes.make 64 'x'));
-  sb
-
-(* The same topology routed through the capability mesh: grants cover
-   the dependency closure, so Isoflow's [flow.closure] runs against the
-   capability registry rather than the binding registry. *)
-let build_mesh () =
-  let machine = Machine.create ~cores:2 ~mem_mib:64 () in
-  let kernel = Kernel.create machine in
-  let sb = Subkernel.init kernel in
-  let mesh = Sky_mesh.Mesh.create sb in
-  let spawn name code =
-    let p = Kernel.spawn kernel ~name in
-    ignore (Kernel.map_code kernel p code);
-    p
-  in
-  let clean = Sky_isa.Encode.encode_all [ Sky_isa.Insn.Nop; Sky_isa.Insn.Ret ] in
-  let client = spawn "client" (dirty_client_code ()) in
-  let fs = spawn "fs" clean in
-  let disk = spawn "disk" clean in
-  let sid_disk = Subkernel.register_server sb disk echo in
-  let sid_fs = Subkernel.register_server sb fs ~deps:[ sid_disk ] echo in
-  Sky_mesh.Mesh.register mesh ~core:0 ~uri:"blk://" ~server_id:sid_disk;
-  Sky_mesh.Mesh.register mesh ~core:0 ~uri:"fs://" ~server_id:sid_fs;
-  Sky_mesh.Mesh.connect mesh client;
-  ignore (Sky_mesh.Mesh.grant mesh ~core:0 ~client "fs://");
-  Kernel.context_switch kernel ~core:0 client;
-  ignore (Sky_mesh.Mesh.call_exn mesh ~core:0 ~client "fs://" (Bytes.make 64 'x'));
-  mesh
+  ignore (call ~core:0 (Bytes.make 64 'x'));
+  { name; sb; mesh = Graph.mesh g }
 
 let scenarios () =
-  List.map
-    (fun (variant, name) -> (name, Subkernel.audit_passes (build variant)))
-    variants
-  @ [ ("mesh", Sky_mesh.Mesh.audit_passes (build_mesh ())) ]
+  List.map build
+    [
+      ("sel4", Config.Sel4, false);
+      ("fiasco", Config.Fiasco, false);
+      ("zircon", Config.Zircon, false);
+      ("mesh", Config.Sel4, true);
+    ]
 
-(* ------------------------------------------------------------------ *)
-(* ERIM-style case breakdown over the corpus                           *)
-(* ------------------------------------------------------------------ *)
+let audit s =
+  ( s.name,
+    match s.mesh with
+    | Some m -> Mesh.audit_passes m
+    | None -> Subkernel.audit_passes s.sb )
 
-let case_key occ =
-  match occ.Sky_rewriter.Scan.case with
-  | Sky_rewriter.Scan.C1_vmfunc -> `C1
-  | Sky_rewriter.Scan.C2_spanning -> `C2
-  | Sky_rewriter.Scan.C3_embedded _ -> `C3
+let count (pr : Audit.pass_result) = List.length pr.pr_violations
 
-let run () =
-  let scale = 256 and seed = 0x5B in
-  let rows =
-    List.map
-      (fun (g : Sky_rewriter.Corpus.group) ->
-        let rng =
-          Rng.create ~seed:(seed lxor Hashtbl.hash g.Sky_rewriter.Corpus.name)
-        in
-        let size =
-          max 256 (g.Sky_rewriter.Corpus.avg_code_kb * 1024 / scale)
-        in
-        let scanned = ref 0 in
-        let c1 = ref 0 and c2 = ref 0 and c3 = ref 0 in
-        for app = 0 to g.Sky_rewriter.Corpus.apps - 1 do
-          let plant =
-            g.Sky_rewriter.Corpus.plant_gimp
-            && app = g.Sky_rewriter.Corpus.apps / 2
-          in
-          let prog =
-            Sky_rewriter.Corpus.generate_program rng ~size_bytes:size ~plant
-          in
-          scanned := !scanned + Bytes.length prog;
-          List.iter
-            (fun occ ->
-              match case_key occ with
-              | `C1 -> incr c1
-              | `C2 -> incr c2
-              | `C3 -> incr c3)
-            (Sky_rewriter.Scan.scan prog)
-        done;
-        [
-          g.Sky_rewriter.Corpus.name;
-          Tbl.fmt_int (!scanned / 1024);
-          string_of_int !c1;
-          string_of_int !c2;
-          string_of_int !c3;
-          string_of_int (!c1 + !c2 + !c3);
-        ])
-      Sky_rewriter.Corpus.table6_groups
+(* [audited] pairs each scenario's name with its pass results. *)
+let outcome audited =
+  let named =
+    List.concat_map
+      (fun (name, prs) ->
+        List.map
+          (fun v -> name ^ ": " ^ Report.to_string v)
+          (Audit.violations prs))
+      audited
   in
-  Tbl.make
-    ~title:"Audit: inadvertent VMFUNC occurrences by case (ERIM-style)"
-    ~header:[ "program group"; "scanned (KB)"; "C1"; "C2"; "C3"; "total" ]
-    ~notes:
-      [
-        Printf.sprintf
-          "synthetic Table 6 corpus, code sizes scaled by 1/%d; C1 = actual \
-           VMFUNC instruction, C2 = pattern spans an instruction boundary, \
-           C3 = pattern embedded in modrm/sib/disp/imm (the planted GIMP \
-           hit is C3/imm)"
-          scale;
-      ]
-    rows
+  let table =
+    Tbl.make ~title:"Audit: whole-machine security invariants per scenario"
+      ~header:(("scenario" :: Audit.pass_names) @ [ "total" ])
+      ~notes:
+        (if named <> [] then named
+         else
+           [
+             "violations per pass; every client ships C1/C2/C3 VMFUNC \
+              encodings, so a clean gadget pass proves the rewriter and \
+              the registration gate";
+           ])
+      (List.map
+         (fun (name, prs) ->
+           (name :: List.map (fun pr -> string_of_int (count pr)) prs)
+           @ [ string_of_int (List.fold_left (fun a pr -> a + count pr) 0 prs) ])
+         audited)
+  in
+  let json =
+    Sky_trace.Json.(
+      to_string
+        (Obj
+           [
+             ("clean", Bool (named = []));
+             ( "scenarios",
+               List
+                 (List.map
+                    (fun (name, prs) ->
+                      Obj
+                        [
+                          ("scenario", String name);
+                          ( "passes",
+                            List
+                              (List.map
+                                 (fun (pr : Audit.pass_result) ->
+                                   Obj
+                                     [
+                                       ("pass", String pr.pr_name);
+                                       ( "violations",
+                                         List (List.map Report.to_json pr.pr_violations) );
+                                     ])
+                                 prs) );
+                        ])
+                    audited) );
+           ]))
+  in
+  (* Flat host facts, one string per scenario: CI strips the artifact's
+     "host" object up to its first closing brace. *)
+  let host =
+    List.map
+      (fun (name, prs) ->
+        ( name ^ "_pass_ms",
+          Sky_trace.Json.String
+            (String.concat " "
+               (List.map
+                  (fun (pr : Audit.pass_result) ->
+                    Printf.sprintf "%s:%.2f" pr.pr_name pr.pr_ms)
+                  prs)) ))
+      audited
+  in
+  Outcome.make ~host ~checks:[ ("clean", named = []) ] table json
+
+let run (_ : Budget.t) = outcome (List.map audit (scenarios ()))

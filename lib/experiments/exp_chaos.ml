@@ -14,8 +14,8 @@
     backend crashes layered under the scripted hot upgrade and
     capability revocation.
 
-    Everything is seeded: the same [--seed] yields a bit-identical
-    census, byte for byte, run after run. *)
+    Everything is seeded: the same seed yields a bit-identical census,
+    byte for byte, run after run. *)
 
 open Sky_ukernel
 open Sky_kvstore

@@ -70,8 +70,8 @@ type result = {
   m_lost : int;  (** retry-budget losses + unanswered requests *)
   m_forced_returns : int;
   m_sec_dropped : int;  (** security-ring overflow drops *)
-  m_audit : int;  (** subkernel audit violations *)
-  m_mesh_audit : int;  (** mesh audit violations *)
+  m_audit : int;  (** audit violations outside the [mesh] pass *)
+  m_mesh_audit : int;  (** [mesh] pass violations *)
   m_graph_edges : int;  (** sharing-graph edges at end of run *)
   m_graph_added : int;  (** edges the scenario added (vs pre-storm) *)
   m_graph_removed : int;  (** ... and removed *)
@@ -209,6 +209,11 @@ let run_mesh ?(seed = 7) ?(storm = fun () -> ()) () =
     Sky_analysis.Isoflow.stale
       ~shared:iso_after.Sky_analysis.Isoflow.shared gdelta
   in
+  let mesh_pass, machine_passes =
+    List.partition
+      (fun (pr : Sky_analysis.Audit.pass_result) -> pr.pr_name = "mesh")
+      (Mesh.audit_passes mesh)
+  in
   {
     m_seed = seed;
     m_expected = Loadgen.expected lg;
@@ -233,8 +238,8 @@ let run_mesh ?(seed = 7) ?(storm = fun () -> ()) () =
     m_lost = st.Retry.lost + dropped;
     m_forced_returns = Subkernel.forced_returns sb;
     m_sec_dropped = Subkernel.security_events_dropped sb;
-    m_audit = List.length (Subkernel.audit sb);
-    m_mesh_audit = List.length (Mesh.audit mesh);
+    m_audit = List.length (Sky_analysis.Audit.violations machine_passes);
+    m_mesh_audit = List.length (Sky_analysis.Audit.violations mesh_pass);
     m_graph_edges = List.length graph_after;
     m_graph_added = List.length gdelta.Sky_analysis.Isoflow.added;
     m_graph_removed = List.length gdelta.Sky_analysis.Isoflow.removed;

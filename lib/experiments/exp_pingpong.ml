@@ -158,13 +158,19 @@ let table r =
     ]
 
 let to_json r =
-  Printf.sprintf
-    "{\"experiment\":\"pingpong\",\"cycles_per_call\":%d,\
-     \"cycles_per_call_noaccel\":%d,\"walk_cycles_per_call\":%d,\
-     \"psc_hits\":%d,\"psc_misses\":%d,\"ept_wc_hits\":%d,\
-     \"ept_wc_misses\":%d}"
-    r.cycles_per_call r.cycles_per_call_noaccel r.walk_cycles_per_call
-    r.psc_hits r.psc_misses r.ept_wc_hits r.ept_wc_misses
+  Sky_trace.Json.(
+    to_string
+      (Obj
+         [
+           ("experiment", String "pingpong");
+           ("cycles_per_call", Int r.cycles_per_call);
+           ("cycles_per_call_noaccel", Int r.cycles_per_call_noaccel);
+           ("walk_cycles_per_call", Int r.walk_cycles_per_call);
+           ("psc_hits", Int r.psc_hits);
+           ("psc_misses", Int r.psc_misses);
+           ("ept_wc_hits", Int r.ept_wc_hits);
+           ("ept_wc_misses", Int r.ept_wc_misses);
+         ]))
 
 let outcome budgets r =
   Outcome.make

@@ -20,8 +20,8 @@ let paper =
 
 let thread_counts = [ 1; 2; 4; 8 ]
 
-(* Scaled-down workload sizes keep the bench fast; --full in bin/skybench
-   runs the paper's 10,000 records. *)
+(* Scaled-down workload sizes keep the bench fast; the paper loads
+   10,000 records. *)
 let default_records = 1000
 let default_ops = 50
 

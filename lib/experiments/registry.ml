@@ -33,7 +33,9 @@ let all =
     { id = "table6"; title = "Table 6: inadvertent VMFUNC scan";
       run = table (fun () -> Exp_table6.run ()) };
     { id = "gadgets"; title = "Audit: VMFUNC occurrences by case (ERIM-style)";
-      run = table Exp_audit.run };
+      run = table Exp_table6.gadgets };
+    { id = "audit"; title = "Audit: whole-machine security invariants per scenario";
+      run = Exp_audit.run };
     { id = "ablation"; title = "Ablations: design choices"; run = table Exp_ablation.run };
     { id = "monolithic"; title = "Extension: SkyBridge on a monolithic kernel (SS10)";
       run = table Exp_extensions.run_monolithic };

@@ -98,11 +98,13 @@ let enc_unregister scheme =
 
 let invalidate t = t.epoch <- t.epoch + 1
 
+(* The answer to an empty, unknown or short request. *)
+let err_reply () = Bytes.make 1 '\001'
+
 let ns_handler t : Sky_kernels.Ipc.handler =
  fun ~core msg ->
   Kernel.user_compute t.kernel ~core ~cycles:ns_lookup_cycles;
-  if Bytes.length msg = 0 then invalid_arg "nameserv: empty request";
-  match Bytes.get msg 0 with
+  match if Bytes.length msg = 0 then '\000' else Bytes.get msg 0 with
   | 'R' ->
     let scheme = Bytes.sub_string msg 1 (Bytes.length msg - 1) in
     let sid =
@@ -111,7 +113,7 @@ let ns_handler t : Sky_kernels.Ipc.handler =
     let b = Bytes.create 4 in
     Bytes.set_int32_le b 0 (Int32.of_int sid);
     b
-  | 'G' ->
+  | 'G' when Bytes.length msg >= 5 ->
     let sid = Int32.to_int (Bytes.get_int32_le msg 1) in
     let scheme = Bytes.sub_string msg 5 (Bytes.length msg - 5) in
     Hashtbl.replace t.table scheme sid;
@@ -123,7 +125,7 @@ let ns_handler t : Sky_kernels.Ipc.handler =
     Hashtbl.remove t.table scheme;
     invalidate t;
     ok_reply ()
-  | c -> invalid_arg (Printf.sprintf "nameserv: opcode %d" (Char.code c))
+  | _ -> err_reply ()
 
 (* ---- capability plumbing ---- *)
 
@@ -425,22 +427,12 @@ let granted t =
 
 let isoflow_input t = Subkernel.isoflow_input ~granted:(granted t) t.sb
 
-(* The mesh's own audit: the mesh authority invariants plus Isoflow with
-   the capability closure as ground truth (the machine-shape passes are
-   the Subkernel's audit; {!audit_passes} runs everything at once). *)
-let audit t =
-  Sky_analysis.Audit.run
-    (Sky_analysis.Audit.input ~mesh:(mesh_input t)
-       ~isoflow:(isoflow_input t) ())
-
-(* The full registry over the live machine: every Subkernel pass with
-   the mesh invariants and the capability-closure ground truth. *)
+(* The whole-machine audit: every Subkernel pass with the mesh
+   invariants and the capability-closure ground truth. *)
 let audit_passes t =
-  Sky_analysis.Audit.run_passes
-    {
-      (Subkernel.audit_input ~granted:(granted t) t.sb) with
-      Sky_analysis.Audit.mesh = Some (mesh_input t);
-    }
+  Subkernel.audit_passes ~granted:(granted t) ~mesh:(mesh_input t) t.sb
+
+let audit t = Sky_analysis.Audit.violations (audit_passes t)
 
 (* ---- stats ---- *)
 

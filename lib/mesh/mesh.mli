@@ -15,8 +15,9 @@
       that client covers the server id, and {!revoke_service} destroys
       the entire derivation subtree at once;
     - a {b mesh audit} — {!audit} lowers the live binding set into
-      {!Sky_analysis.Mesh_check}: no binding outlives its capability,
-      no URI resolves to a dead server.
+      {!Sky_analysis.Mesh_check} (no binding outlives its capability,
+      no URI resolves to a dead server) beside every whole-machine
+      pass.
 
     Fault site {!fault_site} (["server.nameserv"]): arm a [Crash] there
     to kill the name service mid-resolve; {!resolve} rides
@@ -128,18 +129,18 @@ val call_exn :
 (** Like {!call} but raising {!Unknown_service} / {!Denied} /
     {!Sky_core.Retry.Gave_up}. *)
 
-val audit : t -> Sky_analysis.Report.violation list
-(** The mesh invariants ([mesh.binding-outlives-cap],
-    [mesh.uri-dangling]) over the live Subkernel binding set, the
-    capability registry and the name table, plus the Isoflow [flow.*]
-    reachability pass with the capability closure as ground truth
-    (a binding forged around the mesh is a cross-domain view with no
-    covering grant). [[]] means clean. *)
-
 val audit_passes : t -> Sky_analysis.Audit.pass_result list
-(** The full unified registry over the live machine: every
-    {!Sky_core.Subkernel.audit_passes} pass with the mesh invariants
-    included and Isoflow grounded in the capability closure. *)
+(** The whole-machine audit of a meshed machine, through the one driver
+    {!Sky_core.Subkernel.audit_passes}: every pass (the §7 callee-saved
+    check included), with the mesh invariants
+    ([mesh.binding-outlives-cap], [mesh.uri-dangling]) over the live
+    binding set, the capability registry and the name table, and
+    Isoflow's [flow.*] reachability grounded in the capability closure
+    (a binding forged around the mesh is a cross-domain view with no
+    covering grant). *)
+
+val audit : t -> Sky_analysis.Report.violation list
+(** {!audit_passes}' violations, sorted; [[]] means clean. *)
 
 val isoflow_input : t -> Sky_analysis.Isoflow.input
 (** The Isoflow machine model with the capability-closure ground truth —

@@ -364,10 +364,17 @@ let lookup t ~core name =
 let file_size t ~core ~inum =
   with_op t ~core (fun () -> (read_inode t ~core inum).size)
 
+(* A negative offset or length reaches no byte of a file. *)
+let check_range ~off ~len =
+  if off < 0 || len < 0 then
+    raise (Fs_error (Printf.sprintf "bad range: offset %d, length %d" off len))
+
 let read t ~core ~inum ~off ~len =
+  check_range ~off ~len;
   with_op t ~core (fun () -> readi t ~core inum ~off ~len)
 
 let write t ~core ~inum ~off data =
+  check_range ~off ~len:0;
   with_op t ~core (fun () -> writei t ~core inum ~off data)
 
 let free_indirect t ~core blk ~depth =

@@ -77,6 +77,11 @@ let enc_int v =
   Bytes.set_int32_le b 0 (Int32.of_int v);
   b
 
+(* A request shorter than its opcode's [n] bytes of fixed fields. *)
+let need msg n =
+  if Bytes.length msg < n then
+    raise (Bad_message (Printf.sprintf "%d-byte request" (Bytes.length msg)))
+
 (* Server side: decode a request and run it against the local FS. *)
 let server_handler fs : Sky_kernels.Ipc.handler =
  fun ~core msg ->
@@ -89,14 +94,17 @@ let server_handler fs : Sky_kernels.Ipc.handler =
       ok_payload
         (enc_int (match Fs.lookup fs ~core (name ()) with Some i -> i | None -> -1))
     | c when c = op_size ->
+      need msg 5;
       let inum = Int32.to_int (Bytes.get_int32_le msg 1) in
       ok_payload (enc_int (Fs.file_size fs ~core ~inum))
     | c when c = op_read ->
+      need msg 13;
       let inum = Int32.to_int (Bytes.get_int32_le msg 1) in
       let off = Int32.to_int (Bytes.get_int32_le msg 5) in
       let len = Int32.to_int (Bytes.get_int32_le msg 9) in
       ok_payload (Fs.read fs ~core ~inum ~off ~len)
     | c when c = op_write ->
+      need msg 9;
       let inum = Int32.to_int (Bytes.get_int32_le msg 1) in
       let off = Int32.to_int (Bytes.get_int32_le msg 5) in
       Fs.write fs ~core ~inum ~off (Bytes.sub msg 9 (Bytes.length msg - 9));

@@ -289,11 +289,51 @@ let test_mesh_failures_named () =
   Alcotest.(check (list string)) "stale mapping named" [ "no_stale" ]
     (Exp_mesh.outcome { r with Exp_mesh.m_graph_stale = 1 }).failed
 
+(* One byte of a scenario's live trampoline frame overwritten after
+   boot: the audit fails exactly [clean], and its JSON names the
+   violation under the scenario and pass that found it. *)
+let test_audit_planted_violation () =
+  Alcotest.(check (list string)) "clean machines pass" []
+    (Exp_audit.run no_budgets).failed;
+  let scenarios = Exp_audit.scenarios () in
+  let zircon = List.find (fun s -> s.Exp_audit.name = "zircon") scenarios in
+  let sb = zircon.Exp_audit.sb in
+  Sky_mem.Phys_mem.write_u8
+    (Kernel.mem (Sky_core.Subkernel.kernel sb))
+    (Sky_core.Subkernel.trampoline_frame sb)
+    0xCC;
+  let o = Exp_audit.outcome (List.map Exp_audit.audit scenarios) in
+  Alcotest.(check (list string)) "only clean fails" [ "clean" ] o.failed;
+  let open Sky_trace.Json in
+  let json = of_string o.json in
+  Alcotest.(check (option bool)) "clean: false" (Some false)
+    (match member "clean" json with Some (Bool b) -> Some b | _ -> None);
+  let named =
+    List.concat_map
+      (fun sc ->
+        List.concat_map
+          (fun p ->
+            List.filter_map
+              (fun v ->
+                Option.bind (member "invariant" v) string_value
+                |> Option.map (fun inv ->
+                       ( Option.bind (member "scenario" sc) string_value,
+                         Option.bind (member "pass" p) string_value,
+                         inv )))
+              (to_list (Option.value ~default:Null (member "violations" p))))
+          (to_list (Option.value ~default:Null (member "passes" sc))))
+      (to_list (Option.value ~default:Null (member "scenarios" json)))
+  in
+  Alcotest.(check bool) "zircon's trampoline pass names it" true
+    (List.mem (Some "zircon", Some "trampoline", "trampoline.undecodable") named);
+  Alcotest.(check bool) "no other scenario fails" true
+    (List.for_all (fun (sc, _, _) -> sc = Some "zircon") named)
+
 let test_registry_complete () =
   (* One entry per paper table/figure + the ablation. *)
   let expected =
     [ "table1"; "table2"; "fig2"; "fig7"; "fig8"; "table4"; "fig9"; "fig10";
-      "fig11"; "table5"; "table6"; "gadgets"; "ablation"; "monolithic";
+      "fig11"; "table5"; "table6"; "gadgets"; "audit"; "ablation"; "monolithic";
       "tempmap"; "scheduling"; "chaos"; "web"; "mesh"; "ycsbmix"; "pingpong";
       "overload"; "matrix"; "parallel" ]
   in
@@ -339,6 +379,8 @@ let () =
           Alcotest.test_case "deterministic" `Slow test_experiments_deterministic;
           Alcotest.test_case "complete" `Quick test_registry_complete;
           Alcotest.test_case "mesh failures named" `Quick test_mesh_failures_named;
+          Alcotest.test_case "audit names a planted violation" `Quick
+            test_audit_planted_violation;
         ] );
       ( "overload",
         [ Alcotest.test_case "acceptance gates" `Slow test_overload_gates ] );

@@ -334,6 +334,88 @@ let test_fs_iface_error_propagates () =
     Alcotest.fail "expected Fs_error"
   with Fs.Fs_error _ -> ()
 
+(* ------------------------------------------------------------------ *)
+(* Hostile wire bytes                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* Every request the FS server can be sent ends in a reply, [ok] or
+   [err], never an exception. A request is an opcode byte, three
+   little-endian int32 fields (small and negative values are likely)
+   and a few payload bytes, cut at a random length: every short, long,
+   negative and out-of-range shape. *)
+let prop_fs_server_hostile =
+  let handler =
+    lazy
+      (let _, _, _, fs = mkmount () in
+       ignore (Fs.create fs ~core:0 "a");
+       Fs_iface.server_handler fs)
+  in
+  let gen =
+    QCheck.Gen.(
+      let* op = int_range 0 7 in
+      let* fields = list_repeat 3 (oneof [ int_range (-8) 64; int ]) in
+      let* payload = string_size ~gen:char (int_range 0 8) in
+      let* cut = int_range 0 (13 + String.length payload) in
+      let b = Bytes.create 13 in
+      Bytes.set b 0 (Char.chr op);
+      List.iteri (fun i v -> Bytes.set_int32_le b (1 + (4 * i)) (Int32.of_int v)) fields;
+      return (Bytes.sub (Bytes.cat b (Bytes.of_string payload)) 0 cut))
+  in
+  QCheck.Test.make ~name:"fs server answers hostile bytes" ~count:400
+    (QCheck.make ~print:(fun b -> String.escaped (Bytes.to_string b)) gen)
+    (fun msg ->
+      let reply = (Lazy.force handler) ~core:0 msg in
+      Bytes.length reply >= 1 && (Bytes.get reply 0 = '\000' || Bytes.get reply 0 = '\001'))
+
+(* A negative offset or length is refused as an [Fs_error], locally and
+   over the wire. *)
+let test_negative_range_refused () =
+  let _, _, _, fs = mkmount () in
+  let inum = Fs.create fs ~core:0 "a" in
+  Fs.write fs ~core:0 ~inum ~off:0 (Bytes.of_string "0123456789");
+  let refused f = match f () with _ -> false | exception Fs.Fs_error _ -> true in
+  Alcotest.(check bool) "read at -5" true
+    (refused (fun () -> Fs.read fs ~core:0 ~inum ~off:(-5) ~len:4));
+  Alcotest.(check bool) "read of -1 bytes" true
+    (refused (fun () -> Fs.read fs ~core:0 ~inum ~off:0 ~len:(-1)));
+  Alcotest.(check bool) "write at -5" true
+    (refused (fun () -> Fs.write fs ~core:0 ~inum ~off:(-5) (Bytes.of_string "x")));
+  let remote = Fs_iface.over_call (fun ~core msg -> Fs_iface.server_handler fs ~core msg) in
+  Alcotest.(check bool) "remote read at -5 answers err" true
+    (match remote.Fs_iface.read ~core:0 ~inum ~off:(-5) ~len:4 with
+    | _ -> false
+    | exception Fs_iface.Remote_error _ -> true);
+  Alcotest.(check string) "file intact" "0123456789"
+    (Bytes.to_string (Fs.read fs ~core:0 ~inum ~off:0 ~len:10))
+
+(* The block device answers a well-formed request for a block on the
+   device and refuses anything else with [Proto.Bad_message]. *)
+let prop_blockdev_hostile =
+  let nblocks = 64 in
+  let handler =
+    lazy
+      (let _, k, rd = setup ~nblocks () in
+       Disk.handler k rd)
+  in
+  let gen =
+    QCheck.Gen.(
+      let* op = int_range 0 3 in
+      let* blockno = oneof [ int_range (-4) (nblocks + 4); int ] in
+      let* len =
+        oneofl [ 0; 1; 4; 5; 6; Ramdisk.block_size + 4; Ramdisk.block_size + 5; Ramdisk.block_size + 8 ]
+      in
+      let b = Bytes.make (max 5 len) 'z' in
+      Bytes.set b 0 (Char.chr op);
+      Bytes.set_int32_le b 1 (Int32.of_int blockno);
+      return (Bytes.sub b 0 len))
+  in
+  QCheck.Test.make ~name:"blockdev server refuses hostile bytes typed" ~count:400
+    (QCheck.make ~print:(fun b -> String.escaped (Bytes.to_string b)) gen)
+    (fun msg ->
+      match (Lazy.force handler) ~core:0 msg with
+      | _ -> true
+      | exception Proto.Bad_message _ -> true)
+
 let () =
   let qc = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "fs"
@@ -344,7 +426,8 @@ let () =
           Alcotest.test_case "bounds" `Quick test_ramdisk_bounds;
           Alcotest.test_case "proto roundtrip" `Quick test_blockdev_proto_roundtrip;
           Alcotest.test_case "over IPC" `Quick test_blockdev_over_ipc;
-        ] );
+        ]
+        @ qc [ prop_blockdev_hostile ] );
       ( "log",
         [
           Alcotest.test_case "commit visible" `Quick test_log_commit_visible;
@@ -376,5 +459,7 @@ let () =
         [
           Alcotest.test_case "over IPC" `Quick test_fs_over_ipc;
           Alcotest.test_case "errors propagate" `Quick test_fs_iface_error_propagates;
-        ] );
+          Alcotest.test_case "negative range refused" `Quick test_negative_range_refused;
+        ]
+        @ qc [ prop_fs_server_hostile ] );
     ]

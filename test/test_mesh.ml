@@ -459,6 +459,48 @@ let prop_grant_revoke_refcount =
       !ok)
 
 (* ------------------------------------------------------------------ *)
+(* audit                                                               *)
+(* ------------------------------------------------------------------ *)
+
+(* §7: a resting client whose RBX still holds an aborted server run's
+   clobber pattern (the forced return did not restore the save area)
+   is caught by the mesh's audit too, which runs the one driver. *)
+let test_audit_callee_saved () =
+  let f = make () in
+  ignore (Mesh.grant f.mesh ~core:0 ~client:f.client "svc://");
+  ignore (call_ok f "svc://");
+  check_audit f "before";
+  let regs = Subkernel.thread_regs f.sb f.client in
+  regs.(Sky_isa.Reg.encoding Sky_isa.Reg.Rbx) <- 0xDEAD0000L;
+  Alcotest.(check bool) "trampoline.callee-saved" true
+    (Sky_analysis.Report.has ~invariant:"trampoline.callee-saved"
+       (Mesh.audit f.mesh))
+
+(* Hostile wire bytes from a connected client: the name service answers
+   every request (an error byte for an empty, unknown or short one),
+   neither raising nor crashing. *)
+let prop_nameserv_hostile =
+  let fixture =
+    lazy
+      (let f = make ~cores:1 () in
+       (f, List.assoc f.client.Proc.pid (Subkernel.bindings f.sb)))
+  in
+  let gen =
+    QCheck.Gen.(
+      let* op = oneofl [ 'R'; 'G'; 'U'; 'X'; '\000' ] in
+      let* rest = string_size ~gen:char (int_range 0 8) in
+      let* cut = int_range 0 (1 + String.length rest) in
+      return (Bytes.sub (Bytes.of_string (String.make 1 op ^ rest)) 0 cut))
+  in
+  QCheck.Test.make ~name:"name service answers hostile bytes" ~count:300
+    (QCheck.make ~print:(fun b -> String.escaped (Bytes.to_string b)) gen)
+    (fun msg ->
+      let f, ns_sid = Lazy.force fixture in
+      match Subkernel.call f.sb ~core:0 ~client:f.client ~server_id:ns_sid msg with
+      | Ok reply -> Bytes.length reply >= 1
+      | Error _ -> false)
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   let qc = List.map QCheck_alcotest.to_alcotest in
@@ -489,6 +531,14 @@ let () =
           Alcotest.test_case "nameserv crash mid-resolve" `Quick
             test_nameserv_crash_mid_resolve;
         ] );
+      ( "audit",
+        [ Alcotest.test_case "callee-saved clobber caught" `Quick test_audit_callee_saved ] );
       ( "properties",
-        qc [ prop_endpoint_conservation; prop_endpoint_order; prop_grant_revoke_refcount ] );
+        qc
+          [
+            prop_endpoint_conservation;
+            prop_endpoint_order;
+            prop_grant_revoke_refcount;
+            prop_nameserv_hostile;
+          ] );
     ]

@@ -409,13 +409,13 @@ let prop_rewrite_hostile_bytes =
 (* ------------------------------------------------------------------ *)
 
 let test_corpus_table6 () =
-  let rows = Corpus.run ~scale:512 () in
+  let rows = Corpus.run ~scale:512 in
   Alcotest.(check int) "nine groups" 9 (List.length rows);
   let total = List.fold_left (fun a r -> a + r.Corpus.vmfunc_count) 0 rows in
   Alcotest.(check int) "exactly the planted GIMP hit" 1 total
 
 let test_corpus_gimp_in_other_apps () =
-  let rows = Corpus.run ~scale:512 () in
+  let rows = Corpus.run ~scale:512 in
   List.iter
     (fun r ->
       let expected = if String.length r.Corpus.group >= 5 && String.sub r.Corpus.group 0 5 = "Other" then 1 else 0 in
@@ -423,7 +423,7 @@ let test_corpus_gimp_in_other_apps () =
     rows
 
 let test_corpus_deterministic () =
-  let a = Corpus.run ~scale:1024 () and b = Corpus.run ~scale:1024 () in
+  let a = Corpus.run ~scale:1024 and b = Corpus.run ~scale:1024 in
   Alcotest.(check bool) "same counts" true
     (List.for_all2 (fun x y -> x.Corpus.vmfunc_count = y.Corpus.vmfunc_count) a b)
 
