@@ -128,11 +128,6 @@ type mech =
   | Mpkey of { view : int; sproc : Proc.t }
   | Mentry of int
 
-(* A revoked binding's EPTP slot degenerates to the client's own EPT
-   root: in-flight nested frames hold slot indices, so positions stay
-   stable. *)
-let placeholder own_ept = Meptp own_ept
-
 (* Allocation-free: the call path asks this on every call. *)
 let holds_slot = function Meptp _ -> true | Mpkey _ | Mentry _ -> false
 

@@ -36,15 +36,33 @@ type server = {
   stack_vas : int array;
   key_table_pa : int;  (** backing frame of the calling-key table page *)
   deps : int list;
+  mutable dead : bool;  (** crashed and not yet restarted *)
 }
 
 type binding = {
-  b_server_id : int;
   server_key : int64;
   buffer_vas : int array;  (** one per server connection/stack *)
   buffer_pas : int array;  (** backing frames, for re-sharing on rebind *)
   mech : Backend.mech;
   mutable last_use : int;  (** for EPTP-list LRU eviction *)
+  mutable slot : int;  (** its EPTP-list slot (from 1), 0 while it holds none *)
+}
+
+(* ---- the binding table ----
+   One state per (client, server) pair, in the client's row
+   ([pstate.pairs]; no entry = never bound), and each server's [dead]
+   flag. Its transitions (bind, install, evict, revoke, reap, restart,
+   rebind, suspend, resume) are its only writers. *)
+
+type revoked = Orphaned | Parked | Retired
+
+type state = Bound of binding | Down of revoked
+
+type pair = {
+  p_sid : int;
+  mutable state : state;
+  mutable takeovers : int;  (** EPTP-list LRU evictions its calls made *)
+  mutable recycled : int;  (** times the binding budget retired it *)
 }
 
 type pstate = {
@@ -53,11 +71,8 @@ type pstate = {
   trampoline_text_pa : int;
   save_area_pa : int;  (** trampoline save area: callee-saved regs, per call *)
   regs : int64 array;  (** modelled register file (16 GPRs, §7 recovery) *)
-  mutable bindings : binding list;
-  mutable installed : binding list;
-      (** the bindings holding EPTP-list slots, in slot order from 1 *)
-  mutable revoked : int list;  (** server ids whose binding was revoked *)
-  mutable p_evictions : int;  (** EPTP-slot LRU evictions in this process *)
+  mutable pairs : pair list;  (** in bind order: a (re)bound pair moves to the end *)
+  mutable slots : int;  (** EPTP-list slots in use, from 1 *)
   pkey : int;  (** MPK: the protection key tagging this domain (0 = none) *)
   pkru_view : int;  (** MPK: resting PKRU view installed when scheduled *)
   active : pstate option;
@@ -85,13 +100,8 @@ type t = {
   mutable next_buffer_va : int;
   max_eptp : int;
   max_bindings : int;  (** global fast-path binding budget *)
-  mutable live_bindings : int;
-  mutable slot_evictions : int;
-      (** bindings retired to reclaim a fast-path slot — the victims
-          degrade to slowpath IPC, they are not failed *)
   stats : Breakdown.t;
   mutable calls : int;
-  mutable evictions : int;
   sec_buf : string array;  (** bounded security-event ring *)
   mutable sec_next : int;
   mutable sec_count : int;
@@ -101,8 +111,6 @@ type t = {
       (** per core: the call frames, outermost first; the first
           [depth] are live, the rest reused; grown on demand *)
   depth : int array;  (** per core: live frames in [frames] *)
-  mutable dead_servers : int list;
-  mutable orphans : (int * int) list;  (** (client pid, server_id) to rebind *)
   fallback_ipc : Ipc.t;  (** kernel-mediated slowpath for revoked bindings *)
   fallback_eps : (int, Ipc.endpoint) Hashtbl.t;
   mutable degraded_calls : int;
@@ -124,9 +132,6 @@ let backend t = t.backend
 let entry_filter t = t.entry_filter
 let stats t = t.stats
 let calls t = t.calls
-let evictions t = t.evictions
-let slot_evictions t = t.slot_evictions
-let live_bindings t = t.live_bindings
 let trampoline_code t = t.trampoline_bytes
 let trampoline_va = Layout.trampoline_va
 let key_table_va = Layout.identity_page_va + 4096
@@ -150,7 +155,6 @@ let security_events_dropped t = t.sec_dropped
 let degraded_calls t = t.degraded_calls
 let forced_returns t = t.forced_returns
 let restarts t = t.restarts
-let dead_servers t = t.dead_servers
 
 let call_state t ~core =
   let d = t.depth.(core) in
@@ -161,17 +165,61 @@ let call_state t ~core =
 
 let pstate_opt t proc = Hashtbl.find_opt t.pstates proc.Proc.pid
 
-let process_evictions t proc =
-  match pstate_opt t proc with Some ps -> ps.p_evictions | None -> 0
+let sorted_pstates t =
+  List.sort
+    (fun a b -> compare a.proc.Proc.pid b.proc.Proc.pid)
+    (Hashtbl.fold (fun _ ps acc -> ps :: acc) t.pstates [])
 
-(* Server ids currently occupying EPTP-list slots for [proc] (revoked
-   slots degenerate to the process's own EPT and are skipped). *)
+(* ---- reading the binding table ---- *)
+
+(* The pair [server_id] in a row; raises [Not_found] when it was never
+   bound. A toplevel loop: a call finds its pair allocating nothing. *)
+let rec pair_in server_id = function
+  | p :: rest -> if p.p_sid = server_id then p else pair_in server_id rest
+  | [] -> raise Not_found
+
+let state_of ps ~server_id =
+  match pair_in server_id ps.pairs with p -> Some p.state | exception Not_found -> None
+
+(* A row's live bindings with their server ids, in bind order. *)
+let bound ps =
+  List.filter_map
+    (fun p -> match p.state with Bound b -> Some (p.p_sid, b) | Down _ -> None)
+    ps.pairs
+
+let fold_pairs t f acc =
+  Hashtbl.fold (fun pid ps acc -> List.fold_left (f pid) acc ps.pairs) t.pstates acc
+
+(* Every live direct binding, as sorted (client pid, server id) pairs —
+   the raw material for the mesh auditor's "no binding outlives its
+   capability" check. *)
+let bindings t =
+  fold_pairs t
+    (fun pid acc p -> match p.state with Bound _ -> (pid, p.p_sid) :: acc | Down _ -> acc)
+    []
+  |> List.sort compare
+
+let live_bindings t =
+  fold_pairs t (fun _ n p -> match p.state with Bound _ -> n + 1 | Down _ -> n) 0
+
+let evictions t = fold_pairs t (fun _ n p -> n + p.takeovers) 0
+let slot_evictions t = fold_pairs t (fun _ n p -> n + p.recycled) 0
+
+let process_evictions t proc =
+  match pstate_opt t proc with
+  | Some ps -> List.fold_left (fun n p -> n + p.takeovers) 0 ps.pairs
+  | None -> 0
+
+let dead_servers t =
+  List.filter_map (fun s -> if s.dead then Some s.server_id else None) t.servers
+
+(* Server ids holding EPTP-list slots for [proc], in slot order. *)
 let installed_servers t proc =
   match pstate_opt t proc with
   | Some ps ->
-    List.filter_map
-      (fun b -> if b.b_server_id >= 0 then Some b.b_server_id else None)
-      ps.installed
+    List.filter (fun (_, b) -> b.slot > 0) (bound ps)
+    |> List.sort (fun (_, a) (_, b) -> compare a.slot b.slot)
+    |> List.map fst
   | None -> []
 
 let on_binding_change t f = t.binding_hooks <- f :: t.binding_hooks
@@ -179,22 +227,23 @@ let on_binding_change t f = t.binding_hooks <- f :: t.binding_hooks
 let fire_binding_change t ~server_id =
   List.iter (fun f -> f ~server_id) t.binding_hooks
 
-(* Every live direct binding, as (client pid, server id) pairs in a
-   deterministic order — the raw material for the mesh auditor's
-   "no binding outlives its capability" check. *)
-let bindings t =
-  Hashtbl.fold
-    (fun pid ps acc ->
-      List.fold_left (fun acc b -> (pid, b.b_server_id) :: acc) acc ps.bindings)
-    t.pstates []
-  |> List.sort compare
-
 let slot_root b = Ept.root_pa (Backend.slot_ept b.mech)
-let eptp_list_of ps = Ept.root_pa ps.own_ept :: List.map slot_root ps.installed
+
+(* The binding in EPTP slot [i]; raises [Not_found] once it was revoked,
+   which leaves the client's own EPT in the slot. *)
+let rec slot_holder i = function
+  | { state = Bound b; _ } :: _ when b.slot = i -> b
+  | _ :: rest -> slot_holder i rest
+  | [] -> raise Not_found
+
+let eptp_list_of ps =
+  let own = Ept.root_pa ps.own_ept in
+  own
+  :: List.init ps.slots (fun i ->
+         match slot_holder (i + 1) ps.pairs with b -> slot_root b | exception Not_found -> own)
 
 (* The bindings that own a binding EPT, for the audits. *)
-let slot_bindings ps =
-  List.filter (fun b -> Backend.holds_slot b.mech) ps.bindings
+let slot_bindings ps = List.filter (fun (_, b) -> Backend.holds_slot b.mech) (bound ps)
 
 (* Install the EPTP list for [proc] on [core] — called from the kernel's
    context-switch hook. Only processes registered into SkyBridge carry a
@@ -238,11 +287,8 @@ let init ?backend ?(vpid = true) ?(huge_ept = true)
       next_buffer_va = Layout.skybridge_buffer_va;
       max_eptp;
       max_bindings;
-      live_bindings = 0;
-      slot_evictions = 0;
       stats = Breakdown.create ();
       calls = 0;
-      evictions = 0;
       sec_buf = Array.make security_ring_capacity "";
       sec_next = 0;
       sec_count = 0;
@@ -250,8 +296,6 @@ let init ?backend ?(vpid = true) ?(huge_ept = true)
       active_client = Array.make (Machine.n_cores kernel.Kernel.machine) None;
       frames = Array.make (Machine.n_cores kernel.Kernel.machine) [||];
       depth = Array.make (Machine.n_cores kernel.Kernel.machine) 0;
-      dead_servers = [];
-      orphans = [];
       fallback_ipc = Ipc.create kernel;
       fallback_eps = Hashtbl.create 8;
       degraded_calls = 0;
@@ -365,10 +409,8 @@ let ensure_pstate t proc =
         save_area_pa = Frame_alloc.alloc_frame (Kernel.alloc t.kernel);
         regs =
           Array.init 16 (fun i -> Int64.of_int ((proc.Proc.pid * 0x100) lor i));
-        bindings = [];
-        installed = [];
-        revoked = [];
-        p_evictions = 0;
+        pairs = [];
+        slots = 0;
         pkey;
         pkru_view = Backend.resting_view t.backend pkey;
         active = Some ps;
@@ -427,14 +469,12 @@ let clobber_callee_saved ps =
    option to find its server or binding. *)
 let rec server_in server_id = function
   | s :: rest -> if s.server_id = server_id then s else server_in server_id rest
-  | [] -> invalid_arg (Printf.sprintf "SkyBridge: unknown server id %d" server_id)
-
-let find_server t server_id = server_in server_id t.servers
-
-(* Raises [Not_found] when [bindings] has none for [server_id]. *)
-let rec binding_in server_id = function
-  | b :: rest -> if b.b_server_id = server_id then b else binding_in server_id rest
   | [] -> raise Not_found
+
+let find_server t server_id =
+  match server_in server_id t.servers with
+  | s -> s
+  | exception Not_found -> invalid_arg (Printf.sprintf "SkyBridge: unknown server id %d" server_id)
 
 let server_stack_va t ~server_id ~conn =
   let srv = find_server t server_id in
@@ -469,7 +509,8 @@ let register_server t proc ?(connection_count = 8) ?(deps = []) handler =
   Kernel.map_frames t.kernel proc ~va:table_va ~pa:key_table_pa ~len:4096
     ~flags:Pte.ur;
   t.servers <-
-    { server_id; sproc = proc; handler; connection_count; stack_vas; key_table_pa; deps }
+    { server_id; sproc = proc; handler; connection_count; stack_vas; key_table_pa; deps;
+      dead = false }
     :: t.servers;
   Log.info (fun m ->
       m "registered server %d (%s), %d connections, deps [%s]" server_id
@@ -515,6 +556,8 @@ let fresh_key t =
   let k = Rng.next_int64 t.rng in
   if k = 0L then 1L else k
 
+(* Bind: a fresh binding for [server_id] in [ps]'s row, taking the next
+   EPTP-list slot while one is free. *)
 let bind_one t ps ~server_id ~key ~share_with =
   let srv = find_server t server_id in
   let server_view =
@@ -553,103 +596,29 @@ let bind_one t ps ~server_id ~key ~share_with =
           chain;
         va)
   in
-  let b =
-    { b_server_id = server_id; server_key = key; buffer_vas; buffer_pas; mech;
-      last_use = 0 }
+  let slot =
+    if Backend.holds_slot mech && ps.slots + 1 < t.max_eptp then begin
+      ps.slots <- ps.slots + 1;
+      ps.slots
+    end
+    else 0
   in
-  ps.bindings <- ps.bindings @ [ b ];
-  t.live_bindings <- t.live_bindings + 1;
-  if Backend.holds_slot mech && List.length ps.installed + 1 < t.max_eptp then
-    ps.installed <- ps.installed @ [ b ];
-  b
+  let b = { server_key = key; buffer_vas; buffer_pas; mech; last_use = 0; slot } in
+  (* The pair keeps its counters and moves to the end of the row. *)
+  let p =
+    match pair_in server_id ps.pairs with
+    | p -> p
+    | exception Not_found -> { p_sid = server_id; state = Bound b; takeovers = 0; recycled = 0 }
+  in
+  p.state <- Bound b;
+  ps.pairs <- List.filter (fun q -> q != p) ps.pairs @ [ p ]
 
 (* The key a process uses to call [server_id]: its own binding's key. *)
 let key_for t proc ~server_id =
   match pstate_opt t proc with
+  | Some ps -> (
+    match state_of ps ~server_id with Some (Bound b) -> Some b.server_key | _ -> None)
   | None -> None
-  | Some ps ->
-    List.find_opt (fun b -> b.b_server_id = server_id) ps.bindings
-    |> Option.map (fun b -> b.server_key)
-
-(* The raw registration; the public [register_client_to_server] below
-   first enforces the global fast-path binding budget (it needs
-   [revoke_binding], defined later). *)
-let register_client_unbudgeted t proc ~server_id =
-  let ps = ensure_pstate t proc in
-  if List.exists (fun b -> b.b_server_id = server_id) ps.bindings then ()
-  else begin
-    let closure = dep_closure t server_id in
-    (* Every process in the call chain shares the dependency buffers.
-       Besides [server_id]'s own closure, keep any intermediate server
-       this process already reaches that depends on [server_id]: a
-       rebound dependency binding's buffers are read while executing
-       under the intermediary's EPT (the CR3 remap makes the guest walk
-       use the intermediary's page tables), so dropping it from the
-       chain would page-fault the next nested call after a recovery. *)
-    let intermediaries =
-      List.filter_map
-        (fun b ->
-          if b.b_server_id <> server_id
-             && List.mem server_id (dep_closure t b.b_server_id)
-          then Some (find_server t b.b_server_id).sproc
-          else None)
-        ps.bindings
-    in
-    let chain_procs =
-      List.map (fun sid -> (find_server t sid).sproc) closure @ intermediaries
-    in
-    (* Dependency bindings that survived a partial reap keep their old
-       buffers: re-share those frames with the (possibly new) chain so a
-       freshly rebound intermediary can still reach them. *)
-    List.iter
-      (fun b ->
-        if b.b_server_id <> server_id && List.mem b.b_server_id closure then
-          Array.iteri
-            (fun i va ->
-              List.iter
-                (fun proc ->
-                  Kernel.map_frames t.kernel proc ~va ~pa:b.buffer_pas.(i)
-                    ~len:buffer_size
-                    ~flags:{ Pte.urw with Pte.nx = true })
-                (ps.proc :: chain_procs))
-            b.buffer_vas)
-      ps.bindings;
-    List.iter
-      (fun sid ->
-        if not (List.exists (fun b -> b.b_server_id = sid) ps.bindings) then begin
-          let srv = find_server t sid in
-          (* The direct binding gets a fresh key; dependency bindings
-             reuse the key of the server that actually calls them (the
-             FS's key for the disk, not the client's). *)
-          let key =
-            if sid = server_id then begin
-              let k = fresh_key t in
-              install_key t srv ~client_pid:proc.Proc.pid ~key:k;
-              k
-            end
-            else
-              match
-                List.fold_left
-                  (fun acc s ->
-                    match acc with
-                    | Some _ -> acc
-                    | None -> key_for t s.sproc ~server_id:sid)
-                  None t.servers
-              with
-              | Some k -> k
-              | None ->
-                (* The intermediate server never registered to its dep —
-                   register it now with its own key. *)
-                let k = fresh_key t in
-                install_key t srv ~client_pid:proc.Proc.pid ~key:k;
-                k
-          in
-          ignore (bind_one t ps ~server_id:sid ~key ~share_with:chain_procs)
-        end)
-      closure;
-    ps.revoked <- List.filter (fun sid -> not (List.mem sid closure)) ps.revoked;
-    List.iter (fun sid -> fire_binding_change t ~server_id:sid) closure
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Revocation, reaping, restart (§7 recovery)                          *)
@@ -680,18 +649,6 @@ let clear_key t srv ~client_pid ~key =
     Phys_mem.write_u64 mem (base + 8) 0L
   done
 
-(* What a revoked binding leaves in its EPTP slot (see
-   {!Backend.placeholder}). *)
-let dummy_binding ps =
-  {
-    b_server_id = -1;
-    server_key = 0L;
-    buffer_vas = [||];
-    buffer_pas = [||];
-    mech = Backend.placeholder ps.own_ept;
-    last_use = 0;
-  }
-
 (* Rewrite [ps]'s EPTP list on [core], keeping the live EPTP index: the
    hardware list update does not switch, so a running call stays in
    its address space. *)
@@ -711,29 +668,22 @@ let refresh_lists t ps =
       | _ -> ())
     t.kernel.Kernel.running
 
-let revoke_binding ?(orphan = true) t ~core proc ~server_id ~reason =
+(* Revoke: move the pair to [into], or to its current state if that is
+   the stronger one (Orphaned < Parked < Retired), so no revocation
+   undoes another. Tearing a bound pair down removes the binding (its
+   EPTP slot degenerates in place: in-flight nested frames hold slot
+   indices), zeroes its calling key, unmaps its buffers and logs a
+   security event; a pair already down only changes state. *)
+let revoke_binding t ~core proc ~server_id ~reason ~into =
   match pstate_opt t proc with
   | None -> ()
   | Some ps -> (
-    match List.find_opt (fun b -> b.b_server_id = server_id) ps.bindings with
-    | None -> ()
-    | Some b ->
-      ps.bindings <- List.filter (fun x -> x != b) ps.bindings;
-      t.live_bindings <- t.live_bindings - 1;
-      (* An EPTP slot degenerates in place (in-flight nested frames
-         hold slot indices); whatever else the mechanism left standing
-         is torn down by the backend. *)
-      if Backend.holds_slot b.mech then
-        ps.installed <-
-          List.map (fun x -> if x == b then dummy_binding ps else x)
-            ps.installed;
+    match pair_in server_id ps.pairs with
+    | exception Not_found -> ()
+    | { state = Down was; _ } as p -> p.state <- Down (max was into)
+    | { state = Bound b; _ } as p ->
+      p.state <- Down into;
       Backend.revoke t.entry_filter ~pid:proc.Proc.pid ~server_id b.mech;
-      if not (List.mem server_id ps.revoked) then
-        ps.revoked <- server_id :: ps.revoked;
-      (* [orphan = false] is the capability-revocation path: the teardown
-         is permanent, so a later [restart_server] must NOT rebind it. *)
-      if orphan && not (List.mem (proc.Proc.pid, server_id) t.orphans) then
-        t.orphans <- (proc.Proc.pid, server_id) :: t.orphans;
       clear_key t (find_server t server_id) ~client_pid:proc.Proc.pid
         ~key:b.server_key;
       (* Unmap the binding's shared buffers from {e every} registered
@@ -766,159 +716,232 @@ let revoke_binding ?(orphan = true) t ~core proc ~server_id ~reason =
 (* ---- global fast-path binding budget (tenant-scale slot recycling) ----
 
    With hundreds–thousands of short-lived tenant clients the bounded
-   resource is not just each process's EPTP list but the Subkernel's
-   total fast-path footprint (binding EPTs, shared buffers, calling-key
-   slots). [max_bindings] caps the number of live bindings; when a new
-   registration would exceed it, the least-recently-calling {e process}
-   (excluding the one registering) has its whole fast-path presence
-   retired — [revoke_binding ~orphan:false] per binding, so its future
-   calls transparently degrade to the kernel-mediated slowpath (counted
-   in [degraded_calls]) instead of failing. Recycled tenants that come
-   back re-register and evict someone else: slots circulate by LRU. *)
+   resource is the Subkernel's total fast-path footprint (binding EPTs,
+   shared buffers, calling-key slots). [max_bindings] caps the live
+   bindings; a registration that would exceed it retires every binding
+   of the least-recently-calling other process, whose calls then
+   degrade to the slowpath (counted in [degraded_calls]) instead of
+   failing. Recycled tenants that come back re-register and evict
+   someone else: slots circulate by LRU. *)
 
 (* Victim = the registered process whose most recent call through any of
-   its bindings is oldest; ties break on pid so the choice (and thus the
-   whole run) stays deterministic. *)
+   its bindings is oldest; ties break on the lower pid, so the choice
+   (and thus the whole run) stays deterministic. *)
 let slot_victim t ~except_pid =
-  let best = ref None in
-  Hashtbl.iter
-    (fun pid ps ->
-      if pid <> except_pid && ps.bindings <> [] then begin
-        let recent =
-          List.fold_left (fun a b -> Int.max a b.last_use) 0 ps.bindings
-        in
-        match !best with
-        | Some (r, p, _) when (r, p) <= (recent, pid) -> ()
-        | _ -> best := Some (recent, pid, ps)
-      end)
-    t.pstates;
-  match !best with Some (_, _, ps) -> Some ps | None -> None
+  List.fold_left
+    (fun best ps ->
+      match bound ps with
+      | [] -> best
+      | _ when ps.proc.Proc.pid = except_pid -> best
+      | bs -> (
+        let recent = List.fold_left (fun a (_, b) -> Int.max a b.last_use) 0 bs in
+        match best with Some (r, _) when r <= recent -> best | _ -> Some (recent, ps)))
+    None (sorted_pstates t)
+  |> Option.map snd
 
-let enforce_binding_budget t ps ~incoming =
-  let rec go () =
-    if t.live_bindings + incoming > t.max_bindings then
-      match slot_victim t ~except_pid:ps.proc.Proc.pid with
-      | None -> ()  (* only the registering process holds bindings *)
-      | Some victim ->
-        let sids = List.map (fun b -> b.b_server_id) victim.bindings in
-        List.iter
-          (fun sid ->
-            t.slot_evictions <- t.slot_evictions + 1;
-            revoke_binding ~orphan:false t ~core:0 victim.proc ~server_id:sid
-              ~reason:"fast-path binding budget: LRU slots recycled")
-          sids;
-        go ()
-  in
-  go ()
+let rec enforce_binding_budget t ps ~incoming =
+  if live_bindings t + incoming > t.max_bindings then
+    match slot_victim t ~except_pid:ps.proc.Proc.pid with
+    | None -> ()  (* only the registering process holds bindings *)
+    | Some victim ->
+      List.iter
+        (fun p ->
+          match p.state with
+          | Bound _ ->
+            p.recycled <- p.recycled + 1;
+            revoke_binding t ~core:0 victim.proc ~server_id:p.p_sid ~into:Retired
+              ~reason:"fast-path binding budget: LRU slots recycled"
+          | Down _ -> ())
+        victim.pairs;
+      enforce_binding_budget t ps ~incoming
+
+(* Which pairs a binding path may bind: a grant any pair not bound;
+   recovery (restart, rebind) only an orphan; resume also what suspend
+   parked. Nothing but a grant creates a pair or leaves [Retired]. *)
+type path = Grant | Recover | Resume
+
+let admits path = function
+  | Some (Bound _) -> false
+  | Some (Down Orphaned) -> true
+  | Some (Down Parked) -> path <> Recover
+  | None | Some (Down Retired) -> path = Grant
+
+(* Bind [server_id] and every closure member [path] admits, after one
+   budget pass over exactly those members. *)
+let bind_closure t ps ~server_id path =
+  let takes sid = admits path (state_of ps ~server_id:sid) in
+  if takes server_id then begin
+    let closure = dep_closure t server_id in
+    let missing =
+      List.fold_left
+        (fun acc sid -> if List.mem sid acc || not (takes sid) then acc else sid :: acc)
+        [] closure
+      |> List.rev
+    in
+    if t.max_bindings <> max_int then
+      enforce_binding_budget t ps ~incoming:(List.length missing);
+    (* Every process in the call chain shares the dependency buffers.
+       Besides [server_id]'s own closure, keep any intermediate server
+       this process already reaches that depends on [server_id]: a
+       rebound dependency binding's buffers are read while executing
+       under the intermediary's EPT (the CR3 remap makes the guest walk
+       use the intermediary's page tables), so dropping it from the
+       chain would page-fault the next nested call after a recovery. *)
+    let intermediaries =
+      List.filter_map
+        (fun (sid, _) ->
+          if sid <> server_id && List.mem server_id (dep_closure t sid) then
+            Some (find_server t sid).sproc
+          else None)
+        (bound ps)
+    in
+    let chain_procs =
+      List.map (fun sid -> (find_server t sid).sproc) closure @ intermediaries
+    in
+    (* Dependency bindings that survived a partial reap keep their old
+       buffers: re-share those frames with the (possibly new) chain so a
+       freshly rebound intermediary can still reach them. *)
+    List.iter
+      (fun (sid, b) ->
+        if sid <> server_id && List.mem sid closure then
+          Array.iteri
+            (fun i va ->
+              List.iter
+                (fun proc ->
+                  Kernel.map_frames t.kernel proc ~va ~pa:b.buffer_pas.(i)
+                    ~len:buffer_size
+                    ~flags:{ Pte.urw with Pte.nx = true })
+                (ps.proc :: chain_procs))
+            b.buffer_vas)
+      (bound ps);
+    List.iter
+      (fun sid ->
+        let srv = find_server t sid in
+        (* The direct binding gets a fresh key; dependency bindings
+           reuse the key of the server that actually calls them (the
+           FS's key for the disk, not the client's). *)
+        let key =
+          match
+            if sid = server_id then None
+            else List.find_map (fun s -> key_for t s.sproc ~server_id:sid) t.servers
+          with
+          | Some k -> k
+          | None ->
+            (* The primary, or a dependency its intermediate server
+               never registered to: a fresh key of its own. *)
+            let k = fresh_key t in
+            install_key t srv ~client_pid:ps.proc.Proc.pid ~key:k;
+            k
+        in
+        bind_one t ps ~server_id:sid ~key ~share_with:chain_procs)
+      missing;
+    List.iter (fun sid -> fire_binding_change t ~server_id:sid) closure
+  end
 
 let register_client_to_server t proc ~server_id =
-  (if t.max_bindings <> max_int then
-     let ps = ensure_pstate t proc in
-     if not (List.exists (fun b -> b.b_server_id = server_id) ps.bindings)
-     then begin
-       let closure = dep_closure t server_id |> List.sort_uniq compare in
-       let incoming =
-         List.length
-           (List.filter
-              (fun sid ->
-                not (List.exists (fun b -> b.b_server_id = sid) ps.bindings))
-              closure)
-       in
-       enforce_binding_budget t ps ~incoming
-     end);
-  register_client_unbudgeted t proc ~server_id
+  bind_closure t (ensure_pstate t proc) ~server_id Grant
 
-let server_dead t server_id = List.mem server_id t.dead_servers
-
-(* A crashed server strands every connection bound to it: revoke them
-   all (reaping), recording the orphans so a restart can rebind. *)
+(* Reap: a crashed server strands every connection bound to it; each
+   bound pair becomes an orphan a restart re-binds. *)
 let mark_server_dead t ~core ~server_id =
-  if not (server_dead t server_id) then begin
-    t.dead_servers <- server_id :: t.dead_servers;
+  let srv = find_server t server_id in
+  if not srv.dead then begin
+    srv.dead <- true;
     security t
       (Printf.sprintf "server %d crashed; reaping orphaned connections"
          server_id);
     Sky_trace.Trace.instant ~core ~cat:"recovery" "recovery.reap";
-    Hashtbl.fold (fun _ ps acc -> ps :: acc) t.pstates []
-    |> List.sort (fun a b -> compare a.proc.Proc.pid b.proc.Proc.pid)
-    |> List.iter (fun ps ->
-           if List.exists (fun b -> b.b_server_id = server_id) ps.bindings then
-             revoke_binding t ~core ps.proc ~server_id
-               ~reason:"orphaned by server crash")
+    List.iter
+      (fun ps ->
+        revoke_binding t ~core ps.proc ~server_id ~into:Orphaned
+          ~reason:"orphaned by server crash")
+      (sorted_pstates t)
   end
 
-(* Bring a crashed server back and re-establish every orphaned
-   connection with fresh keys and binding EPTs. *)
+(* Restart: bring a crashed server back and re-bind its orphans with
+   fresh keys and binding EPTs, in pid order. *)
 let restart_server t ~server_id =
-  if server_dead t server_id then begin
-    t.dead_servers <- List.filter (fun s -> s <> server_id) t.dead_servers;
+  let srv = find_server t server_id in
+  if srv.dead then begin
+    srv.dead <- false;
     t.restarts <- t.restarts + 1;
-    let mine, rest = List.partition (fun (_, sid) -> sid = server_id) t.orphans in
-    t.orphans <- rest;
-    List.iter
-      (fun (pid, sid) ->
-        match Hashtbl.find_opt t.pstates pid with
-        | None -> ()
-        | Some ps ->
-          ps.revoked <- List.filter (fun s -> s <> sid) ps.revoked;
-          register_client_to_server t ps.proc ~server_id:sid)
-      (List.sort compare mine);
+    let orphans =
+      List.filter (fun ps -> admits Recover (state_of ps ~server_id)) (sorted_pstates t)
+    in
+    List.iter (fun ps -> bind_closure t ps ~server_id Recover) orphans;
     security t
       (Printf.sprintf "server %d restarted; %d connections rebound" server_id
-         (List.length mine));
+         (List.length orphans));
     Sky_trace.Trace.instant ~core:0 ~cat:"recovery" "recovery.restart"
   end
 
-(* Re-establish a single revoked binding (fresh key, fresh EPT). *)
+(* Rebind: re-establish one orphan (fresh key, fresh EPT); a pair
+   parked or retired stays down. *)
 let rebind t proc ~server_id =
-  match pstate_opt t proc with
-  | None -> ()
-  | Some ps ->
-    ps.revoked <- List.filter (fun s -> s <> server_id) ps.revoked;
-    t.orphans <-
-      List.filter
-        (fun (pid, sid) -> not (pid = proc.Proc.pid && sid = server_id))
-        t.orphans;
-    register_client_to_server t proc ~server_id
+  Option.iter (fun ps -> bind_closure t ps ~server_id Recover) (pstate_opt t proc)
+
+let sids_where ps f =
+  List.sort compare (List.filter_map (fun p -> if f p.state then Some p.p_sid else None) ps.pairs)
+
+(* Suspend parks every bound pair of a crashed client; resume re-binds
+   what is still parked (a capability sweep meanwhile retired the
+   rest), in server-id order. *)
+let suspend t ~core proc =
+  Option.iter
+    (fun ps ->
+      List.iter
+        (fun server_id ->
+          revoke_binding t ~core proc ~server_id ~into:Parked ~reason:"client suspended (crash)")
+        (sids_where ps (function Bound _ -> true | Down _ -> false)))
+    (pstate_opt t proc)
+
+let resume t proc =
+  Option.iter
+    (fun ps ->
+      List.iter
+        (fun server_id -> bind_closure t ps ~server_id Resume)
+        (sids_where ps (function Down Parked -> true | _ -> false)))
+    (pstate_opt t proc)
 
 (* ------------------------------------------------------------------ *)
 (* direct_server_call                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* [b]'s EPTP-list slot (from 1), or -1 if it holds none. *)
-let rec slot_in b i = function
-  | [] -> -1
-  | x :: rest -> if x == b then i else slot_in b (i + 1) rest
+let slot_use ps i = match slot_holder i ps.pairs with b -> b.last_use | exception Not_found -> 0
 
-(* The first least-recently-used binding of an installed list. *)
-let rec lru v = function
-  | [] -> v
-  | x :: rest -> lru (if x.last_use < v.last_use then x else v) rest
+(* The first least-recently-used slot; a revoked binding's slot counts
+   as never used. *)
+let lru_slot ps =
+  let best = ref 1 in
+  for i = 2 to ps.slots do
+    if slot_use ps i < slot_use ps !best then best := i
+  done;
+  !best
 
-(* EPTP-list LRU eviction (§10 future work): make sure [b] occupies a
-   slot, evicting the least-recently-used binding when the list is
-   full. Requires a Rootkernel VMCALL to rewrite the list. *)
-let ensure_installed t ~core ps b =
-  let idx = slot_in b 1 ps.installed in
-  if idx >= 0 then begin
+(* Install: make sure [b] occupies a slot, evicting the slot's
+   least-recently-used holder when the list is full (§10 future work).
+   Requires a Rootkernel VMCALL to rewrite the list. *)
+let ensure_installed t ~core ps p b =
+  if b.slot > 0 then begin
     (* The list in the VMCS may predate this binding (registered after
        the client was last scheduled): refresh it if stale. *)
     let vmcs = t.root.Rootkernel.vmcses.(core) in
-    if Vmcs.eptp_at vmcs ~index:idx <> slot_root b then reinstall t ~core ps;
-    idx
+    if Vmcs.eptp_at vmcs ~index:b.slot <> slot_root b then reinstall t ~core ps
   end
   else begin
-    (match ps.installed with
-    | v :: rest when List.length ps.installed + 1 >= t.max_eptp ->
-      let victim = lru v rest in
-      ps.installed <-
-        List.map (fun x -> if x == victim then b else x) ps.installed;
-      t.evictions <- t.evictions + 1;
-      ps.p_evictions <- ps.p_evictions + 1
-    | _ -> ps.installed <- ps.installed @ [ b ]);
-    reinstall t ~core ps;
-    slot_in b 1 ps.installed
-  end
+    if ps.slots > 0 && ps.slots + 1 >= t.max_eptp then begin
+      let victim = lru_slot ps in
+      (match slot_holder victim ps.pairs with v -> v.slot <- 0 | exception Not_found -> ());
+      b.slot <- victim;
+      p.takeovers <- p.takeovers + 1
+    end
+    else begin
+      ps.slots <- ps.slots + 1;
+      b.slot <- ps.slots
+    end;
+    reinstall t ~core ps
+  end;
+  b.slot
 
 let guest_copy_out t ~core va data =
   Translate.write_bytes (Kernel.vcpu t.kernel ~core) (Kernel.mem t.kernel) ~va data
@@ -971,7 +994,7 @@ let classify_abort t ~core cpu ~start ps ~server_id e =
   | Fault.Injected { kind = Fault.Ept_fault; _ }
   | Ept.Ept_violation _
   | Vmfunc.Invalid_vmfunc _ ->
-    revoke_binding t ~core ps.proc ~server_id
+    revoke_binding t ~core ps.proc ~server_id ~into:Orphaned
       ~reason:"EPT fault during direct call";
     Some (Revoked { server_id })
   | Fault.Injected { kind = Fault.Drop; _ } ->
@@ -1213,6 +1236,13 @@ let root_client t ~core ~client ~server_id =
     | exception Not_found ->
       raise (Not_registered { client_pid = client.Proc.pid; server_id }))
 
+(* A call over a pair its client never bound (or to no server). *)
+let unbound t ps ~server_id =
+  security t
+    (Printf.sprintf "pid %d attempted unbound call to server %d"
+       ps.proc.Proc.pid server_id);
+  raise (Not_registered { client_pid = ps.proc.Proc.pid; server_id })
+
 let call_bound t ~core ~client ~server_id ~budget ?attack msg =
   (* Fault site "subkernel.call": a revocation storm yanks the binding at
      call entry; top-level calls then degrade to the slowpath. *)
@@ -1221,30 +1251,27 @@ let call_bound t ~core ~client ~server_id ~budget ?attack msg =
     let proc =
       match t.active_client.(core) with Some ps -> ps.proc | None -> client
     in
-    revoke_binding t ~core proc ~server_id ~reason:"injected revocation storm"
+    revoke_binding t ~core proc ~server_id ~into:Orphaned
+      ~reason:"injected revocation storm"
   | _ -> ());
   let ps = root_client t ~core ~client ~server_id in
-  if server_dead t server_id then begin
+  match server_in server_id t.servers with
+  | exception Not_found -> unbound t ps ~server_id
+  | { dead = true; _ } ->
     security t
       (Printf.sprintf "pid %d called dead server %d" ps.proc.Proc.pid server_id);
     Error (Crashed { server_id })
-  end
-  else
-    match binding_in server_id ps.bindings with
-    | exception Not_found when List.mem server_id ps.revoked ->
+  | srv -> (
+    match pair_in server_id ps.pairs with
+    | { state = Down _; _ } ->
       if t.active_client.(core) = None then slowpath_call t ~core ps ~server_id msg
       else
         (* A nested call cannot take the slowpath mid-direct-call (the
            kernel transfer would rewrite the live EPTP state under the
            outer frame): abort the whole call chain instead. *)
         raise (Binding_revoked { server_id })
-    | exception Not_found ->
-      security t
-        (Printf.sprintf "pid %d attempted unbound call to server %d"
-           ps.proc.Proc.pid server_id);
-      raise (Not_registered { client_pid = ps.proc.Proc.pid; server_id })
-    | b -> (
-      let srv = find_server t server_id in
+    | exception Not_found -> unbound t ps ~server_id
+    | { state = Bound b; _ } as p -> (
       let cpu = Kernel.cpu t.kernel ~core in
       (* Make sure the root client is the running process (normally a
          no-op: the workload is already executing it). *)
@@ -1254,7 +1281,7 @@ let call_bound t ~core ~client ~server_id ~budget ?attack msg =
       b.last_use <- t.calls;
       (* EPTP-slot residency, prepared outside the measured crossing. *)
       let idx =
-        if Backend.holds_slot b.mech then ensure_installed t ~core ps b else -1
+        if Backend.holds_slot b.mech then ensure_installed t ~core ps p b else -1
       in
       let start = Cpu.cycles cpu in
       let walk0 = Pmu.read (Cpu.pmu cpu) Pmu.Walk_cycles in
@@ -1275,9 +1302,9 @@ let call_bound t ~core ~client ~server_id ~budget ?attack msg =
         security t
           (Printf.sprintf "entry filter denied pid %d -> server %d"
              ps.proc.Proc.pid server_id);
-        revoke_binding t ~core ps.proc ~server_id
+        revoke_binding t ~core ps.proc ~server_id ~into:Orphaned
           ~reason:"entry filter denied the trap";
-        Error (Revoked { server_id }))
+        Error (Revoked { server_id })))
 
 (* A request longer than a connection's buffer window is refused here,
    before anything is charged, copied or revoked. *)
@@ -1383,11 +1410,6 @@ let callee_saved_violations t =
                   else [])
                 callee_saved))
 
-let sorted_pstates t =
-  List.sort
-    (fun a b -> compare a.proc.Proc.pid b.proc.Proc.pid)
-    (Hashtbl.fold (fun _ ps acc -> ps :: acc) t.pstates [])
-
 (* The server-id → server-pid table, for lowering capability grants
    (which speak server ids) into the pid pairs Isoflow's closure check
    consumes. *)
@@ -1401,8 +1423,8 @@ let binding_ept t proc ~server_id =
   match pstate_opt t proc with
   | None -> None
   | Some ps -> (
-    match List.find_opt (fun b -> b.b_server_id = server_id) ps.bindings with
-    | Some b when Backend.holds_slot b.mech -> Some (Backend.slot_ept b.mech)
+    match state_of ps ~server_id with
+    | Some (Bound b) when Backend.holds_slot b.mech -> Some (Backend.slot_ept b.mech)
     | _ -> None)
 
 (* Test accessor: the MPK identity of a registered process. *)
@@ -1439,7 +1461,7 @@ let isoflow_input ?granted t =
           d_cr3 = Proc.cr3 ps.proc;
           d_slots = List.mapi (fun i root -> (i, root)) (eptp_list_of ps);
           d_allowed =
-            Ept.root_pa ps.own_ept :: List.map slot_root (slot_bindings ps);
+            Ept.root_pa ps.own_ept :: List.map (fun (_, b) -> slot_root b) (slot_bindings ps);
         })
       pstates
   in
@@ -1447,19 +1469,18 @@ let isoflow_input ?granted t =
     List.concat_map
       (fun ps ->
         List.concat_map
-          (fun b ->
+          (fun (sid, b) ->
             Array.to_list
               (Array.mapi
                  (fun i pa ->
                    {
                      Sky_analysis.Isoflow.r_name =
-                       Printf.sprintf "buf:%s->server%d/%d" ps.proc.Proc.name
-                         b.b_server_id i;
+                       Printf.sprintf "buf:%s->server%d/%d" ps.proc.Proc.name sid i;
                      r_pa = pa;
                      r_len = buffer_size;
                    })
                  b.buffer_pas))
-          ps.bindings)
+          (bound ps))
       pstates
   in
   let granted =
@@ -1470,10 +1491,8 @@ let isoflow_input ?granted t =
         (List.concat_map
            (fun ps ->
              List.map
-               (fun b ->
-                 ( ps.proc.Proc.pid,
-                   (find_server t b.b_server_id).sproc.Proc.pid ))
-               ps.bindings)
+               (fun (sid, _) -> (ps.proc.Proc.pid, (find_server t sid).sproc.Proc.pid))
+               (bound ps))
            pstates)
   in
   let cores =
@@ -1559,10 +1578,8 @@ let audit_input ?granted ?mesh t =
       (fun ps ->
         (Printf.sprintf "ept:%s" ps.proc.Proc.name, Ept.root_pa ps.own_ept)
         :: List.map
-             (fun b ->
-               ( Printf.sprintf "ept:%s->server%d" ps.proc.Proc.name
-                   b.b_server_id,
-                 slot_root b ))
+             (fun (sid, b) ->
+               (Printf.sprintf "ept:%s->server%d" ps.proc.Proc.name sid, slot_root b))
              (slot_bindings ps))
       pstates
   in

@@ -52,9 +52,9 @@ val init :
     more servers than fit triggers the LRU-eviction extension (§10).
     [max_bindings] (default unlimited) caps the {e global} number of live
     fast-path bindings: exceeding it retires the least-recently-calling
-    process's bindings permanently ([revoke_binding ~orphan:false]), so
-    slot-evicted tenants degrade to slowpath IPC instead of failing —
-    the tenant-scale recycling story. *)
+    process's bindings ([Retired]), so slot-evicted tenants degrade to
+    slowpath IPC instead of failing — the tenant-scale recycling
+    story. *)
 
 val rootkernel : t -> Rootkernel.t
 val kernel : t -> Sky_ukernel.Kernel.t
@@ -135,28 +135,41 @@ val call :
     {!Sky_kernels.Ipc.register_msg_limit} bytes, the copies a crossing
     really makes; nothing else. *)
 
+(** Where a revoked (client, server) pair waits: a top-level {!call}
+    on it degrades to the slowpath, a nested one raises
+    {!Binding_revoked}. *)
+type revoked =
+  | Orphaned  (** by a crash, EPT fault, denied trap or storm: {!restart_server}/{!rebind} *)
+  | Parked  (** its client is suspended: only {!resume} re-binds it *)
+  | Retired  (** swept or recycled: only a grant ({!register_client_to_server}) *)
+
 val revoke_binding :
-  ?orphan:bool ->
   t ->
   core:int ->
   Sky_ukernel.Proc.t ->
   server_id:int ->
   reason:string ->
+  into:revoked ->
   unit
-(** Tear down one binding: remove it (the EPTP slot degenerates to the
-    client's own EPT root, keeping slot positions stable), zero the
-    calling-key table entry, refresh installed EPTP lists, and log a
-    security event. Subsequent {!call}s fall back to the slowpath.
-    [orphan] (default true) records the pair for {!restart_server}
-    rebinding; pass [false] for a permanent teardown (the mesh's
-    capability-revocation path) that recovery must never re-establish. *)
+(** Move the pair to [into], or keep its state if that is the stronger
+    one ([Orphaned < Parked < Retired]). A bound pair is torn down: its
+    EPTP slot degenerates to the client's own EPT root, its calling key
+    is zeroed, its buffers are unmapped and a security event is logged. *)
 
 val restart_server : t -> server_id:int -> unit
-(** Revive a crashed server and rebind every orphaned connection with
-    fresh keys and binding EPTs. No-op if the server is not dead. *)
+(** Revive a crashed server and re-bind its [Orphaned] pairs in pid
+    order, with fresh keys and binding EPTs. No-op unless it is dead. *)
 
 val rebind : t -> Sky_ukernel.Proc.t -> server_id:int -> unit
-(** Re-establish a single revoked binding (fresh key, fresh EPT). *)
+(** Re-bind one [Orphaned] pair; no-op in any other state. Neither this
+    nor a restart re-binds a [Retired] dependency. *)
+
+val suspend : t -> core:int -> Sky_ukernel.Proc.t -> unit
+(** Crash bracket: park every bound pair of the client. *)
+
+val resume : t -> Sky_ukernel.Proc.t -> unit
+(** Re-bind the client's [Parked] pairs in server-id order; one swept
+    meanwhile is [Retired] and stays down. *)
 
 val bindings : t -> (int * int) list
 (** Every live direct binding as a sorted [(client_pid, server_id)] list
@@ -165,7 +178,7 @@ val bindings : t -> (int * int) list
 val on_binding_change : t -> (server_id:int -> unit) -> unit
 (** Subscribe to binding-set changes: fired after a binding to
     [server_id] is created ({!register_client_to_server}, {!rebind},
-    {!restart_server}) or destroyed ({!revoke_binding}). The mesh name
+    {!restart_server}, {!resume}) or destroyed ({!revoke_binding}). The mesh name
     service uses this to drop stale resolution-cache entries so a crash
     mid-call never leaves a dangling binding reachable by URI. *)
 

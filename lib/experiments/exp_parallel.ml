@@ -127,6 +127,9 @@ let equivalence ~seed =
   ignore (seq_vs_par Sky_core.Backend.Syscall);
   let dseq = Cluster_web.digest seq_vmfunc in
   let dseq_bare = Cluster_web.digest ~gossip:false seq_vmfunc in
+  (* The runs below are compared with [seq_vmfunc], so they are built
+     and run under its backend, whatever the ambient one is. *)
+  Sky_core.Backend.with_default Sky_core.Backend.Vmfunc @@ fun () ->
   (* More domains than shards ever run at once. *)
   let par3 = build_eq ~seed () in
   ignore (Cluster_web.run par3 (Sky_sim.Quantum.Par { jobs = 3 }));

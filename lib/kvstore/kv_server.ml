@@ -133,4 +133,5 @@ let query_into t cpu buf ~key_off ~key_len ~dst ~dst_off =
     Sky_mem.Phys_mem.blit_to t.mem ~src_pa:(pa + 8 + max_kv) ~dst ~dst_off ~len:vlen;
     vlen
 
+let free_slots t = slot_count - t.entries
 let entries t = t.entries

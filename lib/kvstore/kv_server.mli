@@ -38,4 +38,8 @@ val query_into :
 (** A hit's value copied into [dst] at [dst_off] (which must have
     {!max_kv} bytes of room); its length, or -1 on a miss. *)
 
+val free_slots : t -> int
+(** Slots no key holds: an insert of a new key raises {!Table_full}
+    once there are none. *)
+
 val entries : t -> int

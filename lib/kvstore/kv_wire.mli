@@ -9,7 +9,8 @@
 val insert_msg :
   bytes -> key_off:int -> key_len:int -> bytes -> value_off:int -> value_len:int -> bytes
 (** ['I'] for the key slice of the first bytes and the value slice of
-    the second: the handler answers ["ok"]. *)
+    the second: the handler answers ["ok"] (["err"] for a new key once
+    the table is full). *)
 
 val query_msg : bytes -> key_off:int -> key_len:int -> bytes
 (** ['Q']: the handler answers the value, or empty bytes on a miss. *)
@@ -44,4 +45,6 @@ val handler : Kv_server.t -> Sky_ukernel.Kernel.t -> Sky_kernels.Ipc.handler
 (** Serve ['I'], ['Q'] and ['B'] on the store in place (the
     {!Kv_server} in-place forms), charged on the calling core. A batch's
     reply is built in a buffer the handler reuses and copied out once.
-    The caller charges the server's instruction working set. *)
+    A malformed message is answered ["err"], and so is a batch without
+    room for its new keys, before any of its ops runs. The caller
+    charges the server's instruction working set. *)

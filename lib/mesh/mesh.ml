@@ -10,10 +10,9 @@
     (a client bound to [fs://] is transitively bound to the block device
     the FS calls, §4.2 — the grant must cover what the binding covers, or
     the audit would flag the dep binding as unauthorized). Revocation is
-    refcounted through the capability registry itself: a binding is torn
-    down ([revoke_binding ~orphan:false] — permanent, recovery must not
-    re-establish it) only when {e no} live capability of that client
-    still covers the server id.
+    refcounted through the capability registry itself: a pair is retired
+    ([Retired] — permanent, recovery must not re-establish it) only when
+    {e no} live capability of that client still covers the server id.
 
     Resolution caching: per-core caches keyed by scheme, invalidated by
     a global epoch that bumps on every (re-)registration {e and} on
@@ -62,7 +61,6 @@ type t = {
   mutable ns_sid : int;
   admin : Proc.t;  (** the mesh's own privileged client for wire ops *)
   mutable grants : grant list;  (** newest first; order never observed *)
-  suspended : (int, int list) Hashtbl.t;  (** pid -> sids parked by suspend *)
   rstats : Retry.stats option;  (** [Some], built once: passed on every call *)
   rbudget : Retry.budget option;  (** retry budget for routed calls *)
   mutable resolves : int;  (** wire round trips to the name service *)
@@ -143,34 +141,24 @@ let root_of t sid =
 let covered t ~pid ~sid =
   Capability.check t.caps ~pid ~target:sid ~need:Capability.send_only
 
-(* Tear down every mesh-managed binding no longer covered by a live
-   capability, and retire grants whose primary capability died. The
-   refcount semantics live here: as long as ANY live grant of the same
-   client still covers a server id, the binding survives. *)
+(* Retire every mesh-managed pair no longer covered by a live
+   capability, whatever state it is in (bound, orphaned by a crash or
+   parked by a suspend), in (pid, sid) order, and retire grants whose
+   primary capability died. The refcount semantics live here: as long
+   as ANY live grant of the same client still covers a server id, the
+   pair survives. *)
 let sweep t ~core ~reason =
   List.iter
     (fun g ->
       if g.g_live && not (Capability.is_live t.caps (List.assoc g.g_sid g.g_caps))
       then g.g_live <- false)
     t.grants;
-  let proc_of pid =
-    List.find_opt (fun g -> g.g_client.Proc.pid = pid) t.grants
-    |> Option.map (fun g -> g.g_client)
-  in
-  let managed pid sid =
-    List.exists
-      (fun g -> g.g_client.Proc.pid = pid && List.mem sid g.g_closure)
-      t.grants
-  in
-  List.iter
-    (fun (pid, sid) ->
-      if sid <> t.ns_sid && managed pid sid && not (covered t ~pid ~sid) then
-        match proc_of pid with
-        | Some p ->
-          Subkernel.revoke_binding ~orphan:false t.sb ~core p ~server_id:sid
-            ~reason
-        | None -> ())
-    (Subkernel.bindings t.sb)
+  List.concat_map (fun g -> List.map (fun sid -> (g.g_client.Proc.pid, sid)) g.g_closure) t.grants
+  |> List.sort_uniq compare
+  |> List.iter (fun (pid, sid) ->
+         if sid <> t.ns_sid && not (covered t ~pid ~sid) then
+           let g = List.find (fun g -> g.g_client.Proc.pid = pid) t.grants in
+           Subkernel.revoke_binding t.sb ~core g.g_client ~server_id:sid ~reason ~into:Retired)
 
 let connect t client =
   let pid = client.Proc.pid in
@@ -201,7 +189,6 @@ let create ?retry_budget sb =
       ns_sid = -1;
       admin;
       grants = [];
-      suspended = Hashtbl.create 4;
       rstats = Some (Retry.create_stats ());
       rbudget = retry_budget;
       resolves = 0;
@@ -288,8 +275,7 @@ let grant t ~core ~client uri =
              Capability.send_only))
         closure
     in
-    if not (List.mem (pid, sid) (Subkernel.bindings t.sb)) then
-      Subkernel.register_client_to_server t.sb client ~server_id:sid;
+    Subkernel.register_client_to_server t.sb client ~server_id:sid;
     let g = { g_uri = uri; g_client = client; g_sid = sid; g_closure = closure;
               g_caps = caps; g_live = true }
     in
@@ -300,6 +286,7 @@ let grant t ~core ~client uri =
 let grant_uri g = g.g_uri
 let grant_pid g = g.g_client.Proc.pid
 let grant_live g = g.g_live
+let subkernel t = t.sb
 let grants t = List.rev t.grants
 
 let revoke_grant t ~core g =
@@ -321,36 +308,6 @@ let revoke_service t ~core uri =
     Sky_trace.Trace.instant ~core ~cat:"mesh" "mesh.revoke-service";
     sweep t ~core ~reason:("mesh: service " ^ uri ^ " revoked");
     List.length (List.filter (fun g -> not g.g_live) was_live)
-
-(* ---- crash bracket (the worker restart path) ---- *)
-
-let suspend_client t ~core client =
-  let pid = client.Proc.pid in
-  let sids =
-    List.filter_map
-      (fun (p, s) -> if p = pid then Some s else None)
-      (Subkernel.bindings t.sb)
-  in
-  List.iter
-    (fun s ->
-      Subkernel.revoke_binding t.sb ~core client ~server_id:s
-        ~reason:"mesh: client suspended (crash)")
-    sids;
-  Hashtbl.replace t.suspended pid sids
-
-let resume_client t client =
-  let pid = client.Proc.pid in
-  (match Hashtbl.find_opt t.suspended pid with
-  | None -> ()
-  | Some sids ->
-    List.iter
-      (fun s ->
-        (* A capability revoked while the client was down stays revoked:
-           the binding is simply not re-established. *)
-        if s = t.ns_sid || covered t ~pid ~sid:s then
-          Subkernel.rebind t.sb client ~server_id:s)
-      sids);
-  Hashtbl.remove t.suspended pid
 
 (* ---- the routed call ---- *)
 

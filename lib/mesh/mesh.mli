@@ -10,8 +10,8 @@
     - {b refcounted service capabilities} — a {!grant} derives child
       capabilities (from the name service's per-sid roots) to a client
       for the target and its whole dependency closure, then binds;
-      revocation tears bindings down permanently
-      ([revoke_binding ~orphan:false]) only once no live capability of
+      revocation retires a pair for good
+      ({!Sky_core.Subkernel.Retired}) only once no live capability of
       that client covers the server id, and {!revoke_service} destroys
       the entire derivation subtree at once;
     - a {b mesh audit} — {!audit} lowers the live binding set into
@@ -79,27 +79,21 @@ val grant :
 val grant_uri : grant -> string
 val grant_pid : grant -> int
 val grant_live : grant -> bool
+val subkernel : t -> Sky_core.Subkernel.t
+(** The Subkernel whose bindings the mesh's capabilities govern. *)
+
 val grants : t -> grant list
 
 val revoke_grant : t -> core:int -> grant -> unit
-(** Delete the grant's capabilities, then tear down every binding of
-    that client no longer covered by {e any} live capability
-    (refcounting across overlapping grants) — permanently:
-    [revoke_binding ~orphan:false], so recovery never re-binds it. *)
+(** Delete the grant's capabilities, then retire every pair of that
+    client no longer covered by {e any} live capability (refcounting
+    across overlapping grants), whatever its state — permanently: no
+    restart, rebind or resume re-binds a [Retired] pair. *)
 
 val revoke_service : t -> core:int -> string -> int
 (** Destroy the service's entire capability derivation tree (seL4
     [revoke] on the root) and sweep every binding that lost coverage.
     Returns the number of grants retired. *)
-
-val suspend_client : t -> core:int -> Sky_ukernel.Proc.t -> unit
-(** Crash bracket: revoke all of the client's bindings (orphaning them
-    for recovery), remembering the set for {!resume_client}. *)
-
-val resume_client : t -> Sky_ukernel.Proc.t -> unit
-(** Re-establish the suspended bindings — except any whose capability
-    was revoked while the client was down: those stay torn down
-    (degradation, not resurrection). *)
 
 val call :
   t ->

@@ -114,7 +114,7 @@ let bind graph kernel ~tier ~kv ~deadline w =
          (Graph.edge graph ~on_crash:(Fs_tier.on_crash tier) ~timeout ~client:w
             (Fs_tier.server tier)))
   in
-  let mesh = Graph.mesh graph in
+  let sb = Option.map Mesh.subkernel (Graph.mesh graph) in
   {
     Httpd.kv_put =
       (fun ~core p ~key_off ~key_len ~value_off ~value_len ->
@@ -126,8 +126,8 @@ let bind graph kernel ~tier ~kv ~deadline w =
       (fun ~core p ~key_off ~key_len -> call_kv ~core (Kv_wire.query_msg p ~key_off ~key_len));
     fs_read = (fun ~core ~name -> fs_read_of iface ~core ~name);
     kv_batch = call_kv;
-    revoke = (fun ~core -> match mesh with Some m -> Mesh.suspend_client m ~core w | None -> ());
-    rebind = (fun ~core:_ -> match mesh with Some m -> Mesh.resume_client m w | None -> ());
+    revoke = (fun ~core -> Option.iter (fun sb -> Subkernel.suspend sb ~core w) sb);
+    rebind = (fun ~core:_ -> Option.iter (fun sb -> Subkernel.resume sb w) sb);
   }
 
 (* Provision the FS objects the load mix reads: deterministic printable

@@ -65,7 +65,8 @@ val bind :
     {!Sky_kvstore.Kv_wire} messages, written from the request's slices)
     and the tier's FS: the request's remaining [deadline] (-1 for none)
     is each call's timeout ({!Httpd.Expired} once spent), a mesh denial
-    raises {!Httpd.Denied}. *)
+    raises {!Httpd.Denied}; on a mesh graph a worker crash suspends the
+    worker's bindings and its restart resumes them. *)
 
 val provision_files : Sky_xv6fs.Fs.t -> seed:int -> (string * bytes) array
 (** Create the static files the load mix reads (deterministic printable

@@ -234,8 +234,15 @@ let bmap t ~core inum ino bn ~alloc =
     end
   end
 
-let readi t ~core inum ~off ~len =
+(* [inum]'s inode, which must be of type [typ]: a wire request naming a
+   free inode or the root directory as a file is refused. *)
+let typed_inode t ~core ~typ inum =
   let ino = read_inode t ~core inum in
+  if ino.typ <> typ then raise (Fs_error (Printf.sprintf "inode %d has the wrong type" inum));
+  ino
+
+let readi t ~core ~typ inum ~off ~len =
+  let ino = typed_inode t ~core ~typ inum in
   let len = max 0 (min len (ino.size - off)) in
   let out = Bytes.create len in
   let rec go pos =
@@ -252,8 +259,8 @@ let readi t ~core inum ~off ~len =
   go 0;
   out
 
-let writei t ~core inum ~off data =
-  let ino = read_inode t ~core inum in
+let writei t ~core ~typ inum ~off data =
+  let ino = typed_inode t ~core ~typ inum in
   let len = Bytes.length data in
   if off + len > max_file_blocks * bsize then raise (Fs_error "file too large");
   let rec go pos =
@@ -294,7 +301,7 @@ let dir_fold t ~core f =
   let rec go off =
     if off >= root.size then None
     else begin
-      let data = readi t ~core root_inum ~off ~len:dirent_size in
+      let data = readi t ~core ~typ:T_dir root_inum ~off ~len:dirent_size in
       let inum = Bytes.get_uint16_le data 0 in
       match f off inum (dirent_name data 0) with
       | Some x -> Some x
@@ -319,7 +326,7 @@ let dir_link t ~core name inum =
   let ent = Bytes.make dirent_size '\000' in
   Bytes.set_uint16_le ent 0 inum;
   Bytes.blit_string name 0 ent 2 (String.length name);
-  writei t ~core root_inum ~off:slot ent
+  writei t ~core ~typ:T_dir root_inum ~off:slot ent
 
 let dir_unlink t ~core name =
   match
@@ -327,7 +334,7 @@ let dir_unlink t ~core name =
   with
   | None -> false
   | Some off ->
-    writei t ~core root_inum ~off (Bytes.make dirent_size '\000');
+    writei t ~core ~typ:T_dir root_inum ~off (Bytes.make dirent_size '\000');
     true
 
 (* ------------------------------------------------------------------ *)
@@ -371,11 +378,11 @@ let check_range ~off ~len =
 
 let read t ~core ~inum ~off ~len =
   check_range ~off ~len;
-  with_op t ~core (fun () -> readi t ~core inum ~off ~len)
+  with_op t ~core (fun () -> readi t ~core ~typ:T_file inum ~off ~len)
 
 let write t ~core ~inum ~off data =
   check_range ~off ~len:0;
-  with_op t ~core (fun () -> writei t ~core inum ~off data)
+  with_op t ~core (fun () -> writei t ~core ~typ:T_file inum ~off data)
 
 let free_indirect t ~core blk ~depth =
   let rec go blk depth =
@@ -429,7 +436,7 @@ let list_dir t ~core =
       let acc = ref [] in
       ignore
         (dir_fold t ~core (fun _ inum name ->
-             if inum <> 0 then acc := name :: !acc;
+             if inum <> 0 then acc := (inum, name) :: !acc;
              None));
       List.rev !acc)
 

@@ -61,7 +61,8 @@ val unlink : t -> core:int -> string -> bool
 (** Remove the directory entry, free every data block and the inode.
     Returns false if the name does not exist. *)
 
-val list_dir : t -> core:int -> string list
+val list_dir : t -> core:int -> (int * string) list
+(** The root directory's live entries, as (inode, name), in slot order. *)
 
 val lock : t -> Sky_ukernel.Lock.t
 (** The big lock, exposed for the contention experiments. *)
@@ -86,6 +87,3 @@ val inspect_inode : t -> core:int -> int -> dinode
 
 val inspect_block : t -> core:int -> int -> bytes
 (** Raw block contents through the buffer cache (under the big lock). *)
-
-val dirent_size : int
-val max_name : int

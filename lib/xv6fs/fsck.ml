@@ -96,23 +96,8 @@ let check fs ~core =
       report (Leaked_block blk)
   done;
   (* 3. Directory entries point at live inodes. *)
-  let root = Fs.inspect_inode fs ~core Fs.root_inum in
   let live = List.map fst !live_inodes in
-  let rec scan_dir off =
-    if off < root.Fs.size then begin
-      let data = Fs.read fs ~core ~inum:Fs.root_inum ~off ~len:Fs.dirent_size in
-      let inum = Bytes.get_uint16_le data 0 in
-      if inum <> 0 then begin
-        let raw = Bytes.sub_string data 2 Fs.max_name in
-        let name =
-          match String.index_opt raw '\000' with
-          | Some i -> String.sub raw 0 i
-          | None -> raw
-        in
-        if not (List.mem inum live) then report (Dangling_dirent (name, inum))
-      end;
-      scan_dir (off + Fs.dirent_size)
-    end
-  in
-  scan_dir 0;
+  List.iter
+    (fun (inum, name) -> if not (List.mem inum live) then report (Dangling_dirent (name, inum)))
+    (Fs.list_dir fs ~core);
   List.rev !problems

@@ -482,7 +482,8 @@ let test_revoke_unmaps_buffers () =
      not just dropped from the registry). *)
   let _k, sb, client, _server, sid, _ = setup_full () in
   let before = Isoflow.graph (Subkernel.isoflow_input sb) in
-  Subkernel.revoke_binding sb ~core:0 client ~server_id:sid ~reason:"test";
+  Subkernel.revoke_binding sb ~core:0 client ~server_id:sid ~reason:"test"
+    ~into:Subkernel.Orphaned;
   let inp = Subkernel.isoflow_input sb in
   let after = Isoflow.graph inp in
   let d = Isoflow.diff ~before ~after in

@@ -161,6 +161,97 @@ let prop_kv_wire_batch =
                else len.(i) >= 0 && Bytes.equal r (Bytes.sub reply off.(i) len.(i)))
            (List.init n Fun.id) ops)
 
+(* Hostile wire bytes: a KV server over SkyBridge answers a malformed
+   message [err] from a bound client, applies no op of a batch that
+   fails its check, and keeps serving with a clean audit. *)
+module Subkernel = Sky_core.Subkernel
+
+let kv_over_skybridge () =
+  let machine, k = machine_kernel () in
+  let sb = Subkernel.init k in
+  let server = Kernel.spawn k ~name:"kvstore" in
+  let client = Kernel.spawn k ~name:"client" in
+  let sid = Subkernel.register_server sb server (Kv_wire.handler (Kv_server.create machine) k) in
+  Subkernel.register_client_to_server sb client ~server_id:sid;
+  (sb, fun msg -> Subkernel.call sb ~core:0 ~client ~server_id:sid (Bytes.of_string msg))
+
+let serving (sb, call) =
+  call "I\000\003\000keyvalue" = Ok (Bytes.of_string "ok")
+  && call "Q\000\003\000key" = Ok (Bytes.of_string "value")
+  && Subkernel.audit sb = []
+
+let test_kv_malformed () =
+  let ((_, call) as kv) = kv_over_skybridge () in
+  List.iter
+    (fun (what, msg) ->
+      Alcotest.(check bool) (what ^ " answers err") true (call msg = Ok (Bytes.of_string "err"));
+      Alcotest.(check bool) (what ^ ": still serving") true (serving kv))
+    [
+      ("empty", "");
+      ("unknown opcode", "X\000\003\000key");
+      ("2-byte I", "I\000");
+      ("I key past the end", "I\000\100\000key");
+      ("Q key past the end", "Q\000\100\000key");
+      ("B missing ops", "B\000\003\000");
+      ("B bad op", "B\000\002\000I\003\000\001\000newvZ");
+    ];
+  Alcotest.(check bool) "the rejected batch applied nothing" true
+    (call "Q\000\003\000new" = Ok Bytes.empty)
+
+(* A full table answers [err] to a new key, single or batched, and the
+   refused batch applies none of its ops; overwrites still land. *)
+let test_kv_full () =
+  let sb, call = kv_over_skybridge () in
+  let put key value =
+    Bytes.to_string
+      (Kv_wire.insert_msg (Bytes.of_string key) ~key_off:0 ~key_len:(String.length key)
+         (Bytes.of_string value) ~value_off:0 ~value_len:(String.length value))
+  in
+  let get key =
+    call
+      (Bytes.to_string
+         (Kv_wire.query_msg (Bytes.of_string key) ~key_off:0 ~key_len:(String.length key)))
+  in
+  let batch puts =
+    let b = Kv_wire.batch () in
+    List.iter
+      (fun (key, value) ->
+        Kv_wire.add_put b (Bytes.of_string key) ~key_off:0 ~key_len:(String.length key)
+          (Bytes.of_string value) ~value_off:0 ~value_len:(String.length value))
+      puts;
+    call (Bytes.to_string (Kv_wire.batch_msg b))
+  in
+  let answers what reply r = Alcotest.(check bool) what true (r = Ok (Bytes.of_string reply)) in
+  let filled = ref 0 in
+  for i = 0 to 4095 do
+    if call (put (Printf.sprintf "k%04d" i) "v") = Ok (Bytes.of_string "ok") then incr filled
+  done;
+  Alcotest.(check int) "every slot filled" 4096 !filled;
+  answers "a new key" "err" (call (put "fresh" "v"));
+  answers "an overwrite" "ok" (call (put "k0007" "w"));
+  answers "the overwrite landed" "w" (get "k0007");
+  answers "a batch with a new key" "err" (batch [ ("k0001", "b"); ("fresh", "b") ]);
+  answers "the refused batch applied nothing" "v" (get "k0001");
+  answers "a batch of overwrites" "\002\000ss" (batch [ ("k0001", "b"); ("k0001", "c") ]);
+  answers "in order" "c" (get "k0001");
+  Alcotest.(check bool) "audit clean" true (Subkernel.audit sb = [])
+
+let prop_kv_hostile =
+  let kv = lazy (kv_over_skybridge ()) in
+  let gen =
+    QCheck.Gen.(
+      let* op = oneofl [ "I"; "Q"; "B"; "X"; "" ] in
+      let* rest =
+        string_size ~gen:(oneof [ char; oneofl [ '\000'; '\001'; 'I'; 'Q' ] ]) (int_range 0 24)
+      in
+      return (op ^ rest))
+  in
+  QCheck.Test.make ~name:"kv server answers hostile bytes" ~count:300
+    (QCheck.make ~print:String.escaped gen)
+    (fun msg ->
+      let ((_, call) as kv) = Lazy.force kv in
+      Result.is_ok (call msg) && serving kv)
+
 (* ------------------------------------------------------------------ *)
 (* Pipeline                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -332,8 +423,10 @@ let () =
         [
           Alcotest.test_case "insert/query" `Quick test_kv_insert_query;
           Alcotest.test_case "overwrite" `Quick test_kv_overwrite;
+          Alcotest.test_case "malformed messages answer err" `Quick test_kv_malformed;
+          Alcotest.test_case "full table answers err" `Quick test_kv_full;
         ]
-        @ qc [ prop_kv_model; prop_kv_wire_batch ] );
+        @ qc [ prop_kv_model; prop_kv_wire_batch; prop_kv_hostile ] );
       ( "pipeline",
         [
           Alcotest.test_case "all configs run" `Quick test_pipeline_all_configs;

@@ -143,7 +143,8 @@ let test_crash_restart_rebind ~backend =
 
 let test_revoke_slowpath_rebind ~backend =
   let _, sb, client, _, sid = setup ~backend () in
-  Subkernel.revoke_binding sb ~core:0 client ~server_id:sid ~reason:"test";
+  Subkernel.revoke_binding sb ~core:0 client ~server_id:sid ~reason:"test"
+    ~into:Subkernel.Orphaned;
   (match call_via sb ~core:0 ~client ~server_id:sid msg8 with
   | Ok (reply, `Slowpath) ->
     Alcotest.(check bool) "slowpath echo" true (Bytes.equal reply msg8)
@@ -453,7 +454,7 @@ let run_steps ~backend steps =
     | Revoke ->
       if Subkernel.bindings sb <> [] then
         Subkernel.revoke_binding sb ~core:0 client ~server_id:sid
-          ~reason:"sweep";
+          ~reason:"sweep" ~into:Subkernel.Orphaned;
       "revoked-binding"
     | Rebind ->
       (if Subkernel.dead_servers sb = [] && Subkernel.bindings sb = [] then

@@ -161,7 +161,7 @@ let test_create_lookup_unlink () =
   Alcotest.(check bool) "distinct inodes" true (a <> b);
   Alcotest.(check (option int)) "lookup" (Some a) (Fs.lookup fs ~core:0 "alpha");
   Alcotest.(check (option int)) "missing" None (Fs.lookup fs ~core:0 "gamma");
-  Alcotest.(check (list string)) "dir list" [ "alpha"; "beta" ] (Fs.list_dir fs ~core:0);
+  Alcotest.(check (list string)) "dir list" [ "alpha"; "beta" ] (List.map snd (Fs.list_dir fs ~core:0));
   Alcotest.(check bool) "unlink" true (Fs.unlink fs ~core:0 "alpha");
   Alcotest.(check (option int)) "gone" None (Fs.lookup fs ~core:0 "alpha");
   Alcotest.(check bool) "unlink missing" false (Fs.unlink fs ~core:0 "alpha")
@@ -388,6 +388,25 @@ let test_negative_range_refused () =
   Alcotest.(check string) "file intact" "0123456789"
     (Bytes.to_string (Fs.read fs ~core:0 ~inum ~off:0 ~len:10))
 
+(* A wire write naming an inode that is not a file — free inode 7 or
+   the root directory — answers [err]: the image stays fsck-clean and
+   the directory keeps resolving names. *)
+let test_write_non_file_refused () =
+  let _, _, _, fs = mkmount () in
+  let inum = Fs.create fs ~core:0 "a" in
+  let remote = Fs_iface.over_call (fun ~core msg -> Fs_iface.server_handler fs ~core msg) in
+  List.iter
+    (fun target ->
+      Alcotest.(check bool)
+        (Printf.sprintf "write to inode %d answers err" target)
+        true
+        (match remote.Fs_iface.write ~core:0 ~inum:target ~off:0 (Bytes.make 40 'z') with
+        | () -> false
+        | exception Fs_iface.Remote_error _ -> true))
+    [ 7; Fs.root_inum ];
+  assert_consistent fs;
+  Alcotest.(check (option int)) "lookup still works" (Some inum) (Fs.lookup fs ~core:0 "a")
+
 (* The block device answers a well-formed request for a block on the
    device and refuses anything else with [Proto.Bad_message]. *)
 let prop_blockdev_hostile =
@@ -460,6 +479,7 @@ let () =
           Alcotest.test_case "over IPC" `Quick test_fs_over_ipc;
           Alcotest.test_case "errors propagate" `Quick test_fs_iface_error_propagates;
           Alcotest.test_case "negative range refused" `Quick test_negative_range_refused;
+          Alcotest.test_case "write to a non-file refused" `Quick test_write_non_file_refused;
         ]
         @ qc [ prop_fs_server_hostile ] );
     ]

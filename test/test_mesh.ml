@@ -179,11 +179,11 @@ let test_suspend_revoke_resume_degrades () =
   let f = make () in
   let g_svc = Mesh.grant f.mesh ~core:0 ~client:f.client "svc://" in
   ignore (Mesh.grant f.mesh ~core:0 ~client:f.client "raw://");
-  Mesh.suspend_client f.mesh ~core:0 f.client;
+  Subkernel.suspend f.sb ~core:0 f.client;
   (* The capability dies while the client is down: resume must NOT
      resurrect the binding — degradation, not resurrection. *)
   Mesh.revoke_grant f.mesh ~core:0 g_svc;
-  Mesh.resume_client f.mesh f.client;
+  Subkernel.resume f.sb f.client;
   (match
      Mesh.call f.mesh ~core:0 ~client:f.client "svc://" (Bytes.of_string "x")
    with
@@ -192,6 +192,62 @@ let test_suspend_revoke_resume_degrades () =
   Alcotest.(check string) "surviving grant resumed intact" "store:ping"
     (call_ok f "raw://");
   check_audit f "resume"
+
+(* A pair revoked for good stays revoked across a server restart. Each
+   case once ended with the client's svc:// and store bindings
+   re-established behind the mesh's back (2 [mesh.binding-outlives-cap]
+   and 2 [flow.closure]): while svc:// was down, while the client was
+   suspended, and as a dependency of the restarted svc://. *)
+let crash_svc f ~client =
+  Fault.reset ~seed:3 ();
+  Fault.arm ~budget:1 ~site:"server.meshsvc" ~kind:Fault.Crash (Fault.At_hit 1);
+  match Mesh.call f.mesh ~core:0 ~client "svc://" (Bytes.of_string "x") with
+  | Ok _ -> Fault.disable ()
+  | Error _ -> Alcotest.fail "the routed call must recover through a restart"
+
+let check_stays_revoked f name ~sid =
+  check_audit f name;
+  Alcotest.(check bool) (name ^ ": no binding") false (has_binding f ~sid)
+
+let second_client f =
+  let other = Kernel.spawn (Subkernel.kernel f.sb) ~name:"other" in
+  ignore (Mesh.grant f.mesh ~core:0 ~client:other "svc://");
+  other
+
+let test_revoked_while_server_down () =
+  with_faults (fun () ->
+      let f = make () in
+      let g = Mesh.grant f.mesh ~core:0 ~client:f.client "svc://" in
+      let other = second_client f in
+      Fault.reset ~seed:3 ();
+      Fault.arm ~budget:1 ~site:"server.meshsvc" ~kind:Fault.Crash (Fault.At_hit 1);
+      (match Subkernel.call f.sb ~core:0 ~client:other ~server_id:f.svc_sid (Bytes.of_string "x") with
+      | Error (Subkernel.Crashed _) -> ()
+      | _ -> Alcotest.fail "expected the crash");
+      Mesh.revoke_grant f.mesh ~core:0 g;
+      crash_svc f ~client:other;
+      check_stays_revoked f "server down" ~sid:f.svc_sid)
+
+let test_revoked_while_suspended () =
+  with_faults (fun () ->
+      let f = make () in
+      let g = Mesh.grant f.mesh ~core:0 ~client:f.client "svc://" in
+      let other = second_client f in
+      Subkernel.suspend f.sb ~core:0 f.client;
+      Mesh.revoke_grant f.mesh ~core:0 g;
+      crash_svc f ~client:other;
+      check_stays_revoked f "suspended" ~sid:f.svc_sid;
+      Subkernel.resume f.sb f.client;
+      check_stays_revoked f "resumed" ~sid:f.svc_sid)
+
+let test_revoked_dependency () =
+  with_faults (fun () ->
+      let f = make () in
+      ignore (Mesh.grant f.mesh ~core:0 ~client:f.client "svc://");
+      ignore (second_client f);
+      ignore (Mesh.revoke_service f.mesh ~core:0 "raw://");
+      crash_svc f ~client:f.client;
+      check_stays_revoked f "dependency" ~sid:f.store_sid)
 
 let test_crash_recovery_refreshes () =
   with_faults (fun () ->
@@ -530,6 +586,11 @@ let () =
             test_crash_recovery_refreshes;
           Alcotest.test_case "nameserv crash mid-resolve" `Quick
             test_nameserv_crash_mid_resolve;
+          Alcotest.test_case "revoked while the server is down" `Quick
+            test_revoked_while_server_down;
+          Alcotest.test_case "revoked while the client is suspended" `Quick
+            test_revoked_while_suspended;
+          Alcotest.test_case "revoked dependency of a restart" `Quick test_revoked_dependency;
         ] );
       ( "audit",
         [ Alcotest.test_case "callee-saved clobber caught" `Quick test_audit_callee_saved ] );

@@ -245,6 +245,19 @@ let replica_harness () =
   in
   Alcotest.(check bool) "divergent replicas detected" true diverged
 
+(* [run parallel]'s equivalence phase under an ambient MPK backend: each
+   run it compares with the VMFUNC sequential run is built under VMFUNC
+   too, so every check holds. *)
+let equivalence_under_mpk () =
+  let _, _, checks =
+    Backend.with_default Backend.Mpk (fun () -> Sky_experiments.Exp_parallel.equivalence ~seed:42)
+  in
+  List.iter
+    (fun c ->
+      Alcotest.(check bool) c.Sky_experiments.Exp_parallel.c_name true
+        c.Sky_experiments.Exp_parallel.c_ok)
+    checks
+
 let () =
   let t name f = Alcotest.test_case name `Quick f in
   let qc = List.map QCheck_alcotest.to_alcotest in
@@ -262,5 +275,6 @@ let () =
         [
           t "scale cluster digest" scale_anchor;
           t "replica harness" replica_harness;
+          t "equivalence under MPK" equivalence_under_mpk;
         ] );
     ]
