@@ -74,11 +74,14 @@ let json_arg =
    byte-deterministic. *)
 let emit ~json ~jobs id f =
   let t0 = Unix.gettimeofday () in
-  let o = Par_harness.replicate ~jobs ~render:(fun o -> o.Outcome.json) f in
+  let o =
+    Par_harness.replicate ~jobs ~render:(fun o -> Sky_trace.Json.to_string o.Outcome.json) f
+  in
   let seconds = Unix.gettimeofday () -. t0 in
   if json then begin
-    print_endline o.json;
-    let path = Artifact.write ~name:id ~seconds ~host:o.host o.json in
+    let result = Sky_trace.Json.to_string o.json in
+    print_endline result;
+    let path = Artifact.write ~name:id ~seconds ~host:o.host result in
     Printf.eprintf "wrote %s (%.2fs host)\n" path seconds
   end
   else Tbl.print o.table;

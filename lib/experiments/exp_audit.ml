@@ -124,31 +124,30 @@ let outcome audited =
   in
   let json =
     Sky_trace.Json.(
-      to_string
-        (Obj
-           [
-             ("clean", Bool (named = []));
-             ( "scenarios",
-               List
-                 (List.map
-                    (fun (name, prs) ->
-                      Obj
-                        [
-                          ("scenario", String name);
-                          ( "passes",
-                            List
-                              (List.map
-                                 (fun (pr : Audit.pass_result) ->
-                                   Obj
-                                     [
-                                       ("pass", String pr.pr_name);
-                                       ( "violations",
-                                         List (List.map Report.to_json pr.pr_violations) );
-                                     ])
-                                 prs) );
-                        ])
-                    audited) );
-           ]))
+      Obj
+        [
+          ("clean", Bool (named = []));
+          ( "scenarios",
+            List
+              (List.map
+                 (fun (name, prs) ->
+                   Obj
+                     [
+                       ("scenario", String name);
+                       ( "passes",
+                         List
+                           (List.map
+                              (fun (pr : Audit.pass_result) ->
+                                Obj
+                                  [
+                                    ("pass", String pr.pr_name);
+                                    ( "violations",
+                                      List (List.map Report.to_json pr.pr_violations) );
+                                  ])
+                              prs) );
+                     ])
+                 audited) );
+        ])
   in
   (* Flat host facts, one string per scenario: CI strips the artifact's
      "host" object up to its first closing brace. *)

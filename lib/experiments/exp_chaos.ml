@@ -23,21 +23,41 @@ open Sky_harness
 module Fault = Sky_faults.Fault
 module Subkernel = Sky_core.Subkernel
 
-type scenario = {
-  s_name : string;
-  s_attempts : int;  (** call attempts, including retries *)
-  s_injected : (string * int) list;  (** faults fired, per site *)
-  s_recovered : int;  (** calls that succeeded after >= 1 retry *)
-  s_degraded : int;  (** calls served via the slowpath fallback *)
-  s_lost : int;  (** calls that exhausted the retry budget *)
-  s_restarts : int;  (** server restarts *)
-  s_forced_returns : int;  (** §7 forced VMFUNC-0 returns *)
-  s_sec_dropped : int;  (** security-ring overflow drops *)
-  s_audit : int;  (** post-storm audit violations — must be 0 *)
-  s_fsck : int option;  (** fsck problems when the server was the FS *)
-}
+(* The faults the storm has fired, per site in name order. *)
+let injected () =
+  Sky_trace.Json.(Obj (List.map (fun (site, n) -> (site, Int n)) (Fault.fired_counts ())))
 
-type census = { c_seed : int; c_scenarios : scenario list }
+(* One scenario's census: the retry stats [st], plus the [lost] calls
+   and [restarts] they do not count, the Subkernel's counters after the
+   storm, the faults fired per site, and the fsck problems when the
+   scenario has a file system. *)
+let census name (st : Sky_core.Retry.stats) sb ~lost ~restarts ~fsck =
+  let open Sky_trace.Json in
+  Obj
+    ([
+       ("name", String name);
+       (* call attempts, including retries *)
+       ("attempts", Int st.attempts);
+       ("injected", injected ());
+       (* calls that succeeded after >= 1 retry *)
+       ("recovered", Int st.retried_ok);
+       (* calls served via the slowpath fallback *)
+       ("degraded", Int st.degraded);
+       ("lost", Int (st.lost + lost));
+       ("restarts", Int (st.restarts + restarts));
+       (* §7 forced VMFUNC-0 returns *)
+       ("forced_returns", Int (Subkernel.forced_returns sb));
+       ("security_dropped", Int (Subkernel.security_events_dropped sb));
+       ("audit_violations", Int (List.length (Subkernel.audit sb)));
+     ]
+    @ match fsck with None -> [] | Some n -> [ ("fsck_problems", Int n) ])
+
+(* The sum of the per-name counts in object [key] of [j]: the faults a
+   storm fired per site, or the violations an audit found per pass. *)
+let total j key =
+  match Outcome.field j key with
+  | Sky_trace.Json.Obj kvs as o -> List.fold_left (fun a (k, _) -> a + Outcome.int o k) 0 kvs
+  | _ -> invalid_arg ("Exp_chaos.total: " ^ key)
 
 (* ---- scenario A: the KV pipeline under the full storm ---- *)
 
@@ -85,22 +105,10 @@ let run_kv_storm ~warm ~ops arm =
   { k_stats = st; k_gave_up = !gave_up; k_sb = sb }
 
 let run_kv ~seed =
-  let { k_stats = st; k_gave_up; k_sb = sb } =
+  let { k_stats; k_gave_up; k_sb } =
     run_kv_storm ~warm:32 ~ops:400 (fun () -> kv_storm seed)
   in
-  {
-    s_name = "kv-pipeline";
-    s_attempts = st.Sky_core.Retry.attempts;
-    s_injected = Fault.fired_counts ();
-    s_recovered = st.Sky_core.Retry.retried_ok;
-    s_degraded = st.Sky_core.Retry.degraded;
-    s_lost = st.Sky_core.Retry.lost + k_gave_up;
-    s_restarts = st.Sky_core.Retry.restarts;
-    s_forced_returns = Subkernel.forced_returns sb;
-    s_sec_dropped = Subkernel.security_events_dropped sb;
-    s_audit = List.length (Subkernel.audit sb);
-    s_fsck = None;
-  }
+  census "kv-pipeline" k_stats k_sb ~lost:k_gave_up ~restarts:0 ~fsck:None
 
 (* ---- scenario B: the SQLite/xv6fs stack under the crash-safe storm ---- *)
 
@@ -135,20 +143,8 @@ let run_fs ~seed =
      with Sky_core.Retry.Gave_up _ -> incr lost_hard
    done);
   Fault.disable ();
-  let fsck = Sky_xv6fs.Fsck.check (Stack.fs stack) ~core:0 in
-  {
-    s_name = "sqlite-xv6fs";
-    s_attempts = st.Sky_core.Retry.attempts;
-    s_injected = Fault.fired_counts ();
-    s_recovered = st.Sky_core.Retry.retried_ok;
-    s_degraded = st.Sky_core.Retry.degraded;
-    s_lost = st.Sky_core.Retry.lost + !lost_hard;
-    s_restarts = st.Sky_core.Retry.restarts;
-    s_forced_returns = Subkernel.forced_returns sb;
-    s_sec_dropped = Subkernel.security_events_dropped sb;
-    s_audit = List.length (Subkernel.audit sb);
-    s_fsck = Some (List.length fsck);
-  }
+  census "sqlite-xv6fs" st sb ~lost:!lost_hard ~restarts:0
+    ~fsck:(Some (List.length (Sky_xv6fs.Fsck.check (Stack.fs stack) ~core:0)))
 
 (* ---- scenario C: the web stack under a worker + backend storm ---- *)
 
@@ -178,27 +174,16 @@ let run_web ~seed =
   web_storm seed;
   Sky_net.Web.run w;
   Fault.disable ();
-  let st = Sky_mesh.Mesh.retry_stats mesh in
   let lg = Sky_net.Web.loadgen w in
   let httpd = Sky_net.Web.httpd w in
   let dropped =
     Sky_net.Loadgen.expected lg - Sky_net.Loadgen.responses lg
     + Sky_net.Loadgen.errors lg
   in
-  let fsck = Sky_xv6fs.Fsck.check (Sky_net.Web.fs w) ~core:0 in
-  {
-    s_name = "web-skyhttpd";
-    s_attempts = st.Sky_core.Retry.attempts;
-    s_injected = Fault.fired_counts ();
-    s_recovered = st.Sky_core.Retry.retried_ok;
-    s_degraded = st.Sky_core.Retry.degraded;
-    s_lost = st.Sky_core.Retry.lost + dropped;
-    s_restarts = st.Sky_core.Retry.restarts + Sky_net.Httpd.restarts httpd;
-    s_forced_returns = Subkernel.forced_returns sb;
-    s_sec_dropped = Subkernel.security_events_dropped sb;
-    s_audit = List.length (Subkernel.audit sb);
-    s_fsck = Some (List.length fsck);
-  }
+  census "web-skyhttpd"
+    (Sky_mesh.Mesh.retry_stats mesh)
+    sb ~lost:dropped ~restarts:(Sky_net.Httpd.restarts httpd)
+    ~fsck:(Some (List.length (Sky_xv6fs.Fsck.check (Sky_net.Web.fs w) ~core:0)))
 
 (* ---- scenario D: the URI-routed service mesh under storm ---- *)
 
@@ -222,25 +207,42 @@ let mesh_storm seed =
 let run_mesh ~seed =
   let r = Exp_mesh.run_mesh ~seed ~storm:(fun () -> mesh_storm seed) () in
   Fault.disable ();
-  {
-    s_name = "mesh-uri-routed";
-    s_attempts = r.Exp_mesh.m_attempts;
-    s_injected = Fault.fired_counts ();
-    s_recovered = r.Exp_mesh.m_recovered;
-    s_degraded = r.Exp_mesh.m_degraded;
-    s_lost = r.Exp_mesh.m_lost;
-    s_restarts = r.Exp_mesh.m_restarts;
-    s_forced_returns = r.Exp_mesh.m_forced_returns;
-    s_sec_dropped = r.Exp_mesh.m_sec_dropped;
-    (* The differential Isoflow gate rides the audit count: a stale
-       writable mapping left by crash → restart → rebind under storm
-       fails the census exactly like a static violation. *)
-    s_audit =
-      r.Exp_mesh.m_audit + r.Exp_mesh.m_mesh_audit + r.Exp_mesh.m_graph_stale;
-    s_fsck = Some r.Exp_mesh.m_fsck;
-  }
+  let open Sky_trace.Json in
+  let n key = Int (Outcome.int r key) in
+  Obj
+    [
+      ("name", String "mesh-uri-routed");
+      ("attempts", n "attempts");
+      ("injected", injected ());
+      ("recovered", n "recovered");
+      ("degraded", n "degraded");
+      ("lost", n "lost");
+      ("restarts", n "restarts");
+      ("forced_returns", n "forced_returns");
+      ("security_dropped", n "security_dropped");
+      (* The differential Isoflow gate rides the audit count: a stale
+         writable mapping left by crash → restart → rebind under storm
+         fails the census exactly like a static violation. *)
+      ( "audit_violations",
+        Int
+          Outcome.(
+            int r "audit_violations" + int r "mesh_audit_violations" + int r "graph_stale") );
+      ("fsck_problems", n "fsck_problems");
+    ]
 
 (* ---- census ---- *)
+
+(* Every scenario lost nothing and left a clean audit and, where it has
+   one, a clean file system. *)
+let clean scenarios =
+  List.for_all
+    (fun s ->
+      Outcome.(int s "lost" = 0 && int s "audit_violations" = 0)
+      &&
+      match Sky_trace.Json.member "fsck_problems" s with
+      | None -> true
+      | Some _ -> Outcome.int s "fsck_problems" = 0)
+    scenarios
 
 let run_chaos ~seed =
   let a = run_kv ~seed in
@@ -248,59 +250,30 @@ let run_chaos ~seed =
   let b = run_fs ~seed:(seed lxor 0x5eed) in
   let c = run_web ~seed:(seed lxor 0x3eb) in
   let d = run_mesh ~seed:(seed lxor 0x3e5b) in
-  { c_seed = seed; c_scenarios = [ a; b; c; d ] }
+  let scenarios = [ a; b; c; d ] in
+  Sky_trace.Json.(
+    Obj [ ("seed", Int seed); ("clean", Bool (clean scenarios)); ("scenarios", List scenarios) ])
 
-let clean c =
-  List.for_all
-    (fun s ->
-      s.s_lost = 0 && s.s_audit = 0
-      && match s.s_fsck with None | Some 0 -> true | Some _ -> false)
-    c.c_scenarios
-
-let census_to_json c =
-  let open Sky_trace.Json in
-  let scenario s =
-    Obj
-      ([
-         ("name", String s.s_name);
-         ("attempts", Int s.s_attempts);
-         ( "injected",
-           Obj (List.map (fun (site, n) -> (site, Int n)) s.s_injected) );
-         ("recovered", Int s.s_recovered);
-         ("degraded", Int s.s_degraded);
-         ("lost", Int s.s_lost);
-         ("restarts", Int s.s_restarts);
-         ("forced_returns", Int s.s_forced_returns);
-         ("security_dropped", Int s.s_sec_dropped);
-         ("audit_violations", Int s.s_audit);
-       ]
-      @ match s.s_fsck with None -> [] | Some n -> [ ("fsck_problems", Int n) ])
-  in
-  to_string
-    (Obj
-       [
-         ("seed", Int c.c_seed);
-         ("clean", Bool (clean c));
-         ("scenarios", List (List.map scenario c.c_scenarios));
-       ])
-
-let census_table c =
+let table c =
   let row s =
+    let n key = string_of_int (Outcome.int s key) in
     [
-      s.s_name;
-      string_of_int (List.fold_left (fun a (_, n) -> a + n) 0 s.s_injected);
-      string_of_int s.s_attempts;
-      string_of_int s.s_recovered;
-      string_of_int s.s_degraded;
-      string_of_int s.s_lost;
-      string_of_int s.s_restarts;
-      string_of_int s.s_forced_returns;
-      string_of_int s.s_audit;
-      (match s.s_fsck with None -> "-" | Some n -> string_of_int n);
+      Outcome.string s "name";
+      string_of_int (total s "injected");
+      n "attempts";
+      n "recovered";
+      n "degraded";
+      n "lost";
+      n "restarts";
+      n "forced_returns";
+      n "audit_violations";
+      (match Sky_trace.Json.member "fsck_problems" s with
+      | None -> "-"
+      | Some _ -> n "fsck_problems");
     ]
   in
   Tbl.make
-    ~title:(Printf.sprintf "Chaos: fault storm census (seed %d)" c.c_seed)
+    ~title:(Printf.sprintf "Chaos: fault storm census (seed %d)" (Outcome.int c "seed"))
     ~header:
       [
         "scenario"; "injected"; "attempts"; "recovered"; "degraded"; "lost";
@@ -312,9 +285,9 @@ let census_table c =
          is recovered (retry), degraded (slowpath) or surfaced as a typed \
          error, never silent corruption";
       ]
-    (List.map row c.c_scenarios)
+    (List.map row (Outcome.list c "scenarios"))
 
 let outcome c =
-  Outcome.make ~checks:[ ("clean", clean c) ] (census_table c) (census_to_json c)
+  Outcome.make ~checks:[ ("clean", clean (Outcome.list c "scenarios")) ] (table c) c
 
 let run (_ : Budget.t) = outcome (run_chaos ~seed:1)

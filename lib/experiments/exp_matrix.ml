@@ -28,21 +28,6 @@ module Fault = Sky_faults.Fault
 module Subkernel = Sky_core.Subkernel
 module Backend = Sky_core.Backend
 
-type cell = {
-  x_kind : Backend.kind;
-  x_ping : Exp_pingpong.full;
-  x_injected : int;
-  x_attempts : int;
-  x_recovered : int;
-  x_degraded : int;
-  x_lost : int;
-  x_restarts : int;
-  x_forced_returns : int;
-  x_audit : (string * int) list;  (** post-storm violations per audit pass *)
-}
-
-type result = { r_seed : int; r_cells : cell list }
-
 (* The mini-storm: deterministic At_hit triggers only, so all three
    backends face the identical fault schedule and the matrix rows stay
    comparable call-for-call. *)
@@ -66,90 +51,114 @@ let run_cell ~seed kind =
   let injected =
     List.fold_left (fun a (_, n) -> a + n) 0 (Fault.fired_counts ())
   in
+  let open Sky_trace.Json in
   let audit =
     List.map
       (fun (pr : Sky_analysis.Audit.pass_result) ->
-        (pr.Sky_analysis.Audit.pr_name,
-         List.length pr.Sky_analysis.Audit.pr_violations))
+        (pr.Sky_analysis.Audit.pr_name, Int (List.length pr.Sky_analysis.Audit.pr_violations)))
       (Subkernel.audit_passes sb)
   in
-  {
-    x_kind = kind;
-    x_ping = ping;
-    x_injected = injected;
-    x_attempts = st.Sky_core.Retry.attempts;
-    x_recovered = st.Sky_core.Retry.retried_ok;
-    x_degraded = st.Sky_core.Retry.degraded;
-    x_lost = st.Sky_core.Retry.lost + k_gave_up;
-    x_restarts = st.Sky_core.Retry.restarts;
-    x_forced_returns = Subkernel.forced_returns sb;
-    x_audit = audit;
-  }
+  Obj
+    [
+      ("backend", String (Backend.name kind));
+      ("title", String (Backend.title kind));
+      ("cycles_per_call", Int ping.Exp_pingpong.f_cycles_per_call);
+      ("switch_cycles_leg", Int (Backend.switch_cycles kind));
+      ("switch_cycles_per_call", Int ping.Exp_pingpong.f_switch_per_call);
+      ("kernel_cycles_per_call", Int ping.Exp_pingpong.f_kernel_per_call);
+      ("copy_cycles_per_call", Int ping.Exp_pingpong.f_copy_per_call);
+      ("kernel_on_path", Bool (Backend.kernel_on_path kind));
+      ("tlb_flush_on_switch", Bool (Backend.tlb_flush_on_switch kind));
+      ("shared_address_space", Bool (Backend.shared_address_space kind));
+      ("injected", Int injected);
+      ("attempts", Int st.Sky_core.Retry.attempts);
+      ("recovered", Int st.Sky_core.Retry.retried_ok);
+      ("degraded", Int st.Sky_core.Retry.degraded);
+      ("lost", Int (st.Sky_core.Retry.lost + k_gave_up));
+      ("restarts", Int st.Sky_core.Retry.restarts);
+      ("forced_returns", Int (Subkernel.forced_returns sb));
+      (* post-storm violations per audit pass *)
+      ("audit", Obj audit);
+    ]
 
-let run_matrix () =
-  let seed = 7 in
-  { r_seed = seed; r_cells = List.map (run_cell ~seed) Backend.all }
+(* ---- gates: predicates over the cells ---- *)
 
-(* ---- gates ---- *)
+let cycles cells kind =
+  Outcome.int
+    (List.find (fun c -> Outcome.string c "backend" = Backend.name kind) cells)
+    "cycles_per_call"
 
-let cell_of r kind =
-  List.find (fun c -> c.x_kind = kind) r.r_cells
-
-let cycles r kind = (cell_of r kind).x_ping.Exp_pingpong.f_cycles_per_call
-let zero_lost r = List.for_all (fun c -> c.x_lost = 0) r.r_cells
-
-let audits_clean r =
-  List.for_all (fun c -> List.for_all (fun (_, n) -> n = 0) c.x_audit) r.r_cells
+let zero_lost cells = List.for_all (fun c -> Outcome.int c "lost" = 0) cells
+let audits_clean cells = List.for_all (fun c -> Exp_chaos.total c "audit" = 0) cells
 
 (** The headline claim: the WRPKRU switch beats VMFUNC on the identical
     workload (strictly — both legs are cheaper and nothing else in the
     crossing changed). *)
-let mpk_beats_vmfunc r =
-  cycles r Backend.Mpk < cycles r Backend.Vmfunc
+let mpk_beats_vmfunc cells = cycles cells Backend.Mpk < cycles cells Backend.Vmfunc
 
-let recovered_under_storm r =
-  List.for_all (fun c -> c.x_injected > 0 && c.x_restarts > 0) r.r_cells
+let recovered_under_storm cells =
+  List.for_all (fun c -> Outcome.(int c "injected" > 0 && int c "restarts" > 0)) cells
 
-let checks r =
+let structural cells =
   [
-    ("zero_lost", zero_lost r);
-    ("audits_clean", audits_clean r);
-    ("mpk_beats_vmfunc", mpk_beats_vmfunc r);
-    ("recovered_under_storm", recovered_under_storm r);
+    ("zero_lost", zero_lost cells);
+    ("audits_clean", audits_clean cells);
+    ("mpk_beats_vmfunc", mpk_beats_vmfunc cells);
+    ("recovered_under_storm", recovered_under_storm cells);
   ]
 
-let ok r = List.for_all snd (checks r)
+let run_matrix () =
+  let seed = 7 in
+  let cells = List.map (run_cell ~seed) Backend.all in
+  Sky_trace.Json.(
+    Obj
+      [
+        ("seed", Int seed);
+        ("ok", Bool (List.for_all snd (structural cells)));
+        ("mpk_beats_vmfunc", Bool (mpk_beats_vmfunc cells));
+        ("cells", List cells);
+      ])
+
+(* The structural gates, and every cell's cycles per call against its
+   own mechanism's pingpong budget. *)
+let checks budgets r =
+  let cells = Outcome.list r "cells" in
+  structural cells
+  @ List.map
+      (fun c ->
+        Budget.ceiling budgets ~section:"pingpong" ~key:"cycles_per_call"
+          ~backend:(Outcome.string c "backend")
+          (Outcome.int c "cycles_per_call"))
+      cells
 
 (* ---- rendering ---- *)
 
-let audit_total c = List.fold_left (fun a (_, n) -> a + n) 0 c.x_audit
-
 let table r =
-  let yes_no b = if b then "yes" else "no" in
+  let yes_no c key = if Outcome.bool c key then "yes" else "no" in
   let row c =
-    let k = c.x_kind in
+    let n key = string_of_int (Outcome.int c key) in
     [
-      Backend.name k;
-      Tbl.fmt_int c.x_ping.Exp_pingpong.f_cycles_per_call;
-      Tbl.fmt_int (Backend.switch_cycles k);
-      Tbl.fmt_int c.x_ping.Exp_pingpong.f_switch_per_call;
-      Tbl.fmt_int c.x_ping.Exp_pingpong.f_kernel_per_call;
-      yes_no (Backend.kernel_on_path k);
-      yes_no (Backend.tlb_flush_on_switch k);
-      yes_no (Backend.shared_address_space k);
-      string_of_int c.x_injected;
-      string_of_int c.x_recovered;
-      string_of_int c.x_degraded;
-      string_of_int c.x_lost;
-      string_of_int c.x_restarts;
-      string_of_int (audit_total c);
+      Outcome.string c "backend";
+      Tbl.fmt_int (Outcome.int c "cycles_per_call");
+      Tbl.fmt_int (Outcome.int c "switch_cycles_leg");
+      Tbl.fmt_int (Outcome.int c "switch_cycles_per_call");
+      Tbl.fmt_int (Outcome.int c "kernel_cycles_per_call");
+      yes_no c "kernel_on_path";
+      yes_no c "tlb_flush_on_switch";
+      yes_no c "shared_address_space";
+      n "injected";
+      n "recovered";
+      n "degraded";
+      n "lost";
+      n "restarts";
+      string_of_int (Exp_chaos.total c "audit");
     ]
   in
   Tbl.make
     ~title:
       (Printf.sprintf
          "Cross-mechanism matrix: VMFUNC vs MPK vs filtered syscall (seed %d)"
-         r.r_seed)
+         (Outcome.int r "seed"))
     ~header:
       [
         "backend"; "cycles/call"; "switch/leg"; "switch cyc"; "kernel cyc";
@@ -166,52 +175,7 @@ let table r =
          post-storm audit on every row, and mpk strictly under vmfunc on \
          cycles/call";
       ]
-    (List.map row r.r_cells)
+    (List.map row (Outcome.list r "cells"))
 
-let to_json r =
-  let open Sky_trace.Json in
-  let cell c =
-    let k = c.x_kind in
-    Obj
-      [
-        ("backend", String (Backend.name k));
-        ("title", String (Backend.title k));
-        ("cycles_per_call", Int c.x_ping.Exp_pingpong.f_cycles_per_call);
-        ("switch_cycles_leg", Int (Backend.switch_cycles k));
-        ("switch_cycles_per_call", Int c.x_ping.Exp_pingpong.f_switch_per_call);
-        ("kernel_cycles_per_call", Int c.x_ping.Exp_pingpong.f_kernel_per_call);
-        ("copy_cycles_per_call", Int c.x_ping.Exp_pingpong.f_copy_per_call);
-        ("kernel_on_path", Bool (Backend.kernel_on_path k));
-        ("tlb_flush_on_switch", Bool (Backend.tlb_flush_on_switch k));
-        ("shared_address_space", Bool (Backend.shared_address_space k));
-        ("injected", Int c.x_injected);
-        ("attempts", Int c.x_attempts);
-        ("recovered", Int c.x_recovered);
-        ("degraded", Int c.x_degraded);
-        ("lost", Int c.x_lost);
-        ("restarts", Int c.x_restarts);
-        ("forced_returns", Int c.x_forced_returns);
-        ( "audit",
-          Obj (List.map (fun (name, n) -> (name, Int n)) c.x_audit) );
-      ]
-  in
-  to_string
-    (Obj
-       [
-         ("seed", Int r.r_seed);
-         ("ok", Bool (ok r));
-         ("mpk_beats_vmfunc", Bool (mpk_beats_vmfunc r));
-         ("cells", List (List.map cell r.r_cells));
-       ])
-
-let outcome budgets r =
-  Outcome.make
-    ~checks:
-      (checks r
-      @ [
-          Budget.ceiling budgets ~section:"pingpong" ~key:"cycles_per_call"
-            (cycles r Backend.Vmfunc);
-        ])
-    (table r) (to_json r)
-
+let outcome budgets r = Outcome.make ~checks:(checks budgets r) (table r) r
 let run budgets = outcome budgets (run_matrix ())

@@ -46,47 +46,44 @@ let queues = 2
 let conns = 24
 let requests_per_conn = 8
 
-type result = {
-  m_seed : int;
-  m_expected : int;
-  m_responses : int;
-  m_errors : int;
-  m_served : int;
-  m_per_worker : int list;
-  m_steals : int;
-  m_denials : int;  (** requests bounced off the revoked worker *)
-  m_kv_v1 : int;  (** KV calls served by the v1 server *)
-  m_kv_v2 : int;  (** ... and by the hot-upgraded v2 server *)
-  m_upgrade_at : int;  (** requests served when the upgrade committed *)
-  m_revoke_at : int;  (** ... when the fs:// grant was revoked *)
-  m_grants_retired : int;
-  m_resolves : int;  (** name-service wire round trips *)
-  m_cache_hits : int;
-  m_epoch : int;
-  m_restarts : int;
-  m_attempts : int;
-  m_recovered : int;
-  m_degraded : int;
-  m_lost : int;  (** retry-budget losses + unanswered requests *)
-  m_forced_returns : int;
-  m_sec_dropped : int;  (** security-ring overflow drops *)
-  m_audit : int;  (** audit violations outside the [mesh] pass *)
-  m_mesh_audit : int;  (** [mesh] pass violations *)
-  m_graph_edges : int;  (** sharing-graph edges at end of run *)
-  m_graph_added : int;  (** edges the scenario added (vs pre-storm) *)
-  m_graph_removed : int;  (** ... and removed *)
-  m_graph_stale : int;
-      (** added writable edges no live shared buffer justifies — the
-          Isoflow differential gate: crash → restart → rebind and the
-          two control-plane events must leave no stale mapping *)
-  m_fsck : int;
-  m_elapsed : int;
-  m_tput : float;
-}
-
 (* The supervisor polls the served counter between quanta; cheap, and
    keeps its virtual clock moving with the workers. *)
 let supervisor_poll_cycles = 400
+
+(* ---- acceptance: predicates over the payload ---- *)
+
+let all_served r = Outcome.(int r "responses" = int r "expected" && int r "errors" = 0)
+
+let fanned_out r =
+  List.for_all
+    (function Sky_trace.Json.Int n -> n > 0 | _ -> false)
+    (Outcome.list r "per_worker")
+  && Outcome.int r "steals" > 0
+
+let upgraded r =
+  Outcome.(int r "kv_v1_calls" > 0 && int r "kv_v2_calls" > 0 && int r "upgrade_at_served" > 0)
+
+let degraded r = Outcome.int r "denials" > 0
+
+let audits_clean r =
+  Outcome.(
+    int r "audit_violations" = 0 && int r "mesh_audit_violations" = 0
+    && int r "fsck_problems" = 0)
+
+let no_stale r = Outcome.int r "graph_stale" = 0
+
+let checks r =
+  [
+    ("all_served", all_served r);
+    ("fanned_out", fanned_out r);
+    ("upgraded", upgraded r);
+    ("degraded", degraded r);
+    ("audits_clean", audits_clean r);
+    ("no_stale", no_stale r);
+    ("zero_lost", Outcome.int r "lost" = 0);
+  ]
+
+let ok r = List.for_all snd (checks r)
 
 let run_mesh ?(seed = 7) ?(storm = fun () -> ()) () =
   let machine = Machine.create ~cores:6 ~mem_mib:128 () in
@@ -214,155 +211,106 @@ let run_mesh ?(seed = 7) ?(storm = fun () -> ()) () =
       (fun (pr : Sky_analysis.Audit.pass_result) -> pr.pr_name = "mesh")
       (Mesh.audit_passes mesh)
   in
-  {
-    m_seed = seed;
-    m_expected = Loadgen.expected lg;
-    m_responses = Loadgen.responses lg;
-    m_errors = Loadgen.errors lg;
-    m_served = Httpd.served httpd;
-    m_per_worker = List.init workers (Httpd.worker_served httpd);
-    m_steals = Httpd.steals httpd;
-    m_denials = Httpd.denials httpd;
-    m_kv_v1 = !kv_v1_calls;
-    m_kv_v2 = !kv_v2_calls;
-    m_upgrade_at = !upgrade_at;
-    m_revoke_at = !revoke_at;
-    m_grants_retired = !grants_retired;
-    m_resolves = Mesh.resolves mesh;
-    m_cache_hits = Mesh.cache_hits mesh;
-    m_epoch = Mesh.epoch mesh;
-    m_restarts = st.Retry.restarts + Httpd.restarts httpd;
-    m_attempts = st.Retry.attempts;
-    m_recovered = st.Retry.retried_ok;
-    m_degraded = st.Retry.degraded;
-    m_lost = st.Retry.lost + dropped;
-    m_forced_returns = Subkernel.forced_returns sb;
-    m_sec_dropped = Subkernel.security_events_dropped sb;
-    m_audit = List.length (Sky_analysis.Audit.violations machine_passes);
-    m_mesh_audit = List.length (Sky_analysis.Audit.violations mesh_pass);
-    m_graph_edges = List.length graph_after;
-    m_graph_added = List.length gdelta.Sky_analysis.Isoflow.added;
-    m_graph_removed = List.length gdelta.Sky_analysis.Isoflow.removed;
-    m_graph_stale = List.length stale;
-    m_fsck = List.length (Fsck.check (Fs_tier.fs tier) ~core:0);
-    m_elapsed = !elapsed;
-    m_tput = Costs.ops_per_sec ~ops:(Loadgen.responses lg) ~cycles:(max 1 !elapsed);
-  }
-
-(* ---- acceptance ---- *)
-
-let all_served r = r.m_responses = r.m_expected && r.m_errors = 0
-let fanned_out r = List.for_all (fun n -> n > 0) r.m_per_worker && r.m_steals > 0
-let upgraded r = r.m_kv_v1 > 0 && r.m_kv_v2 > 0 && r.m_upgrade_at > 0
-let degraded r = r.m_denials > 0
-let audits_clean r = r.m_audit = 0 && r.m_mesh_audit = 0 && r.m_fsck = 0
-let no_stale r = r.m_graph_stale = 0
-
-let checks r =
-  [
-    ("all_served", all_served r);
-    ("fanned_out", fanned_out r);
-    ("upgraded", upgraded r);
-    ("degraded", degraded r);
-    ("audits_clean", audits_clean r);
-    ("no_stale", no_stale r);
-    ("zero_lost", r.m_lost = 0);
-  ]
-
-let ok r = List.for_all snd (checks r)
+  let open Sky_trace.Json in
+  let fields =
+    [
+      ("bench", String "mesh");
+      ("seed", Int seed);
+      ("workers", Int workers);
+      ("queues", Int queues);
+      ("expected", Int (Loadgen.expected lg));
+      ("responses", Int (Loadgen.responses lg));
+      ("errors", Int (Loadgen.errors lg));
+      ("served", Int (Httpd.served httpd));
+      ("per_worker", List (List.init workers (fun w -> Int (Httpd.worker_served httpd w))));
+      ("steals", Int (Httpd.steals httpd));
+      ("denials", Int (Httpd.denials httpd));
+      ("kv_v1_calls", Int !kv_v1_calls);
+      ("kv_v2_calls", Int !kv_v2_calls);
+      ("upgrade_at_served", Int !upgrade_at);
+      ("revoke_at_served", Int !revoke_at);
+      ("grants_retired", Int !grants_retired);
+      ("resolves", Int (Mesh.resolves mesh));
+      ("cache_hits", Int (Mesh.cache_hits mesh));
+      ("epoch", Int (Mesh.epoch mesh));
+      ("restarts", Int (st.Retry.restarts + Httpd.restarts httpd));
+      ("attempts", Int st.Retry.attempts);
+      ("recovered", Int st.Retry.retried_ok);
+      ("degraded", Int st.Retry.degraded);
+      (* retry-budget losses + unanswered requests *)
+      ("lost", Int (st.Retry.lost + dropped));
+      ("forced_returns", Int (Subkernel.forced_returns sb));
+      ("security_dropped", Int (Subkernel.security_events_dropped sb));
+      ("audit_violations", Int (List.length (Sky_analysis.Audit.violations machine_passes)));
+      ("mesh_audit_violations", Int (List.length (Sky_analysis.Audit.violations mesh_pass)));
+      (* The Isoflow differential gate: added writable edges no live
+         shared buffer justifies. Crash -> restart -> rebind and the two
+         control-plane events must leave none. *)
+      ("graph_edges", Int (List.length graph_after));
+      ("graph_added", Int (List.length gdelta.Sky_analysis.Isoflow.added));
+      ("graph_removed", Int (List.length gdelta.Sky_analysis.Isoflow.removed));
+      ("graph_stale", Int (List.length stale));
+      ("fsck_problems", Int (List.length (Fsck.check (Fs_tier.fs tier) ~core:0)));
+      ("elapsed_cycles", Int !elapsed);
+      ( "throughput_req_per_sec",
+        Float (Costs.ops_per_sec ~ops:(Loadgen.responses lg) ~cycles:(max 1 !elapsed)) );
+    ]
+  in
+  let r = Obj fields in
+  Obj
+    (fields
+    @ [
+        ("all_served", Bool (all_served r));
+        ("fanned_out", Bool (fanned_out r));
+        ("upgraded", Bool (upgraded r));
+        ("degraded_cleanly", Bool (degraded r));
+        ("audits_clean", Bool (audits_clean r));
+        ("no_stale_mappings", Bool (no_stale r));
+        ("ok", Bool (ok r));
+      ])
 
 (* ---- rendering ---- *)
 
 let table r =
   let row k v = [ k; v ] in
+  let n key = string_of_int (Outcome.int r key) in
+  let pair k1 k2 = Printf.sprintf "%s / %s" (n k1) (n k2) in
   Tbl.make
     ~title:
       (Printf.sprintf
          "Service mesh: URI-routed web stack, %d workers / %d RX rings (seed %d)"
-         workers queues r.m_seed)
+         workers queues (Outcome.int r "seed"))
     ~header:[ "metric"; "value" ]
     ~notes:
       [
         "net -> skyhttpd -> kv:// + fs:// (over blk://), all by URI";
-        Printf.sprintf
-          "hot upgrade at %d served, fs:// revocation at %d served"
-          r.m_upgrade_at r.m_revoke_at;
+        Printf.sprintf "hot upgrade at %s served, fs:// revocation at %s served"
+          (n "upgrade_at_served") (n "revoke_at_served");
         "acceptance: all served, fan-out + steals, both KV generations, \
          denials bounced, audits clean, zero lost";
       ]
     [
-      row "requests served / expected"
-        (Printf.sprintf "%d / %d" r.m_responses r.m_expected);
-      row "errors" (string_of_int r.m_errors);
+      row "requests served / expected" (pair "responses" "expected");
+      row "errors" (n "errors");
       row "per-worker served"
-        (String.concat " " (List.map string_of_int r.m_per_worker));
-      row "endpoint steals" (string_of_int r.m_steals);
-      row "denials (bounced)" (string_of_int r.m_denials);
-      row "kv calls v1 / v2"
-        (Printf.sprintf "%d / %d" r.m_kv_v1 r.m_kv_v2);
-      row "grants retired" (string_of_int r.m_grants_retired);
-      row "name resolves / cache hits"
-        (Printf.sprintf "%d / %d" r.m_resolves r.m_cache_hits);
-      row "epoch" (string_of_int r.m_epoch);
-      row "restarts" (string_of_int r.m_restarts);
-      row "lost" (string_of_int r.m_lost);
+        (String.concat " " (List.map Sky_trace.Json.to_string (Outcome.list r "per_worker")));
+      row "endpoint steals" (n "steals");
+      row "denials (bounced)" (n "denials");
+      row "kv calls v1 / v2" (pair "kv_v1_calls" "kv_v2_calls");
+      row "grants retired" (n "grants_retired");
+      row "name resolves / cache hits" (pair "resolves" "cache_hits");
+      row "epoch" (n "epoch");
+      row "restarts" (n "restarts");
+      row "lost" (n "lost");
       row "audit (subkernel / mesh / fsck)"
-        (Printf.sprintf "%d / %d / %d" r.m_audit r.m_mesh_audit r.m_fsck);
+        (Printf.sprintf "%s / %s / %s" (n "audit_violations") (n "mesh_audit_violations")
+           (n "fsck_problems"));
       row "sharing graph (edges / +added / -removed / stale)"
-        (Printf.sprintf "%d / +%d / -%d / %d" r.m_graph_edges r.m_graph_added
-           r.m_graph_removed r.m_graph_stale);
-      row "throughput" (Tbl.fmt_ops r.m_tput);
+        (Printf.sprintf "%s / +%s / -%s / %s" (n "graph_edges") (n "graph_added")
+           (n "graph_removed") (n "graph_stale"));
+      row "throughput" (Tbl.fmt_ops (Outcome.float r "throughput_req_per_sec"));
       row "acceptance" (if ok r then "PASS" else "FAIL");
     ]
 
-let to_json r =
-  let open Sky_trace.Json in
-  to_string
-    (Obj
-       [
-         ("bench", String "mesh");
-         ("seed", Int r.m_seed);
-         ("workers", Int workers);
-         ("queues", Int queues);
-         ("expected", Int r.m_expected);
-         ("responses", Int r.m_responses);
-         ("errors", Int r.m_errors);
-         ("served", Int r.m_served);
-         ("per_worker", List (List.map (fun n -> Int n) r.m_per_worker));
-         ("steals", Int r.m_steals);
-         ("denials", Int r.m_denials);
-         ("kv_v1_calls", Int r.m_kv_v1);
-         ("kv_v2_calls", Int r.m_kv_v2);
-         ("upgrade_at_served", Int r.m_upgrade_at);
-         ("revoke_at_served", Int r.m_revoke_at);
-         ("grants_retired", Int r.m_grants_retired);
-         ("resolves", Int r.m_resolves);
-         ("cache_hits", Int r.m_cache_hits);
-         ("epoch", Int r.m_epoch);
-         ("restarts", Int r.m_restarts);
-         ("attempts", Int r.m_attempts);
-         ("recovered", Int r.m_recovered);
-         ("degraded", Int r.m_degraded);
-         ("lost", Int r.m_lost);
-         ("forced_returns", Int r.m_forced_returns);
-         ("security_dropped", Int r.m_sec_dropped);
-         ("audit_violations", Int r.m_audit);
-         ("mesh_audit_violations", Int r.m_mesh_audit);
-         ("graph_edges", Int r.m_graph_edges);
-         ("graph_added", Int r.m_graph_added);
-         ("graph_removed", Int r.m_graph_removed);
-         ("graph_stale", Int r.m_graph_stale);
-         ("fsck_problems", Int r.m_fsck);
-         ("elapsed_cycles", Int r.m_elapsed);
-         ("throughput_req_per_sec", Float r.m_tput);
-         ("all_served", Bool (all_served r));
-         ("fanned_out", Bool (fanned_out r));
-         ("upgraded", Bool (upgraded r));
-         ("degraded_cleanly", Bool (degraded r));
-         ("audits_clean", Bool (audits_clean r));
-         ("no_stale_mappings", Bool (no_stale r));
-         ("ok", Bool (ok r));
-       ])
-
-let outcome r = Outcome.make ~checks:(checks r) (table r) (to_json r)
+let outcome r = Outcome.make ~checks:(checks r) (table r) r
 let run (_ : Budget.t) = outcome (run_mesh ())

@@ -51,60 +51,6 @@ let scale_tenants = 80 (* short-lived processes in the eviction phase *)
 let queue_cap = 8
 let batch_max = 4
 
-type point = {
-  p_mult : float;  (** offered load as a multiple of the saturation rate *)
-  p_mean_gap : int;
-  p_offered : int;
-  p_ok : int;  (** goodput: admitted requests answered correctly *)
-  p_shed : int;  (** typed 503s (queue-full + deadline-blown) *)
-  p_shed_wire : int;  (** RX-ring-full drops at the NIC *)
-  p_unservable : int;  (** terminal 403s *)
-  p_corrupt : int;  (** must be zero *)
-  p_accounted : bool;  (** offered = ok + shed + shed_wire + errors *)
-  p_goodput : float;  (** goodput requests per simulated second *)
-  p_p50 : int;
-  p_p99 : int;
-  p_p999 : int;  (** p99.9 latency of admitted requests, cycles *)
-  p_churns : int;
-  p_batches : int;
-  p_batched_ops : int;
-  p_shed_queue : int;
-  p_shed_expired : int;
-  p_elapsed : int;
-}
-
-type chaos = {
-  c_point : point;
-  c_injected : (string * int) list;
-  c_recovered : int;  (** calls that succeeded after >= 1 retry *)
-  c_restarts : int;
-  c_degraded : int;  (** calls served via the slowpath fallback *)
-  c_lost_calls : int;  (** backend calls that gave up (surface as 503s) *)
-  c_budget_withdrawn : int;
-  c_budget_refused : int;
-  c_audit : int;  (** post-storm mapping-audit violations — must be 0 *)
-  c_fsck : int;  (** post-storm fsck problems — must be 0 *)
-}
-
-type tenant_phase = {
-  t_calls : int;
-  t_fast : int;  (** served by VMFUNC direct calls *)
-  t_slow : int;  (** served by slowpath IPC after slot eviction *)
-  t_evictions : int;  (** per-process EPTP-list LRU evictions *)
-  t_slot_evictions : int;  (** global-budget whole-process retirements *)
-  t_lost : int;  (** wrong or failed replies — must be zero *)
-  t_live_bindings : int;
-}
-
-type result = {
-  r_sat_gap : int;  (** closed-loop mean completion gap, cycles/request *)
-  r_sat_tput : float;  (** closed-loop saturation throughput, req/s *)
-  r_ttl : int;
-  r_points : point list;
-  r_chaos : chaos;
-  r_tenant : tenant_phase;
-}
-
 (* ---- phase 1: saturation probe (closed loop) ---- *)
 
 let saturation () =
@@ -131,27 +77,34 @@ let point_of ~mult ~mean_gap (o : _ Web.t) =
          + Loadgen.unservable ol + Loadgen.corrupt ol
   in
   let h = Loadgen.latencies ol in
-  {
-    p_mult = mult;
-    p_mean_gap = mean_gap;
-    p_offered = offered;
-    p_ok = ok;
-    p_shed = Loadgen.shed ol;
-    p_shed_wire = Loadgen.shed_wire ol;
-    p_unservable = Loadgen.unservable ol;
-    p_corrupt = Loadgen.corrupt ol;
-    p_accounted = accounted;
-    p_goodput = Sky_sim.Costs.ops_per_sec ~ops:ok ~cycles:(Int.max 1 (Web.elapsed o));
-    p_p50 = Histogram.p50 h;
-    p_p99 = Histogram.p99 h;
-    p_p999 = Histogram.p999 h;
-    p_churns = Loadgen.churns ol;
-    p_batches = Httpd.batches httpd;
-    p_batched_ops = Httpd.batched_ops httpd;
-    p_shed_queue = Httpd.shed_queue httpd;
-    p_shed_expired = Httpd.shed_expired httpd;
-    p_elapsed = Web.elapsed o;
-  }
+  let open Sky_trace.Json in
+  Obj
+    [
+      (* offered load as a multiple of the saturation rate *)
+      ("offered_mult", Float mult);
+      ("mean_gap_cycles", Int mean_gap);
+      ("offered", Int offered);
+      (* admitted requests answered correctly *)
+      ("goodput", Int ok);
+      (* typed 503s (queue-full + deadline-blown) and RX-ring-full drops *)
+      ("shed", Int (Loadgen.shed ol));
+      ("shed_wire", Int (Loadgen.shed_wire ol));
+      ("shed_queue", Int (Httpd.shed_queue httpd));
+      ("shed_expired", Int (Httpd.shed_expired httpd));
+      ("unservable", Int (Loadgen.unservable ol));
+      ("corrupt", Int (Loadgen.corrupt ol));
+      ("accounted", Bool accounted);
+      ( "goodput_req_per_sec",
+        Float (Sky_sim.Costs.ops_per_sec ~ops:ok ~cycles:(Int.max 1 (Web.elapsed o))) );
+      (* latency of admitted requests, arrival to response *)
+      ("p50_cycles", Int (Histogram.p50 h));
+      ("p99_cycles", Int (Histogram.p99 h));
+      ("p999_cycles", Int (Histogram.p999 h));
+      ("conn_churns", Int (Loadgen.churns ol));
+      ("batches", Int (Httpd.batches httpd));
+      ("batched_ops", Int (Httpd.batched_ops httpd));
+      ("elapsed_cycles", Int (Web.elapsed o));
+    ]
 
 let build_point ~ttl ~mean_gap =
   Web.build_open ~seed ~tenants ~mean_gap ~total ~workers
@@ -192,18 +145,23 @@ let run_chaos ~ttl ~mean_gap =
   let { Web.sb; mesh; budget } = Web.sky o in
   let st = Sky_mesh.Mesh.retry_stats mesh in
   let fsck = Sky_xv6fs.Fsck.check (Web.fs o) ~core:0 in
-  {
-    c_point = point_of ~mult:2.0 ~mean_gap o;
-    c_injected = Fault.fired_counts ();
-    c_recovered = st.Retry.retried_ok;
-    c_restarts = st.Retry.restarts + Httpd.restarts (Web.httpd o);
-    c_degraded = st.Retry.degraded;
-    c_lost_calls = st.Retry.lost;
-    c_budget_withdrawn = Retry.budget_withdrawn budget;
-    c_budget_refused = Retry.budget_refused budget;
-    c_audit = List.length (Subkernel.audit sb);
-    c_fsck = List.length fsck;
-  }
+  let open Sky_trace.Json in
+  Obj
+    [
+      ("point", point_of ~mult:2.0 ~mean_gap o);
+      ("injected", Exp_chaos.injected ());
+      (* calls that succeeded after >= 1 retry *)
+      ("recovered", Int st.Retry.retried_ok);
+      ("restarts", Int (st.Retry.restarts + Httpd.restarts (Web.httpd o)));
+      (* calls served via the slowpath fallback *)
+      ("degraded", Int st.Retry.degraded);
+      (* backend calls that gave up (surface as 503s) *)
+      ("lost_calls", Int st.Retry.lost);
+      ("budget_withdrawn", Int (Retry.budget_withdrawn budget));
+      ("budget_refused", Int (Retry.budget_refused budget));
+      ("audit_violations", Int (List.length (Subkernel.audit sb)));
+      ("fsck_problems", Int (List.length fsck));
+    ]
 
 (* ---- phase 4: tenant scale (EPTP + global binding budgets) ---- *)
 
@@ -265,15 +223,60 @@ let run_tenants () =
     do_call p !i (List.hd sids) (List.hd tags);
     i := !i + 16
   done;
-  {
-    t_calls = !calls;
-    t_fast = !fast;
-    t_slow = !slow;
-    t_evictions = Subkernel.evictions sb;
-    t_slot_evictions = Subkernel.slot_evictions sb;
-    t_lost = !lost;
-    t_live_bindings = Subkernel.live_bindings sb;
-  }
+  Sky_trace.Json.(
+    Obj
+      [
+        ("tenants", Int scale_tenants);
+        ("calls", Int !calls);
+        (* served by VMFUNC direct calls, and by slowpath IPC after slot
+           eviction *)
+        ("fast", Int !fast);
+        ("slowpath", Int !slow);
+        (* per-process EPTP-list LRU evictions, and global-budget
+           whole-process retirements *)
+        ("eptp_evictions", Int (Subkernel.evictions sb));
+        ("slot_evictions", Int (Subkernel.slot_evictions sb));
+        (* wrong or failed replies *)
+        ("lost", Int !lost);
+        ("live_bindings", Int (Subkernel.live_bindings sb));
+      ])
+
+(* ---- acceptance gates: predicates over the payload ---- *)
+
+let points r = Outcome.list r "points"
+let point_2x r = List.find (fun p -> Outcome.float p "offered_mult" = 2.0) (points r)
+let chaos r = Outcome.field r "chaos"
+let tenant_scale r = Outcome.field r "tenant_scale"
+
+(* Nothing vanished and nothing lied: every offered request resolved
+   into exactly one bucket, and no admitted request was lost or
+   corrupted — under overload AND under the storm. *)
+let zero_lost r =
+  List.for_all
+    (fun p -> Outcome.(bool p "accounted" && int p "corrupt" = 0))
+    (Outcome.field (chaos r) "point" :: points r)
+  && Outcome.int (tenant_scale r) "lost" = 0
+
+(* Admission control holds the line: goodput at 2× offered load stays a
+   healthy fraction of the saturation throughput instead of collapsing
+   under queueing and retry amplification. *)
+let goodput_ratio r =
+  Outcome.float (point_2x r) "goodput_req_per_sec"
+  /. Float.max 1e-9 (Outcome.float r "saturation_req_per_sec")
+
+let overload_sheds r = Outcome.(int (point_2x r) "shed" + int (point_2x r) "shed_wire" > 0)
+
+let chaos_active r =
+  Exp_chaos.total (chaos r) "injected" >= 3 && Outcome.int (chaos r) "restarts" > 0
+
+let chaos_clean r =
+  Outcome.(int (chaos r) "audit_violations" = 0 && int (chaos r) "fsck_problems" = 0)
+
+let tenants_evicted r =
+  let t = tenant_scale r in
+  Outcome.(
+    int t "eptp_evictions" > 0 && int t "slot_evictions" > 0 && int t "slowpath" > 0
+    && int t "fast" > 0)
 
 (* ---- the full experiment ---- *)
 
@@ -292,61 +295,39 @@ let run_overload () =
   let points = List.map measure mults in
   let chaos = run_chaos ~ttl ~mean_gap:(Int.max 1 (sat_gap / 2)) in
   let tenant = run_tenants () in
-  {
-    r_sat_gap = sat_gap;
-    r_sat_tput = sat_tput;
-    r_ttl = ttl;
-    r_points = points;
-    r_chaos = chaos;
-    r_tenant = tenant;
-  }
-
-(* ---- acceptance gates ---- *)
-
-let all_points r = r.r_chaos.c_point :: r.r_points
-
-(* Nothing vanished and nothing lied: every offered request resolved
-   into exactly one bucket, and no admitted request was lost or
-   corrupted — under overload AND under the storm. *)
-let zero_lost r =
-  List.for_all (fun p -> p.p_accounted && p.p_corrupt = 0) (all_points r)
-  && r.r_tenant.t_lost = 0
-
-let goodput_at mult r =
-  match List.find_opt (fun p -> p.p_mult = mult) r.r_points with
-  | Some p -> p.p_goodput
-  | None -> 0.0
-
-(* Admission control holds the line: goodput at 2× offered load stays a
-   healthy fraction of the saturation throughput instead of collapsing
-   under queueing and retry amplification. *)
-let goodput_ratio r = goodput_at 2.0 r /. Float.max 1e-9 r.r_sat_tput
-
-let overload_sheds r =
-  match List.find_opt (fun p -> p.p_mult = 2.0) r.r_points with
-  | Some p -> p.p_shed + p.p_shed_wire > 0
-  | None -> false
-
-let chaos_active r =
-  List.fold_left (fun a (_, n) -> a + n) 0 r.r_chaos.c_injected >= 3
-  && r.r_chaos.c_restarts > 0
-
-let chaos_clean r = r.r_chaos.c_audit = 0 && r.r_chaos.c_fsck = 0
-
-let tenants_evicted r =
-  r.r_tenant.t_evictions > 0
-  && r.r_tenant.t_slot_evictions > 0
-  && r.r_tenant.t_slow > 0
-  && r.r_tenant.t_fast > 0
-
-(* p99.9 of admitted requests at 2x offered load. *)
-let p999_2x r =
-  match List.find_opt (fun p -> p.p_mult = 2.0) r.r_points with
-  | Some p -> p.p_p999
-  | None -> max_int
+  let open Sky_trace.Json in
+  let fields =
+    [
+      ("bench", String "overload");
+      ("seed", Int seed);
+      ("workers", Int workers);
+      ("tenants", Int tenants);
+      ("arrivals", Int total);
+      (* closed-loop mean completion gap, cycles/request *)
+      ("saturation_gap_cycles", Int sat_gap);
+      ("saturation_req_per_sec", Float sat_tput);
+      ("ttl_cycles", Int ttl);
+      ("queue_cap", Int queue_cap);
+      ("batch_max", Int batch_max);
+      ("points", List points);
+      ("chaos", chaos);
+      ("tenant_scale", tenant);
+    ]
+  in
+  let r = Obj fields in
+  Obj
+    (fields
+    @ [
+        ("goodput_ratio_2x", Float (goodput_ratio r));
+        ("zero_lost", Bool (zero_lost r));
+        ("overload_sheds", Bool (overload_sheds r));
+        ("chaos_active", Bool (chaos_active r));
+        ("chaos_clean", Bool (chaos_clean r));
+        ("tenants_evicted", Bool (tenants_evicted r));
+      ])
 
 (* The structural gates, the goodput floor (budgeted, 50 % without a
-   budget) and the p99.9 regression budget. *)
+   budget) and the ambient backend's p99.9 regression budget at 2x. *)
 let checks budgets r =
   let floor =
     match Budget.find budgets ~section:"overload" ~key:"goodput_floor_pct" with
@@ -361,138 +342,63 @@ let checks budgets r =
     ("chaos_active", chaos_active r);
     ("chaos_clean", chaos_clean r);
     ("tenants_evicted", tenants_evicted r);
-    Budget.ceiling budgets ~section:"overload" ~key:"p999_cycles" (p999_2x r);
+    Budget.ceiling budgets ~section:"overload" ~key:"p999_cycles"
+      ~backend:Sky_core.Backend.(name (get_default ()))
+      (Outcome.int (point_2x r) "p999_cycles");
   ]
 
 (* ---- rendering ---- *)
 
 let row ?(label = "") p =
-  [
-    (if label = "" then Printf.sprintf "%.1fx" p.p_mult else label);
-    string_of_int p.p_offered;
-    string_of_int p.p_ok;
-    string_of_int (p.p_shed + p.p_shed_wire);
-    string_of_int (p.p_unservable + p.p_corrupt);
-    Tbl.fmt_ops p.p_goodput;
-    Tbl.fmt_int p.p_p50;
-    Tbl.fmt_int p.p_p99;
-    Tbl.fmt_int p.p_p999;
-    string_of_int p.p_batches;
-  ]
+  let n key = string_of_int (Outcome.int p key) in
+  Outcome.
+    [
+      (if label = "" then Printf.sprintf "%.1fx" (float p "offered_mult") else label);
+      n "offered";
+      n "goodput";
+      string_of_int (int p "shed" + int p "shed_wire");
+      string_of_int (int p "unservable" + int p "corrupt");
+      Tbl.fmt_ops (float p "goodput_req_per_sec");
+      Tbl.fmt_int (int p "p50_cycles");
+      Tbl.fmt_int (int p "p99_cycles");
+      Tbl.fmt_int (int p "p999_cycles");
+      n "batches";
+    ]
 
 let table r =
+  let c = chaos r and t = tenant_scale r in
   Tbl.make
     ~title:
       (Printf.sprintf
          "Overload: open-loop load vs admission control (%d workers, \
           saturation %s req/s)"
-         workers (Tbl.fmt_ops r.r_sat_tput))
+         workers
+         (Tbl.fmt_ops (Outcome.float r "saturation_req_per_sec")))
     ~header:
       [
         "offered"; "arrivals"; "goodput"; "shed"; "errors"; "good req/s";
         "p50"; "p99"; "p99.9"; "batches";
       ]
     ~notes:
-      [
-        Printf.sprintf
-          "admission: queue cap %d/receiver, TTL %d cycles, batch <= %d; \
-           latency = arrival to response of admitted requests"
-          queue_cap r.r_ttl batch_max;
-        Printf.sprintf
-          "chaos row: %d faults injected at 2x load; %d retries recovered, \
-           %d restarts, budget %d withdrawn / %d refused, audit %d, fsck %d"
-          (List.fold_left (fun a (_, n) -> a + n) 0 r.r_chaos.c_injected)
-          r.r_chaos.c_recovered r.r_chaos.c_restarts
-          r.r_chaos.c_budget_withdrawn r.r_chaos.c_budget_refused
-          r.r_chaos.c_audit r.r_chaos.c_fsck;
-        Printf.sprintf
-          "tenant scale: %d procs, %d calls, %d fast / %d slowpath, %d LRU + \
-           %d slot evictions, %d lost"
-          scale_tenants r.r_tenant.t_calls r.r_tenant.t_fast
-          r.r_tenant.t_slow r.r_tenant.t_evictions
-          r.r_tenant.t_slot_evictions r.r_tenant.t_lost;
-      ]
-    (List.map row r.r_points @ [ row ~label:"2.0x+chaos" r.r_chaos.c_point ])
+      Outcome.
+        [
+          Printf.sprintf
+            "admission: queue cap %d/receiver, TTL %d cycles, batch <= %d; \
+             latency = arrival to response of admitted requests"
+            queue_cap (int r "ttl_cycles") batch_max;
+          Printf.sprintf
+            "chaos row: %d faults injected at 2x load; %d retries recovered, \
+             %d restarts, budget %d withdrawn / %d refused, audit %d, fsck %d"
+            (Exp_chaos.total c "injected") (int c "recovered") (int c "restarts")
+            (int c "budget_withdrawn") (int c "budget_refused")
+            (int c "audit_violations") (int c "fsck_problems");
+          Printf.sprintf
+            "tenant scale: %d procs, %d calls, %d fast / %d slowpath, %d LRU + \
+             %d slot evictions, %d lost"
+            scale_tenants (int t "calls") (int t "fast") (int t "slowpath")
+            (int t "eptp_evictions") (int t "slot_evictions") (int t "lost");
+        ]
+    (List.map row (points r) @ [ row ~label:"2.0x+chaos" (Outcome.field c "point") ])
 
-let to_json r =
-  let open Sky_trace.Json in
-  let point p =
-    Obj
-      [
-        ("offered_mult", Float p.p_mult);
-        ("mean_gap_cycles", Int p.p_mean_gap);
-        ("offered", Int p.p_offered);
-        ("goodput", Int p.p_ok);
-        ("shed", Int p.p_shed);
-        ("shed_wire", Int p.p_shed_wire);
-        ("shed_queue", Int p.p_shed_queue);
-        ("shed_expired", Int p.p_shed_expired);
-        ("unservable", Int p.p_unservable);
-        ("corrupt", Int p.p_corrupt);
-        ("accounted", Bool p.p_accounted);
-        ("goodput_req_per_sec", Float p.p_goodput);
-        ("p50_cycles", Int p.p_p50);
-        ("p99_cycles", Int p.p_p99);
-        ("p999_cycles", Int p.p_p999);
-        ("conn_churns", Int p.p_churns);
-        ("batches", Int p.p_batches);
-        ("batched_ops", Int p.p_batched_ops);
-        ("elapsed_cycles", Int p.p_elapsed);
-      ]
-  in
-  to_string
-    (Obj
-       [
-         ("bench", String "overload");
-         ("seed", Int seed);
-         ("workers", Int workers);
-         ("tenants", Int tenants);
-         ("arrivals", Int total);
-         ("saturation_gap_cycles", Int r.r_sat_gap);
-         ("saturation_req_per_sec", Float r.r_sat_tput);
-         ("ttl_cycles", Int r.r_ttl);
-         ("queue_cap", Int queue_cap);
-         ("batch_max", Int batch_max);
-         ("points", List (List.map point r.r_points));
-         ( "chaos",
-           Obj
-             [
-               ("point", point r.r_chaos.c_point);
-               ( "injected",
-                 Obj
-                   (List.map
-                      (fun (site, n) -> (site, Int n))
-                      r.r_chaos.c_injected) );
-               ("recovered", Int r.r_chaos.c_recovered);
-               ("restarts", Int r.r_chaos.c_restarts);
-               ("degraded", Int r.r_chaos.c_degraded);
-               ("lost_calls", Int r.r_chaos.c_lost_calls);
-               ("budget_withdrawn", Int r.r_chaos.c_budget_withdrawn);
-               ("budget_refused", Int r.r_chaos.c_budget_refused);
-               ("audit_violations", Int r.r_chaos.c_audit);
-               ("fsck_problems", Int r.r_chaos.c_fsck);
-             ] );
-         ( "tenant_scale",
-           Obj
-             [
-               ("tenants", Int scale_tenants);
-               ("calls", Int r.r_tenant.t_calls);
-               ("fast", Int r.r_tenant.t_fast);
-               ("slowpath", Int r.r_tenant.t_slow);
-               ("eptp_evictions", Int r.r_tenant.t_evictions);
-               ("slot_evictions", Int r.r_tenant.t_slot_evictions);
-               ("lost", Int r.r_tenant.t_lost);
-               ("live_bindings", Int r.r_tenant.t_live_bindings);
-             ] );
-         ("goodput_ratio_2x", Float (goodput_ratio r));
-         ("zero_lost", Bool (zero_lost r));
-         ("overload_sheds", Bool (overload_sheds r));
-         ("chaos_active", Bool (chaos_active r));
-         ("chaos_clean", Bool (chaos_clean r));
-         ("tenants_evicted", Bool (tenants_evicted r));
-       ])
-
-let outcome budgets r =
-  Outcome.make ~checks:(checks budgets r) (table r) (to_json r)
-
+let outcome budgets r = Outcome.make ~checks:(checks budgets r) (table r) r
 let run budgets = outcome budgets (run_overload ())

@@ -24,39 +24,18 @@
     are available, a reduced bar for 2–3, and an explicit {e waived}
     verdict on a single-domain host, where no scheduler can manufacture
     parallelism. Wall seconds, the measured speedup and the verdict are
-    host-dependent, so they never appear in the deterministic result —
-    they are reported as host facts ({!host}), which BENCH_parallel.json
-    records under "host". *)
+    host-dependent, so they never appear in the deterministic payload:
+    {!run_full} returns them beside it as host facts, which
+    BENCH_parallel.json records under "host" and the speedup gate
+    reads. *)
 
 open Sky_net
 open Sky_harness
 module Fault = Sky_faults.Fault
 
-type check = { c_name : string; c_ok : bool }
-
-type result = {
-  r_seed : int;
-  r_eq_shards : int;
-  r_eq_workers : int;
-  r_eq_quantum : int;
-  r_alt_quantum : int;
-  r_eq_served : int;
-  r_eq_errors : int;
-  r_eq_quanta : int;
-  r_eq_faults_fired : int;
-  r_sc_shards : int;
-  r_sc_workers : int;
-  r_sc_quantum : int;
-  r_sc_served : int;
-  r_sc_quanta : int;
-  r_checks : check list;
-  (* Host-dependent: never rendered into the deterministic JSON. *)
-  r_host_domains : int;
-  r_jobs : int;
-  r_pairs : (float * float) list;  (** (seq, par) wall seconds per pair *)
-  r_speedup : float;  (** median over pairs of seq ÷ par *)
-  r_gate : string;
-}
+(* One equivalence check as the payload carries it. *)
+let check name ok = Sky_trace.Json.(Obj [ ("name", String name); ("ok", Bool ok) ])
+let all_identical checks = List.for_all (fun c -> Outcome.bool c "ok") checks
 
 (* ---- phase A: equivalence ---- *)
 
@@ -107,7 +86,7 @@ let fired_total cl =
 
 let equivalence ~seed =
   let checks = ref [] in
-  let check name ok = checks := { c_name = name; c_ok = ok } :: !checks in
+  let check name ok = checks := check name ok :: !checks in
   let seq_vs_par backend =
     Sky_core.Backend.with_default backend @@ fun () ->
     let bname = Sky_core.Backend.name backend in
@@ -191,7 +170,9 @@ let gate_of ~domains ~jobs ~speedup =
     if speedup >= bar then Printf.sprintf "pass:>=%.2fx" bar
     else Printf.sprintf "fail:<%.2fx" bar
 
-let speedup_phase ~seed ~checks =
+(* The scale phase's payload, its digest check, and the host facts:
+   every pair's wall seconds, the median speedup and the verdict. *)
+let speedup_phase ~seed =
   let domains = Domain.recommended_domain_count () in
   let jobs = max 1 (min sc_shards domains) in
   let seq () = timed_run ~seed Sky_sim.Quantum.Seq in
@@ -206,146 +187,104 @@ let speedup_phase ~seed ~checks =
           let p = par () in
           (seq (), p))
   in
-  let _, ((_, served, quanta) as outcome) = fst (List.hd pairs) in
-  (* The scale cluster must satisfy the same determinism gate, every run. *)
-  let ck =
-    {
-      c_name = "digest:scale-seq-vs-par";
-      c_ok =
-        List.for_all
-          (fun ((_, s), (_, p)) -> s = outcome && p = outcome)
-          pairs;
-    }
-  in
+  let _, ((_, served, quanta) as first) = fst (List.hd pairs) in
   let speedup =
     median
       (List.map
          (fun ((s, _), (p, _)) -> if p > 0. then s /. p else 1.0)
          pairs)
   in
-  ( served,
-    quanta,
-    checks @ [ ck ],
-    domains,
-    jobs,
-    List.map (fun ((s, _), (p, _)) -> (s, p)) pairs,
-    speedup )
+  let open Sky_trace.Json in
+  ( Obj
+      [
+        ("shards", Int sc_shards);
+        ("workers_per_shard", Int sc_workers);
+        ("quantum_cycles", Int sc_quantum);
+        ("served", Int served);
+        ("quanta", Int quanta);
+      ],
+    (* The scale cluster must satisfy the same determinism gate, every run. *)
+    check "digest:scale-seq-vs-par"
+      (List.for_all (fun ((_, s), (_, p)) -> s = first && p = first) pairs),
+    [
+      ("domains", Int domains);
+      ("jobs", Int jobs);
+      ( "seq_par_seconds",
+        String
+          (String.concat " "
+             (List.map (fun ((s, _), (p, _)) -> Printf.sprintf "%.2f/%.2f" s p) pairs)) );
+      ("median_speedup", String (Printf.sprintf "%.2fx" speedup));
+      ("gate", String (gate_of ~domains ~jobs ~speedup));
+    ] )
 
+(* The deterministic payload, which CI byte-diffs across runs, and beside
+   it the host facts ({!speedup_phase}) that BENCH_parallel.json records
+   under "host". *)
 let run_full () =
   let seed = 42 in
   let eq, fired, checks = equivalence ~seed in
-  let sc_served, sc_quanta, checks, domains, jobs, pairs, speedup =
-    speedup_phase ~seed ~checks
-  in
-  {
-    r_seed = seed;
-    r_eq_shards = eq_shards;
-    r_eq_workers = eq_workers;
-    r_eq_quantum = eq_quantum;
-    r_alt_quantum = alt_quantum;
-    r_eq_served = Cluster_web.served eq;
-    r_eq_errors = Cluster_web.errors eq;
-    r_eq_quanta = Cluster_web.quanta eq;
-    r_eq_faults_fired = fired;
-    r_sc_shards = sc_shards;
-    r_sc_workers = sc_workers;
-    r_sc_quantum = sc_quantum;
-    r_sc_served = sc_served;
-    r_sc_quanta = sc_quanta;
-    r_checks = checks;
-    r_host_domains = domains;
-    r_jobs = jobs;
-    r_pairs = pairs;
-    r_speedup = speedup;
-    r_gate = gate_of ~domains ~jobs ~speedup;
-  }
+  let scale, digest, host = speedup_phase ~seed in
+  let checks = checks @ [ digest ] in
+  let open Sky_trace.Json in
+  ( Obj
+      [
+        ("bench", String "parallel");
+        ("seed", Int seed);
+        ( "equivalence",
+          Obj
+            [
+              ("shards", Int eq_shards);
+              ("workers_per_shard", Int eq_workers);
+              ("quantum_cycles", Int eq_quantum);
+              ("alt_quantum_cycles", Int alt_quantum);
+              ("served", Int (Cluster_web.served eq));
+              ("errors", Int (Cluster_web.errors eq));
+              ("quanta", Int (Cluster_web.quanta eq));
+              ("faults_fired", Int fired);
+            ] );
+        ("scale", scale);
+        ("checks", List checks);
+        ("all_identical", Bool (all_identical checks));
+      ],
+    host )
 
-let all_identical r = List.for_all (fun c -> c.c_ok) r.r_checks
-let gate_ok r = not (String.length r.r_gate >= 4 && String.sub r.r_gate 0 4 = "fail")
+let gate_ok gate = not (String.starts_with ~prefix:"fail" gate)
 
 (* ---- rendering ---- *)
 
-(* Deterministic: everything host-dependent (domains, jobs, seconds,
-   speedup, the gate verdict) stays out — CI byte-diffs this across
-   runs and the committed artifact carries the verdict under "host"
-   ({!host}). *)
-let to_json r =
-  let open Sky_trace.Json in
-  to_string
-    (Obj
-       [
-         ("bench", String "parallel");
-         ("seed", Int r.r_seed);
-         ( "equivalence",
-           Obj
-             [
-               ("shards", Int r.r_eq_shards);
-               ("workers_per_shard", Int r.r_eq_workers);
-               ("quantum_cycles", Int r.r_eq_quantum);
-               ("alt_quantum_cycles", Int r.r_alt_quantum);
-               ("served", Int r.r_eq_served);
-               ("errors", Int r.r_eq_errors);
-               ("quanta", Int r.r_eq_quanta);
-               ("faults_fired", Int r.r_eq_faults_fired);
-             ] );
-         ( "scale",
-           Obj
-             [
-               ("shards", Int r.r_sc_shards);
-               ("workers_per_shard", Int r.r_sc_workers);
-               ("quantum_cycles", Int r.r_sc_quantum);
-               ("served", Int r.r_sc_served);
-               ("quanta", Int r.r_sc_quanta);
-             ] );
-         ( "checks",
-           List
-             (List.map
-                (fun c -> Obj [ ("name", String c.c_name); ("ok", Bool c.c_ok) ])
-                r.r_checks) );
-         ("all_identical", Bool (all_identical r));
-       ])
-
-(* Host context for the artifact's "host" object: the domain count, the
-   job count, every pair's wall seconds, the median speedup and the
-   verdict measured on this host. *)
-let host r =
-  let open Sky_trace.Json in
-  [
-    ("domains", Int r.r_host_domains);
-    ("jobs", Int r.r_jobs);
-    ( "seq_par_seconds",
-      String
-        (String.concat " "
-           (List.map (fun (s, p) -> Printf.sprintf "%.2f/%.2f" s p) r.r_pairs)) );
-    ("median_speedup", String (Printf.sprintf "%.2fx" r.r_speedup));
-    ("gate", String r.r_gate);
-  ]
-
-let table r =
+let table r host =
+  let eq = Outcome.field r "equivalence" and sc = Outcome.field r "scale" in
+  let h = Sky_trace.Json.Obj host in
   Tbl.make
     ~title:
       (Printf.sprintf
          "Quantum-synchronized parallel simulation (quantum %d cycles)"
-         r.r_eq_quantum)
+         (Outcome.int eq "quantum_cycles"))
     ~header:[ "check"; "result" ]
     ~notes:
-      [
-        Printf.sprintf
-          "equivalence: %d shards x %d workers, faults armed; scale: %d x %d"
-          r.r_eq_shards r.r_eq_workers r.r_sc_shards r.r_sc_workers;
-        Printf.sprintf
-          "host: %d domain(s), par jobs=%d, median speedup %.2fx -> gate %s"
-          r.r_host_domains r.r_jobs r.r_speedup r.r_gate;
-      ]
+      Outcome.
+        [
+          Printf.sprintf
+            "equivalence: %d shards x %d workers, faults armed; scale: %d x %d"
+            (int eq "shards") (int eq "workers_per_shard") (int sc "shards")
+            (int sc "workers_per_shard");
+          Printf.sprintf "host: %d domain(s), par jobs=%d, median speedup %s -> gate %s"
+            (int h "domains") (int h "jobs") (string h "median_speedup") (string h "gate");
+        ]
     (List.map
-       (fun c -> [ c.c_name; (if c.c_ok then "identical" else "MISMATCH") ])
-       r.r_checks
-    @ [ [ "speedup-gate"; r.r_gate ] ])
+       (fun c ->
+         [ Outcome.string c "name"; (if Outcome.bool c "ok" then "identical" else "MISMATCH") ])
+       (Outcome.list r "checks")
+    @ [ [ "speedup-gate"; Outcome.string h "gate" ] ])
 
-let outcome r =
-  Outcome.make ~host:(host r)
+let outcome (r, host) =
+  let gate = Outcome.string (Sky_trace.Json.Obj host) "gate" in
+  Outcome.make ~host
     ~checks:
-      [ ("all_identical", all_identical r); ("speedup_gate " ^ r.r_gate, gate_ok r) ]
-    (table r) (to_json r)
+      [
+        ("all_identical", all_identical (Outcome.list r "checks"));
+        ("speedup_gate " ^ gate, gate_ok gate);
+      ]
+    (table r host) r
 
 let run (_ : Budget.t) = outcome (run_full ())

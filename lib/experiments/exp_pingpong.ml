@@ -16,16 +16,6 @@
 open Sky_ukernel
 open Sky_harness
 
-type result = {
-  cycles_per_call : int;  (** acceleration on (the shipped configuration) *)
-  cycles_per_call_noaccel : int;  (** reference walker, caches off *)
-  walk_cycles_per_call : int;  (** TLB-refill cycles per call, accel on *)
-  psc_hits : int;
-  psc_misses : int;
-  ept_wc_hits : int;
-  ept_wc_misses : int;
-}
-
 let iters_warm = 50
 let iters = 1000
 let ws_pages = 96
@@ -67,6 +57,8 @@ let with_rig k =
   done;
   k ~cpu ~sb ~one
 
+(* One measured window: its cycles per call, and its walk cycles and
+   PMU counts as payload fields. *)
 let measure () =
   with_rig @@ fun ~cpu ~sb:_ ~one ->
   let pmu = Sky_sim.Cpu.pmu cpu in
@@ -79,15 +71,15 @@ let measure () =
   for _ = 1 to iters do
     one ()
   done;
-  {
-    cycles_per_call = (Sky_sim.Cpu.cycles cpu - t0) / iters;
-    cycles_per_call_noaccel = 0 (* filled by [run_result] *);
-    walk_cycles_per_call = (read Sky_sim.Pmu.Walk_cycles - walk0) / iters;
-    psc_hits = read Sky_sim.Pmu.Psc_hit - psc_h0;
-    psc_misses = read Sky_sim.Pmu.Psc_miss - psc_m0;
-    ept_wc_hits = read Sky_sim.Pmu.Ept_walk_cache_hit - wc_h0;
-    ept_wc_misses = read Sky_sim.Pmu.Ept_walk_cache_miss - wc_m0;
-  }
+  let open Sky_trace.Json in
+  ( (Sky_sim.Cpu.cycles cpu - t0) / iters,
+    [
+      ("walk_cycles_per_call", Int ((read Sky_sim.Pmu.Walk_cycles - walk0) / iters));
+      ("psc_hits", Int (read Sky_sim.Pmu.Psc_hit - psc_h0));
+      ("psc_misses", Int (read Sky_sim.Pmu.Psc_miss - psc_m0));
+      ("ept_wc_hits", Int (read Sky_sim.Pmu.Ept_walk_cache_hit - wc_h0));
+      ("ept_wc_misses", Int (read Sky_sim.Pmu.Ept_walk_cache_miss - wc_m0));
+    ] )
 
 (* The cross-backend view of the same measured window: total per-call
    cycles plus the Subkernel's Figure-7 cycle attribution, so the matrix
@@ -128,13 +120,23 @@ let with_accel enabled f =
   Fun.protect ~finally:(fun () -> Sky_sim.Accel.set_enabled saved) f
 
 let run_result () =
-  let on_ = with_accel true measure in
-  let off = with_accel false measure in
-  { on_ with cycles_per_call_noaccel = off.cycles_per_call }
+  let on_, counters = with_accel true measure in
+  let off, _ = with_accel false measure in
+  Sky_trace.Json.(
+    Obj
+      ([
+         ("experiment", String "pingpong");
+         ("cycles_per_call", Int on_);
+         ("cycles_per_call_noaccel", Int off);
+       ]
+      @ counters))
 
-let pct_hit h m = if h + m = 0 then 0.0 else 100.0 *. float_of_int h /. float_of_int (h + m)
+let pct_hit r h m =
+  let h = Outcome.int r h and m = Outcome.int r m in
+  if h + m = 0 then 0.0 else 100.0 *. float_of_int h /. float_of_int (h + m)
 
 let table r =
+  let cycles key = Tbl.fmt_int (Outcome.int r key) in
   Tbl.make
     ~title:
       "Pingpong: SkyBridge direct call under TLB pressure (96-page client \
@@ -147,39 +149,28 @@ let table r =
         "hit rates are over the measured window, acceleration on";
       ]
     [
-      [ "cycles/call (accel on)"; Tbl.fmt_int r.cycles_per_call ];
-      [ "cycles/call (accel off)"; Tbl.fmt_int r.cycles_per_call_noaccel ];
-      [ "walk cycles/call (accel on)"; Tbl.fmt_int r.walk_cycles_per_call ];
-      [ "psc hit rate %"; Printf.sprintf "%.1f" (pct_hit r.psc_hits r.psc_misses) ];
+      [ "cycles/call (accel on)"; cycles "cycles_per_call" ];
+      [ "cycles/call (accel off)"; cycles "cycles_per_call_noaccel" ];
+      [ "walk cycles/call (accel on)"; cycles "walk_cycles_per_call" ];
+      [ "psc hit rate %"; Printf.sprintf "%.1f" (pct_hit r "psc_hits" "psc_misses") ];
       [
         "ept walk cache hit rate %";
-        Printf.sprintf "%.1f" (pct_hit r.ept_wc_hits r.ept_wc_misses);
+        Printf.sprintf "%.1f" (pct_hit r "ept_wc_hits" "ept_wc_misses");
       ];
     ]
 
-let to_json r =
-  Sky_trace.Json.(
-    to_string
-      (Obj
-         [
-           ("experiment", String "pingpong");
-           ("cycles_per_call", Int r.cycles_per_call);
-           ("cycles_per_call_noaccel", Int r.cycles_per_call_noaccel);
-           ("walk_cycles_per_call", Int r.walk_cycles_per_call);
-           ("psc_hits", Int r.psc_hits);
-           ("psc_misses", Int r.psc_misses);
-           ("ept_wc_hits", Int r.ept_wc_hits);
-           ("ept_wc_misses", Int r.ept_wc_misses);
-         ]))
-
+(* Acceleration pays, and cycles per call stay within the ambient
+   backend's budget. *)
 let outcome budgets r =
+  let cycles = Outcome.int r "cycles_per_call" in
   Outcome.make
     ~checks:
       [
-        ("accel_pays", r.cycles_per_call < r.cycles_per_call_noaccel);
+        ("accel_pays", cycles < Outcome.int r "cycles_per_call_noaccel");
         Budget.ceiling budgets ~section:"pingpong" ~key:"cycles_per_call"
-          r.cycles_per_call;
+          ~backend:Sky_core.Backend.(name (get_default ()))
+          cycles;
       ]
-    (table r) (to_json r)
+    (table r) r
 
 let run budgets = outcome budgets (run_result ())

@@ -18,29 +18,13 @@
 open Sky_net
 open Sky_harness
 
-type side = {
-  v_tput : float;  (** requests per simulated second *)
-  v_p50 : int;
-  v_p95 : int;
-  v_p99 : int;
-  v_responses : int;
-  v_errors : int;
-  v_elapsed : int;
-  v_evictions : int;  (** EPTP-list LRU evictions, all worker processes *)
-  v_worker_evictions : int list;  (** per worker process, core order *)
-}
-
-type point = { p_workers : int; p_sky : side; p_ipc : side }
-
 let seed = 42
 
-type result = {
-  r_cores : int;
-  r_conns : int;
-  r_requests_per_conn : int;
-  r_points : point list;
-}
+(* The kernel {!Web} builds. *)
+let variant = Sky_ukernel.Config.(variant_name Sel4)
 
+(* One run's payload: throughput, latency, and the EPTP-list LRU
+   evictions of every worker process, in core order. *)
 let side_of t =
   let lg = Web.loadgen t in
   let h = Loadgen.latencies lg in
@@ -52,66 +36,90 @@ let side_of t =
         (fun p -> Sky_core.Subkernel.process_evictions sb p)
         (Array.to_list (Web.worker_procs t))
   in
-  let open Sky_trace.Histogram in
-  {
-    v_tput = Web.throughput t;
-    v_p50 = p50 h;
-    v_p95 = p95 h;
-    v_p99 = p99 h;
-    v_responses = Loadgen.responses lg;
-    v_errors = Loadgen.errors lg;
-    v_elapsed = Web.elapsed t;
-    v_evictions = List.fold_left ( + ) 0 worker_evictions;
-    v_worker_evictions = worker_evictions;
-  }
+  let open Sky_trace.Json in
+  Obj
+    [
+      ("throughput_req_per_sec", Float (Web.throughput t));
+      ("p50_cycles", Int (Sky_trace.Histogram.p50 h));
+      ("p95_cycles", Int (Sky_trace.Histogram.p95 h));
+      ("p99_cycles", Int (Sky_trace.Histogram.p99 h));
+      ("responses", Int (Loadgen.responses lg));
+      ("errors", Int (Loadgen.errors lg));
+      ("elapsed_cycles", Int (Web.elapsed t));
+      ("evictions", Int (List.fold_left ( + ) 0 worker_evictions));
+      ("worker_evictions", List (List.map (fun n -> Int n) worker_evictions));
+    ]
 
 let measure ~cores ~conns ~requests_per_conn ~workers transport =
   let t = Web.build ~seed ~cores ~conns ~requests_per_conn ~workers ~transport () in
   Web.run t;
   side_of t
 
-let run_curve ~cores ~conns ~requests_per_conn =
-  let point workers =
-    let m transport = measure ~cores ~conns ~requests_per_conn ~workers transport in
-    { p_workers = workers; p_sky = m Web.Skybridge; p_ipc = m Web.Ipc_slowpath }
-  in
-  {
-    r_cores = cores;
-    r_conns = conns;
-    r_requests_per_conn = requests_per_conn;
-    r_points = List.init cores (fun i -> point (i + 1));
-  }
+(* ---- the acceptance properties, over the payload ---- *)
 
-(* ---- the two acceptance properties ---- *)
-
-let sky_always_ahead r =
-  List.for_all (fun p -> p.p_sky.v_tput > p.p_ipc.v_tput) r.r_points
+let points r = Outcome.list r "points"
+let tput side = Outcome.float side "throughput_req_per_sec"
+let sky p = Outcome.field p "skybridge"
+let ipc p = Outcome.field p "slowpath_ipc"
+let sky_always_ahead r = List.for_all (fun p -> tput (sky p) > tput (ipc p)) (points r)
 
 let sky_monotone r =
   let rec go = function
-    | a :: (b :: _ as rest) -> a.p_sky.v_tput < b.p_sky.v_tput && go rest
+    | a :: (b :: _ as rest) -> tput (sky a) < tput (sky b) && go rest
     | _ -> true
   in
-  go r.r_points
+  go (points r)
 
 let all_served r =
-  let want = r.r_conns * r.r_requests_per_conn in
+  let want = Outcome.(int r "conns" * int r "requests_per_conn") in
   List.for_all
     (fun p ->
-      p.p_sky.v_responses = want && p.p_sky.v_errors = 0
-      && p.p_ipc.v_responses = want && p.p_ipc.v_errors = 0)
-    r.r_points
+      List.for_all
+        (fun side -> Outcome.(int side "responses" = want && int side "errors" = 0))
+        [ sky p; ipc p ])
+    (points r)
+
+let run_curve ~cores ~conns ~requests_per_conn =
+  let open Sky_trace.Json in
+  let point workers =
+    let m transport = measure ~cores ~conns ~requests_per_conn ~workers transport in
+    let sky = m Web.Skybridge in
+    let ipc = m Web.Ipc_slowpath in
+    Obj
+      [
+        ("workers", Int workers);
+        ("skybridge", sky);
+        ("slowpath_ipc", ipc);
+        ("speedup", Float (tput sky /. tput ipc));
+      ]
+  in
+  let fields =
+    [
+      ("bench", String "web");
+      ("variant", String variant);
+      ("seed", Int seed);
+      ("cores", Int cores);
+      ("conns", Int conns);
+      ("requests_per_conn", Int requests_per_conn);
+      ("points", List (List.init cores (fun i -> point (i + 1))));
+    ]
+  in
+  let r = Obj fields in
+  Obj
+    (fields
+    @ [
+        ("sky_beats_slowpath", Bool (sky_always_ahead r));
+        ("monotone_scaling", Bool (sky_monotone r));
+        ("all_served", Bool (all_served r));
+      ])
 
 (* ---- rendering ---- *)
-
-(* The kernel {!Web} builds. *)
-let variant = Sky_ukernel.Config.(variant_name Sel4)
 
 let table r =
   Tbl.make
     ~title:
       (Printf.sprintf "Web serving on %s: throughput vs workers (%d conns)" variant
-         r.r_conns)
+         (Outcome.int r "conns"))
     ~header:
       [
         "workers"; "sky req/s"; "sky p50"; "sky p99"; "ipc req/s"; "ipc p50";
@@ -121,65 +129,24 @@ let table r =
       [
         Printf.sprintf
           "closed-loop, %d requests/conn, RSS over one queue per worker"
-          r.r_requests_per_conn;
+          (Outcome.int r "requests_per_conn");
         "latency = wire-to-wire cycles per request, including queueing";
       ]
     (List.map
        (fun p ->
-         [
-           string_of_int p.p_workers;
-           Tbl.fmt_ops p.p_sky.v_tput;
-           Tbl.fmt_int p.p_sky.v_p50;
-           Tbl.fmt_int p.p_sky.v_p99;
-           Tbl.fmt_ops p.p_ipc.v_tput;
-           Tbl.fmt_int p.p_ipc.v_p50;
-           Tbl.fmt_int p.p_ipc.v_p99;
-           Tbl.fmt_speedup (p.p_sky.v_tput /. p.p_ipc.v_tput);
-         ])
-       r.r_points)
-
-let to_json r =
-  let open Sky_trace.Json in
-  let side v =
-    Obj
-      [
-        ("throughput_req_per_sec", Float v.v_tput);
-        ("p50_cycles", Int v.v_p50);
-        ("p95_cycles", Int v.v_p95);
-        ("p99_cycles", Int v.v_p99);
-        ("responses", Int v.v_responses);
-        ("errors", Int v.v_errors);
-        ("elapsed_cycles", Int v.v_elapsed);
-        ("evictions", Int v.v_evictions);
-        ("worker_evictions", List (List.map (fun n -> Int n) v.v_worker_evictions));
-      ]
-  in
-  to_string
-    (Obj
-       [
-         ("bench", String "web");
-         ("variant", String variant);
-         ("seed", Int seed);
-         ("cores", Int r.r_cores);
-         ("conns", Int r.r_conns);
-         ("requests_per_conn", Int r.r_requests_per_conn);
-         ( "points",
-           List
-             (List.map
-                (fun p ->
-                  Obj
-                    [
-                      ("workers", Int p.p_workers);
-                      ("skybridge", side p.p_sky);
-                      ("slowpath_ipc", side p.p_ipc);
-                      ( "speedup",
-                        Float (p.p_sky.v_tput /. p.p_ipc.v_tput) );
-                    ])
-                r.r_points) );
-         ("sky_beats_slowpath", Bool (sky_always_ahead r));
-         ("monotone_scaling", Bool (sky_monotone r));
-         ("all_served", Bool (all_served r));
-       ])
+         let s = sky p and i = ipc p in
+         Outcome.
+           [
+             string_of_int (int p "workers");
+             Tbl.fmt_ops (tput s);
+             Tbl.fmt_int (int s "p50_cycles");
+             Tbl.fmt_int (int s "p99_cycles");
+             Tbl.fmt_ops (tput i);
+             Tbl.fmt_int (int i "p50_cycles");
+             Tbl.fmt_int (int i "p99_cycles");
+             Tbl.fmt_speedup (float p "speedup");
+           ])
+       (points r))
 
 let outcome r =
   Outcome.make
@@ -189,7 +156,7 @@ let outcome r =
         ("sky_always_ahead", sky_always_ahead r);
         ("sky_monotone", sky_monotone r);
       ]
-    (table r) (to_json r)
+    (table r) r
 
 (* Registry entry: the small configuration CI gates and BENCH_web.json
    records, so `skybench run all` stays fast; test_experiments checks the

@@ -1,9 +1,11 @@
 (** Perf budgets ([bench/budgets.json]): one object per experiment
-    section holding integer budgets, e.g.
-    [{"pingpong":{"cycles_per_call":6958},"overload":{...}}]. Every
-    lookup is scoped to its own section. A missing file skips the budget
-    checks with a message; a file that is present but lacks the section
-    or key fails the check that needs it. *)
+    section. A ceiling holds one integer budget per isolation backend,
+    keyed by its [Backend.name], and a floor one integer, e.g.
+    [{"pingpong":{"cycles_per_call":{"vmfunc":6958,"mpk":6514,...}},
+    "overload":{"goodput_floor_pct":70,...}}]. Every lookup is scoped to
+    its own section. A missing file skips the budget checks with a
+    message; a file that is present but lacks the section or key fails
+    the check that needs it. *)
 
 let default_file = "bench/budgets.json"
 
@@ -28,17 +30,20 @@ let load file =
       Printf.eprintf "%s: %s\n%!" file msg;
       { file; json = Some Sky_trace.Json.Null }
 
-let find t ~section ~key =
+let lookup t path =
   Option.bind t.json (fun j ->
-      Option.bind (Sky_trace.Json.member section j) (fun s ->
-          Option.bind (Sky_trace.Json.member key s) Sky_trace.Json.int_value))
+      Option.bind
+        (List.fold_left (fun v k -> Option.bind v (Sky_trace.Json.member k)) (Some j) path)
+        Sky_trace.Json.int_value)
 
-(* The regression rule: [value] may exceed its budget by at most 2 %.
-   Returns the check as a (name, holds) pair; with no budgets file the
-   check is skipped and holds. *)
-let ceiling t ~section ~key value =
-  let name = section ^ "." ^ key in
-  match (t.json, find t ~section ~key) with
+let find t ~section ~key = lookup t [ section; key ]
+
+(* The regression rule: [value], measured under [backend], may exceed
+   that backend's budget by at most 2 %. Returns the check as a (name,
+   holds) pair; with no budgets file the check is skipped and holds. *)
+let ceiling t ~section ~key ~backend value =
+  let name = String.concat "." [ section; key; backend ] in
+  match (t.json, lookup t [ section; key; backend ]) with
   | None, _ -> (name, true)
   | Some _, None -> (Printf.sprintf "%s (no budget in %s)" name t.file, false)
   | Some _, Some budget ->

@@ -55,14 +55,13 @@ let to_markdown t =
 let to_json t =
   let open Sky_trace.Json in
   let row cells = List (List.map (fun c -> String c) cells) in
-  to_string
-    (Obj
-       [
-         ("title", String t.title);
-         ("header", row t.header);
-         ("rows", List (List.map row t.rows));
-         ("notes", row t.notes);
-       ])
+  Obj
+    [
+      ("title", String t.title);
+      ("header", row t.header);
+      ("rows", List (List.map row t.rows));
+      ("notes", row t.notes);
+    ]
 
 (* Render tracer latency histograms as a table — the hook any experiment
    (or `skybench trace`) uses to print its p50/p95/p99 profile. *)

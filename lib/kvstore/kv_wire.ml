@@ -96,6 +96,10 @@ let batch_replies r ~off ~len =
 let ok = Bytes.unsafe_of_string "ok"
 let err = Bytes.unsafe_of_string "err"
 
+(* A batch reply starts with its u16 reply count: read as one, ["err"]
+   would claim 29,285 replies in one byte, so it is unambiguous. *)
+let refused r = Bytes.equal r err
+
 (* The u16 at [o], or past any length once it would read beyond the
    message. *)
 let u16 msg o = if o + 2 <= Bytes.length msg then Bytes.get_uint16_le msg o else 1 lsl 17

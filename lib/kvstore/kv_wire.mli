@@ -41,6 +41,10 @@ val batch_replies : bytes -> off:int array -> len:int array -> int
     from [off.(i)]. Raises [Invalid_argument] on an unknown tag or more
     replies than the arrays hold. *)
 
+val refused : bytes -> bool
+(** Whether the answer to a ['B'] message is ["err"]: the batch was
+    refused whole and none of its ops ran. *)
+
 val handler : Kv_server.t -> Sky_ukernel.Kernel.t -> Sky_kernels.Ipc.handler
 (** Serve ['I'], ['Q'] and ['B'] on the store in place (the
     {!Kv_server} in-place forms), charged on the calling core. A batch's

@@ -523,7 +523,8 @@ let add_op t r =
 
 (* Batched worker→backend hop: every KV operation of the batch in one
    crossing, under the tightest member deadline, its replies read in
-   place by {!dispatch}. A [Denied] or [Expired] from the batched call
+   place by {!dispatch}. A [Denied] or [Expired] from the batched call,
+   or a batch the store refused whole (no room for its new keys),
    falls back to the individual path so each request gets its own
    terminal outcome. A batch of one (every batch when [a_batch_max =
    1]) takes the individual path. *)
@@ -536,6 +537,7 @@ let batch_kv t w =
       if is_kv t w.w_batch.(i) then add_op t w.w_batch.(i)
     done;
     match w.w_binding.kv_batch ~core (Kv_wire.batch_msg t.kv_batch) with
+    | reply when Kv_wire.refused reply -> t.deadlines.(core) <- -1
     | reply ->
       t.deadlines.(core) <- -1;
       t.batches <- t.batches + 1;

@@ -286,8 +286,52 @@ let test_chaos_seeds () =
 let test_mesh_failures_named () =
   let r = Exp_mesh.run_mesh () in
   Alcotest.(check (list string)) "clean run passes" [] (Exp_mesh.outcome r).failed;
+  let stale =
+    match r with
+    | Sky_trace.Json.Obj kvs ->
+      Sky_trace.Json.Obj
+        (List.map (fun (k, v) -> (k, if k = "graph_stale" then Sky_trace.Json.Int 1 else v)) kvs)
+    | _ -> Alcotest.fail "mesh payload is not an object"
+  in
   Alcotest.(check (list string)) "stale mapping named" [ "no_stale" ]
-    (Exp_mesh.outcome { r with Exp_mesh.m_graph_stale = 1 }).failed
+    (Exp_mesh.outcome stale).failed
+
+(* Every committed gated artifact, re-judged: each experiment's
+   [outcome], applied to the "result" of its BENCH_<id>.json (parallel's
+   with the artifact's "host" facts), hands that result back byte for
+   byte, renders its table and fails no check against
+   bench/budgets.json. *)
+let test_committed_artifacts () =
+  let open Sky_harness in
+  let budgets_file = "../bench/budgets.json" in
+  Alcotest.(check bool) "budgets file present" true (Sys.file_exists budgets_file);
+  let budgets = Budget.load budgets_file in
+  let judge id outcome =
+    let text = In_channel.with_open_bin (Printf.sprintf "../BENCH_%s.json" id) In_channel.input_all in
+    let artifact = Sky_trace.Json.of_string text in
+    let host =
+      match Outcome.field artifact "host" with
+      | Sky_trace.Json.Obj kvs -> kvs
+      | _ -> Alcotest.failf "%s: host is not an object" id
+    in
+    (* The result's bytes as committed: after the key, before the
+       envelope's closing brace and newline. *)
+    let key = "\"result\":" in
+    let rec find i = if String.sub text i (String.length key) = key then i else find (i + 1) in
+    let from = find 0 + String.length key in
+    let committed = String.sub text from (String.length text - from - 2) in
+    let o = outcome (Outcome.field artifact "result") host in
+    Alcotest.(check string) (id ^ " result") committed (Sky_trace.Json.to_string o.Outcome.json);
+    Alcotest.(check bool) (id ^ " table") true (Tbl.render o.table <> "");
+    Alcotest.(check (list string)) (id ^ " checks") [] o.failed
+  in
+  judge "overload" (fun r _ -> Exp_overload.outcome budgets r);
+  judge "mesh" (fun r _ -> Exp_mesh.outcome r);
+  judge "web" (fun r _ -> Exp_web.outcome r);
+  judge "chaos" (fun r _ -> Exp_chaos.outcome r);
+  judge "matrix" (fun r _ -> Exp_matrix.outcome budgets r);
+  judge "pingpong" (fun r _ -> Exp_pingpong.outcome budgets r);
+  judge "parallel" (fun r host -> Exp_parallel.outcome (r, host))
 
 (* One byte of a scenario's live trampoline frame overwritten after
    boot: the audit fails exactly [clean], and its JSON names the
@@ -305,7 +349,7 @@ let test_audit_planted_violation () =
   let o = Exp_audit.outcome (List.map Exp_audit.audit scenarios) in
   Alcotest.(check (list string)) "only clean fails" [ "clean" ] o.failed;
   let open Sky_trace.Json in
-  let json = of_string o.json in
+  let json = o.json in
   Alcotest.(check (option bool)) "clean: false" (Some false)
     (match member "clean" json with Some (Bool b) -> Some b | _ -> None);
   let named =
@@ -381,6 +425,8 @@ let () =
           Alcotest.test_case "mesh failures named" `Quick test_mesh_failures_named;
           Alcotest.test_case "audit names a planted violation" `Quick
             test_audit_planted_violation;
+          Alcotest.test_case "committed artifacts re-judged" `Quick
+            test_committed_artifacts;
         ] );
       ( "overload",
         [ Alcotest.test_case "acceptance gates" `Slow test_overload_gates ] );

@@ -63,15 +63,18 @@ let test_budget_scoped_to_section () =
       Alcotest.(check (option int)) "in its own section" (Some 99999)
         (Budget.find b ~section:"other" ~key:"cycles_per_call");
       let r =
-        {
-          Sky_experiments.Exp_pingpong.cycles_per_call = 6958;
-          cycles_per_call_noaccel = 14694;
-          walk_cycles_per_call = 0;
-          psc_hits = 0;
-          psc_misses = 0;
-          ept_wc_hits = 0;
-          ept_wc_misses = 0;
-        }
+        Sky_trace.Json.(
+          Obj
+            [
+              ("experiment", String "pingpong");
+              ("cycles_per_call", Int 6958);
+              ("cycles_per_call_noaccel", Int 14694);
+              ("walk_cycles_per_call", Int 0);
+              ("psc_hits", Int 0);
+              ("psc_misses", Int 0);
+              ("ept_wc_hits", Int 0);
+              ("ept_wc_misses", Int 0);
+            ])
       in
       match (Sky_experiments.Exp_pingpong.outcome b r).failed with
       | [ failed ] ->
@@ -84,11 +87,14 @@ let test_budget_scoped_to_section () =
 (* The +2 % rule: at most budget * 102 / 100 passes. A missing file
    skips the check; a present file without the key fails it. *)
 let test_budget_ceiling () =
-  let holds b v = snd (Budget.ceiling b ~section:"s" ~key:"k" v) in
-  with_file {|{"s":{"k":100}}|} (fun path ->
+  let holds b v = snd (Budget.ceiling b ~section:"s" ~key:"k" ~backend:"m" v) in
+  with_file {|{"s":{"k":{"m":100}}}|} (fun path ->
       let b = Budget.load path in
       Alcotest.(check bool) "+2% passes" true (holds b 102);
       Alcotest.(check bool) "beyond +2% fails" false (holds b 103));
+  with_file {|{"s":{"k":{"n":1000,"m":100}}}|} (fun path ->
+      Alcotest.(check bool) "another backend's budget is not this one's" false
+        (holds (Budget.load path) 103));
   with_file {|{"s":{}}|} (fun path ->
       Alcotest.(check bool) "missing key fails" false (holds (Budget.load path) 1));
   Alcotest.(check bool) "no file skips" true
@@ -97,7 +103,7 @@ let test_budget_ceiling () =
 (* Every artifact is {"host":{...},"result":R} with R the rendered JSON,
    byte for byte. *)
 let test_artifact_shape () =
-  let json = Tbl.to_json sample in
+  let json = Sky_trace.Json.to_string (Tbl.to_json sample) in
   let path =
     Artifact.write ~name:"harness-test" ~seconds:1.25
       ~host:[ ("gate", Sky_trace.Json.String "pass") ]
@@ -117,6 +123,21 @@ let test_artifact_shape () =
   Alcotest.(check string) "preceded by the result key" "\"result\":"
     (String.sub contents (n - m - 9) 9)
 
+(* The payload readers: a present key of the right type reads back; a
+   missing or mistyped key raises [Invalid_argument] naming the key, and
+   nothing falls back to a default. *)
+let test_outcome_readers () =
+  let open Sky_trace.Json in
+  let r = Obj [ ("n", Int 3); ("x", Float 0.5); ("ok", Bool true); ("l", List [ Int 1 ]) ] in
+  Alcotest.(check int) "int" 3 (Outcome.int r "n");
+  Alcotest.(check (float 0.0)) "float" 0.5 (Outcome.float r "x");
+  Alcotest.(check bool) "bool" true (Outcome.bool r "ok");
+  Alcotest.(check int) "list" 1 (List.length (Outcome.list r "l"));
+  Alcotest.check_raises "missing key named" (Invalid_argument "Outcome: no key gone")
+    (fun () -> ignore (Outcome.int r "gone"));
+  Alcotest.check_raises "mistyped key named" (Invalid_argument "Outcome: mistyped key x")
+    (fun () -> ignore (Outcome.int r "x"))
+
 let () =
   Alcotest.run "harness"
     [
@@ -135,4 +156,6 @@ let () =
         ] );
       ( "artifact",
         [ Alcotest.test_case "host + result shape" `Quick test_artifact_shape ] );
+      ( "outcome",
+        [ Alcotest.test_case "readers name the key" `Quick test_outcome_readers ] );
     ]

@@ -758,6 +758,24 @@ let test_batching_amortizes () =
   Alcotest.(check int) "zero errors: batched replies validate" 0
     (Loadgen.errors ol)
 
+(* An open-loop run long enough to fill the KV store's 4,096 slots: once
+   a batch with a new key is refused ("err", nothing applied), each of
+   its requests takes the individual path and gets its own answer, so
+   the run ends with every arrival accounted for. *)
+let test_batch_refused_full_table () =
+  let o =
+    Web.build_open ~seed:2 ~tenants:32 ~mean_gap:700 ~total:100_000 ~workers:3
+      ~admission:
+        { Httpd.a_queue_cap = Some 8; a_default_ttl = None; a_batch_max = 4 }
+      ~transport:Web.Skybridge ()
+  in
+  Web.run o;
+  let ol = Web.loadgen o in
+  Alcotest.(check bool) "finished" true (Loadgen.finished ol);
+  Alcotest.(check bool) "accounting invariant" true (accounted ol);
+  Alcotest.(check bool) "batched crossings happened" true
+    (Httpd.batches (Web.httpd o) > 0)
+
 let test_openloop_worker_crash_zero_lost () =
   (* The chaos interlock: a worker crash mid-overload parks the live
      batch and replays it — every admitted request still resolves. *)
@@ -866,6 +884,8 @@ let () =
           Alcotest.test_case "deadline-sheds" `Quick
             test_admission_deadline_sheds;
           Alcotest.test_case "batching-amortizes" `Quick test_batching_amortizes;
+          Alcotest.test_case "batch-refused-full-table" `Quick
+            test_batch_refused_full_table;
           Alcotest.test_case "crash-zero-lost" `Quick
             test_openloop_worker_crash_zero_lost;
           Alcotest.test_case "slot-lifecycle" `Quick test_slot_lifecycle;

@@ -254,8 +254,8 @@ let equivalence_under_mpk () =
   in
   List.iter
     (fun c ->
-      Alcotest.(check bool) c.Sky_experiments.Exp_parallel.c_name true
-        c.Sky_experiments.Exp_parallel.c_ok)
+      Alcotest.(check bool) (Sky_harness.Outcome.string c "name") true
+        (Sky_harness.Outcome.bool c "ok"))
     checks
 
 let () =

@@ -420,8 +420,9 @@ let test_serving_identical_with_tracing id () =
   let on = entry.Sky_experiments.Registry.run budgets in
   Trace.disable ();
   Trace.clear ();
-  Alcotest.(check string) (id ^ " payload identical") off.Sky_harness.Outcome.json
-    on.Sky_harness.Outcome.json
+  Alcotest.(check string) (id ^ " payload identical")
+    (Json.to_string off.Sky_harness.Outcome.json)
+    (Json.to_string on.Sky_harness.Outcome.json)
 
 (* ------------------------------------------------------------------ *)
 (* Breakdown                                                           *)
