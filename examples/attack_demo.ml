@@ -81,7 +81,7 @@ let () =
      ignore
        (Sky_core.Subkernel.direct_server_call sb ~core:0 ~client
           ~server_id:hog_sid ~timeout:50_000 Bytes.empty)
-   with Sky_core.Subkernel.Call_timeout { elapsed; _ } ->
+   with Sky_core.Subkernel.Failed (Timeout { elapsed; _ }) ->
      Printf.printf "   -> forced return after %d cycles (timeout mechanism)\n\n"
        elapsed);
 

@@ -52,8 +52,6 @@ let try_withdraw b =
     false
   end
 
-exception Gave_up of Subkernel.call_error
-
 let bump stats f = match stats with Some s -> f s | None -> ()
 
 (* Base backoff in cycles: attempt [n] waits [backoff lsl n]. *)
@@ -65,22 +63,23 @@ let rec attempt ~max_attempts stats budget timeout on_crash sb cpu ~core
     ~client ~server_id msg n =
   bump stats (fun s -> s.attempts <- s.attempts + 1);
   let degraded0 = Subkernel.degraded_calls sb in
-  match Subkernel.call sb ~core ~client ~server_id ?timeout msg with
-  | Ok reply ->
+  match Subkernel.call sb ~core ~client ~server_id ~timeout msg with
+  | reply ->
     if n > 0 then bump stats (fun s -> s.retried_ok <- s.retried_ok + 1);
     if Subkernel.degraded_calls sb > degraded0 then
       bump stats (fun s -> s.degraded <- s.degraded + 1);
     reply
-  | Error (Subkernel.Too_large _ as err) ->
-    (* The message can never fit: retrying changes nothing. *)
-    raise (Gave_up err)
-  | Error err ->
+  | exception (Subkernel.Failed (Subkernel.Too_large _ | Subkernel.Denied _) as e) ->
+    (* The message can never fit, the route is refused: retrying
+       changes nothing. *)
+    raise e
+  | exception (Subkernel.Failed err as e) ->
     let refused =
       match budget with Some b -> not (try_withdraw b) | None -> false
     in
     if n + 1 >= max_attempts || refused then begin
       bump stats (fun s -> s.lost <- s.lost + 1);
-      raise (Gave_up err)
+      raise e
     end;
     (* Exponential backoff, charged as client compute; with a budget,
        decorrelated jitter spreads the storm's synchronized retries. *)
@@ -102,11 +101,11 @@ let rec attempt ~max_attempts stats budget timeout on_crash sb cpu ~core
          (a top-level revocation degrades inside Subkernel.call and
          never reaches this handler). *)
       Subkernel.rebind sb client ~server_id:sid
-    | Subkernel.Timeout _ | Subkernel.Too_large _ -> ());
+    | Subkernel.Timeout _ | Subkernel.Too_large _ | Subkernel.Denied _ -> ());
     attempt ~max_attempts stats budget timeout on_crash sb cpu ~core ~client
       ~server_id msg (n + 1)
 
-let call ?(max_attempts = 4) ?stats ?budget ?timeout ?(on_crash = fun _ -> ()) sb ~core
+let call ?(max_attempts = 4) ?stats ?budget ~timeout ?(on_crash = fun _ -> ()) sb ~core
     ~client ~server_id msg =
   let cpu = Kernel.cpu (Subkernel.kernel sb) ~core in
   (match budget with Some b -> deposit b | None -> ());

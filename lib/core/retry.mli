@@ -4,8 +4,8 @@
     On [Crashed] the server is restarted (orphans rebound) before the
     retry; on [Revoked] from an aborted direct call the binding is
     re-established; a top-level revoked binding never errors at all — it
-    degrades to the slowpath inside {!Subkernel.call}. [Too_large] is
-    never retried. *)
+    degrades to the slowpath inside {!Subkernel.call}. [Too_large] and
+    [Denied] are never retried. *)
 
 type stats = {
   mutable attempts : int;  (** total call attempts, including retries *)
@@ -31,21 +31,16 @@ val budget : seed:int -> budget
     starts half full. *)
 
 val budget_refused : budget -> int
-(** Retries suppressed because the bucket was empty (each surfaces as a
-    {!Gave_up}). *)
+(** Retries suppressed because the bucket was empty (each ends the call
+    in {!Subkernel.Failed}). *)
 
 val budget_withdrawn : budget -> int
-
-exception Gave_up of Subkernel.call_error
-(** The retry budget is exhausted, or the error is one no retry can
-    mend ([Too_large], raised on the first attempt); carries the last
-    typed error. *)
 
 val call :
   ?max_attempts:int ->
   ?stats:stats ->
   ?budget:budget ->
-  ?timeout:int ->
+  timeout:int ->
   ?on_crash:(int -> unit) ->
   Subkernel.t ->
   core:int ->
@@ -53,10 +48,14 @@ val call :
   server_id:int ->
   bytes ->
   bytes
-(** [call sb ~core ~client ~server_id msg] with up to [max_attempts]
-    (default 4) attempts, charging [2000 lsl attempt] cycles between
-    attempts; with a [budget], each retry must also
+(** [call sb ~core ~client ~server_id ~timeout msg] with up to
+    [max_attempts] (default 4) attempts, each under {!Subkernel.call}'s
+    [timeout] ([-1]: the default watchdog), charging [2000 lsl attempt]
+    cycles between attempts; with a [budget], each retry must also
     withdraw a token (else the call gives up immediately) and the
     backoff is decorrelated-jittered from the budget's seeded stream.
     [on_crash sid] runs after a crashed server [sid] has been restarted
-    (e.g. to remount a file system). *)
+    (e.g. to remount a file system). Returns the reply, or raises the
+    last attempt's {!Subkernel.Failed} when it stops retrying: the
+    budget is exhausted, or the error is one no retry can mend
+    ([Too_large], [Denied], raised on the first attempt). *)

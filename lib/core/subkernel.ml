@@ -9,9 +9,6 @@ module Fault = Sky_faults.Fault
 exception Not_registered of { client_pid : int; server_id : int }
 exception Bad_server_key of { server_id : int; presented : int64 }
 exception Bad_client_return of { server_id : int }
-exception Call_timeout of { server_id : int; elapsed : int }
-exception Server_crashed of { server_id : int }
-exception Binding_revoked of { server_id : int }
 exception Wx_violation of { pid : int; va : int }
 
 exception Audit_failed of Sky_analysis.Report.violation list
@@ -21,6 +18,9 @@ type call_error =
   | Crashed of { server_id : int }
   | Revoked of { server_id : int }
   | Too_large of { server_id : int; len : int }
+  | Denied of { server_id : int }
+
+exception Failed of call_error
 
 let buffer_size = 8192
 let key_table_slots = 64
@@ -961,6 +961,16 @@ let fallback_endpoint t srv =
     Hashtbl.replace t.fallback_eps srv.server_id ep;
     ep
 
+(* What only the host can absorb: every other exception a handler
+   raises is a faulting server. *)
+let fatal = function Out_of_memory | Stack_overflow -> true | _ -> false
+
+(* A faulting server is a crashed one: reaped here, restarted by a
+   retry. *)
+let crashed t ~core ~server_id =
+  mark_server_dead t ~core ~server_id;
+  Crashed { server_id }
+
 (* The degraded call: every slowpath reply is counted in
    [degraded_calls], which is how a caller tells it from a direct one. *)
 let slowpath_call t ~core ps ~server_id msg =
@@ -972,41 +982,32 @@ let slowpath_call t ~core ps ~server_id msg =
   | reply ->
     Fault.leave_scope ();
     t.degraded_calls <- t.degraded_calls + 1;
-    Ok reply
+    reply
   | exception e ->
     Fault.leave_scope ();
     Kernel.context_switch t.kernel ~core ps.proc;
-    (match e with
-    | Fault.Injected _ ->
-      mark_server_dead t ~core ~server_id;
-      Error (Crashed { server_id })
-    | Server_crashed { server_id = sid } -> Error (Crashed { server_id = sid })
-    | Call_timeout { server_id = sid; elapsed } ->
-      Error (Timeout { server_id = sid; elapsed })
-    | Ipc.Message_too_large { len; _ } -> Error (Too_large { server_id; len })
-    | e -> raise e)
+    if fatal e then raise e;
+    raise
+      (Failed
+         (match e with
+         | Failed err -> err
+         | Ipc.Message_too_large { len; _ } -> Too_large { server_id; len }
+         | _ -> crashed t ~core ~server_id))
 
 (* Map an in-server exception to the typed error the client observes,
-   performing the matching recovery action. [None] = a genuine bug, to
-   be re-raised. *)
-let classify_abort t ~core cpu ~start ps ~server_id e =
-  match e with
+   performing the matching recovery action. Total: an exception it has
+   no name for is a faulting server (DESIGN §5c). *)
+let classify_abort t ~core cpu ~start ps ~server_id = function
   | Fault.Injected { kind = Fault.Ept_fault; _ }
   | Ept.Ept_violation _
   | Vmfunc.Invalid_vmfunc _ ->
     revoke_binding t ~core ps.proc ~server_id ~into:Orphaned
       ~reason:"EPT fault during direct call";
-    Some (Revoked { server_id })
+    Revoked { server_id }
   | Fault.Injected { kind = Fault.Drop; _ } ->
-    Some (Timeout { server_id; elapsed = Cpu.cycles cpu - start })
-  | Fault.Injected _ ->
-    mark_server_dead t ~core ~server_id;
-    Some (Crashed { server_id })
-  | Server_crashed { server_id = sid } -> Some (Crashed { server_id = sid })
-  | Binding_revoked { server_id = sid } -> Some (Revoked { server_id = sid })
-  | Call_timeout { server_id = sid; elapsed } ->
-    Some (Timeout { server_id = sid; elapsed })
-  | _ -> None
+    Timeout { server_id; elapsed = Cpu.cycles cpu - start }
+  | Failed err -> err
+  | _ -> crashed t ~core ~server_id
 
 (* ---- the direct call's frames ----
 
@@ -1147,7 +1148,7 @@ let direct_call t ~core ps b srv ~server_id ~idx ~start ~walk0 ~budget ?attack m
       security t
         (Printf.sprintf "server %d timed out after %d cycles; client forced back"
            server_id elapsed);
-      Error (Timeout { server_id; elapsed })
+      raise (Failed (Timeout { server_id; elapsed }))
     end
     else if Bytes.length reply > buffer_size then begin
       (* A reply that cannot fit the window is never copied: the
@@ -1158,7 +1159,7 @@ let direct_call t ~core ps b srv ~server_id ~idx ~start ~walk0 ~budget ?attack m
         (Printf.sprintf
            "server %d returned %d bytes, over its %d-byte buffer; client forced back"
            server_id (Bytes.length reply) buffer_size);
-      Error (Too_large { server_id; len = Bytes.length reply })
+      raise (Failed (Too_large { server_id; len = Bytes.length reply }))
     end
     else begin
       (* Client-key echo (illegal client return defence). *)
@@ -1196,23 +1197,22 @@ let direct_call t ~core ps b srv ~server_id ~idx ~start ~walk0 ~budget ?attack m
       t.stats.Breakdown.walk <-
         t.stats.Breakdown.walk
         + (Pmu.read (Cpu.pmu cpu) Pmu.Walk_cycles - walk0);
-      Ok reply
+      reply
     end
   with
-  | outcome -> outcome
+  | reply -> reply
   | exception e when not !returned ->
     (* The client is stranded inside the server's space: force it
-       back, then surface a typed error (or re-raise a genuine bug —
-       the cleanup has already happened either way). *)
+       back, then raise the typed error (the host's own exhaustion
+       propagates — the cleanup has already happened either way). *)
     clobber_callee_saved ps;
     forced_return t ~core cpu vcpu ps b f outer ~slot;
-    (match classify_abort t ~core cpu ~start ps ~server_id e with
-    | Some err ->
-      security t
-        (Printf.sprintf "call to server %d aborted (%s); client forced back"
-           server_id (Printexc.to_string e));
-      Error err
-    | None -> raise e)
+    if fatal e then raise e;
+    let err = classify_abort t ~core cpu ~start ps ~server_id e in
+    security t
+      (Printf.sprintf "call to server %d aborted (%s); client forced back"
+         server_id (Printexc.to_string e));
+    raise (Failed err)
 
 (* Roundtrip span name: feeds the "skybridge.<kernel>.call" latency
    histogram; inner spans (vmfunc, copies, key check) refine the
@@ -1260,7 +1260,7 @@ let call_bound t ~core ~client ~server_id ~budget ?attack msg =
   | { dead = true; _ } ->
     security t
       (Printf.sprintf "pid %d called dead server %d" ps.proc.Proc.pid server_id);
-    Error (Crashed { server_id })
+    raise (Failed (Crashed { server_id }))
   | srv -> (
     match pair_in server_id ps.pairs with
     | { state = Down _; _ } ->
@@ -1269,7 +1269,7 @@ let call_bound t ~core ~client ~server_id ~budget ?attack msg =
         (* A nested call cannot take the slowpath mid-direct-call (the
            kernel transfer would rewrite the live EPTP state under the
            outer frame): abort the whole call chain instead. *)
-        raise (Binding_revoked { server_id })
+        raise (Failed (Revoked { server_id }))
     | exception Not_found -> unbound t ps ~server_id
     | { state = Bound b; _ } as p -> (
       let cpu = Kernel.cpu t.kernel ~core in
@@ -1294,7 +1294,7 @@ let call_bound t ~core ~client ~server_id ~budget ?attack msg =
           direct_call t ~core ps b srv ~server_id ~idx ~start ~walk0 ~budget
             ?attack msg
       with
-      | outcome -> outcome
+      | reply -> reply
       | exception Backend.Denied ->
         (* The kernel refused the trap: the grant is gone although the
            binding stands. Retire the binding, as an EPT fault does, so
@@ -1304,7 +1304,7 @@ let call_bound t ~core ~client ~server_id ~budget ?attack msg =
              ps.proc.Proc.pid server_id);
         revoke_binding t ~core ps.proc ~server_id ~into:Orphaned
           ~reason:"entry filter denied the trap";
-        Error (Revoked { server_id })))
+        raise (Failed (Revoked { server_id }))))
 
 (* A request longer than a connection's buffer window is refused here,
    before anything is charged, copied or revoked. *)
@@ -1313,23 +1313,17 @@ let call_internal t ~core ~client ~server_id ~budget ?attack msg =
     security t
       (Printf.sprintf "pid %d sent %d bytes to server %d, over its %d-byte buffer"
          client.Proc.pid (Bytes.length msg) server_id buffer_size);
-    Error (Too_large { server_id; len = Bytes.length msg })
+    raise (Failed (Too_large { server_id; len = Bytes.length msg }))
   end
   else call_bound t ~core ~client ~server_id ~budget ?attack msg
 
-let call t ~core ~client ~server_id ?(timeout = default_watchdog) msg =
-  call_internal t ~core ~client ~server_id ~budget:timeout msg
+let call t ~core ~client ~server_id ~timeout msg =
+  let budget = if timeout < 0 then default_watchdog else timeout in
+  call_internal t ~core ~client ~server_id ~budget msg
 
 let direct_server_call t ~core ~client ~server_id ?timeout ?attack msg =
   let budget = match timeout with Some b -> b | None -> max_int in
-  match call_internal t ~core ~client ~server_id ~budget ?attack msg with
-  | Ok reply -> reply
-  | Error (Timeout { server_id; elapsed }) ->
-    raise (Call_timeout { server_id; elapsed })
-  | Error (Crashed { server_id }) -> raise (Server_crashed { server_id })
-  | Error (Revoked { server_id }) -> raise (Binding_revoked { server_id })
-  | Error (Too_large { len; _ }) ->
-    raise (Ipc.Message_too_large { len; limit = buffer_size })
+  call_internal t ~core ~client ~server_id ~budget ?attack msg
 
 let current_identity t ~core = Rootkernel.current_identity t.root ~core
 

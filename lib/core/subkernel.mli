@@ -7,7 +7,10 @@
 
 type t
 
-(** Security violations detected by the optimistic checks. *)
+(** Security violations detected by the optimistic checks. These and
+    the two registration refusals below are exceptions of their own: a
+    programming or security violation, not a failure a caller recovers
+    from (DESIGN §5c). *)
 exception Not_registered of { client_pid : int; server_id : int }
 
 exception Bad_server_key of { server_id : int; presented : int64 }
@@ -16,18 +19,6 @@ exception Bad_server_key of { server_id : int; presented : int64 }
 
 exception Bad_client_return of { server_id : int }
 (** The callee returned a wrong client key — an illegal client return. *)
-
-exception Call_timeout of { server_id : int; elapsed : int }
-(** DoS defence (§7): the server exceeded the call's cycle budget and the
-    kernel forced control back to the client. *)
-
-exception Server_crashed of { server_id : int }
-(** The server died while the client executed inside its space; the
-    client was forced back to its own EPT (§7 recovery). *)
-
-exception Binding_revoked of { server_id : int }
-(** The binding was revoked (EPT fault, revocation storm, reaping) and
-    the call could not proceed on the direct path. *)
 
 exception Wx_violation of { pid : int; va : int }
 (** A process stored to one of its executable pages (§9 W^X). *)
@@ -96,19 +87,36 @@ val security_events_dropped : t -> int
 
 val security_ring_capacity : int
 
+(** How a mediated call ends abnormally, at every layer: the direct
+    path, the slowpath, {!Retry} and the mesh. *)
 type call_error =
   | Timeout of { server_id : int; elapsed : int }
       (** §7 watchdog: the server overran the cycle budget; the client
           was forced back to its own EPT with registers restored. *)
   | Crashed of { server_id : int }
-      (** The server died mid-call; its connections were reaped. *)
+      (** The server died mid-call, or its handler raised an exception
+          the Subkernel has no name for (a faulting server); its
+          connections were reaped. *)
   | Revoked of { server_id : int }
-      (** The binding was revoked out from under the call. *)
+      (** The binding was revoked out from under the call (EPT fault,
+          revocation storm, denied trap, or a nested call over a
+          revoked pair). *)
   | Too_large of { server_id : int; len : int }
       (** A [len]-byte request or reply does not fit a connection's
           {!buffer_size}-byte buffer window. A request is refused before
           anything is charged or copied; a reply is never copied, and
           the client is forced back (§7). Not worth a retry. *)
+  | Denied of { server_id : int }
+      (** The caller's authority refuses the route: no live capability
+          covers [server_id] ({!Sky_mesh.Mesh.call}). Not worth a
+          retry. *)
+
+exception Failed of call_error
+(** The one way a recoverable call failure travels. A raised value,
+    not a [result], because every layer can carry it: service-graph
+    edges, handlers and [Fs_iface] are [core:int -> bytes -> bytes]
+    closures and can only raise, so a [result] would be translated to
+    an exception and back at each of them. *)
 
 val buffer_size : int
 (** Bytes of each connection's shared buffer window (8 KiB): the
@@ -119,25 +127,26 @@ val call :
   core:int ->
   client:Sky_ukernel.Proc.t ->
   server_id:int ->
-  ?timeout:int ->
+  timeout:int ->
   bytes ->
-  (bytes, call_error) result
-(** Recovery-aware direct call: like {!direct_server_call} but the §7
-    watchdog is armed by default ([timeout] defaults to 1M cycles) and
-    abnormal outcomes surface as typed errors instead of exceptions. A
-    revoked binding transparently degrades to the kernel-mediated
-    slowpath; a degraded reply is counted in {!degraded_calls}, which
-    is how a caller tells it from a direct one. A trap the entry filter
-    refuses, or an EPT fault mid-call, retires the binding and returns
-    [Revoked], so a retry rebinds. Every error path forces the client
-    back to its own EPT (VMFUNC-0 + saved-register restore) first. A
-    direct call allocates its reply's [Ok] and, for a message over
+  bytes
+(** Recovery-aware direct call: returns the reply or raises {!Failed}.
+    The §7 watchdog is always armed: [timeout] cycles, or the default
+    1M for [-1]. A revoked binding transparently degrades to the
+    kernel-mediated slowpath; a degraded reply is counted in
+    {!degraded_calls}, which is how a caller tells it from a direct
+    one. A trap the entry filter refuses, or an EPT fault mid-call,
+    retires the binding and raises [Revoked], so a retry rebinds. A
+    handler that raises is a faulting server: [Crashed], reaped (only
+    [Out_of_memory] and [Stack_overflow] propagate). Every error path
+    forces the client back to its own EPT (VMFUNC-0 + saved-register
+    restore) first. A direct call allocates, for a message over
     {!Sky_kernels.Ipc.register_msg_limit} bytes, the copies a crossing
     really makes; nothing else. *)
 
 (** Where a revoked (client, server) pair waits: a top-level {!call}
     on it degrades to the slowpath, a nested one raises
-    {!Binding_revoked}. *)
+    [Failed (Revoked _)]. *)
 type revoked =
   | Orphaned  (** by a crash, EPT fault, denied trap or storm: {!restart_server}/{!rebind} *)
   | Parked  (** its client is suspended: only {!resume} re-binds it *)
@@ -232,13 +241,14 @@ val direct_server_call :
   ?attack:[ `Fake_server_key | `Corrupt_return_key ] ->
   bytes ->
   bytes
-(** The kernel-less IPC (§3.1, Figure 4's [direct_server_call]). May be
-    invoked from inside another server's handler (nested calls resolve
-    against the EPTP list of the root client, which carries the
-    dependency EPTs). [attack] is a test hook simulating a malicious
-    participant. A request or reply longer than {!buffer_size} raises
-    {!Sky_kernels.Ipc.Message_too_large}, as {!call}'s [Too_large]
-    does. *)
+(** The kernel-less IPC (§3.1, Figure 4's [direct_server_call]): {!call}
+    without the watchdog unless [timeout] is given. Returns the reply
+    or raises {!Failed}, as {!call} does, a request or reply longer
+    than {!buffer_size} included ([Too_large]). May be invoked from
+    inside another server's handler (nested calls resolve against the
+    EPTP list of the root client, which carries the dependency EPTs);
+    its [Failed] then ends the outer call with the same error.
+    [attack] is a test hook simulating a malicious participant. *)
 
 val current_identity : t -> core:int -> int
 (** Pid of the address space live on [core] — the misidentification fix. *)

@@ -74,12 +74,13 @@ let kv_storm seed =
 (* The resilient KV-pipeline storm, also the backend matrix's recovery
    probe: a 4-core machine, the pipeline with every call through
    {!Sky_core.Retry}, [warm] ops with faults off, [arm ()] the storm, then
-   [ops] alternating inserts and queries, a [Gave_up] counted as lost.
+   [ops] alternating inserts and queries, a [Subkernel.Failed] counted
+   as lost.
    Faults are disabled again on return; the census is read from the
    returned stats, subkernel and {!Fault.fired_counts}. *)
 type storm_run = {
   k_stats : Sky_core.Retry.stats;
-  k_gave_up : int;  (** calls that raised [Retry.Gave_up] *)
+  k_gave_up : int;  (** calls that raised [Subkernel.Failed] *)
   k_sb : Subkernel.t;
 }
 
@@ -99,7 +100,7 @@ let run_kv_storm ~warm ~ops arm =
      try
        if i land 1 = 0 then Pipeline.query p ~core:0 ~len:64
        else Pipeline.insert p ~core:0 ~len:64
-     with Sky_core.Retry.Gave_up _ -> incr gave_up
+     with Subkernel.Failed _ -> incr gave_up
    done);
   Fault.disable ();
   { k_stats = st; k_gave_up = !gave_up; k_sb = sb }
@@ -140,7 +141,7 @@ let run_fs ~seed =
        | 0 -> Sky_sqldb.Db.insert db ~core:0 ~key:(100 + i) ~value:(value ())
        | 1 -> ignore (Sky_sqldb.Db.update db ~core:0 ~key:(i mod 32) ~value:(value ()))
        | _ -> ignore (Sky_sqldb.Db.query db ~core:0 ~key:(i mod 32))
-     with Sky_core.Retry.Gave_up _ -> incr lost_hard
+     with Subkernel.Failed _ -> incr lost_hard
    done);
   Fault.disable ();
   census "sqlite-xv6fs" st sb ~lost:!lost_hard ~restarts:0

@@ -5,7 +5,7 @@
     "overload":{"goodput_floor_pct":70,...}}]. Every lookup is scoped to
     its own section. A missing file skips the budget checks with a
     message; a file that is present but lacks the section or key fails
-    the check that needs it. *)
+    the check that needs it, ceiling and floor alike. *)
 
 let default_file = "bench/budgets.json"
 
@@ -50,3 +50,15 @@ let ceiling t ~section ~key ~backend value =
     let limit = budget * 102 / 100 in
     ( Printf.sprintf "%s (%d > budget %d +2%% = %d)" name value budget limit,
       value <= limit )
+
+(* The floor rule: [value], a fraction, must reach the key's
+   percentage. The file is read as {!ceiling} reads it: no file skips
+   the check, a file without the key fails it. *)
+let floor t ~section ~key value =
+  let name = String.concat "." [ section; key ] in
+  match (t.json, lookup t [ section; key ]) with
+  | None, _ -> (name, true)
+  | Some _, None -> (Printf.sprintf "%s (no budget in %s)" name t.file, false)
+  | Some _, Some pct ->
+    let floor = float_of_int pct /. 100.0 in
+    (Printf.sprintf "%s (%.3f < floor %.2f)" name value floor, value >= floor)

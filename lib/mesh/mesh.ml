@@ -31,19 +31,13 @@ let ns_lookup_cycles = 180 (* name-service table op, inside the handler *)
 
 let fault_site = "server.nameserv"
 
-type error =
-  [ `Unresolved of string | `Denied of string | `Failed of Subkernel.call_error ]
-
 exception Unknown_service of string
-exception Denied of { uri : string; pid : int }
 
 type grant = {
   g_uri : string;
   g_client : Proc.t;
-  g_sid : int;  (** primary server id at grant time *)
   g_closure : int list;  (** dependency closure the grant covers *)
   g_caps : (int * Capability.t) list;  (** server id -> derived capability *)
-  mutable g_live : bool;
 }
 
 (* One scheme's resolution in a core's cache. *)
@@ -141,17 +135,20 @@ let root_of t sid =
 let covered t ~pid ~sid =
   Capability.check t.caps ~pid ~target:sid ~need:Capability.send_only
 
-(* Retire every mesh-managed pair no longer covered by a live
-   capability, whatever state it is in (bound, orphaned by a crash or
-   parked by a suspend), in (pid, sid) order, and retire grants whose
-   primary capability died. The refcount semantics live here: as long
-   as ANY live grant of the same client still covers a server id, the
+(* A grant lives or dies whole: it is live while every capability of
+   its closure is. *)
+let grant_live t g = List.for_all (fun (_, c) -> Capability.is_live t.caps c) g.g_caps
+
+(* Delete what is left of every dead grant, then retire every
+   mesh-managed pair no longer covered by a live capability, whatever
+   state it is in (bound, orphaned by a crash or parked by a suspend),
+   in (pid, sid) order. The refcount semantics live here: as long as
+   ANY live grant of the same client still covers a server id, the
    pair survives. *)
 let sweep t ~core ~reason =
   List.iter
     (fun g ->
-      if g.g_live && not (Capability.is_live t.caps (List.assoc g.g_sid g.g_caps))
-      then g.g_live <- false)
+      if not (grant_live t g) then List.iter (fun (_, c) -> Capability.delete t.caps c) g.g_caps)
     t.grants;
   List.concat_map (fun g -> List.map (fun sid -> (g.g_client.Proc.pid, sid)) g.g_closure) t.grants
   |> List.sort_uniq compare
@@ -211,14 +208,14 @@ let create ?retry_budget sb =
 let register t ~core ~uri ~server_id =
   let scheme = Uri.service uri in
   ignore
-    (Retry.call ?stats:t.rstats t.sb ~core ~client:t.admin ~server_id:t.ns_sid
+    (Retry.call ?stats:t.rstats t.sb ~core ~client:t.admin ~server_id:t.ns_sid ~timeout:(-1)
        (enc_register ~sid:server_id scheme));
   ignore (root_of t server_id)
 
 let unregister t ~core ~uri =
   let scheme = Uri.service uri in
   ignore
-    (Retry.call ?stats:t.rstats t.sb ~core ~client:t.admin ~server_id:t.ns_sid
+    (Retry.call ?stats:t.rstats t.sb ~core ~client:t.admin ~server_id:t.ns_sid ~timeout:(-1)
        (enc_unregister scheme))
 
 (* The core's cache entry for [uri]'s scheme, compared in place: a
@@ -232,7 +229,8 @@ let resolve_miss t ~core ~client uri =
   let scheme = Uri.service uri in
   t.resolves <- t.resolves + 1;
   let reply =
-    Retry.call ?stats:t.rstats t.sb ~core ~client ~server_id:t.ns_sid (enc_resolve scheme)
+    Retry.call ?stats:t.rstats t.sb ~core ~client ~server_id:t.ns_sid ~timeout:(-1)
+      (enc_resolve scheme)
   in
   let sid = Int32.to_int (Bytes.get_int32_le reply 0) in
   (match find_entry uri t.cache.(core) with
@@ -276,23 +274,19 @@ let grant t ~core ~client uri =
         closure
     in
     Subkernel.register_client_to_server t.sb client ~server_id:sid;
-    let g = { g_uri = uri; g_client = client; g_sid = sid; g_closure = closure;
-              g_caps = caps; g_live = true }
-    in
+    let g = { g_uri = uri; g_client = client; g_closure = closure; g_caps = caps } in
     t.grants <- g :: t.grants;
     Sky_trace.Trace.instant ~core ~cat:"mesh" "mesh.grant";
     g
 
 let grant_uri g = g.g_uri
 let grant_pid g = g.g_client.Proc.pid
-let grant_live g = g.g_live
 let subkernel t = t.sb
 let grants t = List.rev t.grants
 
 let revoke_grant t ~core g =
-  if g.g_live then begin
+  if grant_live t g then begin
     List.iter (fun (_, c) -> Capability.delete t.caps c) g.g_caps;
-    g.g_live <- false;
     Sky_trace.Trace.instant ~core ~cat:"mesh" "mesh.revoke-grant";
     sweep t ~core ~reason:("mesh: grant on " ^ g.g_uri ^ " revoked")
   end
@@ -301,55 +295,30 @@ let revoke_service t ~core uri =
   match server_of_uri t uri with
   | None -> 0
   | Some sid ->
-    let was_live = List.filter (fun g -> g.g_live) t.grants in
+    let was_live = List.filter (grant_live t) t.grants in
     (* seL4 semantics: revoking the root destroys every capability ever
        derived from it, across all clients, transitively. *)
     Capability.revoke t.caps (root_of t sid);
     Sky_trace.Trace.instant ~core ~cat:"mesh" "mesh.revoke-service";
     sweep t ~core ~reason:("mesh: service " ^ uri ^ " revoked");
-    List.length (List.filter (fun g -> not g.g_live) was_live)
+    List.length (List.filter (fun g -> not (grant_live t g)) was_live)
 
 (* ---- the routed call ---- *)
 
-(* The server a routed call may reach: its id, [unresolved] or
-   [denied]. Outcomes are immediates, so the routing step allocates
-   nothing. *)
-let unresolved = -1
-let denied = -2
-
-let route t ~core ~client uri =
+(* Resolve, check the capability, then the retried call. A refusal is
+   the one call outcome ([Subkernel.Failed]); nothing is built on the
+   way to the server. *)
+let call t ~core ~client ?on_crash ~timeout uri msg =
   let sid = resolve_sid t ~core ~client uri in
-  if sid < 0 then unresolved
-  else begin
-    Cpu.charge (Kernel.cpu t.kernel ~core) cap_check_cycles;
-    if covered t ~pid:client.Proc.pid ~sid then sid
-    else begin
-      t.denials <- t.denials + 1;
-      Sky_trace.Trace.instant ~core ~cat:"mesh" "mesh.denied";
-      denied
-    end
-  end
-
-let retry_call t ~core ~client ?on_crash ?timeout sid msg =
-  Retry.call ?stats:t.rstats ?budget:t.rbudget ?timeout ?on_crash t.sb ~core ~client
+  if sid < 0 then raise (Unknown_service uri);
+  Cpu.charge (Kernel.cpu t.kernel ~core) cap_check_cycles;
+  if not (covered t ~pid:client.Proc.pid ~sid) then begin
+    t.denials <- t.denials + 1;
+    Sky_trace.Trace.instant ~core ~cat:"mesh" "mesh.denied";
+    raise (Subkernel.Failed (Subkernel.Denied { server_id = sid }))
+  end;
+  Retry.call ?stats:t.rstats ?budget:t.rbudget ~timeout ?on_crash t.sb ~core ~client
     ~server_id:sid msg
-
-let call t ~core ~client ?on_crash ?timeout uri msg =
-  let sid = route t ~core ~client uri in
-  if sid = unresolved then Error (`Unresolved uri)
-  else if sid = denied then Error (`Denied uri)
-  else
-    match retry_call t ~core ~client ?on_crash ?timeout sid msg with
-    | reply -> Ok reply
-    | exception Retry.Gave_up e -> Error (`Failed e)
-
-(* The routed call without a result to unwrap: what a serving layer
-   calls per request. *)
-let call_exn t ~core ~client ?on_crash ?timeout uri msg =
-  let sid = route t ~core ~client uri in
-  if sid = unresolved then raise (Unknown_service uri)
-  else if sid = denied then raise (Denied { uri; pid = client.Proc.pid })
-  else retry_call t ~core ~client ?on_crash ?timeout sid msg
 
 (* ---- audit ---- *)
 

@@ -9,8 +9,9 @@
       (by epoch) on re-registration {e and} on every binding change;
     - {b refcounted service capabilities} — a {!grant} derives child
       capabilities (from the name service's per-sid roots) to a client
-      for the target and its whole dependency closure, then binds;
-      revocation retires a pair for good
+      for the target and its whole dependency closure, then binds; a
+      grant lives or dies whole (once one capability of its closure
+      dies, the rest are deleted); revocation retires a pair for good
       ({!Sky_core.Subkernel.Retired}) only once no live capability of
       that client covers the server id, and {!revoke_service} destroys
       the entire derivation subtree at once;
@@ -25,14 +26,8 @@
 
 type t
 
-type error =
-  [ `Unresolved of string  (** no registration for the URI's scheme *)
-  | `Denied of string  (** no live capability covers the target *)
-  | `Failed of Sky_core.Subkernel.call_error  (** retry budget exhausted *)
-  ]
-
 exception Unknown_service of string
-exception Denied of { uri : string; pid : int }
+(** No registration for the URI's scheme. *)
 
 val fault_site : string
 
@@ -78,7 +73,10 @@ val grant :
 
 val grant_uri : grant -> string
 val grant_pid : grant -> int
-val grant_live : grant -> bool
+
+val grant_live : t -> grant -> bool
+(** Every capability of the grant's closure is live. *)
+
 val subkernel : t -> Sky_core.Subkernel.t
 (** The Subkernel whose bindings the mesh's capabilities govern. *)
 
@@ -92,36 +90,30 @@ val revoke_grant : t -> core:int -> grant -> unit
 
 val revoke_service : t -> core:int -> string -> int
 (** Destroy the service's entire capability derivation tree (seL4
-    [revoke] on the root) and sweep every binding that lost coverage.
-    Returns the number of grants retired. *)
+    [revoke] on the root), delete the rest of every grant that lost a
+    capability (a grant whose closure holds the service dies whole) and
+    sweep every binding that lost coverage. Returns the number of
+    grants retired. *)
 
 val call :
   t ->
   core:int ->
   client:Sky_ukernel.Proc.t ->
   ?on_crash:(int -> unit) ->
-  ?timeout:int ->
-  string ->
-  bytes ->
-  (bytes, error) result
-(** The routed call: resolve the URI, check the client holds a live
-    send capability on the target (charging the check), then
-    {!Sky_core.Retry.call} (under the mesh's retry budget, if any).
-    [timeout] caps each attempt's server cycles — the deadline-
-    propagation hook. [`Denied] is the least-privilege outcome —
-    the client keeps running, the call never reaches the server. *)
-
-val call_exn :
-  t ->
-  core:int ->
-  client:Sky_ukernel.Proc.t ->
-  ?on_crash:(int -> unit) ->
-  ?timeout:int ->
+  timeout:int ->
   string ->
   bytes ->
   bytes
-(** Like {!call} but raising {!Unknown_service} / {!Denied} /
-    {!Sky_core.Retry.Gave_up}. *)
+(** The routed call: resolve the URI, check the client holds a live
+    send capability on the target (charging the check), then
+    {!Sky_core.Retry.call} (under the mesh's retry budget, if any).
+    [timeout] caps each attempt's server cycles ([-1]: the default
+    watchdog) — the deadline-propagation hook. Returns the reply or
+    raises {!Sky_core.Subkernel.Failed}: [Denied] is the
+    least-privilege outcome (counted in {!denials}; the client keeps
+    running, the call never reaches the server), any other error is
+    the one {!Sky_core.Retry.call} stopped on.
+    @raise Unknown_service when the URI does not resolve. *)
 
 val audit_passes : t -> Sky_analysis.Audit.pass_result list
 (** The whole-machine audit of a meshed machine, through the one driver

@@ -67,7 +67,7 @@ let dep_edge t ~client s =
   bind t ~client s;
   direct t ~client s
 
-let no_timeout ~core:_ = None
+let no_timeout ~core:_ = -1
 
 let edge t ?on_crash ?(timeout = no_timeout) ~client s =
   bind t ~client s;
@@ -75,10 +75,10 @@ let edge t ?on_crash ?(timeout = no_timeout) ~client s =
   | Sky (sb, Retry st), Server_id server_id ->
     let stats = Some st in
     fun ~core msg ->
-      Retry.call ?stats ?timeout:(timeout ~core) ?on_crash sb ~core ~client ~server_id msg
+      Retry.call ?stats ~timeout:(timeout ~core) ?on_crash sb ~core ~client ~server_id msg
   | Sky (_, Mesh m), _ ->
     let uri = s.uri in
-    fun ~core msg -> Mesh.call_exn m ~core ~client ?on_crash ?timeout:(timeout ~core) uri msg
+    fun ~core msg -> Mesh.call m ~core ~client ?on_crash ~timeout:(timeout ~core) uri msg
   | _ -> direct t ~client s
 
 let restart t ~server_id =

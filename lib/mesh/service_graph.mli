@@ -46,7 +46,7 @@ val name : t -> core:int -> uri:string -> server -> unit
 val edge :
   t ->
   ?on_crash:(int -> unit) ->
-  ?timeout:(core:int -> int option) ->
+  ?timeout:(core:int -> int) ->
   client:Sky_ukernel.Proc.t ->
   server ->
   core:int ->
@@ -54,7 +54,9 @@ val edge :
   bytes
 (** Bind [client] to a server (a [register_client_to_server], or a mesh
     grant of its name) and return the call. [on_crash] and each call's
-    [timeout] apply to the [Retry] and [Mesh] routes. *)
+    [timeout] ([-1], the default: the Subkernel's watchdog) apply to
+    the [Retry] and [Mesh] routes, whose call raises
+    {!Sky_core.Subkernel.Failed} when it gives up. *)
 
 val dep_edge : t -> client:Sky_ukernel.Proc.t -> server -> core:int -> bytes -> bytes
 (** A server's edge to its dependency: bound as {!edge} binds, called by

@@ -480,7 +480,13 @@ let dispatch t w r =
         w.w_binding.kv_put ~core p ~key_off ~key_len:(sep - key_off) ~value_off:(sep + 1)
           ~value_len:(n - sep - 1)
     in
-    if stored then answer_body t w r Http.stored else answer_empty t w r 500
+    if stored then answer_body t w r Http.stored
+    else begin
+      (* The store refused a new key (its table is full): a typed
+         refusal, counted as the client counts it. *)
+      t.unservable <- t.unservable + 1;
+      answer_empty t w r 500
+    end
 
 (* Charge and parse each request of the batch, in order, into its slot;
    a malformed one stays [invalid], to be answered 400 in its turn. *)

@@ -120,8 +120,10 @@ val denials : t -> int
 (** Requests bounced to a peer because a binding raised {!Denied}. *)
 
 val unservable : t -> int
-(** Requests denied by {e every} worker and terminated with a 403 —
-    the counted-error outcome of total capability revocation. *)
+(** Requests refused for good: denied by {e every} worker and
+    terminated with a 403 (the counted-error outcome of total
+    capability revocation), or a PUT the KV store refused with a 500
+    (a new key for a full table). *)
 
 val shed_queue : t -> int
 (** Requests 503-shed at demux because the target endpoint queue was at

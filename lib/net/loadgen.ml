@@ -273,7 +273,7 @@ type outcome = Served | Shed | Unservable | Corrupt
 let classify ~expect payload =
   match Http.status payload with
   | 503 -> Shed
-  | 403 -> Unservable
+  | 403 | 500 -> Unservable
   | 200 when Http.body_is payload expect -> Served
   | _ -> Corrupt
   | exception Http.Bad_request _ -> Corrupt

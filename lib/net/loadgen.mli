@@ -14,7 +14,8 @@
     - [shed]: a typed 503 (queue-full or deadline-blown shedding);
     - [shed_wire]: dropped by a full RX ring at injection (the NIC as
       the outermost admission controller);
-    - [unservable]: a terminal 403 (denied by every receiver);
+    - [unservable]: a typed refusal, a terminal 403 (denied by every
+      receiver) or 500 (a PUT the store refused);
     - [corrupt]: any other answer — lost, duplicated or corrupted.
 
     Once {!finished}: [offered = ok + shed + shed_wire + unservable +
@@ -86,7 +87,7 @@ type outcome = Served | Shed | Unservable | Corrupt
 
 val classify : expect:bytes -> bytes -> outcome
 (** How a response resolves the request it answers, read in place:
-    [Shed] on a 503, [Unservable] on a 403, [Served] on a 200 whose body
+    [Shed] on a 503, [Unservable] on a 403 or 500, [Served] on a 200 whose body
     is [expect] byte for byte, [Corrupt] on anything else, malformed
     bytes included. *)
 

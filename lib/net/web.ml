@@ -96,16 +96,16 @@ let bind graph kernel ~tier ~kv ~deadline w =
      [Httpd.Denied] instead of killing the worker. *)
   let timeout ~core =
     let d = deadline ~core in
-    if d < 0 then None
+    if d < 0 then -1
     else
       let now = Cpu.cycles (Kernel.cpu kernel ~core) in
-      if d <= now then raise Httpd.Expired else Some (d - now)
+      if d <= now then raise Httpd.Expired else d - now
   in
   let routed call ~core msg =
     match call ~core msg with
     | r -> r
-    | exception Mesh.Denied _ -> raise Httpd.Denied
-    | exception Retry.Gave_up _ when deadline ~core >= 0 -> raise Httpd.Expired
+    | exception Subkernel.Failed (Subkernel.Denied _) -> raise Httpd.Denied
+    | exception Subkernel.Failed _ when deadline ~core >= 0 -> raise Httpd.Expired
   in
   let call_kv = routed (Graph.edge graph ~timeout ~client:w kv) in
   let iface =

@@ -10,7 +10,7 @@
     compromised client probing for other servers' handlers is denied at
     the cheapest possible point. Revocation is a table erase: the next
     trap from that client is denied and falls back to the typed
-    [Binding_revoked] error, mirroring the EPTP-slot degeneracy trick of
+    [Revoked] error, mirroring the EPTP-slot degeneracy trick of
     the VMFUNC path. *)
 
 type t = {

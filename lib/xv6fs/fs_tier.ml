@@ -51,12 +51,12 @@ let on_crash t _ =
     | fs ->
       t.cell := fs;
       t.stale := false
-    | exception Subkernel.Server_crashed { server_id } ->
+    | exception (Subkernel.Failed (Subkernel.Crashed { server_id }) as e) ->
       Graph.restart t.graph ~server_id;
       if n > 0 then remount (n - 1)
       else begin
         t.stale := true;
-        raise (Sky_core.Retry.Gave_up (Subkernel.Crashed { server_id }))
+        raise e
       end
   in
   remount 3

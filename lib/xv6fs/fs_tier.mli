@@ -34,4 +34,5 @@ val on_crash : t -> int -> unit
     FS's memory unusable, so remount, replaying or rolling back the
     on-disk log. A disk crashing meanwhile is restarted, three times at
     most; past that the tier stays stale (its next request, or {!fs},
-    remounts first) and the call ends in {!Sky_core.Retry.Gave_up}. *)
+    remounts first) and the call ends in the disk's
+    [Sky_core.Subkernel.Failed (Crashed _)]. *)

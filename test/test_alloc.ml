@@ -263,18 +263,19 @@ let test_rng_golden () =
 
 (* The pingpong rig's VMFUNC call, handler included. What remains is
    the handler's four [read_u64] results, boxed [int64]s of 3 words
-   each, and the 2-word [Ok] the typed call returns and
-   [direct_server_call] unwraps. The crossing itself allocates
-   nothing: the span closures
+   each. The crossing itself allocates nothing: the reply is returned
+   as it is (no [Ok] since the call raises its failures), the span
+   closures
    (VMFUNC, copies, key check) are built only when tracing is on, the
    key table is compared in place, the client key is an immediate, the
    crossing token and the call frame are reused per core and depth, and
    the root client's option, the server and binding lookups, the
    EPTP-slot check and the callee-saved register save allocate nothing.
-   The bound is the measured value (141 words before the call frames
-   became flat arrays, 50 while [Vmfunc.execute] still built its span
-   closure on every EPTP switch), so a new per-call allocation fails
-   here. *)
+   The bound is the measured value (14 while the typed call returned
+   an [Ok] that [direct_server_call] unwrapped, 141 words before the
+   call frames became flat arrays, 50 while [Vmfunc.execute] still
+   built its span closure on every EPTP switch), so a new per-call
+   allocation fails here. *)
 let test_direct_call () =
   let machine = Machine.create ~cores:2 ~mem_mib:128 () in
   let kernel = Kernel.create machine in
@@ -295,19 +296,20 @@ let test_direct_call () =
   Kernel.context_switch kernel ~core:0 client;
   Vcpu.set_mode vcpu Vcpu.User;
   let msg = Bytes.create 8 in
-  check_words "Subkernel.direct_server_call (VMFUNC)" ~per_op:14 (fun () ->
+  check_words "Subkernel.direct_server_call (VMFUNC)" ~per_op:12 (fun () ->
       ignore (Sky_core.Subkernel.direct_server_call sb ~core:0 ~client ~server_id msg))
 
 (* A mediated call with an echo handler on every transport, for an
    8-byte message (registers) and a 48-byte one (through the shared
    buffer or the IPC buffer). What a call may allocate is its wire
-   bytes: a [Subkernel.call] its [Ok] (2 words) and, for a large
-   message, the request copied in on the server side and the reply
-   copied back (8 words each for 48 bytes); seL4's [Ipc.call] nothing,
-   since a context switch stores the process's prebuilt [Some] (4/4
-   while it built one per leg). Bounds = measured (at the parent of the
-   allocation-free crossings: 43/151 words under VMFUNC, 41/149 under
-   MPK, 47/155 under the filtered syscall, 149/301 over seL4 IPC). *)
+   bytes: for a large message, the request copied in on the server side
+   and the reply copied back (8 words each for 48 bytes); a
+   [Subkernel.call] returns its reply as it is (2/18 while it built an
+   [Ok]); seL4's [Ipc.call] nothing, since a context switch stores the
+   process's prebuilt [Some] (4/4 while it built one per leg). Bounds =
+   measured (at the parent of the allocation-free crossings: 43/151
+   words under VMFUNC, 41/149 under MPK, 47/155 under the filtered
+   syscall, 149/301 over seL4 IPC). *)
 let test_transports () =
   let echo ~core:_ m = m in
   let subkernel backend =
@@ -321,9 +323,7 @@ let test_transports () =
     Kernel.context_switch kernel ~core:0 client;
     Vcpu.set_mode (Kernel.vcpu kernel ~core:0) Vcpu.User;
     fun msg ->
-      match Sky_core.Subkernel.call sb ~core:0 ~client ~server_id msg with
-      | Ok _ -> ()
-      | Error _ -> Alcotest.fail "call failed"
+      ignore (Sky_core.Subkernel.call sb ~core:0 ~client ~server_id ~timeout:(-1) msg)
   in
   let sel4 () =
     let machine = Machine.create ~cores:2 ~mem_mib:64 () in
@@ -340,9 +340,9 @@ let test_transports () =
       check_words (name ^ ", 8 bytes") ~per_op:small (fun () -> call msg8);
       check_words (name ^ ", 48 bytes") ~per_op:large (fun () -> call msg48))
     [
-      ("Subkernel.call (VMFUNC)", subkernel Sky_core.Backend.Vmfunc, 2, 18);
-      ("Subkernel.call (MPK)", subkernel Sky_core.Backend.Mpk, 2, 18);
-      ("Subkernel.call (syscall)", subkernel Sky_core.Backend.Syscall, 2, 18);
+      ("Subkernel.call (VMFUNC)", subkernel Sky_core.Backend.Vmfunc, 0, 16);
+      ("Subkernel.call (MPK)", subkernel Sky_core.Backend.Mpk, 0, 16);
+      ("Subkernel.call (syscall)", subkernel Sky_core.Backend.Syscall, 0, 16);
       ("Ipc.call (seL4)", sel4 (), 0, 0);
     ]
 
@@ -351,10 +351,10 @@ let test_transports () =
    seed 2), load generator and wire included, feeding each request
    through the NIC, the socket layer, skyhttpd, the mesh, the retry
    wrapper, the direct call and the KV/FS backends. Words per request
-   by [Gc.minor_words]: 39.16, what its wire bytes take — the request
+   by [Gc.minor_words]: 37.57, what its wire bytes take — the request
    payload and its copy out of the RX ring, the PUT keys and values the
-   client keeps, the KV message, the call's reply and its [Ok]s, and
-   the response. It was 85.7 while a request rode a packet record, a
+   client keeps, the KV message, the call's reply and the response. It
+   was 39.16 while the typed calls built their [Ok]s, 85.7 while a request rode a packet record, a
    request record, a queue cell, options, list cells and parse copies
    and the client built a request variant and a response record; 87.3
    while the mesh copied the scheme string per routed call; and 203.5
@@ -375,15 +375,17 @@ let test_served_request () =
   Alcotest.(check int) "every request answered" (Sky_net.Loadgen.expected lg)
     (Sky_net.Loadgen.responses lg);
   Alcotest.(check int) "no errors" 0 (Sky_net.Loadgen.errors lg);
-  if per_request > 40.0 then
-    Alcotest.failf "served request: %.2f words/request, bound 40" per_request
+  if per_request > 38.0 then
+    Alcotest.failf "served request: %.2f words/request, bound 38" per_request
 
 (* The open-loop served request: one whole open-loop [Web.run] at the
    overload workload's shape (3 workers, 32 tenants, queue cap 8, batch
    4, seed 2), the Poisson pump, admission and batched crossings
    included, without and with a wire TTL (and the server's default
    one), as skyperf's overload workload runs it. Words per offered
-   arrival by [Gc.minor_words]: 30.37 and 33.58 (69.78 and 84.13 while
+   arrival by [Gc.minor_words]: 30.16 and 33.17 (30.37 and 33.58 while
+   the typed calls built their [Ok]s and a TTL call its timeout's
+   [Some]; 69.78 and 84.13 while
    requests rode records, options and list cells, a batch built op and
    reply lists and a TTL request was copied on both sides of the wire;
    69.98 while the mesh copied the scheme string per routed call, 71.8
@@ -474,8 +476,9 @@ let test_blocked_step () =
 
 (* The routed call on a resolved [kv://] binding: cache-hit resolve,
    capability check, retry wrapper and the direct call, with a handler
-   that allocates nothing. Bound = measured: the two [Ok] results (the
-   mesh's and the direct call's) remain. It was 6 words while the
+   that allocates nothing, allocate nothing either: the reply travels
+   up as it is and the timeout as an [int]. It was 4 words while the
+   mesh and the direct call each returned an [Ok], 6 while the
    resolution cache was probed with a copy of the scheme string, and
    49 while the span closures, the crossing token, the boxed key-table
    reads and the retry stats option were still built per call. *)
@@ -493,10 +496,8 @@ let test_mesh_call () =
   ignore (Sky_mesh.Mesh.grant mesh ~core:0 ~client "kv://");
   Kernel.context_switch kernel ~core:0 client;
   let msg = Bytes.create 8 in
-  check_words "Mesh.call (resolved kv://)" ~per_op:4 (fun () ->
-      match Sky_mesh.Mesh.call mesh ~core:0 ~client "kv://" msg with
-      | Ok _ -> ()
-      | Error _ -> Alcotest.fail "routed call failed")
+  check_zero "Mesh.call (resolved kv://)" (fun () ->
+      ignore (Sky_mesh.Mesh.call mesh ~core:0 ~client ~timeout:(-1) "kv://" msg))
 
 (* One KV lookup that hits: the probe compares keys in place and the
    hash takes no closure; what remains is the copied-out 40-byte value,

@@ -173,7 +173,11 @@ let kv_over_skybridge () =
   let client = Kernel.spawn k ~name:"client" in
   let sid = Subkernel.register_server sb server (Kv_wire.handler (Kv_server.create machine) k) in
   Subkernel.register_client_to_server sb client ~server_id:sid;
-  (sb, fun msg -> Subkernel.call sb ~core:0 ~client ~server_id:sid (Bytes.of_string msg))
+  ( sb,
+    fun msg ->
+      match Subkernel.call sb ~core:0 ~client ~server_id:sid ~timeout:(-1) (Bytes.of_string msg) with
+      | reply -> Ok reply
+      | exception Subkernel.Failed e -> Error e )
 
 let serving (sb, call) =
   call "I\000\003\000keyvalue" = Ok (Bytes.of_string "ok")

@@ -16,12 +16,12 @@ let with_faults f = Fun.protect ~finally:Fault.disable f
 
 (* [Subkernel.call] with how it was served: a degraded (slowpath) reply
    is the one that bumps [Subkernel.degraded_calls]. *)
-let call_via sb ~core ~client ~server_id ?timeout msg =
+let call_via sb ~core ~client ~server_id ?(timeout = -1) msg =
   let degraded0 = Subkernel.degraded_calls sb in
-  match Subkernel.call sb ~core ~client ~server_id ?timeout msg with
-  | Ok reply ->
+  match Subkernel.call sb ~core ~client ~server_id ~timeout msg with
+  | reply ->
     Ok (reply, if Subkernel.degraded_calls sb > degraded0 then `Slowpath else `Direct)
-  | Error e -> Error e
+  | exception Subkernel.Failed e -> Error e
 
 let user_code = Sky_isa.Encode.encode_all [ Sky_isa.Insn.Nop; Sky_isa.Insn.Ret ]
 
@@ -268,13 +268,13 @@ let test_entry_filter_denial () =
     ~pid:client.Proc.pid ~server:sid;
   (match Subkernel.direct_server_call sb ~core:0 ~client ~server_id:sid msg8 with
   | _ -> Alcotest.fail "expected the entry filter to deny the trap"
-  | exception Subkernel.Binding_revoked _ -> ());
+  | exception Subkernel.Failed (Subkernel.Revoked _) -> ());
   Alcotest.(check bool) "denial counted" true
     (Entry_filter.denials (Subkernel.entry_filter sb) > 0)
 
-(* The same refused trap through the typed-error API: [call] returns
-   [Revoked] and retires the binding instead of raising, so
-   [Retry.call] rebinds with a fresh grant and gets its echo. *)
+(* The same refused trap through [call]: [Revoked], with the binding
+   retired, so [Retry.call] rebinds with a fresh grant and gets its
+   echo. *)
 let test_denied_trap_typed_error () =
   let tamper sb client sid =
     Entry_filter.revoke (Subkernel.entry_filter sb) ~pid:client.Proc.pid
@@ -292,7 +292,7 @@ let test_denied_trap_typed_error () =
   let _, sb, client, _, sid = setup ~backend:Backend.Syscall () in
   tamper sb client sid;
   let stats = Retry.create_stats () in
-  (match Retry.call ~stats sb ~core:0 ~client ~server_id:sid msg8 with
+  (match Retry.call ~stats sb ~core:0 ~client ~server_id:sid ~timeout:(-1) msg8 with
   | reply -> Alcotest.(check bool) "echo" true (Bytes.equal reply msg8)
   | exception e -> Alcotest.failf "Retry.call raised %s" (Printexc.to_string e));
   Alcotest.(check int) "rebound on the retry" 1 stats.Retry.retried_ok;
@@ -434,6 +434,7 @@ let run_steps ~backend steps =
     | Error (Subkernel.Crashed _) -> "crashed"
     | Error (Subkernel.Revoked _) -> "revoked"
     | Error (Subkernel.Too_large _) -> "too-large"
+    | Error (Subkernel.Denied _) -> "denied"
   in
   let outcome step =
     match step with

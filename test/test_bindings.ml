@@ -166,11 +166,12 @@ let rig () =
 let real_call r c s =
   let degraded0 = Subkernel.degraded_calls r.sb in
   match
-    Subkernel.call r.sb ~core:0 ~client:r.clients.(c) ~server_id:r.sids.(s) (Bytes.make 8 'x')
+    Subkernel.call r.sb ~core:0 ~client:r.clients.(c) ~server_id:r.sids.(s) ~timeout:(-1)
+      (Bytes.make 8 'x')
   with
-  | Ok _ -> if Subkernel.degraded_calls r.sb > degraded0 then `Degraded else `Direct
-  | Error (Subkernel.Crashed _) -> `Crashed
-  | Error _ -> `Other
+  | _ -> if Subkernel.degraded_calls r.sb > degraded0 then `Degraded else `Direct
+  | exception Subkernel.Failed (Subkernel.Crashed _) -> `Crashed
+  | exception Subkernel.Failed _ -> `Other
   | exception Subkernel.Not_registered _ -> `Not_registered
 
 let show_outcome = function

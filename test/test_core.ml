@@ -8,12 +8,12 @@ open Sky_core
 
 (* [Subkernel.call] with how it was served: a degraded (slowpath) reply
    is the one that bumps [Subkernel.degraded_calls]. *)
-let call_via sb ~core ~client ~server_id ?timeout msg =
+let call_via sb ~core ~client ~server_id ?(timeout = -1) msg =
   let degraded0 = Subkernel.degraded_calls sb in
-  match Subkernel.call sb ~core ~client ~server_id ?timeout msg with
-  | Ok reply ->
+  match Subkernel.call sb ~core ~client ~server_id ~timeout msg with
+  | reply ->
     Ok (reply, if Subkernel.degraded_calls sb > degraded0 then `Slowpath else `Direct)
-  | Error e -> Error e
+  | exception Subkernel.Failed e -> Error e
 
 let make ?backend ?(vpid = true) ?max_eptp ?max_bindings ?(cores = 4) () =
   let machine = Machine.create ~cores ~mem_mib:64 () in
@@ -239,8 +239,8 @@ let test_timeout_dos_defence () =
     ignore
       (Subkernel.direct_server_call sb ~core:0 ~client ~server_id:hang_sid
          ~timeout:10_000 Bytes.empty);
-    Alcotest.fail "expected Call_timeout"
-  with Subkernel.Call_timeout { elapsed; _ } ->
+    Alcotest.fail "expected Timeout"
+  with Subkernel.Failed (Subkernel.Timeout { elapsed; _ }) ->
     Alcotest.(check bool) "elapsed measured" true (elapsed > 10_000)
 
 let test_nested_direct_calls () =

@@ -14,12 +14,12 @@ let with_faults f = Fun.protect ~finally:Fault.disable f
 
 (* [Subkernel.call] with how it was served: a degraded (slowpath) reply
    is the one that bumps [Subkernel.degraded_calls]. *)
-let call_via sb ~core ~client ~server_id ?timeout msg =
+let call_via sb ~core ~client ~server_id ?(timeout = -1) msg =
   let degraded0 = Subkernel.degraded_calls sb in
-  match Subkernel.call sb ~core ~client ~server_id ?timeout msg with
-  | Ok reply ->
+  match Subkernel.call sb ~core ~client ~server_id ~timeout msg with
+  | reply ->
     Ok (reply, if Subkernel.degraded_calls sb > degraded0 then `Slowpath else `Direct)
-  | Error e -> Error e
+  | exception Subkernel.Failed e -> Error e
 
 (* ------------------------------------------------------------------ *)
 (* Engine semantics (no machine: hand-cranked clock)                   *)
@@ -166,14 +166,14 @@ let test_oversized_request () =
       let what = Printf.sprintf "%d connection(s)" conns in
       let k, sb, client, sid, _ = oversize_rig ~conns in
       let full = Bytes.make window 'f' in
-      (match Subkernel.call sb ~core:0 ~client ~server_id:sid full with
-      | Ok reply -> Alcotest.(check bool) (what ^ ": 8 KiB echoes") true (Bytes.equal reply full)
+      (match call_via sb ~core:0 ~client ~server_id:sid full with
+      | Ok (reply, _) -> Alcotest.(check bool) (what ^ ": 8 KiB echoes") true (Bytes.equal reply full)
       | _ -> Alcotest.failf "%s: an 8,192-byte request must pass" what);
       let neighbour = if conns > 1 then Some (window_bytes k 1) else None in
       let cpu = Kernel.cpu k ~core:0 in
       let cycles0 = Cpu.cycles cpu and calls0 = Subkernel.calls sb in
       expect_too_large what (window + 1)
-        (Subkernel.call sb ~core:0 ~client ~server_id:sid (Bytes.make (window + 1) 'x'));
+        (call_via sb ~core:0 ~client ~server_id:sid (Bytes.make (window + 1) 'x'));
       Alcotest.(check int) (what ^ ": nothing charged") cycles0 (Cpu.cycles cpu);
       Alcotest.(check int) (what ^ ": no call made") calls0 (Subkernel.calls sb);
       (match neighbour with
@@ -186,14 +186,17 @@ let test_oversized_request () =
            (Bytes.make (window + 1) 'x')
        with
       | _ -> Alcotest.failf "%s: direct_server_call must refuse" what
-      | exception Sky_kernels.Ipc.Message_too_large { len; limit } ->
-        Alcotest.(check (pair int int)) (what ^ ": exception") (window + 1, window)
-          (len, limit));
+      | exception Subkernel.Failed (Subkernel.Too_large { len; server_id }) ->
+        Alcotest.(check (pair int int)) (what ^ ": exception") (window + 1, sid)
+          (len, server_id));
       (* Not worth a retry: one attempt, then the typed error. *)
       let stats = Retry.create_stats () in
-      (match Retry.call ~stats sb ~core:0 ~client ~server_id:sid (Bytes.make (window + 1) 'x') with
+      (match
+         Retry.call ~stats sb ~core:0 ~client ~server_id:sid ~timeout:(-1)
+           (Bytes.make (window + 1) 'x')
+       with
       | _ -> Alcotest.failf "%s: Retry.call must give up" what
-      | exception Retry.Gave_up (Subkernel.Too_large _) -> ());
+      | exception Subkernel.Failed (Subkernel.Too_large _) -> ());
       Alcotest.(check int) (what ^ ": one attempt") 1 stats.Retry.attempts;
       Alcotest.(check (list Alcotest.reject)) (what ^ ": audit clean") [] (Subkernel.audit sb))
     [ 1; 8 ]
@@ -204,14 +207,14 @@ let test_oversized_reply () =
       let what = Printf.sprintf "%d connection(s)" conns in
       let k, sb, client, sid, reply_len = oversize_rig ~conns in
       reply_len := window;
-      (match Subkernel.call sb ~core:0 ~client ~server_id:sid msg8 with
-      | Ok reply -> Alcotest.(check int) (what ^ ": 8 KiB reply") window (Bytes.length reply)
+      (match call_via sb ~core:0 ~client ~server_id:sid msg8 with
+      | Ok (reply, _) -> Alcotest.(check int) (what ^ ": 8 KiB reply") window (Bytes.length reply)
       | _ -> Alcotest.failf "%s: an 8,192-byte reply must pass" what);
       let neighbour = if conns > 1 then Some (window_bytes k 1) else None in
       let forced0 = Subkernel.forced_returns sb in
       reply_len := window + 1;
       expect_too_large what (window + 1)
-        (Subkernel.call sb ~core:0 ~client ~server_id:sid (Bytes.make 48 'q'));
+        (call_via sb ~core:0 ~client ~server_id:sid (Bytes.make 48 'q'));
       Alcotest.(check int) (what ^ ": forced return") (forced0 + 1)
         (Subkernel.forced_returns sb);
       Alcotest.(check int) (what ^ ": client back in its own domain") client.Proc.pid
@@ -228,11 +231,11 @@ let test_oversized_reply () =
          Subkernel.direct_server_call sb ~core:0 ~client ~server_id:sid msg8
        with
       | _ -> Alcotest.failf "%s: direct_server_call must refuse the reply" what
-      | exception Sky_kernels.Ipc.Message_too_large { len; _ } ->
+      | exception Subkernel.Failed (Subkernel.Too_large { len; _ }) ->
         Alcotest.(check int) (what ^ ": exception length") (window + 1) len);
       reply_len := -1;
-      match Subkernel.call sb ~core:0 ~client ~server_id:sid msg8 with
-      | Ok reply -> Alcotest.(check bool) (what ^ ": next call echoes") true (Bytes.equal reply msg8)
+      match call_via sb ~core:0 ~client ~server_id:sid msg8 with
+      | Ok (reply, _) -> Alcotest.(check bool) (what ^ ": next call echoes") true (Bytes.equal reply msg8)
       | Error _ -> Alcotest.failf "%s: the connection must stay usable" what)
     [ 1; 8 ]
 
@@ -369,6 +372,60 @@ let test_forced_abort_restores_registers () =
        (Subkernel.audit sb));
   regs.(Sky_isa.Reg.encoding Sky_isa.Reg.Rbx) <- saved
 
+(* The backstop for a handler fault: an exception the Subkernel has no
+   name for (here [Invalid_argument], raised on one chosen message) is a
+   faulting server. The call ends in [Crashed] with the client forced
+   back home, its callee-saved registers restored and the server
+   reaped, on the direct path and on the slowpath, under every backend;
+   [Retry] restarts the server and the next call is served. The
+   exception escaped the call after the forced return. *)
+let test_handler_fault_is_a_crash () =
+  let boom = Bytes.of_string "boom" in
+  List.iter
+    (fun backend ->
+      let k = Kernel.create (Machine.create ~cores:4 ~mem_mib:64 ()) in
+      let sb = Subkernel.init ~backend k in
+      let client = spawn_with_code k "client" in
+      let server = spawn_with_code k "server" in
+      let sid =
+        Subkernel.register_server sb server (fun ~core:_ msg ->
+            if Bytes.equal msg boom then invalid_arg "handler bug" else msg)
+      in
+      Subkernel.register_client_to_server sb client ~server_id:sid;
+      Kernel.context_switch k ~core:0 client;
+      let regs = Subkernel.thread_regs sb client in
+      let before = Array.copy regs in
+      let crash path ~forced =
+        let what = Printf.sprintf "%s, %s" (Backend.name backend) path in
+        let forced0 = Subkernel.forced_returns sb in
+        (match call_via sb ~core:0 ~client ~server_id:sid boom with
+        | Error (Subkernel.Crashed { server_id }) ->
+          Alcotest.(check int) (what ^ ": crashed server") sid server_id
+        | _ -> Alcotest.failf "%s: expected Crashed" what);
+        Alcotest.(check int) (what ^ ": forced returns") (forced0 + forced)
+          (Subkernel.forced_returns sb);
+        Alcotest.(check (list int)) (what ^ ": reaped") [ sid ] (Subkernel.dead_servers sb);
+        Alcotest.(check int) (what ^ ": client back home") client.Proc.pid
+          (Subkernel.current_identity sb ~core:0);
+        List.iter
+          (fun r ->
+            let i = Sky_isa.Reg.encoding r in
+            Alcotest.(check int64)
+              (Printf.sprintf "%s: %s restored" what (Sky_isa.Reg.name r))
+              before.(i) regs.(i))
+          callee_saved;
+        let stats = Retry.create_stats () in
+        Alcotest.(check bool) (what ^ ": served after the restart") true
+          (Bytes.equal msg8 (Retry.call ~stats sb ~core:0 ~client ~server_id:sid ~timeout:(-1) msg8));
+        Alcotest.(check int) (what ^ ": Retry restarted it") 1 stats.Retry.restarts;
+        Alcotest.(check (list Alcotest.reject)) (what ^ ": audit clean") [] (Subkernel.audit sb)
+      in
+      crash "direct" ~forced:1;
+      Subkernel.revoke_binding sb ~core:0 client ~server_id:sid ~reason:"slowpath probe"
+        ~into:Subkernel.Orphaned;
+      crash "slowpath" ~forced:0)
+    Backend.all
+
 let test_timeout_restores_registers () =
   with_faults @@ fun () ->
   let _, sb, client, _, sid = setup () in
@@ -415,7 +472,7 @@ let test_retry_recovers_crash () =
   Fault.reset ~seed:3 ();
   Fault.arm ~site:"server.server" ~kind:Fault.Crash (Fault.At_hit 1);
   let stats = Retry.create_stats () in
-  let reply = Retry.call ~stats sb ~core:0 ~client ~server_id:sid msg8 in
+  let reply = Retry.call ~stats sb ~core:0 ~client ~server_id:sid ~timeout:(-1) msg8 in
   Fault.disable ();
   Alcotest.(check bool) "echo after recovery" true (Bytes.equal reply msg8);
   Alcotest.(check int) "one retry" 1 stats.Retry.retried_ok;
@@ -429,9 +486,9 @@ let test_retry_gives_up () =
   (* Crash on every dispatch: the budget outlasts the retry allowance. *)
   Fault.arm ~budget:100 ~site:"server.server" ~kind:Fault.Crash (Fault.Every 1);
   let stats = Retry.create_stats () in
-  (match Retry.call ~max_attempts:3 ~stats sb ~core:0 ~client ~server_id:sid msg8 with
-  | exception Retry.Gave_up (Subkernel.Crashed _) -> ()
-  | _ -> Alcotest.fail "expected Gave_up");
+  (match Retry.call ~max_attempts:3 ~stats sb ~core:0 ~client ~server_id:sid ~timeout:(-1) msg8 with
+  | exception Subkernel.Failed (Subkernel.Crashed _) -> ()
+  | _ -> Alcotest.fail "expected Failed Crashed");
   Fault.disable ();
   Alcotest.(check int) "loss counted" 1 stats.Retry.lost;
   Alcotest.(check int) "all attempts burned" 3 stats.Retry.attempts
@@ -510,7 +567,7 @@ let storm_run seed =
   Fault.arm ~budget:2 ~site:"sim.cycle" ~kind:Fault.Crash (Fault.Prob 1e-4);
   let stats = Retry.create_stats () in
   for _ = 1 to 40 do
-    ignore (Retry.call ~stats sb ~core:0 ~client ~server_id:sid msg8)
+    ignore (Retry.call ~stats sb ~core:0 ~client ~server_id:sid ~timeout:(-1) msg8)
   done;
   Fault.disable ();
   (Fault.fired (), stats.Retry.attempts, stats.Retry.restarts)
@@ -559,7 +616,7 @@ let crash_sweep =
           Subkernel.restart_server sb ~server_id
         | Error (Subkernel.Revoked { server_id }) ->
           Subkernel.rebind sb client ~server_id
-        | Error (Subkernel.Timeout _ | Subkernel.Too_large _) -> ());
+        | Error (Subkernel.Timeout _ | Subkernel.Too_large _ | Subkernel.Denied _) -> ());
         let reply =
           Subkernel.direct_server_call sb ~core:0 ~client ~server_id:sid big
         in
@@ -593,8 +650,8 @@ let fs_crash_sweep =
 
 (* A server that keeps crashing through the SQLite stack's remount: the
    remount's three restarts run out while the disk is still crashing.
-   The op must end in [Retry.Gave_up] (never an escaping
-   [Server_crashed]), no server is left dead, and once the storm stops
+   The op must end in [Subkernel.Failed] (never another exception),
+   no server is left dead, and once the storm stops
    the FS is fsck-clean and the next op succeeds — whichever comes
    first, an fsck or the next request. Budgets 3 and 4 recover inside
    the remount; 5 and 8 exhaust it; the FS server crashing 6 times in a
@@ -615,7 +672,7 @@ let test_remount_exhaustion () =
       let gave_up =
         match Sky_sqldb.Db.insert db ~core:0 ~key:2 ~value:v with
         | () -> false
-        | exception Retry.Gave_up _ -> true
+        | exception Subkernel.Failed _ -> true
       in
       Fault.disable ();
       let name = Printf.sprintf "%s x%d" site budget in
@@ -678,6 +735,7 @@ let () =
             test_ept_fault_revokes_binding;
           Alcotest.test_case "forced abort restores callee-saved regs" `Quick
             test_forced_abort_restores_registers;
+          Alcotest.test_case "handler fault is a crash" `Quick test_handler_fault_is_a_crash;
           Alcotest.test_case "watchdog timeout restores callee-saved regs"
             `Quick test_timeout_restores_registers;
           Alcotest.test_case "security ring bounded with drop count" `Quick

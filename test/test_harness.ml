@@ -100,6 +100,22 @@ let test_budget_ceiling () =
   Alcotest.(check bool) "no file skips" true
     (holds (Budget.load "no-such-budgets.json") max_int)
 
+(* The floor rule is the ceiling's: a present budgets file without the
+   goodput floor fails exactly that check of the committed overload
+   result (it fell back to 50 % and passed), and no file skips it. *)
+let test_budget_floor () =
+  let text = In_channel.with_open_bin "../BENCH_overload.json" In_channel.input_all in
+  let r = Outcome.field (Sky_trace.Json.of_string text) "result" in
+  let failed b = (Sky_experiments.Exp_overload.outcome b r).failed in
+  with_file {|{"overload":{"p999_cycles":{"vmfunc":160112,"mpk":169215,"syscall":153613}}}|}
+    (fun path ->
+      match failed (Budget.load path) with
+      | [ check ] ->
+        Alcotest.(check bool) "the floor check names its key" true
+          (String.starts_with ~prefix:"overload.goodput_floor_pct (no budget" check)
+      | checks -> Alcotest.failf "expected one failed check, got [%s]" (String.concat "; " checks));
+  Alcotest.(check (list string)) "no file skips" [] (failed (Budget.load "no-such-budgets.json"))
+
 (* Every artifact is {"host":{...},"result":R} with R the rendered JSON,
    byte for byte. *)
 let test_artifact_shape () =
@@ -153,6 +169,7 @@ let () =
           Alcotest.test_case "scoped to its section" `Quick
             test_budget_scoped_to_section;
           Alcotest.test_case "+2% ceiling" `Quick test_budget_ceiling;
+          Alcotest.test_case "floor fails closed" `Quick test_budget_floor;
         ] );
       ( "artifact",
         [ Alcotest.test_case "host + result shape" `Quick test_artifact_shape ] );

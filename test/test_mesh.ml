@@ -17,7 +17,8 @@ let echo tag ~core:_ msg = Bytes.cat (Bytes.of_string tag) msg
 
 (* One dep server ("store") and two services over it: [svc://] depends
    on the store, [raw://] is the store itself — the overlapping-closure
-   shape the refcounting must get right. *)
+   shape the refcounting must get right. With [nested], svc:// answers
+   with the store's reply to the message, over a nested call. *)
 type fixture = {
   sb : Subkernel.t;
   mesh : Mesh.t;
@@ -26,7 +27,7 @@ type fixture = {
   svc_sid : int;
 }
 
-let make ?(cores = 4) ?(seed = 1) () =
+let make ?(cores = 4) ?(seed = 1) ?(nested = false) () =
   let machine = Machine.create ~cores ~mem_mib:64 () in
   let kernel = Kernel.create machine in
   let sb = Subkernel.init ~seed kernel in
@@ -38,23 +39,32 @@ let make ?(cores = 4) ?(seed = 1) () =
     Subkernel.register_server sb store_proc ~connection_count:cores
       (echo "store:")
   in
+  let svc_handler =
+    if nested then fun ~core msg ->
+      echo "svc:" ~core
+        (Subkernel.direct_server_call sb ~core ~client:svc_proc ~server_id:store_sid msg)
+    else echo "svc:"
+  in
   let svc_sid =
-    Subkernel.register_server sb svc_proc ~connection_count:cores
-      ~deps:[ store_sid ] (echo "svc:")
+    Subkernel.register_server sb svc_proc ~connection_count:cores ~deps:[ store_sid ]
+      svc_handler
   in
   Mesh.register mesh ~core:0 ~uri:"raw://" ~server_id:store_sid;
   Mesh.register mesh ~core:0 ~uri:"svc://" ~server_id:svc_sid;
   Mesh.connect mesh client;
   { sb; mesh; client; store_sid; svc_sid }
 
+(* The routed call's outcome as a result, for the assertions below. *)
+let routed f ?(client = f.client) uri msg =
+  match Mesh.call f.mesh ~core:0 ~client ~timeout:(-1) uri (Bytes.of_string msg) with
+  | reply -> Ok (Bytes.to_string reply)
+  | exception Subkernel.Failed e -> Error e
+
 let call_ok f uri =
-  match
-    Mesh.call f.mesh ~core:0 ~client:f.client uri (Bytes.of_string "ping")
-  with
-  | Ok reply -> Bytes.to_string reply
-  | Error (`Unresolved u) -> Alcotest.failf "unresolved %s" u
-  | Error (`Denied u) -> Alcotest.failf "denied %s" u
-  | Error (`Failed _) -> Alcotest.fail "retry budget exhausted"
+  match routed f uri "ping" with
+  | Ok reply -> reply
+  | Error (Subkernel.Denied _) -> Alcotest.failf "denied %s" uri
+  | Error _ -> Alcotest.fail "retry budget exhausted"
 
 let check_audit f name =
   Alcotest.(check int) (name ^ ": mesh audit clean") 0
@@ -85,11 +95,8 @@ let test_resolve_and_call () =
 let test_unresolved () =
   let f = make () in
   Mesh.connect f.mesh f.client;
-  (match
-     Mesh.call f.mesh ~core:0 ~client:f.client "nope://" (Bytes.of_string "x")
-   with
-  | Error (`Unresolved "nope://") -> ()
-  | _ -> Alcotest.fail "expected `Unresolved");
+  Alcotest.check_raises "call raises Unknown_service" (Mesh.Unknown_service "nope://")
+    (fun () -> ignore (routed f "nope://" "x"));
   Alcotest.check_raises "grant raises Unknown_service"
     (Mesh.Unknown_service "nope://") (fun () ->
       ignore (Mesh.grant f.mesh ~core:0 ~client:f.client "nope://"))
@@ -138,25 +145,57 @@ let test_overlapping_closures_refcount () =
   (* The store sid is covered twice: via svc://'s dep closure and via
      raw:// directly. Revoking the svc grant must keep it alive. *)
   Mesh.revoke_grant f.mesh ~core:0 g_svc;
-  Alcotest.(check bool) "svc grant dead" false (Mesh.grant_live g_svc);
+  Alcotest.(check bool) "svc grant dead" false (Mesh.grant_live f.mesh g_svc);
   Alcotest.(check string) "shared dep still reachable via raw://" "store:ping"
     (call_ok f "raw://");
-  (match
-     Mesh.call f.mesh ~core:0 ~client:f.client "svc://" (Bytes.of_string "x")
-   with
-  | Error (`Denied "svc://") -> ()
+  (match routed f "svc://" "x" with
+  | Error (Subkernel.Denied { server_id }) when server_id = f.svc_sid -> ()
   | _ -> Alcotest.fail "revoked svc:// should be denied");
   check_audit f "after first revoke";
   Mesh.revoke_grant f.mesh ~core:0 g_raw;
   Alcotest.(check bool) "store binding gone once refcount hits zero" false
     (has_binding f ~sid:f.store_sid);
-  (match
-     Mesh.call f.mesh ~core:0 ~client:f.client "raw://" (Bytes.of_string "x")
-   with
-  | Error (`Denied _) -> ()
-  | _ -> Alcotest.fail "expected `Denied after last revoke");
+  (match routed f "raw://" "x" with
+  | Error (Subkernel.Denied _) -> ()
+  | _ -> Alcotest.fail "expected Denied after last revoke");
   Alcotest.(check bool) "denials counted" true (Mesh.denials f.mesh >= 2);
   check_audit f "after last revoke"
+
+(* A grant lives or dies whole. svc:// calls the store, so revoking
+   raw:// takes the svc:// grant's store capability: the grant dies with
+   it, and the routed call is refused at the route — no crossing —
+   instead of crossing into svc:// to fail on the retired store binding
+   attempt after attempt (4 forced returns, then [Revoked]). *)
+let test_grant_dies_with_its_dependency () =
+  let f = make ~nested:true () in
+  ignore (Mesh.grant f.mesh ~core:0 ~client:f.client "svc://");
+  Alcotest.(check string) "svc:// calls the store" "svc:store:ping" (call_ok f "svc://");
+  Alcotest.(check int) "the svc:// grant is retired" 1
+    (Mesh.revoke_service f.mesh ~core:0 "raw://");
+  (* Resolved ahead, so the routed call itself has nothing to cross for. *)
+  ignore (Mesh.resolve f.mesh ~core:0 ~client:f.client "svc://");
+  let calls0 = Subkernel.calls f.sb and forced0 = Subkernel.forced_returns f.sb in
+  (match routed f "svc://" "x" with
+  | Error (Subkernel.Denied { server_id }) when server_id = f.svc_sid -> ()
+  | _ -> Alcotest.fail "expected Denied at the route");
+  Alcotest.(check int) "no crossing" calls0 (Subkernel.calls f.sb);
+  Alcotest.(check int) "no forced return" forced0 (Subkernel.forced_returns f.sb);
+  Alcotest.(check bool) "no svc binding" false (has_binding f ~sid:f.svc_sid);
+  Alcotest.(check bool) "no store binding" false (has_binding f ~sid:f.store_sid);
+  check_audit f "dependency revoked"
+
+(* ...and no capability of a dead grant survives it: a client granted
+   only svc:// keeps neither its store binding nor a route to raw://
+   once svc:// is revoked. *)
+let test_revoked_grant_leaves_no_dependency () =
+  let f = make () in
+  ignore (Mesh.grant f.mesh ~core:0 ~client:f.client "svc://");
+  Alcotest.(check int) "the grant is retired" 1 (Mesh.revoke_service f.mesh ~core:0 "svc://");
+  Alcotest.(check bool) "store binding retired" false (has_binding f ~sid:f.store_sid);
+  (match routed f "raw://" "x" with
+  | Error (Subkernel.Denied { server_id }) when server_id = f.store_sid -> ()
+  | _ -> Alcotest.fail "raw:// must be denied");
+  check_audit f "grant revoked"
 
 let test_revoke_service_retires_subtree () =
   let f = make () in
@@ -164,11 +203,9 @@ let test_revoke_service_retires_subtree () =
   ignore (Mesh.grant f.mesh ~core:0 ~client:f.client "svc://");
   let retired = Mesh.revoke_service f.mesh ~core:0 "svc://" in
   Alcotest.(check int) "both grants retired at once" 2 retired;
-  (match
-     Mesh.call f.mesh ~core:0 ~client:f.client "svc://" (Bytes.of_string "x")
-   with
-  | Error (`Denied _) -> ()
-  | _ -> Alcotest.fail "expected `Denied after revoke_service");
+  (match routed f "svc://" "x" with
+  | Error (Subkernel.Denied _) -> ()
+  | _ -> Alcotest.fail "expected Denied after revoke_service");
   check_audit f "revoke_service"
 
 (* ------------------------------------------------------------------ *)
@@ -184,10 +221,8 @@ let test_suspend_revoke_resume_degrades () =
      resurrect the binding — degradation, not resurrection. *)
   Mesh.revoke_grant f.mesh ~core:0 g_svc;
   Subkernel.resume f.sb f.client;
-  (match
-     Mesh.call f.mesh ~core:0 ~client:f.client "svc://" (Bytes.of_string "x")
-   with
-  | Error (`Denied "svc://") -> ()
+  (match routed f "svc://" "x" with
+  | Error (Subkernel.Denied { server_id }) when server_id = f.svc_sid -> ()
   | _ -> Alcotest.fail "revoked-while-down grant must stay down");
   Alcotest.(check string) "surviving grant resumed intact" "store:ping"
     (call_ok f "raw://");
@@ -201,7 +236,7 @@ let test_suspend_revoke_resume_degrades () =
 let crash_svc f ~client =
   Fault.reset ~seed:3 ();
   Fault.arm ~budget:1 ~site:"server.meshsvc" ~kind:Fault.Crash (Fault.At_hit 1);
-  match Mesh.call f.mesh ~core:0 ~client "svc://" (Bytes.of_string "x") with
+  match routed f ~client "svc://" "x" with
   | Ok _ -> Fault.disable ()
   | Error _ -> Alcotest.fail "the routed call must recover through a restart"
 
@@ -221,8 +256,11 @@ let test_revoked_while_server_down () =
       let other = second_client f in
       Fault.reset ~seed:3 ();
       Fault.arm ~budget:1 ~site:"server.meshsvc" ~kind:Fault.Crash (Fault.At_hit 1);
-      (match Subkernel.call f.sb ~core:0 ~client:other ~server_id:f.svc_sid (Bytes.of_string "x") with
-      | Error (Subkernel.Crashed _) -> ()
+      (match
+         Subkernel.call f.sb ~core:0 ~client:other ~server_id:f.svc_sid ~timeout:(-1)
+           (Bytes.of_string "x")
+       with
+      | exception Subkernel.Failed (Subkernel.Crashed _) -> ()
       | _ -> Alcotest.fail "expected the crash");
       Mesh.revoke_grant f.mesh ~core:0 g;
       crash_svc f ~client:other;
@@ -240,12 +278,16 @@ let test_revoked_while_suspended () =
       Subkernel.resume f.sb f.client;
       check_stays_revoked f "resumed" ~sid:f.svc_sid)
 
+(* A mesh grant dies whole, so only the Subkernel can retire the store
+   pair under a live svc:// grant: the restart re-binds the orphaned
+   svc:// pair, never its retired dependency. *)
 let test_revoked_dependency () =
   with_faults (fun () ->
       let f = make () in
       ignore (Mesh.grant f.mesh ~core:0 ~client:f.client "svc://");
       ignore (second_client f);
-      ignore (Mesh.revoke_service f.mesh ~core:0 "raw://");
+      Subkernel.revoke_binding f.sb ~core:0 f.client ~server_id:f.store_sid
+        ~reason:"retired under a live grant" ~into:Subkernel.Retired;
       crash_svc f ~client:f.client;
       check_stays_revoked f "dependency" ~sid:f.store_sid)
 
@@ -499,16 +541,12 @@ let prop_grant_revoke_refcount =
             && List.length (Subkernel.audit f.sb) = 0;
           Array.iteri
             (fun i uri ->
-              let reply =
-                Mesh.call f.mesh ~core:0 ~client:f.client uri
-                  (Bytes.of_string "q")
-              in
               ok :=
                 !ok
                 &&
-                match (reply, covered.(i)) with
+                match (routed f uri "q", covered.(i)) with
                 | Ok _, true -> true
-                | Error (`Denied _), false -> true
+                | Error (Subkernel.Denied _), false -> true
                 | _ -> false)
             uris)
         ops;
@@ -552,9 +590,9 @@ let prop_nameserv_hostile =
     (QCheck.make ~print:(fun b -> String.escaped (Bytes.to_string b)) gen)
     (fun msg ->
       let f, ns_sid = Lazy.force fixture in
-      match Subkernel.call f.sb ~core:0 ~client:f.client ~server_id:ns_sid msg with
-      | Ok reply -> Bytes.length reply >= 1
-      | Error _ -> false)
+      match Subkernel.call f.sb ~core:0 ~client:f.client ~server_id:ns_sid ~timeout:(-1) msg with
+      | reply -> Bytes.length reply >= 1
+      | exception Subkernel.Failed _ -> false)
 
 (* ------------------------------------------------------------------ *)
 
@@ -577,6 +615,10 @@ let () =
             test_overlapping_closures_refcount;
           Alcotest.test_case "revoke_service retires subtree" `Quick
             test_revoke_service_retires_subtree;
+          Alcotest.test_case "a grant dies with its dependency" `Quick
+            test_grant_dies_with_its_dependency;
+          Alcotest.test_case "a dead grant leaves no dependency" `Quick
+            test_revoked_grant_leaves_no_dependency;
         ] );
       ( "recovery",
         [

@@ -145,11 +145,12 @@ module Ref_http = struct
     | Stored -> String.equal (Bytes.unsafe_to_string resp.body) "stored"
     | Body v -> Bytes.equal resp.body v
 
-  (* How the client classified a response before it read it in place. *)
+  (* How the client classified a response before it read it in place,
+     with a 500 (a PUT the store refused) a refusal, as a 403 is. *)
   let classify expect b =
     match parse_response b with
     | { status = 503; _ } -> Loadgen.Shed
-    | { status = 403; _ } -> Loadgen.Unservable
+    | { status = 403 | 500; _ } -> Loadgen.Unservable
     | resp when body_matches expect resp -> Loadgen.Served
     | _ -> Loadgen.Corrupt
     | exception Http.Bad_request _ -> Loadgen.Corrupt
@@ -236,7 +237,7 @@ let gen_wire =
         map (fun n -> Ref_http.Fs_get n) text;
       ]
   in
-  let status = oneof [ int_range (-20) 999; oneofl [ 200; 403; 404; 503; max_int; min_int ] ] in
+  let status = oneof [ int_range (-20) 999; oneofl [ 200; 403; 404; 500; 503; max_int; min_int ] ] in
   let junk =
     map2 ( ^ )
       (oneofl [ ""; "GET /kv/"; "PUT /kv/"; "GET /fs/"; "TTL"; "TTL12 "; "TTL0 "; "TTL-3 ";
@@ -324,7 +325,7 @@ let prop_response_check =
               | _ -> Bytes.sub want 0 (max 0 (n - 1))
             in
             (`Resp { Ref_http.status = st; body }, e))
-          (oneofl [ 200; 201; 403; 503 ]) expect (int_bound 2);
+          (oneofl [ 200; 201; 403; 500; 503 ]) expect (int_bound 2);
       ]
   in
   QCheck.Test.make ~name:"in-place response check agrees with the old one" ~count:2000
@@ -761,7 +762,9 @@ let test_batching_amortizes () =
 (* An open-loop run long enough to fill the KV store's 4,096 slots: once
    a batch with a new key is refused ("err", nothing applied), each of
    its requests takes the individual path and gets its own answer, so
-   the run ends with every arrival accounted for. *)
+   the run ends with every arrival accounted for. A new key's PUT is
+   then answered 500, a typed refusal: counted unservable by the client
+   and the server alike, never corrupt (389 were). *)
 let test_batch_refused_full_table () =
   let o =
     Web.build_open ~seed:2 ~tenants:32 ~mean_gap:700 ~total:100_000 ~workers:3
@@ -774,7 +777,11 @@ let test_batch_refused_full_table () =
   Alcotest.(check bool) "finished" true (Loadgen.finished ol);
   Alcotest.(check bool) "accounting invariant" true (accounted ol);
   Alcotest.(check bool) "batched crossings happened" true
-    (Httpd.batches (Web.httpd o) > 0)
+    (Httpd.batches (Web.httpd o) > 0);
+  Alcotest.(check int) "no corrupt response" 0 (Loadgen.corrupt ol);
+  Alcotest.(check bool) "refusals counted unservable" true (Loadgen.unservable ol > 0);
+  Alcotest.(check int) "server and client agree" (Httpd.unservable (Web.httpd o))
+    (Loadgen.unservable ol)
 
 let test_openloop_worker_crash_zero_lost () =
   (* The chaos interlock: a worker crash mid-overload parks the live
